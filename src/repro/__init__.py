@@ -22,76 +22,47 @@ Quick start::
     assert np.array_equal(volume.read(0, 100), payload)  # still readable
 """
 
-from repro.array import RAID6Volume, SimDisk
-from repro.codes import (
-    Cell,
-    CodeLayout,
-    DCode,
-    EvenOdd,
-    HCode,
-    HDPCode,
-    ParityGroup,
-    RDP,
-    XCode,
-    available_codes,
-    disks_for,
-    make_code,
-)
-from repro.codes.bitmatrix_code import BitmatrixRAID6
-from repro.codes.cauchy_rs import CauchyRSRAID6
-from repro.codes.liberation import LiberationCode
-from repro.codes.lrc import LocalReconstructionCode
-from repro.codes.weaver import WeaverCode
-from repro.codes.pcode import PCode
-from repro.codes.reed_solomon import ReedSolomonRAID6
-from repro.codes.rs_general import GeneralReedSolomon
-from repro.codes.shorten import make_shortened, shorten
-from repro.codec import ChainDecoder, GaussianDecoder, StripeCodec
-from repro.exceptions import (
-    DecodeError,
-    FaultToleranceExceeded,
-    InconsistentStripeError,
-    JournalReplayError,
-    LatentSectorError,
-    ReproError,
-    SimulatedCrashError,
-    TornWriteError,
-    TransientIOError,
-    UnrecoverableStripeError,
-)
-from repro.faults import (
-    ErrorPolicy,
-    FaultInjector,
-    FaultRates,
-    FaultSpec,
-    HealthState,
-    RebuildCursor,
-)
-from repro.journal import (
-    CrashRecovery,
-    WriteIntentLog,
-    recover_on_mount,
-)
-from repro.iosim import (
-    AccessEngine,
-    Operation,
-    ReadOp,
-    Workload,
-    WriteOp,
-    io_cost,
-    load_balancing_factor,
-    mixed_workload,
-    read_intensive_workload,
-    read_only_workload,
-    run_workload,
-)
-from repro.perf import (
-    ArrayTimingModel,
-    DiskParameters,
-    degraded_read_experiment,
-    normal_read_experiment,
-)
-from repro.recovery import conventional_plan, hybrid_plan
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.array": ("RAID6Volume", "SimDisk"),
+    "repro.codes": (
+        "Cell", "CodeLayout", "DCode", "EvenOdd", "HCode", "HDPCode",
+        "ParityGroup", "RDP", "XCode", "available_codes", "disks_for",
+        "make_code",
+    ),
+    "repro.codes.bitmatrix_code": ("BitmatrixRAID6",),
+    "repro.codes.cauchy_rs": ("CauchyRSRAID6",),
+    "repro.codes.liberation": ("LiberationCode",),
+    "repro.codes.lrc": ("LocalReconstructionCode",),
+    "repro.codes.weaver": ("WeaverCode",),
+    "repro.codes.pcode": ("PCode",),
+    "repro.codes.reed_solomon": ("ReedSolomonRAID6",),
+    "repro.codes.rs_general": ("GeneralReedSolomon",),
+    "repro.codes.shorten": ("make_shortened", "shorten"),
+    "repro.codec": ("ChainDecoder", "GaussianDecoder", "StripeCodec"),
+    "repro.exceptions": (
+        "DecodeError", "FaultToleranceExceeded", "InconsistentStripeError",
+        "JournalReplayError", "LatentSectorError", "ReproError",
+        "SimulatedCrashError", "TornWriteError", "TransientIOError",
+        "UnrecoverableStripeError",
+    ),
+    "repro.faults": (
+        "ErrorPolicy", "FaultInjector", "FaultRates", "FaultSpec",
+        "HealthState", "RebuildCursor",
+    ),
+    "repro.journal": ("CrashRecovery", "WriteIntentLog", "recover_on_mount"),
+    "repro.iosim": (
+        "AccessEngine", "Operation", "ReadOp", "Workload", "WriteOp",
+        "io_cost", "load_balancing_factor", "mixed_workload",
+        "read_intensive_workload", "read_only_workload", "run_workload",
+    ),
+    "repro.perf": (
+        "ArrayTimingModel", "DiskParameters", "degraded_read_experiment",
+        "normal_read_experiment",
+    ),
+    "repro.recovery": ("conventional_plan", "hybrid_plan"),
+})
 
 __version__ = "1.0.0"
 

@@ -9,13 +9,17 @@
   parity RMW, failure injection, rebuild, scrubbing.
 """
 
-from repro.array.cache import StripeCache
-from repro.array.disk import DiskState, SimDisk
-from repro.array.integrity import ChecksumStore, IntegrityChecker
-from repro.array.mapping import AddressMapper
-from repro.array.persistence import load_volume, save_volume
-from repro.array.pipeline import StripePipeline, worker_count
-from repro.array.volume import RAID6Volume
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.array.cache": ("StripeCache",),
+    "repro.array.disk": ("DiskState", "SimDisk"),
+    "repro.array.integrity": ("ChecksumStore", "IntegrityChecker"),
+    "repro.array.mapping": ("AddressMapper",),
+    "repro.array.persistence": ("load_volume", "save_volume"),
+    "repro.array.pipeline": ("StripePipeline", "worker_count"),
+    "repro.array.volume": ("RAID6Volume",),
+})
 
 __all__ = [
     "AddressMapper",

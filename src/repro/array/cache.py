@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.array.mapping import segments
 from repro.array.volume import RAID6Volume
 from repro.codes.base import Cell
 from repro.exceptions import AddressError
@@ -55,8 +56,8 @@ class StripeCache:
         #: behaviour; serving shards raise it so pressure destages ride
         #: the batched multi-stripe paths.
         self.evict_batch = evict_batch
-        #: stripe -> {cell: value}; OrderedDict gives LRU order
-        self._dirty: "OrderedDict[int, Dict[Cell, np.ndarray]]" = OrderedDict()
+        #: stripe -> {data index: value}; OrderedDict gives LRU order
+        self._dirty: "OrderedDict[int, Dict[int, np.ndarray]]" = OrderedDict()
         self.destage_count = 0
         self._lock = threading.RLock()
 
@@ -72,14 +73,11 @@ class StripeCache:
         if start < 0 or start + data.shape[0] > self.volume.num_elements:
             raise AddressError("write outside volume")
         with self._lock:
-            for k in range(data.shape[0]):
-                loc = self.volume.mapper.locate(start + k)
-                bucket = self._dirty.get(loc.stripe)
-                if bucket is None:
-                    bucket = {}
-                    self._dirty[loc.stripe] = bucket
-                bucket[loc.cell] = data[k].copy()
-                self._dirty.move_to_end(loc.stripe)
+            for stripe, j0, n, k0 in self._segments(start, data.shape[0]):
+                bucket = self._dirty.setdefault(stripe, {})
+                for i in range(n):
+                    bucket[j0 + i] = data[k0 + i].copy()
+                self._dirty.move_to_end(stripe)
             overflow = len(self._dirty) - self.max_dirty_stripes
             if overflow > 0:
                 # evict the LRU overflow (plus hysteresis headroom) as
@@ -96,15 +94,23 @@ class StripeCache:
         out = self.volume.read(start, count)
         copied = out.flags.writeable  # volume may hand out a zero-copy view
         with self._lock:
-            for k in range(count):
-                loc = self.volume.mapper.locate(start + k)
-                bucket = self._dirty.get(loc.stripe)
-                if bucket is not None and loc.cell in bucket:
-                    if not copied:
-                        out = out.copy()
-                        copied = True
-                    out[k] = bucket[loc.cell]
+            for stripe, j0, n, k0 in self._segments(start, count):
+                bucket = self._dirty.get(stripe)
+                if not bucket:
+                    continue
+                for j in range(j0, j0 + n):
+                    value = bucket.get(j)
+                    if value is not None:
+                        if not copied:
+                            out = out.copy()
+                            copied = True
+                        out[k0 + j - j0] = value
         return out
+
+    def _segments(self, start: int, count: int):
+        """``(stripe, first data index, length, first row)`` per stripe of
+        a logical range — the split the volume's own read/write use."""
+        return segments(self.volume.mapper.split(start, count))
 
     # -- destaging --------------------------------------------------------------
 
@@ -150,9 +156,9 @@ class StripeCache:
             self.destage_count += 1
 
     def _bucket_items(self, bucket) -> List[Tuple[Cell, np.ndarray]]:
-        return sorted(
-            bucket.items(), key=lambda kv: self.volume.layout.data_index(kv[0])
-        )
+        """A bucket as write items, in logical (data index) order."""
+        cells = self.volume.layout.data_cells
+        return [(cells[j], value) for j, value in sorted(bucket.items())]
 
     def _destage_many(self, stripes: List[int]) -> None:
         """Coalesced destage: completely dirty stripes flush through the

@@ -36,6 +36,12 @@ from repro.exceptions import DiskFailedError, GeometryError, LatentSectorError
 from repro.util.validation import require_index, require_positive
 
 
+#: Block I/O of at most this many offsets bounds-checks them as a Python
+#: list: two ufunc reductions over a handful of integers cost several
+#: times the whole scatter of a short planned write (one block per disk).
+_SMALL_BLOCK = 16
+
+
 class DiskState(enum.Enum):
     """Lifecycle state of a simulated disk."""
 
@@ -249,11 +255,16 @@ class SimDisk:
         require_index(offset, self.capacity, f"disk {self.disk_id} offset")
 
     def _check_live_block(self, offsets: np.ndarray) -> None:
-        if self.failed:
+        if self.state is DiskState.FAILED:
             raise DiskFailedError(f"disk {self.disk_id} is failed")
-        if offsets.size and (
-            int(offsets.min()) < 0 or int(offsets.max()) >= self.capacity
-        ):
+        if not offsets.size:
+            return
+        if offsets.size <= _SMALL_BLOCK:
+            small = offsets.tolist()
+            lo, hi = min(small), max(small)
+        else:
+            lo, hi = int(offsets.min()), int(offsets.max())
+        if lo < 0 or hi >= self.capacity:
             raise IndexError(
                 f"disk {self.disk_id}: block offsets outside "
                 f"[0, {self.capacity})"

@@ -1,0 +1,496 @@
+"""Pattern-keyed I/O plans for short reads and partial-stripe writes.
+
+The cells a request touches inside a stripe are a pure function of the
+stripe-local *pattern* — which data cells it addresses and which layout
+columns are stale — never of the stripe number.  This module compiles
+that footprint once per pattern into flat index arrays and executes it
+over the volume's ``(capacity * cols, element_size)`` backing view for a
+*vector* of stripes sharing the pattern (one stripe is the scalar case):
+
+* **read plans**, keyed ``(first data index, length, stale columns)`` —
+  the cells to fetch and, when a wanted cell sits on a stale column, the
+  compiled XOR schedule rebuilding it (the access engine's minimal
+  :class:`~repro.iosim.engine.StripeReadPlan`, so disk counters keep
+  matching the model);
+* **RMW plans**, keyed by the dirty data cells — those cells plus every
+  parity their deltas can patch, and one XOR schedule folding the data
+  deltas into per-parity deltas;
+* **stripe plans**, keyed by the stale columns — every surviving cell of
+  a stripe and the compiled column-recovery schedule: the load and store
+  halves of a degraded reconstruct-write.
+
+Execution is one gather of the old cells, the value-dependent
+``delta.any()`` masks the per-element walk applies, one XOR schedule
+(:class:`~repro.codec.plan.XorPlan`), one scatter per disk through the
+volume's ``_disk_write_block`` funnel and one counter bump per disk — the
+same elements read and written as the walk, so every I/O count is
+unchanged.  The executor assumes a quiet fault surface (no hooks, no
+latent sectors); the volume selects it with the same predicates that
+gate its tensor paths and keeps the walk for everything else.
+
+Plans hold a few small ``intp`` arrays each; a volume caches at most
+:data:`MAX_PLANS` of them, least recently used first out.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import OrderedDict
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.array.mapping import Run, segments
+from repro.codec.plan import GatherStep, XorPlan
+from repro.codes.base import Cell, column_failure_cells
+from repro.exceptions import AddressError
+
+#: Plans cached per volume.  A pattern is ``(first index, length)`` of a
+#: contiguous run, so ``per * (per + 1) / 2`` exist per failure state —
+#: 630 for D-Code p=7, 10 296 at p=13; the cap bounds the cache near
+#: 2 MB whatever the geometry.
+MAX_PLANS = 2048
+
+#: Stripes per executor call on a multi-stripe run: bounds the gather
+#: and XOR scratch to a few MB however long the request is.
+RUN_CHUNK = 32
+
+
+class CellSet:
+    """Stripe-local cells as index arrays: a plan's I/O footprint."""
+
+    __slots__ = ("flat", "counts", "order")
+
+    def __init__(
+        self, cells: Sequence[Cell], ncols: int, scatter: bool = False
+    ) -> None:
+        cols = np.array([c.col for c in cells], dtype=np.intp)
+        #: index into a ``(rows * cols, element_size)`` stripe view
+        self.flat = np.array([c.row for c in cells], dtype=np.intp) * ncols
+        self.flat += cols
+        #: ``(column, cells on it)`` for every column holding any — one
+        #: counter bump, and for writers one scatter, per disk
+        self.counts = tuple(
+            (col, n) for col, n in enumerate(np.bincount(cols).tolist()) if n
+        )
+        #: writers: the positions sorted by column, so that each disk's
+        #: rows are the next ``n`` of them (``None``: already sorted)
+        self.order = None
+        if scatter and (np.diff(cols) < 0).any():
+            self.order = np.argsort(cols, kind="stable")
+
+
+class ReadPlan(NamedTuple):
+    """Cells to fetch for one read pattern, and how to rebuild the rest.
+
+    ``xor`` runs over ``rows`` scratch rows — the fetched cells followed
+    by the rebuilt ones — and ``out`` picks the wanted cells from them;
+    both are ``None`` when every wanted cell is fetched directly.
+    """
+
+    cells: CellSet
+    xor: Optional[XorPlan] = None
+    rows: int = 0
+    out: Optional[np.ndarray] = None
+
+
+class RmwPlan(NamedTuple):
+    """Dirty data cells, then the parities their deltas can patch.
+
+    ``xor`` folds the first ``m`` scratch rows (data deltas) into the
+    remaining ones (parity deltas).
+    """
+
+    cells: CellSet
+    m: int
+    xor: XorPlan
+
+
+class StripePlan(NamedTuple):
+    """Surviving cells of a stripe and the schedule rebuilding the rest.
+
+    ``decode`` is ``None`` when nothing is lost, or when the pattern
+    needs the volume's algebraic decoder (``lost`` names the cells).
+    """
+
+    cells: CellSet
+    lost: List[Cell]
+    decode: Optional[XorPlan]
+
+
+class PlanCache:
+    """LRU of compiled plans, one per volume (nothing is built eagerly)."""
+
+    def __init__(self) -> None:
+        self._plans: "OrderedDict[tuple, object]" = OrderedDict()
+        # pipeline workers plan concurrently; a hit racing an eviction
+        # must not lose its entry between lookup and touch
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key: tuple, compile_, *args):
+        """The plan under ``key``, compiled by ``compile_(*args)`` on a miss.
+
+        A compiler may return ``None`` (pattern the executor does not
+        serve); that verdict is cached like a plan.
+        """
+        with self._lock:
+            if key in self._plans:
+                self._plans.move_to_end(key)
+                return self._plans[key]
+        plan = compile_(*args)
+        with self._lock:
+            self._plans[key] = plan
+            if len(self._plans) > MAX_PLANS:
+                self._plans.popitem(last=False)
+        return plan
+
+
+# -- compilation -----------------------------------------------------------------
+
+
+def _xor_plan(equations: List[Tuple[int, List[int]]], rows: int) -> XorPlan:
+    """``row[dst] = XOR(row[srcs])`` over a ``rows``-row scratch buffer.
+
+    ``equations`` are in dependency order (the C engine runs them as
+    listed); the numpy engine gets them bucketed by dependency level and
+    arity like every other compiled plan.
+    """
+    level: Dict[int, int] = {}
+    buckets: Dict[Tuple[int, int], List[Tuple[int, List[int]]]] = {}
+    program: List[int] = []
+    for dst, srcs in equations:
+        level[dst] = 1 + max(level.get(s, -1) for s in srcs)
+        buckets.setdefault((level[dst], len(srcs)), []).append((dst, srcs))
+        program += [dst, len(srcs), *srcs]
+    return XorPlan(
+        num_cells=rows,
+        steps=tuple(
+            GatherStep(
+                dst=np.array([d for d, _ in group], dtype=np.intp),
+                src=np.array([s for _, s in group], dtype=np.intp),
+            )
+            for _, group in sorted(buckets.items())
+        ),
+        program=np.ascontiguousarray(program, dtype=np.int64),
+    )
+
+
+def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
+    layout = volume.layout
+    wanted = layout.data_cells[j0:j0 + n]
+    if not any(c.col in stale_cols for c in wanted):
+        return ReadPlan(CellSet(wanted, layout.cols))
+    plan = volume._read_planner(volume._stale_disks(stripe)).plan_for(
+        stripe, list(wanted)
+    )
+    if plan.recipe is None:
+        return None  # algebraic pattern: the walk decodes the stripe
+    fetch = sorted(plan.fetch)
+    row = {cell: i for i, cell in enumerate(fetch)}
+    equations = []
+    for step in plan.recipe:  # a step reads fetched or already rebuilt cells
+        srcs = [row[c] for c in step.reads]
+        row[step.cell] = len(row)
+        equations.append((row[step.cell], srcs))
+    return ReadPlan(
+        CellSet(fetch, layout.cols),
+        _xor_plan(equations, len(row)),
+        len(row),
+        np.array([row[c] for c in wanted], dtype=np.intp),
+    )
+
+
+def _compile_rmw(volume, items) -> Optional[RmwPlan]:
+    cells = [cell for cell, _ in items]
+    if len(set(cells)) < len(cells) or not all(
+        volume.layout.is_data(cell) for cell in cells
+    ):
+        return None  # only the walk's sequential semantics cover these
+    # over GF(2) a parity changes by the XOR of the deltas of the dirty
+    # cells whose update footprint holds it (cascades through parities of
+    # parities are already folded into each cell's footprint)
+    feeds: Dict[Cell, List[int]] = {}
+    for j, cell in enumerate(cells):
+        for parity in volume.codec.plans.update_plan(cell)[1]:
+            feeds.setdefault(parity, []).append(j)
+    parities = sorted(feeds)
+    m = len(cells)
+    return RmwPlan(
+        CellSet(cells + parities, volume.layout.cols, scatter=True),
+        m,
+        _xor_plan(
+            [(m + i, feeds[p]) for i, p in enumerate(parities)],
+            m + len(parities),
+        ),
+    )
+
+
+def _compile_stripe(volume, stale_cols: Tuple[int, ...]) -> StripePlan:
+    layout = volume.layout
+    cells = [
+        cell
+        for col in range(layout.cols) if col not in stale_cols
+        for cell in layout.cells_in_column(col)
+    ]
+    schedule = (
+        volume.codec.plans.recovery_schedule(stale_cols)
+        if stale_cols and layout.chain_decodable else None
+    )
+    return StripePlan(
+        CellSet(cells, layout.cols, scatter=True),
+        sorted(column_failure_cells(layout, stale_cols)),
+        volume.codec.plans.schedule_plan(schedule) if schedule else None,
+    )
+
+
+# -- execution -------------------------------------------------------------------
+#
+# A cell's row in the flat backing view is ``offset * cols + disk``, so
+# one index array ``at`` carries a gather's whole placement:
+# ``divmod(at, cols)`` gives ``(offsets, disks)`` back.
+
+
+def _check_stripes(volume, lo: int, hi: int) -> None:
+    if lo < 0 or hi >= volume.mapper.num_stripes:
+        raise AddressError(
+            f"stripe outside volume of {volume.mapper.num_stripes}"
+        )
+
+
+def _at(volume, cells: CellSet, stripes: Sequence[int]) -> np.ndarray:
+    """Flat backing rows of ``cells`` in every stripe, stripe-major."""
+    layout = volume.layout
+    stride = layout.rows * layout.cols
+    if not volume.mapper.rotate and len(stripes) == 1:
+        return cells.flat + stripes[0] * stride
+    stripes = np.asarray(stripes, dtype=np.intp)[:, None]
+    at = stripes * stride + cells.flat
+    if volume.mapper.rotate:
+        col = cells.flat % layout.cols
+        at += (col + stripes) % layout.cols - col
+    return at.ravel()
+
+
+def _by_disk(volume, at: np.ndarray):
+    """Group gathered rows by disk: ``(disk, offsets, rows)`` per disk."""
+    offsets, disks = np.divmod(at, volume.layout.cols)
+    for disk in np.unique(disks).tolist():
+        rows = np.flatnonzero(disks == disk)
+        yield disk, offsets[rows], rows
+
+
+def _verified(volume, at: np.ndarray, block: np.ndarray, rows=None) -> bool:
+    """Verified reads: every gathered row (of ``rows``) passes its checksum.
+
+    Edge-triggered like every batched gather (only rows not verified
+    since their last write pay a CRC).  ``False`` sends the caller to
+    the walk, whose scalar reads re-detect the mismatch, reconstruct
+    around it and heal it; nothing has been counted or written by then.
+    """
+    verifier = volume._verifier()
+    if verifier is None:
+        return True
+    if rows is not None:
+        at, block = at[rows], block[rows]
+    bad = [
+        verifier.verify_rows(disk, offsets, block[rows]).size
+        for disk, offsets, rows in _by_disk(volume, at)
+    ]
+    return not any(bad)
+
+
+def _count_reads(volume, cells: CellSet, stripes: Sequence[int]) -> None:
+    """One read-counter bump per disk for a gather of whole stripes."""
+    disks = volume.disks
+    if not volume.mapper.rotate:
+        times = len(stripes)
+        for col, n in cells.counts:
+            disks[col].count_reads(n * times)
+        return
+    for stripe in stripes:
+        for col, n in cells.counts:
+            disks[(col + stripe) % len(disks)].count_reads(n)
+
+
+def _scatter(volume, cells: CellSet, stripe: int, at, block) -> None:
+    """One ``_disk_write_block`` per disk for all of one stripe's cells:
+    the funnel integrity tooling and the dirty-stripe tracker observe,
+    which also counts the writes."""
+    ncols = volume.layout.cols
+    shift = stripe if volume.mapper.rotate else 0
+    write = volume._disk_write_block
+    offsets = at // ncols
+    if cells.order is not None:
+        offsets, block = offsets[cells.order], block[cells.order]
+    lo = 0
+    for col, n in cells.counts:
+        write((col + shift) % ncols, offsets[lo:lo + n], block[lo:lo + n])
+        lo += n
+
+
+def stale_runs(volume, surface, first: int, stripes: int):
+    """Cut stripes ``[first, first + stripes)`` into chunks of at most
+    :data:`RUN_CHUNK` that share their stale columns: ``(a, b, stale)``."""
+    a = first
+    end = first + stripes
+    while a < end:
+        stale = volume._stale_cols(a, surface)
+        b = a + 1
+        while b < min(end, a + RUN_CHUNK) and (
+            surface.healthy or volume._stale_cols(b, surface) == stale
+        ):
+            b += 1
+        yield a, b, stale
+        a = b
+
+
+def read_runs(volume, surface, runs: Sequence[Run], count: int):
+    """Serve the runs of one ``count``-element read from read plans.
+
+    Returns the output buffer and the segments of it left to the
+    per-stripe walk: patterns that need algebraic decoding and chunks
+    holding a block that failed checksum verification.
+    """
+    left = []
+    backing = volume._flat_backing
+    es = volume.element_size
+    out = None
+    for s0, stripes, j0, n, k0 in runs:
+        for a, b, stale in stale_runs(volume, surface, s0, stripes):
+            plan = volume._ioplans.get(
+                ("read", j0, n, stale), _compile_read, volume, j0, n, stale, a
+            )
+            k = k0 + (a - s0) * n
+            if plan is not None:
+                at = _at(volume, plan.cells, range(a, b))
+                block = backing[at]
+                if not _verified(volume, at, block):
+                    plan = None
+            if plan is None:
+                left.extend(segments([(a, b - a, j0, n, k)]))
+                continue
+            _count_reads(volume, plan.cells, range(a, b))
+            if plan.xor is not None:
+                scratch = np.empty((b - a, plan.rows, es), dtype=np.uint8)
+                scratch[:, :len(plan.cells.flat)] = block.reshape(
+                    b - a, -1, es
+                )
+                plan.xor.execute_batch(scratch)
+                block = scratch[:, plan.out].reshape(-1, es)
+            if len(block) == count:
+                return block, left  # the gather *is* the whole answer
+            if out is None:
+                out = np.empty((count, es), dtype=np.uint8)
+            out[k:k + len(block)] = block
+    if out is None:
+        out = np.empty((count, es), dtype=np.uint8)
+    return out, left
+
+
+def rmw(volume, entries) -> list:
+    """Planned read-modify-write of partial-stripe ``(stripe, items)``
+    entries on healthy stripes; entries sharing a dirty-cell pattern
+    execute as one vector of stripes.
+
+    Returns the entries *not* written — an old value failed
+    verification, or the items are not distinct data cells; the caller
+    walks those.
+    """
+    ncols = volume.layout.cols
+    groups: Dict[Tuple[int, ...], list] = {}
+    for entry in entries:
+        key = tuple([c.row * ncols + c.col for c, _ in entry[1]])
+        groups.setdefault(key, []).append(entry)
+    left = []
+    for key, members in groups.items():
+        plan = volume._ioplans.get(
+            ("rmw", key), _compile_rmw, volume, members[0][1]
+        )
+        stripes = [s for s, _ in members]
+        _check_stripes(volume, min(stripes), max(stripes))
+        values = np.array([[v for _, v in items] for _, items in members])
+        if plan is None or not _rmw_run(volume, plan, stripes, values):
+            left.extend(members)
+    return left
+
+
+def _rmw_run(volume, plan: RmwPlan, stripes, values) -> bool:
+    batch, m, es = values.shape
+    cells = plan.cells
+    at = _at(volume, cells, stripes)
+    # every old value — dirty cells and patchable parities — is gathered
+    # before the first write lands, so a failed verification aborts with
+    # the stripe untouched
+    old = volume._flat_backing[at].reshape(batch, -1, es)
+    # scratch rows 0..m-1: data deltas; the rest: the parity deltas the
+    # schedule folds them into
+    scratch = np.empty_like(old)
+    np.bitwise_xor(old[:, :m], values, out=scratch[:, :m])
+    plan.xor.execute_batch(scratch)
+    # the walk's masks: a cell whose delta is zero is read but not
+    # written, a parity whose delta cancels is neither read nor written
+    changed = scratch.any(axis=2)
+    whole = batch == 1 and bool(changed.all())
+    read = written = None
+    if not whole:
+        written = np.flatnonzero(changed)
+        changed[:, :m] = True
+        read = np.flatnonzero(changed)
+    if not _verified(volume, at, old.reshape(-1, es), read):
+        return False
+    np.bitwise_xor(old[:, m:], scratch[:, m:], out=old[:, m:])
+    old[:, :m] = values
+    new = old.reshape(-1, es)
+    if whole:
+        _count_reads(volume, cells, stripes)
+        _scatter(volume, cells, stripes[0], at, new)
+        return True
+    for disk, offsets, _ in _by_disk(volume, at[read]):
+        volume.disks[disk].count_reads(len(offsets))
+    new = new[written]
+    for disk, offsets, rows in _by_disk(volume, at[written]):
+        volume._disk_write_block(disk, offsets, new[rows])
+    return True
+
+
+def _stripe_plan(volume, stale_cols: Sequence[int]) -> StripePlan:
+    """The load/store plan of a stripe whose ``stale_cols`` are lost."""
+    stale = tuple(sorted(stale_cols))
+    return volume._ioplans.get(
+        ("stripe", stale), _compile_stripe, volume, stale
+    )
+
+
+def load_stripe(volume, stripe: int, missing_cols: Sequence[int]):
+    """Gather every surviving cell of ``stripe`` and rebuild the rest.
+
+    Returns the ``(rows, cols, element_size)`` stripe buffer, or ``None``
+    when a gathered block failed verification (take the walk).
+    """
+    _check_stripes(volume, stripe, stripe)
+    plan = _stripe_plan(volume, missing_cols)
+    at = _at(volume, plan.cells, (stripe,))
+    block = volume._flat_backing[at]
+    if not _verified(volume, at, block):
+        return None
+    _count_reads(volume, plan.cells, (stripe,))
+    buf = volume.codec.blank_stripe()
+    flat = buf.reshape(-1, volume.element_size)
+    flat[plan.cells.flat] = block
+    if plan.decode is not None:
+        plan.decode.execute(flat)
+    elif plan.lost:
+        volume._decode_cells_checked(stripe, buf, plan.lost)
+    return buf
+
+
+def store_stripe(volume, stripe: int, buf, skip_cols: Sequence[int]) -> None:
+    """Scatter every cell of ``buf`` outside ``skip_cols`` to its disk."""
+    _check_stripes(volume, stripe, stripe)
+    plan = _stripe_plan(volume, skip_cols)
+    at = _at(volume, plan.cells, (stripe,))
+    flat = np.ascontiguousarray(buf).reshape(-1, volume.element_size)
+    _scatter(volume, plan.cells, stripe, at, flat[plan.cells.flat])

@@ -14,9 +14,26 @@ within a stripe).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple
+
 from repro.codes.base import Cell, CodeLayout
 from repro.exceptions import AddressError
 from repro.util.validation import require_positive
+
+
+#: Stripes sharing one stripe-local pattern: ``(first stripe, stripes,
+#: first data index, length, first request row)``.
+Run = Tuple[int, int, int, int, int]
+#: One stripe's share of a request: ``(stripe, first data index, length,
+#: first request row)``.
+Segment = Tuple[int, int, int, int]
+
+
+def segments(runs: Sequence[Run]) -> Iterator[Segment]:
+    """The per-stripe segments of :meth:`AddressMapper.split` runs."""
+    for stripe, stripes, j0, n, k0 in runs:
+        for i in range(stripes):
+            yield stripe + i, j0, n, k0 + i * n
 
 
 @dataclass(frozen=True)
@@ -66,6 +83,31 @@ class AddressMapper:
         stripe = logical // per
         cell = self.layout.data_cell(logical % per)
         return self.locate_cell(stripe, cell)
+
+    def split(self, start: int, count: int) -> List[Run]:
+        """Cut logical ``[start, start + count)`` into runs of one pattern.
+
+        At most three: a partial head stripe, the whole stripes in
+        between (which all share the pattern ``(0, per)``), a partial
+        tail stripe.  Pure arithmetic — no per-element work, and the
+        caller has validated the range.
+        """
+        per = self.layout.num_data_cells
+        stripe, j0 = divmod(start, per)
+        runs: List[Run] = []
+        k = 0
+        if j0:
+            k = min(per - j0, count)
+            runs.append((stripe, 1, j0, k, 0))
+            stripe += 1
+        whole = (count - k) // per
+        if whole:
+            runs.append((stripe, whole, 0, per, k))
+            stripe += whole
+            k += whole * per
+        if k < count:
+            runs.append((stripe, 1, 0, count - k, k))
+        return runs
 
     def locate_cell(self, stripe: int, cell: Cell) -> Location:
         """Placement of any cell (data or parity) of a stripe."""

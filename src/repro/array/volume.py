@@ -39,12 +39,21 @@ import weakref
 import zlib
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.array.disk import SimDisk
-from repro.array.mapping import AddressMapper
+from repro.array import ioplan
+from repro.array.disk import DiskState, SimDisk
+from repro.array.mapping import AddressMapper, segments
 from repro.array.pipeline import StripePipeline, process_pool_enabled
 from repro.codes.base import Cell, CodeLayout
 from repro.codec.batch import blank_batch, decode_batch, encode_batch
@@ -75,6 +84,33 @@ from repro.util.xor import xor_into
 #: recoverable as a latent sector error, and handled by the same
 #: reconstruct-and-heal ladder (docs/robustness.md, "Silent corruption").
 _CELL_ERRORS = (LatentSectorError, TransientIOError, ChecksumMismatchError)
+
+
+class _Surface(NamedTuple):
+    """One operation's view of the fault surface.
+
+    Taken once at the top of :meth:`RAID6Volume.read` / ``write`` /
+    ``_write_rest`` and passed down, so an operation walks the disks
+    once instead of once per gate it passes.
+    """
+
+    #: planned and tensor *loads* allowed: no fault or corruption hook on
+    #: any disk, no latent sector
+    quiet_io: bool
+    #: planned and tensor *stores* allowed: no hook on any disk, no
+    #: crash-point phase hook on the journal
+    quiet_write: bool
+    #: failed disks, ascending
+    failed: Tuple[int, ...]
+    #: an incremental rebuild is in flight
+    rebuilding: bool
+    #: disks the error policy had failed so far (see ``_fresh``)
+    escalated: int
+
+    @property
+    def healthy(self) -> bool:
+        """No stripe has a stale disk."""
+        return not self.failed and not self.rebuilding
 
 
 class ScrubReport(Dict[int, List[Cell]]):
@@ -221,11 +257,9 @@ class RAID6Volume:
         self._footprint_cache: Dict[
             frozenset, Tuple[Cell, ...]
         ] = {}
-        # dirty-cell pattern -> vectorised RMW parity steps (see
-        # :meth:`_rmw_plan`)
-        self._rmw_plan_cache: Dict[
-            Tuple[Cell, ...], List[Tuple[Cell, Tuple[Cell, ...]]]
-        ] = {}
+        # pattern-keyed read / RMW / stripe plans, compiled on first use
+        # (docs/performance.md, "Planned short-op I/O")
+        self._ioplans = ioplan.PlanCache()
         # -- vectorised-geometry tables (docs/performance.md) -------------
         self._col_rows: List[np.ndarray] = [
             np.array([c.row for c in layout.cells_in_column(col)],
@@ -295,7 +329,7 @@ class RAID6Volume:
 
     # -- fast-path gating ------------------------------------------------------
     #
-    # The vectorised tensor paths change neither data nor counters, but
+    # The planned and tensor paths change neither data nor counters, but
     # they do change the *order* individual elements touch the disks — so
     # they only engage while the fault surface is quiet.  The moment a
     # fault hook is attached (chaos harness, injector tests) everything
@@ -306,34 +340,56 @@ class RAID6Volume:
         """No crash-point phase hook armed on the journal.
 
         A phase hook (like a disk fault hook) defines crash points over
-        the serial per-element operation order, so the tensor and
-        parallel fast paths stand down while one is attached.  A journal
-        *without* a hook never forces the slow paths.
+        the serial per-element operation order, so the planned, tensor
+        and parallel fast paths stand down while one is attached.  A
+        journal *without* a hook never forces the slow paths.
         """
         journal = self.journal
         return journal is None or journal.phase_hook is None
 
+    def _surface(self) -> _Surface:
+        """Snapshot the fault surface: one pass over the disks."""
+        hooks = latent = False
+        failed = []
+        for d in self.disks:
+            if d.fault_hook is not None or d.corrupt_hook is not None:
+                hooks = True
+            if d._bad_sectors:
+                latent = True
+            if d.state is DiskState.FAILED:
+                failed.append(d.disk_id)
+        rebuild = self._rebuild
+        return _Surface(
+            not hooks and not latent,
+            not hooks and self._journal_quiet(),
+            tuple(failed),
+            rebuild is not None and rebuild.active,
+            len(self.error_counters.escalated),
+        )
+
+    def _fresh(self, surface: Optional[_Surface]) -> _Surface:
+        """``surface`` if it still holds, otherwise a new snapshot.
+
+        One thing moves the surface *inside* an operation: the error
+        policy failing a disk under a walk that keeps tripping over
+        checksum mismatches.  Per-stripe code handed its caller's
+        snapshot checks for that before trusting it.
+        """
+        if surface is None or surface.escalated != len(
+            self.error_counters.escalated
+        ):
+            return self._surface()
+        return surface
+
     def _batch_write_ok(self) -> bool:
         """Tensor stores allowed: no fault or crash-point hooks anywhere."""
-        return self._journal_quiet() and all(
-            d.fault_hook is None for d in self.disks
-        )
+        return self._surface().quiet_write
 
     def _batch_io_ok(self) -> bool:
         """Tensor loads allowed: no hooks and no latent sectors."""
-        return all(
-            d.fault_hook is None and not d._bad_sectors for d in self.disks
-        )
+        return self._surface().quiet_io
 
-    def _fast_read_ok(self) -> bool:
-        """Whole-range gather allowed: quiet fault surface, no stale disks."""
-        if self.failed_disks or (
-            self._rebuild is not None and self._rebuild.active
-        ):
-            return False
-        return self._batch_io_ok()
-
-    def _parallel_ok(self) -> bool:
+    def _parallel_ok(self, surface: Optional[_Surface] = None) -> bool:
         """Concurrent per-stripe tasks allowed.
 
         Requires a parallel pipeline *and* no fault hooks: injected fault
@@ -341,9 +397,9 @@ class RAID6Volume:
         interleaving would scramble — the deterministic serial fallback
         of docs/performance.md.
         """
-        return self.pipeline.parallel and self._journal_quiet() and all(
-            d.fault_hook is None for d in self.disks
-        )
+        return self.pipeline.parallel and (
+            surface or self._surface()
+        ).quiet_write
 
     # -- failure lifecycle -----------------------------------------------------
 
@@ -652,17 +708,18 @@ class RAID6Volume:
         rebuilt from parity and the bad sector rewritten (policy
         ``heal_latent_on_read``).
 
-        Fast paths (healthy array, no fault hooks):
+        While the fault surface is quiet (no hooks, no latent sectors):
 
-        * a stripe-aligned full-stripe read of a row-major layout returns
-          a **zero-copy read-only view** of the backing store — no bytes
-          move at all (the view stays current until the range is
-          rewritten; copy it to snapshot);
-        * any other range is served as one vectorised gather per disk.
+        * a stripe-aligned full-stripe read of a row-major layout on a
+          healthy array returns a **zero-copy read-only view** of the
+          backing store — no bytes move at all (the view stays current
+          until the range is rewritten; copy it to snapshot);
+        * any other range — healthy or degraded — executes cached read
+          plans, one gather per run of stripes sharing a pattern
+          (:mod:`repro.array.ioplan`).
 
-        Degraded or fault-injected stripes fall back to the per-stripe
-        reconstruction walk, fanned out over the stripe pipeline when
-        ``REPRO_WORKERS`` enables it.
+        Everything else takes the per-stripe reconstruction walk, fanned
+        out over the stripe pipeline when ``REPRO_WORKERS`` enables it.
         """
         require_positive(count, "count")
         if start < 0 or start + count > self.num_elements:
@@ -670,46 +727,26 @@ class RAID6Volume:
                 f"read [{start}, {start + count}) outside volume of "
                 f"{self.num_elements} elements"
             )
-        view = self._read_zero_copy(start, count)
+        surface = self._surface()
+        view = self._read_zero_copy(start, count, surface)
         if view is not None:
             return view
-        out = np.empty((count, self.element_size), dtype=np.uint8)
-        per = self.layout.num_data_cells
+        runs = self.mapper.split(start, count)
+        # what the plans leave behind re-serves through the self-healing
+        # walk: its scalar reads re-detect a checksum mismatch,
+        # reconstruct from parity, heal the rotten block in place and
+        # re-record its digest
+        if surface.quiet_io:
+            out, left = ioplan.read_runs(self, surface, runs, count)
+        else:
+            out = np.empty((count, self.element_size), dtype=np.uint8)
+            left = segments(runs)
         data_cells = self.layout.data_cells
-        if self._fast_read_ok():
-            suspects = self._bulk_read(start, count, out)
-            # stripes whose gather failed checksum verification re-serve
-            # through the self-healing per-stripe walk: the scalar read
-            # re-detects the mismatch, reconstructs from parity, heals
-            # the rotten block in place and re-records its digest
-            for stripe in suspects:
-                k0 = max(0, stripe * per - start)
-                k1 = min(count, (stripe + 1) * per - start)
-                self._serve_stripe_read(
-                    stripe,
-                    [(k, data_cells[(start + k) % per])
-                     for k in range(k0, k1)],
-                    out,
-                )
-            return out
-        # group the range per stripe so reconstruction decodes once — a
-        # contiguous logical range is a contiguous run of stripes, so the
-        # split falls out of one divmod (the (stripe, cell) mapping is
-        # rotation-independent; rotation only moves columns to disks)
-        stripe_of, j = np.divmod(np.arange(start, start + count), per)
-        firsts = np.flatnonzero(np.diff(stripe_of)) + 1
-        bounds = [0, *firsts.tolist(), count]
-        entries: List[Tuple[int, List[Tuple[int, Cell]]]] = []
-        for i in range(len(bounds) - 1):
-            k0, k1 = bounds[i], bounds[i + 1]
-            entries.append((
-                int(stripe_of[k0]),
-                [(k, data_cells[j[k]]) for k in range(k0, k1)],
-            ))
-        if len(entries) >= self._DEGRADED_BATCH_MIN \
-                and self._degraded_batch_ok():
-            entries = self._serve_degraded_batched(entries, out)
-        if len(entries) > 1 and self._parallel_ok():
+        entries = [
+            (stripe, list(enumerate(data_cells[j0:j0 + n], k0)))
+            for stripe, j0, n, k0 in left
+        ]
+        if len(entries) > 1 and self._parallel_ok(surface):
             self.pipeline.map(
                 lambda entry: self._serve_stripe_read(*entry, out), entries
             )
@@ -746,14 +783,17 @@ class RAID6Volume:
         for k, cell in items:
             out[k] = buf[cell.row, cell.col]
 
-    def _read_zero_copy(self, start: int, count: int) -> Optional[np.ndarray]:
+    def _read_zero_copy(
+        self, start: int, count: int, surface: _Surface
+    ) -> Optional[np.ndarray]:
         """Zero-copy view for a stripe-aligned read, or ``None``.
 
         Engages when the range is exactly one full stripe of data, the
         layout's logical order is the row-major matrix prefix (data rows
         above the parity rows, as in D-Code/X-Code), the mapper does not
-        rotate and the fault surface is quiet.  The returned array is
-        read-only and aliases the live backing store.
+        rotate, the array is healthy and the fault surface is quiet.
+        The returned array is read-only and aliases the live backing
+        store.
         """
         per = self.layout.num_data_cells
         if (
@@ -761,7 +801,7 @@ class RAID6Volume:
             or start % per
             or self.mapper.rotate
             or not self._row_major_data
-            or not self._fast_read_ok()
+            or not (surface.healthy and surface.quiet_io)
         ):
             return None
         stripe = start // per
@@ -778,151 +818,6 @@ class RAID6Volume:
             if n:
                 self.disks[col].count_reads(int(n))
         return view
-
-    def _bulk_read(self, start: int, count: int, out: np.ndarray) -> List[int]:
-        """Healthy-array read as one vectorised gather per disk.
-
-        Returns the (sorted) stripes holding blocks that failed checksum
-        verification — empty without an attached verifier or when every
-        block checks out.  Verification is edge-triggered: only blocks
-        not yet verified since their last write pay a CRC; everything
-        else is a bitmap lookup (docs/robustness.md).
-        """
-        rows, cols = self.layout.rows, self.layout.cols
-        per = self.layout.num_data_cells
-        logical = np.arange(start, start + count)
-        stripes, j = np.divmod(logical, per)
-        c = self._data_cols[j]
-        disks = (c + stripes) % cols if self.mapper.rotate else c
-        offsets = stripes * rows + self._data_rows[j]
-        verifier = self._verifier()
-        suspects: set = set()
-        for d in range(cols):
-            mask = disks == d
-            if mask.any():
-                offs = offsets[mask]
-                block = self.disks[d].read_block(offs)
-                out[mask] = block
-                if verifier is not None:
-                    bad = verifier.verify_rows(d, offs, block)
-                    if bad.size:
-                        idx = np.flatnonzero(mask)[bad]
-                        suspects.update(int(s) for s in stripes[idx])
-        return sorted(suspects)
-
-    #: Minimum same-pattern stripes before the tensor degraded path engages
-    #: (below it, per-stripe gathers cost more than they amortise).
-    _DEGRADED_BATCH_MIN = 2
-    #: Stripes per tensor chunk in the batched degraded read (cache-sized,
-    #: like the batched scrub sweep).
-    _DEGRADED_READ_CHUNK = 32
-
-    def _degraded_batch_ok(self) -> bool:
-        """Tensor degraded reads allowed: no rotation (layout column ==
-        disk id, so one gather per disk serves a stripe run) and a quiet
-        fault surface (hooks/latent sectors fall back to the self-healing
-        per-stripe walk)."""
-        return not self.mapper.rotate and self._batch_io_ok()
-
-    def _serve_degraded_batched(
-        self,
-        entries: List[Tuple[int, List[Tuple[int, Cell]]]],
-        out: np.ndarray,
-    ) -> List[Tuple[int, List[Tuple[int, Cell]]]]:
-        """Serve runs of same-pattern stripes as tensor gathers.
-
-        The degraded-mode fast path (docs/performance.md): stripes are
-        grouped by ``(stale disks, wanted cells)`` — every stripe of a
-        group shares one :class:`~repro.iosim.engine.StripeReadPlan`, so
-        the group's surviving source cells load as one
-        :meth:`~repro.array.disk.SimDisk.read_block` gather per disk and
-        the plan's XOR recipe executes once over the whole tensor through
-        the compiled schedule plan.  Byte- and counter-identical to the
-        per-stripe plan walk: both fetch exactly ``plan.fetch`` per
-        stripe and run the same recipe.
-
-        Returns the entries *not* served here (groups too small to
-        amortise a tensor pass, or patterns needing algebraic decoding),
-        which the caller routes through the per-stripe path.
-        """
-        # a stripe's share of a contiguous read is a contiguous run of
-        # data cells, so (first logical index, length) identifies the
-        # wanted-cell pattern without hashing cell tuples
-        data_index = self.layout.data_index
-        data_cells = self.layout.data_cells
-        groups: Dict[
-            Tuple[Tuple[int, ...], int, int],
-            List[Tuple[int, List[Tuple[int, Cell]]]],
-        ] = {}
-        for stripe, items in entries:
-            key = (
-                self._stale_disks(stripe),
-                data_index(items[0][1]),
-                len(items),
-            )
-            groups.setdefault(key, []).append((stripe, items))
-        remaining: List[Tuple[int, List[Tuple[int, Cell]]]] = []
-        rows = self.layout.rows
-        es = self.element_size
-        for (stale, j0, nw), glist in groups.items():
-            wanted = data_cells[j0:j0 + nw]
-            if len(glist) < self._DEGRADED_BATCH_MIN:
-                remaining.extend(glist)
-                continue
-            plan = self._read_planner(stale).plan_for(
-                glist[0][0], list(wanted)
-            )
-            if plan.recipe is None:
-                # algebraic (Gaussian) pattern — per-stripe reconstruction
-                remaining.extend(glist)
-                continue
-            xplan = (
-                self.codec.plans.schedule_plan(plan.recipe)
-                if plan.recipe else None
-            )
-            fetch_rows: Dict[int, np.ndarray] = {}
-            for cell in sorted(plan.fetch):
-                fetch_rows.setdefault(cell.col, []).append(cell.row)  # type: ignore[arg-type]
-            fetch_rows = {
-                c: np.array(r, dtype=np.intp)
-                for c, r in fetch_rows.items()
-            }
-            wrows = np.array([c.row for c in wanted], dtype=np.intp)
-            wcols = np.array([c.col for c in wanted], dtype=np.intp)
-            verifier = self._verifier()
-            for i0 in range(0, len(glist), self._DEGRADED_READ_CHUNK):
-                chunk = glist[i0:i0 + self._DEGRADED_READ_CHUNK]
-                batch = len(chunk)
-                stripes = np.array([s for s, _ in chunk], dtype=np.intp)
-                buf = blank_batch(self.codec, batch)
-                chunk_bad = False
-                for c, rarr in fetch_rows.items():
-                    offsets = (
-                        stripes[:, None] * rows + rarr[None, :]
-                    ).ravel()
-                    block = self.disks[c].read_block(offsets)
-                    buf[:, rarr, c, :] = block.reshape(
-                        batch, len(rarr), es
-                    )
-                    if verifier is not None and \
-                            verifier.verify_rows(c, offsets, block).size:
-                        chunk_bad = True
-                if chunk_bad:
-                    # a source block failed verification: route the whole
-                    # chunk through the per-stripe walk, which isolates
-                    # the rotten cell, decodes around it and heals it
-                    remaining.extend(chunk)
-                    continue
-                if xplan is not None:
-                    xplan.execute_batch(
-                        buf.reshape(batch, xplan.num_cells, es)
-                    )
-                ks = np.array(
-                    [[k for k, _ in items] for _, items in chunk],
-                    dtype=np.intp,
-                )
-                out[ks.ravel()] = buf[:, wrows, wcols, :].reshape(-1, es)
-        return remaining
 
     def _degraded_read_via_plan(
         self, stripe, items, out, stale: Tuple[int, ...]
@@ -1008,8 +903,10 @@ class RAID6Volume:
         Fully covered stripes go through the batched codec as one encode
         tensor and one scatter per disk (when the fault surface is quiet);
         head/tail partial stripes take the per-stripe controller paths
-        (RMW parity patch, reconstruct-write), fanned out over the stripe
-        pipeline when ``REPRO_WORKERS`` enables it.
+        (RMW parity patch, reconstruct-write) — cached I/O plans on a
+        quiet surface (:mod:`repro.array.ioplan`), the per-element walk
+        otherwise — fanned out over the stripe pipeline when
+        ``REPRO_WORKERS`` enables it.
         """
         if data.ndim != 2 or data.shape[1] != self.element_size \
                 or data.dtype != np.uint8:
@@ -1023,48 +920,42 @@ class RAID6Volume:
                 f"write [{start}, {start + count}) outside volume of "
                 f"{self.num_elements} elements"
             )
+        surface = self._surface()
         per = self.layout.num_data_cells
-        full0 = -(-start // per)          # first fully covered stripe
-        full1 = (start + count) // per    # one past the last full stripe
-        if full1 - full0 >= 2 and self._batch_write_ok():
-            # tensor fast path: the contiguous run of full stripes
-            # encodes as one batch and stores as one scatter per disk
-            k0 = full0 * per - start
-            k1 = k0 + (full1 - full0) * per
-            self._write_full_stripes_tensor(full0, full1, data[k0:k1])
-            rest = self._group_by_stripe(start, data, range(0, k0))
-            rest += self._group_by_stripe(start, data, range(k1, count))
-            self._write_rest(rest)
-            return
-        by_stripe = self._group_by_stripe(start, data, range(count))
+        data_cells = self.layout.data_cells
+        runs = self.mapper.split(start, count)
         # Full-stripe writes share one encode plan — run them through the
         # batched codec in a single pass; everything else (RMW patches,
         # reconstruct-writes) keeps the per-stripe controller paths.
         full: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
         rest: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
-        for stripe, items in by_stripe:
-            if len(items) == self.layout.num_data_cells:
-                full.append((stripe, items))
-            else:
-                rest.append((stripe, items))
+        for s0, stripes, j0, n, k0 in runs:
+            if n == per and stripes >= 2 and surface.quiet_write:
+                # tensor fast path: the contiguous run of full stripes
+                # encodes as one batch and stores as one scatter per disk
+                self._write_full_stripes_tensor(
+                    s0, s0 + stripes, data[k0:k0 + stripes * per]
+                )
+                continue
+            cells = data_cells[j0:j0 + n]
+            for stripe, _, _, k in segments([(s0, stripes, j0, n, k0)]):
+                (full if n == per else rest).append(
+                    (stripe, list(zip(cells, data[k:k + n])))
+                )
         if len(full) > 1:
             self._full_stripe_write_batched(full)
         else:
             rest = full + rest
-        self._write_rest(rest)
-
-    def _group_by_stripe(
-        self, start: int, data: np.ndarray, ks: Iterable[int]
-    ) -> List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]:
-        """Group logical elements ``start + k`` for ``k`` in ``ks`` by stripe."""
-        by_stripe: Dict[int, List[Tuple[Cell, np.ndarray]]] = {}
-        for k in ks:
-            loc = self.mapper.locate(start + k)
-            by_stripe.setdefault(loc.stripe, []).append((loc.cell, data[k]))
-        return list(by_stripe.items())
+        if len(rest) == 1:
+            # one stripe: no burst to group-commit, batch or fan out
+            self._write_stripe_batch(*rest[0], surface)
+        else:
+            self._write_rest(rest, surface)
 
     def _write_rest(
-        self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
+        self,
+        entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]],
+        surface: Optional[_Surface] = None,
     ) -> None:
         """Run the non-tensor writes of one request queue.
 
@@ -1075,15 +966,19 @@ class RAID6Volume:
           shares one coalesced intent append and one digest pass
           (:meth:`_open_group_intents`) instead of per-stripe journal
           round-trips;
-        * **vectorised RMW** — an all-partial burst on a quiet healthy
-          array executes as per-worker batched read/XOR/scatter passes
-          (:meth:`_rmw_entries_batched`), byte- and counter-identical to
-          the serial loop;
+        * **RMW fan-out** — with a parallel pipeline, an all-partial
+          burst on a quiet healthy array executes as per-worker chunks
+          of planned RMW (:meth:`_rmw_entries_batched`), byte- and
+          counter-identical to the serial loop;
         * **thread fan-out** — otherwise per-stripe tasks run on the
           stripe pipeline when :meth:`_parallel_ok` allows.
+
+        Whichever runs, each partial stripe on a quiet surface executes
+        its cached RMW plan (:mod:`repro.array.ioplan`).
         """
         if not entries:
             return
+        surface = self._fresh(surface)
         # Acquire the whole burst's stripe locks up front (sorted, so
         # concurrent bursts cannot deadlock) and hand the pool workers
         # the lock-free leaf writers: a pool task that blocked on a
@@ -1104,15 +999,15 @@ class RAID6Volume:
             if not (
                 len(entries) > 1
                 and journal_ok
-                and self._rmw_entries_batched(entries)
+                and self._rmw_entries_batched(entries, surface)
             ):
-                if len(entries) > 1 and self._parallel_ok():
+                if len(entries) > 1 and self._parallel_ok(surface):
                     self.pipeline.map(
-                        lambda entry: write(*entry), entries
+                        lambda entry: write(*entry, surface), entries
                     )
                 else:
                     for stripe, items in entries:
-                        write(stripe, items)
+                        write(stripe, items, surface)
             if intents is not None:
                 self.journal.commit_group(intents)
 
@@ -1207,12 +1102,16 @@ class RAID6Volume:
             self._store_stripes_tensor(range(full0, full1), buf)
             self._commit_intents(intents)
 
-    def _stale_cols(self, stripe: int) -> Tuple[int, ...]:
+    def _stale_cols(
+        self, stripe: int, surface: Optional[_Surface] = None
+    ) -> Tuple[int, ...]:
         """Layout columns of ``stripe`` that must not be trusted/written."""
+        if surface is not None and surface.healthy:
+            return ()
         return tuple(
             sorted(
                 self.mapper.col_on_disk(stripe, f)
-                for f in self._stale_disks(stripe)
+                for f in self._stale_disks(stripe, surface)
             )
         )
 
@@ -1302,7 +1201,10 @@ class RAID6Volume:
                 )
 
     def _write_stripe_batch(
-        self, stripe: int, items: List[Tuple[Cell, np.ndarray]]
+        self,
+        stripe: int,
+        items: List[Tuple[Cell, np.ndarray]],
+        surface: Optional[_Surface] = None,
     ) -> None:
         """Per-stripe write chokepoint, intent-logged when journaled.
 
@@ -1311,17 +1213,20 @@ class RAID6Volume:
         two journal operations is recoverable to the fully-new image.
         """
         with self._stripe_lock(stripe):
-            self._write_stripe_batch_locked(stripe, items)
+            self._write_stripe_batch_locked(stripe, items, surface)
 
     def _write_stripe_batch_locked(
-        self, stripe: int, items: List[Tuple[Cell, np.ndarray]]
+        self,
+        stripe: int,
+        items: List[Tuple[Cell, np.ndarray]],
+        surface: Optional[_Surface] = None,
     ) -> None:
         """Lock-free body of :meth:`_write_stripe_batch` — the caller
         (a coordinating thread, never a pool worker) holds the stripe's
         write lock."""
         journal = self.journal
         if journal is None:
-            self._write_stripe_unjournaled_locked(stripe, items)
+            self._write_stripe_unjournaled_locked(stripe, items, surface)
             return
         old_digest = (
             None if len(items) == self.layout.num_data_cells
@@ -1330,7 +1235,7 @@ class RAID6Volume:
             )
         )
         intent = journal.open(stripe, items, old_parity_digest=old_digest)
-        self._write_stripe_unjournaled_locked(stripe, items)
+        self._write_stripe_unjournaled_locked(stripe, items, surface)
         journal.commit(intent)
 
     def _parity_footprint(self, cells: Iterable[Cell]) -> Tuple[Cell, ...]:
@@ -1397,16 +1302,24 @@ class RAID6Volume:
             self._write_stripe_unjournaled_locked(stripe, items)
 
     def _write_stripe_unjournaled_locked(
-        self, stripe: int, items: List[Tuple[Cell, np.ndarray]]
+        self,
+        stripe: int,
+        items: List[Tuple[Cell, np.ndarray]],
+        surface: Optional[_Surface] = None,
     ) -> None:
-        failed_cols = self._stale_cols(stripe)
+        surface = self._fresh(surface)
+        failed_cols = self._stale_cols(stripe, surface)
         if len(items) == self.layout.num_data_cells:
-            self._full_stripe_write(stripe, items, failed_cols)
+            self._full_stripe_write(stripe, items, failed_cols, surface)
         elif failed_cols:
-            self._reconstruct_write(stripe, items, failed_cols)
+            self._reconstruct_write(stripe, items, failed_cols, surface)
         else:
+            planned = surface.quiet_io and surface.quiet_write
             try:
-                self._rmw_write(stripe, items)
+                # quiet surface: the cached RMW plan, which hands the
+                # entry back untouched when an old value fails verification
+                if not planned or ioplan.rmw(self, [(stripe, items)]):
+                    self._rmw_write(stripe, items)
             except _CELL_ERRORS + (DiskFailedError,):
                 # RMW tripped over a medium error (or a disk died under
                 # it) while fetching old values: reconstruct the stripe
@@ -1418,19 +1331,23 @@ class RAID6Volume:
                     stripe, items, self._stale_cols(stripe)
                 )
 
-    def _full_stripe_write(self, stripe, items, failed_cols) -> None:
+    def _full_stripe_write(
+        self, stripe, items, failed_cols, surface=None
+    ) -> None:
         buf = self.codec.blank_stripe()
         for cell, value in items:
             buf[cell.row, cell.col] = value
         self.codec.encode(buf)
-        self._store_stripe(stripe, buf, skip_cols=failed_cols)
+        self._store_stripe(stripe, buf, failed_cols, surface)
 
-    def _reconstruct_write(self, stripe, items, failed_cols) -> None:
-        buf = self._load_stripe(stripe, missing_cols=failed_cols)
+    def _reconstruct_write(
+        self, stripe, items, failed_cols, surface=None
+    ) -> None:
+        buf = self._load_stripe_report(stripe, failed_cols, surface)[0]
         for cell, value in items:
             buf[cell.row, cell.col] = value
         self.codec.encode(buf)
-        self._store_stripe(stripe, buf, skip_cols=failed_cols)
+        self._store_stripe(stripe, buf, failed_cols, surface)
 
     def _rmw_write(self, stripe, items) -> None:
         """Healthy-array partial write: patch parity with XOR deltas.
@@ -1476,56 +1393,33 @@ class RAID6Volume:
             self._write_cell(stripe, cell, value)
             wrote = True
 
-    # -- vectorised multi-stripe RMW (docs/performance.md) -------------------
-
-    def _rmw_plan(
-        self, cells: Tuple[Cell, ...]
-    ) -> List[Tuple[Cell, Tuple[Cell, ...]]]:
-        """Structural parity steps of an RMW over ``cells``.
-
-        ``(parity, members)`` pairs in encode order, where ``members``
-        are the dirty (or cascaded-parity) cells feeding that parity's
-        delta — the cell-pattern-invariant skeleton of
-        :meth:`_rmw_write`'s group walk, cached per pattern so a batched
-        burst pays the toposort scan once.  Structurally a superset of
-        the serial walk: stripes whose member deltas happen to cancel
-        contribute an all-zero row and are masked out numerically.
-        """
-        key = tuple(cells)
-        plan = self._rmw_plan_cache.get(key)
-        if plan is None:
-            flips = set(key)
-            plan = []
-            for group in self._encode_order:
-                members = tuple(m for m in group.members if m in flips)
-                if members:
-                    plan.append((group.parity, members))
-                    flips.add(group.parity)
-            self._rmw_plan_cache[key] = plan
-        return plan
+    # -- multi-stripe RMW fan-out (docs/performance.md) -----------------------
 
     def _rmw_entries_batched(
-        self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
+        self,
+        entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]],
+        surface: Optional[_Surface] = None,
     ) -> bool:
-        """Try the vectorised multi-stripe RMW; ``False`` means fall back.
+        """Try the multi-stripe RMW fan-out; ``False`` means fall back.
 
         Engages only for an all-partial burst on a quiet, healthy,
-        unrotated array with a parallel pipeline: the same data/parity
-        elements are read and written as the serial per-stripe loop (and
-        the counters match exactly), but as one batched gather/scatter
-        pass per worker chunk instead of thousands of per-element calls.
-        With ``REPRO_PROCESS_POOL`` the chunks run in forked workers over
-        the shared-memory backing (GIL-free even for pure-numpy builds);
-        otherwise they fan out over the thread pool, whose workers spend
-        their time in GIL-released numpy/C-kernel calls.
+        unrotated array with a parallel pipeline: each worker chunk runs
+        the cached RMW plans (:func:`repro.array.ioplan.rmw`) over its
+        stripes, pattern by pattern — the same data/parity elements are
+        read and written as the serial per-stripe loop, and the counters
+        match exactly.  With ``REPRO_PROCESS_POOL`` the chunks run in
+        forked workers over the shared-memory backing (GIL-free even for
+        pure-numpy builds); otherwise they fan out over the thread pool,
+        whose workers spend their time in GIL-released numpy/C-kernel
+        calls.
         """
         per = self.layout.num_data_cells
+        surface = surface or self._surface()
         if (
             not self.pipeline.parallel
             or self.mapper.rotate
-            or self._vulnerable_disks()
-            or not self._batch_write_ok()
-            or not self._batch_io_ok()
+            or not surface.healthy
+            or not (surface.quiet_write and surface.quiet_io)
             or any(len(items) >= per for _, items in entries)
         ):
             return False
@@ -1543,59 +1437,14 @@ class RAID6Volume:
             # per-element loop
             workers = min(self.pipeline.workers, os.cpu_count() or 1)
             chunks = _split_chunks(entries, workers)
-            if len(chunks) > 1:
-                self.pipeline.map(self._rmw_chunk, chunks)
-            else:
-                self._rmw_chunk(entries)
+            for left in self.pipeline.map(
+                lambda chunk: ioplan.rmw(self, chunk), chunks
+            ):
+                # entries handed back (an old value failed verification)
+                # take the self-healing per-stripe walk
+                for stripe, items in left:
+                    self._write_stripe_unjournaled_locked(stripe, items)
         return True
-
-    def _rmw_chunk(
-        self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
-    ) -> None:
-        """Vectorised RMW over one worker's chunk of a burst.
-
-        Stripes sharing a dirty-cell pattern batch together: per data
-        cell one gather of the old values across all stripes, one XOR
-        for the deltas, one scatter of the rows that actually changed;
-        then the cached :meth:`_rmw_plan` parity steps run the same way
-        with per-stripe masks.  Byte- and counter-identical to running
-        :meth:`_rmw_write` per stripe.
-        """
-        rows = self.layout.rows
-        groups: Dict[
-            Tuple[Cell, ...], List[Tuple[int, List[np.ndarray]]]
-        ] = {}
-        for stripe, items in entries:
-            key = tuple(c for c, _ in items)
-            groups.setdefault(key, []).append(
-                (stripe, [v for _, v in items])
-            )
-        for cells, members in groups.items():
-            stripes = np.array([s for s, _ in members], dtype=np.intp)
-            values = np.asarray([vs for _, vs in members])  # (n, m, es)
-            deltas: Dict[Cell, np.ndarray] = {}
-            for j, cell in enumerate(cells):
-                offs = stripes * rows + cell.row
-                old = self.disks[cell.col].read_block(offs)
-                delta = np.bitwise_xor(old, values[:, j])
-                mask = delta.any(axis=1)
-                if mask.any():
-                    self._disk_write_block(
-                        cell.col, offs[mask],
-                        np.ascontiguousarray(values[mask, j]),
-                    )
-                deltas[cell] = delta
-            for parity, srcs in self._rmw_plan(cells):
-                gdelta = deltas[srcs[0]].copy()
-                for m in srcs[1:]:
-                    np.bitwise_xor(gdelta, deltas[m], out=gdelta)
-                gmask = gdelta.any(axis=1)
-                if gmask.any():
-                    offs = stripes[gmask] * rows + parity.row
-                    old = self.disks[parity.col].read_block(offs)
-                    np.bitwise_xor(old, gdelta[gmask], out=old)
-                    self._disk_write_block(parity.col, offs, old)
-                deltas[parity] = gdelta
 
     def _rmw_entries_process(
         self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
@@ -1603,13 +1452,13 @@ class RAID6Volume:
         """Dispatch a burst's RMW chunks to forked worker processes.
 
         Workers attach to the shared-memory backing by name and run the
-        same vectorised algorithm as :meth:`_rmw_chunk` directly against
-        the tensor, returning per-column I/O counter deltas the parent
-        replays onto the disks — so results *and* counters match the
-        serial path.  Returns ``False`` (caller falls back to threads)
-        when the backing is not in shared memory, the write funnel is
-        wrapped per-instance (integrity tooling), the burst is too small
-        to split, or the platform cannot fork.
+        same vectorised algorithm as :func:`repro.array.ioplan.rmw`
+        directly against the tensor, returning per-column I/O counter
+        deltas the parent replays onto the disks — so results *and*
+        counters match the serial path.  Returns ``False`` (caller falls
+        back to threads) when the backing is not in shared memory, the
+        write funnel is wrapped per-instance (integrity tooling), the
+        burst is too small to split, or the platform cannot fork.
         """
         if self._shm_name is None or self.pipeline.workers < 2:
             return False
@@ -1661,10 +1510,15 @@ class RAID6Volume:
 
     # -- self-healing disk I/O ----------------------------------------------
 
-    def _stale_disks(self, stripe: int) -> Tuple[int, ...]:
+    def _stale_disks(
+        self, stripe: int, surface: Optional[_Surface] = None
+    ) -> Tuple[int, ...]:
         """Disks that cannot serve ``stripe``: failed ones, plus the
         rebuild target for stripes the cursor has not reached."""
-        out = [d.disk_id for d in self.disks if d.failed]
+        out = (
+            [d.disk_id for d in self.disks if d.failed]
+            if surface is None else list(surface.failed)
+        )
         rebuild = self._rebuild
         if (
             rebuild is not None
@@ -1843,11 +1697,21 @@ class RAID6Volume:
         return self._load_stripe_report(stripe, missing_cols)[0]
 
     def _load_stripe_report(
-        self, stripe: int, missing_cols: Sequence[int]
+        self,
+        stripe: int,
+        missing_cols: Sequence[int],
+        surface: Optional[_Surface] = None,
     ) -> Tuple[np.ndarray, List[Cell]]:
         """Like :meth:`_load_stripe`, also reporting the cells that were
         reconstructed *beyond* ``missing_cols`` — the latent/transient
         casualties the read path may want to heal in place."""
+        if self._fresh(surface).quiet_io:
+            # one gather of the surviving columns + the compiled column
+            # recovery; None when a block fails verification, which the
+            # walk below isolates and decodes around
+            buf = ioplan.load_stripe(self, stripe, missing_cols)
+            if buf is not None:
+                return buf, []
         buf = self.codec.blank_stripe()
         missing = set(missing_cols)
         lost: List[Cell] = []
@@ -1895,8 +1759,15 @@ class RAID6Volume:
         self._gauss.decode_cells(buf, lost)
 
     def _store_stripe(
-        self, stripe: int, buf: np.ndarray, skip_cols: Sequence[int] = ()
+        self,
+        stripe: int,
+        buf: np.ndarray,
+        skip_cols: Sequence[int] = (),
+        surface: Optional[_Surface] = None,
     ) -> None:
+        if self._fresh(surface).quiet_write:
+            ioplan.store_stripe(self, stripe, buf, skip_cols)
+            return
         skip = set(skip_cols)
         journal = self.journal
         wrote = False
@@ -2001,7 +1872,7 @@ def _process_rmw_chunk(payload):
     ``payload`` is ``(shm_name, shape, code, p, element_size, entries)``
     with entries as ``(stripe, [((row, col), value_bytes), ...])`` — small
     and picklable; the stripe data itself lives in the shared backing.
-    Runs the exact :meth:`RAID6Volume._rmw_chunk` algorithm against the
+    Runs the :func:`repro.array.ioplan.rmw` algorithm against the
     shared tensor and returns ``{col: (reads, writes)}`` counter deltas
     for the parent to replay.
     """

@@ -14,18 +14,21 @@ encode / decode / update operations on numpy stripe buffers.
   (``encode_batch`` / ``decode_batch`` / ``update_batch``).
 """
 
-from repro.codec.batch import (
-    blank_batch,
-    decode_batch,
-    encode_batch,
-    random_batch,
-    update_batch,
-)
-from repro.codec.decoder import ChainDecoder, RecoveryStep, can_chain_recover
-from repro.codec.encoder import StripeCodec
-from repro.codec.gauss import GaussianDecoder, can_recover
-from repro.codec.plan import CompiledPlans, XorPlan, compiled_plans
-from repro.codec.update import apply_update, update_footprint
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.codec.batch": (
+        "blank_batch", "decode_batch", "encode_batch", "random_batch",
+        "update_batch",
+    ),
+    "repro.codec.decoder": (
+        "ChainDecoder", "RecoveryStep", "can_chain_recover",
+    ),
+    "repro.codec.encoder": ("StripeCodec",),
+    "repro.codec.gauss": ("GaussianDecoder", "can_recover"),
+    "repro.codec.plan": ("CompiledPlans", "XorPlan", "compiled_plans"),
+    "repro.codec.update": ("apply_update", "update_footprint"),
+})
 
 __all__ = [
     "ChainDecoder",

@@ -9,21 +9,22 @@ baseline its evaluation compares against (:class:`~repro.codes.rdp.RDP`,
 Use :func:`make_code` to build a layout by registry name.
 """
 
-from repro.codes.base import Cell, CodeLayout, ParityGroup
-from repro.codes.dcode import DCode
-from repro.codes.evenodd import EvenOdd
-from repro.codes.generalized import generalize_vertical, make_generalized
-from repro.codes.hcode import HCode
-from repro.codes.hdp import HDPCode
-from repro.codes.pcode import PCode
-from repro.codes.rdp import RDP
-from repro.codes.registry import (
-    EVALUATION_CODES,
-    available_codes,
-    disks_for,
-    make_code,
-)
-from repro.codes.xcode import XCode
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.codes.base": ("Cell", "CodeLayout", "ParityGroup"),
+    "repro.codes.dcode": ("DCode",),
+    "repro.codes.evenodd": ("EvenOdd",),
+    "repro.codes.generalized": ("generalize_vertical", "make_generalized"),
+    "repro.codes.hcode": ("HCode",),
+    "repro.codes.hdp": ("HDPCode",),
+    "repro.codes.pcode": ("PCode",),
+    "repro.codes.rdp": ("RDP",),
+    "repro.codes.registry": (
+        "EVALUATION_CODES", "available_codes", "disks_for", "make_code",
+    ),
+    "repro.codes.xcode": ("XCode",),
+})
 
 __all__ = [
     "Cell",

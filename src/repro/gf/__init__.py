@@ -9,9 +9,15 @@
   decoding oracle.
 """
 
-from repro.gf.bitmatrix import BitMatrix, gf2_rank, gf2_solve
-from repro.gf.gf256 import GF256
-from repro.gf.matrix import gf256_identity, gf256_matinv, gf256_matmul, gf256_matvec
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.gf.bitmatrix": ("BitMatrix", "gf2_rank", "gf2_solve"),
+    "repro.gf.gf256": ("GF256",),
+    "repro.gf.matrix": (
+        "gf256_identity", "gf256_matinv", "gf256_matmul", "gf256_matvec",
+    ),
+})
 
 __all__ = [
     "BitMatrix",

@@ -9,22 +9,22 @@ module folds those into the paper's two measures: the load-balancing factor
 ``LF = Lmax / Lmin`` and the total I/O cost.
 """
 
-from repro.iosim.engine import AccessEngine, DiskLoads
-from repro.iosim.metrics import io_cost, load_balancing_factor, run_workload
-from repro.iosim.request import Operation, ReadOp, WriteOp
-from repro.iosim.trace import (
-    load_trace,
-    save_trace,
-    sequential_workload,
-    zipf_workload,
-)
-from repro.iosim.workloads import (
-    Workload,
-    mixed_workload,
-    read_intensive_workload,
-    read_only_workload,
-    workload_from_ratio,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.iosim.engine": ("AccessEngine", "DiskLoads"),
+    "repro.iosim.metrics": (
+        "io_cost", "load_balancing_factor", "run_workload",
+    ),
+    "repro.iosim.request": ("Operation", "ReadOp", "WriteOp"),
+    "repro.iosim.trace": (
+        "load_trace", "save_trace", "sequential_workload", "zipf_workload",
+    ),
+    "repro.iosim.workloads": (
+        "Workload", "mixed_workload", "read_intensive_workload",
+        "read_only_workload", "workload_from_ratio",
+    ),
+})
 
 __all__ = [
     "AccessEngine",

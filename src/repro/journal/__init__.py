@@ -21,20 +21,18 @@ keeps the write paths byte- and counter-identical to the unjournaled
 volume.
 """
 
-from repro.journal.intent import (
-    JOURNAL_PHASES,
-    GroupFrame,
-    JournalStats,
-    WriteIntent,
-    WriteIntentLog,
-)
-from repro.journal.recovery import (
-    CrashRecovery,
-    IntentOutcome,
-    RecoveryReport,
-    parity_digest,
-    recover_on_mount,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.journal.intent": (
+        "JOURNAL_PHASES", "GroupFrame", "JournalStats", "WriteIntent",
+        "WriteIntentLog",
+    ),
+    "repro.journal.recovery": (
+        "CrashRecovery", "IntentOutcome", "RecoveryReport", "parity_digest",
+        "recover_on_mount",
+    ),
+})
 
 __all__ = [
     "CrashRecovery",

@@ -10,20 +10,20 @@ elements degraded reads drag in — are layout properties faithfully carried
 over from the access engine, and they are what Figures 6 and 7 report.
 """
 
-from repro.perf.diskmodel import DiskParameters, disk_service_time_ms
-from repro.perf.timing import ArrayTimingModel
-from repro.perf.experiments import (
-    ReadSpeedResult,
-    degraded_read_experiment,
-    normal_read_experiment,
-)
-from repro.perf.queueing import (
-    ArrayQueueSimulator,
-    ArrivingRequest,
-    QueueStats,
-    latency_under_load,
-    poisson_requests,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.diskmodel": ("DiskParameters", "disk_service_time_ms"),
+    "repro.perf.timing": ("ArrayTimingModel",),
+    "repro.perf.experiments": (
+        "ReadSpeedResult", "degraded_read_experiment",
+        "normal_read_experiment",
+    ),
+    "repro.perf.queueing": (
+        "ArrayQueueSimulator", "ArrivingRequest", "QueueStats",
+        "latency_under_load", "poisson_requests",
+    ),
+})
 
 __all__ = [
     "ArrayQueueSimulator",

@@ -8,14 +8,14 @@
   are a by-product of chain decoding).
 """
 
-from repro.recovery.planner import (
-    RecoveryPlan,
-    cached_conventional_plan,
-    cached_hybrid_plan,
-    conventional_plan,
-    hybrid_plan,
-    recovery_read_savings,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.recovery.planner": (
+        "RecoveryPlan", "cached_conventional_plan", "cached_hybrid_plan",
+        "conventional_plan", "hybrid_plan", "recovery_read_savings",
+    ),
+})
 
 __all__ = [
     "RecoveryPlan",

@@ -26,20 +26,15 @@ that path:
   (worker kills, stalls, hostile frames) with hard byte-level oracles.
 """
 
-from repro.serve.protocol import (  # noqa: F401
-    OP_FAIL_DISK,
-    OP_READ,
-    OP_SCRUB,
-    OP_STAT,
-    OP_WRITE,
-    RETRYABLE,
-    ST_BUSY,
-    ST_DEADLINE,
-    ST_ERROR,
-    ST_OK,
-    ST_RETRY,
-    Request,
-)
-from repro.serve.server import BlockServer, ServerConfig, make_backends  # noqa: F401
-from repro.serve.shard import ShardSpec  # noqa: F401
-from repro.serve.supervisor import SupervisedShard  # noqa: F401
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.protocol": (
+        "OP_FAIL_DISK", "OP_READ", "OP_SCRUB", "OP_STAT", "OP_WRITE",
+        "RETRYABLE", "ST_BUSY", "ST_DEADLINE", "ST_ERROR", "ST_OK", "ST_RETRY",
+        "Request",
+    ),
+    "repro.serve.server": ("BlockServer", "ServerConfig", "make_backends"),
+    "repro.serve.shard": ("ShardSpec",),
+    "repro.serve.supervisor": ("SupervisedShard",),
+})

@@ -33,7 +33,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.codes.registry import make_code
 from repro.serve import protocol
@@ -270,6 +270,8 @@ class BlockServer:
         self.flushes = 0
         self.zero_copy_flushes = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        #: live connections: handler task -> (its writer, its responder)
+        self._connections: Dict["asyncio.Task", tuple] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -317,6 +319,22 @@ class BlockServer:
         for queue in self.queues:
             await queue.close()
         self.queues = []
+        # Connections that outlived the queues — a client that never
+        # hung up, a responder waiting on an op its killed worker will
+        # never answer — are reaped here; left pending they outlive the
+        # loop ("Task was destroyed but it is pending").  A handler is
+        # ended by closing its transport (it reads EOF and finishes
+        # normally: asyncio.streams logs an error for a handler task
+        # that ends cancelled), its responder by cancellation.
+        connections = list(self._connections.items())
+        for _, (writer, responder) in connections:
+            writer.close()
+            responder.cancel()
+        await asyncio.gather(
+            *(task for handler, (_, responder) in connections
+              for task in (handler, responder)),
+            return_exceptions=True,
+        )
 
     # -- request handling ------------------------------------------------------
 
@@ -338,6 +356,9 @@ class BlockServer:
         responder = asyncio.get_running_loop().create_task(
             self._respond_loop(pending, writer)
         )
+        handler = asyncio.current_task()
+        self._connections[handler] = (writer, responder)
+        handler.add_done_callback(self._connections.pop)
         try:
             while True:
                 body = await protocol.read_frame(reader)

@@ -85,6 +85,7 @@ from repro.serve.protocol import (
     ST_OK,
 )
 from repro.serve.shmring import PayloadRing
+from repro.serve.state import build_shard_state
 
 #: One shard-local op: (op, start, count, payload).
 ShardOp = Tuple[int, int, int, bytes]
@@ -319,8 +320,6 @@ class InlineShard:
     """
 
     def __init__(self, spec: ShardSpec) -> None:
-        from repro.serve.state import build_shard_state
-
         self.spec = spec
         self.volume, self.cache, self.state, self.recovery = (
             build_shard_state(spec)
@@ -408,8 +407,6 @@ def _shard_worker(  # pragma: no cover — child process
     batch — allocation and reclamation stay parent-side, so a worker
     death cannot leak shared memory.
     """
-    from repro.serve.state import build_shard_state
-
     volume, cache, state, _ = build_shard_state(spec)
     hook = (
         _ChaosHook(spec)

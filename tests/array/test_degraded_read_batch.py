@@ -1,13 +1,14 @@
-"""Batched degraded reads: equivalence with the per-stripe plan walk.
+"""Planned degraded reads: equivalence with the per-stripe plan walk.
 
-The tensor degraded-read path (``RAID6Volume._serve_degraded_batched``,
-docs/performance.md "Degraded-mode fast path") must be byte-exact AND
+The planned degraded-read path (``repro.array.ioplan.read_runs``,
+docs/performance.md "Planned short-op I/O") must be byte-exact AND
 per-disk counter-identical to the per-stripe reconstruction walk for
 every registry code — both execute the same
 :class:`~repro.iosim.engine.StripeReadPlan` per stripe, so the disk
 traffic they account is the same by construction.  These tests pin that
 equivalence across single and double failures, rebuild-cursor stale
-boundaries, and the fallback triggers (rotation, latent sectors).
+boundaries, rotation, and the walk's own triggers (latent sectors,
+algebraic patterns).
 """
 
 import numpy as np
@@ -28,9 +29,10 @@ def _make_volume(code_name, p, scalar=False, rotate=False):
         element_size=ES, rotate=rotate,
     )
     if scalar:
-        # shadow the gate so every degraded stripe takes the
-        # per-stripe plan walk — the reference semantics
-        vol._degraded_batch_ok = lambda: False
+        # a fault hook — even one that does nothing — makes every
+        # stripe take the per-element walk: the reference semantics
+        for disk in vol.disks:
+            disk.fault_hook = lambda disk, op, offset: None
     return vol
 
 
@@ -104,12 +106,17 @@ class TestBatchedScalarEquivalence:
 
 class TestFallbacks:
     def test_rotation_disables_tensor_path(self):
+        """Under rotation every stripe has its own stale column, so no
+        two stripes share a plan — each executes alone, still matching
+        the walk."""
+        ref = _make_volume("dcode", 5, scalar=True, rotate=True)
         vol = _make_volume("dcode", 5, rotate=True)
         payload = _fill(vol, 3)
+        _fill(ref, 3)
         vol.fail_disk(1)
-        assert not vol._degraded_batch_ok()
-        out = vol.read(0, vol.num_elements)
-        assert np.array_equal(out, payload)
+        ref.fail_disk(1)
+        _assert_same_read(ref, vol, 0, vol.num_elements)
+        assert np.array_equal(vol.read(0, vol.num_elements), payload)
 
     def test_latent_sector_disables_tensor_path(self):
         ref = _make_volume("dcode", 5, scalar=True)
@@ -119,7 +126,7 @@ class TestFallbacks:
         for vol in (ref, fast):
             vol.fail_disk(1)
             vol.inject_latent_error(disk=3, stripe=2, row=0)
-            assert not vol._degraded_batch_ok()
+            assert not vol._surface().quiet_io
         # both volumes heal the bad sector through the per-stripe
         # self-healing walk — same bytes, same counters
         _assert_same_read(ref, fast, 0, ref.num_elements)
@@ -129,7 +136,7 @@ class TestFallbacks:
 
     def test_gauss_pattern_falls_back_per_stripe(self):
         """EVENODD double failures need algebraic decoding — the plan's
-        recipe is None and the tensor path hands the group back."""
+        recipe is None and the executor hands the stripes back."""
         ref = _make_volume("evenodd", 5, scalar=True)
         fast = _make_volume("evenodd", 5)
         _fill(ref, 6)
@@ -140,8 +147,8 @@ class TestFallbacks:
         _assert_same_read(ref, fast, 0, ref.num_elements)
 
     def test_single_stripe_read_skips_batching(self):
-        """One degraded stripe is below _DEGRADED_BATCH_MIN; the scalar
-        plan path serves it with the same minimal fetch."""
+        """One degraded stripe is a batch of one: the same plan, the
+        same minimal fetch."""
         ref = _make_volume("dcode", 7, scalar=True)
         fast = _make_volume("dcode", 7)
         _fill(ref, 8)

@@ -194,3 +194,46 @@ class TestDeadlines:
             await server.close()
 
         asyncio.run(body())
+
+
+class TestCloseReapsConnections:
+    def test_no_task_outlives_close_after_a_worker_kill(self, capfd):
+        """A client that never hangs up, with an op in flight on a
+        worker that was killed: ``close()`` must still leave no
+        connection task pending — the loop is closed right after it,
+        and a pending task would be destroyed with it ("Task was
+        destroyed but it is pending" on stderr)."""
+        import gc
+
+        from repro.serve import protocol
+
+        config = ServerConfig(
+            shards=1, backend="process", supervise=False, code="dcode",
+            p=5, stripes_per_shard=4, element_size=32,
+        )
+        backends = make_backends(config)
+        # a loop driven by hand, like the benchmark's: asyncio.run()
+        # would cancel the leftovers itself and hide the leak
+        loop = asyncio.new_event_loop()
+        try:
+            server = BlockServer(config, backends)
+            host, port = loop.run_until_complete(server.start())
+            reader, writer = loop.run_until_complete(
+                asyncio.open_connection(host, port)
+            )
+            backends[0].kill()
+            writer.write(protocol.encode_request(protocol.Request(
+                OP_WRITE, 0, 0, 2, bytes(2 * config.element_size)
+            )))
+            loop.run_until_complete(writer.drain())
+            loop.run_until_complete(asyncio.sleep(0.05))  # now in flight
+            assert server._connections
+            loop.run_until_complete(server.close())
+            assert not server._connections
+            assert [t for t in asyncio.all_tasks(loop) if not t.done()] == []
+            writer.close()
+        finally:
+            loop.close()
+        del server, reader, writer
+        gc.collect()
+        assert "Task was destroyed" not in capfd.readouterr().err

@@ -164,3 +164,45 @@ class TestProcessShard:
         finally:
             process.close()
             inline.close()
+
+    def test_worker_imports_nothing_after_the_fork(self, tmp_path):
+        """Everything a worker executes is imported before it is forked
+        (package exports are lazy, so the shard module names its needs by
+        submodule): otherwise every worker pays the import privately and
+        its first op pays the latency.  Run in a fresh interpreter — the
+        test process has imported everything long ago."""
+        from tests.test_lazy_exports import run_fresh
+
+        late = run_fresh("""
+            import json, sys
+            import repro.serve.shard as shard
+            from repro.serve.protocol import OP_READ, OP_WRITE
+
+            execute_ops, path = shard.execute_ops, sys.argv[1]
+
+            def spy(volume, cache, ops, **kwargs):
+                # the worker calls execute_ops by module global; forked
+                # from here, it inherits this wrapper
+                results = execute_ops(volume, cache, ops, **kwargs)
+                with open(path, "w") as out:
+                    json.dump(sorted(sys.modules), out)
+                return results
+
+            shard.execute_ops = spy
+            worker = shard.ProcessShard(
+                shard.ShardSpec(num_stripes=8, element_size=64)
+            )
+            parent = set(sys.modules)
+            try:
+                results = worker.execute([
+                    (OP_WRITE, 3, 5, bytes(5 * 64)),
+                    (OP_READ, 0, 20, b""),
+                    (OP_WRITE, 30, 80, bytes(80 * 64)),
+                ])
+                assert all(status == 0 for status, _ in results), results
+            finally:
+                worker.close()
+            with open(path) as seen:
+                print(json.dumps(sorted(set(json.load(seen)) - parent)))
+        """, str(tmp_path / "modules.json"))
+        assert late == []
