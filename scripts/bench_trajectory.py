@@ -4,17 +4,17 @@
 Measures encode / decode / update bandwidth for every evaluation code at
 p=7 and p=13 (element_size=4096), single-stripe and batched, plus the
 array layer (multi-stripe write serial vs batched, legacy vs bulk vs
-zero-copy reads, per-stripe vs coalesced destage, serial vs 4-worker
-parallel RMW, scalar vs batched degraded reads under one and two disk
-failures), and writes ``BENCH_codec.json`` at the repo root.  All
-comparisons are taken in the same process run with the same
-best-of-batches timing, so the speedup ratios are internally consistent.
+zero-copy reads, per-stripe vs coalesced destage, scalar vs batched
+degraded reads under one and two disk failures), and writes
+``BENCH_codec.json`` at the repo root.  All comparisons are taken in the
+same process run with the same best-of-batches timing, so the speedup
+ratios are internally consistent.
 
-The report carries an ``acceptance`` section with hard floors (parallel
-RMW must reach 2x serial at 4 workers; batched degraded reads must beat
-the scalar walk by >= 3x; journal overhead must stay under 15% on RMW
-bursts and 25% on full-stripe writes; batched encode must at least
-match a compiled loop over the same tensor for every (code, p);
+The report carries an ``acceptance`` section with hard floors (batched
+degraded reads must beat the scalar walk by >= 3x; journal overhead must
+stay under 15% on RMW bursts and 25% on full-stripe writes; batched
+encode must at least match a compiled loop over the same tensor for
+every (code, p);
 steady-state verified reads must stay within 10% of unverified batched
 reads; the sharded/coalesced block service must reach 2.5x serial
 serving ops/s with no worse p99 and byte-identical served data, healthy
@@ -23,7 +23,7 @@ ops/s); the script exits non-zero when a floor is violated, so CI can
 gate on it.  On/off overhead pairs are medians per side, clamped at 0
 (see ``OVERHEAD_METHOD``) — independent minima can cross and report a
 nonsense negative overhead.
-``--only {codec,volume,parallel,degraded,journal,scrub,serving}``
+``--only {codec,volume,degraded,journal,scrub,serving}``
 re-runs one section and merges it into the existing report.
 
 Usage::
@@ -228,12 +228,11 @@ def _legacy_volume_read(volume, start, count):
 
 
 def bench_volume(rng):
-    """Array-level throughput: serial per-stripe vs batched vs parallel.
+    """Array-level throughput: serial per-stripe vs batched.
 
     The serial baseline drives the historical one-stripe-at-a-time
     controller paths (per-element disk I/O); the batched numbers go
-    through the tensor write/read fast paths; parallel runs the
-    partial-stripe RMW queue over a 4-worker stripe pipeline.
+    through the tensor write/read fast paths.
     """
     layout = make_code(VOLUME_CODE, VOLUME_P)
     per = layout.num_data_cells
@@ -318,79 +317,13 @@ def bench_volume(rng):
         ),
     }
 
-    # -- parallel pipeline: the partial-stripe RMW queue, 1 vs 4 workers -----
-    parallel = bench_parallel(rng)
-
     return {
         "code": VOLUME_CODE,
         "p": VOLUME_P,
         "write": write,
         "read": read,
         "destage": destage,
-        "parallel": parallel,
     }
-
-
-def bench_parallel(rng):
-    """Partial-stripe RMW: serial per-stripe walk vs the 4-worker queue.
-
-    The serial baseline drives ``_write_stripe_batch`` one stripe at a
-    time (the historical controller path, per-cell disk I/O); the
-    parallel side hands the whole queue to ``_write_rest`` on a 4-worker
-    volume, which takes the vectorized cross-stripe RMW fast path (and,
-    under ``REPRO_PROCESS_POOL=1``, fans chunks out over shared memory
-    to a fork pool — see docs/performance.md, "Hot-path scaling").  One
-    element per stripe keeps it pure RMW traffic; payloads alternate so
-    every call carries a real parity delta, and both entry lists are
-    built up front so only the write work is timed.
-    """
-    layout = make_code(VOLUME_CODE, VOLUME_P)
-    volume = RAID6Volume(layout, num_stripes=128,
-                         element_size=ELEMENT_SIZE)
-    parallel_volume = RAID6Volume(layout, num_stripes=128,
-                                  element_size=ELEMENT_SIZE, workers=4)
-    rmw_stripes = 32
-    rmw_a = rng.integers(
-        0, 256, (rmw_stripes, ELEMENT_SIZE), dtype=np.uint8
-    )
-    rmw_b = np.bitwise_xor(
-        rmw_a, rng.integers(1, 256, ELEMENT_SIZE, dtype=np.uint8)
-    )
-    rmw_entries = {
-        0: [(s, [(layout.data_cells[0], rmw_a[s])])
-            for s in range(rmw_stripes)],
-        1: [(s, [(layout.data_cells[0], rmw_b[s])])
-            for s in range(rmw_stripes)],
-    }
-    toggles = {id(volume): 0, id(parallel_volume): 0}
-
-    def rmw(vol):
-        toggles[id(vol)] ^= 1
-        for s, items in rmw_entries[toggles[id(vol)]]:
-            vol._write_stripe_batch(s, items)
-
-    def rmw_parallel():
-        toggles[id(parallel_volume)] ^= 1
-        parallel_volume._write_rest(
-            rmw_entries[toggles[id(parallel_volume)]]
-        )
-
-    t_rmw_serial = best_seconds(lambda: rmw(volume), inner=3, reps=5)
-    t_rmw_parallel = best_seconds(rmw_parallel, inner=3, reps=5)
-    parallel = {
-        "workers": 4,
-        "rmw_serial_mb_s": round(
-            mb_per_s(rmw_a.nbytes, t_rmw_serial), 1
-        ),
-        "rmw_parallel_mb_s": round(
-            mb_per_s(rmw_a.nbytes, t_rmw_parallel), 1
-        ),
-        "speedup_parallel_vs_serial": round(
-            t_rmw_serial / t_rmw_parallel, 2
-        ),
-    }
-    parallel_volume.pipeline.close()
-    return parallel
 
 
 def bench_degraded(rng):
@@ -816,20 +749,16 @@ def bench_scrub(rng):
     }
 
 
-#: Timing-noise allowance on ratio floors (parallel speedup, batched vs
-#: looped): min-over-batches timing still jitters a couple of percent,
-#: so those gates only trip below ``floor - NOISE_MARGIN``.
+#: Timing-noise allowance on ratio floors (batched vs looped):
+#: min-over-batches timing still jitters a couple of percent, so those
+#: gates only trip below ``floor - NOISE_MARGIN``.
 NOISE_MARGIN = 0.05
-#: Backwards-compatible alias (pre-group-commit reports/scripts).
-PARALLEL_NOISE = NOISE_MARGIN
 
 #: Committed floors/ceilings, raised by the hot-path work (see
-#: docs/performance.md, "Hot-path scaling"): the vectorized/process RMW
-#: queue must at least double serial throughput at 4 workers, journal
-#: group commit must keep RMW overhead under 15% (full stripe under
-#: 25%), and the per-geometry batch chunking must make batched encode
-#: at least match a compiled loop over the same tensor everywhere.
-PARALLEL_FLOOR = 2.0
+#: docs/performance.md, "Hot-path scaling"): journal group commit must
+#: keep RMW overhead under 15% (full stripe under 25%), and the
+#: per-geometry batch chunking must make batched encode at least match
+#: a compiled loop over the same tensor everywhere.
 JOURNAL_RMW_MAX_PCT = 15.0
 JOURNAL_FULL_STRIPE_MAX_PCT = 25.0
 BATCHED_VS_LOOPED_FLOOR = 1.0
@@ -863,14 +792,6 @@ def degraded_acceptance(degraded):
             "speedup_batched_vs_scalar"
         ],
         "floor": 3.0,
-    }
-
-
-def parallel_acceptance(parallel):
-    return {
-        "workers": parallel["workers"],
-        "rmw_speedup_vs_serial": parallel["speedup_parallel_vs_serial"],
-        "floor": PARALLEL_FLOOR,
     }
 
 
@@ -937,13 +858,6 @@ def codec_acceptance(results):
 def check_acceptance(acceptance):
     """Gate the report: returns the list of violated floors."""
     failures = []
-    par = acceptance.get("parallel")
-    if par is not None:
-        got = par["rmw_speedup_vs_serial"]
-        if got < par["floor"] - NOISE_MARGIN:
-            failures.append(
-                f"parallel RMW speedup {got} below floor {par['floor']}"
-            )
     deg = acceptance.get("degraded_read")
     if deg is not None:
         for key in ("single_failure_speedup", "double_failure_speedup"):
@@ -1028,8 +942,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--only",
-        choices=("journal", "degraded", "volume", "parallel", "codec",
-                 "scrub", "serving"),
+        choices=("journal", "degraded", "volume", "codec", "scrub",
+                 "serving"),
         default=None,
         help="re-run just one section and merge it into the existing "
              "report instead of re-benchmarking everything",
@@ -1065,25 +979,9 @@ def main(argv=None):
             batch: volume["write"][batch]["speedup_batched_vs_serial"]
             for batch in volume["write"]
         }
-        acceptance["parallel"] = parallel_acceptance(volume["parallel"])
         print(
-            "parallel RMW speedup (4 workers): "
-            f"{volume['parallel']['speedup_parallel_vs_serial']}x"
-        )
-        return finish(report, out)
-
-    if args.only == "parallel":
-        out = pathlib.Path(args.out)
-        report = json.loads(out.read_text()) if out.exists() else {}
-        print("benchmarking parallel RMW ...", flush=True)
-        parallel = bench_parallel(rng)
-        report.setdefault("volume", {})["parallel"] = parallel
-        report.setdefault("acceptance", {})[
-            "parallel"
-        ] = parallel_acceptance(parallel)
-        print(
-            "parallel RMW speedup (4 workers): "
-            f"{parallel['speedup_parallel_vs_serial']}x"
+            "volume write batched vs serial: "
+            f"{acceptance['volume_write_batched_vs_serial']}"
         )
         return finish(report, out)
 
@@ -1205,7 +1103,6 @@ def main(argv=None):
         "scrub": scrub,
         "serving": serving,
         "acceptance": {
-            "parallel": parallel_acceptance(volume["parallel"]),
             "degraded_read": degraded_acceptance(degraded),
             "serving": serving_acceptance(serving),
             **journal_acceptance(journal),
@@ -1230,10 +1127,6 @@ def main(argv=None):
         f"{report['acceptance']['volume_write_batched_vs_serial']}, "
         "min update speedup: "
         f"{report['acceptance']['update_compiled_vs_naive_min']}"
-    )
-    print(
-        "parallel RMW speedup (4 workers): "
-        f"{volume['parallel']['speedup_parallel_vs_serial']}x"
     )
     print(
         "degraded read batched vs scalar: single "

@@ -17,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.array.integrity": ("ChecksumStore", "IntegrityChecker"),
     "repro.array.mapping": ("AddressMapper",),
     "repro.array.persistence": ("load_volume", "save_volume"),
-    "repro.array.pipeline": ("StripePipeline", "worker_count"),
     "repro.array.volume": ("RAID6Volume",),
 })
 
@@ -29,8 +28,6 @@ __all__ = [
     "RAID6Volume",
     "SimDisk",
     "StripeCache",
-    "StripePipeline",
     "load_volume",
     "save_volume",
-    "worker_count",
 ]

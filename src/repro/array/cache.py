@@ -163,9 +163,10 @@ class StripeCache:
     def _destage_many(self, stripes: List[int]) -> None:
         """Coalesced destage: completely dirty stripes flush through the
         batched codec (one encode tensor + one scatter per disk), partial
-        stripes keep the per-stripe RMW/reconstruct paths — fanned out
-        over the volume's stripe pipeline when it is parallel.  Ordering
-        (and ``destage_count``) match destaging each stripe in turn."""
+        stripes go to the volume's burst writer, which runs the healthy
+        ones sharing a dirty-cell pattern as one cross-stripe RMW.  Bytes,
+        I/O counts and ``destage_count`` match destaging each stripe in
+        turn."""
         full: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
         rest: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
         per = self.volume.layout.num_data_cells

@@ -19,9 +19,9 @@ Two I/O granularities are exposed:
   bad sectors for reads) and silently falls back to the per-element loop
   otherwise, so batching never changes fault semantics or hook cadence.
 
-Counters take a lock so the parallel stripe pipeline
-(:mod:`repro.array.pipeline`) does not lose increments when worker
-threads hit one disk concurrently.
+Counters take a lock so threads sharing a volume (a cache destage on a
+shard's executor thread beside a foreground write) do not lose
+increments when they hit one disk concurrently.
 """
 
 from __future__ import annotations

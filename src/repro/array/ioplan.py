@@ -123,8 +123,8 @@ class PlanCache:
 
     def __init__(self) -> None:
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
-        # pipeline workers plan concurrently; a hit racing an eviction
-        # must not lose its entry between lookup and touch
+        # threads sharing the volume plan concurrently; a hit racing an
+        # eviction must not lose its entry between lookup and touch
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

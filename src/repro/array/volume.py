@@ -33,12 +33,9 @@ every claimed I/O saving observable, which the integration tests exploit.
 
 from __future__ import annotations
 
-import os
 import threading
-import weakref
 import zlib
 from contextlib import contextmanager
-from functools import lru_cache
 from typing import (
     Dict,
     Iterable,
@@ -54,7 +51,6 @@ import numpy as np
 from repro.array import ioplan
 from repro.array.disk import DiskState, SimDisk
 from repro.array.mapping import AddressMapper, segments
-from repro.array.pipeline import StripePipeline, process_pool_enabled
 from repro.codes.base import Cell, CodeLayout
 from repro.codec.batch import blank_batch, decode_batch, encode_batch
 from repro.codec.decoder import ChainDecoder
@@ -150,9 +146,7 @@ class RAID6Volume:
         element_size: int = 4096,
         rotate: bool = False,
         policy: Optional[ErrorPolicy] = None,
-        workers: Optional[int] = None,
         journal: Optional[WriteIntentLog] = None,
-        process_pool: Optional[bool] = None,
     ) -> None:
         require_positive(num_stripes, "num_stripes")
         self.layout = layout
@@ -164,40 +158,10 @@ class RAID6Volume:
         # ``(stripe * rows + row) * cols + col``, which is what lets a
         # stripe-aligned read of a row-major layout hand out a zero-copy
         # view (see :meth:`read`).
-        #
-        # Under ``REPRO_PROCESS_POOL=1`` (or ``process_pool=True``) the
-        # tensor is placed in POSIX shared memory instead of private
-        # pages, so forked worker processes operate on the *same* backing
-        # — the GIL-free fallback for pure-numpy builds
-        # (docs/performance.md, "Hot-path scaling").
-        use_procs = process_pool_enabled(process_pool)
-        shape = (self.mapper.disk_capacity, layout.cols, element_size)
-        self._shm = None
-        self._shm_name: Optional[str] = None
-        if use_procs:
-            try:
-                from multiprocessing import shared_memory
-
-                nbytes = int(np.prod(shape))
-                self._shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, nbytes)
-                )
-                self._backing = np.ndarray(
-                    shape, dtype=np.uint8, buffer=self._shm.buf
-                )
-                self._backing[:] = 0
-                self._shm_name = self._shm.name
-                # unlink when the volume is collected (or at interpreter
-                # exit), so test-suite volumes never leak /dev/shm pages
-                self._shm_finalizer = weakref.finalize(
-                    self, _release_shm, self._shm
-                )
-            except Exception:
-                self._shm = None
-                self._shm_name = None
-                use_procs = False
-        if self._shm is None:
-            self._backing = np.zeros(shape, dtype=np.uint8)
+        self._backing = np.zeros(
+            (self.mapper.disk_capacity, layout.cols, element_size),
+            dtype=np.uint8,
+        )
         self._flat_backing = self._backing.reshape(-1, element_size)
         self.disks: List[SimDisk] = [
             SimDisk(i, self.mapper.disk_capacity, element_size,
@@ -230,9 +194,6 @@ class RAID6Volume:
         self._chain = ChainDecoder(self.codec)
         self._gauss = GaussianDecoder(self.codec)
         self._encode_order = _toposort_groups(layout)
-        #: Per-stripe task scheduler (serial unless REPRO_WORKERS / the
-        #: ``workers`` argument enables threads — docs/performance.md).
-        self.pipeline = StripePipeline(workers, process_pool=use_procs)
         self._policy_lock = threading.RLock()
         # Striped per-stripe write locks: two writers that touch the
         # same stripe (a cache destage racing a foreground RMW — the
@@ -340,9 +301,9 @@ class RAID6Volume:
         """No crash-point phase hook armed on the journal.
 
         A phase hook (like a disk fault hook) defines crash points over
-        the serial per-element operation order, so the planned, tensor
-        and parallel fast paths stand down while one is attached.  A
-        journal *without* a hook never forces the slow paths.
+        the per-element operation order, so the planned and tensor fast
+        paths stand down while one is attached.  A journal *without* a
+        hook never forces the slow paths.
         """
         journal = self.journal
         return journal is None or journal.phase_hook is None
@@ -388,18 +349,6 @@ class RAID6Volume:
     def _batch_io_ok(self) -> bool:
         """Tensor loads allowed: no hooks and no latent sectors."""
         return self._surface().quiet_io
-
-    def _parallel_ok(self, surface: Optional[_Surface] = None) -> bool:
-        """Concurrent per-stripe tasks allowed.
-
-        Requires a parallel pipeline *and* no fault hooks: injected fault
-        schedules are defined over the global disk-op order, which thread
-        interleaving would scramble — the deterministic serial fallback
-        of docs/performance.md.
-        """
-        return self.pipeline.parallel and (
-            surface or self._surface()
-        ).quiet_write
 
     # -- failure lifecycle -----------------------------------------------------
 
@@ -718,8 +667,7 @@ class RAID6Volume:
           plans, one gather per run of stripes sharing a pattern
           (:mod:`repro.array.ioplan`).
 
-        Everything else takes the per-stripe reconstruction walk, fanned
-        out over the stripe pipeline when ``REPRO_WORKERS`` enables it.
+        Everything else takes the per-stripe reconstruction walk.
         """
         require_positive(count, "count")
         if start < 0 or start + count > self.num_elements:
@@ -742,17 +690,10 @@ class RAID6Volume:
             out = np.empty((count, self.element_size), dtype=np.uint8)
             left = segments(runs)
         data_cells = self.layout.data_cells
-        entries = [
-            (stripe, list(enumerate(data_cells[j0:j0 + n], k0)))
-            for stripe, j0, n, k0 in left
-        ]
-        if len(entries) > 1 and self._parallel_ok(surface):
-            self.pipeline.map(
-                lambda entry: self._serve_stripe_read(*entry, out), entries
+        for stripe, j0, n, k0 in left:
+            self._serve_stripe_read(
+                stripe, list(enumerate(data_cells[j0:j0 + n], k0)), out
             )
-        else:
-            for stripe, items in entries:
-                self._serve_stripe_read(stripe, items, out)
         return out
 
     def _serve_stripe_read(
@@ -873,13 +814,13 @@ class RAID6Volume:
         Distinct lock indices are acquired in sorted order, so
         concurrent multi-stripe writers cannot deadlock against each
         other or against per-stripe writers (which hold at most one
-        lock and never wait for a second).  Every multi-stripe write
-        path (:meth:`_write_rest`, the tensor stores, the vectorised
-        RMW) acquires its burst's locks here, on the coordinating
-        thread, *before* fanning work out to the stripe pipeline: pool
-        tasks themselves never touch these locks, so a lock holder
-        waiting on the shared executor can never be starved by queued
-        tasks blocked on the locks it holds.
+        lock and never wait for a second).  The volume runs every
+        operation on its caller's thread; what the locks serialise is
+        *callers* sharing a volume — a cache destage on a shard's
+        executor thread against a foreground write to the same stripe.
+        Every multi-stripe write path (:meth:`_write_rest`, the tensor
+        stores) takes its burst's locks here once and calls the
+        ``*_locked`` leaf writers underneath.
         """
         locks = [
             self._stripe_locks[i]
@@ -905,8 +846,7 @@ class RAID6Volume:
         head/tail partial stripes take the per-stripe controller paths
         (RMW parity patch, reconstruct-write) — cached I/O plans on a
         quiet surface (:mod:`repro.array.ioplan`), the per-element walk
-        otherwise — fanned out over the stripe pipeline when
-        ``REPRO_WORKERS`` enables it.
+        otherwise.
         """
         if data.ndim != 2 or data.shape[1] != self.element_size \
                 or data.dtype != np.uint8:
@@ -947,7 +887,7 @@ class RAID6Volume:
         else:
             rest = full + rest
         if len(rest) == 1:
-            # one stripe: no burst to group-commit, batch or fan out
+            # one stripe: no burst to group-commit or vectorise
             self._write_stripe_batch(*rest[0], surface)
         else:
             self._write_rest(rest, surface)
@@ -959,55 +899,59 @@ class RAID6Volume:
     ) -> None:
         """Run the non-tensor writes of one request queue.
 
-        Three stacked fast paths (docs/performance.md, "Hot-path
-        scaling"), each independently gated and falling back to the next:
+        ``entries`` must name each stripe at most once (``ValueError``
+        otherwise): the cross-stripe RMW gathers every member's old
+        values before any write lands, so a second entry for a stripe
+        would patch parity against bytes the first has yet to write.
+        Both callers hold this by construction — :meth:`write` splits a
+        contiguous range, the cache destages a dict keyed by stripe.
+
+        Under the burst's stripe locks, taken once:
 
         * **group commit** — a journaled burst of two or more stripes
           shares one coalesced intent append and one digest pass
           (:meth:`_open_group_intents`) instead of per-stripe journal
           round-trips;
-        * **RMW fan-out** — with a parallel pipeline, an all-partial
-          burst on a quiet healthy array executes as per-worker chunks
-          of planned RMW (:meth:`_rmw_entries_batched`), byte- and
-          counter-identical to the serial loop;
-        * **thread fan-out** — otherwise per-stripe tasks run on the
-          stripe pipeline when :meth:`_parallel_ok` allows.
-
-        Whichever runs, each partial stripe on a quiet surface executes
-        its cached RMW plan (:mod:`repro.array.ioplan`).
+        * **cross-stripe RMW** — on a quiet surface every partial entry
+          of a healthy stripe goes to one :func:`repro.array.ioplan.rmw`
+          call, which executes the entries sharing a dirty-cell pattern
+          as one vector of stripes, byte- and counter-identical to the
+          per-stripe loop.  It bypasses the per-stripe journal
+          chokepoint, so it needs the burst covered by a group intent
+          (or no journal at all);
+        * everything else runs through the per-stripe writer: the
+          full-stripe and degraded entries, whatever the planned RMW
+          hands back (an old value failed verification), and — in queue
+          order, the order crash points are defined over — the whole of
+          a burst that cannot be vectorised.
         """
         if not entries:
             return
+        stripes = {s for s, _ in entries}
+        require(len(stripes) == len(entries),
+                "a write burst names each stripe at most once")
         surface = self._fresh(surface)
-        # Acquire the whole burst's stripe locks up front (sorted, so
-        # concurrent bursts cannot deadlock) and hand the pool workers
-        # the lock-free leaf writers: a pool task that blocked on a
-        # stripe lock could starve the shared executor while the lock
-        # holder waits for that very pool — locks belong to
-        # coordinating threads only.
-        with self._locked_stripes(s for s, _ in entries):
+        with self._locked_stripes(stripes):
             intents = self._open_group_intents(entries)
-            # the vectorised path bypasses the per-stripe journal
-            # chokepoint, so it requires the burst to be covered by a
-            # group intent (or no journal at all)
             write = (
                 self._write_stripe_unjournaled_locked
                 if intents is not None
                 else self._write_stripe_batch_locked
             )
-            journal_ok = self.journal is None or intents is not None
-            if not (
-                len(entries) > 1
-                and journal_ok
-                and self._rmw_entries_batched(entries, surface)
+            if (
+                surface.quiet_io and surface.quiet_write
+                and (self.journal is None or intents is not None)
             ):
-                if len(entries) > 1 and self._parallel_ok(surface):
-                    self.pipeline.map(
-                        lambda entry: write(*entry, surface), entries
-                    )
-                else:
-                    for stripe, items in entries:
-                        write(stripe, items, surface)
+                per = self.layout.num_data_cells
+                planned, walked = [], []
+                for entry in entries:
+                    stripe, items = entry
+                    healthy_partial = len(items) < per \
+                        and not self._stale_cols(stripe, surface)
+                    (planned if healthy_partial else walked).append(entry)
+                entries = walked + ioplan.rmw(self, planned)
+            for stripe, items in entries:
+                write(stripe, items, surface)
             if intents is not None:
                 self.journal.commit_group(intents)
 
@@ -1021,7 +965,7 @@ class RAID6Volume:
         when group commit does not apply — no journal, a single stripe, or
         per-stripe journaling forced via ``journal.group_commit = False``.
         Engages even while a crash-point phase hook is attached: the
-        *writes* drop to the deterministic serial paths under a hook, but
+        *writes* drop to the per-element walk under a hook, but
         group framing must stay on so the chaos campaigns can tear bursts
         at group boundaries.
         """
@@ -1221,9 +1165,8 @@ class RAID6Volume:
         items: List[Tuple[Cell, np.ndarray]],
         surface: Optional[_Surface] = None,
     ) -> None:
-        """Lock-free body of :meth:`_write_stripe_batch` — the caller
-        (a coordinating thread, never a pool worker) holds the stripe's
-        write lock."""
+        """Body of :meth:`_write_stripe_batch` — the caller holds the
+        stripe's write lock."""
         journal = self.journal
         if journal is None:
             self._write_stripe_unjournaled_locked(stripe, items, surface)
@@ -1295,12 +1238,6 @@ class RAID6Volume:
         block = self._backing[offsets, disks, :]
         return zlib.crc32(np.ascontiguousarray(block))
 
-    def _write_stripe_unjournaled(
-        self, stripe: int, items: List[Tuple[Cell, np.ndarray]]
-    ) -> None:
-        with self._stripe_lock(stripe):
-            self._write_stripe_unjournaled_locked(stripe, items)
-
     def _write_stripe_unjournaled_locked(
         self,
         stripe: int,
@@ -1356,8 +1293,9 @@ class RAID6Volume:
         parities their deltas patch (cascades included) — is read before
         the first write lands.  A medium error discovered mid-read
         therefore aborts with the stripe untouched, so the
-        reconstruct-write fallback in :meth:`_write_stripe_unjournaled`
-        always loads a parity-consistent image.
+        reconstruct-write fallback in
+        :meth:`_write_stripe_unjournaled_locked` always loads a
+        parity-consistent image.
         """
         journal = self.journal
         deltas: Dict[Cell, np.ndarray] = {}
@@ -1392,121 +1330,6 @@ class RAID6Volume:
                 journal.checkpoint("inter_column", stripe)
             self._write_cell(stripe, cell, value)
             wrote = True
-
-    # -- multi-stripe RMW fan-out (docs/performance.md) -----------------------
-
-    def _rmw_entries_batched(
-        self,
-        entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]],
-        surface: Optional[_Surface] = None,
-    ) -> bool:
-        """Try the multi-stripe RMW fan-out; ``False`` means fall back.
-
-        Engages only for an all-partial burst on a quiet, healthy,
-        unrotated array with a parallel pipeline: each worker chunk runs
-        the cached RMW plans (:func:`repro.array.ioplan.rmw`) over its
-        stripes, pattern by pattern — the same data/parity elements are
-        read and written as the serial per-stripe loop, and the counters
-        match exactly.  With ``REPRO_PROCESS_POOL`` the chunks run in
-        forked workers over the shared-memory backing (GIL-free even for
-        pure-numpy builds); otherwise they fan out over the thread pool,
-        whose workers spend their time in GIL-released numpy/C-kernel
-        calls.
-        """
-        per = self.layout.num_data_cells
-        surface = surface or self._surface()
-        if (
-            not self.pipeline.parallel
-            or self.mapper.rotate
-            or not surface.healthy
-            or not (surface.quiet_write and surface.quiet_io)
-            or any(len(items) >= per for _, items in entries)
-        ):
-            return False
-        # hold the burst's stripe locks for the whole pass: the chunk
-        # workers (threads or forked processes) do not lock per stripe,
-        # so a concurrent per-stripe writer must wait here instead of
-        # interleaving with the vectorised read-XOR-scatter
-        with self._locked_stripes(s for s, _ in entries):
-            if self.pipeline.process_pool \
-                    and self._rmw_entries_process(entries):
-                return True
-            # threads beyond physical cores cannot overlap even
-            # GIL-released work; on a single-core host this collapses to
-            # one full-width vectorised pass — still far faster than the
-            # per-element loop
-            workers = min(self.pipeline.workers, os.cpu_count() or 1)
-            chunks = _split_chunks(entries, workers)
-            for left in self.pipeline.map(
-                lambda chunk: ioplan.rmw(self, chunk), chunks
-            ):
-                # entries handed back (an old value failed verification)
-                # take the self-healing per-stripe walk
-                for stripe, items in left:
-                    self._write_stripe_unjournaled_locked(stripe, items)
-        return True
-
-    def _rmw_entries_process(
-        self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
-    ) -> bool:
-        """Dispatch a burst's RMW chunks to forked worker processes.
-
-        Workers attach to the shared-memory backing by name and run the
-        same vectorised algorithm as :func:`repro.array.ioplan.rmw`
-        directly against the tensor, returning per-column I/O counter
-        deltas the parent replays onto the disks — so results *and*
-        counters match the serial path.  Returns ``False`` (caller falls
-        back to threads) when the backing is not in shared memory, the
-        write funnel is wrapped per-instance (integrity tooling), the
-        burst is too small to split, or the platform cannot fork.
-        """
-        if self._shm_name is None or self.pipeline.workers < 2:
-            return False
-        if "_disk_write_block" in self.__dict__ \
-                or "_write_cell" in self.__dict__:
-            # IntegrityChecker-style wrappers observe writes through
-            # instance attributes, which a forked child would bypass
-            return False
-        # like the thread path, cap the fan-out at the core count:
-        # forked workers beyond physical cores pay fork/pickle/IPC for
-        # no added parallelism, and on a single core the in-process
-        # vectorised chunks (the caller's fallback) are strictly faster
-        workers = min(
-            self.pipeline.workers, len(entries), os.cpu_count() or 1
-        )
-        if workers < 2:
-            return False
-        chunks = _split_chunks(entries, workers)
-        geom = (
-            self._shm_name, self._backing.shape,
-            self.layout.name, self.layout.p, self.element_size,
-        )
-        payloads = [
-            geom + (
-                [
-                    (
-                        stripe,
-                        [
-                            ((c.row, c.col), v.tobytes())
-                            for c, v in items
-                        ],
-                    )
-                    for stripe, items in chunk
-                ],
-            )
-            for chunk in chunks
-        ]
-        try:
-            results = self.pipeline.map_process(
-                _process_rmw_chunk, payloads
-            )
-        except (RuntimeError, OSError):
-            return False
-        for counts in results:
-            for col, (reads, writes) in counts.items():
-                self.disks[col].count_reads(reads)
-                self.disks[col].count_writes(writes)
-        return True
 
     # -- self-healing disk I/O ----------------------------------------------
 
@@ -1629,8 +1452,8 @@ class RAID6Volume:
     def _note_error(self, disk_id: int, kind: str) -> None:
         """Count an error; escalate a flaky disk to FAILED past threshold.
 
-        Serialised by ``_policy_lock`` so pipeline worker threads never
-        race the shared counters, heal log, or escalation decision.
+        Serialised by ``_policy_lock`` so threads sharing the volume
+        never race the shared counters, heal log, or escalation decision.
         """
         with self._policy_lock:
             counters = self.error_counters
@@ -1811,128 +1634,3 @@ class _VolumeReadPlanner:
 
     def plan_for(self, stripe: int, wanted):
         return self._engine._plan_stripe_read(stripe, wanted)
-
-
-# -- module helpers for shared-memory / process-pool RMW ---------------------
-
-
-def _release_shm(shm) -> None:
-    """Close and unlink a volume's shared-memory backing (finalizer)."""
-    try:
-        shm.close()
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except Exception:
-        pass
-
-
-def _split_chunks(items: List, parts: int) -> List[List]:
-    """Split ``items`` into at most ``parts`` contiguous non-empty runs."""
-    parts = max(1, min(parts, len(items)))
-    size = -(-len(items) // parts)
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-#: Per-process attachment cache of the RMW worker: forked children keep
-#: their shared-memory handle, layout, encode order and pattern plans
-#: alive across :func:`_process_rmw_chunk` calls.
-_PROC_RMW_CACHE: Dict[Tuple, Tuple] = {}
-
-
-def _attach_rmw_context(shm_name, shape, code, p, element_size):
-    key = (shm_name, shape, code, p, element_size)
-    ctx = _PROC_RMW_CACHE.get(key)
-    if ctx is None:
-        from multiprocessing import resource_tracker, shared_memory
-
-        from repro.codes import make_code
-
-        # the segment belongs to the parent volume (whose finalizer
-        # unlinks it); attaching must not re-register it with the shared
-        # resource tracker, or the tracker double-frees at shutdown
-        orig_register = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            shm = shared_memory.SharedMemory(name=shm_name)
-        finally:
-            resource_tracker.register = orig_register
-        backing = np.ndarray(shape, dtype=np.uint8, buffer=shm.buf)
-        layout = make_code(code, p)
-        order = _toposort_groups(layout)
-        ctx = (shm, backing, layout, order, {})
-        _PROC_RMW_CACHE[key] = ctx
-    return ctx
-
-
-def _process_rmw_chunk(payload):
-    """Forked-worker body of the process-pool RMW path.
-
-    ``payload`` is ``(shm_name, shape, code, p, element_size, entries)``
-    with entries as ``(stripe, [((row, col), value_bytes), ...])`` — small
-    and picklable; the stripe data itself lives in the shared backing.
-    Runs the :func:`repro.array.ioplan.rmw` algorithm against the
-    shared tensor and returns ``{col: (reads, writes)}`` counter deltas
-    for the parent to replay.
-    """
-    shm_name, shape, code, p, element_size, raw_entries = payload
-    _, backing, layout, order, plans = _attach_rmw_context(
-        shm_name, shape, code, p, element_size
-    )
-    rows = layout.rows
-    counts: Dict[int, List[int]] = {}
-
-    def account(col: int, reads: int, writes: int) -> None:
-        c = counts.setdefault(col, [0, 0])
-        c[0] += reads
-        c[1] += writes
-
-    groups: Dict[Tuple[Cell, ...], List[Tuple[int, List[bytes]]]] = {}
-    for stripe, items in raw_entries:
-        key = tuple(Cell(r, c) for (r, c), _ in items)
-        groups.setdefault(key, []).append(
-            (stripe, [blob for _, blob in items])
-        )
-    for cells, members in groups.items():
-        plan = plans.get(cells)
-        if plan is None:
-            flips = set(cells)
-            plan = []
-            for group in order:
-                srcs = tuple(m for m in group.members if m in flips)
-                if srcs:
-                    plan.append((group.parity, srcs))
-                    flips.add(group.parity)
-            plans[cells] = plan
-        stripes = np.array([s for s, _ in members], dtype=np.intp)
-        values = np.frombuffer(
-            b"".join(blob for _, blobs in members for blob in blobs),
-            dtype=np.uint8,
-        ).reshape(len(members), len(cells), element_size)
-        deltas: Dict[Cell, np.ndarray] = {}
-        for j, cell in enumerate(cells):
-            offs = stripes * rows + cell.row
-            old = backing[offs, cell.col, :]
-            account(cell.col, int(offs.size), 0)
-            delta = np.bitwise_xor(old, values[:, j])
-            mask = delta.any(axis=1)
-            if mask.any():
-                backing[offs[mask], cell.col, :] = values[mask, j]
-                account(cell.col, 0, int(mask.sum()))
-            deltas[cell] = delta
-        for parity, srcs in plan:
-            gdelta = deltas[srcs[0]].copy()
-            for m in srcs[1:]:
-                np.bitwise_xor(gdelta, deltas[m], out=gdelta)
-            gmask = gdelta.any(axis=1)
-            if gmask.any():
-                offs = stripes[gmask] * rows + parity.row
-                old = backing[offs, parity.col, :]
-                np.bitwise_xor(old, gdelta[gmask], out=old)
-                backing[offs, parity.col, :] = old
-                account(
-                    parity.col, int(gmask.sum()), int(gmask.sum())
-                )
-            deltas[parity] = gdelta
-    return {col: (c[0], c[1]) for col, c in counts.items()}

@@ -168,11 +168,11 @@ class FaultInjector:
         # (corrupt-on-write); keyed by (disk_id, offset), masks compose
         self._pending_flips: Dict[Tuple[int, int], int] = {}
         self._volume = None
-        # The volume's batch/parallel fast paths all disable themselves
-        # while a hook is attached, so injection normally runs serial;
-        # the lock just makes the shared mutable state (op counter, rng,
-        # pending schedule) safe if a hooked disk is ever driven from
-        # pipeline worker threads.
+        # The volume's planned and tensor fast paths all stand down
+        # while a hook is attached, so injection sees the per-element
+        # walk; the lock makes the shared mutable state (op counter,
+        # rng, pending schedule) safe when several threads drive one
+        # hooked volume.
         self._lock = threading.Lock()
 
     # -- wiring ------------------------------------------------------------

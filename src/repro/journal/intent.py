@@ -146,10 +146,10 @@ class WriteIntentLog:
     """Stripe-level write-ahead intent log (simulated controller NVRAM).
 
     Thread-safe: sequence numbers are allocated and the open set mutated
-    under an internal lock, so the parallel stripe pipeline can journal
-    concurrent per-stripe writes without ever sharing or reordering an
-    intent.  Phase checkpoints run *outside* the lock — a crash raised by
-    the hook never leaves it held.
+    under an internal lock, so threads sharing a journaled volume can
+    journal concurrent writes to different stripes without ever sharing
+    or reordering an intent.  Phase checkpoints run *outside* the lock —
+    a crash raised by the hook never leaves it held.
     """
 
     def __init__(

@@ -98,8 +98,6 @@ class ServerConfig:
     p: int = 7
     stripes_per_shard: int = 64
     element_size: int = 64
-    workers: Optional[int] = None
-    process_pool: Optional[bool] = None
     cache_stripes: int = 16
     evict_batch: int = 4
     write_back: bool = True          # False = direct per-op baseline
@@ -180,8 +178,6 @@ class ServerConfig:
             p=self.p,
             num_stripes=self.stripes_per_shard,
             element_size=self.element_size,
-            workers=self.workers,
-            process_pool=self.process_pool,
             cache_stripes=self.cache_stripes,
             evict_batch=self.evict_batch,
             write_back=self.write_back,

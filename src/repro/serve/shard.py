@@ -132,8 +132,6 @@ class ShardSpec:
     p: int = 7
     num_stripes: int = 64
     element_size: int = 64
-    workers: Optional[int] = None
-    process_pool: Optional[bool] = None
     cache_stripes: int = 16
     evict_batch: int = 4
     write_back: bool = True
@@ -163,8 +161,6 @@ class ShardSpec:
             make_code(self.code, self.p),
             num_stripes=self.num_stripes,
             element_size=self.element_size,
-            workers=self.workers,
-            process_pool=self.process_pool,
             journal=WriteIntentLog() if self.durable else None,
         )
 

@@ -25,15 +25,14 @@ GIL contract
 The kernel is loaded with :class:`ctypes.CDLL`, whose foreign-call
 machinery **releases the GIL for the duration of every ``xor_exec``
 call** (``ctypes.PyDLL`` is the variant that would hold it — never used
-here).  The parallel stripe pipeline's thread workers therefore genuinely
-overlap long encode/XOR runs on multi-core hosts, with no wrapper or
-callback re-entering the interpreter mid-call: the C side touches only
+here).  Threads that share a volume — a shard's executor thread
+destaging its cache beside a foreground write — therefore do not hold
+each other up for the length of an encode/XOR run, and no wrapper or
+callback re-enters the interpreter mid-call: the C side touches only
 caller-owned buffers that stay alive and unmoved for the call (numpy
 arrays pinned by the calling frame).  :func:`kernel_releases_gil` asserts
-the contract so a refactor to ``PyDLL`` — which would silently serialise
-the pipeline — fails tests instead of shipping.  Pure-numpy builds get
-their parallelism from the ``REPRO_PROCESS_POOL`` fallback instead (see
-:mod:`repro.array.pipeline`).
+the contract so a refactor to ``PyDLL`` — which would silently hold the
+GIL across every kernel call — fails tests instead of shipping.
 """
 
 from __future__ import annotations
@@ -172,8 +171,8 @@ def kernel_releases_gil() -> bool:
     ``True`` exactly when a kernel is loaded through plain
     :class:`ctypes.CDLL` (GIL released around every foreign call) rather
     than :class:`ctypes.PyDLL` (GIL held).  ``False`` when no kernel is
-    available at all — thread workers then rely on numpy's own
-    GIL-releasing ufunc loops, or on the process-pool fallback.
+    available at all — numpy's own ufunc loops still release the GIL
+    for large operands.
     """
     lib = xor_kernel()
     return isinstance(lib, ctypes.CDLL) and not isinstance(lib, ctypes.PyDLL)

@@ -16,12 +16,11 @@ from repro.codes.registry import make_code
 ELEMENT_SIZE = 32
 
 
-def fresh(num_stripes=4, p=5, workers=None):
+def fresh(num_stripes=4, p=5):
     return RAID6Volume(
         make_code("dcode", p),
         num_stripes=num_stripes,
         element_size=ELEMENT_SIZE,
-        workers=workers,
     )
 
 
@@ -56,15 +55,6 @@ class TestBatchedWritesKeepChecksums:
         checker = IntegrityChecker(vol)
         vol.fail_disk(1)
         vol.replace_and_rebuild(1)
-        assert checker.find_corruption() == {}
-
-    def test_parallel_pipeline_records(self):
-        vol = fresh(workers=4)
-        checker = IntegrityChecker(vol)
-        per = vol.layout.num_data_cells
-        # misaligned span: partial head/tail fan out over the pipeline,
-        # interior stripes take the tensor path
-        vol.write(1, payload(3 * per + 2, seed=6))
         assert checker.find_corruption() == {}
 
     def test_mixed_span_with_journal_records(self):

@@ -57,17 +57,3 @@ def test_campaigns_exercise_every_defense_layer():
     assert read_heals > 0
     assert scrub_repairs > 0
     assert overloads > 0
-
-
-class TestWorkerEnv:
-    """The campaign forces the serial verified path even when the
-    parallel pipeline is enabled — REPRO_WORKERS must not change the
-    outcome or the replay log."""
-
-    def test_parallel_env_matches_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        serial = run_corruption_campaign("rdp", 5, seed=2)
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        parallel = run_corruption_campaign("rdp", 5, seed=2)
-        assert serial.ok and parallel.ok
-        assert serial.events == parallel.events

@@ -1,4 +1,4 @@
-"""Crash-point matrix: every registry code, both primes, serial + workers.
+"""Crash-point matrix: every registry code, both primes.
 
 Each campaign tears writes at every journal phase (first/middle/last
 occurrence, per write pattern), remounts, recovers, and verifies the
@@ -6,11 +6,8 @@ fully-old/fully-new contract against a shadow oracle — a trial with
 ``violations > 0`` means the write hole is open.
 """
 
-import pytest
-
 from repro.faults import CRASH_PATTERNS, run_crash_points
 from repro.journal import JOURNAL_PHASES
-from tests.conftest import SMALL_PRIMES
 
 
 def assert_green(results):
@@ -31,13 +28,6 @@ class TestMatrix:
         # crashes really fired and recovery really replayed something
         assert any(r.crashed for r in results)
         assert any(r.replayed > 0 for r in results)
-
-    @pytest.mark.parametrize("p", SMALL_PRIMES)
-    def test_parallel_workers_match_contract(self, p, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        results = run_crash_points(code="dcode", p=p, seed=101)
-        assert_green(results)
-        assert {r.phase for r in results} == set(JOURNAL_PHASES)
 
 
 class TestDeterminism:

@@ -10,8 +10,6 @@ fully-old or fully-new, never mixed, for every registry code at both
 small primes.
 """
 
-import pytest
-
 from repro.faults import CRASH_PATTERNS, run_crash_points
 from repro.journal import JOURNAL_PHASES
 
@@ -70,14 +68,6 @@ class TestBurstPattern:
                 # torn after the seal (or during commit): the whole
                 # group is open — never a partial registration
                 assert r.open_at_crash == 3, r
-
-    @pytest.mark.parametrize("p", (5, 7))
-    def test_parallel_workers_match_contract(self, p, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        results = run_crash_points(
-            code="dcode", p=p, seed=3, patterns=("burst",)
-        )
-        assert_green(results)
 
     def test_deterministic(self):
         a = run_crash_points(code="rdp", p=5, seed=11, patterns=("burst",))

@@ -114,11 +114,11 @@ class TestXorAccumulate:
 
 class TestKernelGilContract:
     def test_loaded_kernel_releases_gil(self):
-        # the parallel pipeline's thread speedup depends on the C kernel
-        # dropping the GIL for the duration of xor_exec; loading through
-        # ctypes.PyDLL (which holds it) must fail this test, and a build
-        # without any kernel reports False (numpy ufuncs / process pool
-        # carry the parallelism there)
+        # threads sharing a volume (a shard's destage thread beside a
+        # foreground write) rely on the C kernel dropping the GIL for
+        # the duration of xor_exec; loading through ctypes.PyDLL (which
+        # holds it) must fail this test, and a build without any kernel
+        # reports False
         import ctypes
 
         from repro.util.ckernel import kernel_releases_gil, xor_kernel
