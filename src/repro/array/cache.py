@@ -161,25 +161,14 @@ class StripeCache:
         return [(cells[j], value) for j, value in sorted(bucket.items())]
 
     def _destage_many(self, stripes: List[int]) -> None:
-        """Coalesced destage: completely dirty stripes flush through the
-        batched codec (one encode tensor + one scatter per disk), partial
-        stripes go to the volume's burst writer, which runs the healthy
-        ones sharing a dirty-cell pattern as one cross-stripe RMW.  Bytes,
-        I/O counts and ``destage_count`` match destaging each stripe in
-        turn."""
-        full: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
-        rest: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
-        per = self.volume.layout.num_data_cells
+        """Coalesced destage: the buckets go to the volume's burst writer
+        as one queue, which encodes the completely dirty stripes together
+        and runs the healthy partial ones sharing a dirty-cell pattern as
+        one cross-stripe RMW.  Bytes, I/O counts and ``destage_count``
+        match destaging each stripe in turn."""
         with self._lock:
-            for stripe in stripes:
-                bucket = self._dirty.pop(stripe)
-                items = self._bucket_items(bucket)
-                (full if len(items) == per else rest).append(
-                    (stripe, items)
-                )
-            if len(full) > 1:
-                self.volume._full_stripe_write_batched(full)
-            else:
-                rest = full + rest
-            self.volume._write_rest(rest)
+            self.volume._write_rest([
+                (stripe, self._bucket_items(self._dirty.pop(stripe)))
+                for stripe in stripes
+            ])
             self.destage_count += len(stripes)

@@ -16,8 +16,8 @@ the ordinary decoder repairs it.  This module provides that layer for
   re-recorded, counted in ``heal_log`` and toward
   :class:`~repro.faults.policy.ErrorPolicy` escalation), volume-wide
   corruption location (:meth:`IntegrityChecker.find_corruption`, a
-  batched CRC sweep), verify-and-repair, and :meth:`IntegrityChecker.
-  scrub_campaign` — the tensor scrub engine that finds flips the disk
+  CRC sweep), verify-and-repair, and :meth:`IntegrityChecker.
+  scrub_campaign` — the scrub engine that finds flips the disk
   never reported and disambiguates data- vs parity-corruption by
   cross-checking parity consistency against the checksum store.
 
@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.array import ioplan
 from repro.array.volume import _CELL_ERRORS, RAID6Volume
-from repro.codec.batch import blank_batch, encode_batch
 from repro.codes.base import Cell
 from repro.exceptions import InconsistentStripeError, LatentSectorError
 from repro.util.validation import require
@@ -83,14 +83,6 @@ class ChecksumStore:
 
     def expected(self, disk: int, offset: int) -> int:
         return self._sums.get((disk, offset), self._zero_sum)
-
-    def expected_dense(self, disk: int, capacity: int) -> np.ndarray:
-        """Every expected CRC of one disk as a dense ``uint64`` vector."""
-        out = np.full(capacity, self._zero_sum, dtype=np.uint64)
-        for (d, offset), crc in self._sums.items():
-            if d == disk and 0 <= offset < capacity:
-                out[offset] = crc
-        return out
 
     def matches(self, disk: int, offset: int, block: np.ndarray) -> bool:
         return crc32(block) == self.expected(disk, offset)
@@ -159,7 +151,7 @@ class IntegrityChecker:
     """Attach checksumming to a volume and scrub with error *location*.
 
     Wraps *both* of the volume's write funnels — per-element
-    ``_write_cell`` and the tensor paths' block scatter
+    ``_write_cell`` and the planned paths' block scatter
     ``_disk_write_block`` — so batched bulk writes, cache destages and
     rebuild sweeps keep the checksum map current exactly like the serial
     path does.  Pass ``store=`` (e.g. the one
@@ -225,39 +217,71 @@ class IntegrityChecker:
 
         Seeded digests are marked verified — they were computed from the
         bytes just read, so re-hashing them on the next read would prove
-        nothing new.  Uses one gather per disk when the fault surface is
-        quiet; otherwise the per-element walk (identical counters, and it
-        skips failed disks and latent sectors exactly as before).
+        nothing new.  Failed disks and latent sectors are skipped.
+        """
+        for _, _, disk, offset, crc in self._blocks():
+            if crc is not None:
+                self.store._sums[(disk, offset)] = crc
+                self.store.mark_verified(disk, offset)
+
+    def _blocks(self):
+        """``(stripe, cell, disk, offset, CRC-32)`` of every block on a
+        live disk, read raw — ``None`` for the CRC of a latent sector:
+        the planned sweep of :meth:`_chunks` on a quiet surface, the
+        per-element walk otherwise, counter-identical to each other."""
+        volume = self.volume
+        for stripes, _, rows in self._chunks():
+            if rows is not None:
+                for i, cell, disk, offset, crc in rows:
+                    yield stripes[i], cell, disk, offset, crc
+                continue
+            for stripe in stripes:
+                for col in range(volume.layout.cols):
+                    for cell in volume.layout.cells_in_column(col):
+                        loc = volume.mapper.locate_cell(stripe, cell)
+                        disk = volume.disks[loc.disk]
+                        if disk.failed:
+                            continue
+                        try:
+                            crc = crc32(disk.read(loc.offset))
+                        except LatentSectorError:
+                            crc = None
+                        yield stripe, cell, loc.disk, loc.offset, crc
+
+    def _chunks(self):
+        """The volume in runs of at most ``ioplan.RUN_CHUNK`` stripes:
+        ``(stripes, buf, rows)``, or ``(stripes, None, None)`` — walk it.
+
+        ``buf`` is one raw gather of every block outside the run's stale
+        columns (:func:`repro.array.ioplan.load_stripes`), ``rows`` one
+        ``(index into stripes, cell, disk, offset, CRC-32)`` per block
+        read, whatever the verified bitmap says — stripe-major, columns
+        ascending like the walk.  The sweep stands down under hooks and
+        latent sectors, and mid-rebuild, where the walk also visits the
+        replacement's blank region.  The surface is snapshot per run, so
+        the repair that clears the last latent sector reopens it.
         """
         volume = self.volume
-        if not volume.mapper.rotate and not volume.failed_disks \
-                and volume._batch_io_ok():
-            rows = volume.layout.rows
-            stripes = np.arange(volume.mapper.num_stripes, dtype=np.intp)
-            for col in range(volume.layout.cols):
-                col_rows = volume._col_rows[col]
-                offsets = (
-                    stripes[:, None] * rows + col_rows[None, :]
-                ).ravel()
-                block = volume.disks[col].read_block(offsets)
-                for i, offset in enumerate(offsets.tolist()):
-                    self.store._sums[(col, offset)] = crc32(block[i])
-                self.store.mark_verified(col, offsets)
-            return
-        for stripe in range(volume.mapper.num_stripes):
-            for col in range(volume.layout.cols):
-                for cell in volume.layout.cells_in_column(col):
-                    loc = volume.mapper.locate_cell(stripe, cell)
-                    if volume.disks[loc.disk].failed:
-                        continue
-                    try:
-                        block = volume.disks[loc.disk].read(loc.offset)
-                    except LatentSectorError:
-                        continue
-                    self.store._sums[(loc.disk, loc.offset)] = crc32(block)
-                    self.store.mark_verified(
-                        loc.disk, np.array([loc.offset], dtype=np.intp)
-                    )
+        num_stripes = volume.mapper.num_stripes
+        for start in range(0, num_stripes, ioplan.RUN_CHUNK):
+            stripes = range(start, min(start + ioplan.RUN_CHUNK, num_stripes))
+            surface = volume._surface()
+            if not surface.quiet_io or surface.rebuilding:
+                yield stripes, None, None
+                continue
+            for lo, hi, stale in ioplan.stale_runs(volume, surface, stripes):
+                run = stripes[lo:hi]
+                buf = ioplan.load_stripes(volume, run, stale, verify=False)
+                cells, at = ioplan.stripe_rows(volume, run, stale)
+                offsets, disks = np.divmod(at, volume.layout.cols)
+                rows = []
+                for k, (disk, offset) in enumerate(
+                    zip(disks.tolist(), offsets.tolist())
+                ):
+                    i, cell = k // len(cells), cells[k % len(cells)]
+                    crc = crc32(buf[i, cell.row, cell.col])
+                    rows.append((i, cell, disk, offset, crc))
+                yield run, buf, rows
 
     # -- write recording -----------------------------------------------------
 
@@ -336,71 +360,17 @@ class IntegrityChecker:
     # -- scrubbing -----------------------------------------------------------
 
     def find_corruption(self) -> Dict[int, List[Cell]]:
-        """Stripe -> cells whose content no longer matches its checksum.
-
-        One :meth:`~repro.array.disk.SimDisk.read_block` gather and one
-        CRC sweep per disk when the fault surface is quiet; the
-        per-element walk otherwise (latent sectors report as corrupt
-        cells either way).  Byte- and counter-identical to the historical
-        scalar walk.
-        """
-        volume = self.volume
-        require(not volume.failed_disks,
+        """Stripe -> cells whose content no longer matches its checksum
+        (latent sectors report as corrupt cells); every other block is
+        marked verified.  One sweep of :meth:`_blocks`."""
+        require(not self.volume.failed_disks,
                 "cannot verify with failed disks present")
-        if volume.mapper.rotate or not volume._batch_io_ok():
-            return self._find_corruption_serial()
-        rows = volume.layout.rows
-        stripes = np.arange(volume.mapper.num_stripes, dtype=np.intp)
         corrupt: Dict[int, List[Cell]] = {}
-        for col in range(volume.layout.cols):
-            cells = volume.layout.cells_in_column(col)
-            col_rows = volume._col_rows[col]
-            offsets = (
-                stripes[:, None] * rows + col_rows[None, :]
-            ).ravel()
-            block = volume.disks[col].read_block(offsets)
-            sums = np.fromiter(
-                (zlib.crc32(row.tobytes()) for row in block),
-                dtype=np.uint64, count=len(block),
-            )
-            expected = self.store.expected_dense(
-                col, volume.mapper.disk_capacity
-            )[offsets]
-            mismatch = sums != expected
-            bad = np.flatnonzero(mismatch)
-            for b in bad.tolist():
-                stripe, k = divmod(b, len(cells))
-                corrupt.setdefault(int(stripes[stripe]), []).append(
-                    cells[k]
-                )
-            self.store.mark_verified(col, offsets[~mismatch])
-        # per-stripe cell order already matches the scalar walk (columns
-        # ascend, and within a column the flat mismatch indices ascend);
-        # normalise stripe order to the scalar walk's ascending scan
-        return dict(sorted(corrupt.items()))
-
-    def _find_corruption_serial(self) -> Dict[int, List[Cell]]:
-        """The historical per-element walk (rotation / noisy surface)."""
-        volume = self.volume
-        corrupt: Dict[int, List[Cell]] = {}
-        for stripe in range(volume.mapper.num_stripes):
-            bad: List[Cell] = []
-            for col in range(volume.layout.cols):
-                for cell in volume.layout.cells_in_column(col):
-                    loc = volume.mapper.locate_cell(stripe, cell)
-                    try:
-                        block = volume.disks[loc.disk].read(loc.offset)
-                    except LatentSectorError:
-                        bad.append(cell)
-                        continue
-                    if not self.store.matches(loc.disk, loc.offset, block):
-                        bad.append(cell)
-                    else:
-                        self.store.mark_verified(
-                            loc.disk, np.array([loc.offset], dtype=np.intp)
-                        )
-            if bad:
-                corrupt[stripe] = bad
+        for stripe, cell, disk, offset, crc in self._blocks():
+            if crc == self.store.expected(disk, offset):
+                self.store.mark_verified(disk, offset)
+            else:
+                corrupt.setdefault(stripe, []).append(cell)
         return corrupt
 
     def verify_and_repair(self) -> Dict[int, List[Cell]]:
@@ -435,13 +405,7 @@ class IntegrityChecker:
                 volume._write_cell(stripe, cell, buf[cell.row, cell.col])
         return repaired
 
-    #: Stripes per tensor chunk in the campaign sweep (matches the
-    #: volume's batched parity scrub).
-    _CAMPAIGN_CHUNK = 16
-
-    def scrub_campaign(
-        self, chunk: Optional[int] = None, strict: bool = True
-    ) -> ScrubCampaignReport:
+    def scrub_campaign(self, strict: bool = True) -> ScrubCampaignReport:
         """Full-volume silent-corruption scrub: detect, locate, heal.
 
         The campaign engine behind ``docs/robustness.md`` ("Silent
@@ -450,90 +414,57 @@ class IntegrityChecker:
         *not* trusted — a campaign bounds the detection latency of
         at-rest rot), digest-mismatching cells become located erasures
         decoded from parity and rewritten-and-re-recorded, and each
-        stripe's parity is then cross-checked against the canonical
-        re-encode.  A stripe whose parity disagrees while every block
-        matches its digest is **unattributed** corruption — with
-        ``strict=True`` (default) that raises
-        :class:`InconsistentStripeError`; otherwise the stripe is
-        reported in :attr:`ScrubCampaignReport.unattributed` and left
-        untouched.  A stripe with more rotten cells than its code can
-        decode raises a typed
+        stripe's parity is then cross-checked.  A stripe whose parity
+        disagrees while every block matches its digest is
+        **unattributed** corruption — with ``strict=True`` (default)
+        that raises :class:`InconsistentStripeError`; otherwise the
+        stripe is reported in :attr:`ScrubCampaignReport.unattributed`
+        and left untouched.  A stripe with more rotten cells than its
+        code can decode raises a typed
         :class:`~repro.exceptions.UnrecoverableStripeError`.
 
-        Runs as 16-stripe tensor chunks (one gather + one CRC sweep per
-        disk per chunk) when the fault surface is quiet, falling back to
-        the deterministic per-element walk under fault hooks, rotation or
-        latent sectors — so chaos campaigns replay bit-identically.
+        Reads each run of stripes as one planned sweep (:meth:`_chunks`)
+        when the fault surface is quiet, and by the deterministic
+        per-element walk under fault hooks or latent sectors — so chaos
+        campaigns replay bit-identically.  Either way each stripe is
+        then repaired and cross-checked in turn.
         """
         volume = self.volume
         require(not volume.failed_disks and (
             volume._rebuild is None or not volume._rebuild.active
         ), "cannot scrub with failed or rebuilding disks present")
-        if chunk is None:
-            chunk = self._CAMPAIGN_CHUNK
         report = ScrubCampaignReport()
-        batched = not volume.mapper.rotate and volume._batch_io_ok()
-        num_stripes = volume.mapper.num_stripes
-        for start in range(0, num_stripes, chunk):
-            end = min(start + chunk, num_stripes)
-            if batched:
-                self._campaign_chunk_batched(start, end, report, strict)
-            else:
-                for stripe in range(start, end):
-                    self._campaign_stripe_serial(stripe, report, strict)
+        for stripes, swept, rows in self._chunks():
+            bad_cells: Dict[int, List[Cell]] = {}
+            for i, cell, disk, offset, crc in rows or ():
+                if crc == self.store.expected(disk, offset):
+                    self.store.mark_verified(disk, offset)
+                    report.elements_read += 1
+                else:
+                    bad_cells.setdefault(i, []).append(cell)
+            for i, stripe in enumerate(stripes):
+                if rows is None:
+                    buf, bad = self._campaign_walk(stripe, report)
+                else:
+                    buf, bad = swept[i], bad_cells.get(i, [])
+                if bad:
+                    volume._decode_cells_checked(stripe, buf, bad)
+                    for cell in bad:
+                        volume._write_cell(
+                            stripe, cell, buf[cell.row, cell.col]
+                        )
+                        self._classify(report, stripe, cell)
+                report.stripes_scanned += 1
+                # a parity mismatch with no digest evidence cannot be
+                # located
+                if not volume.codec.parity_ok(buf):
+                    self._unattributed(report, stripe, strict)
         return report
 
-    def _campaign_chunk_batched(
-        self, start: int, end: int,
-        report: ScrubCampaignReport, strict: bool,
-    ) -> None:
-        volume = self.volume
-        rows = volume.layout.rows
-        batch = end - start
-        stripes = np.arange(start, end, dtype=np.intp)
-        buf = blank_batch(volume.codec, batch)
-        bad_cells: Dict[int, List[Cell]] = {}
-        for col in range(volume.layout.cols):
-            cells = volume.layout.cells_in_column(col)
-            col_rows = volume._col_rows[col]
-            offsets = (
-                stripes[:, None] * rows + col_rows[None, :]
-            ).ravel()
-            block = volume.disks[col].read_block(offsets)
-            report.elements_read += int(offsets.size)
-            buf[:, col_rows, col, :] = block.reshape(
-                batch, len(col_rows), volume.element_size
-            )
-            sums = np.fromiter(
-                (zlib.crc32(row.tobytes()) for row in block),
-                dtype=np.uint64, count=len(block),
-            )
-            expected = self.store.expected_dense(
-                col, volume.mapper.disk_capacity
-            )[offsets]
-            mismatch = sums != expected
-            for b in np.flatnonzero(mismatch).tolist():
-                i, k = divmod(b, len(cells))
-                bad_cells.setdefault(i, []).append(cells[k])
-            self.store.mark_verified(col, offsets[~mismatch])
-        for i, bad in sorted(bad_cells.items()):
-            stripe = int(stripes[i])
-            volume._decode_cells_checked(stripe, buf[i], bad)
-            for cell in bad:
-                volume._write_cell(stripe, cell, buf[i, cell.row, cell.col])
-                self._classify(report, stripe, cell)
-        report.stripes_scanned += batch
-        # parity cross-check on the (now repaired) chunk: a mismatch with
-        # no digest evidence cannot be located
-        enc = buf.copy()
-        encode_batch(volume.codec, enc)
-        inconsistent = (enc != buf).reshape(batch, -1).any(axis=1)
-        for i in np.flatnonzero(inconsistent).tolist():
-            self._unattributed(report, int(stripes[i]), strict)
-
-    def _campaign_stripe_serial(
-        self, stripe: int, report: ScrubCampaignReport, strict: bool
-    ) -> None:
+    def _campaign_walk(
+        self, stripe: int, report: ScrubCampaignReport
+    ) -> Tuple[np.ndarray, List[Cell]]:
+        """Read one stripe cell by cell: its image and its bad cells."""
         volume = self.volume
         buf = volume.codec.blank_stripe()
         bad: List[Cell] = []
@@ -556,14 +487,7 @@ class IntegrityChecker:
                     loc.disk, np.array([loc.offset], dtype=np.intp)
                 )
                 buf[cell.row, cell.col] = block
-        if bad:
-            volume._decode_cells_checked(stripe, buf, bad)
-            for cell in bad:
-                volume._write_cell(stripe, cell, buf[cell.row, cell.col])
-                self._classify(report, stripe, cell)
-        report.stripes_scanned += 1
-        if not volume.codec.parity_ok(buf):
-            self._unattributed(report, stripe, strict)
+        return buf, bad
 
     def _classify(
         self, report: ScrubCampaignReport, stripe: int, cell: Cell

@@ -1,4 +1,4 @@
-"""Pattern-keyed I/O plans for short reads and partial-stripe writes.
+"""Pattern-keyed I/O plans: short reads, partial writes, whole stripes.
 
 The cells a request touches inside a stripe are a pure function of the
 stripe-local *pattern* — which data cells it addresses and which layout
@@ -16,8 +16,12 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   parity their deltas can patch, and one XOR schedule folding the data
   deltas into per-parity deltas;
 * **stripe plans**, keyed by the stale columns — every surviving cell of
-  a stripe and the compiled column-recovery schedule: the load and store
-  halves of a degraded reconstruct-write.
+  a stripe and the compiled column-recovery schedule:
+  :func:`load_stripes` and :func:`store_stripes`, which carry full-stripe
+  writes, reconstruct-writes, parity scrub and the integrity sweeps;
+* **rebuild plans**, keyed by the lost column — the hybrid planner's
+  minimal read set and the XOR schedule folding it into the column
+  (:func:`rebuild`; a double failure loads through the stripe plan).
 
 Execution is one gather of the old cells, the value-dependent
 ``delta.any()`` masks the per-element walk applies, one XOR schedule
@@ -25,8 +29,8 @@ Execution is one gather of the old cells, the value-dependent
 volume's ``_disk_write_block`` funnel and one counter bump per disk — the
 same elements read and written as the walk, so every I/O count is
 unchanged.  The executor assumes a quiet fault surface (no hooks, no
-latent sectors); the volume selects it with the same predicates that
-gate its tensor paths and keeps the walk for everything else.
+latent sectors); the volume selects it from one per-operation snapshot
+(``RAID6Volume._surface``) and keeps the walk for everything else.
 
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
@@ -44,6 +48,7 @@ from repro.array.mapping import Run, segments
 from repro.codec.plan import GatherStep, XorPlan
 from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import AddressError
+from repro.recovery.planner import cached_hybrid_plan
 
 #: Plans cached per volume.  A pattern is ``(first index, length)`` of a
 #: contiguous run, so ``per * (per + 1) / 2`` exist per failure state —
@@ -51,19 +56,21 @@ from repro.exceptions import AddressError
 #: 2 MB whatever the geometry.
 MAX_PLANS = 2048
 
-#: Stripes per executor call on a multi-stripe run: bounds the gather
-#: and XOR scratch to a few MB however long the request is.
+#: Stripes per executor call on a multi-stripe run — reads, whole-stripe
+#: stores, rebuild, scrub and the integrity sweeps alike: bounds the
+#: gather and XOR scratch to a few MB however long the request is.
 RUN_CHUNK = 32
 
 
 class CellSet:
     """Stripe-local cells as index arrays: a plan's I/O footprint."""
 
-    __slots__ = ("flat", "counts", "order")
+    __slots__ = ("cells", "flat", "counts", "order")
 
     def __init__(
         self, cells: Sequence[Cell], ncols: int, scatter: bool = False
     ) -> None:
+        self.cells = tuple(cells)
         cols = np.array([c.col for c in cells], dtype=np.intp)
         #: index into a ``(rows * cols, element_size)`` stripe view
         self.flat = np.array([c.row for c in cells], dtype=np.intp) * ncols
@@ -246,6 +253,28 @@ def _compile_stripe(volume, stale_cols: Tuple[int, ...]) -> StripePlan:
     )
 
 
+def _compile_rebuild(volume, col: int) -> ReadPlan:
+    """The hybrid planner's minimal read set of a lost column as a read
+    plan whose wanted cells are the column's, in layout order."""
+    layout = volume.layout
+    hybrid = cached_hybrid_plan(layout, col)
+    reads = sorted(hybrid.reads)
+    row = {cell: i for i, cell in enumerate(reads)}
+    group_of = dict(hybrid.choices)
+    equations = [
+        (len(reads) + i,
+         [row[c] for c in group_of[cell].cells if c != cell])
+        for i, cell in enumerate(layout.cells_in_column(col))
+    ]
+    rows = len(reads) + len(equations)
+    return ReadPlan(
+        CellSet(reads, layout.cols),
+        _xor_plan(equations, rows),
+        rows,
+        np.arange(len(reads), rows),
+    )
+
+
 # -- execution -------------------------------------------------------------------
 #
 # A cell's row in the flat backing view is ``offset * cols + disk``, so
@@ -315,36 +344,56 @@ def _count_reads(volume, cells: CellSet, stripes: Sequence[int]) -> None:
             disks[(col + stripe) % len(disks)].count_reads(n)
 
 
-def _scatter(volume, cells: CellSet, stripe: int, at, block) -> None:
-    """One ``_disk_write_block`` per disk for all of one stripe's cells:
-    the funnel integrity tooling and the dirty-stripe tracker observe,
-    which also counts the writes."""
-    ncols = volume.layout.cols
-    shift = stripe if volume.mapper.rotate else 0
+def _rows(flat: np.ndarray, batch: int, stride: int) -> np.ndarray:
+    """Rows ``flat`` of each of ``batch`` consecutive ``stride``-row
+    blocks, block-major."""
+    if batch == 1:
+        return flat
+    return (np.arange(batch)[:, None] * stride + flat).ravel()
+
+
+def _scatter(volume, cells: CellSet, stripes, at, src, rows=None) -> None:
+    """Write ``src[rows]`` — one row per cell of ``cells`` per stripe,
+    stripe-major like ``at``, their flat backing rows; ``None`` takes
+    ``src`` as it stands — with one ``_disk_write_block`` per disk: the
+    funnel integrity tooling and the dirty-stripe tracker observe, which
+    also counts the writes."""
     write = volume._disk_write_block
+    if len(stripes) > 1:
+        # gathered disk by disk: no scratch outgrows one disk's share
+        for disk, offsets, sel in _by_disk(volume, at):
+            write(disk, offsets, src[sel if rows is None else rows[sel]])
+        return
+    # one stripe: a single small gather, each disk a slice of it
+    ncols = volume.layout.cols
+    shift = stripes[0] if volume.mapper.rotate else 0
     offsets = at // ncols
     if cells.order is not None:
-        offsets, block = offsets[cells.order], block[cells.order]
+        offsets = offsets[cells.order]
+        rows = cells.order if rows is None else rows[cells.order]
+    block = src if rows is None else src[rows]
     lo = 0
     for col, n in cells.counts:
         write((col + shift) % ncols, offsets[lo:lo + n], block[lo:lo + n])
         lo += n
 
 
-def stale_runs(volume, surface, first: int, stripes: int):
-    """Cut stripes ``[first, first + stripes)`` into chunks of at most
-    :data:`RUN_CHUNK` that share their stale columns: ``(a, b, stale)``."""
-    a = first
-    end = first + stripes
-    while a < end:
-        stale = volume._stale_cols(a, surface)
-        b = a + 1
-        while b < min(end, a + RUN_CHUNK) and (
-            surface.healthy or volume._stale_cols(b, surface) == stale
+def stale_runs(volume, surface, stripes: Sequence[int]):
+    """Cut ``stripes`` into slices ``[lo, hi)`` of at most
+    :data:`RUN_CHUNK` neighbours that share their stale columns:
+    ``(lo, hi, stale)``."""
+    lo = 0
+    end = len(stripes)
+    while lo < end:
+        stale = volume._stale_cols(stripes[lo], surface)
+        hi = lo + 1
+        while hi < min(end, lo + RUN_CHUNK) and (
+            surface.healthy
+            or volume._stale_cols(stripes[hi], surface) == stale
         ):
-            b += 1
-        yield a, b, stale
-        a = b
+            hi += 1
+        yield lo, hi, stale
+        lo = hi
 
 
 def read_runs(volume, surface, runs: Sequence[Run], count: int):
@@ -359,11 +408,14 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int):
     es = volume.element_size
     out = None
     for s0, stripes, j0, n, k0 in runs:
-        for a, b, stale in stale_runs(volume, surface, s0, stripes):
+        for lo, hi, stale in stale_runs(
+            volume, surface, range(s0, s0 + stripes)
+        ):
+            a, b = s0 + lo, s0 + hi
             plan = volume._ioplans.get(
                 ("read", j0, n, stale), _compile_read, volume, j0, n, stale, a
             )
-            k = k0 + (a - s0) * n
+            k = k0 + lo * n
             if plan is not None:
                 at = _at(volume, plan.cells, range(a, b))
                 block = backing[at]
@@ -446,7 +498,7 @@ def _rmw_run(volume, plan: RmwPlan, stripes, values) -> bool:
     new = old.reshape(-1, es)
     if whole:
         _count_reads(volume, cells, stripes)
-        _scatter(volume, cells, stripes[0], at, new)
+        _scatter(volume, cells, stripes, at, new)
         return True
     for disk, offsets, _ in _by_disk(volume, at[read]):
         volume.disks[disk].count_reads(len(offsets))
@@ -464,33 +516,119 @@ def _stripe_plan(volume, stale_cols: Sequence[int]) -> StripePlan:
     )
 
 
-def load_stripe(volume, stripe: int, missing_cols: Sequence[int]):
-    """Gather every surviving cell of ``stripe`` and rebuild the rest.
+def stripe_rows(volume, stripes: Sequence[int], missing_cols: Sequence[int]):
+    """What :func:`load_stripes` gathers: each stripe's surviving cells
+    and the flat backing row of every block, stripe-major
+    (``divmod(at, cols)`` is ``(offsets, disks)``)."""
+    cells = _stripe_plan(volume, missing_cols).cells
+    return cells.cells, _at(volume, cells, stripes)
 
-    Returns the ``(rows, cols, element_size)`` stripe buffer, or ``None``
-    when a gathered block failed verification (take the walk).
+
+def _gather(
+    volume, cells: CellSet, stripes, out: np.ndarray, dest: np.ndarray,
+    verify: bool = True,
+) -> bool:
+    """Read ``cells`` of every stripe into rows ``dest`` (stripe-major)
+    of ``out``.  ``False`` — nothing counted — when a block failed
+    verification: take the walk."""
+    at = _at(volume, cells, stripes)
+    # one stripe: a single small gather; a vector: disk by disk, so no
+    # scratch outgrows one disk's share
+    pieces = [slice(None)] if len(stripes) == 1 else [
+        sel for _, _, sel in _by_disk(volume, at)
+    ]
+    ok = True
+    for sel in pieces:
+        rows = at[sel]
+        block = volume._flat_backing[rows]
+        if verify and not _verified(volume, rows, block):
+            ok = False
+        out[dest[sel]] = block
+    if ok:
+        _count_reads(volume, cells, stripes)
+    return ok
+
+
+def load_stripes(
+    volume, stripes: Sequence[int], missing_cols: Sequence[int],
+    verify: bool = True,
+) -> Optional[np.ndarray]:
+    """Gather every surviving cell of ``stripes`` — which share their
+    ``missing_cols``; one stripe is the scalar case — and rebuild the
+    rest: a ``(stripes, rows, cols, element_size)`` buffer.
+
+    ``None`` when a gathered block failed verification (take the walk).
+    ``verify=False`` is the integrity sweeps' raw gather: they hash
+    every block themselves, whatever the verified bitmap says.
     """
-    _check_stripes(volume, stripe, stripe)
+    _check_stripes(volume, min(stripes), max(stripes))
     plan = _stripe_plan(volume, missing_cols)
-    at = _at(volume, plan.cells, (stripe,))
-    block = volume._flat_backing[at]
-    if not _verified(volume, at, block):
+    rows, cols = volume.layout.rows, volume.layout.cols
+    batch = len(stripes)
+    es = volume.element_size
+    # not zeroed: every cell is gathered here or rebuilt below
+    buf = np.empty((batch, rows, cols, es), dtype=np.uint8)
+    if not _gather(
+        volume, plan.cells, stripes, buf.reshape(-1, es),
+        _rows(plan.cells.flat, batch, rows * cols), verify,
+    ):
         return None
-    _count_reads(volume, plan.cells, (stripe,))
-    buf = volume.codec.blank_stripe()
-    flat = buf.reshape(-1, volume.element_size)
-    flat[plan.cells.flat] = block
     if plan.decode is not None:
-        plan.decode.execute(flat)
+        plan.decode.execute_batch(buf.reshape(batch, -1, es))
     elif plan.lost:
-        volume._decode_cells_checked(stripe, buf, plan.lost)
+        for i, stripe in enumerate(stripes):
+            volume._decode_cells_checked(stripe, buf[i], plan.lost)
     return buf
 
 
-def store_stripe(volume, stripe: int, buf, skip_cols: Sequence[int]) -> None:
-    """Scatter every cell of ``buf`` outside ``skip_cols`` to its disk."""
-    _check_stripes(volume, stripe, stripe)
-    plan = _stripe_plan(volume, skip_cols)
-    at = _at(volume, plan.cells, (stripe,))
-    flat = np.ascontiguousarray(buf).reshape(-1, volume.element_size)
-    _scatter(volume, plan.cells, stripe, at, flat[plan.cells.flat])
+def store_stripes(
+    volume, stripes: Sequence[int], buf, skip_cols: Sequence[int]
+) -> None:
+    """Scatter every cell of the encoded ``buf`` — one ``(rows, cols,
+    element_size)`` image per stripe — outside ``skip_cols`` to its disk."""
+    _check_stripes(volume, min(stripes), max(stripes))
+    cells = _stripe_plan(volume, skip_cols).cells
+    src = np.ascontiguousarray(buf).reshape(-1, volume.element_size)
+    _scatter(
+        volume, cells, stripes, _at(volume, cells, stripes), src,
+        _rows(cells.flat, len(stripes), len(src) // len(stripes)),
+    )
+
+
+def rebuild(
+    volume, stripes: Sequence[int], stale: Tuple[int, ...], col: int
+) -> bool:
+    """Rebuild layout column ``col`` of ``stripes``, whose stale columns
+    ``stale`` include it: a single failure from the hybrid planner's
+    minimal read set, a double failure through the stripe plan.
+
+    ``False`` — nothing counted or written — when a source failed
+    verification: the walk reconstructs around it.
+    """
+    layout = volume.layout
+    batch = len(stripes)
+    es = volume.element_size
+    column = volume._ioplans.get(
+        ("column", col), CellSet, layout.cells_in_column(col), layout.cols
+    )
+    if len(stale) == 1:
+        plan = volume._ioplans.get(
+            ("rebuild", col), _compile_rebuild, volume, col
+        )
+        src = np.empty((batch, plan.rows, es), dtype=np.uint8)
+        fetched = np.arange(len(plan.cells.flat))
+        if not _gather(
+            volume, plan.cells, stripes, src.reshape(-1, es),
+            _rows(fetched, batch, plan.rows),
+        ):
+            return False
+        plan.xor.execute_batch(src)
+        rows = _rows(plan.out, batch, plan.rows)
+    else:
+        src = load_stripes(volume, stripes, stale)
+        if src is None:
+            return False
+        rows = _rows(column.flat, batch, layout.rows * layout.cols)
+    at = _at(volume, column, stripes)
+    _scatter(volume, column, stripes, at, src.reshape(-1, es), rows)
+    return True

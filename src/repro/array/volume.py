@@ -52,7 +52,7 @@ from repro.array import ioplan
 from repro.array.disk import DiskState, SimDisk
 from repro.array.mapping import AddressMapper, segments
 from repro.codes.base import Cell, CodeLayout
-from repro.codec.batch import blank_batch, decode_batch, encode_batch
+from repro.codec.batch import blank_batch, encode_batch
 from repro.codec.decoder import ChainDecoder
 from repro.codec.encoder import StripeCodec, _toposort_groups
 from repro.codec.gauss import GaussianDecoder
@@ -90,11 +90,11 @@ class _Surface(NamedTuple):
     once instead of once per gate it passes.
     """
 
-    #: planned and tensor *loads* allowed: no fault or corruption hook on
-    #: any disk, no latent sector
+    #: planned *loads* allowed: no fault or corruption hook on any disk,
+    #: no latent sector
     quiet_io: bool
-    #: planned and tensor *stores* allowed: no hook on any disk, no
-    #: crash-point phase hook on the journal
+    #: planned *stores* allowed: no hook on any disk, no crash-point
+    #: phase hook on the journal
     quiet_write: bool
     #: failed disks, ascending
     failed: Tuple[int, ...]
@@ -222,22 +222,11 @@ class RAID6Volume:
         # (docs/performance.md, "Planned short-op I/O")
         self._ioplans = ioplan.PlanCache()
         # -- vectorised-geometry tables (docs/performance.md) -------------
-        self._col_rows: List[np.ndarray] = [
-            np.array([c.row for c in layout.cells_in_column(col)],
-                     dtype=np.intp)
-            for col in range(layout.cols)
-        ]
         self._data_rows = np.array(
             [c.row for c in layout.data_cells], dtype=np.intp
         )
         self._data_cols = np.array(
             [c.col for c in layout.data_cells], dtype=np.intp
-        )
-        self._parity_rows = np.array(
-            [c.row for c in layout.parity_cells], dtype=np.intp
-        )
-        self._parity_cols = np.array(
-            [c.col for c in layout.parity_cells], dtype=np.intp
         )
         self._full_stripe_col_counts = np.bincount(
             self._data_cols, minlength=layout.cols
@@ -290,23 +279,12 @@ class RAID6Volume:
 
     # -- fast-path gating ------------------------------------------------------
     #
-    # The planned and tensor paths change neither data nor counters, but
-    # they do change the *order* individual elements touch the disks — so
-    # they only engage while the fault surface is quiet.  The moment a
+    # The planned paths change neither data nor counters, but they do
+    # change the *order* individual elements touch the disks — so they
+    # only engage while the fault surface is quiet.  The moment a
     # fault hook is attached (chaos harness, injector tests) everything
     # drops back to the per-element serial walk, which keeps seed-driven
     # fault schedules bit-reproducible.  See docs/performance.md.
-
-    def _journal_quiet(self) -> bool:
-        """No crash-point phase hook armed on the journal.
-
-        A phase hook (like a disk fault hook) defines crash points over
-        the per-element operation order, so the planned and tensor fast
-        paths stand down while one is attached.  A journal *without* a
-        hook never forces the slow paths.
-        """
-        journal = self.journal
-        return journal is None or journal.phase_hook is None
 
     def _surface(self) -> _Surface:
         """Snapshot the fault surface: one pass over the disks."""
@@ -320,9 +298,13 @@ class RAID6Volume:
             if d.state is DiskState.FAILED:
                 failed.append(d.disk_id)
         rebuild = self._rebuild
+        journal = self.journal
         return _Surface(
             not hooks and not latent,
-            not hooks and self._journal_quiet(),
+            # a crash-point phase hook (like a disk fault hook) defines
+            # crash points over the per-element order; a journal
+            # *without* one never forces the walk
+            not hooks and (journal is None or journal.phase_hook is None),
             tuple(failed),
             rebuild is not None and rebuild.active,
             len(self.error_counters.escalated),
@@ -341,14 +323,6 @@ class RAID6Volume:
         ):
             return self._surface()
         return surface
-
-    def _batch_write_ok(self) -> bool:
-        """Tensor stores allowed: no fault or crash-point hooks anywhere."""
-        return self._surface().quiet_write
-
-    def _batch_io_ok(self) -> bool:
-        """Tensor loads allowed: no hooks and no latent sectors."""
-        return self._surface().quiet_io
 
     # -- failure lifecycle -----------------------------------------------------
 
@@ -409,112 +383,56 @@ class RAID6Volume:
         failure the chain (or Gaussian) decoder rebuilds this disk's share.
         Equivalent to ``start_rebuild(disk).run()``.
         """
-        return self.start_rebuild(
-            disk, batch=self.mapper.num_stripes
-        ).run()
+        return self.start_rebuild(disk).run()
 
-    def _rebuild_stripe_single(self, stripe: int, disk: int) -> None:
-        col = self.mapper.col_on_disk(stripe, disk)
-        plan = cached_hybrid_plan(self.layout, col)
-        cache: Dict[Cell, np.ndarray] = {}
-        try:
-            for cell in plan.reads:
-                cache[cell] = self._read_cell(stripe, cell)
-        except _CELL_ERRORS + (DiskFailedError,):
-            # a medium error inside the minimal read set (or a disk died
-            # under it): escalate to a full reconstruct of the stripe,
-            # which tolerates the extra loss (RAID-6 still has a second
-            # parity family in hand)
-            buf = self._load_stripe(stripe, missing_cols=(col,))
-            for cell in self.layout.cells_in_column(col):
-                self._write_cell(stripe, cell, buf[cell.row, cell.col])
+    def _rebuild_stripes(self, cursor: RebuildCursor, end: int) -> None:
+        """Advance ``cursor`` over its next run of stripes (at most to
+        ``end``): one :func:`repro.array.ioplan.rebuild` call on a quiet
+        surface; otherwise, or when a rebuild source fails verification,
+        the walk, the cursor following stripe by stripe so that an
+        unrecoverable one leaves it there."""
+        surface = self._surface()
+        first = cursor.pos
+        _, count, stale = next(
+            ioplan.stale_runs(self, surface, range(first, end))
+        )
+        run = range(first, first + count)
+        if surface.quiet_io and ioplan.rebuild(
+            self, run, stale, self.mapper.col_on_disk(first, cursor.disk)
+        ):
+            cursor.pos += count
             return
-        for cell, group in plan.choices:
-            acc = np.zeros(self.element_size, dtype=np.uint8)
-            for other in group.cells:
-                if other != cell:
-                    xor_into(acc, cache[other])
-            self._write_cell(stripe, cell, acc)
+        for stripe in run:
+            self._rebuild_stripe(stripe, cursor.disk)
+            cursor.pos += 1
 
-    def _rebuild_stripe_double(
-        self, stripe: int, disk: int, other_failed: int
-    ) -> None:
+    def _rebuild_stripe(self, stripe: int, disk: int) -> None:
+        """The walk: rebuild ``disk``'s share of one stripe cell by cell."""
         col = self.mapper.col_on_disk(stripe, disk)
-        other_col = self.mapper.col_on_disk(stripe, other_failed)
-        buf = self._load_stripe(stripe, missing_cols=(col, other_col))
-        for cell in self.layout.cells_in_column(col):
-            self._write_cell(stripe, cell, buf[cell.row, cell.col])
-
-    def _rebuild_stripes_batch(
-        self, start: int, end: int, disk: int,
-        other_failed: Optional[int] = None,
-    ) -> int:
-        """Rebuild stripes ``[start, end)`` of ``disk`` in one tensor pass.
-
-        Returns the number of stripes rebuilt, or 0 when the batch
-        preconditions do not hold (rotation, fault hooks, latent sectors,
-        undecodable pattern) and the caller must fall back to the
-        per-stripe walk.  Counter totals match the per-stripe path.
-        """
-        batch = end - start
-        if batch < 2 or self.mapper.rotate or not self._batch_io_ok():
-            return 0
-        stripes = np.arange(start, end, dtype=np.intp)
-        rows = self.layout.rows
-        col = disk  # no rotation: layout column == disk id
-        verifier = self._verifier()
-        if other_failed is None:
-            # single failure: execute the hybrid minimal-read plan once
-            # over the whole stripe range — one gather per source cell
+        stale = self._stale_cols(stripe)
+        if len(stale) == 1:
             plan = cached_hybrid_plan(self.layout, col)
             cache: Dict[Cell, np.ndarray] = {}
-            for cell in plan.reads:
-                offs = stripes * rows + cell.row
-                block = self.disks[cell.col].read_block(offs)
-                if verifier is not None and \
-                        verifier.verify_rows(cell.col, offs, block).size:
-                    # a rebuild source is rotten: fall back to the
-                    # per-stripe walk, which reconstructs around it
-                    return 0
-                cache[cell] = block
-            for cell, group in plan.choices:
-                acc = np.zeros(
-                    (batch, self.element_size), dtype=np.uint8
-                )
-                for other in group.cells:
-                    if other != cell:
-                        np.bitwise_xor(acc, cache[other], out=acc)
-                self._disk_write_block(disk, stripes * rows + cell.row, acc)
-            return batch
-        # double failure: load survivors into a stripe tensor, decode the
-        # two lost columns together, store only this disk's share
-        other_col = other_failed
-        buf = blank_batch(self.codec, batch)
-        for c in range(self.layout.cols):
-            if c in (col, other_col):
-                continue
-            col_rows = self._col_rows[c]
-            offsets = (stripes[:, None] * rows + col_rows[None, :]).ravel()
-            block = self.disks[c].read_block(offsets)
-            if verifier is not None and \
-                    verifier.verify_rows(c, offsets, block).size:
-                return 0
-            buf[:, col_rows, c, :] = block.reshape(
-                batch, len(col_rows), self.element_size
-            )
-        try:
-            decode_batch(self.codec, buf, (col, other_col))
-        except DecodeError:
-            return 0
-        col_rows = self._col_rows[col]
-        offsets = (stripes[:, None] * rows + col_rows[None, :]).ravel()
-        values = buf[:, col_rows, col, :]
-        self._disk_write_block(
-            disk,
-            offsets,
-            np.ascontiguousarray(values.reshape(-1, self.element_size)),
-        )
-        return batch
+            try:
+                for cell in plan.reads:
+                    cache[cell] = self._read_cell(stripe, cell)
+            except _CELL_ERRORS + (DiskFailedError,):
+                # a medium error inside the minimal read set (or a disk
+                # died under it): escalate to the full reconstruct below,
+                # which tolerates the extra loss (RAID-6 still has a
+                # second parity family in hand)
+                pass
+            else:
+                for cell, group in plan.choices:
+                    acc = np.zeros(self.element_size, dtype=np.uint8)
+                    for other in group.cells:
+                        if other != cell:
+                            xor_into(acc, cache[other])
+                    self._write_cell(stripe, cell, acc)
+                return
+        buf = self._load_stripe(stripe, missing_cols=stale)
+        for cell in self.layout.cells_in_column(col):
+            self._write_cell(stripe, cell, buf[cell.row, cell.col])
 
     def inject_latent_error(self, disk: int, stripe: int, row: int) -> None:
         """Mark one element of ``disk`` unreadable (medium error).
@@ -573,52 +491,33 @@ class RAID6Volume:
         """Verify parity of every stripe; returns inconsistent stripe ids.
 
         Requires a healthy array — parity cannot be checked through a
-        failed disk or an unrebuilt region.
+        failed disk or an unrebuilt region.  On a quiet surface each
+        :data:`~repro.array.ioplan.RUN_CHUNK` stripes are one gather,
+        re-encoded as one batch and flagged where the stored bytes
+        differ (parity is consistent in every group iff it equals the
+        canonical re-encode); otherwise, and for a chunk holding a block
+        that fails verification, each stripe is loaded by the walk.
         """
         require(self.health is HealthState.HEALTHY,
                 "cannot scrub with failed or rebuilding disks present")
-        if not self.mapper.rotate and self._batch_io_ok():
-            return self._scrub_batched()
-        bad = []
-        for stripe in range(self.mapper.num_stripes):
-            buf = self._load_stripe(stripe, missing_cols=())
-            if not self.codec.parity_ok(buf):
-                bad.append(stripe)
-        return bad
-
-    #: Stripes per tensor chunk in the batched scrub sweep.
-    _SCRUB_CHUNK = 16
-
-    def _scrub_batched(self) -> List[int]:
-        """Parity-verify the volume in tensor chunks.
-
-        Loads each chunk with one gather per disk, re-encodes a copy with
-        :func:`~repro.codec.batch.encode_batch` and flags stripes whose
-        stored bytes differ — equivalent to the per-group parity check
-        (parity is consistent in every group iff it equals the canonical
-        re-encode).  Read counters match the per-stripe sweep.
-        """
-        rows, cols = self.layout.rows, self.layout.cols
-        num_stripes = self.mapper.num_stripes
         bad: List[int] = []
-        for chunk_start in range(0, num_stripes, self._SCRUB_CHUNK):
-            chunk_end = min(chunk_start + self._SCRUB_CHUNK, num_stripes)
-            batch = chunk_end - chunk_start
-            stripes = np.arange(chunk_start, chunk_end, dtype=np.intp)
-            buf = blank_batch(self.codec, batch)
-            for c in range(cols):
-                col_rows = self._col_rows[c]
-                offsets = (
-                    stripes[:, None] * rows + col_rows[None, :]
-                ).ravel()
-                buf[:, col_rows, c, :] = self.disks[c].read_block(
-                    offsets
-                ).reshape(batch, len(col_rows), self.element_size)
-            enc = buf.copy()
-            encode_batch(self.codec, enc)
-            mismatch = (enc != buf).reshape(batch, -1).any(axis=1)
+        num_stripes = self.mapper.num_stripes
+        for start in range(0, num_stripes, ioplan.RUN_CHUNK):
+            stripes = range(start, min(start + ioplan.RUN_CHUNK, num_stripes))
+            buf = (
+                ioplan.load_stripes(self, stripes, ())
+                if self._surface().quiet_io else None
+            )
+            if buf is None:
+                bad.extend(
+                    stripe for stripe in stripes
+                    if not self.codec.parity_ok(self._load_stripe(stripe, ()))
+                )
+                continue
+            enc = encode_batch(self.codec, buf.copy())
             bad.extend(
-                int(stripes[i]) for i in np.nonzero(mismatch)[0]
+                stripe for stripe, a, b in zip(stripes, enc, buf)
+                if not np.array_equal(a, b)
             )
         return bad
 
@@ -818,9 +717,9 @@ class RAID6Volume:
         operation on its caller's thread; what the locks serialise is
         *callers* sharing a volume — a cache destage on a shard's
         executor thread against a foreground write to the same stripe.
-        Every multi-stripe write path (:meth:`_write_rest`, the tensor
-        stores) takes its burst's locks here once and calls the
-        ``*_locked`` leaf writers underneath.
+        Every multi-stripe write path (:meth:`_write_rest`,
+        :meth:`_full_stripe_write_batched`) takes its burst's locks here
+        once and calls the ``*_locked`` leaf writers underneath.
         """
         locks = [
             self._stripe_locks[i]
@@ -841,12 +740,13 @@ class RAID6Volume:
     def write(self, start: int, data: np.ndarray) -> None:
         """Write ``data`` (``(count, element_size)`` uint8) at ``start``.
 
-        Fully covered stripes go through the batched codec as one encode
-        tensor and one scatter per disk (when the fault surface is quiet);
-        head/tail partial stripes take the per-stripe controller paths
-        (RMW parity patch, reconstruct-write) — cached I/O plans on a
-        quiet surface (:mod:`repro.array.ioplan`), the per-element walk
-        otherwise.
+        A run of two or more fully covered stripes goes through the
+        batched codec as one encode and one store
+        (:meth:`_full_stripe_write_batched`); head/tail partial stripes
+        — and a lone whole stripe — take the per-stripe controller paths
+        (RMW parity patch, reconstruct-write).  Either way: cached I/O
+        plans on a quiet surface (:mod:`repro.array.ioplan`), the
+        per-element walk otherwise.
         """
         if data.ndim != 2 or data.shape[1] != self.element_size \
                 or data.dtype != np.uint8:
@@ -863,29 +763,19 @@ class RAID6Volume:
         surface = self._surface()
         per = self.layout.num_data_cells
         data_cells = self.layout.data_cells
-        runs = self.mapper.split(start, count)
-        # Full-stripe writes share one encode plan — run them through the
-        # batched codec in a single pass; everything else (RMW patches,
-        # reconstruct-writes) keeps the per-stripe controller paths.
-        full: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
         rest: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
-        for s0, stripes, j0, n, k0 in runs:
-            if n == per and stripes >= 2 and surface.quiet_write:
-                # tensor fast path: the contiguous run of full stripes
-                # encodes as one batch and stores as one scatter per disk
-                self._write_full_stripes_tensor(
-                    s0, s0 + stripes, data[k0:k0 + stripes * per]
+        for s0, stripes, j0, n, k0 in self.mapper.split(start, count):
+            if n == per and stripes >= 2:
+                # the request's own rows are the encode payload: no
+                # per-cell items to build
+                self._full_stripe_write_batched(
+                    range(s0, s0 + stripes),
+                    data[k0:k0 + stripes * per], surface,
                 )
                 continue
             cells = data_cells[j0:j0 + n]
             for stripe, _, _, k in segments([(s0, stripes, j0, n, k0)]):
-                (full if n == per else rest).append(
-                    (stripe, list(zip(cells, data[k:k + n])))
-                )
-        if len(full) > 1:
-            self._full_stripe_write_batched(full)
-        else:
-            rest = full + rest
+                rest.append((stripe, list(zip(cells, data[k:k + n]))))
         if len(rest) == 1:
             # one stripe: no burst to group-commit or vectorise
             self._write_stripe_batch(*rest[0], surface)
@@ -897,7 +787,7 @@ class RAID6Volume:
         entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]],
         surface: Optional[_Surface] = None,
     ) -> None:
-        """Run the non-tensor writes of one request queue.
+        """Run one request queue of per-stripe writes.
 
         ``entries`` must name each stripe at most once (``ValueError``
         otherwise): the cross-stripe RMW gathers every member's old
@@ -906,7 +796,9 @@ class RAID6Volume:
         Both callers hold this by construction — :meth:`write` splits a
         contiguous range, the cache destages a dict keyed by stripe.
 
-        Under the burst's stripe locks, taken once:
+        Two or more whole-stripe entries leave the queue as one
+        :meth:`_full_stripe_write_batched` call; a lone one leads it.
+        Then, under the burst's stripe locks, taken once:
 
         * **group commit** — a journaled burst of two or more stripes
           shares one coalesced intent append and one digest pass
@@ -931,8 +823,24 @@ class RAID6Volume:
         require(len(stripes) == len(entries),
                 "a write burst names each stripe at most once")
         surface = self._fresh(surface)
+        per = self.layout.num_data_cells
+        full = [entry for entry in entries if len(entry[1]) == per]
+        entries = [entry for entry in entries if len(entry[1]) < per]
+        if len(full) > 1:
+            index = self.layout.data_index
+            self._full_stripe_write_batched(
+                [stripe for stripe, _ in full],
+                np.array([
+                    [v for _, v in sorted(items, key=lambda i: index(i[0]))]
+                    for _, items in full
+                ]),
+                surface,
+            )
+            stripes.difference_update(stripe for stripe, _ in full)
+        else:
+            entries = full + entries
         with self._locked_stripes(stripes):
-            intents = self._open_group_intents(entries)
+            intents = self._open_group_intents(entries, surface)
             write = (
                 self._write_stripe_unjournaled_locked
                 if intents is not None
@@ -942,7 +850,6 @@ class RAID6Volume:
                 surface.quiet_io and surface.quiet_write
                 and (self.journal is None or intents is not None)
             ):
-                per = self.layout.num_data_cells
                 planned, walked = [], []
                 for entry in entries:
                     stripe, items = entry
@@ -956,7 +863,9 @@ class RAID6Volume:
                 self.journal.commit_group(intents)
 
     def _open_group_intents(
-        self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
+        self,
+        entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]],
+        surface: _Surface,
     ) -> Optional[List["WriteIntent"]]:
         """Journal a burst of stripe writes as one group append.
 
@@ -973,78 +882,52 @@ class RAID6Volume:
         if journal is None or len(entries) < 2 or not journal.group_commit:
             return None
         per = self.layout.num_data_cells
-        partial = [
-            (stripe, items) for stripe, items in entries
-            if len(items) < per
+        footprints = [
+            (stripe, self._parity_footprint(c for c, _ in items))
+            for stripe, items in entries if len(items) < per
         ]
-        old_digest = self._group_old_digest(partial) if partial else None
+        old_digest = (
+            self._footprint_digest(footprints, surface)
+            if footprints else None
+        )
         return journal.open_group(entries, old_digest=old_digest)
 
-    def _group_old_digest(
-        self, partial: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
+    def _footprint_digest(
+        self,
+        footprints: Sequence[Tuple[int, Sequence[Cell]]],
+        surface: Optional[_Surface] = None,
     ) -> Optional[int]:
-        """One CRC-32 chain over the burst's pre-write parity footprints.
+        """One CRC-32 chain over the parity cells ``(stripe, cells)`` as
+        they sit on disk, in the order given.
 
-        The group-commit replacement for per-stripe
-        :meth:`_parity_store_digest` calls: every partial member's
-        footprint is gathered from the backing store in member order and
-        digested in a single pass (CRC-32 over the concatenation equals
-        the per-block chain recovery recomputes —
-        :func:`repro.journal.recovery.parity_digest` with ``start=``).
-        Controller metadata like the per-stripe digest: uncounted,
-        fault-hook-free.  Returns ``None`` when any member's footprint
-        column is stale — recovery then falls back to per-stripe
-        classification, all a degraded burst can offer.
+        The old-parity digest of a journaled partial write — one stripe,
+        or every partial member of a group-committed burst in a single
+        pass (CRC-32 over the concatenation equals the per-block chain
+        recovery recomputes — :func:`repro.journal.recovery.
+        parity_digest` with ``start=``).  Controller metadata, not array
+        I/O: gathered from the backing store directly (uncounted,
+        fault-hook-free) so journaling does not distort the I/O ledger.
+        Returns ``None`` when a digested cell's column is stale —
+        recovery then falls back to ``parity_ok`` and per-stripe
+        classification, all a degraded stripe can offer.
         """
-        rows, cols = self.layout.rows, self.layout.cols
-        # on a healthy, quiet array every stripe's stale set is empty —
-        # skip the per-member scan (it would otherwise dominate the whole
-        # group-commit cost on the hot path)
-        quiet = not self.failed_disks and (
-            self._rebuild is None or not self._rebuild.active
-        )
-        rotate = self.mapper.rotate
+        disk_of = self.mapper.disk_of
         offs: List[int] = []
         dsks: List[int] = []
-        for stripe, items in partial:
-            cells = self._parity_footprint(c for c, _ in items)
-            if not quiet:
-                stale = self._stale_cols(stripe)
-                if stale and not set(stale).isdisjoint(
-                    c.col for c in cells
-                ):
-                    return None
-            shift = stripe % cols if rotate else 0
-            base = stripe * rows
+        for stripe, cells in footprints:
+            # () at once on a healthy array: the per-member scan would
+            # otherwise dominate the whole group-commit cost
+            stale = self._stale_cols(stripe, surface)
+            if stale and not set(stale).isdisjoint(c.col for c in cells):
+                return None
+            base = stripe * self.layout.rows
             for c in cells:
                 offs.append(base + c.row)
-                dsks.append((c.col + shift) % cols)
+                dsks.append(disk_of(stripe, c.col))
         block = self._backing[
             np.array(offs, dtype=np.intp), np.array(dsks, dtype=np.intp), :
         ]
         return zlib.crc32(np.ascontiguousarray(block))
-
-    def _write_full_stripes_tensor(
-        self, full0: int, full1: int, data: np.ndarray
-    ) -> None:
-        """Encode and store stripes ``[full0, full1)`` as one tensor pass.
-
-        ``data`` is the contiguous ``(B * num_data_cells, element_size)``
-        logical payload.  Only taken when :meth:`_batch_write_ok` holds.
-        """
-        batch = full1 - full0
-        per = self.layout.num_data_cells
-        buf = blank_batch(self.codec, batch)
-        buf[:, self._data_rows, self._data_cols, :] = data.reshape(
-            batch, per, self.element_size
-        )
-        encode_batch(self.codec, buf)
-        with self._locked_stripes(range(full0, full1)):
-            intents = self._open_full_stripe_intents(
-                list(range(full0, full1)), buf
-            )
-            self._store_stripes_tensor(range(full0, full1), buf)
-            self._commit_intents(intents)
 
     def _stale_cols(
         self, stripe: int, surface: Optional[_Surface] = None
@@ -1060,89 +943,50 @@ class RAID6Volume:
         )
 
     def _full_stripe_write_batched(
-        self, entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]]
+        self,
+        stripes: Sequence[int],
+        data: np.ndarray,
+        surface: Optional[_Surface] = None,
     ) -> None:
-        """Encode every full-stripe write of one request queue together."""
-        buf = blank_batch(self.codec, len(entries))
-        for i, (_, items) in enumerate(entries):
-            for cell, value in items:
-                buf[i, cell.row, cell.col] = value
+        """Encode and store whole stripes (``data``: their logical
+        payload, ``num_data_cells`` rows each): the full-stripe writer
+        of every burst.
+
+        Journaled, each stripe's intent holds its slice of the private
+        encode buffer by reference — no per-cell payload.  On a quiet
+        surface each run of stripes sharing their stale columns is one
+        :func:`repro.array.ioplan.store_stripes`; otherwise each stripe
+        is walked and committed in turn, the order crash points are
+        defined over.
+        """
+        batch = len(stripes)
+        buf = blank_batch(self.codec, batch)
+        buf[:, self._data_rows, self._data_cols, :] = data.reshape(
+            batch, -1, self.element_size
+        )
         encode_batch(self.codec, buf)
-        with self._locked_stripes(s for s, _ in entries):
-            intents = self._open_full_stripe_intents(
-                [s for s, _ in entries], buf
-            )
-            if self._batch_write_ok():
-                self._store_stripes_tensor([s for s, _ in entries], buf)
-                self._commit_intents(intents)
+        journal = self.journal
+        with self._locked_stripes(stripes):
+            surface = self._fresh(surface)
+            intents = [] if journal is None else [
+                journal.open_full(stripe, buf[i], self.layout.data_cells)
+                for i, stripe in enumerate(stripes)
+            ]
+            if surface.quiet_write:
+                for lo, hi, stale in ioplan.stale_runs(self, surface, stripes):
+                    ioplan.store_stripes(
+                        self, stripes[lo:hi], buf[lo:hi], stale
+                    )
+                for intent in intents:
+                    journal.commit(intent)
                 return
-            for i, (stripe, _) in enumerate(entries):
+            for i, stripe in enumerate(stripes):
                 self._store_stripe(
-                    stripe, buf[i], skip_cols=self._stale_cols(stripe)
+                    stripe, buf[i], self._stale_cols(stripe, surface),
+                    surface,
                 )
                 if intents:
-                    self.journal.commit(intents[i])
-
-    def _open_full_stripe_intents(
-        self, stripes: List[int], buf: np.ndarray
-    ) -> List["WriteIntent"]:
-        """Open one full-stripe intent per encoded stripe of ``buf``.
-
-        Each intent holds its stripe's slice of the private encode buffer
-        by reference (it outlives the intents and is never mutated after
-        encode), so journaling the hot batched path costs only per-stripe
-        bookkeeping — no per-cell payload materialization.
-        """
-        journal = self.journal
-        if journal is None:
-            return []
-        data_cells = self.layout.data_cells
-        return [
-            journal.open_full(stripe, buf[i], data_cells)
-            for i, stripe in enumerate(stripes)
-        ]
-
-    def _commit_intents(self, intents: List["WriteIntent"]) -> None:
-        for intent in intents:
-            self.journal.commit(intent)
-
-    def _store_stripes_tensor(
-        self, stripes: Iterable[int], buf: np.ndarray
-    ) -> None:
-        """Store encoded stripe tensor ``buf`` with one scatter per disk.
-
-        Stripes are grouped by (stale columns, rotation shift) so each
-        group shares disk targets; within a group, each disk receives all
-        of its elements for all stripes in a single
-        :meth:`~repro.array.disk.SimDisk.write_block`.  Caller guarantees
-        :meth:`_batch_write_ok`.
-        """
-        rows, cols = self.layout.rows, self.layout.cols
-        groups: Dict[Tuple[Tuple[int, ...], int],
-                     List[Tuple[int, int]]] = {}
-        for i, stripe in enumerate(stripes):
-            shift = stripe % cols if self.mapper.rotate else 0
-            key = (self._stale_cols(stripe), shift)
-            groups.setdefault(key, []).append((i, stripe))
-        for (skip_cols, shift), pairs in groups.items():
-            skip = set(skip_cols)
-            iarr = np.array([i for i, _ in pairs], dtype=np.intp)
-            sarr = np.array([s for _, s in pairs], dtype=np.intp)
-            for col in range(cols):
-                if col in skip:
-                    continue
-                col_rows = self._col_rows[col]
-                offsets = (
-                    sarr[:, None] * rows + col_rows[None, :]
-                ).ravel()
-                values = buf[iarr[:, None], col_rows[None, :], col, :]
-                self._disk_write_block(
-                    (col + shift) % cols,
-                    offsets,
-                    np.ascontiguousarray(
-                        values.reshape(-1, self.element_size)
-                    ),
-                )
+                    journal.commit(intents[i])
 
     def _write_stripe_batch(
         self,
@@ -1207,36 +1051,13 @@ class RAID6Volume:
     def _parity_store_digest(
         self, stripe: int, cells: Optional[Sequence[Cell]] = None
     ) -> Optional[int]:
-        """CRC-32 chain over ``stripe``'s parity as it sits on disk.
-
-        Controller metadata, not array I/O: reads the backing store
-        directly (uncounted, fault-hook-free) so journaling partial
-        writes does not distort the I/O ledger.  ``cells`` restricts the
-        chain to a footprint subset (in canonical ``parity_cells``
-        order — the write path passes :meth:`_parity_footprint` so an
-        RMW intent digests only the parities it can change); ``None``
-        digests every parity cell.  Chaining order matches
-        :func:`repro.journal.recovery.parity_digest`.  Returns ``None``
-        when any digested parity's column is stale — recovery then falls
-        back to ``parity_ok`` alone, which is all a degraded stripe can
-        offer.
-        """
-        if cells is None:
-            prows, pcols = self._parity_rows, self._parity_cols
-        else:
-            prows = np.array([c.row for c in cells], dtype=np.intp)
-            pcols = np.array([c.col for c in cells], dtype=np.intp)
-        stale = self._stale_cols(stripe)
-        if stale and not set(stale).isdisjoint(int(c) for c in pcols):
-            return None
-        cols = self.layout.cols
-        shift = stripe % cols if self.mapper.rotate else 0
-        offsets = stripe * self.layout.rows + prows
-        disks = (pcols + shift) % cols
-        # one gather + one CRC over the concatenation == the per-cell
-        # chain (zlib.crc32 is a streaming checksum)
-        block = self._backing[offsets, disks, :]
-        return zlib.crc32(np.ascontiguousarray(block))
+        """:meth:`_footprint_digest` of one stripe: ``cells`` in canonical
+        ``parity_cells`` order (the write path passes
+        :meth:`_parity_footprint`, so an RMW intent digests only the
+        parities it can change), every parity cell by default."""
+        return self._footprint_digest(
+            [(stripe, self.layout.parity_cells if cells is None else cells)]
+        )
 
     def _write_stripe_unjournaled_locked(
         self,
@@ -1246,9 +1067,7 @@ class RAID6Volume:
     ) -> None:
         surface = self._fresh(surface)
         failed_cols = self._stale_cols(stripe, surface)
-        if len(items) == self.layout.num_data_cells:
-            self._full_stripe_write(stripe, items, failed_cols, surface)
-        elif failed_cols:
+        if failed_cols or len(items) == self.layout.num_data_cells:
             self._reconstruct_write(stripe, items, failed_cols, surface)
         else:
             planned = surface.quiet_io and surface.quiet_write
@@ -1268,19 +1087,16 @@ class RAID6Volume:
                     stripe, items, self._stale_cols(stripe)
                 )
 
-    def _full_stripe_write(
-        self, stripe, items, failed_cols, surface=None
-    ) -> None:
-        buf = self.codec.blank_stripe()
-        for cell, value in items:
-            buf[cell.row, cell.col] = value
-        self.codec.encode(buf)
-        self._store_stripe(stripe, buf, failed_cols, surface)
-
     def _reconstruct_write(
         self, stripe, items, failed_cols, surface=None
     ) -> None:
-        buf = self._load_stripe_report(stripe, failed_cols, surface)[0]
+        """Apply ``items`` to the stripe's image, re-encode, store — the
+        image loaded (and reconstructed) unless every data cell is
+        overwritten."""
+        if len(items) == self.layout.num_data_cells:
+            buf = self.codec.blank_stripe()
+        else:
+            buf = self._load_stripe_report(stripe, failed_cols, surface)[0]
         for cell, value in items:
             buf[cell.row, cell.col] = value
         self.codec.encode(buf)
@@ -1355,7 +1171,7 @@ class RAID6Volume:
     def _disk_write_block(
         self, disk_id: int, offsets: np.ndarray, data: np.ndarray
     ) -> None:
-        """Funnel for every batched (tensor-path) disk scatter.
+        """Funnel for every planned disk scatter.
 
         All `write_block` stores issued by the volume go through here so
         integrity tooling can observe them the way it wraps
@@ -1532,9 +1348,9 @@ class RAID6Volume:
             # one gather of the surviving columns + the compiled column
             # recovery; None when a block fails verification, which the
             # walk below isolates and decodes around
-            buf = ioplan.load_stripe(self, stripe, missing_cols)
-            if buf is not None:
-                return buf, []
+            loaded = ioplan.load_stripes(self, (stripe,), missing_cols)
+            if loaded is not None:
+                return loaded[0], []
         buf = self.codec.blank_stripe()
         missing = set(missing_cols)
         lost: List[Cell] = []
@@ -1589,7 +1405,7 @@ class RAID6Volume:
         surface: Optional[_Surface] = None,
     ) -> None:
         if self._fresh(surface).quiet_write:
-            ioplan.store_stripe(self, stripe, buf, skip_cols)
+            ioplan.store_stripes(self, (stripe,), buf, skip_cols)
             return
         skip = set(skip_cols)
         journal = self.journal

@@ -112,27 +112,7 @@ class RebuildCursor:
         writes_before = sum(d.write_count for d in volume.disks)
         try:
             while self.pos < end:
-                other = [
-                    f for f in volume.failed_disks if f != self.disk
-                ]
-                # tensor fast path: rebuild the whole remaining batch in
-                # one pass (engages only on a quiet fault surface — see
-                # docs/performance.md); returns 0 to fall back to the
-                # per-stripe walk below
-                rebuilt = volume._rebuild_stripes_batch(
-                    self.pos, end, self.disk,
-                    other[0] if other else None,
-                )
-                if rebuilt:
-                    self.pos += rebuilt
-                    continue
-                if other:
-                    volume._rebuild_stripe_double(
-                        self.pos, self.disk, other[0]
-                    )
-                else:
-                    volume._rebuild_stripe_single(self.pos, self.disk)
-                self.pos += 1
+                volume._rebuild_stripes(self, end)
         finally:
             self.elements_read += (
                 sum(d.read_count for d in volume.disks) - reads_before

@@ -22,7 +22,7 @@ Crash-point fuzzing hooks into the intent lifecycle via
 :attr:`WriteIntentLog.phase_hook`: the volume announces every protocol
 phase (:data:`JOURNAL_PHASES`) through :meth:`WriteIntentLog.checkpoint`,
 and a campaign's hook raises a simulated crash at the seeded phase.
-While a phase hook is attached the volume's tensor/parallel fast paths
+While a phase hook is attached the volume's planned stores
 stand down (like disk fault hooks), so crash points are defined over the
 deterministic serial operation order.
 """

@@ -4,7 +4,7 @@ The logical address space is divided into equal contiguous bands, one
 per shard (shard ``i`` owns ``[i * cap, (i + 1) * cap)`` elements).
 Contiguous bands — rather than element-level striping — keep a client's
 sequential run on one shard, so the coalescer can feed it to the
-volume's tensor / batched paths as a single extent instead of a comb of
+volume's planned paths as a single extent instead of a comb of
 single elements.
 """
 

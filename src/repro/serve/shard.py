@@ -486,14 +486,17 @@ class ProcessShard:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
-        self._ring = self._make_ring(spec)
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_shard_worker, args=(child, spec, self._ring),
-            daemon=True,
+        ring = self._make_ring(spec)
+        conn, child = ctx.Pipe()
+        proc = ctx.Process(
+            target=_shard_worker, args=(child, spec, ring), daemon=True,
         )
-        self._proc.start()
+        proc.start()
         child.close()
+        # published only once started: kill() is taken without the
+        # supervisor's lock (the chaos saboteur), so a kill racing a
+        # restart must find either the reaped incarnation or a live one
+        self._ring, self._conn, self._proc = ring, conn, proc
 
     @staticmethod
     def _make_ring(spec: ShardSpec) -> Optional[PayloadRing]:
@@ -669,8 +672,11 @@ class ProcessShard:
         return self._proc.is_alive()
 
     def kill(self) -> None:
-        """Chaos hook: SIGKILL the worker from the parent side."""
-        self._proc.kill()
+        """Chaos hook: SIGKILL the worker from the parent side (a no-op
+        on an incarnation that never started)."""
+        proc = self._proc
+        if proc.pid is not None:
+            proc.kill()
 
     def restart(self) -> None:
         """Hard-kill the incarnation and fork a fresh worker.

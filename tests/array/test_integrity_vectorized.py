@@ -1,4 +1,10 @@
-"""Batched CRC sweep and scrub-campaign engine tests."""
+"""CRC sweep and scrub-campaign engine tests.
+
+Planned sweep vs per-element walk equivalence lives in the differential
+oracle (``tests/array/test_rmw_batch.py::Twin``); the two sweep tests
+here hold ``find_corruption`` to a walk-only mirror on this fixture's
+geometry.
+"""
 
 import numpy as np
 import pytest
@@ -12,19 +18,24 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector
 
+from tests.array.test_rmw_batch import walk_only
+
 
 def corrupt_cell(volume, stripe, cell, flip=0xFF):
     loc = volume.mapper.locate_cell(stripe, cell)
     volume.disks[loc.disk]._store[loc.offset] ^= flip
 
 
-@pytest.fixture
-def volume(rng):
+def _volume(data):
     vol = RAID6Volume(DCode(7), num_stripes=4, element_size=16)
-    data = rng.integers(0, 256, (vol.num_elements, 16), dtype=np.uint8)
     vol.write(0, data)
     vol._truth = data
     return vol
+
+
+@pytest.fixture
+def volume(rng):
+    return _volume(rng.integers(0, 256, (4 * 35, 16), dtype=np.uint8))
 
 
 @pytest.fixture
@@ -32,31 +43,35 @@ def checker(volume):
     return IntegrityChecker(volume)
 
 
-class TestVectorizedFind:
-    def test_batched_and_serial_sweeps_agree(self, volume, checker):
-        corrupt_cell(volume, 0, Cell(1, 1))
-        corrupt_cell(volume, 2, Cell(0, 4))
-        corrupt_cell(volume, 2, volume.layout.parity_cells[0])
-        batched = checker.find_corruption()
-        serial = checker._find_corruption_serial()
-        assert batched == serial
-        assert set(batched) == {0, 2}
+@pytest.fixture
+def walk_checker(volume):
+    """A checker on the same image whose every sweep takes the walk."""
+    return IntegrityChecker(walk_only(_volume(volume._truth)))
 
-    def test_sweeps_counter_identical(self, volume, checker):
-        corrupt_cell(volume, 1, Cell(2, 2))
-        before = volume.io_counters()
+
+class TestVectorizedFind:
+    def test_batched_and_serial_sweeps_agree(
+        self, volume, checker, walk_checker
+    ):
+        for vol in (volume, walk_checker.volume):
+            corrupt_cell(vol, 0, Cell(1, 1))
+            corrupt_cell(vol, 2, Cell(0, 4))
+            corrupt_cell(vol, 2, vol.layout.parity_cells[0])
+        planned = checker.find_corruption()
+        assert planned == walk_checker.find_corruption()
+        assert set(planned) == {0, 2}
+
+    def test_sweeps_counter_identical(self, volume, checker, walk_checker):
+        for vol in (volume, walk_checker.volume):
+            corrupt_cell(vol, 1, Cell(2, 2))
+        assert volume.io_counters() == walk_checker.volume.io_counters()
         checker.find_corruption()
-        batched_delta = {
-            d: (r - before[d][0], w - before[d][1])
-            for d, (r, w) in volume.io_counters().items()
-        }
-        mid = volume.io_counters()
-        checker._find_corruption_serial()
-        serial_delta = {
-            d: (r - mid[d][0], w - mid[d][1])
-            for d, (r, w) in volume.io_counters().items()
-        }
-        assert batched_delta == serial_delta
+        walk_checker.find_corruption()
+        assert volume.io_counters() == walk_checker.volume.io_counters()
+        assert checker.store._sums == walk_checker.store._sums
+        assert np.array_equal(
+            checker.store._verified, walk_checker.store._verified
+        )
 
     def test_fault_hook_falls_back_to_serial(self, volume, checker):
         corrupt_cell(volume, 3, Cell(0, 0))

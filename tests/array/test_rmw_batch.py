@@ -6,7 +6,10 @@ fault surface is quiet.  :class:`TestPlannedVsWalk` drives a
 hypothesis-drawn op stream through two volumes — one quiet (plans), one
 with a fault hook that does nothing (walk) — and requires them to stay
 indistinguishable after every op: returned bytes, backing image,
-per-disk counters, checksums, verified bitmap, dirty-stripe set.
+per-disk counters, checksums, verified bitmap, dirty-stripe set.  The
+whole-stripe operations — full-stripe bursts, rebuild, parity scrub and
+the integrity sweeps — run through the same twin, stripe vector against
+walk.
 
 The partial-stripe queue (``_write_rest``) hands the healthy partial
 entries of a burst to one ``ioplan.rmw`` call, which runs the entries
@@ -28,11 +31,13 @@ from hypothesis import strategies as st
 
 from repro.array import ioplan
 from repro.array.cache import StripeCache
+from repro.array.disk import SimDisk
 from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codec.plan import XorPlan
 from repro.codes import make_code
 from repro.journal import WriteIntentLog
+from repro.recovery.planner import cached_hybrid_plan
 from repro.serve.checkpoint import DirtyStripeTracker
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
@@ -212,7 +217,7 @@ class TestThreadEquivalence:
         assert alone.journal.stats.groups == 0
         assert not grouped.journal.dirty and not alone.journal.dirty
 
-    def test_rotation_falls_back_byte_identical(self, layout, xor_batches):
+    def test_rotated_burst_is_one_vector(self, layout, xor_batches):
         """A rotated burst needs no fallback: the plan's placement
         rotates per stripe, the vector still executes as one call."""
         rng = np.random.default_rng(5)
@@ -303,9 +308,10 @@ class Twin:
         self.trackers = [DirtyStripeTracker(v) for v in self.volumes]
         self.assert_same()
 
-    def assert_same(self):
+    def assert_same(self, quiet_io=True):
         quiet, walk = self.volumes
-        assert quiet._surface().quiet_io and not walk._surface().quiet_io
+        assert quiet._surface().quiet_io == quiet_io
+        assert not walk._surface().quiet_io
         assert np.array_equal(quiet._backing, walk._backing)
         assert quiet.io_counters() == walk.io_counters()
         a, b = (c.store for c in self.checkers)
@@ -326,6 +332,41 @@ class Twin:
         for volume in self.volumes:
             volume.write(start, data.copy())
         self.assert_same()
+
+    def rebuild(self, disk, batch, quiet_io=True):
+        """Replace ``disk`` and step its cursor ``batch`` stripes at a
+        time, the twin compared after every step."""
+        cursors = [v.start_rebuild(disk, batch=batch) for v in self.volumes]
+        while cursors[0].active:
+            a, b = (cursor.step() for cursor in cursors)
+            assert a == b
+            assert cursors[0].elements_read == cursors[1].elements_read
+            self.assert_same(quiet_io)
+        assert cursors[1].done
+
+    def _same_result(self, sides, method, **kwargs):
+        a, b = (getattr(side, method)(**kwargs) for side in sides)
+        assert a == b  # the campaign report is a dataclass: every field
+        self.assert_same()
+        return a
+
+    def scrub(self):
+        return self._same_result(self.volumes, "scrub")
+
+    def find_corruption(self):
+        return self._same_result(self.checkers, "find_corruption")
+
+    def scrub_campaign(self, **kwargs):
+        return self._same_result(self.checkers, "scrub_campaign", **kwargs)
+
+    def rot(self, stripe, cell):
+        """Flip one block on both sides behind the volume's back, as if
+        it had not been read since it was written: planned gathers are
+        edge-triggered and trust a verified bit, the walk re-hashes."""
+        for volume, checker in zip(self.volumes, self.checkers):
+            loc = volume.mapper.locate_cell(stripe, cell)
+            volume.disks[loc.disk]._store[loc.offset] ^= 0xFF
+            checker.store._verified[loc.disk, loc.offset] = False
 
     def burst(self, j0, values, via_cache):
         """Write ``values[i]`` at data index ``j0`` of stripe ``i`` as
@@ -476,23 +517,96 @@ class TestPlannedVsWalk:
             assert np.array_equal(a, b)
         _assert_same(quiet, walk)
 
-    def test_rebuild_batch_matches_per_stripe(self):
-        """Batched tensor rebuild lands the same bytes as the per-stripe
-        walk, for the same counted I/Os."""
-        for other_failure in (False, True):
-            ref, fast = (
-                _volume(make_code("dcode", 5), stripes=10) for _ in range(2)
-            )
-            for vol in (ref, fast):
-                _prime(vol, np.random.default_rng(11))
-                vol.fail_disk(2)
-                if other_failure:
-                    vol.fail_disk(4)
-            # reference: step one stripe at a time (batch < 2 disables
-            # the tensor path)
-            ref.start_rebuild(2, batch=1).run()
-            fast.start_rebuild(2, batch=10).run()
-            _assert_same(ref, fast)
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("failures", (0, 1, 2))
+    def test_whole_stripe_ops(self, code_name, rotate, failures):
+        self._whole_stripe_ops(
+            make_code(code_name, 5), failures, rotate=rotate
+        )
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("failures", (0, 1, 2))
+    @pytest.mark.parametrize("chunk", (2, ioplan.RUN_CHUNK))
+    def test_whole_stripe_ops_journaled(
+        self, layout, rotate, failures, chunk, monkeypatch
+    ):
+        """Also with runs cut every two stripes: the chunk seams."""
+        monkeypatch.setattr(ioplan, "RUN_CHUNK", chunk)
+        self._whole_stripe_ops(
+            layout, failures, rotate=rotate, journaled=True
+        )
+
+    def _whole_stripe_ops(self, layout, failures, **kwargs):
+        """Full-stripe bursts through ``write`` and through a cache
+        flush, rebuild of every failed disk, then parity scrub and the
+        integrity sweeps over planted rot."""
+        failed = _failed_sets(layout.cols)[failures]
+        twin = Twin(layout, failed, **kwargs)
+        per = layout.num_data_cells
+        rng = np.random.default_rng(failures)
+
+        def fresh(count):
+            return rng.integers(0, 256, (count, ORACLE_ES), dtype=np.uint8)
+
+        twin.write(per, fresh(3 * per))  # a run of whole stripes
+        twin.write(per // 2, fresh(3 * per))  # head + two whole + tail
+        twin.write(2 * per - 1, fresh(per + 2))  # one whole among partials
+        twin.burst(0, fresh(ORACLE_STRIPES * per).reshape(
+            ORACLE_STRIPES, per, ORACLE_ES
+        ), via_cache=True)
+        image = twin.read(0, ORACLE_STRIPES * per).copy()
+        for batch, disk in zip((2, ORACLE_STRIPES), failed):
+            twin.rebuild(disk, batch)
+        assert twin.scrub() == []
+        assert twin.find_corruption() == {}
+        rotten = [
+            (0, layout.data_cells[1]),
+            (3, layout.data_cells[per - 1]),
+            (3, layout.parity_cells[0]),
+        ]
+        for stripe, cell in rotten:
+            twin.rot(stripe, cell)
+        assert twin.find_corruption() == {
+            0: [rotten[0][1]],
+            3: sorted(  # columns ascending, like the walk
+                (c for s, c in rotten if s == 3),
+                key=lambda c: (c.col, c.row),
+            ),
+        }
+        # verified loads reconstruct around located rot: parity holds
+        assert twin.scrub() == []
+        report = twin.scrub_campaign()
+        assert report.repaired_data == rotten[:2]
+        assert report.repaired_parity == rotten[2:]
+        assert twin.scrub_campaign().clean
+        assert np.array_equal(twin.read(0, ORACLE_STRIPES * per), image)
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("damage", ("rot", "latent"))
+    def test_rebuild_walks_around_a_bad_source(self, layout, rotate, damage):
+        """A rebuild source that is rotten, or a latent sector: the run
+        stands down to the walk, which reconstructs around it (one
+        failed disk — a second would leave the stripe nothing to
+        reconstruct with)."""
+        failed = _failed_sets(layout.cols)[1]
+        twin = Twin(layout, failed, rotate=rotate)
+        per = layout.num_data_cells
+        image = twin.read(0, ORACLE_STRIPES * per).copy()
+        stripe = 2
+        col = twin.volumes[0].mapper.col_on_disk(stripe, failed[0])
+        source = min(cached_hybrid_plan(layout, col).reads)
+        if damage == "rot":
+            twin.rot(stripe, source)
+        else:
+            for volume in twin.volumes:
+                loc = volume.mapper.locate_cell(stripe, source)
+                volume.disks[loc.disk].mark_bad(loc.offset)
+        twin.rebuild(failed[0], ORACLE_STRIPES, quiet_io=damage == "rot")
+        for volume in twin.volumes:  # the read below heals the sector
+            got = volume.read(0, ORACLE_STRIPES * per)
+            assert np.array_equal(got, image)
+        twin.assert_same()
 
     def test_destage_burst_of_scattered_cells(self, layout):
         """A cache destage hands ``_write_rest`` arbitrary (not
@@ -580,6 +694,36 @@ class TestSurfaceSnapshot:
     def test_quiet_ops_never_touch_the_per_element_funnels(self, spied):
         _, walked = spied
         assert walked("read") == set() and walked("write") == set()
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_quiet_whole_stripe_ops_are_all_planned(
+        self, layout, rotate, monkeypatch
+    ):
+        """Full-stripe bursts, rebuild, scrub and the integrity sweeps
+        on a quiet surface: not one per-element disk call."""
+        volume = _volume(layout, rotate=rotate, journal=WriteIntentLog())
+        _prime(volume, np.random.default_rng(1))
+
+        def per_element(*args, **kwargs):
+            raise AssertionError("per-element disk I/O on a quiet surface")
+
+        monkeypatch.setattr(SimDisk, "read_view", per_element)
+        monkeypatch.setattr(SimDisk, "write", per_element)
+        per = layout.num_data_cells
+        data = np.ones((3 * per, ES), dtype=np.uint8)
+        volume.write(per, data)
+        cache = StripeCache(volume, max_dirty_stripes=4)
+        cache.write(5 * per, data)
+        cache.flush()
+        volume.fail_disk(2)
+        volume.fail_disk(4)
+        volume.write(per, data)
+        volume.replace_and_rebuild(2)
+        volume.start_rebuild(4, batch=3).run()
+        assert volume.scrub() == []
+        checker = IntegrityChecker(volume)
+        assert checker.find_corruption() == {}
+        assert checker.scrub_campaign().clean
 
     @pytest.mark.parametrize("attr", ("fault_hook", "corrupt_hook"))
     def test_disk_hook_assignment(self, spied, attr):

@@ -1,6 +1,10 @@
 """Shard supervision: typed crash/timeout errors, restart, durability."""
 
+import glob
 import os
+import threading
+import time
+from multiprocessing.context import ForkProcess
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from repro.exceptions import (
 )
 from repro.serve.protocol import OP_READ, OP_WRITE, ST_ERROR, ST_OK
 from repro.serve.shard import ProcessShard, ShardSpec
+from repro.serve.shmring import SHM_PREFIX
 from repro.serve.supervisor import SupervisedShard
 
 SPEC = ShardSpec(code="dcode", p=5, num_stripes=8, element_size=32)
@@ -100,6 +105,47 @@ class TestProcessShardTypedErrors:
                     shard.ping(timeout=5.0)
         finally:
             shard.close()
+
+
+    def test_kill_racing_restart_is_harmless(self, monkeypatch):
+        """The chaos saboteur kills without the supervisor's lock: a
+        kill landing while ``restart()`` forks the replacement must find
+        a started process, and nothing may outlive ``close()``."""
+        start = ForkProcess.start
+
+        def slow_start(proc):
+            time.sleep(0.02)  # a slow fork: the window the saboteur hit
+            start(proc)
+
+        monkeypatch.setattr(ForkProcess, "start", slow_start)
+        shard = ProcessShard(SPEC)
+        pids = [shard._proc.pid]
+        errors = []
+        stop = threading.Event()
+
+        def saboteur():
+            while not stop.is_set():
+                try:
+                    shard.kill()
+                except Exception as exc:  # noqa: BLE001 — the regression
+                    errors.append(exc)
+                    return
+
+        thread = threading.Thread(target=saboteur)
+        thread.start()
+        try:
+            for _ in range(4):
+                shard.restart()
+                pids.append(shard._proc.pid)
+        finally:
+            stop.set()
+            thread.join()
+            shard.close()
+        assert errors == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*") == []
 
 
 class TestSupervisedShard:
