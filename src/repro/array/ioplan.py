@@ -12,13 +12,20 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   compiled XOR schedule rebuilding it (the access engine's minimal
   :class:`~repro.iosim.engine.StripeReadPlan`, so disk counters keep
   matching the model);
-* **RMW plans**, keyed by the dirty data cells — those cells plus every
-  parity their deltas can patch, and one XOR schedule folding the data
-  deltas into per-parity deltas;
+* **RMW plans**, keyed ``(dirty data cells, stale columns)`` — the dirty
+  cells and every parity their deltas can patch, as far as they sit on
+  surviving columns, and one XOR schedule folding the data deltas into
+  per-parity deltas.  A dirty cell on a stale column is neither read nor
+  written: the plan also fetches what the degraded read plan of the
+  dirty cells fetches, and its schedule first rebuilds the lost old
+  value, so that the surviving parities carry the new one to the next
+  rebuild.  Every partial-stripe write runs through one — healthy or
+  degraded, ``write()`` or cache destage;
 * **stripe plans**, keyed by the stale columns — every surviving cell of
   a stripe and the compiled column-recovery schedule:
   :func:`load_stripes` and :func:`store_stripes`, which carry full-stripe
-  writes, reconstruct-writes, parity scrub and the integrity sweeps;
+  writes, parity scrub, the integrity sweeps and the reconstruct-write
+  that is left for lost dirty cells only algebraic decoding rebuilds;
 * **rebuild plans**, keyed by the lost column — the hybrid planner's
   minimal read set and the XOR schedule folding it into the column
   (:func:`rebuild`; a double failure loads through the stripe plan).
@@ -40,7 +47,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -101,16 +110,41 @@ class ReadPlan(NamedTuple):
     out: Optional[np.ndarray] = None
 
 
+class LostCells(NamedTuple):
+    """What an RMW plan adds for dirty cells on stale columns.
+
+    ``items`` are their positions among the write's items, ``keep`` the
+    others'.  The plan's ``cells`` then start with ``writes`` — the
+    surviving dirty cells and parities, all an RMW may store — and end
+    with whatever else rebuilding the lost old values reads; ``fetch``
+    are the rows of ``cells`` read whatever the deltas turn out to be
+    (the surviving dirty cells and the rebuild's sources).  The scratch
+    buffer holds the old value of every cell, the cells the schedule
+    rebuilds from them, the lost cells' new values, their deltas, then
+    the deltas of ``writes``.
+    """
+
+    writes: CellSet
+    fetch: np.ndarray
+    keep: np.ndarray
+    items: np.ndarray
+
+
 class RmwPlan(NamedTuple):
-    """Dirty data cells, then the parities their deltas can patch.
+    """Dirty data cells, then the parities their deltas can patch — as
+    far as they sit on surviving columns.
 
     ``xor`` folds the first ``m`` scratch rows (data deltas) into the
-    remaining ones (parity deltas).
+    following ones (parity deltas).  ``run`` executes the plan:
+    :func:`_rmw_run`, or :func:`_rmw_run_lost` when a dirty cell sits on
+    a stale column (``lost``).
     """
 
     cells: CellSet
     m: int
     xor: XorPlan
+    run: Callable[..., bool]
+    lost: Optional[LostCells] = None
 
 
 class StripePlan(NamedTuple):
@@ -185,6 +219,18 @@ def _xor_plan(equations: List[Tuple[int, List[int]]], rows: int) -> XorPlan:
     )
 
 
+def _rebuild_equations(recipe, row: Dict[Cell, int], base: int) -> list:
+    """The XOR equations of a degraded read's ``recipe`` over scratch
+    rows: ``row`` places the fetched cells and gains the rebuilt ones,
+    ``base`` onwards (a step reads fetched or already rebuilt cells)."""
+    equations = []
+    for step in recipe:
+        srcs = [row[c] for c in step.reads]
+        row[step.cell] = base + len(equations)
+        equations.append((row[step.cell], srcs))
+    return equations
+
+
 def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
     layout = volume.layout
     wanted = layout.data_cells[j0:j0 + n]
@@ -197,11 +243,7 @@ def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
         return None  # algebraic pattern: the walk decodes the stripe
     fetch = sorted(plan.fetch)
     row = {cell: i for i, cell in enumerate(fetch)}
-    equations = []
-    for step in plan.recipe:  # a step reads fetched or already rebuilt cells
-        srcs = [row[c] for c in step.reads]
-        row[step.cell] = len(row)
-        equations.append((row[step.cell], srcs))
+    equations = _rebuild_equations(plan.recipe, row, len(fetch))
     return ReadPlan(
         CellSet(fetch, layout.cols),
         _xor_plan(equations, len(row)),
@@ -210,27 +252,68 @@ def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
     )
 
 
-def _compile_rmw(volume, items) -> Optional[RmwPlan]:
+def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
+    layout = volume.layout
     cells = [cell for cell, _ in items]
     if len(set(cells)) < len(cells) or not all(
-        volume.layout.is_data(cell) for cell in cells
+        layout.is_data(cell) for cell in cells
     ):
         return None  # only the walk's sequential semantics cover these
+    keep = [j for j, cell in enumerate(cells) if cell.col not in stale_cols]
+    lost = [j for j, cell in enumerate(cells) if cell.col in stale_cols]
     # over GF(2) a parity changes by the XOR of the deltas of the dirty
     # cells whose update footprint holds it (cascades through parities of
-    # parities are already folded into each cell's footprint)
+    # parities are already folded into each cell's footprint); one on a
+    # stale column waits for the rebuild
     feeds: Dict[Cell, List[int]] = {}
     for j, cell in enumerate(cells):
         for parity in volume.codec.plans.update_plan(cell)[1]:
-            feeds.setdefault(parity, []).append(j)
+            if parity.col not in stale_cols:
+                feeds.setdefault(parity, []).append(j)
     parities = sorted(feeds)
-    m = len(cells)
+    m = len(keep)
+    patched = [cells[j] for j in keep] + parities
+    patch = CellSet(patched, layout.cols, scatter=True)
+    if not lost:
+        return RmwPlan(
+            patch, m,
+            _xor_plan(
+                [(m + i, feeds[p]) for i, p in enumerate(parities)],
+                len(patched),
+            ),
+            _rmw_run,
+        )
+    # the lost old values come from the degraded read plan of the dirty
+    # cells — the one a read of them executes and the access engine prices
+    read = volume._read_planner(volume._stale_disks(stripe)).plan_for(
+        stripe, cells
+    )
+    if read.recipe is None:
+        return None  # algebraic pattern: reconstruct-write
+    gathered = patched + sorted(read.fetch.difference(patched))
+    g, k = len(gathered), len(lost)
+    row = {cell: i for i, cell in enumerate(gathered)}
+    equations = _rebuild_equations(read.recipe, row, g)
+    values = g + len(equations)
+    deltas = values + 2 * k
+    delta_row = {j: deltas + i for i, j in enumerate(keep)}
+    for q, j in enumerate(lost):
+        delta_row[j] = values + k + q
+        equations.append((delta_row[j], [row[cells[j]], values + q]))
+    equations += [
+        (deltas + m + i, [delta_row[j] for j in feeds[p]])
+        for i, p in enumerate(parities)
+    ]
     return RmwPlan(
-        CellSet(cells + parities, volume.layout.cols, scatter=True),
+        CellSet(gathered, layout.cols, scatter=True),
         m,
-        _xor_plan(
-            [(m + i, feeds[p]) for i, p in enumerate(parities)],
-            m + len(parities),
+        _xor_plan(equations, deltas + len(patched)),
+        _rmw_run_lost,
+        LostCells(
+            patch,
+            np.array(sorted(row[c] for c in read.fetch), dtype=np.intp),
+            np.array(keep, dtype=np.intp),
+            np.array(lost, dtype=np.intp),
         ),
     )
 
@@ -442,29 +525,35 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int):
     return out, left
 
 
-def rmw(volume, entries) -> list:
+def rmw(volume, entries, surface) -> list:
     """Planned read-modify-write of partial-stripe ``(stripe, items)``
-    entries on healthy stripes; entries sharing a dirty-cell pattern
+    entries; entries sharing their dirty-cell pattern and stale columns
     execute as one vector of stripes.
 
     Returns the entries *not* written — an old value failed
-    verification, or the items are not distinct data cells; the caller
-    walks those.
+    verification, the items are not distinct data cells, or a dirty cell
+    on a stale column needs algebraic decoding; the caller walks those.
     """
     ncols = volume.layout.cols
-    groups: Dict[Tuple[int, ...], list] = {}
+    healthy = surface.healthy
+    groups: Dict[tuple, list] = {}
     for entry in entries:
-        key = tuple([c.row * ncols + c.col for c, _ in entry[1]])
+        stripe, items = entry
+        key = (
+            tuple([c.row * ncols + c.col for c, _ in items]),
+            () if healthy else volume._stale_cols(stripe, surface),
+        )
         groups.setdefault(key, []).append(entry)
     left = []
-    for key, members in groups.items():
-        plan = volume._ioplans.get(
-            ("rmw", key), _compile_rmw, volume, members[0][1]
-        )
+    for (pattern, stale), members in groups.items():
         stripes = [s for s, _ in members]
         _check_stripes(volume, min(stripes), max(stripes))
+        plan = volume._ioplans.get(
+            ("rmw", pattern, stale),
+            _compile_rmw, volume, members[0][1], stale, stripes[0],
+        )
         values = np.array([[v for _, v in items] for _, items in members])
-        if plan is None or not _rmw_run(volume, plan, stripes, values):
+        if plan is None or not plan.run(volume, plan, stripes, values):
             left.extend(members)
     return left
 
@@ -499,6 +588,55 @@ def _rmw_run(volume, plan: RmwPlan, stripes, values) -> bool:
     if whole:
         _count_reads(volume, cells, stripes)
         _scatter(volume, cells, stripes, at, new)
+        return True
+    for disk, offsets, _ in _by_disk(volume, at[read]):
+        volume.disks[disk].count_reads(len(offsets))
+    new = new[written]
+    for disk, offsets, rows in _by_disk(volume, at[written]):
+        volume._disk_write_block(disk, offsets, new[rows])
+    return True
+
+
+def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> bool:
+    """:func:`_rmw_run` with dirty cells on stale columns: their old
+    values are rebuilt in the scratch buffer (see :class:`LostCells`),
+    nothing is read from or written to those columns."""
+    lost = plan.lost
+    batch, _, es = values.shape
+    cells, m = plan.cells, plan.m
+    g, n, k = len(cells.flat), len(lost.writes.flat), len(lost.items)
+    at = _at(volume, cells, stripes)
+    scratch = np.empty((batch, plan.xor.num_cells, es), dtype=np.uint8)
+    deltas = plan.xor.num_cells - n
+    old, delta = scratch[:, :g], scratch[:, deltas:]
+    # straight into the scratch ("clip" lets take() skip its bounce
+    # buffer; the rows are in range)
+    np.take(
+        volume._flat_backing, at.reshape(batch, g), axis=0, out=old,
+        mode="clip",
+    )
+    scratch[:, deltas - 2 * k:deltas - k] = values[:, lost.items]
+    kept = values[:, lost.keep]
+    np.bitwise_xor(old[:, :m], kept, out=delta[:, :m])
+    plan.xor.execute_batch(scratch)
+    # a parity whose delta cancels is still read when the rebuild needs it
+    changed = np.zeros((batch, g), dtype=bool)
+    changed[:, :n] = delta.any(axis=2)
+    whole = batch == 1 and bool(changed[:, :n].all())
+    read = written = None
+    if not whole:
+        written = np.flatnonzero(changed)
+        changed[:, lost.fetch] = True
+        read = np.flatnonzero(changed)
+    new = old.reshape(-1, es)  # a view of one stripe, a copy of more
+    if not _verified(volume, at, new, read):
+        return False
+    patched = new.reshape(batch, g, es)
+    np.bitwise_xor(patched[:, m:n], delta[:, m:], out=patched[:, m:n])
+    patched[:, :m] = kept
+    if whole:
+        _count_reads(volume, cells, stripes)
+        _scatter(volume, lost.writes, stripes, at[:n], new[:n])
         return True
     for disk, offsets, _ in _by_disk(volume, at[read]):
         volume.disks[disk].count_reads(len(offsets))

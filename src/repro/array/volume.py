@@ -12,9 +12,9 @@ life-cycle:
   reconstructed from parity and remapped inline, and disks that keep
   erroring are escalated to FAILED by the
   :class:`~repro.faults.policy.ErrorPolicy`;
-* writes with the real controller data paths — full-stripe encode,
-  partial-stripe read-modify-write with parity-delta patching, and
-  reconstruct-write when running degraded;
+* writes with the real controller data paths — full-stripe encode and
+  partial-stripe read-modify-write with parity-delta patching, healthy
+  or degraded (the surviving parities carry what a failed disk cannot);
 * failure injection for up to two disks, replacement, and rebuild —
   either blocking (:meth:`RAID6Volume.replace_and_rebuild`) or
   incremental via a resumable :class:`~repro.faults.health.RebuildCursor`
@@ -600,12 +600,8 @@ class RAID6Volume:
     ) -> None:
         """Serve one stripe's share of a read into ``out`` (see read())."""
         stale = self._stale_disks(stripe)
-        lost_cols = {
-            self.mapper.col_on_disk(stripe, f) for f in stale
-        }
-        needs_repair = any(
-            cell.col in lost_cols for _, cell in items
-        )
+        lost_cols = self._stale_cols(stripe)
+        needs_repair = any(cell.col in lost_cols for _, cell in items)
         if not needs_repair:
             try:
                 for k, cell in items:
@@ -613,11 +609,15 @@ class RAID6Volume:
                 return
             except _CELL_ERRORS + (DiskFailedError,):
                 pass  # medium error: reconstruct the stripe below
-        elif self._degraded_read_via_plan(stripe, items, out, stale):
-            return
-        buf, healed = self._load_stripe_report(
-            stripe, missing_cols=tuple(sorted(lost_cols))
-        )
+        else:
+            cache = self._fetch_read_plan(
+                stripe, [cell for _, cell in items], stale
+            )
+            if cache is not None:
+                for k, cell in items:
+                    out[k] = cache[cell]
+                return
+        buf, healed = self._load_stripe_report(stripe, lost_cols)
         if healed:
             self._heal_cells(stripe, healed, buf)
         for k, cell in items:
@@ -659,36 +659,33 @@ class RAID6Volume:
                 self.disks[col].count_reads(int(n))
         return view
 
-    def _degraded_read_via_plan(
-        self, stripe, items, out, stale: Tuple[int, ...]
-    ) -> bool:
-        """Serve a degraded stripe read by executing the access engine's
-        minimal read plan (the same plan the Figure-6/7 simulations
-        price, so real disk counters match the model by construction).
+    def _fetch_read_plan(
+        self, stripe, wanted: List[Cell], stale: Tuple[int, ...]
+    ) -> Optional[Dict[Cell, np.ndarray]]:
+        """Execute the access engine's minimal read plan of ``wanted``
+        cell by cell (the same plan the Figure-6/7 simulations price, so
+        real disk counters match the model by construction): every cell
+        it fetches or rebuilds, by cell.
 
-        Returns ``False`` to fall back to full-stripe reconstruction —
-        when the pattern needs algebraic decoding or a fetch trips over a
+        ``None`` sends the caller to full-stripe reconstruction — the
+        pattern needs algebraic decoding, or a fetch tripped over a
         latent sector error.
         """
-        plan = self._read_planner(stale).plan_for(
-            stripe, [c for _, c in items]
-        )
+        plan = self._read_planner(stale).plan_for(stripe, wanted)
         if plan.recipe is None:
-            return False
+            return None
         cache: Dict[Cell, np.ndarray] = {}
         try:
             for cell in sorted(plan.fetch):
                 cache[cell] = self._read_cell(stripe, cell)
         except _CELL_ERRORS + (DiskFailedError,):
-            return False
+            return None
         for step in plan.recipe:
             acc = np.zeros(self.element_size, dtype=np.uint8)
             for read in step.reads:
                 xor_into(acc, cache[read])
             cache[step.cell] = acc
-        for k, cell in items:
-            out[k] = cache[cell]
-        return True
+        return cache
 
     def _read_planner(
         self, stale: Optional[Tuple[int, ...]] = None
@@ -804,18 +801,16 @@ class RAID6Volume:
           shares one coalesced intent append and one digest pass
           (:meth:`_open_group_intents`) instead of per-stripe journal
           round-trips;
-        * **cross-stripe RMW** — on a quiet surface every partial entry
-          of a healthy stripe goes to one :func:`repro.array.ioplan.rmw`
-          call, which executes the entries sharing a dirty-cell pattern
-          as one vector of stripes, byte- and counter-identical to the
-          per-stripe loop.  It bypasses the per-stripe journal
+        * **cross-stripe RMW** — on a quiet surface every partial entry,
+          healthy stripe or degraded, goes to one
+          :func:`repro.array.ioplan.rmw` call: byte- and counter-identical
+          to the per-stripe loop.  It bypasses the per-stripe journal
           chokepoint, so it needs the burst covered by a group intent
           (or no journal at all);
-        * everything else runs through the per-stripe writer: the
-          full-stripe and degraded entries, whatever the planned RMW
-          hands back (an old value failed verification), and — in queue
-          order, the order crash points are defined over — the whole of
-          a burst that cannot be vectorised.
+        * the per-stripe writer takes the lone whole stripe, whatever
+          the planned RMW hands back, and — in queue order, the order
+          crash points are defined over — the whole of a burst that
+          cannot be vectorised.
         """
         if not entries:
             return
@@ -825,7 +820,7 @@ class RAID6Volume:
         surface = self._fresh(surface)
         per = self.layout.num_data_cells
         full = [entry for entry in entries if len(entry[1]) == per]
-        entries = [entry for entry in entries if len(entry[1]) < per]
+        partial = [entry for entry in entries if len(entry[1]) < per]
         if len(full) > 1:
             index = self.layout.data_index
             self._full_stripe_write_batched(
@@ -837,10 +832,9 @@ class RAID6Volume:
                 surface,
             )
             stripes.difference_update(stripe for stripe, _ in full)
-        else:
-            entries = full + entries
+            full = []
         with self._locked_stripes(stripes):
-            intents = self._open_group_intents(entries, surface)
+            intents = self._open_group_intents(full + partial, surface)
             write = (
                 self._write_stripe_unjournaled_locked
                 if intents is not None
@@ -850,14 +844,8 @@ class RAID6Volume:
                 surface.quiet_io and surface.quiet_write
                 and (self.journal is None or intents is not None)
             ):
-                planned, walked = [], []
-                for entry in entries:
-                    stripe, items = entry
-                    healthy_partial = len(items) < per \
-                        and not self._stale_cols(stripe, surface)
-                    (planned if healthy_partial else walked).append(entry)
-                entries = walked + ioplan.rmw(self, planned)
-            for stripe, items in entries:
+                partial = ioplan.rmw(self, partial, surface)
+            for stripe, items in full + partial:
                 write(stripe, items, surface)
             if intents is not None:
                 self.journal.commit_group(intents)
@@ -1066,44 +1054,46 @@ class RAID6Volume:
         surface: Optional[_Surface] = None,
     ) -> None:
         surface = self._fresh(surface)
-        failed_cols = self._stale_cols(stripe, surface)
-        if failed_cols or len(items) == self.layout.num_data_cells:
-            self._reconstruct_write(stripe, items, failed_cols, surface)
-        else:
+        stale_cols = self._stale_cols(stripe, surface)
+        if len(items) < self.layout.num_data_cells:
             planned = surface.quiet_io and surface.quiet_write
             try:
                 # quiet surface: the cached RMW plan, which hands the
-                # entry back untouched when an old value fails verification
-                if not planned or ioplan.rmw(self, [(stripe, items)]):
-                    self._rmw_write(stripe, items)
+                # entry back untouched when it cannot run it
+                if (
+                    planned
+                    and not ioplan.rmw(self, [(stripe, items)], surface)
+                ) or self._rmw_write(stripe, items, stale_cols):
+                    return
             except _CELL_ERRORS + (DiskFailedError,):
-                # RMW tripped over a medium error (or a disk died under
-                # it) while fetching old values: reconstruct the stripe
-                # (the loader decodes the unreadable cells), apply the
-                # batch, re-encode.  Any cells the aborted RMW already
-                # wrote simply get rewritten; stale columns are
-                # recomputed because the failure state may have changed.
-                self._reconstruct_write(
-                    stripe, items, self._stale_cols(stripe)
-                )
+                pass
+            # RMW tripped over a medium error (or a disk died under it)
+            # while fetching old values, or cannot rebuild a lost one:
+            # reconstruct the stripe (the loader decodes the unreadable
+            # cells), apply the batch, re-encode.  Stale columns are
+            # recomputed because the failure state may have changed.
+            surface = None
+            stale_cols = self._stale_cols(stripe)
+        self._reconstruct_write(stripe, items, stale_cols, surface)
 
     def _reconstruct_write(
-        self, stripe, items, failed_cols, surface=None
+        self, stripe, items, stale_cols, surface=None
     ) -> None:
         """Apply ``items`` to the stripe's image, re-encode, store — the
         image loaded (and reconstructed) unless every data cell is
-        overwritten."""
+        overwritten: whole-stripe writes, and the partial ones whose old
+        values an RMW cannot read or rebuild."""
         if len(items) == self.layout.num_data_cells:
             buf = self.codec.blank_stripe()
         else:
-            buf = self._load_stripe_report(stripe, failed_cols, surface)[0]
+            buf = self._load_stripe_report(stripe, stale_cols, surface)[0]
         for cell, value in items:
             buf[cell.row, cell.col] = value
         self.codec.encode(buf)
-        self._store_stripe(stripe, buf, failed_cols, surface)
+        self._store_stripe(stripe, buf, stale_cols, surface)
 
-    def _rmw_write(self, stripe, items) -> None:
-        """Healthy-array partial write: patch parity with XOR deltas.
+    def _rmw_write(self, stripe, items, stale_cols=()) -> bool:
+        """The walk's partial write: patch parity with XOR deltas.
 
         Every old value the RMW needs — the dirty data cells and the
         parities their deltas patch (cascades included) — is read before
@@ -1112,18 +1102,34 @@ class RAID6Volume:
         reconstruct-write fallback in
         :meth:`_write_stripe_unjournaled_locked` always loads a
         parity-consistent image.
+
+        Cells on ``stale_cols`` are neither read nor written.  The old
+        value of a dirty one is rebuilt by the degraded read plan of the
+        dirty cells (what it fetches is not read twice), and the
+        surviving parities carry the new value to the next rebuild;
+        ``False`` — nothing written — when that plan cannot run.
         """
         journal = self.journal
+        olds: Optional[Dict[Cell, np.ndarray]] = {}
+        if any(cell.col in stale_cols for cell, _ in items):
+            olds = self._fetch_read_plan(
+                stripe, [cell for cell, _ in items], self._stale_disks(stripe)
+            )
+            if olds is None:
+                return False
+
+        def old_of(cell: Cell) -> np.ndarray:
+            value = olds.get(cell)
+            return self._read_cell(stripe, cell) if value is None else value
+
         deltas: Dict[Cell, np.ndarray] = {}
         data_new: List[Tuple[Cell, np.ndarray]] = []
         for cell, value in items:
-            old = self._read_cell(stripe, cell)
-            delta = np.bitwise_xor(old, value)
+            delta = np.bitwise_xor(old_of(cell), value)
             if delta.any():
                 deltas[cell] = delta
-                data_new.append((cell, value))
-        if not deltas:
-            return
+                if cell.col not in stale_cols:
+                    data_new.append((cell, value))
         parity_new: List[Tuple[Cell, np.ndarray]] = []
         for group in self._encode_order:
             gdelta: Optional[np.ndarray] = None
@@ -1136,16 +1142,17 @@ class RAID6Volume:
                 else:
                     xor_into(gdelta, d)
             if gdelta is not None and gdelta.any():
-                old = self._read_cell(stripe, group.parity)
-                xor_into(old, gdelta)
-                parity_new.append((group.parity, old))
                 deltas[group.parity] = gdelta
+                if group.parity.col not in stale_cols:
+                    old = np.bitwise_xor(old_of(group.parity), gdelta)
+                    parity_new.append((group.parity, old))
         wrote = False
         for cell, value in data_new + parity_new:
             if wrote and journal is not None:
                 journal.checkpoint("inter_column", stripe)
             self._write_cell(stripe, cell, value)
             wrote = True
+        return True
 
     # -- self-healing disk I/O ----------------------------------------------
 

@@ -43,6 +43,7 @@ from repro.exceptions import (
     FaultToleranceExceeded,
     ReproError,
     SimulatedCrashError,
+    TornWriteError,
     UnrecoverableStripeError,
 )
 from repro.faults.health import HealthState
@@ -445,6 +446,10 @@ class CrashPointResult:
     replayed: int = 0
     recovery_reads: int = 0
     recovery_writes: int = 0
+    #: Degraded campaigns: recovery refused an open intent with a typed
+    #: :class:`~repro.exceptions.TornWriteError` and the stripes were
+    #: restored wholesale (see :class:`_CrashCampaign`).
+    refused: bool = False
     violations: int = 0
 
     @property
@@ -484,6 +489,20 @@ class _CrashCampaign:
       (an intent may have committed before the crash), never mixed;
     * untouched stripes must be byte-identical to the old image;
     * a full scrub must come back clean.
+
+    With ``failed`` disks the same writes run degraded — partial stripes
+    as RMWs that patch the surviving parities — and the image is checked
+    twice: through degraded reads, then after rebuilding every disk,
+    before the scrub.  A degraded stripe has no redundancy to tell a
+    torn image from a whole one unless its old-parity digest could be
+    taken (no footprint parity on a failed disk) and nothing landed; what
+    recovery cannot verify it must *refuse* with a typed
+    :class:`~repro.exceptions.TornWriteError` — the degraded write hole,
+    closed by the operator restoring the stripe, here from the new
+    image — never replay into garbage.  A refusal is checked before the
+    restore (:meth:`_refusal_ok`): the stripes still open are exactly as
+    the crash left them, and recovery had no way to verify the refused
+    one.
     """
 
     def __init__(
@@ -493,12 +512,14 @@ class _CrashCampaign:
         seed: int = 0,
         num_stripes: int = 4,
         element_size: int = 16,
+        failed: Tuple[int, ...] = (),
     ) -> None:
         self.code = code
         self.p = p
         self.seed = seed
         self.num_stripes = num_stripes
         self.element_size = element_size
+        self.failed = failed
 
     def _fresh_volume(self) -> Tuple[RAID6Volume, np.ndarray]:
         vol = RAID6Volume(
@@ -512,6 +533,8 @@ class _CrashCampaign:
             0, 256, (vol.num_elements, self.element_size), dtype=np.uint8
         )
         vol.write(0, base)
+        for disk in self.failed:
+            vol.fail_disk(disk)
         return vol, base
 
     def _pattern_ops(
@@ -575,6 +598,42 @@ class _CrashCampaign:
         self._apply(vol, pattern, self._pattern_ops(vol, pattern))
         return counter.count
 
+    @staticmethod
+    def _refusal_ok(vol, seq, open_intents, pristine, crashed) -> bool:
+        """Whether recovery was right to refuse intent ``seq``, judged on
+        the surviving disks' images before the write (``pristine``),
+        after the crash (``crashed``) and now.
+
+        Every stripe still open must be byte-identical to what the crash
+        left — recovery wrote nothing it could not verify — and the
+        refusal must have been forced: no old-parity digest was taken (a
+        footprint parity sits on a failed disk), or part of the write
+        landed.  A group shares one digest over its members, so a byte
+        landed on any of them forces per-stripe classification, which
+        has no digest to go by.
+        """
+        rows = vol.layout.rows
+        live = [d.disk_id for d in vol.disks if not d.failed]
+
+        def same(stripe, a, b) -> bool:
+            sl = slice(stripe * rows, (stripe + 1) * rows)
+            return np.array_equal(a[sl][:, live], b[sl][:, live])
+
+        untouched = all(
+            same(i.stripe, vol._backing, crashed)
+            for i in vol.journal.open_intents()
+        )
+        intent = next(i for i in open_intents if i.seq == seq)
+        if intent.group is None:
+            peers, digest = [intent], intent.old_parity_digest
+        else:
+            peers = [i for i in open_intents if i.group is intent.group]
+            digest = intent.group.old_digest
+        forced = digest is None or not all(
+            same(i.stripe, crashed, pristine) for i in peers
+        )
+        return untouched and forced
+
     def _trial(
         self, pattern: str, phase: str, occurrence: int, count: int
     ) -> CrashPointResult:
@@ -583,6 +642,7 @@ class _CrashCampaign:
             phase=phase, occurrence=occurrence, phase_count=count,
         )
         vol, base = self._fresh_volume()
+        pristine = vol._backing.copy()
         ops = self._pattern_ops(vol, pattern)
         per = vol.layout.num_data_cells
         old = base.copy()
@@ -598,29 +658,52 @@ class _CrashCampaign:
             self._apply(vol, pattern, ops)
         except SimulatedCrashError:
             result.crashed = True
-        open_stripes = {i.stripe for i in vol.journal.open_intents()}
+        open_intents = list(vol.journal.open_intents())
+        open_stripes = {i.stripe for i in open_intents}
         result.open_at_crash = len(open_stripes)
         # -- remount: hook gone (the crash is over), replay the journal
         vol.journal.phase_hook = None
-        report = CrashRecovery(vol).run()
-        result.classifications = report.classifications()
-        result.replayed = report.replayed
-        result.recovery_reads = report.elements_read
-        result.recovery_writes = report.elements_written
-        # -- shadow-oracle verification
-        got = vol.read(0, vol.num_elements)
-        for stripe in range(vol.mapper.num_stripes):
-            sl = slice(stripe * per, (stripe + 1) * per)
-            g = got[sl]
-            if stripe in open_stripes:
-                good = np.array_equal(g, new[sl])
-            elif stripe in touched:
-                good = (np.array_equal(g, new[sl])
-                        or np.array_equal(g, old[sl]))
-            else:
-                good = np.array_equal(g, old[sl])
-            if not good:
+        crashed = vol._backing.copy()
+        try:
+            report = CrashRecovery(vol).run()
+        except TornWriteError as exc:
+            if not self.failed:
+                raise
+            result.refused = True
+            if not self._refusal_ok(
+                vol, exc.seq, open_intents, pristine, crashed
+            ):
                 result.violations += 1
+            for intent in list(vol.journal.open_intents()):
+                sl = slice(intent.stripe * per, (intent.stripe + 1) * per)
+                vol.write(sl.start, new[sl])
+                vol.journal.commit(intent)
+        else:
+            result.classifications = report.classifications()
+            result.replayed = report.replayed
+            result.recovery_reads = report.elements_read
+            result.recovery_writes = report.elements_written
+        # -- shadow-oracle verification: as recovered, then rebuilt
+        def verify() -> None:
+            got = vol.read(0, vol.num_elements)
+            for stripe in range(vol.mapper.num_stripes):
+                sl = slice(stripe * per, (stripe + 1) * per)
+                g = got[sl]
+                if stripe in open_stripes:
+                    good = np.array_equal(g, new[sl])
+                elif stripe in touched:
+                    good = (np.array_equal(g, new[sl])
+                            or np.array_equal(g, old[sl]))
+                else:
+                    good = np.array_equal(g, old[sl])
+                if not good:
+                    result.violations += 1
+
+        verify()
+        if self.failed:
+            for disk in self.failed:
+                vol.replace_and_rebuild(disk)
+            verify()
         if vol.scrub():
             result.violations += 1
         return result
@@ -652,15 +735,17 @@ def run_crash_points(
     num_stripes: int = 4,
     element_size: int = 16,
     patterns: Tuple[str, ...] = CRASH_PATTERNS,
+    failed: Tuple[int, ...] = (),
 ) -> List[CrashPointResult]:
     """Crash-point fuzzing campaign: tear every journal phase, recover,
     verify.  See :class:`_CrashCampaign` for the exact contract; the
     campaign is deterministic in ``(code, p, seed)``.  ``patterns``
     restricts the sweep (e.g. ``("burst",)`` for the group-commit
-    boundary matrix)."""
+    boundary matrix); ``failed`` disks are down throughout (the
+    degraded-write mode)."""
     return _CrashCampaign(
         code, p, seed=seed, num_stripes=num_stripes,
-        element_size=element_size,
+        element_size=element_size, failed=failed,
     ).run(patterns=patterns)
 
 

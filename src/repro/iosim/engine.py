@@ -16,7 +16,11 @@ operation it computes exactly which elements each disk must read or write:
   every (transitively) affected parity cell, then write them all back.
   Parity groups that cover other parity cells (RDP, HDP) cascade.  A write
   covering a whole stripe skips the old-value reads and writes the full
-  stripe (reconstruct-write).
+  stripe (reconstruct-write);
+* **degraded write** — the same, leaving the failed disks alone: their
+  cells are neither read nor written, and a dirty cell on one adds the
+  fetch set of its degraded read (the old value is rebuilt, so that the
+  surviving parities can carry the new one).
 
 Counts are multiplied by the operation's repeat factor ``T`` instead of
 looping, so 2000-op workloads with ``T`` up to 1000 evaluate in
@@ -451,52 +455,55 @@ class AccessEngine:
         """Per-disk accesses of one execution of a write ``<S, L, 1>``."""
         loads = DiskLoads.zeros(self.layout.cols)
         for stripe, targets in self._range_by_stripe(start, length):
-            read_counts, write_counts = self._write_counts(targets)
-            lost = self.failed_columns(stripe)
-            if lost:
-                # cells on failed disks are dropped from both sets, which
-                # in per-column counts is just zeroing those columns
-                read_counts = read_counts.copy()
-                write_counts = write_counts.copy()
-                read_counts[list(lost)] = 0
-                write_counts[list(lost)] = 0
-            self._accumulate(loads.reads, read_counts, stripe)
-            self._accumulate(loads.writes, write_counts, stripe)
+            key = (self.write_policy, self.failed_columns(stripe),
+                   tuple(targets))
+            counts = self._write_count_cache.get(key)
+            if counts is None:
+                cols = self.layout.cols
+                counts = self._write_count_cache[key] = tuple(
+                    np.bincount([c.col for c in cells], minlength=cols)
+                    for cells in self._stripe_write_io(stripe, targets)
+                )
+            self._accumulate(loads.reads, counts[0], stripe)
+            self._accumulate(loads.writes, counts[1], stripe)
         return loads
-
-    def _write_counts(
-        self, targets: List[Cell]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column (read, write) counts of one stripe's partial write."""
-        key = (self.write_policy, tuple(targets))
-        counts = self._write_count_cache.get(key)
-        if counts is None:
-            reads, writes = self._stripe_write_sets(set(targets))
-            cols = self.layout.cols
-            counts = (
-                np.bincount([c.col for c in reads], minlength=cols),
-                np.bincount([c.col for c in writes], minlength=cols),
-            )
-            self._write_count_cache[key] = counts
-        return counts
 
     def write_io_sets(
         self, start: int, length: int
     ) -> List[Tuple[int, Set[Cell], Set[Cell]]]:
-        """Per-stripe ``(stripe, cells read, cells written)`` for a write.
+        """Per-stripe ``(stripe, cells read, cells written)`` for a write;
+        the timing model consumes these to price write requests."""
+        return [
+            (stripe, *self._stripe_write_io(stripe, targets))
+            for stripe, targets in self._range_by_stripe(start, length)
+        ]
 
-        Cells on a failed disk are dropped from both sets (the disk is
-        gone); the timing model consumes these to price write requests.
+    def _stripe_write_io(
+        self, stripe: int, targets: List[Cell]
+    ) -> Tuple[Set[Cell], Set[Cell]]:
+        """(cells read, cells written) of one stripe's share of a write.
+
+        Cells on a failed disk leave both sets (the disk is gone), but
+        the old value of a data cell the write needs is then rebuilt:
+        the reads gain the fetch set of the degraded read of those data
+        cells — the plan :class:`~repro.array.volume.RAID6Volume`
+        executes, so its disk counters match.  Where that read needs
+        algebraic decoding, the volume loads, re-encodes and rewrites
+        every surviving cell.
         """
-        out: List[Tuple[int, Set[Cell], Set[Cell]]] = []
-        for stripe, targets in self._range_by_stripe(start, length):
-            lost_cols = set(self.failed_columns(stripe))
-            reads, writes = self._stripe_write_sets(set(targets))
-            if lost_cols:
-                reads = {c for c in reads if c.col not in lost_cols}
-                writes = {c for c in writes if c.col not in lost_cols}
-            out.append((stripe, reads, writes))
-        return out
+        reads, writes = self._stripe_write_sets(set(targets))
+        lost_cols = self.failed_columns(stripe)
+        if not lost_cols:
+            return reads, writes
+        wanted = [c for c in self._data_cells_list if c in reads]
+        reads = {c for c in reads if c.col not in lost_cols}
+        writes = {c for c in writes if c.col not in lost_cols}
+        if any(c.col in lost_cols for c in wanted):
+            plan = self._plan_stripe_read(stripe, wanted)
+            reads |= plan.fetch
+            if plan.recipe is None:
+                writes = set(plan.fetch)
+        return reads, writes
 
     def _stripe_write_sets(
         self, targets: Set[Cell]

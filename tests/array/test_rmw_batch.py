@@ -11,9 +11,10 @@ whole-stripe operations — full-stripe bursts, rebuild, parity scrub and
 the integrity sweeps — run through the same twin, stripe vector against
 walk.
 
-The partial-stripe queue (``_write_rest``) hands the healthy partial
-entries of a burst to one ``ioplan.rmw`` call, which runs the entries
-sharing a dirty-cell pattern as one vector of stripes.  That must be
+The partial-stripe queue (``_write_rest``) hands the partial entries of
+a burst — healthy stripes and degraded ones — to one ``ioplan.rmw``
+call, which runs the entries sharing a dirty-cell pattern and stale
+columns as one vector of stripes.  That must be
 byte-identical on disk *and* counter-identical per disk to writing the
 stripes one at a time (the paper's load metrics are counted I/Os, so a
 fast path that changed the counts would corrupt every comparison built
@@ -607,6 +608,91 @@ class TestPlannedVsWalk:
             got = volume.read(0, ORACLE_STRIPES * per)
             assert np.array_equal(got, image)
         twin.assert_same()
+
+    @pytest.mark.parametrize(
+        "code_name,p", (("dcode", 7), ("rdp", 5), ("xcode", 5))
+    )
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("journaled", (False, True))
+    @pytest.mark.parametrize("failures", (1, 2))
+    def test_degraded_partial_writes(
+        self, code_name, p, failures, journaled, rotate
+    ):
+        """Partial writes to stripes with stale columns are RMWs too:
+        single stripes, spans, ``_write_rest`` bursts and cache
+        destages; a dirty cell on a failed column or none; zero-delta
+        and parity-cancelling payloads; either side of a rebuild cursor.
+        Then every disk rebuilt: scrub clean, image equal to a shadow."""
+        layout = make_code(code_name, p)
+        failed = _failed_sets(layout.cols)[failures]
+        twin = Twin(layout, failed, journaled=journaled, rotate=rotate)
+        quiet = twin.volumes[0]
+        per = layout.num_data_cells
+        total = ORACLE_STRIPES * per
+        shadow = twin.read(0, total).copy()
+        rng = np.random.default_rng(failures)
+
+        def fresh(*shape):
+            return rng.integers(1, 256, shape + (ORACLE_ES,), dtype=np.uint8)
+
+        def write(start, data):
+            twin.write(start, data)
+            shadow[start:start + len(data)] = data
+
+        def burst(j0, values, via_cache):
+            values[::2] = shadow.reshape(ORACLE_STRIPES, per, -1)[
+                ::2, j0:j0 + values.shape[1]
+            ]  # every other stripe a zero delta
+            twin.burst(j0, values, via_cache)
+            shadow.reshape(ORACLE_STRIPES, per, -1)[
+                :, j0:j0 + values.shape[1]
+            ] = values
+
+        def cost(reads=True):
+            return sum(
+                r * reads + w for r, w in quiet.io_counters().values()
+            )
+
+        # the first data cell (bar the stripe's first) on a stale column
+        stripe, stale, on_stale = next(
+            (s, stale, j)
+            for s in range(ORACLE_STRIPES)
+            for stale in [quiet._stale_cols(s)]
+            for j in range(1, per) if layout.data_cells[j].col in stale
+        )
+        off_stale = next(
+            j for j in range(per) if layout.data_cells[j].col not in stale
+        )
+        before = cost()
+        write(stripe * per + on_stale - 1, fresh(3))  # a lost dirty cell
+        if failures == 1:  # patched, not reconstruct-written
+            surviving = layout.rows * (layout.cols - 1)
+            assert cost() - before < surviving
+        write(stripe * per + off_stale, fresh(1))  # none
+        before = cost(), cost(reads=False)
+        span = slice(stripe * per + on_stale - 1, stripe * per + on_stale + 2)
+        write(span.start, shadow[span].copy())  # zero delta: reads only
+        assert cost() > before[0] and cost(reads=False) == before[1]
+        write(span.start, shadow[span] ^ fresh())  # one delta: cancels
+        write(2 * per - 2, fresh(5))  # a span over two degraded stripes
+        for via_cache in (False, True):
+            burst(on_stale - 1, fresh(ORACLE_STRIPES, 3), via_cache)
+        # a rebuild in flight: healthy behind the cursor, stale ahead
+        cursors = [v.start_rebuild(failed[0], batch=2) for v in twin.volumes]
+        for cursor in cursors:
+            cursor.step()
+        twin.assert_same()
+        write(per + 3, fresh(per + 2))  # stripes 1 | 2: astride the cursor
+        for via_cache in (False, True):
+            burst(on_stale - 1, fresh(ORACLE_STRIPES, 3), via_cache)
+        while cursors[0].active:
+            for cursor in cursors:
+                cursor.step()
+            twin.assert_same()
+        for disk in failed[1:]:
+            twin.rebuild(disk, ORACLE_STRIPES)
+        assert twin.scrub() == []
+        assert np.array_equal(twin.read(0, total), shadow)
 
     def test_destage_burst_of_scattered_cells(self, layout):
         """A cache destage hands ``_write_rest`` arbitrary (not

@@ -12,6 +12,7 @@ import pytest
 
 from repro.array import RAID6Volume
 from repro.codes import make_code
+from repro.faults import ErrorPolicy
 
 CODES = ("dcode", "rdp", "hdp")
 
@@ -20,7 +21,12 @@ class Campaign:
     def __init__(self, code: str, seed: int):
         self.rng = np.random.default_rng(seed)
         layout = make_code(code, 7)
-        self.volume = RAID6Volume(layout, num_stripes=4, element_size=16)
+        # the schedule owns every disk failure: the error policy must not
+        # fail a disk for the latent sectors the schedule keeps injecting
+        self.volume = RAID6Volume(
+            layout, num_stripes=4, element_size=16,
+            policy=ErrorPolicy(escalate_after=10**6),
+        )
         self.shadow = np.zeros(
             (self.volume.num_elements, 16), dtype=np.uint8
         )

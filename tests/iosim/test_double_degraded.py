@@ -157,6 +157,46 @@ class TestEngineDoubleDegraded:
         for _, reads, writes in engine.write_io_sets(0, 6):
             assert all(c.col not in (0, 4) for c in reads | writes)
 
+    @pytest.mark.parametrize("failed", ((2,), (0, 4)))
+    def test_degraded_write_rebuilds_lost_dirty_cells(self, failed):
+        """A write leaves the failed columns alone, but the old value of
+        a dirty cell on one has to be rebuilt: the reads gain the fetch
+        set of the dirty cells' degraded read."""
+        layout = DCode(5)
+        healthy = AccessEngine(layout, num_stripes=1)
+        engine = AccessEngine(layout, num_stripes=1, failed_disks=failed)
+        targets = list(layout.data_cells[1:7])  # dirty cells on 0, 2, 4
+        (_, reads0, writes0), = healthy.write_io_sets(1, 6)
+        (_, reads, writes), = engine.write_io_sets(1, 6)
+        kept = {c for c in reads0 if c.col not in failed}
+        fetch = engine._stripe_read_set(0, targets)
+        assert reads == kept | fetch and fetch - kept
+        assert writes == {c for c in writes0 if c.col not in failed}
+        loads = engine.write_accesses(1, 6)
+        assert loads.reads.sum() == len(reads)
+        assert loads.writes.sum() == len(writes)
+
+    def test_degraded_write_clear_of_the_failed_columns(self):
+        layout = DCode(5)
+        healthy = AccessEngine(layout, num_stripes=1)
+        engine = AccessEngine(layout, num_stripes=1, failed_disks=(3,))
+        (_, reads0, writes0), = healthy.write_io_sets(0, 3)  # cols 0..2
+        (_, reads, writes), = engine.write_io_sets(0, 3)
+        assert reads == {c for c in reads0 if c.col != 3}
+        assert writes == {c for c in writes0 if c.col != 3}
+
+    def test_degraded_write_needing_algebra_rewrites_the_stripe(self):
+        """EVENODD's coupled diagonals: no chain rebuilds the lost old
+        value, so the stripe is loaded, re-encoded and stored whole."""
+        layout = EvenOdd(5)
+        engine = AccessEngine(layout, num_stripes=1, failed_disks=(0, 1))
+        (_, reads, writes), = engine.write_io_sets(0, 1)  # D(0,0) is lost
+        survivors = {
+            cell for col in range(2, layout.cols)
+            for cell in layout.cells_in_column(col)
+        }
+        assert reads == writes == survivors
+
     def test_rotation_with_double_failure(self):
         layout = DCode(5)
         engine = AccessEngine(layout, num_stripes=3, failed_disks=(0, 2),

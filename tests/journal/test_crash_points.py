@@ -6,6 +6,8 @@ fully-old/fully-new contract against a shadow oracle — a trial with
 ``violations > 0`` means the write hole is open.
 """
 
+import pytest
+
 from repro.faults import CRASH_PATTERNS, run_crash_points
 from repro.journal import JOURNAL_PHASES
 
@@ -28,6 +30,31 @@ class TestMatrix:
         # crashes really fired and recovery really replayed something
         assert any(r.crashed for r in results)
         assert any(r.replayed > 0 for r in results)
+
+
+class TestDegradedWrites:
+    """The sweep with disks down: partial stripes are RMWs that patch
+    the surviving parities and leave the failed columns alone."""
+
+    @pytest.mark.parametrize("code", ("dcode", "rdp", "xcode"))
+    @pytest.mark.parametrize("failed", ((1,), (0, 2)))
+    def test_rolled_forward_or_refused_never_garbage(self, code, failed):
+        results = run_crash_points(code=code, p=5, seed=101, failed=failed)
+        # old/new per stripe through degraded reads, again after the
+        # rebuild, then a clean scrub
+        assert_green(results)
+        assert {r.phase for r in results} == set(JOURNAL_PHASES)
+        assert {r.pattern for r in results} == set(CRASH_PATTERNS)
+        for r in results:
+            if r.refused:  # typed, and only for an intent the crash left
+                assert r.crashed and r.open_at_crash
+                assert r.phase != "pre_intent"
+        # not vacuous either way: open intents were rolled forward too
+        assert any(r.refused for r in results)
+        assert any(
+            r.open_at_crash and r.replayed and not r.refused
+            for r in results
+        )
 
 
 class TestDeterminism:

@@ -286,6 +286,29 @@ class TestParityFootprint:
             vol.layout, lambda c: buf[c.row, c.col], fp
         )
 
+    def test_no_digest_when_a_footprint_parity_is_stale(self):
+        """A degraded RMW leaves the parities on failed columns alone,
+        and so does the digest: ``None`` — never a chain over bytes of a
+        dead disk — the moment one footprint parity is stale, for the
+        single-stripe intent and for a group's shared pass; a footprint
+        clear of the failed columns digests as ever."""
+        vol, _ = make_volume()
+        layout = vol.layout
+        cell = layout.data_cells[0]
+        fp = vol._parity_footprint((cell,))
+        healthy = vol._parity_store_digest(1, fp)
+        vol.fail_disk(fp[0].col)
+        assert vol._parity_store_digest(1, fp) is None
+        assert vol._footprint_digest([(0, fp[1:]), (1, fp)]) is None
+        clear = next(
+            fp for fp in (
+                vol._parity_footprint((c,)) for c in layout.data_cells
+            ) if all(p.col != vol.failed_disks[0] for p in fp)
+        )
+        assert vol._parity_store_digest(1, clear) is not None
+        vol.replace_and_rebuild(vol.failed_disks[0])
+        assert vol._parity_store_digest(1, fp) == healthy
+
     def test_rmw_crash_recovery_with_footprint_digest(self):
         """End-to-end: a torn RMW classifies and replays to fully-new
         with the footprint-limited digest."""
