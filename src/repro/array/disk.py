@@ -19,6 +19,12 @@ Two I/O granularities are exposed:
   bad sectors for reads) and silently falls back to the per-element loop
   otherwise, so batching never changes fault semantics or hook cadence.
 
+The volume also writes whole stripes straight into the shared tensor —
+the stripe-major slab of a run of stripes is contiguous, so it encodes
+there in place — and then owes each disk the accounting of the block it
+wrote: :meth:`commit_block`, the counting and latent-sector half of
+:meth:`write_block`.
+
 Counters take a lock so threads sharing a volume (a cache destage on a
 shard's executor thread beside a foreground write) do not lose
 increments when they hit one disk concurrently.
@@ -204,16 +210,20 @@ class SimDisk:
         with self._lock:
             self.read_count += int(n)
 
-    def count_writes(self, n: int) -> None:
-        """Account ``n`` element writes performed out-of-band.
+    def commit_block(self, offsets: np.ndarray) -> None:
+        """Account a block write the volume made in place.
 
-        The process-pool RMW path scatters into the shared backing store
-        from worker processes (whose counter increments die with the
-        child); the parent replays the deltas here so the I/O ledger
-        matches the serial path exactly.
+        Whole stripes are encoded directly in the shared backing store
+        (:func:`repro.array.ioplan.encode_stripes`), so the bytes of
+        ``offsets`` are already here; what is left of :meth:`write_block`
+        is the counter and the remap of any latent sector underneath.
         """
+        offsets = np.asarray(offsets, dtype=np.intp)
+        self._check_live_block(offsets)
         with self._lock:
-            self.write_count += int(n)
+            self.write_count += int(offsets.size)
+            if self._bad_sectors:
+                self._bad_sectors.difference_update(offsets.tolist())
 
     # -- latent sector errors ---------------------------------------------
 

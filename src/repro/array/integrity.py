@@ -291,9 +291,14 @@ class IntegrityChecker:
         self.store.record(loc.disk, loc.offset, value)
 
     def _recording_write_block(
-        self, disk_id: int, offsets: np.ndarray, data: np.ndarray
+        self,
+        disk_id: int,
+        offsets: np.ndarray,
+        data: Optional[np.ndarray] = None,
     ) -> None:
         self._inner_write_block(disk_id, offsets, data)
+        if data is None:  # written in place: hash what the store holds
+            data = self.volume.disks[disk_id]._store[offsets]
         sums = self.store._sums
         for offset, row in zip(np.asarray(offsets).tolist(), data):
             sums[(disk_id, int(offset))] = crc32(row)

@@ -23,9 +23,12 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   degraded, ``write()`` or cache destage;
 * **stripe plans**, keyed by the stale columns — every surviving cell of
   a stripe and the compiled column-recovery schedule:
-  :func:`load_stripes` and :func:`store_stripes`, which carry full-stripe
-  writes, parity scrub, the integrity sweeps and the reconstruct-write
-  that is left for lost dirty cells only algebraic decoding rebuilds;
+  :func:`load_stripes` and :func:`store_stripes`, which carry degraded
+  and rotated full-stripe writes, parity scrub, the integrity sweeps and
+  the reconstruct-write that is left for lost dirty cells only algebraic
+  decoding rebuilds.  Healthy and unrotated, a run of whole stripes is
+  one contiguous slab of the backing store and :func:`encode_stripes`
+  encodes it there;
 * **rebuild plans**, keyed by the lost column — the hybrid planner's
   minimal read set and the XOR schedule folding it into the column
   (:func:`rebuild`; a double failure loads through the stripe plan).
@@ -54,6 +57,7 @@ from typing import (
 import numpy as np
 
 from repro.array.mapping import Run, segments
+from repro.codec.batch import encode_batch
 from repro.codec.plan import GatherStep, XorPlan
 from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import AddressError
@@ -479,6 +483,16 @@ def stale_runs(volume, surface, stripes: Sequence[int]):
         lo = hi
 
 
+def consecutive_runs(stripes: Sequence[int]):
+    """Cut ``stripes`` into slices ``[lo, hi)`` of consecutive stripes:
+    ``(lo, hi)`` — what :func:`encode_stripes` takes at a time."""
+    lo = 0
+    for hi in range(1, len(stripes) + 1):
+        if hi == len(stripes) or stripes[hi] != stripes[hi - 1] + 1:
+            yield lo, hi
+            lo = hi
+
+
 def read_runs(volume, surface, runs: Sequence[Run], count: int):
     """Serve the runs of one ``count``-element read from read plans.
 
@@ -501,13 +515,27 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int):
             k = k0 + lo * n
             if plan is not None:
                 at = _at(volume, plan.cells, range(a, b))
-                block = backing[at]
+                # one run of several, nothing to rebuild: gathered
+                # straight into its slice of the answer ("clip" lets
+                # take() skip its bounce buffer; the rows are in range)
+                direct = plan.xor is None and len(at) < count
+                if direct:
+                    if out is None:
+                        out = np.empty((count, es), dtype=np.uint8)
+                    block = np.take(
+                        backing, at, axis=0, out=out[k:k + len(at)],
+                        mode="clip",
+                    )
+                else:
+                    block = backing[at]
                 if not _verified(volume, at, block):
                     plan = None
             if plan is None:
                 left.extend(segments([(a, b - a, j0, n, k)]))
                 continue
             _count_reads(volume, plan.cells, range(a, b))
+            if direct:
+                continue
             if plan.xor is not None:
                 scratch = np.empty((b - a, plan.rows, es), dtype=np.uint8)
                 scratch[:, :len(plan.cells.flat)] = block.reshape(
@@ -731,6 +759,41 @@ def store_stripes(
         volume, cells, stripes, _at(volume, cells, stripes), src,
         _rows(cells.flat, len(stripes), len(src) // len(stripes)),
     )
+
+
+def encode_stripes(volume, first: int, data: np.ndarray) -> None:
+    """Write ``data`` — ``(stripes, num_data_cells, element_size)``, the
+    logical payload of consecutive stripes from ``first`` — by encoding
+    it where it lives: the backing store is stripe-major, so the run is
+    one contiguous ``(stripes, rows, cols, element_size)`` slab.
+
+    One copy of the payload into the slab's data cells, one in-place
+    encode, then one ``_disk_write_block(disk, offsets)`` per disk —
+    without data: the rows are in the store — for the offsets
+    :func:`store_stripes` would have scattered.  For a healthy,
+    unrotated volume with no hook to interleave with; ``data`` must not
+    alias the backing store.
+    """
+    layout = volume.layout
+    batch, per, es = data.shape
+    _check_stripes(volume, first, first + batch - 1)
+    slab = volume._backing[
+        first * layout.rows:(first + batch) * layout.rows
+    ].reshape(batch, layout.rows, layout.cols, es)
+    if volume._row_major_data:
+        # the data cells are the head of each stripe: one block copy
+        slab.reshape(batch, -1, es)[:, :per] = data
+    else:
+        slab[:, volume._data_rows, volume._data_cols] = data
+    encode_batch(volume.codec, slab)
+    # the stripe plan lists its cells column by column
+    cells = _stripe_plan(volume, ()).cells
+    rows = cells.flat // layout.cols
+    base = np.arange(first, first + batch)[:, None] * layout.rows
+    lo = 0
+    for col, n in cells.counts:
+        volume._disk_write_block(col, (base + rows[lo:lo + n]).ravel())
+        lo += n
 
 
 def rebuild(

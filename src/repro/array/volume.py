@@ -560,8 +560,10 @@ class RAID6Volume:
 
         * a stripe-aligned full-stripe read of a row-major layout on a
           healthy array returns a **zero-copy read-only view** of the
-          backing store — no bytes move at all (the view stays current
-          until the range is rewritten; copy it to snapshot);
+          backing store — no bytes move at all (the view is the live
+          stripe: a later write shows through it, cell by cell while it
+          is in progress — whole stripes are encoded where the view
+          points — so copy it to snapshot);
         * any other range — healthy or degraded — executes cached read
           plans, one gather per run of stripes sharing a pattern
           (:mod:`repro.array.ioplan`).
@@ -738,12 +740,14 @@ class RAID6Volume:
         """Write ``data`` (``(count, element_size)`` uint8) at ``start``.
 
         A run of two or more fully covered stripes goes through the
-        batched codec as one encode and one store
-        (:meth:`_full_stripe_write_batched`); head/tail partial stripes
-        — and a lone whole stripe — take the per-stripe controller paths
-        (RMW parity patch, reconstruct-write).  Either way: cached I/O
-        plans on a quiet surface (:mod:`repro.array.ioplan`), the
-        per-element walk otherwise.
+        batched codec as one encode (:meth:`_full_stripe_write_batched`)
+        — in place in the backing store on a healthy, unrotated volume,
+        where ``data`` is copied once and nothing else moves; head/tail
+        partial stripes — and a lone whole stripe — take the per-stripe
+        controller paths (RMW parity patch, reconstruct-write).  Either
+        way: cached I/O plans on a quiet surface
+        (:mod:`repro.array.ioplan`), the per-element walk otherwise.
+        ``data`` may be a zero-copy :meth:`read` view of this volume.
         """
         if data.ndim != 2 or data.shape[1] != self.element_size \
                 or data.dtype != np.uint8:
@@ -940,41 +944,57 @@ class RAID6Volume:
         payload, ``num_data_cells`` rows each): the full-stripe writer
         of every burst.
 
-        Journaled, each stripe's intent holds its slice of the private
-        encode buffer by reference — no per-cell payload.  On a quiet
-        surface each run of stripes sharing their stale columns is one
-        :func:`repro.array.ioplan.store_stripes`; otherwise each stripe
-        is walked and committed in turn, the order crash points are
-        defined over.
+        Journaled, each stripe's intent holds its rows of ``data`` by
+        reference — no per-cell payload.  On a healthy, unrotated volume
+        with a quiet write surface each run of consecutive stripes is
+        encoded in place in its slab of the backing store
+        (:func:`repro.array.ioplan.encode_stripes`): the payload is
+        copied once and nothing else moves.  Stale columns and rotation
+        break the slab up, so those encode a private tensor and scatter
+        it — one :func:`repro.array.ioplan.store_stripes` per run of
+        stripes sharing their stale columns — and under a fault,
+        corruption or crash-point hook each stripe of the tensor is
+        walked and committed in turn, the order crash points are defined
+        over.
         """
         batch = len(stripes)
-        buf = blank_batch(self.codec, batch)
-        buf[:, self._data_rows, self._data_cols, :] = data.reshape(
-            batch, -1, self.element_size
-        )
-        encode_batch(self.codec, buf)
+        if np.may_share_memory(data, self._backing):
+            # a zero-copy read view written back: the write would move
+            # the rows under itself, and under the intents holding them
+            data = data.copy()
+        data = data.reshape(batch, -1, self.element_size)
         journal = self.journal
         with self._locked_stripes(stripes):
             surface = self._fresh(surface)
             intents = [] if journal is None else [
-                journal.open_full(stripe, buf[i], self.layout.data_cells)
+                journal.open_full(stripe, data[i], self.layout.data_cells)
                 for i, stripe in enumerate(stripes)
             ]
-            if surface.quiet_write:
+            if (
+                surface.healthy and surface.quiet_write
+                and not self.mapper.rotate
+            ):
+                for lo, hi in ioplan.consecutive_runs(stripes):
+                    ioplan.encode_stripes(self, stripes[lo], data[lo:hi])
+            else:
+                buf = blank_batch(self.codec, batch)
+                buf[:, self._data_rows, self._data_cols, :] = data
+                encode_batch(self.codec, buf)
+                if not surface.quiet_write:
+                    for i, stripe in enumerate(stripes):
+                        self._store_stripe(
+                            stripe, buf[i],
+                            self._stale_cols(stripe, surface), surface,
+                        )
+                        if intents:
+                            journal.commit(intents[i])
+                    return
                 for lo, hi, stale in ioplan.stale_runs(self, surface, stripes):
                     ioplan.store_stripes(
                         self, stripes[lo:hi], buf[lo:hi], stale
                     )
-                for intent in intents:
-                    journal.commit(intent)
-                return
-            for i, stripe in enumerate(stripes):
-                self._store_stripe(
-                    stripe, buf[i], self._stale_cols(stripe, surface),
-                    surface,
-                )
-                if intents:
-                    journal.commit(intents[i])
+            for intent in intents:
+                journal.commit(intent)
 
     def _write_stripe_batch(
         self,
@@ -1176,16 +1196,24 @@ class RAID6Volume:
         return tuple(sorted(out))
 
     def _disk_write_block(
-        self, disk_id: int, offsets: np.ndarray, data: np.ndarray
+        self,
+        disk_id: int,
+        offsets: np.ndarray,
+        data: Optional[np.ndarray] = None,
     ) -> None:
-        """Funnel for every planned disk scatter.
+        """Funnel for every planned disk store.
 
         All `write_block` stores issued by the volume go through here so
         integrity tooling can observe them the way it wraps
         :meth:`_write_cell` — see
-        :class:`repro.array.integrity.IntegrityChecker`.
+        :class:`repro.array.integrity.IntegrityChecker`.  Without
+        ``data`` the rows are already in the store (whole stripes
+        encoded in place) and the disk only accounts for them.
         """
-        self.disks[disk_id].write_block(offsets, data)
+        if data is None:
+            self.disks[disk_id].commit_block(offsets)
+        else:
+            self.disks[disk_id].write_block(offsets, data)
 
     def _verifier(self):
         """The attached integrity checker when verified reads are on."""

@@ -94,11 +94,12 @@ class WriteIntent:
     committed: bool = False
     group: Optional[GroupFrame] = None
     #: Full-stripe fast path (:meth:`WriteIntentLog.open_full`): the redo
-    #: image lives as one encoded stripe buffer instead of per-cell
-    #: tuples, so the hot batched write path never materializes a
-    #: thousand element views just to log its intents.  ``payload()``
-    #: materializes them lazily — recovery and persistence are the only
-    #: readers, and both are off the hot path.
+    #: image is the write's own payload — one ``(len(buf_cells),
+    #: element_size)`` block, row ``i`` the new value of ``buf_cells[i]``
+    #: — instead of per-cell tuples, so the hot batched write path never
+    #: materializes a thousand element views just to log its intents.
+    #: ``payload()`` materializes them lazily — recovery and persistence
+    #: are the only readers, and both are off the hot path.
     buf: Optional[np.ndarray] = None
     buf_cells: Tuple[Cell, ...] = ()
 
@@ -112,10 +113,7 @@ class WriteIntent:
     def payload(self) -> Dict[Cell, np.ndarray]:
         """``cell -> new value`` mapping of the redo image."""
         if self.buf is not None:
-            return {
-                cell: self.buf[cell.row, cell.col]
-                for cell in self.buf_cells
-            }
+            return dict(zip(self.buf_cells, self.buf))
         return dict(self.cells)
 
     def __repr__(self) -> str:
@@ -232,13 +230,16 @@ class WriteIntentLog:
         buf: np.ndarray,
         cells: Tuple[Cell, ...],
     ) -> WriteIntent:
-        """Record a full-stripe intent against an encoded stripe buffer.
+        """Record a full-stripe intent against the stripe's payload:
+        ``buf[i]`` is the new value of ``cells[i]``, every data cell of
+        the stripe.
 
-        The buffer is held by reference (the caller guarantees it
-        outlives the intent and is never mutated while open — the
-        batched write paths use private encode tensors), and no parity
-        digests are taken: every data cell is dirty, so replay re-encodes
-        from the redo image and never trusts on-disk parity.
+        The rows are held by reference (the caller guarantees they
+        outlive the intent and are never mutated while open — the
+        volume hands over the rows its caller is writing, for the
+        duration of that call), and no parity digests are taken: every
+        data cell is dirty, so replay re-encodes from the redo image and
+        never trusts on-disk parity.
         """
         require(len(cells) > 0, "an intent must cover at least one cell")
         self.checkpoint("pre_intent", stripe)

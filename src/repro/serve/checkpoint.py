@@ -34,8 +34,8 @@ usual to roll the open ack intents forward.
 Dirty-stripe capture uses the volume's two write funnels —
 ``_write_cell`` and ``_disk_write_block`` — wrapped per-instance the
 same way :class:`repro.array.integrity.IntegrityChecker` wraps them
-(the volume's process-pool RMW path already stands down when it sees a
-wrapped funnel, so no forked child can scatter bytes past the tracker).
+(whole stripes encoded in place in the backing store announce their
+blocks through ``_disk_write_block`` too, without data).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class DirtyStripeTracker:
             self._dirty.add(int(stripe))
         self._inner_cell(stripe, cell, value)
 
-    def _block(self, disk_id: int, offsets, data) -> None:
+    def _block(self, disk_id: int, offsets, data=None) -> None:
         stripes = np.unique(np.asarray(offsets) // self.rows)
         with self._lock:
             self._dirty.update(int(s) for s in stripes)

@@ -9,7 +9,7 @@ indistinguishable after every op: returned bytes, backing image,
 per-disk counters, checksums, verified bitmap, dirty-stripe set.  The
 whole-stripe operations — full-stripe bursts, rebuild, parity scrub and
 the integrity sweeps — run through the same twin, stripe vector against
-walk.
+walk, and so do whole stripes encoded in place in the backing store.
 
 The partial-stripe queue (``_write_rest``) hands the partial entries of
 a burst — healthy stripes and degraded ones — to one ``ioplan.rmw``
@@ -24,6 +24,7 @@ against the same walk mirror.
 
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codec.plan import XorPlan
 from repro.codes import make_code
-from repro.journal import WriteIntentLog
+from repro.exceptions import SimulatedCrashError
+from repro.journal import WriteIntentLog, recover_on_mount
 from repro.recovery.planner import cached_hybrid_plan
 from repro.serve.checkpoint import DirtyStripeTracker
 
@@ -106,6 +108,21 @@ def _volume(layout, stripes=STRIPES, es=ES, **kwargs):
 def _pair(layout, **kwargs):
     """A default volume and its walk-only mirror."""
     return _volume(layout, **kwargs), walk_only(_volume(layout, **kwargs))
+
+
+@pytest.fixture
+def slab_runs(monkeypatch):
+    """``(first stripe, stripes)`` of every ``ioplan.encode_stripes``
+    call — the whole-stripe runs encoded in place — in order."""
+    runs = []
+    encode_stripes = ioplan.encode_stripes
+
+    def spy(volume, first, data):
+        runs.append((first, len(data)))
+        encode_stripes(volume, first, data)
+
+    monkeypatch.setattr(ioplan, "encode_stripes", spy)
+    return runs
 
 
 @pytest.fixture
@@ -288,10 +305,13 @@ ORACLE_ES = 16
 class Twin:
     """A quiet volume and its walk-only mirror, observed the same way."""
 
-    def __init__(self, layout, failed=(), journaled=False, **kwargs):
+    def __init__(
+        self, layout, failed=(), journaled=False, stripes=ORACLE_STRIPES,
+        **kwargs
+    ):
         self.volumes = [
             RAID6Volume(
-                layout, num_stripes=ORACLE_STRIPES, element_size=ORACLE_ES,
+                layout, num_stripes=stripes, element_size=ORACLE_ES,
                 journal=WriteIntentLog() if journaled else None, **kwargs
             )
             for _ in range(2)
@@ -369,21 +389,24 @@ class Twin:
             volume.disks[loc.disk]._store[loc.offset] ^= 0xFF
             checker.store._verified[loc.disk, loc.offset] = False
 
-    def burst(self, j0, values, via_cache):
-        """Write ``values[i]`` at data index ``j0`` of stripe ``i`` as
-        one queue: ``_write_rest`` directly, or a cache flush."""
+    def burst(self, j0, values, via_cache, stripes=None):
+        """Write ``values[i]`` at data index ``j0`` of ``stripes[i]``
+        (stripe ``i`` by default) as one queue: ``_write_rest``
+        directly, or a cache flush."""
         per = self.volumes[0].layout.num_data_cells
         cells = self.volumes[0].layout.data_cells[j0:j0 + values.shape[1]]
+        if stripes is None:
+            stripes = range(len(values))
         for volume in self.volumes:
             if via_cache:
                 cache = StripeCache(volume, max_dirty_stripes=len(values))
-                for stripe, rows in enumerate(values):
+                for stripe, rows in zip(stripes, values):
                     cache.write(stripe * per + j0, rows.copy())
                 cache.flush()
             else:
                 volume._write_rest([
                     (stripe, list(zip(cells, rows.copy())))
-                    for stripe, rows in enumerate(values)
+                    for stripe, rows in zip(stripes, values)
                 ])
         self.assert_same()
 
@@ -583,6 +606,145 @@ class TestPlannedVsWalk:
         assert twin.scrub_campaign().clean
         assert np.array_equal(twin.read(0, ORACLE_STRIPES * per), image)
 
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    @pytest.mark.parametrize("journaled", (False, True))
+    def test_whole_stripes_encoded_in_place(
+        self, code_name, p, journaled, slab_runs
+    ):
+        """Healthy and unrotated, every run of consecutive whole stripes
+        is encoded in its slab of the backing store — 2 and 32 stripes
+        through ``write``, a list with gaps through ``_write_rest`` and
+        a cache destage — and no observer can tell: bytes, counters,
+        checksums, verified bits, dirty set.  A lone whole stripe keeps
+        its per-stripe route."""
+        layout = make_code(code_name, p)
+        twin = Twin(layout, journaled=journaled, stripes=40)
+        del slab_runs[:]  # the twin's own image
+        per = layout.num_data_cells
+        rng = np.random.default_rng(p)
+
+        def fresh(stripes):
+            return rng.integers(
+                0, 256, (stripes * per, ORACLE_ES), dtype=np.uint8
+            )
+
+        twin.write(3 * per, fresh(1))
+        assert slab_runs == []
+        twin.write(3 * per, fresh(2))
+        twin.write(5 * per, fresh(32))
+        twin.write(per - 2, fresh(3))  # head + two whole stripes + tail
+        assert slab_runs == [(3, 2), (5, 32), (1, 2)]
+        del slab_runs[:]
+        scattered = (1, 2, 3, 7, 9, 10)
+        for via_cache in (False, True):
+            twin.burst(
+                0, fresh(len(scattered)).reshape(-1, per, ORACLE_ES),
+                via_cache, stripes=scattered,
+            )
+        assert slab_runs == 2 * [(1, 3), (7, 1), (9, 2)]
+        assert twin.scrub() == []
+        assert twin.find_corruption() == {}
+
+    @pytest.mark.parametrize(
+        "rotate,failures", ((False, 1), (False, 2), (True, 0), (True, 2))
+    )
+    @pytest.mark.parametrize("journaled", (False, True))
+    def test_whole_stripes_off_the_slab(
+        self, layout, rotate, failures, journaled, slab_runs
+    ):
+        """Rotation scatters a stripe's columns and a stale column must
+        not be written: those volumes keep the encode tensor and the
+        by-disk scatter, also with a rebuild cursor inside the run."""
+        failed = _failed_sets(layout.cols)[failures]
+        twin = Twin(layout, failed, journaled=journaled, rotate=rotate)
+        del slab_runs[:]  # the twin's own image, written before a disk fails
+        per = layout.num_data_cells
+        rng = np.random.default_rng(failures)
+        whole = (ORACLE_STRIPES * per, ORACLE_ES)
+        twin.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
+        if failed:
+            cursors = [
+                v.start_rebuild(failed[0], batch=2) for v in twin.volumes
+            ]
+            for cursor in cursors:
+                cursor.step()
+            twin.assert_same()
+            twin.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
+            while cursors[0].active:
+                for cursor in cursors:
+                    cursor.step()
+            twin.assert_same()
+        assert slab_runs == []
+
+    @pytest.mark.parametrize("code_name", ("dcode", "rdp"))
+    @pytest.mark.parametrize("journaled", (False, True))
+    @pytest.mark.parametrize("shift", (0, 3))
+    def test_payload_aliasing_the_backing(
+        self, code_name, journaled, shift, slab_runs
+    ):
+        """The payload is the volume's own memory — what a zero-copy
+        read view is — at the address it is written to, and three
+        elements off it: the stripes read back what the payload held
+        when the call was made."""
+        layout = make_code(code_name, 5)
+        twin = Twin(layout, journaled=journaled)
+        del slab_runs[:]
+        per = layout.num_data_cells
+        first = layout.rows * layout.cols + shift
+        for volume in twin.volumes:
+            payload = volume._flat_backing[first:first + 2 * per]
+            assert np.shares_memory(payload, volume._backing)
+            want = payload.copy()
+            volume.write(per, payload)
+            assert np.array_equal(volume.read(per, 2 * per), want)
+        twin.assert_same()
+        assert slab_runs == [(1, 2)]
+        assert twin.scrub() == []
+
+    def test_aliasing_payload_survives_a_crash_as_redo_image(self, layout):
+        """The intents of a whole-stripe burst hold the caller's rows;
+        rows that are the volume's own memory are snapshotted first, so
+        a write torn half way does not tear its own redo image."""
+        volume = _volume(layout, stripes=4, journal=WriteIntentLog())
+        _prime(volume, np.random.default_rng(2))
+        per = layout.num_data_cells
+        first = layout.rows * layout.cols + 3
+        payload = volume._flat_backing[first:first + 2 * per]
+        want = payload.copy()
+        seen = []
+
+        def crash(phase, stripe):
+            seen.append(phase)
+            if seen.count("inter_column") == 3:
+                raise SimulatedCrashError(phase)
+
+        volume.journal.phase_hook = crash
+        with pytest.raises(SimulatedCrashError):
+            volume.write(per, payload)
+        volume.journal.phase_hook = None
+        assert recover_on_mount(volume).replayed == 2
+        assert np.array_equal(volume.read(per, 2 * per), want)
+        assert volume.scrub() == []
+
+    @pytest.mark.parametrize("journaled", (False, True))
+    def test_in_place_write_remaps_a_latent_sector(
+        self, layout, journaled, slab_runs
+    ):
+        """A latent sector under the run is cleared as ``write_block``
+        clears it; one outside the run stays."""
+        twin = Twin(layout, journaled=journaled)
+        del slab_runs[:]
+        per = layout.num_data_cells
+        under, outside = 2 * layout.rows + 1, 4 * layout.rows
+        for volume in twin.volumes:
+            volume.disks[3].mark_bad(under)
+            volume.disks[3].mark_bad(outside)
+            volume.write(per, np.ones((2 * per, ORACLE_ES), dtype=np.uint8))
+            assert volume.disks[3].bad_sectors == {outside}
+        twin.assert_same(quiet_io=False)
+        assert slab_runs == [(1, 2)]
+
     @pytest.mark.parametrize("rotate", (False, True))
     @pytest.mark.parametrize("damage", ("rot", "latent"))
     def test_rebuild_walks_around_a_bad_source(self, layout, rotate, damage):
@@ -708,6 +870,28 @@ class TestPlannedVsWalk:
         for volume in twin.volumes:
             volume._write_rest(copy.deepcopy(entries))
         twin.assert_same()
+
+
+def test_whole_stripe_write_moves_the_payload_once():
+    """32 healthy stripes of dcode p = 7 x 4 KiB carry 4.6 MB: encoded in
+    place, the write allocates index arrays and (numpy engine) one
+    cache-sized XOR scratch — not a 6.4 MB encode tensor and a gather
+    per disk."""
+    layout = make_code("dcode", 7)
+    per = layout.num_data_cells
+    volume = RAID6Volume(layout, num_stripes=64, element_size=4096)
+    data = np.random.default_rng(1).integers(
+        0, 256, (32 * per, 4096), dtype=np.uint8
+    )
+    volume.write(0, data)  # compile the plans, load the kernel
+    tracemalloc.start()
+    try:
+        volume.write(32 * per, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(volume.read(32 * per, 32 * per), data)
 
 
 class TestPlanCache:

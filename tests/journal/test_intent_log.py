@@ -75,13 +75,15 @@ class TestLifecycle:
 
     def test_open_full_lazy_payload(self):
         log = WriteIntentLog()
-        buf = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
+        # the redo image is the write's payload: row i belongs to cells[i]
+        buf = np.arange(2 * 4, dtype=np.uint8).reshape(2, 4)
         cells = (Cell(0, 1), Cell(1, 2))
         intent = log.open_full(5, buf, cells)
         assert intent.dirty_cells == cells
         payload = intent.payload()
-        assert np.array_equal(payload[Cell(0, 1)], buf[0, 1])
-        assert np.array_equal(payload[Cell(1, 2)], buf[1, 2])
+        assert np.array_equal(payload[Cell(0, 1)], buf[0])
+        assert np.array_equal(payload[Cell(1, 2)], buf[1])
+        assert np.shares_memory(payload[Cell(1, 2)], buf)  # held, not copied
 
 
 class TestPhaseHook:

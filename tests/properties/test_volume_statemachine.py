@@ -47,10 +47,13 @@ class VolumeMachine(RuleBasedStateMachine):
 
     # -- rules -------------------------------------------------------------
 
-    @rule(start=st.integers(0, 29), n=st.integers(1, 6),
+    # short, anything up to the whole volume, or exactly both stripes
+    # whole — which, healthy, are encoded in place in the backing store
+    @rule(start=st.integers(0, 29),
+          n=st.one_of(st.integers(1, 6), st.integers(7, 30), st.just(30)),
           fill=st.integers(0, 255))
     def write(self, start, n, fill):
-        n = min(n, self.volume.num_elements - start)
+        start = min(start, self.volume.num_elements - n)
         data = np.full((n, ELEMENT), fill, dtype=np.uint8)
         self.volume.write(start, data)
         self.walk.write(start, data)
