@@ -19,10 +19,11 @@ Two I/O granularities are exposed:
   bad sectors for reads) and silently falls back to the per-element loop
   otherwise, so batching never changes fault semantics or hook cadence.
 
-The volume also writes whole stripes straight into the shared tensor —
-the stripe-major slab of a run of stripes is contiguous, so it encodes
-there in place — and then owes each disk the accounting of the block it
-wrote: :meth:`commit_block`, the counting and latent-sector half of
+Planned volume stores use neither: a plan's rows land in the shared
+tensor in one scatter across every disk (or are encoded there in place)
+inside ``RAID6Volume._store_rows``, which checks each target disk is
+live first and then owes it the accounting of its share —
+:meth:`commit_block`, the counting and latent-sector half of
 :meth:`write_block`.
 
 Counters take a lock so threads sharing a volume (a cache destage on a
@@ -34,18 +35,12 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Callable, Optional, Set
+from typing import Callable, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.exceptions import DiskFailedError, GeometryError, LatentSectorError
 from repro.util.validation import require_index, require_positive
-
-
-#: Block I/O of at most this many offsets bounds-checks them as a Python
-#: list: two ufunc reductions over a handful of integers cost several
-#: times the whole scatter of a short planned write (one block per disk).
-_SMALL_BLOCK = 16
 
 
 class DiskState(enum.Enum):
@@ -210,20 +205,19 @@ class SimDisk:
         with self._lock:
             self.read_count += int(n)
 
-    def commit_block(self, offsets: np.ndarray) -> None:
-        """Account a block write the volume made in place.
+    def commit_block(self, count: int, offsets: Sequence[int] = ()) -> None:
+        """Account ``count`` element writes the volume stored itself.
 
-        Whole stripes are encoded directly in the shared backing store
-        (:func:`repro.array.ioplan.encode_stripes`), so the bytes of
-        ``offsets`` are already here; what is left of :meth:`write_block`
-        is the counter and the remap of any latent sector underneath.
+        A plan's rows reach the shared backing store in one scatter over
+        all its disks (``RAID6Volume._store_rows``, which has checked
+        this disk is live); what is left of :meth:`write_block` is the
+        counter and the remap of the latent sectors underneath — the
+        caller passes ``offsets`` only while there are any.
         """
-        offsets = np.asarray(offsets, dtype=np.intp)
-        self._check_live_block(offsets)
         with self._lock:
-            self.write_count += int(offsets.size)
-            if self._bad_sectors:
-                self._bad_sectors.difference_update(offsets.tolist())
+            self.write_count += count
+            if offsets:
+                self._bad_sectors.difference_update(offsets)
 
     # -- latent sector errors ---------------------------------------------
 
@@ -269,12 +263,7 @@ class SimDisk:
             raise DiskFailedError(f"disk {self.disk_id} is failed")
         if not offsets.size:
             return
-        if offsets.size <= _SMALL_BLOCK:
-            small = offsets.tolist()
-            lo, hi = min(small), max(small)
-        else:
-            lo, hi = int(offsets.min()), int(offsets.max())
-        if lo < 0 or hi >= self.capacity:
+        if offsets.min() < 0 or offsets.max() >= self.capacity:
             raise IndexError(
                 f"disk {self.disk_id}: block offsets outside "
                 f"[0, {self.capacity})"

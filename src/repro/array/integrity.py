@@ -151,10 +151,10 @@ class IntegrityChecker:
     """Attach checksumming to a volume and scrub with error *location*.
 
     Wraps *both* of the volume's write funnels — per-element
-    ``_write_cell`` and the planned paths' block scatter
-    ``_disk_write_block`` — so batched bulk writes, cache destages and
-    rebuild sweeps keep the checksum map current exactly like the serial
-    path does.  Pass ``store=`` (e.g. the one
+    ``_write_cell`` and the planned paths' ``_store_rows``, one call per
+    plan — so batched bulk writes, cache destages and rebuild sweeps
+    keep the checksum map current exactly like the serial path does.
+    Pass ``store=`` (e.g. the one
     :func:`~repro.array.persistence.load_volume` hands back on a v2
     archive) to resume an existing map instead of re-seeding from the
     current disk contents.
@@ -180,9 +180,9 @@ class IntegrityChecker:
         # route every future write through the recorders
         self._inner_write = volume._write_cell
         volume._write_cell = self._recording_write  # type: ignore[assignment]
-        self._inner_write_block = volume._disk_write_block
-        volume._disk_write_block = (  # type: ignore[assignment]
-            self._recording_write_block
+        self._inner_store_rows = volume._store_rows
+        volume._store_rows = (  # type: ignore[assignment]
+            self._recording_store_rows
         )
         volume.integrity = self
         if store is not None:
@@ -202,10 +202,9 @@ class IntegrityChecker:
         volume = self.volume
         if volume.__dict__.get("_write_cell") == self._recording_write:
             volume._write_cell = self._inner_write  # type: ignore[assignment]
-        if volume.__dict__.get("_disk_write_block") == \
-                self._recording_write_block:
-            volume._disk_write_block = (  # type: ignore[assignment]
-                self._inner_write_block
+        if volume.__dict__.get("_store_rows") == self._recording_store_rows:
+            volume._store_rows = (  # type: ignore[assignment]
+                self._inner_store_rows
             )
         if volume.integrity is self:
             volume.integrity = None
@@ -290,20 +289,19 @@ class IntegrityChecker:
         loc = self.volume.mapper.locate_cell(stripe, cell)
         self.store.record(loc.disk, loc.offset, value)
 
-    def _recording_write_block(
-        self,
-        disk_id: int,
-        offsets: np.ndarray,
-        data: Optional[np.ndarray] = None,
+    def _recording_store_rows(
+        self, at: np.ndarray, data: Optional[np.ndarray] = None
     ) -> None:
-        self._inner_write_block(disk_id, offsets, data)
-        if data is None:  # written in place: hash what the store holds
-            data = self.volume.disks[disk_id]._store[offsets]
+        self._inner_store_rows(at, data)
+        if data is None:  # stored in place: hash what the store holds
+            flat = self.volume._flat_backing
+            data = (flat[row] for row in at.tolist())
+        offsets, disks = np.divmod(at, len(self.volume.disks))
         sums = self.store._sums
-        for offset, row in zip(np.asarray(offsets).tolist(), data):
-            sums[(disk_id, int(offset))] = crc32(row)
+        for key, row in zip(zip(disks.tolist(), offsets.tolist()), data):
+            sums[key] = crc32(row)
         if self.store._verified is not None:
-            self.store._verified[disk_id, np.asarray(offsets)] = False
+            self.store._verified[disks, offsets] = False
 
     # -- verified-read hooks (called by the volume) --------------------------
 

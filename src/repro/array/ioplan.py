@@ -35,9 +35,10 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
 
 Execution is one gather of the old cells, the value-dependent
 ``delta.any()`` masks the per-element walk applies, one XOR schedule
-(:class:`~repro.codec.plan.XorPlan`), one scatter per disk through the
-volume's ``_disk_write_block`` funnel and one counter bump per disk — the
-same elements read and written as the walk, so every I/O count is
+(:class:`~repro.codec.plan.XorPlan`) and one call of the volume's
+``_store_rows`` funnel — a single scatter over every disk the plan
+writes and one accounting pass — with one read-counter bump per disk:
+the same elements read and written as the walk, so every I/O count is
 unchanged.  The executor assumes a quiet fault surface (no hooks, no
 latent sectors); the volume selects it from one per-operation snapshot
 (``RAID6Volume._surface``) and keeps the walk for everything else.
@@ -69,6 +70,11 @@ from repro.recovery.planner import cached_hybrid_plan
 #: 2 MB whatever the geometry.
 MAX_PLANS = 2048
 
+#: Bytes gathered out of an encode or rebuild buffer per planned store:
+#: the copy a scatter of picked rows needs stays cache-sized, whatever
+#: the element size and however many stripes the run holds.
+SCATTER_BYTES = 1 << 20
+
 #: Stripes per executor call on a multi-stripe run — reads, whole-stripe
 #: stores, rebuild, scrub and the integrity sweeps alike: bounds the
 #: gather and XOR scratch to a few MB however long the request is.
@@ -78,26 +84,41 @@ RUN_CHUNK = 32
 class CellSet:
     """Stripe-local cells as index arrays: a plan's I/O footprint."""
 
-    __slots__ = ("cells", "flat", "counts", "order")
+    __slots__ = ("cells", "flat", "counts")
 
-    def __init__(
-        self, cells: Sequence[Cell], ncols: int, scatter: bool = False
-    ) -> None:
+    def __init__(self, cells: Sequence[Cell], ncols: int) -> None:
         self.cells = tuple(cells)
         cols = np.array([c.col for c in cells], dtype=np.intp)
         #: index into a ``(rows * cols, element_size)`` stripe view
         self.flat = np.array([c.row for c in cells], dtype=np.intp) * ncols
         self.flat += cols
         #: ``(column, cells on it)`` for every column holding any — one
-        #: counter bump, and for writers one scatter, per disk
+        #: read-counter bump per disk
         self.counts = tuple(
             (col, n) for col, n in enumerate(np.bincount(cols).tolist()) if n
         )
-        #: writers: the positions sorted by column, so that each disk's
-        #: rows are the next ``n`` of them (``None``: already sorted)
-        self.order = None
-        if scatter and (np.diff(cols) < 0).any():
-            self.order = np.argsort(cols, kind="stable")
+
+
+class Span:
+    """The write items of a contiguous run of data cells — ``(cell,
+    new value)`` pairs like any other — kept as the slice of the
+    caller's rows they came in: ``values[i]`` is for data cell
+    ``j0 + i``.  :func:`rmw` keys the plan by the range of data indices
+    and takes ``values`` as it stands."""
+
+    __slots__ = ("cells", "j0", "values")
+
+    def __init__(self, cells: Sequence[Cell], j0: int, values) -> None:
+        self.cells, self.j0, self.values = cells, j0, values
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i):
+        return self.cells[i], self.values[i]
+
+    def __iter__(self):
+        return zip(self.cells, self.values)
 
 
 class ReadPlan(NamedTuple):
@@ -277,7 +298,7 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
     parities = sorted(feeds)
     m = len(keep)
     patched = [cells[j] for j in keep] + parities
-    patch = CellSet(patched, layout.cols, scatter=True)
+    patch = CellSet(patched, layout.cols)
     if not lost:
         return RmwPlan(
             patch, m,
@@ -309,7 +330,7 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
         for i, p in enumerate(parities)
     ]
     return RmwPlan(
-        CellSet(gathered, layout.cols, scatter=True),
+        CellSet(gathered, layout.cols),
         m,
         _xor_plan(equations, deltas + len(patched)),
         _rmw_run_lost,
@@ -334,7 +355,7 @@ def _compile_stripe(volume, stale_cols: Tuple[int, ...]) -> StripePlan:
         if stale_cols and layout.chain_decodable else None
     )
     return StripePlan(
-        CellSet(cells, layout.cols, scatter=True),
+        CellSet(cells, layout.cols),
         sorted(column_failure_cells(layout, stale_cols)),
         volume.codec.plans.schedule_plan(schedule) if schedule else None,
     )
@@ -418,17 +439,21 @@ def _verified(volume, at: np.ndarray, block: np.ndarray, rows=None) -> bool:
     return not any(bad)
 
 
-def _count_reads(volume, cells: CellSet, stripes: Sequence[int]) -> None:
-    """One read-counter bump per disk for a gather of whole stripes."""
+def _count_reads(volume, cells: CellSet, at, rows=None) -> None:
+    """One read-counter bump per disk for the gather of ``cells`` of
+    every stripe at flat backing rows ``at`` — of its rows ``rows``
+    only, where value-dependent masks cut it down."""
     disks = volume.disks
-    if not volume.mapper.rotate:
-        times = len(stripes)
+    if rows is None and not volume.mapper.rotate:
+        times = len(at) // len(cells.flat)
         for col, n in cells.counts:
             disks[col].count_reads(n * times)
         return
-    for stripe in stripes:
-        for col, n in cells.counts:
-            disks[(col + stripe) % len(disks)].count_reads(n)
+    if rows is not None:
+        at = at[rows]
+    for disk, n in zip(disks, np.bincount(at % len(disks)).tolist()):
+        if n:
+            disk.count_reads(n)
 
 
 def _rows(flat: np.ndarray, batch: int, stride: int) -> np.ndarray:
@@ -439,30 +464,15 @@ def _rows(flat: np.ndarray, batch: int, stride: int) -> np.ndarray:
     return (np.arange(batch)[:, None] * stride + flat).ravel()
 
 
-def _scatter(volume, cells: CellSet, stripes, at, src, rows=None) -> None:
-    """Write ``src[rows]`` — one row per cell of ``cells`` per stripe,
-    stripe-major like ``at``, their flat backing rows; ``None`` takes
-    ``src`` as it stands — with one ``_disk_write_block`` per disk: the
-    funnel integrity tooling and the dirty-stripe tracker observe, which
-    also counts the writes."""
-    write = volume._disk_write_block
-    if len(stripes) > 1:
-        # gathered disk by disk: no scratch outgrows one disk's share
-        for disk, offsets, sel in _by_disk(volume, at):
-            write(disk, offsets, src[sel if rows is None else rows[sel]])
-        return
-    # one stripe: a single small gather, each disk a slice of it
-    ncols = volume.layout.cols
-    shift = stripes[0] if volume.mapper.rotate else 0
-    offsets = at // ncols
-    if cells.order is not None:
-        offsets = offsets[cells.order]
-        rows = cells.order if rows is None else rows[cells.order]
-    block = src if rows is None else src[rows]
-    lo = 0
-    for col, n in cells.counts:
-        write((col + shift) % ncols, offsets[lo:lo + n], block[lo:lo + n])
-        lo += n
+def _scatter(volume, stripes, at, src, rows) -> None:
+    """Store ``src[rows]`` — one row per flat backing row of ``at``,
+    stripe-major — through the volume's ``_store_rows`` funnel: one call
+    while the gathered copy of ``src`` stays under :data:`SCATTER_BYTES`,
+    a longer vector of stripes a few whole stripes at a time."""
+    per = len(at) // len(stripes)
+    step = per * max(1, SCATTER_BYTES // (per * src.shape[1]))
+    for lo in range(0, len(at), step):
+        volume._store_rows(at[lo:lo + step], src[rows[lo:lo + step]])
 
 
 def stale_runs(volume, surface, stripes: Sequence[int]):
@@ -533,7 +543,7 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int):
             if plan is None:
                 left.extend(segments([(a, b - a, j0, n, k)]))
                 continue
-            _count_reads(volume, plan.cells, range(a, b))
+            _count_reads(volume, plan.cells, at)
             if direct:
                 continue
             if plan.xor is not None:
@@ -567,8 +577,13 @@ def rmw(volume, entries, surface) -> list:
     groups: Dict[tuple, list] = {}
     for entry in entries:
         stripe, items = entry
+        if type(items) is Span:
+            # data indices: a range never equals a tuple of flat cells
+            pattern = range(items.j0, items.j0 + len(items))
+        else:  # any set of cells: a cache destage's bucket
+            pattern = tuple([c.row * ncols + c.col for c, _ in items])
         key = (
-            tuple([c.row * ncols + c.col for c, _ in items]),
+            pattern,
             () if healthy else volume._stale_cols(stripe, surface),
         )
         groups.setdefault(key, []).append(entry)
@@ -576,11 +591,17 @@ def rmw(volume, entries, surface) -> list:
     for (pattern, stale), members in groups.items():
         stripes = [s for s, _ in members]
         _check_stripes(volume, min(stripes), max(stripes))
+        first = members[0][1]
         plan = volume._ioplans.get(
             ("rmw", pattern, stale),
-            _compile_rmw, volume, members[0][1], stale, stripes[0],
+            _compile_rmw, volume, first, stale, stripes[0],
         )
-        values = np.array([[v for _, v in items] for _, items in members])
+        if type(first) is not Span:
+            values = np.array([[v for _, v in items] for _, items in members])
+        elif len(members) == 1:
+            values = first.values[None]  # the caller's rows as they stand
+        else:
+            values = np.stack([items.values for _, items in members])
         if plan is None or not plan.run(volume, plan, stripes, values):
             left.extend(members)
     return left
@@ -602,9 +623,8 @@ def _rmw_run(volume, plan: RmwPlan, stripes, values) -> bool:
     # the walk's masks: a cell whose delta is zero is read but not
     # written, a parity whose delta cancels is neither read nor written
     changed = scratch.any(axis=2)
-    whole = batch == 1 and bool(changed.all())
-    read = written = None
-    if not whole:
+    read, written = None, slice(None)  # one stripe, no mask: every row
+    if batch > 1 or not changed.all():
         written = np.flatnonzero(changed)
         changed[:, :m] = True
         read = np.flatnonzero(changed)
@@ -612,16 +632,8 @@ def _rmw_run(volume, plan: RmwPlan, stripes, values) -> bool:
         return False
     np.bitwise_xor(old[:, m:], scratch[:, m:], out=old[:, m:])
     old[:, :m] = values
-    new = old.reshape(-1, es)
-    if whole:
-        _count_reads(volume, cells, stripes)
-        _scatter(volume, cells, stripes, at, new)
-        return True
-    for disk, offsets, _ in _by_disk(volume, at[read]):
-        volume.disks[disk].count_reads(len(offsets))
-    new = new[written]
-    for disk, offsets, rows in _by_disk(volume, at[written]):
-        volume._disk_write_block(disk, offsets, new[rows])
+    _count_reads(volume, cells, at, read)
+    volume._store_rows(at[written], old.reshape(-1, es)[written])
     return True
 
 
@@ -650,9 +662,8 @@ def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> bool:
     # a parity whose delta cancels is still read when the rebuild needs it
     changed = np.zeros((batch, g), dtype=bool)
     changed[:, :n] = delta.any(axis=2)
-    whole = batch == 1 and bool(changed[:, :n].all())
-    read = written = None
-    if not whole:
+    read, written = None, slice(n)  # one stripe, no mask: all of writes
+    if batch > 1 or not changed[:, :n].all():
         written = np.flatnonzero(changed)
         changed[:, lost.fetch] = True
         read = np.flatnonzero(changed)
@@ -662,15 +673,8 @@ def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> bool:
     patched = new.reshape(batch, g, es)
     np.bitwise_xor(patched[:, m:n], delta[:, m:], out=patched[:, m:n])
     patched[:, :m] = kept
-    if whole:
-        _count_reads(volume, cells, stripes)
-        _scatter(volume, lost.writes, stripes, at[:n], new[:n])
-        return True
-    for disk, offsets, _ in _by_disk(volume, at[read]):
-        volume.disks[disk].count_reads(len(offsets))
-    new = new[written]
-    for disk, offsets, rows in _by_disk(volume, at[written]):
-        volume._disk_write_block(disk, offsets, new[rows])
+    _count_reads(volume, cells, at, read)
+    volume._store_rows(at[written], new[written])
     return True
 
 
@@ -711,7 +715,7 @@ def _gather(
             ok = False
         out[dest[sel]] = block
     if ok:
-        _count_reads(volume, cells, stripes)
+        _count_reads(volume, cells, at)
     return ok
 
 
@@ -756,7 +760,7 @@ def store_stripes(
     cells = _stripe_plan(volume, skip_cols).cells
     src = np.ascontiguousarray(buf).reshape(-1, volume.element_size)
     _scatter(
-        volume, cells, stripes, _at(volume, cells, stripes), src,
+        volume, stripes, _at(volume, cells, stripes), src,
         _rows(cells.flat, len(stripes), len(src) // len(stripes)),
     )
 
@@ -768,11 +772,10 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     one contiguous ``(stripes, rows, cols, element_size)`` slab.
 
     One copy of the payload into the slab's data cells, one in-place
-    encode, then one ``_disk_write_block(disk, offsets)`` per disk —
-    without data: the rows are in the store — for the offsets
-    :func:`store_stripes` would have scattered.  For a healthy,
-    unrotated volume with no hook to interleave with; ``data`` must not
-    alias the backing store.
+    encode, then one ``_store_rows`` call without data — the rows are in
+    the store — for the rows :func:`store_stripes` would have scattered.
+    For a healthy, unrotated volume with no hook to interleave with;
+    ``data`` must not alias the backing store.
     """
     layout = volume.layout
     batch, per, es = data.shape
@@ -786,14 +789,8 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     else:
         slab[:, volume._data_rows, volume._data_cols] = data
     encode_batch(volume.codec, slab)
-    # the stripe plan lists its cells column by column
     cells = _stripe_plan(volume, ()).cells
-    rows = cells.flat // layout.cols
-    base = np.arange(first, first + batch)[:, None] * layout.rows
-    lo = 0
-    for col, n in cells.counts:
-        volume._disk_write_block(col, (base + rows[lo:lo + n]).ravel())
-        lo += n
+    volume._store_rows(_at(volume, cells, range(first, first + batch)))
 
 
 def rebuild(
@@ -806,6 +803,7 @@ def rebuild(
     ``False`` — nothing counted or written — when a source failed
     verification: the walk reconstructs around it.
     """
+    _check_stripes(volume, min(stripes), max(stripes))
     layout = volume.layout
     batch = len(stripes)
     es = volume.element_size
@@ -831,5 +829,5 @@ def rebuild(
             return False
         rows = _rows(column.flat, batch, layout.rows * layout.cols)
     at = _at(volume, column, stripes)
-    _scatter(volume, column, stripes, at, src.reshape(-1, es), rows)
+    _scatter(volume, stripes, at, src.reshape(-1, es), rows)
     return True

@@ -776,7 +776,7 @@ class RAID6Volume:
                 continue
             cells = data_cells[j0:j0 + n]
             for stripe, _, _, k in segments([(s0, stripes, j0, n, k0)]):
-                rest.append((stripe, list(zip(cells, data[k:k + n]))))
+                rest.append((stripe, ioplan.Span(cells, j0, data[k:k + n])))
         if len(rest) == 1:
             # one stripe: no burst to group-commit or vectorise
             self._write_stripe_batch(*rest[0], surface)
@@ -1195,25 +1195,39 @@ class RAID6Volume:
             out.append(rebuild.disk)
         return tuple(sorted(out))
 
-    def _disk_write_block(
-        self,
-        disk_id: int,
-        offsets: np.ndarray,
-        data: Optional[np.ndarray] = None,
+    def _store_rows(
+        self, at: np.ndarray, data: Optional[np.ndarray] = None
     ) -> None:
-        """Funnel for every planned disk store.
+        """Funnel for every planned store: one plan's rows, all disks.
 
-        All `write_block` stores issued by the volume go through here so
-        integrity tooling can observe them the way it wraps
+        ``at`` are rows of the flat backing store — ``divmod(at, cols)``
+        is ``(offsets, disks)`` — and ``data`` their new contents, row
+        for row; without ``data`` the rows are already there (whole
+        stripes encoded in place).  Every target disk is checked live
+        before a byte lands, so a store is all or nothing against a dead
+        disk; then one scatter, and each disk accounts for its share.
+        Integrity tooling observes planned stores here the way it wraps
         :meth:`_write_cell` — see
-        :class:`repro.array.integrity.IntegrityChecker`.  Without
-        ``data`` the rows are already in the store (whole stripes
-        encoded in place) and the disk only accounts for them.
+        :class:`repro.array.integrity.IntegrityChecker`.  Callers keep
+        ``at`` inside the volume (``ioplan._check_stripes``).
         """
-        if data is None:
-            self.disks[disk_id].commit_block(offsets)
-        else:
-            self.disks[disk_id].write_block(offsets, data)
+        cols = len(self.disks)
+        lanes = at % cols
+        shares = [
+            (self.disks[lane], n)
+            for lane, n in enumerate(np.bincount(lanes).tolist()) if n
+        ]
+        for disk, _ in shares:
+            if disk.state is DiskState.FAILED:
+                raise DiskFailedError(f"disk {disk.disk_id} is failed")
+        if data is not None:
+            self._flat_backing[at] = data
+        for disk, n in shares:
+            # a write remaps the latent sectors under it
+            disk.commit_block(n, (
+                (at[lanes == disk.disk_id] // cols).tolist()
+                if disk._bad_sectors else ()
+            ))
 
     def _verifier(self):
         """The attached integrity checker when verified reads are on."""

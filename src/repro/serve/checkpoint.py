@@ -32,10 +32,11 @@ the caller runs :func:`repro.journal.recovery.recover_on_mount` as
 usual to roll the open ack intents forward.
 
 Dirty-stripe capture uses the volume's two write funnels —
-``_write_cell`` and ``_disk_write_block`` — wrapped per-instance the
+``_write_cell`` and ``_store_rows``, which every planned store calls
+once with all the backing rows it writes — wrapped per-instance the
 same way :class:`repro.array.integrity.IntegrityChecker` wraps them
 (whole stripes encoded in place in the backing store announce their
-blocks through ``_disk_write_block`` too, without data).
+rows through ``_store_rows`` too, without data).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def delta_log_path(base_path) -> Path:
 class DirtyStripeTracker:
     """Record which stripes the volume wrote since the last drain.
 
-    Wraps the per-element and block-scatter write funnels by instance
+    Wraps the per-element and planned-store write funnels by instance
     attribute (the :class:`IntegrityChecker` pattern), composing with
     any wrapper already installed.  ``drain()`` hands back the dirty
     set and resets it — called at the checkpoint barrier, when the
@@ -80,24 +81,25 @@ class DirtyStripeTracker:
 
     def __init__(self, volume: RAID6Volume) -> None:
         self.volume = volume
-        self.rows = volume.layout.rows
+        #: backing rows per stripe
+        self.stride = volume.layout.rows * volume.layout.cols
         self._dirty: Set[int] = set()
         self._lock = threading.Lock()
         self._inner_cell = volume._write_cell
         volume._write_cell = self._cell  # type: ignore[assignment]
-        self._inner_block = volume._disk_write_block
-        volume._disk_write_block = self._block  # type: ignore[assignment]
+        self._inner_rows = volume._store_rows
+        volume._store_rows = self._rows  # type: ignore[assignment]
 
     def _cell(self, stripe: int, cell, value) -> None:
         with self._lock:
             self._dirty.add(int(stripe))
         self._inner_cell(stripe, cell, value)
 
-    def _block(self, disk_id: int, offsets, data=None) -> None:
-        stripes = np.unique(np.asarray(offsets) // self.rows)
+    def _rows(self, at: np.ndarray, data=None) -> None:
+        stripes = np.unique(at // self.stride).tolist()
         with self._lock:
-            self._dirty.update(int(s) for s in stripes)
-        self._inner_block(disk_id, offsets, data)
+            self._dirty.update(stripes)
+        self._inner_rows(at, data)
 
     def drain(self) -> Set[int]:
         with self._lock:
@@ -108,10 +110,8 @@ class DirtyStripeTracker:
         volume = self.volume
         if volume.__dict__.get("_write_cell") == self._cell:
             volume._write_cell = self._inner_cell  # type: ignore[assignment]
-        if volume.__dict__.get("_disk_write_block") == self._block:
-            volume._disk_write_block = (  # type: ignore[assignment]
-                self._inner_block
-            )
+        if volume.__dict__.get("_store_rows") == self._rows:
+            volume._store_rows = self._inner_rows  # type: ignore[assignment]
 
 
 def _stripe_image(volume: RAID6Volume, stripe: int) -> np.ndarray:

@@ -17,6 +17,7 @@ Threads are joined with generous timeouts so a regression deadlocks
 into a test failure, not a hung CI job.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -188,3 +189,53 @@ class TestConcurrentCacheWriters:
         for (tid, s), val in final.items():
             assert np.array_equal(vol.read(s * per + tid, 1)[0], val)
         assert vol.scrub() == []
+
+
+class TestCounterExactness:
+    def test_concurrent_writers_lose_no_count(self):
+        """Four writers on disjoint stripe bands share every disk: a
+        planned store bumps each disk's write counter once, under that
+        disk's lock, so the totals equal a serial run's exactly."""
+        layout = DCode(7)
+        per = layout.num_data_cells
+        rounds, band = 40, 6
+
+        def ops(tid):
+            for r in range(rounds):
+                for s in range(tid * band, (tid + 1) * band):
+                    # every write changes its bytes: a fixed I/O count
+                    yield s * per + tid, np.full(
+                        (3, ELEM), 1 + (r + tid) % 255, dtype=np.uint8
+                    )
+
+        serial = RAID6Volume(layout, num_stripes=24, element_size=ELEM)
+        for tid in range(4):
+            for start, data in ops(tid):
+                serial.write(start, data)
+
+        vol = RAID6Volume(layout, num_stripes=24, element_size=ELEM)
+        errors = []
+        barrier = threading.Barrier(4)
+
+        def writer(tid):
+            try:
+                barrier.wait()
+                for start, data in ops(tid):
+                    vol.write(start, data)
+            except BaseException as e:  # noqa: BLE001 — surfaced in join
+                errors.append(e)
+
+        threads = [
+            threading.Thread(target=writer, args=(tid,), name=f"w{tid}")
+            for tid in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            _join_all(threads, errors)
+        finally:
+            sys.setswitchinterval(interval)
+        assert vol.io_counters() == serial.io_counters()
+        assert np.array_equal(vol._backing, serial._backing)

@@ -1,8 +1,8 @@
 """Regression: the batched (tensor) write paths keep checksums current.
 
-The PR 3 fast paths scatter whole blocks per disk instead of walking
-``_write_cell``; :class:`IntegrityChecker` therefore wraps the
-``_disk_write_block`` funnel too.  Every test here fails with spurious
+The planned paths scatter a plan's rows into the backing store instead
+of walking ``_write_cell``; :class:`IntegrityChecker` therefore wraps
+the ``_store_rows`` funnel too.  Every test here fails with spurious
 "corruption" if a bulk path bypasses checksum recording.
 """
 

@@ -33,12 +33,12 @@ from hypothesis import strategies as st
 
 from repro.array import ioplan
 from repro.array.cache import StripeCache
-from repro.array.disk import SimDisk
+from repro.array.disk import DiskState, SimDisk
 from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codec.plan import XorPlan
 from repro.codes import make_code
-from repro.exceptions import SimulatedCrashError
+from repro.exceptions import DiskFailedError, SimulatedCrashError
 from repro.journal import WriteIntentLog, recover_on_mount
 from repro.recovery.planner import cached_hybrid_plan
 from repro.serve.checkpoint import DirtyStripeTracker
@@ -125,6 +125,24 @@ def slab_runs(monkeypatch):
     return runs
 
 
+def spy_stores(volume, monkeypatch):
+    """``(rows, came with data)`` of every call of the volume's planned
+    store funnel, in order; a ``SimDisk.write_block`` call fails."""
+    stores = []
+    store_rows = volume._store_rows
+
+    def spy(at, data=None):
+        stores.append((len(at), data is not None))
+        store_rows(at, data)
+
+    def per_disk(*args, **kwargs):
+        raise AssertionError("a planned store went disk by disk")
+
+    volume._store_rows = spy
+    monkeypatch.setattr(SimDisk, "write_block", per_disk)
+    return stores
+
+
 @pytest.fixture
 def xor_batches(monkeypatch):
     """Batch size of every ``XorPlan.execute_batch`` call, in order."""
@@ -153,9 +171,11 @@ class TestThreadEquivalence:
         _write(walk, entries)
         _assert_same(quiet, walk)
 
-    def test_same_cell_burst_is_one_call(self, layout, xor_batches):
+    def test_same_cell_burst_is_one_call(
+        self, layout, xor_batches, monkeypatch
+    ):
         """32 stripes, one dirty cell each: one XOR schedule over the
-        vector of stripes and one scatter per touched disk."""
+        vector of stripes and one store of every row on every disk."""
         rng = np.random.default_rng(5)
         quiet, walk = _pair(layout, stripes=32)
         cell = layout.data_cells[4]
@@ -164,19 +184,12 @@ class TestThreadEquivalence:
             for s in range(32)
         ]
         _write(walk, entries)
-        scatters = []
-        write_block = quiet._disk_write_block
-
-        def spy(disk, offsets, data):
-            scatters.append(disk)
-            write_block(disk, offsets, data)
-
-        quiet._disk_write_block = spy
+        stores = spy_stores(quiet, monkeypatch)
         _write(quiet, entries)
         _assert_same(quiet, walk)
         assert xor_batches == [32]
-        touched = [d for d, (_, w) in quiet.io_counters().items() if w]
-        assert sorted(scatters) == touched and len(touched) > 1
+        written = [w for _, w in quiet.io_counters().values() if w]
+        assert stores == [(sum(written), True)] and len(written) > 1
 
     def test_duplicate_stripe_in_burst_rejected(self, layout):
         """Every old value of a vectorised burst is gathered before any
@@ -655,7 +668,7 @@ class TestPlannedVsWalk:
     ):
         """Rotation scatters a stripe's columns and a stale column must
         not be written: those volumes keep the encode tensor and the
-        by-disk scatter, also with a rebuild cursor inside the run."""
+        scatter of it, also with a rebuild cursor inside the run."""
         failed = _failed_sets(layout.cols)[failures]
         twin = Twin(layout, failed, journaled=journaled, rotate=rotate)
         del slab_runs[:]  # the twin's own image, written before a disk fails
@@ -870,6 +883,133 @@ class TestPlannedVsWalk:
         for volume in twin.volumes:
             volume._write_rest(copy.deepcopy(entries))
         twin.assert_same()
+
+
+class TestStoreFunnel:
+    """Every planned store is one ``RAID6Volume._store_rows`` call: one
+    scatter into the flat backing store, one accounting pass, and the
+    one thing the checksum recorder and the dirty-stripe tracker see."""
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_one_call_per_plan(self, layout, rotate, monkeypatch):
+        volume = _volume(layout, rotate=rotate)
+        _prime(volume, np.random.default_rng(6))
+        stores = spy_stores(volume, monkeypatch)
+        per = layout.num_data_cells
+        cells = layout.rows * layout.cols
+        rng = np.random.default_rng(8)
+
+        def fresh(count):
+            return rng.integers(1, 256, (count, ES), dtype=np.uint8)
+
+        def stored(op, *args):
+            """The funnel calls of one operation."""
+            del stores[:]
+            before = sum(w for _, w in volume.io_counters().values())
+            op(*args)
+            after = sum(w for _, w in volume.io_counters().values())
+            assert sum(rows for rows, _ in stores) == after - before
+            return list(stores)
+
+        def runs(stripes, rows):
+            """One call per run of stripes sharing their stale columns
+            — rotation moves them: each stripe is a run of its own."""
+            if rotate:
+                return stripes * [(rows, True)]
+            return [(stripes * rows, True)]
+
+        # a quiet single-stripe RMW: three cells and their parities
+        (rows, data), = stored(volume.write, 2 * per + 3, fresh(3))
+        assert data and 3 < rows < cells
+        # whole stripes, healthy: encoded in place, announced without
+        # data (rotated: an encode tensor scattered)
+        assert stored(volume.write, 4 * per, fresh(2 * per)) == [
+            (2 * cells, rotate)
+        ]
+        volume.fail_disk(2)
+        # a dirty cell on the failed disk: the surviving parities only
+        on_stale = next(
+            j for j in range(per)
+            if layout.data_cells[j].col in volume._stale_cols(3)
+        )
+        (rows, data), = stored(volume.write, 3 * per + on_stale, fresh(1))
+        assert data and 0 < rows < cells
+        # whole stripes, degraded: store_stripes skips the stale column
+        live = cells - layout.rows
+        assert stored(volume.write, 4 * per, fresh(2 * per)) == runs(2, live)
+        assert stored(volume.write, 6 * per, fresh(per)) == [(live, True)]
+        # rebuild: one column of every stripe of the cursor's step
+        cursor = volume.start_rebuild(2, batch=4)
+        assert stored(cursor.step) == runs(4, layout.rows)
+        # a scatter outgrowing its copy budget goes whole stripes at a time
+        monkeypatch.setattr(ioplan, "SCATTER_BYTES", 2 * layout.rows * ES)
+        assert stored(cursor.step) == 2 * runs(2, layout.rows)
+        cursor.run()
+        assert volume.scrub() == []
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    @pytest.mark.parametrize("failures", (0, 1))
+    def test_observers_cannot_tell(self, layout, rotate, failures):
+        """Checksum store, verified bitmap and dirty set after each kind
+        of planned store — RMW, lost-cell RMW, ``encode_stripes``,
+        ``store_stripes``, ``rebuild`` — equal the walk's."""
+        failed = _failed_sets(layout.cols)[failures]
+        twin = Twin(layout, failed, rotate=rotate)
+        per = layout.num_data_cells
+        rng = np.random.default_rng(failures)
+
+        def fresh(count):
+            return rng.integers(1, 256, (count, ORACLE_ES), dtype=np.uint8)
+
+        for j in range(0, per, 4):  # every column dirty in some write
+            twin.write(per + j, fresh(3))
+        twin.write(2 * per, fresh(2 * per))
+        twin.write(4 * per, fresh(per))
+        twin.burst(1, fresh(3 * 2).reshape(3, 2, ORACLE_ES), via_cache=True)
+        for disk in failed:
+            twin.rebuild(disk, 2)
+        assert twin.scrub() == []
+
+    def test_a_store_is_all_or_nothing_against_a_dead_disk(self, layout):
+        """A disk dies between the surface snapshot and the store: not
+        one row, counter or checksum of the plan lands, and the write
+        starts over against the new failure state."""
+        volume = _volume(layout)
+        _prime(volume, np.random.default_rng(6))
+        checker = IntegrityChecker(volume)
+        per = layout.num_data_cells
+        store_rows = volume._store_rows
+        died = []
+
+        def spy(at, data=None):
+            if not died:
+                # the last disk the plan writes: the others come first
+                died.append(int((at % layout.cols).max()))
+                volume.disks[died[0]].fail()
+                image = volume._backing.copy()
+                counters = volume.io_counters()
+                sums = dict(checker.store._sums)
+                with pytest.raises(DiskFailedError):
+                    store_rows(at, data)
+                assert np.array_equal(volume._backing, image)
+                assert volume.io_counters() == counters
+                assert checker.store._sums == sums
+            store_rows(at, data)
+
+        volume._store_rows = spy
+        data = np.full((10, ES), 7, dtype=np.uint8)
+        with pytest.raises(DiskFailedError):
+            ioplan.rmw(
+                volume,
+                [(2, ioplan.Span(layout.data_cells[3:13], 3, data))],
+                volume._surface(),
+            )
+        volume.disks[died.pop()].state = DiskState.OK
+        volume.write(2 * per + 3, data)  # the volume reconstruct-writes
+        assert len(died) == 1 and volume.failed_disks == (died[0],)
+        assert np.array_equal(volume.read(2 * per + 3, 10), data)
+        volume.replace_and_rebuild(died[0])
+        assert volume.scrub() == [] and checker.find_corruption() == {}
 
 
 def test_whole_stripe_write_moves_the_payload_once():
