@@ -322,9 +322,10 @@ def cmd_serve(args) -> int:
 def _print_profiles(profile_dir: str, top: int = 10) -> None:
     """Print a top-N table per ``.pstats`` dump in ``profile_dir``.
 
-    One dump per component: ``server-loop`` (the asyncio loop plus the
-    responders), ``queue-N`` (each shard's coalescer executor thread),
-    ``shard-N`` (each worker process's batch execution)."""
+    One dump per component: ``server-loop`` (the asyncio loop and the
+    connection callbacks it runs), ``queue-N`` (each shard's coalescer
+    executor thread), ``shard-N`` (each worker process's batch
+    execution)."""
     import glob
     import io
     import pstats
@@ -395,7 +396,7 @@ def cmd_bench_serve(args) -> int:
 
     if args.profile:
         # the parent profile covers the event loop end to end: frame
-        # decode, admission, routing, responder flushes; the coalescer
+        # decode, admission, routing, response flushes; the coalescer
         # threads and shard workers dump their own files at close
         import cProfile
 

@@ -55,8 +55,13 @@ from repro.codes.registry import make_code
 from repro.journal.recovery import recover_on_mount
 from repro.serve.checkpoint import load_shard_state
 from repro.serve.shmring import SHM_PREFIX
-from repro.serve.loadgen import fetch_image, replay_writes, run_closed_loop
-from repro.serve.protocol import MAX_FRAME, OP_READ, ST_OK, Request, encode_request
+from repro.serve.loadgen import (
+    BlockClient,
+    fetch_image,
+    replay_writes,
+    run_closed_loop,
+)
+from repro.serve.protocol import MAX_FRAME, OP_READ, ST_OK
 from repro.serve.server import BlockServer, ServerConfig
 from repro.serve.supervisor import SupervisedShard
 
@@ -162,22 +167,14 @@ async def _evil_connection(
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
     # the server must still answer a well-formed request
-    probe_reader, probe_writer = await asyncio.open_connection(host, port)
+    probe = await BlockClient.connect(host, port)
     try:
-        probe_writer.write(encode_request(Request(OP_READ, 0, 0, 1)))
-        await probe_writer.drain()
-        body = await asyncio.wait_for(probe_reader.readexactly(4), timeout=10)
-        (length,) = struct.unpack("!I", body)
-        payload = await asyncio.wait_for(
-            probe_reader.readexactly(length), timeout=10
+        status, _ = await asyncio.wait_for(
+            probe.request(OP_READ, 0, 1), timeout=10
         )
-        return payload[0] == ST_OK
+        return status == ST_OK
     finally:
-        probe_writer.close()
-        try:
-            await probe_writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+        await probe.close()
 
 
 def run_serve_chaos(

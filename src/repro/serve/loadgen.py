@@ -14,12 +14,14 @@ Two generator shapes:
 * :func:`run_closed_loop` — N think-time clients, each issuing its next
   op only after the previous completes (throughput follows service
   rate; the shape used for the committed ops/s floors);
-* :func:`run_open_loop` — Poisson arrivals at a fixed offered rate,
-  independent of completions (the shape that exposes queueing collapse
-  and BUSY shedding).
+* :func:`run_open_loop` — Poisson arrivals on an absolute schedule at a
+  fixed offered rate, independent of completions, each op timed from
+  the instant it was due (the shape that exposes queueing collapse and
+  BUSY shedding).
 
-Both return a :class:`LoadReport` with ops/s and p50/p95/p99 latency,
-plus per-client write logs for replaying against a direct
+Both return a :class:`LoadReport` with ops/s and p50/p95/p99 latency
+(the open loop adds how late the generator itself ran), plus
+per-client write logs for replaying against a direct
 :class:`~repro.array.volume.RAID6Volume` (:func:`replay_writes`).
 """
 
@@ -27,8 +29,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,98 +51,108 @@ from repro.serve.protocol import (
 WriteLog = List[Tuple[int, bytes]]
 
 
-class BlockClient:
-    """Minimal asyncio client for the block protocol."""
+class BlockClient(asyncio.Protocol):
+    """Minimal client for the block protocol, callback-driven like the
+    server's connections: each socket read is split into response
+    frames that wait in a deque for :meth:`recv`, and :meth:`flush`
+    sends what :meth:`send_nowait` buffered with one ``writev``.  One
+    caller at a time may wait in :meth:`recv` (another may be sending)."""
 
-    def __init__(self, reader, writer) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._transport: Optional[asyncio.Transport] = None
+        self._frames = protocol.FrameSplitter()
+        self._responses: Deque[bytes] = deque()
+        self._out: List[object] = []
+        self._readable = asyncio.Event()  # set by every socket read
+        self._writable = asyncio.Event()  # clear above high water
+        self._writable.set()
+        self._closed = asyncio.Event()
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "BlockClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        _, client = await asyncio.get_running_loop().create_connection(
+            cls, host, port
+        )
+        return client
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._fd = transport.get_extra_info("socket").fileno()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self._responses.extend(self._frames.feed(data))
+        except protocol.ProtocolError:
+            self._transport.abort()  # recv() reports the lost connection
+        self._readable.set()
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    def connection_lost(self, exc) -> None:
+        self._transport = None
+        for event in (self._readable, self._writable, self._closed):
+            event.set()
 
     def send_nowait(
-        self,
-        op: int,
-        start: int = 0,
-        count: int = 0,
-        payload: bytes = b"",
-        tenant: int = 0,
-        deadline_ms: int = 0,
+        self, op: int, start: int = 0, count: int = 0,
+        payload: bytes = b"", tenant: int = 0, deadline_ms: int = 0,
     ) -> None:
-        """Buffer a request frame without flushing the transport.
-
-        Lets a pipelining caller queue several frames and pay one
-        :meth:`flush` for the burst.  The header and the payload are
-        written as separate buffers (:func:`protocol.encode_request_parts`),
-        so WRITE payloads reach the transport without an intermediate
-        frame concatenation."""
+        """Buffer a request frame until the next :meth:`flush`, so a
+        pipelining caller pays one syscall per burst.  Header and
+        payload stay separate buffers
+        (:func:`protocol.encode_request_parts`): WRITE payloads reach
+        the socket without an intermediate frame concatenation."""
         head, body = protocol.encode_request_parts(
             Request(op, tenant, start, count, payload, deadline_ms)
         )
-        self._writer.write(head)
-        if body:
-            self._writer.write(body)
+        self._out.append(head)
+        if len(body):
+            self._out.append(body)
 
     async def flush(self) -> None:
-        await self._writer.drain()
-
-    async def send(
-        self,
-        op: int,
-        start: int = 0,
-        count: int = 0,
-        payload: bytes = b"",
-        tenant: int = 0,
-        deadline_ms: int = 0,
-    ) -> None:
-        """Issue a request without waiting for its response.
-
-        The server answers in request order per connection, so a
-        pipelining caller pairs each :meth:`recv` with the oldest
-        outstanding :meth:`send`."""
-        self.send_nowait(op, start, count, payload, tenant, deadline_ms)
-        await self.flush()
+        """Send every buffered frame (waits only above high water)."""
+        if self._transport is None:
+            raise ConnectionResetError("connection lost")
+        bufs, self._out = self._out, []
+        if bufs:
+            protocol.send_buffers(self._transport, self._fd, bufs)
+        await self._writable.wait()
 
     async def recv(self) -> Tuple[int, bytes]:
         """Receive the response to the oldest outstanding request."""
-        body = await protocol.read_frame(self._reader)
-        if body is None:
-            raise ConnectionError("server closed the connection")
-        return protocol.decode_response(body)
+        while not self._responses:
+            if self._transport is None:
+                raise ConnectionError("server closed the connection")
+            self._readable.clear()
+            await self._readable.wait()
+        return protocol.decode_response(self._responses.popleft())
 
     def has_buffered_response(self) -> bool:
-        """True when a whole response frame is already buffered, so
-        :meth:`recv` would return without blocking.
-
-        Peeks the stream reader's internal buffer — a harness-only
-        shortcut that lets a pipelining client drain a coalesced burst
-        of responses before paying one flush for the refills."""
-        buf = self._reader._buffer
-        if len(buf) < 4:
-            return False
-        return len(buf) >= 4 + int.from_bytes(buf[:4], "big")
+        """True when :meth:`recv` would not block: a pipelining client
+        drains a coalesced burst before paying one flush to refill."""
+        return bool(self._responses)
 
     async def request(
-        self,
-        op: int,
-        start: int = 0,
-        count: int = 0,
-        payload: bytes = b"",
-        tenant: int = 0,
-        deadline_ms: int = 0,
+        self, op: int, start: int = 0, count: int = 0,
+        payload: bytes = b"", tenant: int = 0, deadline_ms: int = 0,
     ) -> Tuple[int, bytes]:
-        await self.send(op, start, count, payload, tenant, deadline_ms)
+        """Send one request and wait for its response."""
+        self.send_nowait(op, start, count, payload, tenant, deadline_ms)
+        await self.flush()
         return await self.recv()
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        if self._transport is not None:
+            self._transport.close()
+        await self._closed.wait()
+
+
+def _percentile(samples: List[float], q: float) -> float:
+    return float(np.percentile(np.array(samples), q)) if samples else 0.0
 
 
 @dataclass
@@ -160,6 +173,8 @@ class LoadReport:
     bytes_written: int = 0
     duration_s: float = 0.0
     latencies_ms: List[float] = field(default_factory=list)
+    #: Open loop: how late after its due time the generator issued each op.
+    late_ms: List[float] = field(default_factory=list)
     write_logs: Dict[int, WriteLog] = field(default_factory=dict)
 
     @property
@@ -167,9 +182,7 @@ class LoadReport:
         return self.ops / self.duration_s if self.duration_s > 0 else 0.0
 
     def percentile_ms(self, q: float) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        return float(np.percentile(np.array(self.latencies_ms), q))
+        return _percentile(self.latencies_ms, q)
 
     def to_dict(self) -> dict:
         return {
@@ -188,6 +201,7 @@ class LoadReport:
             "p50_ms": round(self.percentile_ms(50), 3),
             "p95_ms": round(self.percentile_ms(95), 3),
             "p99_ms": round(self.percentile_ms(99), 3),
+            "late_p99_ms": round(_percentile(self.late_ms, 99), 3),
         }
 
 
@@ -203,6 +217,7 @@ def _merge(total: LoadReport, part: LoadReport) -> None:
     total.bytes_read += part.bytes_read
     total.bytes_written += part.bytes_written
     total.latencies_ms.extend(part.latencies_ms)
+    total.late_ms.extend(part.late_ms)
     total.write_logs.update(part.write_logs)
 
 
@@ -299,35 +314,6 @@ def _count_retryable(report: LoadReport, status: int) -> None:
         report.retries += 1
     elif status == ST_DEADLINE:
         report.deadline_misses += 1
-
-
-async def _run_op(
-    client: BlockClient,
-    plan: _ClientPlan,
-    op_tuple: Tuple[int, int, int, bytes],
-    shadow: Dict[int, bytes],
-    report: LoadReport,
-    verify: bool,
-    tenant: int,
-    deadline_ms: int = 0,
-) -> None:
-    """Issue one op, retrying any retryable status (BUSY / RETRY /
-    DEADLINE) with jittered backoff; record latency and shadow state."""
-    op, start, count, payload = op_tuple
-    attempt = 0
-    t0 = time.perf_counter()
-    while True:
-        status, answer = await client.request(
-            op, start, count, payload, tenant=tenant,
-            deadline_ms=deadline_ms,
-        )
-        if status not in RETRYABLE:
-            break
-        _count_retryable(report, status)
-        attempt += 1
-        await asyncio.sleep(plan.backoff_s(attempt))
-    report.latencies_ms.append((time.perf_counter() - t0) * 1e3)
-    _record(plan, op_tuple, status, answer, shadow, report, verify)
 
 
 def _record(
@@ -505,8 +491,13 @@ async def run_open_loop(
 
     Arrivals don't wait for completions (open loop), so offered load
     beyond capacity shows up as queueing latency and BUSY shedding
-    rather than a slower generator.  ``max_inflight`` caps runaway task
-    growth when the server is saturated.
+    rather than a slower generator.  The schedule is absolute — op *k*
+    is due at ``t0`` plus the first *k* drawn gaps, whatever spawning
+    its predecessors cost — and its latency runs from that due time,
+    so the wait a stalled server, the in-flight gate or its
+    connection's earlier ops impose on it counts.  ``LoadReport.late_ms``
+    says how late the generator itself ran.  ``max_inflight`` caps
+    runaway task growth when the server is saturated.
     """
     arrivals = np.random.default_rng([seed, 0xA11])
     total = LoadReport()
@@ -524,37 +515,53 @@ async def run_open_loop(
     locks = [asyncio.Lock() for _ in range(clients)]
     gate = asyncio.Semaphore(max_inflight)
     tasks: List["asyncio.Task"] = []
-    t0 = time.perf_counter()
+    loop = asyncio.get_running_loop()
+    now = time.perf_counter
+    t0 = now()
 
-    async def fire(cid: int, op_tuple) -> None:
-        async with gate:
-            # one connection per client: serialise its frames
-            async with locks[cid]:
-                await _run_op(
-                    conns[cid], plans[cid], op_tuple, shadows[cid],
-                    total, verify, tenant=cid, deadline_ms=deadline_ms,
+    async def fire(cid: int, op_tuple, t_due: float) -> None:
+        """One op, re-issued with jittered backoff while the status is
+        retryable (BUSY / RETRY / DEADLINE), timed from its due time."""
+        op, start, count, payload = op_tuple
+        attempt = 0
+        # one connection per client: serialise its frames
+        async with gate, locks[cid]:
+            while True:
+                status, answer = await conns[cid].request(
+                    op, start, count, payload, tenant=cid,
+                    deadline_ms=deadline_ms,
                 )
+                if status not in RETRYABLE:
+                    break
+                _count_retryable(total, status)
+                attempt += 1
+                await asyncio.sleep(plans[cid].backoff_s(attempt))
+        total.latencies_ms.append((now() - t_due) * 1e3)
+        _record(
+            plans[cid], op_tuple, status, answer, shadows[cid], total,
+            verify,
+        )
 
     try:
-        now = 0.0
+        due = 0.0
         i = 0
-        while now < duration:
+        while due < duration:
+            delay = t0 + due - now()
+            if delay > 0:
+                await asyncio.sleep(delay)
             cid = i % clients
-            tasks.append(
-                asyncio.get_running_loop().create_task(
-                    fire(cid, plans[cid].next_op())
-                )
-            )
+            total.late_ms.append(max(0.0, now() - (t0 + due)) * 1e3)
+            tasks.append(loop.create_task(
+                fire(cid, plans[cid].next_op(), t0 + due)
+            ))
             i += 1
-            gap = float(arrivals.exponential(1.0 / rate))
-            now += gap
-            await asyncio.sleep(gap)
+            due += float(arrivals.exponential(1.0 / rate))
         if tasks:
             await asyncio.gather(*tasks)
     finally:
         for conn in conns:
             await conn.close()
-    total.duration_s = time.perf_counter() - t0
+    total.duration_s = now() - t0
     return total
 
 

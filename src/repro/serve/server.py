@@ -2,12 +2,14 @@
 
 One :class:`BlockServer` owns a :class:`~repro.serve.router.ShardRouter`
 over N shard backends, each behind a coalescing
-:class:`~repro.serve.coalescer.ShardQueue`.  A connection handler per
-client decodes frames, runs admission control, splits multi-shard
-ranges into extents, gathers the per-shard results, and answers one
-response frame per request — all without blocking the loop on volume
-work (shards execute on their own single-thread executors or worker
-processes).
+:class:`~repro.serve.coalescer.ShardQueue`.  Every client connection is
+an :class:`asyncio.Protocol` driven by callbacks, not tasks: a socket
+read is split into frames, each frame is admitted, split into per-shard
+extents and enqueued at once, and the pending requests wait in a
+per-connection deque that the shard futures' completion pumps, in
+request order, into one scatter-gather ``writev`` — all without
+blocking the loop on volume work (shards execute on their own
+single-thread executors or worker processes).
 
 Process-backed shards must be forked **before** the event loop exists
 (:func:`make_backends`), because ``fork`` duplicates a running loop's
@@ -32,12 +34,13 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.codes.registry import make_code
 from repro.serve import protocol
-from repro.serve.coalescer import ShardQueue
+from repro.serve.coalescer import ShardQueue, release_payloads
 from repro.serve.protocol import (
     MAX_DEADLINE_MS,
     OP_FAIL_DISK,
@@ -60,32 +63,23 @@ from repro.serve.shmring import ShmSlice
 from repro.serve.supervisor import SupervisedShard
 from repro.util.validation import require_positive
 
-#: Buffers handed to one ``socket.sendmsg`` call.  Linux guarantees
-#: IOV_MAX >= 1024; half that leaves headroom and keeps the partial-send
-#: bookkeeping cheap.
-_SENDMSG_IOV = 512
+#: Response bytes one pump accumulates before it flushes regardless: how
+#: far past high water a client that stopped reading can push the buffer.
+_FLUSH_BYTES = 256 * 1024
 
 
-def _payload_buffer(payload) -> Tuple[object, Optional[ShmSlice]]:
-    """Normalise one shard READ payload to ``(wire buffer, hold)``.
-
-    Ring slices expose their shared-memory view and stay pinned (the
-    hold) until the responder has flushed the bytes; ndarray payloads
-    (inline shards hand volume reads through raw) expose their memory
-    via the buffer protocol.  Nothing is copied here.
-    """
+def _wire_buffer(payload):
+    """One shard READ payload as a wire buffer, nothing copied: ring
+    slices expose their shared-memory view, ndarray payloads (inline
+    shards hand volume reads through raw) their memory."""
     if isinstance(payload, ShmSlice):
-        return payload.view, payload
+        return payload.view
     if isinstance(payload, (bytes, bytearray, memoryview)):
-        return payload, None
+        return payload
     try:
-        return memoryview(payload).cast("B"), None
+        return memoryview(payload).cast("B")
     except (TypeError, ValueError):  # non-contiguous ndarray
-        return payload.tobytes(), None
-
-
-def _nbytes(buf) -> int:
-    return buf.nbytes if isinstance(buf, memoryview) else len(buf)
+        return payload.tobytes()
 
 
 @dataclass(frozen=True)
@@ -234,6 +228,131 @@ def make_backends(
     ]
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection, driven by transport callbacks.
+
+    Frames are *begun* (admitted, split, enqueued on shard queues) the
+    moment a socket read delivers them, without waiting for earlier
+    requests to finish — that is what lets queue depth at the clients
+    turn into coalescer batch size at the shards.  The pending items
+    wait in a deque that :meth:`_pump` answers strictly in request
+    order (no request IDs needed), coalesced: one shard batch resolves
+    up to ``max_batch`` futures at once and one pump sends every answer
+    that became ready as one buffer list.  Ring slices stay pinned
+    until that send returns; a dead client's are released as they resolve.
+    """
+
+    def __init__(self, server: "BlockServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.frames = protocol.FrameSplitter()
+        self.pending: deque = deque()
+        self.waiting = None      # shard future that re-runs the pump
+        self.paused = False      # transport buffer above high water
+        self.hanging_up = False  # no more requests: answer, then close
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.fd = transport.get_extra_info("socket").fileno()
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.hanging_up:
+            return
+        begin, pending = self.server._begin, self.pending
+        try:
+            for body in self.frames.feed(data):
+                pending.append(begin(protocol.decode_request(body)))
+        except ProtocolError as exc:
+            # a stream that lost framing cannot be resynchronised
+            pending.append((None, (), ST_ERROR, str(exc).encode()))
+            self.hanging_up = True
+            self.transport.pause_reading()
+        self._pump()
+
+    def eof_received(self) -> bool:
+        self.hanging_up = True
+        self._pump()
+        return True  # keep the write side open for what is still owed
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._pump()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        self.closed.set_result(None)
+        self.resume_writing()  # what is owed resolves into releases only
+
+    def _on_done(self, _future) -> None:
+        self.waiting = None
+        self._pump()
+
+    def _pump(self) -> None:
+        """Answer every pending request whose results are all in, in
+        request order; stop at the first that is still outstanding."""
+        pending, server = self.pending, self.server
+        bufs, holds, nbytes = [], [], 0
+        while pending and not self.paused:
+            blocker = next((f for f in pending[0][1] if not f.done()), None)
+            if blocker is not None:
+                if blocker is not self.waiting:
+                    self.waiting = blocker
+                    blocker.add_done_callback(self._on_done)
+                break
+            status, parts, item_holds = server._finish(pending.popleft())
+            server.answered[status] += 1
+            holds += item_holds
+            if self.transport is not None:
+                size = sum(map(len, parts))
+                bufs.append(protocol.encode_response_prefix(status, size))
+                bufs += parts
+                nbytes += size
+            if nbytes >= _FLUSH_BYTES:
+                self._flush(bufs, holds)
+                nbytes = 0
+        self._flush(bufs, holds)
+        if not pending:
+            if self.transport is None:
+                server._connections.discard(self)
+            elif self.hanging_up:
+                self.transport.close()
+
+    def _flush(self, bufs: list, holds: List[ShmSlice]) -> None:
+        """Send the accumulated frames, then release their ring slices;
+        both lists come back empty."""
+        if bufs and self.transport is not None:
+            self.server.flushes += 1
+            try:
+                if protocol.send_buffers(self.transport, self.fd, bufs):
+                    self.server.zero_copy_flushes += 1
+            except OSError:  # reset / broken pipe: the client is gone
+                self.transport.abort()
+                self.transport = None
+        bufs.clear()
+        for hold in holds:
+            hold.release()
+        holds.clear()
+
+    def abandon(self) -> None:
+        """Server shutdown: whatever a stopped shard queue still owes
+        this client is answered RETRY (it was not acknowledged), then
+        the connection hangs up — at once if the client stopped reading."""
+        for _, futures, *_ in self.pending:
+            for future in futures:
+                if not future.done():
+                    future.set_result((ST_RETRY, b"server shutting down"))
+        self.hanging_up = True
+        if self.paused:
+            self.transport.abort()
+        else:
+            self._pump()
+
+
 class BlockServer:
     """Serve the block protocol over TCP for one shard pool."""
 
@@ -258,16 +377,11 @@ class BlockServer:
             burst=config.burst,
         )
         self.queues: List[ShardQueue] = []
-        self.ops = 0
-        self.busy = 0
-        self.errors = 0
-        self.retried = 0
-        self.deadline_misses = 0
+        self.answered: Counter = Counter()  # responses sent, by status
         self.flushes = 0
         self.zero_copy_flushes = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        #: live connections: handler task -> (its writer, its responder)
-        self._connections: Dict["asyncio.Task", tuple] = {}
+        self._connections: Set[_Connection] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -288,8 +402,8 @@ class BlockServer:
         ]
         for queue in self.queues:
             queue.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
         host, port = self._server.sockets[0].getsockname()[:2]
         return host, port
@@ -307,95 +421,35 @@ class BlockServer:
         """
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         if drain:
             for queue in self.queues:
                 await queue.drain()
         for queue in self.queues:
             await queue.close()
         self.queues = []
-        # Connections that outlived the queues — a client that never
-        # hung up, a responder waiting on an op its killed worker will
-        # never answer — are reaped here; left pending they outlive the
-        # loop ("Task was destroyed but it is pending").  A handler is
-        # ended by closing its transport (it reads EOF and finishes
-        # normally: asyncio.streams logs an error for a handler task
-        # that ends cancelled), its responder by cancellation.
-        connections = list(self._connections.items())
-        for _, (writer, responder) in connections:
-            writer.close()
-            responder.cancel()
-        await asyncio.gather(
-            *(task for handler, (_, responder) in connections
-              for task in (handler, responder)),
-            return_exceptions=True,
-        )
+        # connections that outlived the queues (a client that never
+        # hung up) are reaped, so no transport outlives the loop
+        connections = list(self._connections)
+        for connection in connections:
+            connection.abandon()
+        await asyncio.gather(*(c.closed for c in connections))
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # -- request handling ------------------------------------------------------
-
-    async def _handle(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Pipelined per-connection loop.
-
-        Frames are *begun* (admitted, split, enqueued on shard queues)
-        the moment they arrive, without waiting for earlier requests to
-        finish — that is what lets queue depth at the clients turn into
-        coalescer batch size at the shards.  A responder task writes
-        results back strictly in request order, so the protocol needs
-        no request IDs.
-        """
-        pending: "asyncio.Queue" = asyncio.Queue()
-        responder = asyncio.get_running_loop().create_task(
-            self._respond_loop(pending, writer)
-        )
-        handler = asyncio.current_task()
-        self._connections[handler] = (writer, responder)
-        handler.add_done_callback(self._connections.pop)
-        try:
-            while True:
-                body = await protocol.read_frame(reader)
-                if body is None:
-                    break
-                try:
-                    req = protocol.decode_request(body)
-                except ProtocolError as exc:
-                    await pending.put(
-                        ("imm", None, ST_ERROR, str(exc).encode())
-                    )
-                    break
-                await pending.put(self._begin(req))
-        except (ProtocolError, ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            await pending.put(None)
-            try:
-                await responder
-            except asyncio.CancelledError:
-                # loop teardown cancelled the responder mid-drain; the
-                # connection is going away regardless
-                pass
-            except Exception:  # noqa: BLE001 — connection teardown
-                pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     def _begin(self, req: Request):
         """Admit + enqueue one request; returns the pending item.
 
-        Runs synchronously on the reader loop so ops enter the shard
-        queues in frame-arrival order.  ``imm`` items carry a finished
-        response (BUSY, validation error); the other kinds carry shard
-        futures the responder gathers.
+        Runs synchronously inside ``data_received`` so ops enter the
+        shard queues in frame-arrival order.  An item is ``(req,
+        futures)`` — the shard futures the connection's pump waits on —
+        or, already answered (BUSY, validation error), ``(req, (),
+        status, payload)``.
         """
         if not self.admission.admit(req.tenant):
-            return ("imm", req, ST_BUSY, b"")
+            return (req, (), ST_BUSY, b"")
         try:
             if req.op in (OP_READ, OP_WRITE):
                 esize = self.config.element_size
@@ -428,9 +482,9 @@ class BlockServer:
                             (req.op, local, take, chunk), deadline
                         )
                     )
-                return ("gather", req, futures)
+                return (req, futures)
             if req.op in (OP_SCRUB, OP_STAT):
-                return ("gather", req, [
+                return (req, [
                     queue.submit_nowait((req.op, 0, 0, b""))
                     for queue in self.queues
                 ])
@@ -441,7 +495,7 @@ class BlockServer:
                         f"shard {shard} outside pool of "
                         f"{self.config.shards}"
                     )
-                return ("gather", req, [
+                return (req, [
                     self.queues[shard].submit_nowait(
                         (OP_FAIL_DISK, 0, req.count, b"")
                     )
@@ -449,26 +503,19 @@ class BlockServer:
             raise ValueError(f"unhandled op {req.op}")
         except Exception as exc:  # noqa: BLE001 — answer, don't drop conn
             self.admission.release(req.tenant)
-            return ("imm", req, ST_ERROR, str(exc).encode())
+            return (req, (), ST_ERROR, str(exc).encode())
 
-    async def _finish(self, item):
-        """Resolve one pending item to ``(status, parts, holds)``.
-
-        ``parts`` is the response payload as a list of wire buffers in
-        address order — ring slices and volume views pass through
-        uncopied.  ``holds`` are the ring slices pinned until the
-        responder has flushed them (released then, back to their
-        shard's ring).
-        """
-        kind, req = item[0], item[1]
-        if kind == "imm":
-            return item[2], [item[3]], []
+    def _finish(self, item):
+        """Resolve one pending item, every shard future of which is
+        done, to ``(status, parts, holds)``: the response payload as
+        non-empty wire buffers in address order (ring slices and volume
+        views pass through uncopied) and the ring slices to release
+        once the connection has flushed them."""
+        req, futures, *answered = item
+        if answered:
+            return answered[0], [answered[1]] if answered[1] else [], []
         try:
-            futures = item[2]
-            if len(futures) == 1:  # common case: one extent, one shard
-                results = [await futures[0]]
-            else:
-                results = await asyncio.gather(*futures)
+            results = [future.result() for future in futures]
             for status, payload in results:
                 if status != ST_OK:
                     # short-circuit: free every slice the partial
@@ -477,19 +524,16 @@ class BlockServer:
                         payload.tobytes()
                         if hasattr(payload, "tobytes") else payload
                     )
-                    for _, p in results:
-                        if hasattr(p, "release"):
-                            p.release()
-                    return status, [data], []
+                    release_payloads(results)
+                    return status, [data] if data else [], []
             if req.op == OP_READ:
                 # extents are enqueued in address order
-                parts, holds = [], []
-                for _, payload in results:
-                    buf, hold = _payload_buffer(payload)
-                    parts.append(buf)
-                    if hold is not None:
-                        holds.append(hold)
-                return ST_OK, parts, holds
+                payloads = [payload for _, payload in results]
+                return (
+                    ST_OK,
+                    [b for b in map(_wire_buffer, payloads) if len(b)],
+                    [p for p in payloads if isinstance(p, ShmSlice)],
+                )
             if req.op in (OP_SCRUB, OP_STAT):
                 merged = {
                     str(shard): json.loads(bytes(payload).decode())
@@ -504,122 +548,6 @@ class BlockServer:
         finally:
             self.admission.release(req.tenant)
 
-    async def _send_buffers(self, writer, bufs: List[memoryview]) -> None:
-        """Flush framed response buffers to one client, scatter-gather.
-
-        Fast path: the transport's write buffer is empty (the steady
-        state of a draining responder), so the buffer list goes
-        straight to ``os.writev`` on the connection's fd — one syscall
-        per ~500 frames and zero intermediate copies, ring slices and
-        volume views included.  Slow path (kernel pushback, TLS, or
-        bytes already queued on the transport): the leftovers are
-        joined once and handed to the stream writer.  That single join
-        is what lets ``flush`` release ring slots the moment it
-        returns — the transport may hold its copy as long as it likes.
-        """
-        transport = writer.transport
-        sock = (
-            transport.get_extra_info("socket")
-            if transport.get_extra_info("sslcontext") is None else None
-        )
-        if sock is not None:
-            fd = sock.fileno()
-            while bufs and transport.get_write_buffer_size() == 0:
-                try:
-                    sent = os.writev(fd, bufs[:_SENDMSG_IOV])
-                except (BlockingIOError, InterruptedError):
-                    break
-                if sent <= 0:  # pragma: no cover — defensive
-                    break
-                while sent and bufs:
-                    head = bufs[0]
-                    if sent >= head.nbytes:
-                        sent -= head.nbytes
-                        bufs.pop(0)
-                    else:  # partial send: resume inside this buffer
-                        bufs[0] = head[sent:]
-                        sent = 0
-            if not bufs:
-                self.zero_copy_flushes += 1
-                return
-        writer.write(b"".join(bufs))
-        await writer.drain()
-
-    async def _respond_loop(self, pending, writer) -> None:
-        """Write responses in request order; drain on a dead client.
-
-        Responses are coalesced: when one shard batch completes it
-        resolves up to ``max_batch`` futures at once, and writing each
-        as its own frame would cost a syscall apiece.  Finished frames
-        accumulate as a buffer list — a
-        :func:`protocol.encode_response_prefix` header per response,
-        payload buffers appended as-is — and flush scatter-gather via
-        :meth:`_send_buffers` the moment the responder would otherwise
-        block (empty pending queue, or a request whose shard futures
-        are still outstanding).  Ring slices stay pinned in ``holds``
-        until their bytes are out, then return to their shard's ring —
-        on a dead client they are released immediately."""
-        alive = True
-        parts: List[object] = []
-        holds: List[ShmSlice] = []
-        frames = 0
-
-        async def flush() -> None:
-            nonlocal alive, frames
-            frames = 0
-            if parts:
-                bufs = [
-                    memoryview(b).cast("B")
-                    for b in parts if _nbytes(b)
-                ]
-                parts.clear()
-                if alive:
-                    self.flushes += 1
-                    try:
-                        await self._send_buffers(writer, bufs)
-                    except (
-                        ConnectionResetError, BrokenPipeError, OSError,
-                    ):
-                        alive = False
-            for hold in holds:
-                hold.release()
-            holds.clear()
-
-        while True:
-            if pending.empty():
-                await flush()
-            item = await pending.get()
-            if item is None:
-                await flush()
-                return
-            if item[0] != "imm" and not all(
-                f.done() for f in item[2]
-            ):
-                await flush()  # _finish is about to block
-            status, payload_parts, item_holds = await self._finish(item)
-            self.ops += 1
-            if status == ST_BUSY:
-                self.busy += 1
-            elif status == ST_ERROR:
-                self.errors += 1
-            elif status == ST_RETRY:
-                self.retried += 1
-            elif status == ST_DEADLINE:
-                self.deadline_misses += 1
-            if alive:
-                total = sum(_nbytes(b) for b in payload_parts)
-                parts.append(
-                    protocol.encode_response_prefix(status, total)
-                )
-                parts.extend(payload_parts)
-                holds.extend(item_holds)
-                frames += 1
-                if frames >= 256:
-                    await flush()
-            else:
-                for hold in item_holds:
-                    hold.release()
-
     # -- introspection ---------------------------------------------------------
 
     def stats(self) -> dict:
@@ -629,11 +557,11 @@ class BlockServer:
             getattr(b, "restarts", 0) for b in self.backends
         )
         return {
-            "ops": self.ops,
-            "busy": self.busy,
-            "errors": self.errors,
-            "retried": self.retried,
-            "deadline_misses": self.deadline_misses,
+            "ops": sum(self.answered.values()),
+            "busy": self.answered[ST_BUSY],
+            "errors": self.answered[ST_ERROR],
+            "retried": self.answered[ST_RETRY],
+            "deadline_misses": self.answered[ST_DEADLINE],
             "restarts": restarts,
             "shards": self.config.shards,
             "backend": self.config.backend,

@@ -307,7 +307,7 @@ class InlineShard:
     """Shard backend living in the serving process.
 
     READ results come back as ``np.ndarray`` buffers, not ``bytes`` —
-    the responder hands them to ``sendmsg`` directly.  A result that
+    the connection hands them to ``writev`` directly.  A result that
     aliases the live backing store (the volume's zero-copy full-stripe
     view) is snapshotted here: a *later* batch could rewrite the range
     before the response flushes, and the write-path copy is exactly the

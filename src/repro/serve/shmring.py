@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from collections import deque
 from multiprocessing import shared_memory
 from typing import Optional
 
@@ -120,7 +119,9 @@ class PayloadRing:
         self._shm = shared_memory.SharedMemory(
             name=name, create=True, size=slots * slot_bytes
         )
-        self._free: "deque[int]" = deque(range(slots))
+        #: a stack: the slot freed last is leased next, its pages still
+        #: warm in both processes (a slot is freed only once its bytes left)
+        self._free = list(range(slots - 1, -1, -1))
         self._lock = threading.Lock()
         self._leased = 0
         self._retired = False
@@ -160,7 +161,7 @@ class PayloadRing:
             if self._retired or not self._free:
                 return None
             self._leased += 1
-            return self._free.popleft()
+            return self._free.pop()
 
     def free(self, slot: int) -> None:
         """Return a leased slot; closes a retired ring on the last one."""
@@ -203,7 +204,7 @@ class PayloadRing:
         Safe against ``kill -9`` of the worker at any point: the name
         disappears from ``/dev/shm`` immediately (no leak for the chaos
         grid to find), and outstanding :class:`ShmSlice` leases keep
-        only the anonymous mapping alive until the responder flushes
+        only the anonymous mapping alive until the connection flushes
         them out.
         """
         with self._lock:

@@ -113,6 +113,9 @@ class VolumeMachine(RuleBasedStateMachine):
         assert np.array_equal(got, self.shadow)
         got = self.walk.read(0, self.walk.num_elements)
         assert np.array_equal(got, self.shadow)
+        # a healing read just now may itself have escalated a disk to
+        # failed; the next rule's precondition must see it
+        self._reconcile()
 
     @invariant()
     def planned_matches_walk(self):

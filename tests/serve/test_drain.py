@@ -126,6 +126,36 @@ class TestHardStop:
         # not yet dispatched was simply dropped
         assert all(f.done() or f.cancelled() or True for f in futures)
 
+    def test_batch_landing_after_a_hard_stop_releases_its_ring_leases(self):
+        """READs still on the worker when ``close(drain=False)`` comes
+        back as ring slices nobody will consume: the queue hands them
+        back, so the retired ring unmaps instead of waiting for GC."""
+        from repro.serve.protocol import OP_READ
+
+        config = ServerConfig(
+            shards=1, backend="process", supervise=False, code="dcode",
+            p=5, stripes_per_shard=4, element_size=32,
+        )
+        backends = make_backends(config)
+        ring = backends[0].ring
+
+        async def body():
+            server = BlockServer(config, backends)
+            await server.start()
+            futures = [
+                server.queues[0].submit_nowait((OP_READ, k, 2, b""))
+                for k in range(6)
+            ]
+            await asyncio.sleep(0)     # the batch is on the worker now
+            assert not server.queues[0]._idle.is_set()
+            await server.close(drain=False)
+            return futures
+
+        futures = asyncio.run(body())
+        assert not any(f.done() for f in futures)
+        assert ring.retired and ring.leased == 0
+        assert ring._closed
+
     def test_drain_handles_empty_queues(self):
         config = ServerConfig(
             shards=2, backend="inline", code="dcode", p=5,
@@ -138,6 +168,44 @@ class TestHardStop:
             await server.close(drain=True)
 
         asyncio.run(body())
+
+
+class TestCoalescing:
+    def run_queue(self, max_batch, n):
+        from repro.serve.coalescer import ShardQueue
+        from repro.serve.protocol import OP_READ
+
+        batches = []
+
+        class Backend:
+            def execute(self, ops, deadline=None):
+                batches.append(len(ops))
+                return [(ST_OK, b"")] * len(ops)
+
+            def close(self):
+                pass
+
+        async def body():
+            queue = ShardQueue(Backend(), max_batch=max_batch)
+            queue.start()
+            # everything one loop iteration submits rides one batch
+            futures = [
+                queue.submit_nowait((OP_READ, k, 1, b""))
+                for k in range(n)
+            ]
+            await queue.drain()
+            assert all(f.result() == (ST_OK, b"") for f in futures)
+            assert (queue.batches, queue.batched_ops) == (len(batches), n)
+            await queue.close()
+
+        asyncio.run(body())
+        return batches
+
+    def test_one_iteration_of_submits_is_one_batch(self):
+        assert self.run_queue(max_batch=64, n=10) == [10]
+
+    def test_max_batch_caps_the_batch(self):
+        assert self.run_queue(max_batch=4, n=10) == [4, 4, 2]
 
 
 class TestDeadlines:

@@ -57,7 +57,9 @@ class TestResponseRoundTrip:
         (ST_ERROR, b"boom"),
     ])
     def test_encode_decode(self, status, payload):
-        frame = protocol.encode_response(status, payload)
+        # responses go out scatter-gather: prefix, then the payload
+        frame = protocol.encode_response_prefix(status, len(payload)) \
+            + payload
         assert protocol.decode_response(frame[4:]) == (status, payload)
 
     def test_empty_body_rejected(self):

@@ -147,6 +147,102 @@ class TestHostileFrames:
         with_server(body)
 
 
+def split_replies(blob):
+    """Split raw response bytes into ``(status, payload)`` frames."""
+    return [
+        protocol.decode_response(body)
+        for body in protocol.FrameSplitter().feed(blob)
+    ]
+
+
+async def raw_exchange(host, port, chunks):
+    """Send ``chunks`` one write at a time; read until the server
+    hangs up (the caller ends the stream with something fatal)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0)
+        return await asyncio.wait_for(reader.read(-1), timeout=10)
+    finally:
+        writer.close()
+
+
+class TestFrameSplitting:
+    FRAMES = [
+        protocol.encode_request(Request(OP_WRITE, 0, 3, 2, bytes(range(64)))),
+        protocol.encode_request(Request(OP_READ, 0, 3, 2)),
+        protocol.encode_request(Request(OP_READ, 0, 0, 1)),
+        protocol.encode_request(Request(OP_WRITE, 0, 9, 1, b"\x07" * 32)),
+        protocol.encode_request(Request(OP_READ, 0, 8, 3)),
+    ]
+    BAD_OPCODE = struct.pack("!I", HEADER.size) + HEADER.pack(42, 0, 0, 0, 0)
+
+    def test_splitter_is_chunking_invariant(self):
+        stream = b"".join(self.FRAMES)
+        want = [frame[4:] for frame in self.FRAMES]
+        rng = np.random.default_rng(11)
+        for trial in range(50):
+            # trial 0 is one byte at a time, the rest random cuts
+            cuts = (
+                range(1, len(stream)) if trial == 0 else sorted(
+                    rng.choice(len(stream), size=trial, replace=False)
+                )
+            )
+            splitter, got, last = protocol.FrameSplitter(), [], 0
+            for cut in [*cuts, len(stream)]:
+                got += splitter.feed(stream[last:cut])
+                last = cut
+            assert got == want
+
+    def test_splitter_yields_accepted_frames_before_an_oversize_prefix(self):
+        splitter, got = protocol.FrameSplitter(), []
+        stream = self.FRAMES[1] + struct.pack("!I", MAX_FRAME + 1) + b"xx"
+        with pytest.raises(ProtocolError, match="exceeds"):
+            for body in splitter.feed(stream):
+                got.append(body)
+        assert got == [self.FRAMES[1][4:]]
+
+    def test_byte_at_a_time_decodes_identically_over_a_socket(self):
+        """Every frame dribbled in one byte per segment answers exactly
+        what the same frames sent whole answer."""
+        async def body(server, host, port):
+            stream = b"".join(self.FRAMES) + self.BAD_OPCODE
+            whole = await raw_exchange(host, port, [stream])
+            dribbled = await raw_exchange(
+                host, port, [stream[k:k + 1] for k in range(len(stream))]
+            )
+            assert split_replies(dribbled) == split_replies(whole)
+            statuses = [status for status, _ in split_replies(whole)]
+            assert statuses == [ST_OK] * len(self.FRAMES) + [ST_ERROR]
+            assert split_replies(whole)[1][1] == bytes(range(64))
+
+        with_server(body)
+
+    @pytest.mark.parametrize("poison, message", [
+        (struct.pack("!I", MAX_FRAME + 1), b"exceeds"),
+        (BAD_OPCODE, b"unknown opcode"),
+    ])
+    def test_poison_answers_what_was_accepted_then_hangs_up(
+        self, poison, message
+    ):
+        async def body(server, host, port):
+            # two good requests, the poison, one more good request —
+            # all in one segment
+            blob = self.FRAMES[0] + self.FRAMES[1] + poison + self.FRAMES[2]
+            replies = split_replies(
+                await raw_exchange(host, port, [blob])
+            )
+            assert replies[:2] == [(ST_OK, b""), (ST_OK, bytes(range(64)))]
+            assert replies[2][0] == ST_ERROR and message in replies[2][1]
+            assert len(replies) == 3       # nothing after the poison ran
+            assert server.admission.inflight(0) == 0
+            assert await probe_ok(host, port)
+
+        with_server(body)
+
+
 class TestDecoderFuzz:
     def test_decode_request_total_over_random_bodies(self):
         """decode_request either parses or raises ProtocolError —

@@ -7,6 +7,12 @@ queues, backends — inside one ``asyncio.run``.  Geometries are tiny
 
 import asyncio
 import json
+import os
+import socket
+import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +35,16 @@ from repro.serve.protocol import (
     ST_BUSY,
     ST_ERROR,
     ST_OK,
+    Request,
+    encode_request,
 )
-from repro.serve.server import BlockServer, ServerConfig, make_backends
+from repro.serve.server import (
+    _FLUSH_BYTES,
+    BlockServer,
+    ServerConfig,
+    make_backends,
+)
+from repro.serve.shmring import PayloadRing
 
 CONFIG = ServerConfig(
     shards=2, backend="inline", code="dcode", p=5,
@@ -167,7 +181,7 @@ class TestBusyShedding:
             assert statuses[0] == ST_OK  # first was admitted
             await client.close()
             assert server.admission.refused > 0
-            assert server.busy == statuses.count(ST_BUSY)
+            assert server.answered[ST_BUSY] == statuses.count(ST_BUSY)
 
         with_server(config, body)
 
@@ -306,3 +320,257 @@ class TestDeterministicReplay:
 
             images[label] = with_server(config, body)
         assert images["serial"] == images["sharded"]
+
+
+class GatedBackend:
+    """A canned shard: answers READs with ``fill`` bytes (through ring
+    slices when given a ring), and only once its gate is open."""
+
+    def __init__(self, fill=b"\x00", ring=None, gate_open=True):
+        self.fill, self.ring = fill, ring
+        self.gate = threading.Event()
+        if gate_open:
+            self.gate.set()
+        self.batch_sizes = []
+
+    def execute(self, ops, deadline=None):
+        assert self.gate.wait(timeout=10)
+        self.batch_sizes.append(len(ops))
+        out = []
+        for op, _, count, _ in ops:
+            payload = self.fill * count if op == OP_READ else b""
+            if payload and self.ring is not None:
+                slot = self.ring.alloc(len(payload))
+                n = self.ring.write_into(slot, payload)
+                payload = self.ring.lease_slice(slot, n)
+            out.append((ST_OK, payload))
+        return out
+
+    def close(self):
+        self.gate.set()
+
+
+def read_frames(sock, n):
+    """Read ``n`` response frames off a blocking socket."""
+    out = []
+    for _ in range(n):
+        need, blob = 4, b""
+        while len(blob) < need:
+            chunk = sock.recv(min(1 << 20, need - len(blob)))
+            assert chunk, "server hung up early"
+            blob += chunk
+            if need == 4 and len(blob) == 4:
+                need += int.from_bytes(blob, "big")
+        out.append((blob[4], blob[5:]))
+    return out
+
+
+async def until(predicate, timeout=10.0):
+    """Poll ``predicate`` on the loop until it holds."""
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < give_up, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+class TestOpenLoopSchedule:
+    """The open loop keeps an absolute schedule and times from it."""
+
+    CONFIG = ServerConfig(
+        shards=1, backend="inline", code="dcode", p=5,
+        stripes_per_shard=4, element_size=32,
+    )
+
+    def run_open(self, backend, before=None, **load):
+        async def run():
+            server = BlockServer(self.CONFIG, [backend])
+            host, port = await server.start()
+            try:
+                if before is not None:
+                    before(asyncio.get_running_loop())
+                return await run_open_loop(
+                    host, port,
+                    num_elements=server.router.num_elements,
+                    element_size=32, clients=4, seed=3, **load,
+                )
+            finally:
+                await server.close()
+
+        return asyncio.run(run())
+
+    def test_a_stall_shows_on_every_op_due_during_it(self):
+        # the shard stalls from before the first arrival until 100 ms
+        # after the last: each op waited at least that long from its
+        # due time, whatever gate or connection it queued behind
+        backend = GatedBackend(gate_open=False)
+        report = self.run_open(
+            backend, lambda loop: loop.call_later(0.2, backend.gate.set),
+            rate=200.0, duration=0.1,
+        )
+        assert report.ops > 8 and report.errors == 0
+        assert min(report.latencies_ms) >= 50.0
+        assert len(report.late_ms) == report.ops
+        assert report.to_dict()["late_p99_ms"] < 50.0
+
+    @pytest.mark.skipif(
+        sys.flags.dev_mode or bool(os.environ.get("PYTHONASYNCIODEBUG")),
+        reason="asyncio debug mode (a traceback per task) cannot "
+               "generate 2000 ops/s",
+    )
+    def test_offered_rate_does_not_sag_by_the_spawn_cost(self):
+        for attempt in range(3):   # a host stall can only slow a run
+            report = self.run_open(
+                GatedBackend(), rate=2000.0, duration=2.0
+            )
+            assert report.errors == 0
+            assert abs(report.ops - 4000) <= 240
+            if report.ops / report.duration_s >= 2000 * 0.94:
+                return
+        pytest.fail(f"offered {report.ops / report.duration_s:.0f} ops/s")
+
+
+class TestCallbackPath:
+    """The event-driven request path: in-order answers from a deque,
+    releases on a dead client, transport backpressure, no tasks."""
+
+    def serve(self, backends, body, **config):
+        config = ServerConfig(
+            shards=len(backends), backend="inline", code="dcode", p=5,
+            stripes_per_shard=4, element_size=32, **config,
+        )
+
+        async def run():
+            server = BlockServer(config, backends)
+            host, port = await server.start()
+            try:
+                return await body(server, host, port)
+            finally:
+                await server.close()
+
+        return asyncio.run(run())
+
+    def test_out_of_order_shards_answer_in_request_order(self):
+        slow = GatedBackend(b"s", gate_open=False)
+        fast = GatedBackend(b"f")
+
+        async def body(server, host, port):
+            per = server.router.elements_per_shard
+            client = await BlockClient.connect(host, port)
+            client.send_nowait(OP_READ, 0, 2)        # shard 0: held back
+            client.send_nowait(OP_READ, per, 3)      # shard 1: at once
+            client.send_nowait(OP_READ, per - 1, 2)  # straddles both
+            await client.flush()
+            await until(lambda: fast.batch_sizes)
+            assert not client.has_buffered_response()
+            slow.gate.set()
+            answers = [await client.recv() for _ in range(3)]
+            assert answers == [
+                (ST_OK, b"ss"), (ST_OK, b"fff"), (ST_OK, b"sf"),
+            ]
+            await client.close()
+
+        self.serve([slow, fast], body)
+
+    def test_reset_with_reads_in_flight_releases_everything(self):
+        ring = PayloadRing(slots=16, slot_bytes=64)
+        backend = GatedBackend(b"r", ring=ring, gate_open=False)
+
+        async def body(server, host, port):
+            sock = socket.create_connection((host, port))
+            sock.sendall(b"".join(
+                encode_request(Request(OP_READ, 0, k, 4))
+                for k in range(8)
+            ))
+            await until(lambda: server.admission.inflight(0) == 8)
+            # hang up with a reset while every READ is still on the shard
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            await until(lambda: all(
+                c.transport is None for c in server._connections
+            ))
+            backend.gate.set()
+            await until(lambda: server.admission.inflight(0) == 0)
+            assert ring.leased == 0
+            assert not server._connections
+            assert server.stats()["ops"] == 8
+
+        try:
+            self.serve([backend], body)
+        finally:
+            ring.retire()
+
+    def test_client_that_never_reads_pauses_the_pump(self):
+        backend = GatedBackend(bytes(2048))
+        requests, count = 200, 32          # 200 x 64 KiB of answers
+
+        async def body(server, host, port):
+            loop = asyncio.get_running_loop()
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect((host, port))
+            sock.sendall(b"".join(
+                encode_request(Request(OP_READ, 0, 0, count))
+                for _ in range(requests)
+            ))
+            await until(lambda: sum(backend.batch_sizes) == requests)
+            (conn,) = server._connections
+            await until(lambda: conn.paused)
+            await asyncio.sleep(0.05)
+            # the pump stopped: answers wait in the deque, not in an
+            # ever-growing transport buffer
+            high = conn.transport.get_write_buffer_limits()[1]
+            buffered = conn.transport.get_write_buffer_size()
+            assert conn.pending
+            assert buffered <= high + _FLUSH_BYTES + count * 2048 + 5
+            frames = await loop.run_in_executor(
+                None, read_frames, sock, requests
+            )
+            assert frames == [(ST_OK, bytes(count * 2048))] * requests
+            assert not conn.paused and not conn.pending
+            sock.close()
+
+        self.serve([backend], body)
+
+    def test_no_task_per_connection_or_shard(self):
+        backends = [GatedBackend() for _ in range(4)]
+
+        async def body(server, host, port):
+            baseline = len(asyncio.all_tasks())
+            clients = [
+                await BlockClient.connect(host, port) for _ in range(8)
+            ]
+            for client in clients:
+                assert (await client.request(OP_READ, 0, 1))[0] == ST_OK
+            assert len(asyncio.all_tasks()) == baseline
+            for client in clients:
+                await client.close()
+
+        self.serve(backends, body)
+
+    def test_unloaded_read_takes_six_loop_iterations(self):
+        async def body(server, host, port):
+            loop = asyncio.get_running_loop()
+            iterations = 0
+            run_once = loop._run_once
+
+            def counting_run_once():
+                nonlocal iterations
+                iterations += 1
+                run_once()
+
+            loop._run_once = counting_run_once
+            client = await BlockClient.connect(host, port)
+            taken = []
+            for _ in range(200):
+                before = iterations
+                assert (await client.request(OP_READ, 0, 1))[0] == ST_OK
+                taken.append(iterations - before)
+            await client.close()
+            del loop._run_once
+            # socket read, dispatch, completion, pump, client read,
+            # client wake-up (the task-based path took 8)
+            assert sorted(taken)[100] <= 6
+
+        with_server(CONFIG, body)

@@ -51,6 +51,17 @@ class TestPayloadRing:
         finally:
             ring.retire()
 
+    def test_alloc_reuses_the_slot_freed_last(self):
+        # LIFO: the next payload lands on memory that is still warm
+        ring = PayloadRing(slots=8, slot_bytes=64)
+        try:
+            slots = [ring.alloc(8) for _ in range(5)]
+            for k in (slots[1], slots[3]):
+                ring.free(k)
+                assert ring.alloc(8) == k
+        finally:
+            ring.retire()
+
     def test_oversize_alloc_returns_none(self):
         ring = PayloadRing(slots=2, slot_bytes=64)
         try:
