@@ -66,9 +66,8 @@ def test_fig7_batched_volume_matches_model():
                 volume.fail_disk(disk)
             engine = AccessEngine(layout, num_stripes=num_stripes,
                                   failed_disks=failed)
-            # the whole volume in one request, on a quiet surface: the
-            # read plans serve it as runs of same-pattern stripes
-            assert volume._surface().quiet_io, code
+            # the whole volume in one request: the read plans serve it
+            # as runs of same-pattern stripes
             volume.reset_io_counters()
             got = volume.read(0, volume.num_elements)
             assert np.array_equal(got, data), (code, failed)

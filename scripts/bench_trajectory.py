@@ -3,16 +3,14 @@
 
 Measures encode / decode / update bandwidth for every evaluation code at
 p=7 and p=13 (element_size=4096), single-stripe and batched, plus the
-array layer (multi-stripe write serial vs batched, legacy vs bulk vs
-zero-copy reads, per-stripe vs coalesced destage, scalar vs batched
-degraded reads under one and two disk failures), and writes
+array layer (multi-stripe write serial vs batched, bulk and zero-copy
+reads, per-stripe vs coalesced destage), and writes
 ``BENCH_codec.json`` at the repo root.  All comparisons are taken in the
 same process run with the same best-of-batches timing, so the speedup
 ratios are internally consistent.
 
-The report carries an ``acceptance`` section with hard floors (batched
-degraded reads must beat the scalar walk by >= 3x; journal overhead must
-stay under 15% on RMW bursts and 25% on full-stripe writes; batched
+The report carries an ``acceptance`` section with hard floors (journal
+overhead must stay under 15% on RMW bursts and 25% on full-stripe writes; batched
 encode must at least match a compiled loop over the same tensor for
 every (code, p);
 steady-state verified reads must stay within 10% of unverified batched
@@ -23,7 +21,7 @@ ops/s); the script exits non-zero when a floor is violated, so CI can
 gate on it.  On/off overhead pairs are medians per side, clamped at 0
 (see ``OVERHEAD_METHOD``) — independent minima can cross and report a
 nonsense negative overhead.
-``--only {codec,volume,degraded,journal,scrub,serving}``
+``--only {codec,volume,journal,scrub,serving}``
 re-runs one section and merges it into the existing report.
 
 Usage::
@@ -215,24 +213,12 @@ def bench_code(name, p, rng):
     return {"encode": encode, "decode": decode, "update": update}
 
 
-def _legacy_volume_read(volume, start, count):
-    """The pre-pipeline read path: per-stripe walk over per-element I/O."""
-    out = np.empty((count, volume.element_size), dtype=np.uint8)
-    by_stripe = {}
-    for k in range(count):
-        loc = volume.mapper.locate(start + k)
-        by_stripe.setdefault(loc.stripe, []).append((k, loc.cell))
-    for stripe, items in by_stripe.items():
-        volume._serve_stripe_read(stripe, items, out)
-    return out
-
-
 def bench_volume(rng):
     """Array-level throughput: serial per-stripe vs batched.
 
-    The serial baseline drives the historical one-stripe-at-a-time
-    controller paths (per-element disk I/O); the batched numbers go
-    through the tensor write/read fast paths.
+    The serial baseline writes one stripe per call through the
+    per-stripe controller path; the batched numbers go through one
+    multi-stripe write and the read plans.
     """
     layout = make_code(VOLUME_CODE, VOLUME_P)
     per = layout.num_data_cells
@@ -264,26 +250,19 @@ def bench_volume(rng):
             "speedup_batched_vs_serial": round(t_serial / t_batched, 2),
         }
 
-    # -- reads: legacy per-element walk vs bulk gather vs zero-copy view ----
+    # -- reads: bulk gather vs zero-copy view --------------------------------
     read_count = 16 * per
-    t_read_legacy = best_seconds(
-        lambda: _legacy_volume_read(volume, 0, read_count), inner=3, reps=5
-    )
     t_read_bulk = best_seconds(
         lambda: volume.read(0, read_count), inner=3, reps=5
     )
     t_read_view = best_seconds(lambda: volume.read(0, per))
     read = {
-        "legacy_mb_s": round(
-            mb_per_s(read_count * ELEMENT_SIZE, t_read_legacy), 1
-        ),
         "bulk_mb_s": round(
             mb_per_s(read_count * ELEMENT_SIZE, t_read_bulk), 1
         ),
         "zero_copy_view_mb_s": round(
             mb_per_s(per * ELEMENT_SIZE, t_read_view), 1
         ),
-        "speedup_bulk_vs_legacy": round(t_read_legacy / t_read_bulk, 2),
     }
 
     # -- destage: per-stripe _destage loop vs coalesced batch ----------------
@@ -324,48 +303,6 @@ def bench_volume(rng):
         "read": read,
         "destage": destage,
     }
-
-
-def bench_degraded(rng):
-    """Degraded reads: per-stripe plan walk vs the batched tensor path.
-
-    One failed disk (and then two) on dcode p7; the scalar baseline is
-    the historical per-stripe walk (each stripe fetches its minimal read
-    plan element-by-element), the batched path groups same-pattern
-    stripes and serves the whole window as one gather per disk plus one
-    compiled-schedule pass (docs/performance.md, "Degraded-mode fast
-    path").  Both serve the same 32-stripe window and are byte-checked
-    against each other before timing.
-    """
-    layout = make_code(VOLUME_CODE, VOLUME_P)
-    per = layout.num_data_cells
-    volume = RAID6Volume(layout, num_stripes=128,
-                         element_size=ELEMENT_SIZE)
-    data = rng.integers(
-        0, 256, (volume.num_elements, ELEMENT_SIZE), dtype=np.uint8
-    )
-    volume.write(0, data)
-    window = BATCH * per
-    window_bytes = window * ELEMENT_SIZE
-
-    def scalar():
-        return _legacy_volume_read(volume, 0, window)
-
-    def batched():
-        return volume.read(0, window)
-
-    out = {"code": VOLUME_CODE, "p": VOLUME_P, "batch": BATCH}
-    for label, disk in (("single_failure", 1), ("double_failure", 3)):
-        volume.fail_disk(disk)
-        assert np.array_equal(scalar(), batched())
-        t_scalar = best_seconds(scalar, inner=3, reps=5)
-        t_batched = best_seconds(batched, inner=3, reps=5)
-        out[label] = {
-            "scalar_mb_s": round(mb_per_s(window_bytes, t_scalar), 1),
-            "batched_mb_s": round(mb_per_s(window_bytes, t_batched), 1),
-            "speedup_batched_vs_scalar": round(t_scalar / t_batched, 2),
-        }
-    return out
 
 
 def bench_journal(rng):
@@ -780,21 +717,6 @@ SERVING_NOISE_MARGIN = 0.15
 SERVING_P99_MAX_RATIO = 1.0
 
 
-def degraded_acceptance(degraded):
-    return {
-        "code": degraded["code"],
-        "p": degraded["p"],
-        "batch": degraded["batch"],
-        "single_failure_speedup": degraded["single_failure"][
-            "speedup_batched_vs_scalar"
-        ],
-        "double_failure_speedup": degraded["double_failure"][
-            "speedup_batched_vs_scalar"
-        ],
-        "floor": 3.0,
-    }
-
-
 def journal_acceptance(journal):
     return {
         "journal_full_stripe_overhead_pct": journal["full_stripe"][
@@ -858,14 +780,6 @@ def codec_acceptance(results):
 def check_acceptance(acceptance):
     """Gate the report: returns the list of violated floors."""
     failures = []
-    deg = acceptance.get("degraded_read")
-    if deg is not None:
-        for key in ("single_failure_speedup", "double_failure_speedup"):
-            if deg[key] < deg["floor"]:
-                failures.append(
-                    f"degraded_read {key} {deg[key]} below floor "
-                    f"{deg['floor']}"
-                )
     for key, cap_key in (
         ("journal_rmw_overhead_pct", "journal_rmw_overhead_max_pct"),
         (
@@ -942,8 +856,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--only",
-        choices=("journal", "degraded", "volume", "codec", "scrub",
-                 "serving"),
+        choices=("journal", "volume", "codec", "scrub", "serving"),
         default=None,
         help="re-run just one section and merge it into the existing "
              "report instead of re-benchmarking everything",
@@ -1043,22 +956,6 @@ def main(argv=None):
         )
         return finish(report, out)
 
-    if args.only == "degraded":
-        out = pathlib.Path(args.out)
-        report = json.loads(out.read_text()) if out.exists() else {}
-        print("benchmarking degraded reads ...", flush=True)
-        degraded = bench_degraded(rng)
-        report["degraded_read"] = degraded
-        report.setdefault("acceptance", {})[
-            "degraded_read"
-        ] = degraded_acceptance(degraded)
-        print(
-            "degraded read batched vs scalar: single "
-            f"{degraded['single_failure']['speedup_batched_vs_scalar']}x,"
-            " double "
-            f"{degraded['double_failure']['speedup_batched_vs_scalar']}x"
-        )
-        return finish(report, out)
     results = {}
     for name in CODES:
         results[name] = {}
@@ -1068,8 +965,6 @@ def main(argv=None):
 
     print("benchmarking volume layer ...", flush=True)
     volume = bench_volume(rng)
-    print("benchmarking degraded reads ...", flush=True)
-    degraded = bench_degraded(rng)
     print("benchmarking journal overhead ...", flush=True)
     journal = bench_journal(rng)
     print("benchmarking scrub + verified reads ...", flush=True)
@@ -1098,12 +993,10 @@ def main(argv=None):
         },
         "results": results,
         "volume": volume,
-        "degraded_read": degraded,
         "journal": journal,
         "scrub": scrub,
         "serving": serving,
         "acceptance": {
-            "degraded_read": degraded_acceptance(degraded),
             "serving": serving_acceptance(serving),
             **journal_acceptance(journal),
             **scrub_acceptance(scrub),
@@ -1127,12 +1020,6 @@ def main(argv=None):
         f"{report['acceptance']['volume_write_batched_vs_serial']}, "
         "min update speedup: "
         f"{report['acceptance']['update_compiled_vs_naive_min']}"
-    )
-    print(
-        "degraded read batched vs scalar: single "
-        f"{degraded['single_failure']['speedup_batched_vs_scalar']}x, "
-        "double "
-        f"{degraded['double_failure']['speedup_batched_vs_scalar']}x"
     )
     print(
         "journal overhead: full-stripe "

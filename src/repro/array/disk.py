@@ -10,17 +10,21 @@ counters — and refuses I/O once failed, the way a dead spindle would.
 
 Two I/O granularities are exposed:
 
-* the per-element :meth:`read`/:meth:`write` path, which drives the fault
-  hook, latent-sector and failure machinery one element at a time — the
+* the per-element :meth:`read` / :meth:`read_view` / :meth:`write` path,
+  which drives the fault hook, latent-sector and failure machinery one
+  element at a time.  The volume presents a plan's gather and store to
+  it element by element, in plan order, whenever a disk the plan
+  touches is hooked (``RAID6Volume._read_rows`` / ``_store_rows``) — the
   path every fault-injection scenario exercises;
-* the vectorised :meth:`read_block`/:meth:`write_block` path, which
-  serves a whole offset array in one numpy gather/scatter.  It engages
-  only while the fault surface is quiet (no hook for reads and writes, no
-  bad sectors for reads) and silently falls back to the per-element loop
+* the vectorised :meth:`read_block`/:meth:`write_block` path of one
+  disk, which serves a whole offset array in one numpy gather/scatter.
+  It engages only while the disk is quiet (no hook for reads and writes,
+  no bad sectors for reads) and falls back to the per-element loop
   otherwise, so batching never changes fault semantics or hook cadence.
 
-Planned volume stores use neither: a plan's rows land in the shared
-tensor in one scatter across every disk (or are encoded there in place)
+On quiet disks the volume uses neither: a plan's gather is one
+fancy-index of the shared tensor, accounted with :meth:`count_reads`,
+and its store one scatter across every disk (or an encode in place)
 inside ``RAID6Volume._store_rows``, which checks each target disk is
 live first and then owes it the accounting of its share —
 :meth:`commit_block`, the counting and latent-sector half of

@@ -39,9 +39,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.array import ioplan
-from repro.array.volume import _CELL_ERRORS, RAID6Volume
+from repro.array.volume import RAID6Volume
 from repro.codes.base import Cell
-from repro.exceptions import InconsistentStripeError, LatentSectorError
+from repro.exceptions import InconsistentStripeError, UnrecoverableStripeError
 from repro.util.validation import require
 
 
@@ -150,23 +150,21 @@ class ScrubCampaignReport:
 class IntegrityChecker:
     """Attach checksumming to a volume and scrub with error *location*.
 
-    Wraps *both* of the volume's write funnels — per-element
-    ``_write_cell`` and the planned paths' ``_store_rows``, one call per
-    plan — so batched bulk writes, cache destages and rebuild sweeps
-    keep the checksum map current exactly like the serial path does.
-    Pass ``store=`` (e.g. the one
+    Wraps the volume's one write funnel, ``_store_rows`` — one call per
+    plan store, whole stripes encoded in place included — so every
+    write keeps the checksum map current.  Pass ``store=`` (e.g. the one
     :func:`~repro.array.persistence.load_volume` hands back on a v2
     archive) to resume an existing map instead of re-seeding from the
     current disk contents.
 
-    With ``verify_reads=True`` (the default) the volume's read paths
-    check every block against the store — scalar reads on every access,
-    batched gathers edge-triggered through the verified bitmap — and
-    surface mismatches as located erasures that the self-healing ladder
-    repairs inline.  Seeded checksums start *verified* (they were just
-    computed from the bytes on disk); a resumed store starts fully
-    unverified, so the first read after a mount re-checks everything it
-    touches.
+    With ``verify_reads=True`` (the default) every planned load checks
+    its blocks against the store — gathers on quiet disks edge-triggered
+    through the verified bitmap, element-by-element loads on every
+    read — and hands mismatches back to the plan as located erasures
+    that the self-healing ladder repairs inline.  Seeded checksums start
+    *verified* (they were just computed from the bytes on disk); a
+    resumed store starts fully unverified, so the first read after a
+    mount re-checks everything it touches.
     """
 
     def __init__(
@@ -177,9 +175,7 @@ class IntegrityChecker:
     ) -> None:
         self.volume = volume
         self.verify_reads = verify_reads
-        # route every future write through the recorders
-        self._inner_write = volume._write_cell
-        volume._write_cell = self._recording_write  # type: ignore[assignment]
+        # route every future write through the recorder
         self._inner_store_rows = volume._store_rows
         volume._store_rows = (  # type: ignore[assignment]
             self._recording_store_rows
@@ -198,10 +194,8 @@ class IntegrityChecker:
         self._seed()
 
     def detach(self) -> None:
-        """Restore the volume's unwrapped write funnels and read paths."""
+        """Restore the volume's unwrapped write funnel and read paths."""
         volume = self.volume
-        if volume.__dict__.get("_write_cell") == self._recording_write:
-            volume._write_cell = self._inner_write  # type: ignore[assignment]
         if volume.__dict__.get("_store_rows") == self._recording_store_rows:
             volume._store_rows = (  # type: ignore[assignment]
                 self._inner_store_rows
@@ -216,7 +210,8 @@ class IntegrityChecker:
 
         Seeded digests are marked verified — they were computed from the
         bytes just read, so re-hashing them on the next read would prove
-        nothing new.  Failed disks and latent sectors are skipped.
+        nothing new.  Stale columns and blocks that fail to read are
+        skipped.
         """
         for _, _, disk, offset, crc in self._blocks():
             if crc is not None:
@@ -224,53 +219,31 @@ class IntegrityChecker:
                 self.store.mark_verified(disk, offset)
 
     def _blocks(self):
-        """``(stripe, cell, disk, offset, CRC-32)`` of every block on a
-        live disk, read raw — ``None`` for the CRC of a latent sector:
-        the planned sweep of :meth:`_chunks` on a quiet surface, the
-        per-element walk otherwise, counter-identical to each other."""
-        volume = self.volume
+        """``(stripe, cell, disk, offset, CRC-32)`` of every block the
+        sweep of :meth:`_chunks` reads."""
         for stripes, _, rows in self._chunks():
-            if rows is not None:
-                for i, cell, disk, offset, crc in rows:
-                    yield stripes[i], cell, disk, offset, crc
-                continue
-            for stripe in stripes:
-                for col in range(volume.layout.cols):
-                    for cell in volume.layout.cells_in_column(col):
-                        loc = volume.mapper.locate_cell(stripe, cell)
-                        disk = volume.disks[loc.disk]
-                        if disk.failed:
-                            continue
-                        try:
-                            crc = crc32(disk.read(loc.offset))
-                        except LatentSectorError:
-                            crc = None
-                        yield stripe, cell, loc.disk, loc.offset, crc
+            for i, cell, disk, offset, crc in rows:
+                yield stripes[i], cell, disk, offset, crc
 
     def _chunks(self):
-        """The volume in runs of at most ``ioplan.RUN_CHUNK`` stripes:
-        ``(stripes, buf, rows)``, or ``(stripes, None, None)`` — walk it.
+        """The volume in runs of at most ``ioplan.RUN_CHUNK`` stripes
+        sharing their stale columns: ``(stripes, buf, rows)``.
 
         ``buf`` is one raw gather of every block outside the run's stale
-        columns (:func:`repro.array.ioplan.load_stripes`), ``rows`` one
-        ``(index into stripes, cell, disk, offset, CRC-32)`` per block
-        read, whatever the verified bitmap says — stripe-major, columns
-        ascending like the walk.  The sweep stands down under hooks and
-        latent sectors, and mid-rebuild, where the walk also visits the
-        replacement's blank region.  The surface is snapshot per run, so
-        the repair that clears the last latent sector reopens it.
+        columns (:func:`repro.array.ioplan.gather_stripes`, unverified:
+        the sweeps hash every block themselves, whatever the verified
+        bitmap says), ``rows`` one ``(index into stripes, cell, disk,
+        offset, CRC-32)`` per block — stripe-major, columns ascending —
+        with ``None`` for the CRC of a block that failed to read.
         """
         volume = self.volume
-        num_stripes = volume.mapper.num_stripes
-        for start in range(0, num_stripes, ioplan.RUN_CHUNK):
-            stripes = range(start, min(start + ioplan.RUN_CHUNK, num_stripes))
+        for stripes in volume._chunks():
             surface = volume._surface()
-            if not surface.quiet_io or surface.rebuilding:
-                yield stripes, None, None
-                continue
             for lo, hi, stale in ioplan.stale_runs(volume, surface, stripes):
                 run = stripes[lo:hi]
-                buf = ioplan.load_stripes(volume, run, stale, verify=False)
+                buf, failed = ioplan.gather_stripes(
+                    volume, run, stale, verify=False
+                )
                 cells, at = ioplan.stripe_rows(volume, run, stale)
                 offsets, disks = np.divmod(at, volume.layout.cols)
                 rows = []
@@ -278,16 +251,14 @@ class IntegrityChecker:
                     zip(disks.tolist(), offsets.tolist())
                 ):
                     i, cell = k // len(cells), cells[k % len(cells)]
-                    crc = crc32(buf[i, cell.row, cell.col])
+                    crc = (
+                        None if cell in failed.get(i, ())
+                        else crc32(buf[i, cell.row, cell.col])
+                    )
                     rows.append((i, cell, disk, offset, crc))
                 yield run, buf, rows
 
     # -- write recording -----------------------------------------------------
-
-    def _recording_write(self, stripe: int, cell: Cell, value) -> None:
-        self._inner_write(stripe, cell, value)
-        loc = self.volume.mapper.locate_cell(stripe, cell)
-        self.store.record(loc.disk, loc.offset, value)
 
     def _recording_store_rows(
         self, at: np.ndarray, data: Optional[np.ndarray] = None
@@ -308,7 +279,8 @@ class IntegrityChecker:
     def check_block(
         self, disk_id: int, offset: int, block: np.ndarray
     ) -> bool:
-        """Scalar verification: always re-hash, mark verified on match."""
+        """Element-by-element verification: always re-hash, mark
+        verified on match."""
         if crc32(block) != self.store.expected(disk_id, offset):
             return False
         if self.store._verified is not None:
@@ -379,33 +351,27 @@ class IntegrityChecker:
     def verify_and_repair(self) -> Dict[int, List[Cell]]:
         """Locate corrupt/unreadable cells, decode them, rewrite.
 
-        Returns the repairs performed.  Raises
-        :class:`InconsistentStripeError` when a stripe has more damage
-        than its equations can solve — data loss, reported loudly.
+        Each damaged stripe is loaded once more with its damaged cells
+        known-lost (a cell that fails to read now joins them), decoded
+        and the damage rewritten in one store.  Returns the repairs
+        performed.  Raises :class:`InconsistentStripeError` when a stripe
+        has more damage than its equations can solve — data loss,
+        reported loudly.
         """
         volume = self.volume
         repaired = self.find_corruption()
         for stripe, bad in repaired.items():
-            buf = volume.codec.blank_stripe()
-            for col in range(volume.layout.cols):
-                for cell in volume.layout.cells_in_column(col):
-                    if cell in bad:
-                        continue
-                    try:
-                        buf[cell.row, cell.col] = volume._read_cell(
-                            stripe, cell
-                        )
-                    except _CELL_ERRORS:
-                        bad.append(cell)
             try:
-                volume._decode_cells(buf, list(bad))
-            except Exception as exc:
+                buf, failed = ioplan.load_stripes(
+                    volume, (stripe,), volume._stale_cols(stripe), bad
+                )
+            except UnrecoverableStripeError as exc:
                 raise InconsistentStripeError(
                     f"stripe {stripe}: {len(bad)} damaged cells exceed "
                     f"recoverability ({exc})"
                 ) from exc
-            for cell in bad:
-                volume._write_cell(stripe, cell, buf[cell.row, cell.col])
+            bad[:] = failed[0]
+            ioplan.store_cells(volume, stripe, bad, buf[0])
         return repaired
 
     def scrub_campaign(self, strict: bool = True) -> ScrubCampaignReport:
@@ -426,71 +392,35 @@ class IntegrityChecker:
         code can decode raises a typed
         :class:`~repro.exceptions.UnrecoverableStripeError`.
 
-        Reads each run of stripes as one planned sweep (:meth:`_chunks`)
-        when the fault surface is quiet, and by the deterministic
-        per-element walk under fault hooks or latent sectors — so chaos
-        campaigns replay bit-identically.  Either way each stripe is
-        then repaired and cross-checked in turn.
+        Reads each run of stripes as one planned sweep (:meth:`_chunks`),
+        then repairs and cross-checks each stripe in turn.
         """
         volume = self.volume
         require(not volume.failed_disks and (
             volume._rebuild is None or not volume._rebuild.active
         ), "cannot scrub with failed or rebuilding disks present")
         report = ScrubCampaignReport()
-        for stripes, swept, rows in self._chunks():
+        for stripes, buf, rows in self._chunks():
             bad_cells: Dict[int, List[Cell]] = {}
-            for i, cell, disk, offset, crc in rows or ():
+            for i, cell, disk, offset, crc in rows:
                 if crc == self.store.expected(disk, offset):
                     self.store.mark_verified(disk, offset)
                     report.elements_read += 1
                 else:
                     bad_cells.setdefault(i, []).append(cell)
             for i, stripe in enumerate(stripes):
-                if rows is None:
-                    buf, bad = self._campaign_walk(stripe, report)
-                else:
-                    buf, bad = swept[i], bad_cells.get(i, [])
+                bad = bad_cells.get(i)
                 if bad:
-                    volume._decode_cells_checked(stripe, buf, bad)
+                    volume._decode_cells_checked(stripe, buf[i], bad)
+                    ioplan.store_cells(volume, stripe, bad, buf[i])
                     for cell in bad:
-                        volume._write_cell(
-                            stripe, cell, buf[cell.row, cell.col]
-                        )
                         self._classify(report, stripe, cell)
                 report.stripes_scanned += 1
                 # a parity mismatch with no digest evidence cannot be
                 # located
-                if not volume.codec.parity_ok(buf):
+                if not volume.codec.parity_ok(buf[i]):
                     self._unattributed(report, stripe, strict)
         return report
-
-    def _campaign_walk(
-        self, stripe: int, report: ScrubCampaignReport
-    ) -> Tuple[np.ndarray, List[Cell]]:
-        """Read one stripe cell by cell: its image and its bad cells."""
-        volume = self.volume
-        buf = volume.codec.blank_stripe()
-        bad: List[Cell] = []
-        for col in range(volume.layout.cols):
-            for cell in volume.layout.cells_in_column(col):
-                loc = volume.mapper.locate_cell(stripe, cell)
-                try:
-                    block = volume._disk_read(loc.disk, loc.offset)
-                    report.elements_read += 1
-                except _CELL_ERRORS:
-                    bad.append(cell)
-                    continue
-                if not self.store.matches(loc.disk, loc.offset, block):
-                    # explicit digest check: covers verify_reads=False
-                    # (and costs nothing extra — campaigns re-hash by
-                    # design)
-                    bad.append(cell)
-                    continue
-                self.store.mark_verified(
-                    loc.disk, np.array([loc.offset], dtype=np.intp)
-                )
-                buf[cell.row, cell.col] = block
-        return buf, bad
 
     def _classify(
         self, report: ScrubCampaignReport, stripe: int, cell: Cell

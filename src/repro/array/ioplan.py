@@ -24,24 +24,27 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
 * **stripe plans**, keyed by the stale columns — every surviving cell of
   a stripe and the compiled column-recovery schedule:
   :func:`load_stripes` and :func:`store_stripes`, which carry degraded
-  and rotated full-stripe writes, parity scrub, the integrity sweeps and
-  the reconstruct-write that is left for lost dirty cells only algebraic
-  decoding rebuilds.  Healthy and unrotated, a run of whole stripes is
-  one contiguous slab of the backing store and :func:`encode_stripes`
-  encodes it there;
+  and rotated full-stripe writes, parity scrub and repair, the
+  integrity sweeps, crash recovery and every reconstruct-write.
+  Healthy and unrotated, a run of whole stripes is one contiguous slab
+  of the backing store and :func:`encode_stripes` encodes it there;
 * **rebuild plans**, keyed by the lost column — the hybrid planner's
   minimal read set and the XOR schedule folding it into the column
   (:func:`rebuild`; a double failure loads through the stripe plan).
 
 Execution is one gather of the old cells, the value-dependent
-``delta.any()`` masks the per-element walk applies, one XOR schedule
-(:class:`~repro.codec.plan.XorPlan`) and one call of the volume's
-``_store_rows`` funnel — a single scatter over every disk the plan
-writes and one accounting pass — with one read-counter bump per disk:
-the same elements read and written as the walk, so every I/O count is
-unchanged.  The executor assumes a quiet fault surface (no hooks, no
-latent sectors); the volume selects it from one per-operation snapshot
-(``RAID6Volume._surface``) and keeps the walk for everything else.
+``delta.any()`` masks (a cell whose delta is zero is read but not
+written, a parity whose delta cancels is neither), one XOR schedule
+(:class:`~repro.codec.plan.XorPlan`) and one store.  Gathers and stores
+reach the disks through the volume's two funnels, ``_read_rows`` and
+``_store_rows``: one vector over every disk while those disks are quiet,
+each element in plan order — stripe-major, then the plan's cell order —
+when one carries a fault or corrupt hook (or a latent sector, for a
+load; or the journal a crash-point phase hook, for a store), which is
+the op stream fault injection indexes.  A cell that fails to read
+comes back as a *located erasure*: its stripe is loaded through the
+stripe plan with that cell known-lost and decoded, and nothing else of
+the plan changes.
 
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
@@ -57,11 +60,13 @@ from typing import (
 
 import numpy as np
 
-from repro.array.mapping import Run, segments
-from repro.codec.batch import encode_batch
+from repro.array.mapping import Run
+from repro.codec.batch import blank_batch, encode_batch
 from repro.codec.plan import GatherStep, XorPlan
 from repro.codes.base import Cell, column_failure_cells
-from repro.exceptions import AddressError
+from repro.exceptions import (
+    AddressError, DiskFailedError, TransientIOError, UnrecoverableStripeError,
+)
 from repro.recovery.planner import cached_hybrid_plan
 
 #: Plans cached per volume.  A pattern is ``(first index, length)`` of a
@@ -79,6 +84,9 @@ SCATTER_BYTES = 1 << 20
 #: stores, rebuild, scrub and the integrity sweeps alike: bounds the
 #: gather and XOR scratch to a few MB however long the request is.
 RUN_CHUNK = 32
+
+#: Cells that failed to read, by index into the plan's vector of stripes.
+Lost = Dict[int, List[Cell]]
 
 
 class CellSet:
@@ -168,7 +176,7 @@ class RmwPlan(NamedTuple):
     cells: CellSet
     m: int
     xor: XorPlan
-    run: Callable[..., bool]
+    run: Callable[..., Lost]
     lost: Optional[LostCells] = None
 
 
@@ -244,6 +252,28 @@ def _xor_plan(equations: List[Tuple[int, List[int]]], rows: int) -> XorPlan:
     )
 
 
+def _engine(volume, stale: Tuple[int, ...]):
+    from repro.iosim.engine import AccessEngine
+
+    return AccessEngine(
+        volume.layout,
+        num_stripes=volume.mapper.num_stripes,
+        rotate=volume.mapper.rotate,
+        failed_disks=stale,
+    )
+
+
+def _read_plan(volume, stripe: int, wanted: Sequence[Cell]):
+    """The access engine's minimal read plan of ``wanted`` in ``stripe``
+    — the plan the Figure 6/7 simulations price, so real disk counters
+    match the model by construction — from an engine cached per tuple
+    of stale disks (a rebuild splits the volume into regions whose
+    failure states alternate within one request)."""
+    stale = volume._stale_disks(stripe)
+    engine = volume._ioplans.get(("engine", stale), _engine, volume, stale)
+    return engine._plan_stripe_read(stripe, list(wanted))
+
+
 def _rebuild_equations(recipe, row: Dict[Cell, int], base: int) -> list:
     """The XOR equations of a degraded read's ``recipe`` over scratch
     rows: ``row`` places the fetched cells and gains the rebuilt ones,
@@ -261,11 +291,9 @@ def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
     wanted = layout.data_cells[j0:j0 + n]
     if not any(c.col in stale_cols for c in wanted):
         return ReadPlan(CellSet(wanted, layout.cols))
-    plan = volume._read_planner(volume._stale_disks(stripe)).plan_for(
-        stripe, list(wanted)
-    )
+    plan = _read_plan(volume, stripe, wanted)
     if plan.recipe is None:
-        return None  # algebraic pattern: the walk decodes the stripe
+        return None  # algebraic pattern: the stripe plan decodes it
     fetch = sorted(plan.fetch)
     row = {cell: i for i, cell in enumerate(fetch)}
     equations = _rebuild_equations(plan.recipe, row, len(fetch))
@@ -283,7 +311,7 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
     if len(set(cells)) < len(cells) or not all(
         layout.is_data(cell) for cell in cells
     ):
-        return None  # only the walk's sequential semantics cover these
+        return None  # not distinct data cells: reconstruct-write
     keep = [j for j, cell in enumerate(cells) if cell.col not in stale_cols]
     lost = [j for j, cell in enumerate(cells) if cell.col in stale_cols]
     # over GF(2) a parity changes by the XOR of the deltas of the dirty
@@ -310,9 +338,7 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
         )
     # the lost old values come from the degraded read plan of the dirty
     # cells — the one a read of them executes and the access engine prices
-    read = volume._read_planner(volume._stale_disks(stripe)).plan_for(
-        stripe, cells
-    )
+    read = _read_plan(volume, stripe, cells)
     if read.recipe is None:
         return None  # algebraic pattern: reconstruct-write
     gathered = patched + sorted(read.fetch.difference(patched))
@@ -419,41 +445,15 @@ def _by_disk(volume, at: np.ndarray):
         yield disk, offsets[rows], rows
 
 
-def _verified(volume, at: np.ndarray, block: np.ndarray, rows=None) -> bool:
-    """Verified reads: every gathered row (of ``rows``) passes its checksum.
-
-    Edge-triggered like every batched gather (only rows not verified
-    since their last write pay a CRC).  ``False`` sends the caller to
-    the walk, whose scalar reads re-detect the mismatch, reconstruct
-    around it and heal it; nothing has been counted or written by then.
-    """
-    verifier = volume._verifier()
-    if verifier is None:
-        return True
-    if rows is not None:
-        at, block = at[rows], block[rows]
-    bad = [
-        verifier.verify_rows(disk, offsets, block[rows]).size
-        for disk, offsets, rows in _by_disk(volume, at)
-    ]
-    return not any(bad)
-
-
-def _count_reads(volume, cells: CellSet, at, rows=None) -> None:
-    """One read-counter bump per disk for the gather of ``cells`` of
-    every stripe at flat backing rows ``at`` — of its rows ``rows``
-    only, where value-dependent masks cut it down."""
-    disks = volume.disks
-    if rows is None and not volume.mapper.rotate:
-        times = len(at) // len(cells.flat)
-        for col, n in cells.counts:
-            disks[col].count_reads(n * times)
-        return
-    if rows is not None:
-        at = at[rows]
-    for disk, n in zip(disks, np.bincount(at % len(disks)).tolist()):
-        if n:
-            disk.count_reads(n)
+def _by_stripe(cells: CellSet, failed: Sequence[int]) -> Lost:
+    """Failed positions of a stripe-major gather of ``cells`` as lost
+    cells by stripe index."""
+    lost: Lost = {}
+    per = len(cells.cells)
+    for k in failed:
+        i, j = divmod(int(k), per)
+        lost.setdefault(i, []).append(cells.cells[j])
+    return lost
 
 
 def _rows(flat: np.ndarray, batch: int, stride: int) -> np.ndarray:
@@ -503,14 +503,26 @@ def consecutive_runs(stripes: Sequence[int]):
             lo = hi
 
 
-def read_runs(volume, surface, runs: Sequence[Run], count: int):
+def _reread(volume, stripes, stale, j0: int, n: int, lost=()) -> np.ndarray:
+    """Data cells ``j0 .. j0 + n`` of ``stripes`` through the stripe
+    plan — every surviving cell read but ``lost``, the rest decoded —
+    healing what failed to read beyond the stale columns."""
+    buf, failed = load_stripes(volume, stripes, stale, lost)
+    for i, cells in failed.items():
+        volume._heal_cells(stripes[i], cells, buf[i])
+    cols = volume.layout.cols
+    want = volume._data_rows[j0:j0 + n] * cols + volume._data_cols[j0:j0 + n]
+    es = volume.element_size
+    return buf.reshape(len(stripes), -1, es)[:, want].reshape(-1, es)
+
+
+def read_runs(volume, surface, runs: Sequence[Run], count: int) -> np.ndarray:
     """Serve the runs of one ``count``-element read from read plans.
 
-    Returns the output buffer and the segments of it left to the
-    per-stripe walk: patterns that need algebraic decoding and chunks
-    holding a block that failed checksum verification.
+    A pattern that needs algebraic decoding, and a stripe holding a cell
+    that fails to read, go through the stripe plan instead
+    (:func:`_reread`).
     """
-    left = []
     backing = volume._flat_backing
     es = volume.element_size
     out = None
@@ -523,7 +535,9 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int):
                 ("read", j0, n, stale), _compile_read, volume, j0, n, stale, a
             )
             k = k0 + lo * n
-            if plan is not None:
+            if plan is None:
+                block = _reread(volume, range(a, b), stale, j0, n)
+            else:
                 at = _at(volume, plan.cells, range(a, b))
                 # one run of several, nothing to rebuild: gathered
                 # straight into its slice of the answer ("clip" lets
@@ -538,39 +552,43 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int):
                     )
                 else:
                     block = backing[at]
-                if not _verified(volume, at, block):
-                    plan = None
-            if plan is None:
-                left.extend(segments([(a, b - a, j0, n, k)]))
-                continue
-            _count_reads(volume, plan.cells, at)
-            if direct:
-                continue
-            if plan.xor is not None:
-                scratch = np.empty((b - a, plan.rows, es), dtype=np.uint8)
-                scratch[:, :len(plan.cells.flat)] = block.reshape(
-                    b - a, -1, es
-                )
-                plan.xor.execute_batch(scratch)
-                block = scratch[:, plan.out].reshape(-1, es)
+                failed = volume._read_rows(at, block, plan.cells)
+                if plan.xor is not None:
+                    scratch = np.empty((b - a, plan.rows, es), dtype=np.uint8)
+                    scratch[:, :len(plan.cells.flat)] = block.reshape(
+                        b - a, -1, es
+                    )
+                    plan.xor.execute_batch(scratch)
+                    block = scratch[:, plan.out].reshape(-1, es)
+                if failed:
+                    for i, lost in _by_stripe(plan.cells, failed).items():
+                        block[i * n:(i + 1) * n] = _reread(
+                            volume, (a + i,), stale, j0, n, lost
+                        )
+                if direct:
+                    continue
             if len(block) == count:
-                return block, left  # the gather *is* the whole answer
+                return block  # the gather *is* the whole answer
             if out is None:
                 out = np.empty((count, es), dtype=np.uint8)
             out[k:k + len(block)] = block
     if out is None:
         out = np.empty((count, es), dtype=np.uint8)
-    return out, left
+    return out
 
 
-def rmw(volume, entries, surface) -> list:
+def rmw(volume, entries, surface) -> None:
     """Planned read-modify-write of partial-stripe ``(stripe, items)``
     entries; entries sharing their dirty-cell pattern and stale columns
     execute as one vector of stripes.
 
-    Returns the entries *not* written — an old value failed
-    verification, the items are not distinct data cells, or a dirty cell
-    on a stale column needs algebraic decoding; the caller walks those.
+    What a plan cannot patch is reconstruct-written
+    (``RAID6Volume._reconstruct_write``): an entry whose items are not
+    distinct data cells or whose lost dirty cell needs algebraic
+    decoding; a stripe an old value of which fails to read — nothing of
+    it has landed, and the cells that failed are known-lost, not read
+    again; and every member of a vector whose store failed (a disk died
+    since the surface was taken, write retries ran out).
     """
     ncols = volume.layout.cols
     healthy = surface.healthy
@@ -587,7 +605,6 @@ def rmw(volume, entries, surface) -> list:
             () if healthy else volume._stale_cols(stripe, surface),
         )
         groups.setdefault(key, []).append(entry)
-    left = []
     for (pattern, stale), members in groups.items():
         stripes = [s for s, _ in members]
         _check_stripes(volume, min(stripes), max(stripes))
@@ -602,42 +619,60 @@ def rmw(volume, entries, surface) -> list:
             values = first.values[None]  # the caller's rows as they stand
         else:
             values = np.stack([items.values for _, items in members])
-        if plan is None or not plan.run(volume, plan, stripes, values):
-            left.extend(members)
-    return left
+        lost = None
+        if plan is not None:
+            try:
+                lost = plan.run(volume, plan, stripes, values)
+            except (DiskFailedError, TransientIOError):
+                pass
+        if lost is None:
+            lost = dict.fromkeys(range(len(members)), ())
+        for i, cells in lost.items():
+            volume._reconstruct_write(*members[i], lost=cells)
 
 
-def _rmw_run(volume, plan: RmwPlan, stripes, values) -> bool:
+def _unlost(written, lost: Lost, per: int, batch: int) -> np.ndarray:
+    """``written`` rows of a ``batch``-stripe vector, ``per`` rows a
+    stripe, without those of the stripes in ``lost``."""
+    if isinstance(written, slice):
+        written = np.arange(batch * per)[written]
+    return written[np.isin(written // per, list(lost), invert=True)]
+
+
+def _rmw_run(volume, plan: RmwPlan, stripes, values) -> Lost:
     batch, m, es = values.shape
     cells = plan.cells
     at = _at(volume, cells, stripes)
-    # every old value — dirty cells and patchable parities — is gathered
-    # before the first write lands, so a failed verification aborts with
-    # the stripe untouched
     old = volume._flat_backing[at].reshape(batch, -1, es)
     # scratch rows 0..m-1: data deltas; the rest: the parity deltas the
     # schedule folds them into
     scratch = np.empty_like(old)
     np.bitwise_xor(old[:, :m], values, out=scratch[:, :m])
     plan.xor.execute_batch(scratch)
-    # the walk's masks: a cell whose delta is zero is read but not
-    # written, a parity whose delta cancels is neither read nor written
+    # a cell whose delta is zero is read but not written, a parity whose
+    # delta cancels is neither read nor written
     changed = scratch.any(axis=2)
     read, written = None, slice(None)  # one stripe, no mask: every row
     if batch > 1 or not changed.all():
         written = np.flatnonzero(changed)
         changed[:, :m] = True
         read = np.flatnonzero(changed)
-    if not _verified(volume, at, old.reshape(-1, es), read):
-        return False
+    # every old value is read before the first write lands: a stripe
+    # with one that fails is handed back untouched
+    lost = _by_stripe(
+        cells, volume._read_rows(at, old.reshape(-1, es), cells, read)
+    )
+    if len(lost) == batch:
+        return lost
     np.bitwise_xor(old[:, m:], scratch[:, m:], out=old[:, m:])
     old[:, :m] = values
-    _count_reads(volume, cells, at, read)
+    if lost:
+        written = _unlost(written, lost, len(cells.flat), batch)
     volume._store_rows(at[written], old.reshape(-1, es)[written])
-    return True
+    return lost
 
 
-def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> bool:
+def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> Lost:
     """:func:`_rmw_run` with dirty cells on stale columns: their old
     values are rebuilt in the scratch buffer (see :class:`LostCells`),
     nothing is read from or written to those columns."""
@@ -668,14 +703,16 @@ def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> bool:
         changed[:, lost.fetch] = True
         read = np.flatnonzero(changed)
     new = old.reshape(-1, es)  # a view of one stripe, a copy of more
-    if not _verified(volume, at, new, read):
-        return False
+    failed = _by_stripe(cells, volume._read_rows(at, new, cells, read))
+    if len(failed) == batch:
+        return failed
     patched = new.reshape(batch, g, es)
     np.bitwise_xor(patched[:, m:n], delta[:, m:], out=patched[:, m:n])
     patched[:, :m] = kept
-    _count_reads(volume, cells, at, read)
+    if failed:
+        written = _unlost(written, failed, g, batch)
     volume._store_rows(at[written], new[written])
-    return True
+    return failed
 
 
 def _stripe_plan(volume, stale_cols: Sequence[int]) -> StripePlan:
@@ -687,7 +724,7 @@ def _stripe_plan(volume, stale_cols: Sequence[int]) -> StripePlan:
 
 
 def stripe_rows(volume, stripes: Sequence[int], missing_cols: Sequence[int]):
-    """What :func:`load_stripes` gathers: each stripe's surviving cells
+    """What :func:`gather_stripes` reads: each stripe's surviving cells
     and the flat backing row of every block, stripe-major
     (``divmod(at, cols)`` is ``(offsets, disks)``)."""
     cells = _stripe_plan(volume, missing_cols).cells
@@ -697,58 +734,80 @@ def stripe_rows(volume, stripes: Sequence[int], missing_cols: Sequence[int]):
 def _gather(
     volume, cells: CellSet, stripes, out: np.ndarray, dest: np.ndarray,
     verify: bool = True,
-) -> bool:
+) -> Lost:
     """Read ``cells`` of every stripe into rows ``dest`` (stripe-major)
-    of ``out``.  ``False`` — nothing counted — when a block failed
-    verification: take the walk."""
+    of ``out``: the cells that failed to read, by stripe index."""
     at = _at(volume, cells, stripes)
-    # one stripe: a single small gather; a vector: disk by disk, so no
-    # scratch outgrows one disk's share
-    pieces = [slice(None)] if len(stripes) == 1 else [
-        sel for _, _, sel in _by_disk(volume, at)
-    ]
-    ok = True
-    for sel in pieces:
-        rows = at[sel]
-        block = volume._flat_backing[rows]
-        if verify and not _verified(volume, rows, block):
-            ok = False
+    backing = volume._flat_backing
+    if len(stripes) == 1 or volume._hooked(at):
+        block = backing[at]
+        failed = volume._read_rows(at, block, cells, verify=verify)
+        out[dest] = block
+        return _by_stripe(cells, failed)
+    # a quiet vector disk by disk, so no scratch outgrows one disk's share
+    failed = []
+    for _, _, sel in _by_disk(volume, at):
+        block = backing[at[sel]]
+        bad = volume._read_rows(at[sel], block, verify=verify)
+        failed += sel[bad].tolist()
         out[dest[sel]] = block
-    if ok:
-        _count_reads(volume, cells, at)
-    return ok
+    return _by_stripe(cells, sorted(failed))
+
+
+def gather_stripes(
+    volume, stripes: Sequence[int], missing_cols: Sequence[int],
+    lost: Sequence[Cell] = (), verify: bool = True,
+) -> Tuple[np.ndarray, Lost]:
+    """Read every cell of ``stripes`` — which share their
+    ``missing_cols``; one stripe is the scalar case — outside those
+    columns but ``lost`` (cells known lost in each of them) into a
+    ``(stripes, rows, cols, element_size)`` buffer, the rest left as
+    garbage; also the cells that failed to read, ``lost`` first, by
+    stripe index.
+
+    ``verify=False`` is the integrity sweeps' raw gather: they hash every
+    block themselves, whatever the verified bitmap says.
+    """
+    _check_stripes(volume, min(stripes), max(stripes))
+    layout = volume.layout
+    cells = _stripe_plan(volume, missing_cols).cells
+    if lost:
+        cells = CellSet([c for c in cells.cells if c not in lost], layout.cols)
+    batch, es = len(stripes), volume.element_size
+    # not zeroed: every cell is gathered here or rebuilt by the caller
+    buf = np.empty((batch, layout.rows, layout.cols, es), dtype=np.uint8)
+    failed = _gather(
+        volume, cells, stripes, buf.reshape(-1, es),
+        _rows(cells.flat, batch, layout.rows * layout.cols), verify,
+    )
+    if lost:
+        failed = {i: list(lost) + failed.get(i, []) for i in range(batch)}
+    return buf, failed
 
 
 def load_stripes(
     volume, stripes: Sequence[int], missing_cols: Sequence[int],
-    verify: bool = True,
-) -> Optional[np.ndarray]:
-    """Gather every surviving cell of ``stripes`` — which share their
-    ``missing_cols``; one stripe is the scalar case — and rebuild the
-    rest: a ``(stripes, rows, cols, element_size)`` buffer.
-
-    ``None`` when a gathered block failed verification (take the walk).
-    ``verify=False`` is the integrity sweeps' raw gather: they hash
-    every block themselves, whatever the verified bitmap says.
-    """
-    _check_stripes(volume, min(stripes), max(stripes))
+    lost: Sequence[Cell] = (),
+) -> Tuple[np.ndarray, Lost]:
+    """:func:`gather_stripes`, then rebuild every cell not read: the
+    stale columns by the compiled column recovery, a stripe with cells
+    that failed by the volume's decoder — a typed
+    :class:`~repro.exceptions.UnrecoverableStripeError` when it lost more
+    than its code decodes."""
+    buf, failed = gather_stripes(volume, stripes, missing_cols, lost)
     plan = _stripe_plan(volume, missing_cols)
-    rows, cols = volume.layout.rows, volume.layout.cols
-    batch = len(stripes)
-    es = volume.element_size
-    # not zeroed: every cell is gathered here or rebuilt below
-    buf = np.empty((batch, rows, cols, es), dtype=np.uint8)
-    if not _gather(
-        volume, plan.cells, stripes, buf.reshape(-1, es),
-        _rows(plan.cells.flat, batch, rows * cols), verify,
-    ):
-        return None
     if plan.decode is not None:
-        plan.decode.execute_batch(buf.reshape(batch, -1, es))
-    elif plan.lost:
+        plan.decode.execute_batch(
+            buf.reshape(len(stripes), -1, volume.element_size)
+        )
+    algebraic = plan.lost and plan.decode is None
+    if failed or algebraic:
         for i, stripe in enumerate(stripes):
-            volume._decode_cells_checked(stripe, buf[i], plan.lost)
-    return buf
+            if algebraic or i in failed:
+                volume._decode_cells_checked(
+                    stripe, buf[i], plan.lost + failed.get(i, [])
+                )
+    return buf, failed
 
 
 def store_stripes(
@@ -765,6 +824,51 @@ def store_stripes(
     )
 
 
+def store_cells(volume, stripe: int, cells: Sequence[Cell], buf) -> None:
+    """Write ``cells`` of ``stripe`` from its ``(rows, cols,
+    element_size)`` image ``buf``: one store (repairs and heals)."""
+    footprint = CellSet(cells, volume.layout.cols)
+    volume._store_rows(
+        _at(volume, footprint, (stripe,)),
+        buf.reshape(-1, volume.element_size)[footprint.flat],
+    )
+
+
+def _compile_resync(layout) -> Tuple[CellSet, CellSet]:
+    return (
+        CellSet(layout.data_cells, layout.cols),
+        CellSet(layout.parity_cells, layout.cols),
+    )
+
+
+def resync(volume, stripes: Sequence[int]) -> None:
+    """Re-encode the parity of ``stripes`` from their data cells: one
+    gather of the data cells, one encode, one store of the parity cells.
+
+    A data cell that fails to read raises a typed
+    :class:`~repro.exceptions.UnrecoverableStripeError`: the parity of a
+    torn stripe cannot stand in for it.
+    """
+    _check_stripes(volume, min(stripes), max(stripes))
+    layout = volume.layout
+    data, parity = volume._ioplans.get(("resync",), _compile_resync, layout)
+    batch, stride = len(stripes), layout.rows * layout.cols
+    buf = blank_batch(volume.codec, batch)
+    flat = buf.reshape(-1, volume.element_size)
+    failed = _gather(
+        volume, data, stripes, flat, _rows(data.flat, batch, stride)
+    )
+    for i, cells in failed.items():
+        raise UnrecoverableStripeError(
+            stripes[i], cells, reason="data cell unreadable during resync"
+        )
+    encode_batch(volume.codec, buf)
+    _scatter(
+        volume, stripes, _at(volume, parity, stripes), flat,
+        _rows(parity.flat, batch, stride),
+    )
+
+
 def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     """Write ``data`` — ``(stripes, num_data_cells, element_size)``, the
     logical payload of consecutive stripes from ``first`` — by encoding
@@ -774,8 +878,9 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     One copy of the payload into the slab's data cells, one in-place
     encode, then one ``_store_rows`` call without data — the rows are in
     the store — for the rows :func:`store_stripes` would have scattered.
-    For a healthy, unrotated volume with no hook to interleave with;
-    ``data`` must not alias the backing store.
+    For a healthy, unrotated volume whose stores are quiet (nothing to
+    present element by element); ``data`` must not alias the backing
+    store.
     """
     layout = volume.layout
     batch, per, es = data.shape
@@ -795,13 +900,13 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
 
 def rebuild(
     volume, stripes: Sequence[int], stale: Tuple[int, ...], col: int
-) -> bool:
+) -> None:
     """Rebuild layout column ``col`` of ``stripes``, whose stale columns
     ``stale`` include it: a single failure from the hybrid planner's
-    minimal read set, a double failure through the stripe plan.
-
-    ``False`` — nothing counted or written — when a source failed
-    verification: the walk reconstructs around it.
+    minimal read set — a stripe whose source fails to read through the
+    stripe plan with that source known-lost — a double failure through
+    the stripe plan.  Nothing is stored when a stripe turns out
+    unrecoverable (:class:`~repro.exceptions.UnrecoverableStripeError`).
     """
     _check_stripes(volume, min(stripes), max(stripes))
     layout = volume.layout
@@ -816,18 +921,17 @@ def rebuild(
         )
         src = np.empty((batch, plan.rows, es), dtype=np.uint8)
         fetched = np.arange(len(plan.cells.flat))
-        if not _gather(
+        failed = _gather(
             volume, plan.cells, stripes, src.reshape(-1, es),
             _rows(fetched, batch, plan.rows),
-        ):
-            return False
+        )
         plan.xor.execute_batch(src)
+        for i, lost in failed.items():
+            buf = load_stripes(volume, (stripes[i],), stale, lost)[0]
+            src[i, plan.out] = buf.reshape(-1, es)[column.flat]
         rows = _rows(plan.out, batch, plan.rows)
     else:
-        src = load_stripes(volume, stripes, stale)
-        if src is None:
-            return False
+        src = load_stripes(volume, stripes, stale)[0]
         rows = _rows(column.flat, batch, layout.rows * layout.cols)
     at = _at(volume, column, stripes)
     _scatter(volume, stripes, at, src.reshape(-1, es), rows)
-    return True

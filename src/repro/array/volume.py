@@ -25,6 +25,12 @@ life-cycle:
   write-hole repair (:meth:`RAID6Volume.resync_stripes`) after a
   simulated crash.
 
+Every operation executes :mod:`repro.array.ioplan` plans, and every plan
+reaches the disks through two funnels — :meth:`RAID6Volume._read_rows`
+and :meth:`RAID6Volume._store_rows` — which present it to fault hooks
+element by element when a disk it touches carries one; a cell that
+fails to read comes back to the plan as a located erasure.
+
 Any stripe that has lost more than the code tolerates raises a typed
 :class:`~repro.exceptions.UnrecoverableStripeError` naming the stripe,
 never a raw decoder or disk exception.  Disk read/write counters make
@@ -58,7 +64,6 @@ from repro.codec.encoder import StripeCodec, _toposort_groups
 from repro.codec.gauss import GaussianDecoder
 from repro.exceptions import (
     AddressError,
-    ChecksumMismatchError,
     DecodeError,
     DiskFailedError,
     FaultToleranceExceeded,
@@ -70,32 +75,17 @@ from repro.exceptions import (
 from repro.faults.health import HealthState, RebuildCursor
 from repro.faults.policy import ErrorCounters, ErrorPolicy, HealEvent
 from repro.journal.intent import WriteIntent, WriteIntentLog
-from repro.recovery.planner import cached_hybrid_plan
 from repro.util.validation import require, require_positive
-from repro.util.xor import xor_into
-
-#: Errors that make a single element unreadable without killing the disk.
-#: A checksum mismatch belongs here by design: a block whose bytes no
-#: longer match their out-of-band CRC is a *located erasure* — exactly as
-#: recoverable as a latent sector error, and handled by the same
-#: reconstruct-and-heal ladder (docs/robustness.md, "Silent corruption").
-_CELL_ERRORS = (LatentSectorError, TransientIOError, ChecksumMismatchError)
 
 
 class _Surface(NamedTuple):
-    """One operation's view of the fault surface.
+    """One operation's view of the failure state.
 
     Taken once at the top of :meth:`RAID6Volume.read` / ``write`` /
     ``_write_rest`` and passed down, so an operation walks the disks
-    once instead of once per gate it passes.
+    once instead of once per stripe it touches.
     """
 
-    #: planned *loads* allowed: no fault or corruption hook on any disk,
-    #: no latent sector
-    quiet_io: bool
-    #: planned *stores* allowed: no hook on any disk, no crash-point
-    #: phase hook on the journal
-    quiet_write: bool
     #: failed disks, ascending
     failed: Tuple[int, ...]
     #: an incremental rebuild is in flight
@@ -181,10 +171,11 @@ class RAID6Volume:
         self.restored_checksums = None
         #: The attached :class:`~repro.array.integrity.IntegrityChecker`
         #: (set by its constructor, cleared by its ``detach()``).  When
-        #: present *and* its ``verify_reads`` flag is on, the read paths
-        #: verify block checksums edge-triggered — each block's first
-        #: read since attach/write re-checks its CRC — and surface
-        #: mismatches as :class:`ChecksumMismatchError` erasures.
+        #: present *and* its ``verify_reads`` flag is on, every planned
+        #: load verifies block checksums — the vector branch
+        #: edge-triggered (each block's first read since attach/write
+        #: re-checks its CRC), the per-element branch on every read —
+        #: and hands mismatches back to its plan as located erasures.
         self.integrity = None
         self.error_counters = ErrorCounters(layout.cols)
         #: Audit trail of self-healing actions (see
@@ -206,14 +197,6 @@ class RAID6Volume:
         self._stripe_locks: Tuple[threading.RLock, ...] = tuple(
             threading.RLock() for _ in range(min(64, num_stripes))
         )
-        # Degraded-read planners, one per failure state (tuple of stale
-        # disks).  A dict — not a single slot — because a rebuild splits
-        # the volume into covered/uncovered regions whose states
-        # alternate within one request, and a single-slot cache would
-        # rebuild the AccessEngine (and its plan cache) on every flip.
-        self._planner_cache: Dict[
-            Tuple[int, ...], "_VolumeReadPlanner"
-        ] = {}
         # data-cell set -> affected parity cells (journal digest footprint)
         self._footprint_cache: Dict[
             frozenset, Tuple[Cell, ...]
@@ -277,35 +260,13 @@ class RAID6Volume:
         for d in self.disks:
             d.reset_counters()
 
-    # -- fast-path gating ------------------------------------------------------
-    #
-    # The planned paths change neither data nor counters, but they do
-    # change the *order* individual elements touch the disks — so they
-    # only engage while the fault surface is quiet.  The moment a
-    # fault hook is attached (chaos harness, injector tests) everything
-    # drops back to the per-element serial walk, which keeps seed-driven
-    # fault schedules bit-reproducible.  See docs/performance.md.
-
     def _surface(self) -> _Surface:
-        """Snapshot the fault surface: one pass over the disks."""
-        hooks = latent = False
-        failed = []
-        for d in self.disks:
-            if d.fault_hook is not None or d.corrupt_hook is not None:
-                hooks = True
-            if d._bad_sectors:
-                latent = True
-            if d.state is DiskState.FAILED:
-                failed.append(d.disk_id)
+        """Snapshot the failure state: one pass over the disks."""
         rebuild = self._rebuild
-        journal = self.journal
         return _Surface(
-            not hooks and not latent,
-            # a crash-point phase hook (like a disk fault hook) defines
-            # crash points over the per-element order; a journal
-            # *without* one never forces the walk
-            not hooks and (journal is None or journal.phase_hook is None),
-            tuple(failed),
+            tuple([
+                d.disk_id for d in self.disks if d.state is DiskState.FAILED
+            ]),
             rebuild is not None and rebuild.active,
             len(self.error_counters.escalated),
         )
@@ -314,9 +275,9 @@ class RAID6Volume:
         """``surface`` if it still holds, otherwise a new snapshot.
 
         One thing moves the surface *inside* an operation: the error
-        policy failing a disk under a walk that keeps tripping over
-        checksum mismatches.  Per-stripe code handed its caller's
-        snapshot checks for that before trusting it.
+        policy failing a disk that keeps erroring under a plan's gather.
+        Per-stripe code handed its caller's snapshot checks for that
+        before trusting it.
         """
         if surface is None or surface.escalated != len(
             self.error_counters.escalated
@@ -387,52 +348,23 @@ class RAID6Volume:
 
     def _rebuild_stripes(self, cursor: RebuildCursor, end: int) -> None:
         """Advance ``cursor`` over its next run of stripes (at most to
-        ``end``): one :func:`repro.array.ioplan.rebuild` call on a quiet
-        surface; otherwise, or when a rebuild source fails verification,
-        the walk, the cursor following stripe by stripe so that an
-        unrecoverable one leaves it there."""
+        ``end``) sharing their stale columns: one
+        :func:`repro.array.ioplan.rebuild` call.  A stripe found
+        unrecoverable parks the cursor on it, the run before it rebuilt."""
         surface = self._surface()
         first = cursor.pos
         _, count, stale = next(
             ioplan.stale_runs(self, surface, range(first, end))
         )
-        run = range(first, first + count)
-        if surface.quiet_io and ioplan.rebuild(
-            self, run, stale, self.mapper.col_on_disk(first, cursor.disk)
-        ):
-            cursor.pos += count
-            return
-        for stripe in run:
-            self._rebuild_stripe(stripe, cursor.disk)
-            cursor.pos += 1
-
-    def _rebuild_stripe(self, stripe: int, disk: int) -> None:
-        """The walk: rebuild ``disk``'s share of one stripe cell by cell."""
-        col = self.mapper.col_on_disk(stripe, disk)
-        stale = self._stale_cols(stripe)
-        if len(stale) == 1:
-            plan = cached_hybrid_plan(self.layout, col)
-            cache: Dict[Cell, np.ndarray] = {}
-            try:
-                for cell in plan.reads:
-                    cache[cell] = self._read_cell(stripe, cell)
-            except _CELL_ERRORS + (DiskFailedError,):
-                # a medium error inside the minimal read set (or a disk
-                # died under it): escalate to the full reconstruct below,
-                # which tolerates the extra loss (RAID-6 still has a
-                # second parity family in hand)
-                pass
-            else:
-                for cell, group in plan.choices:
-                    acc = np.zeros(self.element_size, dtype=np.uint8)
-                    for other in group.cells:
-                        if other != cell:
-                            xor_into(acc, cache[other])
-                    self._write_cell(stripe, cell, acc)
-                return
-        buf = self._load_stripe(stripe, missing_cols=stale)
-        for cell in self.layout.cells_in_column(col):
-            self._write_cell(stripe, cell, buf[cell.row, cell.col])
+        col = self.mapper.col_on_disk(first, cursor.disk)
+        try:
+            ioplan.rebuild(self, range(first, first + count), stale, col)
+        except UnrecoverableStripeError as exc:
+            if exc.stripe > first:
+                ioplan.rebuild(self, range(first, exc.stripe), stale, col)
+            cursor.pos = exc.stripe
+            raise
+        cursor.pos += count
 
     def inject_latent_error(self, disk: int, stripe: int, row: int) -> None:
         """Mark one element of ``disk`` unreadable (medium error).
@@ -444,6 +376,13 @@ class RAID6Volume:
         require(0 <= disk < len(self.disks), f"no disk {disk}")
         offset = stripe * self.layout.rows + row
         self.disks[disk].mark_bad(offset)
+
+    def _chunks(self) -> Iterable[range]:
+        """The volume in runs of :data:`~repro.array.ioplan.RUN_CHUNK`
+        stripes."""
+        num = self.mapper.num_stripes
+        for start in range(0, num, ioplan.RUN_CHUNK):
+            yield range(start, min(start + ioplan.RUN_CHUNK, num))
 
     def scrub_and_repair(self) -> ScrubReport:
         """Find latent sector errors volume-wide and rewrite them.
@@ -460,60 +399,41 @@ class RAID6Volume:
         require(self.health is HealthState.HEALTHY,
                 "cannot scrub with failed or rebuilding disks present")
         report = ScrubReport()
-        for stripe in range(self.mapper.num_stripes):
-            report.stripes_scanned += 1
-            buf = self.codec.blank_stripe()
-            bad: List[Cell] = []
-            for col in range(self.layout.cols):
-                for cell in self.layout.cells_in_column(col):
-                    try:
-                        buf[cell.row, cell.col] = self._read_cell(
-                            stripe, cell
-                        )
-                        report.elements_read += 1
-                    except _CELL_ERRORS:
-                        bad.append(cell)
-            if bad:
-                self._decode_cells_checked(stripe, buf, bad)
-                for cell in bad:
-                    self._write_cell(stripe, cell, buf[cell.row, cell.col])
-                    report.elements_written += 1
-                report[stripe] = bad
-            # the repaired buffer is byte-identical to what a re-read
-            # would return, so verify parity against it directly
-            if not self.codec.parity_ok(buf):
-                raise InconsistentStripeError(
-                    f"stripe {stripe} parity mismatch after repair"
-                )
+        cells = self.layout.rows * self.layout.cols
+        for stripes in self._chunks():
+            buf, bad = ioplan.load_stripes(self, stripes, ())
+            report.stripes_scanned += len(stripes)
+            report.elements_read += len(stripes) * cells - sum(
+                map(len, bad.values())
+            )
+            for i, stripe in enumerate(stripes):
+                if i in bad:
+                    ioplan.store_cells(self, stripe, bad[i], buf[i])
+                    report.elements_written += len(bad[i])
+                    report[stripe] = bad[i]
+                # the repaired buffer is byte-identical to what a re-read
+                # would return, so verify parity against it directly
+                if not self.codec.parity_ok(buf[i]):
+                    raise InconsistentStripeError(
+                        f"stripe {stripe} parity mismatch after repair"
+                    )
         return report
 
     def scrub(self) -> List[int]:
         """Verify parity of every stripe; returns inconsistent stripe ids.
 
         Requires a healthy array — parity cannot be checked through a
-        failed disk or an unrebuilt region.  On a quiet surface each
-        :data:`~repro.array.ioplan.RUN_CHUNK` stripes are one gather,
-        re-encoded as one batch and flagged where the stored bytes
-        differ (parity is consistent in every group iff it equals the
-        canonical re-encode); otherwise, and for a chunk holding a block
-        that fails verification, each stripe is loaded by the walk.
+        failed disk or an unrebuilt region.  Each
+        :data:`~repro.array.ioplan.RUN_CHUNK` stripes are one gather
+        (a cell that fails to read decoded around), re-encoded as one
+        batch and flagged where the stored bytes differ (parity is
+        consistent in every group iff it equals the canonical re-encode).
         """
         require(self.health is HealthState.HEALTHY,
                 "cannot scrub with failed or rebuilding disks present")
         bad: List[int] = []
-        num_stripes = self.mapper.num_stripes
-        for start in range(0, num_stripes, ioplan.RUN_CHUNK):
-            stripes = range(start, min(start + ioplan.RUN_CHUNK, num_stripes))
-            buf = (
-                ioplan.load_stripes(self, stripes, ())
-                if self._surface().quiet_io else None
-            )
-            if buf is None:
-                bad.extend(
-                    stripe for stripe in stripes
-                    if not self.codec.parity_ok(self._load_stripe(stripe, ()))
-                )
-                continue
+        for stripes in self._chunks():
+            buf = ioplan.load_stripes(self, stripes, ())[0]
             enc = encode_batch(self.codec, buf.copy())
             bad.extend(
                 stripe for stripe, a, b in zip(stripes, enc, buf)
@@ -532,18 +452,13 @@ class RAID6Volume:
         """
         require(self.health is HealthState.HEALTHY,
                 "cannot resync with failed or rebuilding disks present")
-        count = 0
-        for stripe in sorted(set(stripes)):
+        stripes = sorted(set(stripes))
+        for stripe in stripes:
             require(0 <= stripe < self.mapper.num_stripes,
                     f"no stripe {stripe}")
-            buf = self.codec.blank_stripe()
-            for cell in self.layout.data_cells:
-                buf[cell.row, cell.col] = self._read_cell(stripe, cell)
-            self.codec.encode(buf)
-            for cell in self.layout.parity_cells:
-                self._write_cell(stripe, cell, buf[cell.row, cell.col])
-            count += 1
-        return count
+        for lo in range(0, len(stripes), ioplan.RUN_CHUNK):
+            ioplan.resync(self, stripes[lo:lo + ioplan.RUN_CHUNK])
+        return len(stripes)
 
     # -- reads ---------------------------------------------------------------
 
@@ -551,24 +466,20 @@ class RAID6Volume:
         """Read ``count`` logical elements starting at ``start``.
 
         Transparently reconstructs elements on failed disks and in the
-        unrebuilt region of an incremental rebuild.  Latent sector errors
-        encountered on live disks are healed inline: the element is
-        rebuilt from parity and the bad sector rewritten (policy
-        ``heal_latent_on_read``).
+        unrebuilt region of an incremental rebuild.  Latent sector
+        errors, exhausted transient retries and checksum mismatches are
+        located erasures: the stripe is decoded around them and the bad
+        sector rewritten (policy ``heal_latent_on_read``).
 
-        While the fault surface is quiet (no hooks, no latent sectors):
-
-        * a stripe-aligned full-stripe read of a row-major layout on a
-          healthy array returns a **zero-copy read-only view** of the
-          backing store — no bytes move at all (the view is the live
-          stripe: a later write shows through it, cell by cell while it
-          is in progress — whole stripes are encoded where the view
-          points — so copy it to snapshot);
-        * any other range — healthy or degraded — executes cached read
-          plans, one gather per run of stripes sharing a pattern
-          (:mod:`repro.array.ioplan`).
-
-        Everything else takes the per-stripe reconstruction walk.
+        A stripe-aligned full-stripe read of a row-major layout on a
+        healthy array with no disk hooked returns a **zero-copy
+        read-only view** of the backing store — no bytes move at all
+        (the view is the live stripe: a later write shows through it,
+        cell by cell while it is in progress — whole stripes are
+        encoded where the view points — so copy it to snapshot).  Any
+        other range — healthy or degraded — executes cached read plans,
+        one gather per run of stripes sharing a pattern
+        (:mod:`repro.array.ioplan`).
         """
         require_positive(count, "count")
         if start < 0 or start + count > self.num_elements:
@@ -580,50 +491,9 @@ class RAID6Volume:
         view = self._read_zero_copy(start, count, surface)
         if view is not None:
             return view
-        runs = self.mapper.split(start, count)
-        # what the plans leave behind re-serves through the self-healing
-        # walk: its scalar reads re-detect a checksum mismatch,
-        # reconstruct from parity, heal the rotten block in place and
-        # re-record its digest
-        if surface.quiet_io:
-            out, left = ioplan.read_runs(self, surface, runs, count)
-        else:
-            out = np.empty((count, self.element_size), dtype=np.uint8)
-            left = segments(runs)
-        data_cells = self.layout.data_cells
-        for stripe, j0, n, k0 in left:
-            self._serve_stripe_read(
-                stripe, list(enumerate(data_cells[j0:j0 + n], k0)), out
-            )
-        return out
-
-    def _serve_stripe_read(
-        self, stripe: int, items: List[Tuple[int, Cell]], out: np.ndarray
-    ) -> None:
-        """Serve one stripe's share of a read into ``out`` (see read())."""
-        stale = self._stale_disks(stripe)
-        lost_cols = self._stale_cols(stripe)
-        needs_repair = any(cell.col in lost_cols for _, cell in items)
-        if not needs_repair:
-            try:
-                for k, cell in items:
-                    out[k] = self._read_cell(stripe, cell)
-                return
-            except _CELL_ERRORS + (DiskFailedError,):
-                pass  # medium error: reconstruct the stripe below
-        else:
-            cache = self._fetch_read_plan(
-                stripe, [cell for _, cell in items], stale
-            )
-            if cache is not None:
-                for k, cell in items:
-                    out[k] = cache[cell]
-                return
-        buf, healed = self._load_stripe_report(stripe, lost_cols)
-        if healed:
-            self._heal_cells(stripe, healed, buf)
-        for k, cell in items:
-            out[k] = buf[cell.row, cell.col]
+        return ioplan.read_runs(
+            self, surface, self.mapper.split(start, count), count
+        )
 
     def _read_zero_copy(
         self, start: int, count: int, surface: _Surface
@@ -633,9 +503,9 @@ class RAID6Volume:
         Engages when the range is exactly one full stripe of data, the
         layout's logical order is the row-major matrix prefix (data rows
         above the parity rows, as in D-Code/X-Code), the mapper does not
-        rotate, the array is healthy and the fault surface is quiet.
-        The returned array is read-only and aliases the live backing
-        store.
+        rotate, the array is healthy and no disk is hooked (the view
+        presents nothing to a hook).  The returned array is read-only
+        and aliases the live backing store.
         """
         per = self.layout.num_data_cells
         if (
@@ -643,7 +513,8 @@ class RAID6Volume:
             or start % per
             or self.mapper.rotate
             or not self._row_major_data
-            or not (surface.healthy and surface.quiet_io)
+            or not surface.healthy
+            or self._hooked()
         ):
             return None
         stripe = start // per
@@ -660,44 +531,6 @@ class RAID6Volume:
             if n:
                 self.disks[col].count_reads(int(n))
         return view
-
-    def _fetch_read_plan(
-        self, stripe, wanted: List[Cell], stale: Tuple[int, ...]
-    ) -> Optional[Dict[Cell, np.ndarray]]:
-        """Execute the access engine's minimal read plan of ``wanted``
-        cell by cell (the same plan the Figure-6/7 simulations price, so
-        real disk counters match the model by construction): every cell
-        it fetches or rebuilds, by cell.
-
-        ``None`` sends the caller to full-stripe reconstruction — the
-        pattern needs algebraic decoding, or a fetch tripped over a
-        latent sector error.
-        """
-        plan = self._read_planner(stale).plan_for(stripe, wanted)
-        if plan.recipe is None:
-            return None
-        cache: Dict[Cell, np.ndarray] = {}
-        try:
-            for cell in sorted(plan.fetch):
-                cache[cell] = self._read_cell(stripe, cell)
-        except _CELL_ERRORS + (DiskFailedError,):
-            return None
-        for step in plan.recipe:
-            acc = np.zeros(self.element_size, dtype=np.uint8)
-            for read in step.reads:
-                xor_into(acc, cache[read])
-            cache[step.cell] = acc
-        return cache
-
-    def _read_planner(
-        self, stale: Optional[Tuple[int, ...]] = None
-    ) -> "_VolumeReadPlanner":
-        state = self.failed_disks if stale is None else stale
-        planner = self._planner_cache.get(state)
-        if planner is None:
-            planner = _VolumeReadPlanner(self, state)
-            self._planner_cache[state] = planner
-        return planner
 
     # -- write serialisation ---------------------------------------------------
 
@@ -744,10 +577,9 @@ class RAID6Volume:
         — in place in the backing store on a healthy, unrotated volume,
         where ``data`` is copied once and nothing else moves; head/tail
         partial stripes — and a lone whole stripe — take the per-stripe
-        controller paths (RMW parity patch, reconstruct-write).  Either
-        way: cached I/O plans on a quiet surface
-        (:mod:`repro.array.ioplan`), the per-element walk otherwise.
-        ``data`` may be a zero-copy :meth:`read` view of this volume.
+        controller paths (RMW parity patch, reconstruct-write), each a
+        cached I/O plan (:mod:`repro.array.ioplan`).  ``data`` may be a
+        zero-copy :meth:`read` view of this volume.
         """
         if data.ndim != 2 or data.shape[1] != self.element_size \
                 or data.dtype != np.uint8:
@@ -805,16 +637,13 @@ class RAID6Volume:
           shares one coalesced intent append and one digest pass
           (:meth:`_open_group_intents`) instead of per-stripe journal
           round-trips;
-        * **cross-stripe RMW** — on a quiet surface every partial entry,
-          healthy stripe or degraded, goes to one
-          :func:`repro.array.ioplan.rmw` call: byte- and counter-identical
-          to the per-stripe loop.  It bypasses the per-stripe journal
-          chokepoint, so it needs the burst covered by a group intent
-          (or no journal at all);
-        * the per-stripe writer takes the lone whole stripe, whatever
-          the planned RMW hands back, and — in queue order, the order
-          crash points are defined over — the whole of a burst that
-          cannot be vectorised.
+        * **cross-stripe RMW** — every partial entry, healthy stripe or
+          degraded, goes to one :func:`repro.array.ioplan.rmw` call:
+          byte- and counter-identical to the per-stripe loop.  It
+          bypasses the per-stripe journal chokepoint, so it needs the
+          burst covered by a group intent (or no journal at all);
+        * the per-stripe writer takes the lone whole stripe and, without
+          a group intent, every entry of a journaled burst in queue order.
         """
         if not entries:
             return
@@ -844,11 +673,9 @@ class RAID6Volume:
                 if intents is not None
                 else self._write_stripe_batch_locked
             )
-            if (
-                surface.quiet_io and surface.quiet_write
-                and (self.journal is None or intents is not None)
-            ):
-                partial = ioplan.rmw(self, partial, surface)
+            if self.journal is None or intents is not None:
+                ioplan.rmw(self, partial, surface)
+                partial = []
             for stripe, items in full + partial:
                 write(stripe, items, surface)
             if intents is not None:
@@ -865,10 +692,8 @@ class RAID6Volume:
         ``journal.commit_group`` once every write has landed), or ``None``
         when group commit does not apply — no journal, a single stripe, or
         per-stripe journaling forced via ``journal.group_commit = False``.
-        Engages even while a crash-point phase hook is attached: the
-        *writes* drop to the per-element walk under a hook, but
-        group framing must stay on so the chaos campaigns can tear bursts
-        at group boundaries.
+        Engages whatever hooks are attached, so the chaos campaigns can
+        tear bursts at group boundaries.
         """
         journal = self.journal
         if journal is None or len(entries) < 2 or not journal.group_commit:
@@ -945,17 +770,16 @@ class RAID6Volume:
         of every burst.
 
         Journaled, each stripe's intent holds its rows of ``data`` by
-        reference — no per-cell payload.  On a healthy, unrotated volume
-        with a quiet write surface each run of consecutive stripes is
+        reference — no per-cell payload — and every intent is open
+        before the first store.  On a healthy, unrotated volume whose
+        stores go as one vector, each run of consecutive stripes is
         encoded in place in its slab of the backing store
         (:func:`repro.array.ioplan.encode_stripes`): the payload is
         copied once and nothing else moves.  Stale columns and rotation
-        break the slab up, so those encode a private tensor and scatter
-        it — one :func:`repro.array.ioplan.store_stripes` per run of
-        stripes sharing their stale columns — and under a fault,
-        corruption or crash-point hook each stripe of the tensor is
-        walked and committed in turn, the order crash points are defined
-        over.
+        break the slab up, and a hook must see each element land, so
+        those encode a private tensor and scatter it — one
+        :func:`repro.array.ioplan.store_stripes` per run of stripes
+        sharing their stale columns.
         """
         batch = len(stripes)
         if np.may_share_memory(data, self._backing):
@@ -971,8 +795,8 @@ class RAID6Volume:
                 for i, stripe in enumerate(stripes)
             ]
             if (
-                surface.healthy and surface.quiet_write
-                and not self.mapper.rotate
+                surface.healthy and not self.mapper.rotate
+                and not self._hooked(store=True)
             ):
                 for lo, hi in ioplan.consecutive_runs(stripes):
                     ioplan.encode_stripes(self, stripes[lo], data[lo:hi])
@@ -980,15 +804,6 @@ class RAID6Volume:
                 buf = blank_batch(self.codec, batch)
                 buf[:, self._data_rows, self._data_cols, :] = data
                 encode_batch(self.codec, buf)
-                if not surface.quiet_write:
-                    for i, stripe in enumerate(stripes):
-                        self._store_stripe(
-                            stripe, buf[i],
-                            self._stale_cols(stripe, surface), surface,
-                        )
-                        if intents:
-                            journal.commit(intents[i])
-                    return
                 for lo, hi, stale in ioplan.stale_runs(self, surface, stripes):
                     ioplan.store_stripes(
                         self, stripes[lo:hi], buf[lo:hi], stale
@@ -1074,107 +889,35 @@ class RAID6Volume:
         surface: Optional[_Surface] = None,
     ) -> None:
         surface = self._fresh(surface)
-        stale_cols = self._stale_cols(stripe, surface)
         if len(items) < self.layout.num_data_cells:
-            planned = surface.quiet_io and surface.quiet_write
-            try:
-                # quiet surface: the cached RMW plan, which hands the
-                # entry back untouched when it cannot run it
-                if (
-                    planned
-                    and not ioplan.rmw(self, [(stripe, items)], surface)
-                ) or self._rmw_write(stripe, items, stale_cols):
-                    return
-            except _CELL_ERRORS + (DiskFailedError,):
-                pass
-            # RMW tripped over a medium error (or a disk died under it)
-            # while fetching old values, or cannot rebuild a lost one:
-            # reconstruct the stripe (the loader decodes the unreadable
-            # cells), apply the batch, re-encode.  Stale columns are
-            # recomputed because the failure state may have changed.
-            surface = None
-            stale_cols = self._stale_cols(stripe)
-        self._reconstruct_write(stripe, items, stale_cols, surface)
+            ioplan.rmw(self, [(stripe, items)], surface)
+        else:
+            self._reconstruct_write(
+                stripe, items, self._stale_cols(stripe, surface)
+            )
 
     def _reconstruct_write(
-        self, stripe, items, stale_cols, surface=None
+        self,
+        stripe: int,
+        items: Sequence[Tuple[Cell, np.ndarray]],
+        stale_cols: Optional[Sequence[int]] = None,
+        lost: Sequence[Cell] = (),
     ) -> None:
         """Apply ``items`` to the stripe's image, re-encode, store — the
-        image loaded (and reconstructed) unless every data cell is
-        overwritten: whole-stripe writes, and the partial ones whose old
-        values an RMW cannot read or rebuild."""
+        image loaded (and reconstructed; ``lost`` are cells already known
+        not to read) unless every data cell is overwritten: whole-stripe
+        writes, and the partial ones an RMW cannot patch.  Stale columns
+        default to the current failure state."""
+        if stale_cols is None:
+            stale_cols = self._stale_cols(stripe)
         if len(items) == self.layout.num_data_cells:
             buf = self.codec.blank_stripe()
         else:
-            buf = self._load_stripe_report(stripe, stale_cols, surface)[0]
+            buf = ioplan.load_stripes(self, (stripe,), stale_cols, lost)[0][0]
         for cell, value in items:
             buf[cell.row, cell.col] = value
         self.codec.encode(buf)
-        self._store_stripe(stripe, buf, stale_cols, surface)
-
-    def _rmw_write(self, stripe, items, stale_cols=()) -> bool:
-        """The walk's partial write: patch parity with XOR deltas.
-
-        Every old value the RMW needs — the dirty data cells and the
-        parities their deltas patch (cascades included) — is read before
-        the first write lands.  A medium error discovered mid-read
-        therefore aborts with the stripe untouched, so the
-        reconstruct-write fallback in
-        :meth:`_write_stripe_unjournaled_locked` always loads a
-        parity-consistent image.
-
-        Cells on ``stale_cols`` are neither read nor written.  The old
-        value of a dirty one is rebuilt by the degraded read plan of the
-        dirty cells (what it fetches is not read twice), and the
-        surviving parities carry the new value to the next rebuild;
-        ``False`` — nothing written — when that plan cannot run.
-        """
-        journal = self.journal
-        olds: Optional[Dict[Cell, np.ndarray]] = {}
-        if any(cell.col in stale_cols for cell, _ in items):
-            olds = self._fetch_read_plan(
-                stripe, [cell for cell, _ in items], self._stale_disks(stripe)
-            )
-            if olds is None:
-                return False
-
-        def old_of(cell: Cell) -> np.ndarray:
-            value = olds.get(cell)
-            return self._read_cell(stripe, cell) if value is None else value
-
-        deltas: Dict[Cell, np.ndarray] = {}
-        data_new: List[Tuple[Cell, np.ndarray]] = []
-        for cell, value in items:
-            delta = np.bitwise_xor(old_of(cell), value)
-            if delta.any():
-                deltas[cell] = delta
-                if cell.col not in stale_cols:
-                    data_new.append((cell, value))
-        parity_new: List[Tuple[Cell, np.ndarray]] = []
-        for group in self._encode_order:
-            gdelta: Optional[np.ndarray] = None
-            for member in group.members:
-                d = deltas.get(member)
-                if d is None:
-                    continue
-                if gdelta is None:
-                    gdelta = d.copy()
-                else:
-                    xor_into(gdelta, d)
-            if gdelta is not None and gdelta.any():
-                deltas[group.parity] = gdelta
-                if group.parity.col not in stale_cols:
-                    old = np.bitwise_xor(old_of(group.parity), gdelta)
-                    parity_new.append((group.parity, old))
-        wrote = False
-        for cell, value in data_new + parity_new:
-            if wrote and journal is not None:
-                journal.checkpoint("inter_column", stripe)
-            self._write_cell(stripe, cell, value)
-            wrote = True
-        return True
-
-    # -- self-healing disk I/O ----------------------------------------------
+        ioplan.store_stripes(self, (stripe,), buf, stale_cols)
 
     def _stale_disks(
         self, stripe: int, surface: Optional[_Surface] = None
@@ -1195,21 +938,136 @@ class RAID6Volume:
             out.append(rebuild.disk)
         return tuple(sorted(out))
 
+    # -- the executor's disk I/O ---------------------------------------------
+    #
+    # Every plan reaches the disks through these two funnels, with rows
+    # of the flat backing store: ``divmod(at, cols)`` is ``(offsets,
+    # disks)``.  Rows on quiet disks go as one vector.  When a disk they
+    # touch carries a fault or corrupt hook — or a latent sector (loads)
+    # or the journal a crash-point phase hook (stores) — each row goes
+    # to its disk in plan order under the error policy; that op stream
+    # is what ``FaultSpec.at_op`` indexes.
+
+    def _hooked(
+        self, at: Optional[np.ndarray] = None, store: bool = False
+    ) -> bool:
+        """Whether rows ``at`` (any disk by default) go to their disks one
+        element at a time.  A latent sector only fails a load — a store
+        remaps it — and the journal's phase hook only tears a store."""
+        if store and self.journal is not None and \
+                self.journal.phase_hook is not None:
+            return True
+        hooked = [
+            d.disk_id for d in self.disks
+            if d.fault_hook is not None or d.corrupt_hook is not None
+            or (d._bad_sectors and not store)
+        ]
+        if not hooked:
+            return False
+        if at is None or len(hooked) == len(self.disks):
+            return True
+        return not set(hooked).isdisjoint((at % len(self.disks)).tolist())
+
+    def _read_rows(
+        self,
+        at: np.ndarray,
+        block: np.ndarray,
+        cells: Optional[ioplan.CellSet] = None,
+        rows: Optional[np.ndarray] = None,
+        verify: bool = True,
+    ) -> List[int]:
+        """Funnel for every planned load: read rows ``at`` — or only
+        their positions ``rows`` — of which ``block`` holds the plan's
+        gather, row for row.  Returns the positions in ``at`` that
+        failed to read: the plan's erasures.
+
+        Quiet, the gather is the read: one read-counter bump per disk
+        (``cells``, the plan's footprint, counts it without a pass over
+        ``at`` when every row of an unrotated gather is read) and, with
+        verified reads on, an edge-triggered checksum pass.  Hooked, each
+        row is read from its disk in order and the bytes it served
+        replace the gathered ones: transients retried with backoff,
+        latent sectors and a dead disk failing the row, every block
+        re-hashed.  A block failing its checksum is logged ``corrupt``
+        and counts toward escalation either way.
+        """
+        sel = at if rows is None else at[rows]
+        verifier = self._verifier() if verify else None
+        if self._hooked(sel):
+            pos = range(len(at)) if rows is None else rows.tolist()
+            return [
+                p for p, row in zip(pos, sel.tolist())
+                if not self._read_element(row, block[p], verifier)
+            ]
+        disks = self.disks
+        if rows is None and cells is not None and not self.mapper.rotate:
+            times = len(at) // len(cells.flat)
+            for col, n in cells.counts:
+                disks[col].count_reads(n * times)
+        else:
+            for disk, n in zip(disks, np.bincount(sel % len(disks)).tolist()):
+                if n:
+                    disk.count_reads(n)
+        if verifier is None:
+            return []
+        got = block if rows is None else block[rows]
+        offsets, lanes = np.divmod(sel, len(disks))
+        bad: List[int] = []
+        for disk in np.unique(lanes).tolist():
+            idx = np.flatnonzero(lanes == disk)
+            found = verifier.verify_rows(disk, offsets[idx], got[idx])
+            bad += idx[found].tolist()
+        bad.sort()
+        for k in bad:
+            self._note_corrupt(int(lanes[k]), int(offsets[k]))
+        return bad if rows is None else rows[bad].tolist()
+
+    def _read_element(self, row: int, out: np.ndarray, verifier) -> bool:
+        """One element of the hooked load: ``out`` gets its bytes;
+        ``False`` when it failed to read."""
+        offset, disk_id = divmod(row, len(self.disks))
+        disk = self.disks[disk_id]
+        attempts = self.policy.max_retries + 1
+        for attempt in range(attempts):
+            try:
+                value = disk.read_view(offset)
+            except TransientIOError:
+                self._note_error(disk_id, "transient")
+                if attempt < attempts - 1:
+                    self._backoff(attempt)
+                continue
+            except LatentSectorError:
+                self._note_error(disk_id, "latent")
+                return False
+            except DiskFailedError:
+                return False
+            if verifier is not None and \
+                    not verifier.check_block(disk_id, offset, value):
+                self._note_corrupt(disk_id, offset)
+                return False
+            if attempt:
+                self._retried(disk_id, offset, f"read after {attempt} retries")
+            out[...] = value
+            return True
+        return False
+
     def _store_rows(
         self, at: np.ndarray, data: Optional[np.ndarray] = None
     ) -> None:
         """Funnel for every planned store: one plan's rows, all disks.
 
-        ``at`` are rows of the flat backing store — ``divmod(at, cols)``
-        is ``(offsets, disks)`` — and ``data`` their new contents, row
-        for row; without ``data`` the rows are already there (whole
-        stripes encoded in place).  Every target disk is checked live
-        before a byte lands, so a store is all or nothing against a dead
-        disk; then one scatter, and each disk accounts for its share.
-        Integrity tooling observes planned stores here the way it wraps
-        :meth:`_write_cell` — see
-        :class:`repro.array.integrity.IntegrityChecker`.  Callers keep
-        ``at`` inside the volume (``ioplan._check_stripes``).
+        ``data`` holds the new contents of rows ``at``, row for row;
+        without ``data`` the rows are already there (whole stripes
+        encoded in place, only ever on quiet disks).  Every target disk
+        is checked live before a byte lands, so a store is all or
+        nothing against a dead disk.  Quiet: one scatter, and each disk
+        accounts for its share.  Hooked: each row is written to its disk
+        in order — transients retried with backoff, the rest of a disk's
+        share dropped (and logged) when it dies mid-store — with a
+        journal ``inter_column`` checkpoint wherever the next row of a
+        stripe is on another disk.  Integrity tooling observes every
+        store here — see :class:`repro.array.integrity.IntegrityChecker`.
+        Callers keep ``at`` inside the volume (``ioplan._check_stripes``).
         """
         cols = len(self.disks)
         lanes = at % cols
@@ -1220,6 +1078,9 @@ class RAID6Volume:
         for disk, _ in shares:
             if disk.state is DiskState.FAILED:
                 raise DiskFailedError(f"disk {disk.disk_id} is failed")
+        if self._hooked(at, store=True):
+            self._store_each(at, data)
+            return
         if data is not None:
             self._flat_backing[at] = data
         for disk, n in shares:
@@ -1229,63 +1090,26 @@ class RAID6Volume:
                 if disk._bad_sectors else ()
             ))
 
-    def _verifier(self):
-        """The attached integrity checker when verified reads are on."""
-        ic = self.integrity
-        return ic if ic is not None and ic.verify_reads else None
+    def _store_each(self, at: np.ndarray, data: np.ndarray) -> None:
+        """The hooked store: :meth:`_store_rows` element by element."""
+        cols = len(self.disks)
+        stride = self.layout.rows * cols
+        journal = self.journal
+        last = None
+        for row, value in zip(at.tolist(), data):
+            offset, disk_id = divmod(row, cols)
+            stripe = row // stride
+            if journal is not None and last is not None and \
+                    last[0] == stripe and last[1] != disk_id:
+                journal.checkpoint("inter_column", stripe)
+            last = (stripe, disk_id)
+            self._write_element(disk_id, offset, value)
 
-    def _disk_read(self, disk_id: int, offset: int) -> np.ndarray:
-        """One element read under the retry/escalation policy.
-
-        With verified reads on, every element served here is checked
-        against its out-of-band CRC; a mismatch counts toward the disk's
-        escalation budget and raises :class:`ChecksumMismatchError`, which
-        the stripe-level handlers treat as a located erasure (reconstruct
-        from parity, rewrite, re-record).
-        """
-        disk = self.disks[disk_id]
-        attempts = self.policy.max_retries + 1
-        for attempt in range(attempts):
-            try:
-                value = disk.read(offset)
-            except TransientIOError:
-                self._note_error(disk_id, "transient")
-                if attempt == attempts - 1:
-                    raise
-                with self._policy_lock:
-                    self.error_counters.backoff_ms += (
-                        self.policy.backoff_ms * (2 ** attempt)
-                    )
-            except LatentSectorError:
-                self._note_error(disk_id, "latent")
-                raise
-            else:
-                verifier = self._verifier()
-                if verifier is not None and \
-                        not verifier.check_block(disk_id, offset, value):
-                    with self._policy_lock:
-                        self.heal_log.append(
-                            HealEvent("corrupt", disk_id, offset=offset)
-                        )
-                    self._note_error(disk_id, "checksum")
-                    raise ChecksumMismatchError(disk_id, offset)
-                if attempt:
-                    with self._policy_lock:
-                        self.heal_log.append(
-                            HealEvent("retry_ok", disk_id, offset=offset,
-                                      detail=f"read after {attempt} retries")
-                        )
-                return value
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _disk_write(self, disk_id: int, offset: int,
-                    value: np.ndarray) -> None:
-        """One element write under the retry policy.
-
-        A write racing a disk death is dropped (and logged): the disk is
-        gone, the data stays recoverable from the surviving columns —
-        exactly what a controller does when a spindle dies mid-flush.
-        """
+    def _write_element(self, disk_id: int, offset: int, value) -> None:
+        """One element of the hooked store.  A write racing a disk death
+        is dropped (and logged): the data stays recoverable from the
+        surviving columns — what a controller does when a spindle dies
+        mid-flush.  Exhausted retries raise :class:`TransientIOError`."""
         disk = self.disks[disk_id]
         attempts = self.policy.max_retries + 1
         for attempt in range(attempts):
@@ -1295,10 +1119,7 @@ class RAID6Volume:
                 self._note_error(disk_id, "transient")
                 if attempt == attempts - 1:
                     raise
-                with self._policy_lock:
-                    self.error_counters.backoff_ms += (
-                        self.policy.backoff_ms * (2 ** attempt)
-                    )
+                self._backoff(attempt)
             except DiskFailedError:
                 with self._policy_lock:
                     self.heal_log.append(
@@ -1307,12 +1128,34 @@ class RAID6Volume:
                 return
             else:
                 if attempt:
-                    with self._policy_lock:
-                        self.heal_log.append(
-                            HealEvent("retry_ok", disk_id, offset=offset,
-                                      detail=f"write after {attempt} retries")
-                        )
+                    self._retried(
+                        disk_id, offset, f"write after {attempt} retries"
+                    )
                 return
+
+    def _backoff(self, attempt: int) -> None:
+        with self._policy_lock:
+            self.error_counters.backoff_ms += (
+                self.policy.backoff_ms * (2 ** attempt)
+            )
+
+    def _retried(self, disk_id: int, offset: int, detail: str) -> None:
+        with self._policy_lock:
+            self.heal_log.append(
+                HealEvent("retry_ok", disk_id, offset=offset, detail=detail)
+            )
+
+    def _note_corrupt(self, disk_id: int, offset: int) -> None:
+        """A verified read caught a block that no longer matches its
+        checksum: a located erasure, counted toward escalation."""
+        with self._policy_lock:
+            self.heal_log.append(HealEvent("corrupt", disk_id, offset=offset))
+        self._note_error(disk_id, "checksum")
+
+    def _verifier(self):
+        """The attached integrity checker when verified reads are on."""
+        ic = self.integrity
+        return ic if ic is not None and ic.verify_reads else None
 
     def _note_error(self, disk_id: int, kind: str) -> None:
         """Count an error; escalate a flaky disk to FAILED past threshold.
@@ -1343,84 +1186,30 @@ class RAID6Volume:
 
         Writing remaps the sector on the simulated disk exactly like a
         real drive's reallocation, so the next read succeeds without
-        reconstruction.  The rewrite goes through :meth:`_write_cell` —
-        the funnel integrity tooling wraps — so a heal re-records the
-        block's checksum instead of leaving a stale digest behind.
+        reconstruction.  The rewrite is one store through
+        :meth:`_store_rows` — the funnel integrity tooling wraps — so a
+        heal re-records the block's checksum instead of leaving a stale
+        digest behind.
         """
         if not self.policy.heal_latent_on_read:
             return
-        for cell in cells:
-            loc = self.mapper.locate_cell(stripe, cell)
-            if self.disks[loc.disk].failed:
-                continue
-            try:
-                self._write_cell(stripe, cell, buf[cell.row, cell.col])
-            except TransientIOError:
-                continue  # best-effort: the scrubber will catch it later
+        disk_of = self.mapper.disk_of
+        live = [
+            c for c in cells if not self.disks[disk_of(stripe, c.col)].failed
+        ]
+        if not live:
+            return
+        try:
+            ioplan.store_cells(self, stripe, live, buf)
+        except TransientIOError:
+            return  # best-effort: the scrubber will catch it later
+        for cell in live:
             self.heal_log.append(
-                HealEvent("remap", loc.disk, stripe=stripe,
-                          offset=loc.offset)
+                HealEvent("remap", disk_of(stripe, cell.col), stripe=stripe,
+                          offset=stripe * self.layout.rows + cell.row)
             )
 
-    # -- stripe buffer I/O ---------------------------------------------------------
-
-    def _read_cell(self, stripe: int, cell: Cell) -> np.ndarray:
-        loc = self.mapper.locate_cell(stripe, cell)
-        return self._disk_read(loc.disk, loc.offset)
-
-    def _write_cell(self, stripe: int, cell: Cell, value: np.ndarray) -> None:
-        loc = self.mapper.locate_cell(stripe, cell)
-        self._disk_write(loc.disk, loc.offset, value)
-
-    def _load_stripe(
-        self, stripe: int, missing_cols: Sequence[int]
-    ) -> np.ndarray:
-        """Read a stripe into memory, reconstructing everything unreadable.
-
-        Losses come from two sources: whole columns on failed disks
-        (``missing_cols``) and individual latent sector errors discovered
-        while reading.  Both are decoded together at cell granularity, so
-        e.g. one failed disk plus a medium error elsewhere still recovers.
-        """
-        return self._load_stripe_report(stripe, missing_cols)[0]
-
-    def _load_stripe_report(
-        self,
-        stripe: int,
-        missing_cols: Sequence[int],
-        surface: Optional[_Surface] = None,
-    ) -> Tuple[np.ndarray, List[Cell]]:
-        """Like :meth:`_load_stripe`, also reporting the cells that were
-        reconstructed *beyond* ``missing_cols`` — the latent/transient
-        casualties the read path may want to heal in place."""
-        if self._fresh(surface).quiet_io:
-            # one gather of the surviving columns + the compiled column
-            # recovery; None when a block fails verification, which the
-            # walk below isolates and decodes around
-            loaded = ioplan.load_stripes(self, (stripe,), missing_cols)
-            if loaded is not None:
-                return loaded[0], []
-        buf = self.codec.blank_stripe()
-        missing = set(missing_cols)
-        lost: List[Cell] = []
-        extra: List[Cell] = []
-        for col in range(self.layout.cols):
-            if col in missing:
-                lost.extend(self.layout.cells_in_column(col))
-                continue
-            for cell in self.layout.cells_in_column(col):
-                try:
-                    buf[cell.row, cell.col] = self._read_cell(stripe, cell)
-                except _CELL_ERRORS:
-                    lost.append(cell)
-                    extra.append(cell)
-                except DiskFailedError:
-                    # the disk died underneath us (injected mid-read):
-                    # treat the whole cell as lost, same as a failed col
-                    lost.append(cell)
-        if lost:
-            self._decode_cells_checked(stripe, buf, lost)
-        return buf, extra
+    # -- decoding ------------------------------------------------------------
 
     def _decode_cells_checked(
         self, stripe: int, buf: np.ndarray, lost: List[Cell]
@@ -1446,28 +1235,6 @@ class RAID6Volume:
                 pass  # odd loss pattern — let the oracle try
         self._gauss.decode_cells(buf, lost)
 
-    def _store_stripe(
-        self,
-        stripe: int,
-        buf: np.ndarray,
-        skip_cols: Sequence[int] = (),
-        surface: Optional[_Surface] = None,
-    ) -> None:
-        if self._fresh(surface).quiet_write:
-            ioplan.store_stripes(self, (stripe,), buf, skip_cols)
-            return
-        skip = set(skip_cols)
-        journal = self.journal
-        wrote = False
-        for col in range(self.layout.cols):
-            if col in skip:
-                continue
-            if wrote and journal is not None:
-                journal.checkpoint("inter_column", stripe)
-            for cell in self.layout.cells_in_column(col):
-                self._write_cell(stripe, cell, buf[cell.row, cell.col])
-            wrote = True
-
     def __repr__(self) -> str:
         return (
             f"<RAID6Volume {self.layout.name} p={self.layout.p} "
@@ -1475,27 +1242,3 @@ class RAID6Volume:
             f"elements, health={self.health.value} "
             f"failed={list(self.failed_disks)}>"
         )
-
-
-class _VolumeReadPlanner:
-    """Bridges the volume to the access engine's degraded read planning.
-
-    Built lazily per failure state (failed disks plus the stale rebuild
-    target); delegates to
-    :meth:`repro.iosim.engine.AccessEngine._plan_stripe_read` with the
-    volume's exact geometry (stripes, rotation, failed disks).
-    """
-
-    def __init__(self, volume: "RAID6Volume", failed: Tuple[int, ...]):
-        from repro.iosim.engine import AccessEngine
-
-        self.failed = failed
-        self._engine = AccessEngine(
-            volume.layout,
-            num_stripes=volume.mapper.num_stripes,
-            rotate=volume.mapper.rotate,
-            failed_disks=failed,
-        )
-
-    def plan_for(self, stripe: int, wanted):
-        return self._engine._plan_stripe_read(stripe, wanted)

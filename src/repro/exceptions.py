@@ -31,26 +31,6 @@ class InconsistentStripeError(ReproError):
     """Parity does not match data — silent corruption, never auto-repaired."""
 
 
-class ChecksumMismatchError(ReproError):
-    """A block's content no longer matches its out-of-band checksum.
-
-    Raised by the volume's verified read path (an attached
-    :class:`~repro.array.integrity.IntegrityChecker`) when a healthy disk
-    returns bytes whose CRC disagrees with the
-    :class:`~repro.array.integrity.ChecksumStore` — silent corruption the
-    device never reported.  The read path treats it exactly like a medium
-    error: the block becomes a located erasure, is decoded from parity and
-    rewritten.
-    """
-
-    def __init__(self, disk_id: int, offset: int):
-        super().__init__(
-            f"checksum mismatch on disk {disk_id} at offset {offset}"
-        )
-        self.disk_id = disk_id
-        self.offset = offset
-
-
 class UnrecoverableStripeError(DecodeError):
     """A stripe lost more elements than its code can decode.
 

@@ -478,7 +478,7 @@ class _CrashCampaign:
 
     For every write pattern and journal phase, the campaign first counts
     how many times the phase fires during the un-crashed write (a dry run
-    on an identical volume — the serial op order is deterministic), then
+    on an identical volume — the plan order is deterministic), then
     replays the write on fresh volumes crashing at the first, middle and
     last occurrence.  After each crash it "remounts" (drops the hook,
     runs :class:`~repro.journal.recovery.CrashRecovery`) and checks the
@@ -796,10 +796,11 @@ class CorruptionCampaign:
     * damage beyond two columns must surface as a *typed* error
       (:data:`TYPED_ERRORS`), never a crash or a wrong answer.
 
-    The attached injector keeps the volume on its serial, always-
-    verified read path, and the error policy's escalation threshold is
-    set out of reach — a corruption campaign measures detection and
-    repair, not the proactive-failure ladder (which has its own tests).
+    The attached injector makes the volume present every load element
+    by element, each block re-hashed, and the error policy's escalation
+    threshold is set out of reach — a corruption campaign measures
+    detection and repair, not the proactive-failure ladder (which has
+    its own tests).
     """
 
     def __init__(

@@ -168,9 +168,9 @@ class FaultInjector:
         # (corrupt-on-write); keyed by (disk_id, offset), masks compose
         self._pending_flips: Dict[Tuple[int, int], int] = {}
         self._volume = None
-        # The volume's planned paths all stand down
-        # while a hook is attached, so injection sees the per-element
-        # walk; the lock makes the shared mutable state (op counter,
+        # The volume presents every plan touching a hooked disk element
+        # by element, in plan order: that is the op stream ``ops``
+        # counts.  The lock makes the shared mutable state (op counter,
         # rng, pending schedule) safe when several threads drive one
         # hooked volume.
         self._lock = threading.Lock()

@@ -22,9 +22,10 @@ Crash-point fuzzing hooks into the intent lifecycle via
 :attr:`WriteIntentLog.phase_hook`: the volume announces every protocol
 phase (:data:`JOURNAL_PHASES`) through :meth:`WriteIntentLog.checkpoint`,
 and a campaign's hook raises a simulated crash at the seeded phase.
-While a phase hook is attached the volume's planned stores
-stand down (like disk fault hooks), so crash points are defined over the
-deterministic serial operation order.
+While a phase hook is attached the volume's plans store element by
+element, announcing ``inter_column`` wherever the next element of a
+stripe is on another disk, so crash points are defined over the
+deterministic plan order.
 """
 
 from __future__ import annotations

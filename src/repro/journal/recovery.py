@@ -48,14 +48,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.codes.base import Cell
+from repro.array import ioplan
+from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import (
-    DiskFailedError,
     JournalReplayError,
-    LatentSectorError,
     ReproError,
     TornWriteError,
-    TransientIOError,
     UnrecoverableStripeError,
 )
 from repro.journal.intent import WriteIntent, WriteIntentLog
@@ -66,9 +64,6 @@ CLEAN_OLD = "clean_old"
 CLEAN_NEW = "clean_new"
 TORN_DATA = "torn_data"
 TORN_PARITY = "torn_parity"
-
-#: Cell-level errors inspection treats as "this cell is lost".
-_CELL_LOST = (LatentSectorError, TransientIOError, DiskFailedError)
 
 
 def parity_digest(layout, get_cell, cells=None, start: int = 0) -> int:
@@ -99,7 +94,6 @@ class _Inspection:
     cls: str
     buf: np.ndarray
     lost: Set[Cell]
-    stale: Set[int]
     #: Readable dirty cells already carrying the redo payload.
     n_new: int
     #: Parity cells the write could have changed (canonical order).
@@ -186,20 +180,12 @@ class CrashRecovery:
         vol = self.volume
         layout = vol.layout
         stripe = intent.stripe
-        stale = set(vol._stale_cols(stripe))
-        buf = vol.codec.blank_stripe()
-        lost: List[Cell] = []
-        for col in range(layout.cols):
-            cells = layout.cells_in_column(col)
-            if col in stale:
-                lost.extend(cells)
-                continue
-            for cell in cells:
-                try:
-                    buf[cell.row, cell.col] = vol._read_cell(stripe, cell)
-                except _CELL_LOST:
-                    lost.append(cell)
-        lost_set = set(lost)
+        stale = vol._stale_cols(stripe)
+        # one gather of the surviving columns, nothing decoded: what
+        # failed to read is lost like a stale column
+        buf, failed = ioplan.gather_stripes(vol, (stripe,), stale)
+        buf = buf[0]
+        lost_set = column_failure_cells(layout, stale) | set(failed.get(0, ()))
         payload = intent.payload()
         readable_dirty = [c for c in payload if c not in lost_set]
         n_new = sum(
@@ -235,7 +221,7 @@ class CrashRecovery:
         else:
             cls = TORN_DATA
         return _Inspection(
-            cls=cls, buf=buf, lost=lost_set, stale=stale, n_new=n_new,
+            cls=cls, buf=buf, lost=lost_set, n_new=n_new,
             footprint=footprint, parity_complete=parity_complete,
         )
 
@@ -331,9 +317,7 @@ class CrashRecovery:
                 if cls == CLEAN_NEW:
                     action = "committed"
                 else:
-                    self._replay(
-                        intent, cls, insp.buf, insp.lost, insp.stale
-                    )
+                    self._replay(intent, cls, insp.buf, insp.lost)
                     self.journal.stats.replayed += 1
                     action = "replayed"
                 self.journal.commit(intent)
@@ -355,7 +339,6 @@ class CrashRecovery:
         cls: str,
         buf: np.ndarray,
         lost: Set[Cell],
-        stale: Set[int],
     ) -> None:
         """Roll the stripe forward to the fully-new image."""
         vol = self.volume
@@ -385,7 +368,9 @@ class CrashRecovery:
             buf[cell.row, cell.col] = value
         vol.codec.encode(buf)
         try:
-            vol._store_stripe(stripe, buf, skip_cols=sorted(stale))
+            # the failure state as it is now: a disk that died during
+            # recovery takes no writes
+            ioplan.store_stripes(vol, (stripe,), buf, vol._stale_cols(stripe))
         except ReproError as exc:
             raise JournalReplayError(stripe, seq, str(exc)) from exc
 

@@ -31,12 +31,12 @@ deltas to the same byte-exact image the serve chaos oracles check, then
 the caller runs :func:`repro.journal.recovery.recover_on_mount` as
 usual to roll the open ack intents forward.
 
-Dirty-stripe capture uses the volume's two write funnels —
-``_write_cell`` and ``_store_rows``, which every planned store calls
-once with all the backing rows it writes — wrapped per-instance the
-same way :class:`repro.array.integrity.IntegrityChecker` wraps them
-(whole stripes encoded in place in the backing store announce their
-rows through ``_store_rows`` too, without data).
+Dirty-stripe capture uses the volume's write funnel ``_store_rows``,
+which every plan store calls once with all the backing rows it writes,
+wrapped per-instance the same way
+:class:`repro.array.integrity.IntegrityChecker` wraps it (whole stripes
+encoded in place in the backing store announce their rows through it
+too, without data).
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ def delta_log_path(base_path) -> Path:
 class DirtyStripeTracker:
     """Record which stripes the volume wrote since the last drain.
 
-    Wraps the per-element and planned-store write funnels by instance
-    attribute (the :class:`IntegrityChecker` pattern), composing with
-    any wrapper already installed.  ``drain()`` hands back the dirty
+    Wraps the volume's write funnel by instance attribute (the
+    :class:`IntegrityChecker` pattern), composing with any wrapper
+    already installed.  ``drain()`` hands back the dirty
     set and resets it — called at the checkpoint barrier, when the
     batch's volume work has already returned.
     """
@@ -85,15 +85,8 @@ class DirtyStripeTracker:
         self.stride = volume.layout.rows * volume.layout.cols
         self._dirty: Set[int] = set()
         self._lock = threading.Lock()
-        self._inner_cell = volume._write_cell
-        volume._write_cell = self._cell  # type: ignore[assignment]
         self._inner_rows = volume._store_rows
         volume._store_rows = self._rows  # type: ignore[assignment]
-
-    def _cell(self, stripe: int, cell, value) -> None:
-        with self._lock:
-            self._dirty.add(int(stripe))
-        self._inner_cell(stripe, cell, value)
 
     def _rows(self, at: np.ndarray, data=None) -> None:
         stripes = np.unique(at // self.stride).tolist()
@@ -108,8 +101,6 @@ class DirtyStripeTracker:
 
     def detach(self) -> None:
         volume = self.volume
-        if volume.__dict__.get("_write_cell") == self._cell:
-            volume._write_cell = self._inner_cell  # type: ignore[assignment]
         if volume.__dict__.get("_store_rows") == self._rows:
             volume._store_rows = self._inner_rows  # type: ignore[assignment]
 

@@ -1,57 +1,45 @@
-"""Planned degraded reads: equivalence with the per-stripe plan walk.
+"""Planned degraded reads, held to the differential oracle.
 
-The planned degraded-read path (``repro.array.ioplan.read_runs``,
-docs/performance.md "Planned short-op I/O") must be byte-exact AND
-per-disk counter-identical to the per-stripe reconstruction walk for
-every registry code — both execute the same
+Degraded reads (``repro.array.ioplan.read_runs``, docs/performance.md
+"Planned short-op I/O") execute the access engine's
 :class:`~repro.iosim.engine.StripeReadPlan` per stripe, so the disk
-traffic they account is the same by construction.  These tests pin that
-equivalence across single and double failures, rebuild-cursor stale
-boundaries, rotation, and the walk's own triggers (latent sectors,
-algebraic patterns).
+traffic they account is the model's by construction.  These tests drive
+them through :class:`~tests.array.test_rmw_batch.Twin` — the vector
+branch, the per-element branch and the reference walk, byte-exact and
+per-disk counter-identical — across single and double failures,
+rebuild-cursor stale boundaries, rotation, latent sectors and algebraic
+patterns; and pin what the twin does not see: the access engine cached
+per failure state, and the minimal fetch.
 """
 
 import numpy as np
 import pytest
 
+from repro.array import ioplan
 from repro.array.volume import RAID6Volume
 from repro.codes.registry import make_code
 
+from tests.array.test_rmw_batch import Twin
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
 
 ES = 32
 STRIPES = 12
 
 
-def _make_volume(code_name, p, scalar=False, rotate=False):
+def _twin(code_name, p, failed=(), **kwargs):
+    return Twin(
+        make_code(code_name, p), failed, stripes=STRIPES, es=ES, **kwargs
+    )
+
+
+def _volume(code_name, p):
     vol = RAID6Volume(
-        make_code(code_name, p), num_stripes=STRIPES,
-        element_size=ES, rotate=rotate,
+        make_code(code_name, p), num_stripes=STRIPES, element_size=ES
     )
-    if scalar:
-        # a fault hook — even one that does nothing — makes every
-        # stripe take the per-element walk: the reference semantics
-        for disk in vol.disks:
-            disk.fault_hook = lambda disk, op, offset: None
-    return vol
-
-
-def _fill(vol, seed):
-    rng = np.random.default_rng(seed)
-    payload = rng.integers(
+    vol.write(0, np.random.default_rng(1).integers(
         0, 256, (vol.num_elements, ES), dtype=np.uint8
-    )
-    vol.write(0, payload)
-    return payload
-
-
-def _assert_same_read(ref, fast, start, count):
-    ref.reset_io_counters()
-    fast.reset_io_counters()
-    a = ref.read(start, count)
-    b = fast.read(start, count)
-    assert np.array_equal(a, b)
-    assert ref.io_counters() == fast.io_counters()
+    ))
+    return vol
 
 
 class TestBatchedScalarEquivalence:
@@ -61,119 +49,84 @@ class TestBatchedScalarEquivalence:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     @pytest.mark.parametrize("failure", ("single", "double"))
     def test_bytes_and_counters_identical(self, code_name, p, failure):
-        ref = _make_volume(code_name, p, scalar=True)
-        fast = _make_volume(code_name, p)
-        seed = sum(map(ord, code_name)) * 100 + p
-        payload = _fill(ref, seed)
-        _fill(fast, seed)
-        failed = [1] if failure == "single" else [1, ref.layout.cols - 1]
-        for vol in (ref, fast):
-            for disk in failed:
-                vol.fail_disk(disk)
-        # unaligned range: head/tail partial stripes exercise the
-        # small-group remainder path alongside the tensor groups
-        start, count = 3, ref.num_elements - 5
-        _assert_same_read(ref, fast, start, count)
-        assert np.array_equal(
-            fast.read(start, count), payload[start:start + count]
+        cols = make_code(code_name, p).cols
+        twin = _twin(
+            code_name, p, (1,) if failure == "single" else (1, cols - 1)
         )
+        # unaligned range: head/tail partial stripes beside the vector
+        # of whole ones
+        twin.read(3, twin.volumes[0].num_elements - 5)
 
     def test_full_aligned_range(self):
-        ref = _make_volume("dcode", 7, scalar=True)
-        fast = _make_volume("dcode", 7)
-        _fill(ref, 5)
-        _fill(fast, 5)
-        for vol in (ref, fast):
-            vol.fail_disk(2)
-        _assert_same_read(ref, fast, 0, ref.num_elements)
+        twin = _twin("dcode", 7, (2,))
+        twin.read(0, twin.volumes[0].num_elements)
 
     def test_healthy_stripes_mixed_with_degraded(self):
         """Rebuild-covered stripes (no stale disks) and uncovered ones
         land in different plan groups of the same read."""
-        ref = _make_volume("dcode", 5, scalar=True)
-        fast = _make_volume("dcode", 5)
-        _fill(ref, 9)
-        _fill(fast, 9)
-        for vol in (ref, fast):
-            vol.fail_disk(1)
-            cursor = vol.start_rebuild(1, batch=2)
-            # cover the first 4 stripes; the rest stay degraded
-            cursor.step()
-            cursor.step()
-            assert cursor.covers(3) and not cursor.covers(4)
-        _assert_same_read(ref, fast, 0, ref.num_elements)
+        twin = _twin("dcode", 5, (1,))
+        twin.start_rebuild(1, batch=2)
+        # cover the first 4 stripes; the rest stay degraded
+        twin.step()
+        twin.step()
+        assert twin.cursors[0].covers(3) and not twin.cursors[0].covers(4)
+        twin.read(0, twin.volumes[0].num_elements)
 
 
 class TestFallbacks:
     def test_rotation_disables_tensor_path(self):
         """Under rotation every stripe has its own stale column, so no
-        two stripes share a plan — each executes alone, still matching
-        the walk."""
-        ref = _make_volume("dcode", 5, scalar=True, rotate=True)
-        vol = _make_volume("dcode", 5, rotate=True)
-        payload = _fill(vol, 3)
-        _fill(ref, 3)
-        vol.fail_disk(1)
-        ref.fail_disk(1)
-        _assert_same_read(ref, vol, 0, vol.num_elements)
-        assert np.array_equal(vol.read(0, vol.num_elements), payload)
+        two stripes share a plan — each executes alone."""
+        twin = _twin("dcode", 5, (1,), rotate=True)
+        twin.read(0, twin.volumes[0].num_elements)
 
     def test_latent_sector_disables_tensor_path(self):
-        ref = _make_volume("dcode", 5, scalar=True)
-        fast = _make_volume("dcode", 5)
-        payload = _fill(ref, 4)
-        _fill(fast, 4)
-        for vol in (ref, fast):
-            vol.fail_disk(1)
-            vol.inject_latent_error(disk=3, stripe=2, row=0)
-            assert not vol._surface().quiet_io
-        # both volumes heal the bad sector through the per-stripe
-        # self-healing walk — same bytes, same counters
-        _assert_same_read(ref, fast, 0, ref.num_elements)
+        """A latent sector sends the plans touching its disk element by
+        element; both branches decode around it and heal it alike."""
+        twin = _twin("dcode", 5, (1,))
+        image = twin.read(0, twin.volumes[0].num_elements).copy()
+        layout = twin.volumes[0].layout
+        twin.mark_bad(2, layout.cells_in_column(3)[0])
         assert np.array_equal(
-            fast.read(0, fast.num_elements), payload
+            twin.read(0, twin.volumes[0].num_elements), image
         )
+        for volume in twin.volumes:
+            assert not any(d.bad_sectors for d in volume.disks)
 
     def test_gauss_pattern_falls_back_per_stripe(self):
         """EVENODD double failures need algebraic decoding — the plan's
-        recipe is None and the executor hands the stripes back."""
-        ref = _make_volume("evenodd", 5, scalar=True)
-        fast = _make_volume("evenodd", 5)
-        _fill(ref, 6)
-        _fill(fast, 6)
-        for vol in (ref, fast):
-            vol.fail_disk(0)
-            vol.fail_disk(1)
-        _assert_same_read(ref, fast, 0, ref.num_elements)
+        recipe is None and the stripe plan decodes the stripes."""
+        twin = _twin("evenodd", 5, (0, 1))
+        twin.read(0, twin.volumes[0].num_elements)
 
     def test_single_stripe_read_skips_batching(self):
         """One degraded stripe is a batch of one: the same plan, the
         same minimal fetch."""
-        ref = _make_volume("dcode", 7, scalar=True)
-        fast = _make_volume("dcode", 7)
-        _fill(ref, 8)
-        _fill(fast, 8)
-        for vol in (ref, fast):
-            vol.fail_disk(1)
-        per = ref.layout.num_data_cells
-        _assert_same_read(ref, fast, per * 3, per)
+        twin = _twin("dcode", 7, (1,))
+        per = twin.volumes[0].layout.num_data_cells
+        twin.read(per * 3, per)
 
 
 class TestPlannerCache:
     def test_planner_reused_per_failure_pattern(self):
-        vol = _make_volume("dcode", 5)
-        _fill(vol, 2)
+        """One access engine per tuple of stale disks, cached beside the
+        plans: a second pattern on the same failure state reuses it, a
+        new failure state gets its own."""
+        vol = _volume("dcode", 5)
         vol.fail_disk(1)
-        p1 = vol._read_planner(vol.failed_disks)
-        p2 = vol._read_planner(vol.failed_disks)
-        assert p1 is p2
-        assert vol._read_planner(()) is not p1
+        lost = next(c for c in vol.layout.data_cells if c.col == 1)
+        ioplan._read_plan(vol, 0, [lost])
+        engine = vol._ioplans._plans[("engine", (1,))]
+        ioplan._read_plan(vol, 3, [lost, vol.layout.data_cells[0]])
+        assert vol._ioplans._plans[("engine", (1,))] is engine
+        vol.fail_disk(3)
+        ioplan._read_plan(vol, 0, [lost])
+        assert vol._ioplans._plans[("engine", (1, 3))] is not engine
 
     def test_degraded_reads_count_minimal_fetch(self):
         """The batched path must not read more than plan.fetch per
         stripe: total reads stay below full-stripe reconstruction."""
-        vol = _make_volume("dcode", 7)
-        _fill(vol, 1)
+        vol = _volume("dcode", 7)
         vol.fail_disk(1)
         vol.reset_io_counters()
         vol.read(0, vol.num_elements)

@@ -1,8 +1,7 @@
 """Regression: the batched (tensor) write paths keep checksums current.
 
-The planned paths scatter a plan's rows into the backing store instead
-of walking ``_write_cell``; :class:`IntegrityChecker` therefore wraps
-the ``_store_rows`` funnel too.  Every test here fails with spurious
+Every plan stores through the volume's ``_store_rows`` funnel, which
+:class:`IntegrityChecker` wraps.  Every test here fails with spurious
 "corruption" if a bulk path bypasses checksum recording.
 """
 

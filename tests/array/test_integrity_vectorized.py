@@ -1,9 +1,8 @@
 """CRC sweep and scrub-campaign engine tests.
 
-Planned sweep vs per-element walk equivalence lives in the differential
-oracle (``tests/array/test_rmw_batch.py::Twin``); the two sweep tests
-here hold ``find_corruption`` to a walk-only mirror on this fixture's
-geometry.
+Sweeps on quiet disks and element by element are held to each other by
+the differential oracle (``tests/array/test_rmw_batch.py::Twin``); the
+two sweep tests here run it on this module's geometry.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector
 
-from tests.array.test_rmw_batch import walk_only
+from tests.array.test_rmw_batch import Twin
 
 
 def corrupt_cell(volume, stripe, cell, flip=0xFF):
@@ -43,35 +42,21 @@ def checker(volume):
     return IntegrityChecker(volume)
 
 
-@pytest.fixture
-def walk_checker(volume):
-    """A checker on the same image whose every sweep takes the walk."""
-    return IntegrityChecker(walk_only(_volume(volume._truth)))
-
-
 class TestVectorizedFind:
-    def test_batched_and_serial_sweeps_agree(
-        self, volume, checker, walk_checker
-    ):
-        for vol in (volume, walk_checker.volume):
-            corrupt_cell(vol, 0, Cell(1, 1))
-            corrupt_cell(vol, 2, Cell(0, 4))
-            corrupt_cell(vol, 2, vol.layout.parity_cells[0])
-        planned = checker.find_corruption()
-        assert planned == walk_checker.find_corruption()
-        assert set(planned) == {0, 2}
+    def test_batched_and_serial_sweeps_agree(self):
+        twin = Twin(DCode(7), stripes=4)
+        for stripe, cell in (
+            (0, Cell(1, 1)), (2, Cell(0, 4)),
+            (2, twin.volumes[0].layout.parity_cells[0]),
+        ):
+            twin.rot(stripe, cell)
+        assert set(twin.find_corruption()) == {0, 2}
 
-    def test_sweeps_counter_identical(self, volume, checker, walk_checker):
-        for vol in (volume, walk_checker.volume):
-            corrupt_cell(vol, 1, Cell(2, 2))
-        assert volume.io_counters() == walk_checker.volume.io_counters()
-        checker.find_corruption()
-        walk_checker.find_corruption()
-        assert volume.io_counters() == walk_checker.volume.io_counters()
-        assert checker.store._sums == walk_checker.store._sums
-        assert np.array_equal(
-            checker.store._verified, walk_checker.store._verified
-        )
+    def test_sweeps_counter_identical(self):
+        """Counters, checksums and verified bits: ``Twin`` compares."""
+        twin = Twin(DCode(7), stripes=4)
+        twin.rot(1, Cell(2, 2))
+        assert twin.find_corruption() == {1: [Cell(2, 2)]}
 
     def test_fault_hook_falls_back_to_serial(self, volume, checker):
         corrupt_cell(volume, 3, Cell(0, 0))

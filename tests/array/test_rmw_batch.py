@@ -1,25 +1,28 @@
 """Planned I/O and cross-stripe RMW: one differential oracle.
 
-The per-element walk is the reference semantics of the volume; the
-pattern-keyed plans (``repro.array.ioplan``) replace it wherever the
-fault surface is quiet.  :class:`TestPlannedVsWalk` drives a
-hypothesis-drawn op stream through two volumes — one quiet (plans), one
-with a fault hook that does nothing (walk) — and requires them to stay
-indistinguishable after every op: returned bytes, backing image,
-per-disk counters, checksums, verified bitmap, dirty-stripe set.  The
+Every plan (``repro.array.ioplan``) reaches the disks one of two ways:
+as one vector while the disks it touches are quiet, element by element
+in plan order when one carries a hook.  :class:`Twin` runs an op stream
+on three volumes — a quiet one (the vector branch), one whose every
+disk carries a fault hook that does nothing (the per-element branch of
+the same plans) and one driven by the reference walk of
+``tests/oracles/walk.py`` — and requires them to stay indistinguishable
+after every op: returned bytes, backing image, per-disk counters, and
+between the two branches checksums, verified bitmap, dirty-stripe set.
+:class:`TestPlannedVsWalk` draws op streams for it with hypothesis; the
 whole-stripe operations — full-stripe bursts, rebuild, parity scrub and
-the integrity sweeps — run through the same twin, stripe vector against
-walk, and so do whole stripes encoded in place in the backing store.
+the integrity sweeps — run through the same twin, and so do whole
+stripes encoded in place in the backing store.
 
 The partial-stripe queue (``_write_rest``) hands the partial entries of
 a burst — healthy stripes and degraded ones — to one ``ioplan.rmw``
 call, which runs the entries sharing a dirty-cell pattern and stale
-columns as one vector of stripes.  That must be
-byte-identical on disk *and* counter-identical per disk to writing the
-stripes one at a time (the paper's load metrics are counted I/Os, so a
-fast path that changed the counts would corrupt every comparison built
-on them) — :class:`TestThreadEquivalence` holds bursts of every shape
-against the same walk mirror.
+columns as one vector of stripes.  That must be byte-identical on disk
+*and* counter-identical per disk to writing the stripes one at a time
+(the paper's load metrics are counted I/Os, so a fast path that changed
+the counts would corrupt every comparison built on them) —
+:class:`TestThreadEquivalence` holds bursts of every shape against the
+walk.
 """
 
 import copy
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.array import ioplan
 from repro.array.cache import StripeCache
-from repro.array.disk import DiskState, SimDisk
+from repro.array.disk import SimDisk
 from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codec.plan import XorPlan
@@ -44,6 +47,7 @@ from repro.recovery.planner import cached_hybrid_plan
 from repro.serve.checkpoint import DirtyStripeTracker
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
+from tests.oracles import walk
 
 ES = 32
 STRIPES = 16
@@ -74,6 +78,12 @@ def _write(vol, entries):
     vol._write_rest(copy.deepcopy(entries))
 
 
+def _walk(vol, entries):
+    """The same burst by the reference walk, stripe by stripe."""
+    for stripe, items in copy.deepcopy(entries):
+        walk.write_stripe(vol, stripe, items)
+
+
 def _prime(vol, rng):
     data = rng.integers(
         0, 256, (vol.num_elements, ES), dtype=np.uint8
@@ -92,8 +102,9 @@ def _assert_same(a, b):
     assert a.io_counters() == b.io_counters()
 
 
-def walk_only(volume):
-    """Attach a fault hook that does nothing: every op takes the walk."""
+def per_element(volume):
+    """Attach a fault hook that does nothing to every disk: every plan
+    goes to the disks element by element."""
     for disk in volume.disks:
         disk.fault_hook = lambda disk, op, offset: None
     return volume
@@ -106,8 +117,8 @@ def _volume(layout, stripes=STRIPES, es=ES, **kwargs):
 
 
 def _pair(layout, **kwargs):
-    """A default volume and its walk-only mirror."""
-    return _volume(layout, **kwargs), walk_only(_volume(layout, **kwargs))
+    """A default volume and one for the reference walk (:func:`_walk`)."""
+    return _volume(layout, **kwargs), _volume(layout, **kwargs)
 
 
 @pytest.fixture
@@ -161,33 +172,24 @@ class TestThreadEquivalence:
     """One cross-stripe ``_write_rest`` burst on a default volume vs the
     same burst walked stripe by stripe, element by element."""
 
-    def test_bytes_and_counters_match_serial(self, layout):
-        rng = np.random.default_rng(5)
-        quiet, walk = _pair(layout)
-        for vol in (quiet, walk):
-            _prime(vol, np.random.default_rng(6))
-        entries = _burst(layout, rng, range(12))
-        _write(quiet, entries)
-        _write(walk, entries)
-        _assert_same(quiet, walk)
-
     def test_same_cell_burst_is_one_call(
         self, layout, xor_batches, monkeypatch
     ):
         """32 stripes, one dirty cell each: one XOR schedule over the
-        vector of stripes and one store of every row on every disk."""
+        vector of stripes — on either branch — and one store of every
+        row on every disk."""
         rng = np.random.default_rng(5)
-        quiet, walk = _pair(layout, stripes=32)
+        twin = Twin(layout, stripes=32, es=ES)
+        quiet = twin.volumes[0]
         cell = layout.data_cells[4]
         entries = [
             (s, [(cell, rng.integers(0, 256, ES, dtype=np.uint8))])
             for s in range(32)
         ]
-        _write(walk, entries)
+        del xor_batches[:]
         stores = spy_stores(quiet, monkeypatch)
-        _write(quiet, entries)
-        _assert_same(quiet, walk)
-        assert xor_batches == [32]
+        twin.write_rest(entries)
+        assert xor_batches == [32, 32]
         written = [w for _, w in quiet.io_counters().values() if w]
         assert stores == [(sum(written), True)] and len(written) > 1
 
@@ -199,7 +201,8 @@ class TestThreadEquivalence:
         quiet = _volume(layout)
         _prime(quiet, np.random.default_rng(6))
         cell = layout.data_cells[4]
-        old = quiet._read_cell(0, cell).copy()
+        loc = quiet.mapper.locate_cell(0, cell)
+        old = quiet.disks[loc.disk]._store[loc.offset].copy()
         v1 = old ^ 0xFF
         image, counters = quiet._backing.copy(), quiet.io_counters()
         with pytest.raises(ValueError, match="at most once"):
@@ -211,15 +214,13 @@ class TestThreadEquivalence:
 
     def test_zero_delta_burst_writes_nothing_twice(self, layout):
         rng = np.random.default_rng(5)
-        quiet, walk = _pair(layout)
+        twin = Twin(layout, stripes=STRIPES, es=ES)
         entries = _burst(layout, rng, range(8))
-        for vol in (quiet, walk):
-            _write(vol, entries)
-            _write(vol, entries)  # identical payloads: all-zero deltas
-        _assert_same(quiet, walk)
+        twin.write_rest(entries)
         # the repeat pass must read old data but skip every write
+        quiet = twin.volumes[0]
         _, writes_before = map(sum, zip(*quiet.io_counters().values()))
-        _write(quiet, entries)
+        twin.write_rest(entries)  # identical payloads: all-zero deltas
         _, writes_after = map(sum, zip(*quiet.io_counters().values()))
         assert writes_after == writes_before
 
@@ -234,16 +235,16 @@ class TestThreadEquivalence:
             return _volume(layout, journal=WriteIntentLog(**kwargs))
 
         grouped, alone = journaled(), journaled(group_commit=False)
-        walk = walk_only(journaled(group_commit=False))
+        ref = _volume(layout)
         entries = _burst(layout, rng, range(10))
         _write(grouped, entries)
         assert max(xor_batches) > 1
         del xor_batches[:]
         _write(alone, entries)
         assert xor_batches == [1] * len(entries)
-        _write(walk, entries)
-        _assert_same(grouped, walk)
-        _assert_same(alone, walk)
+        _walk(ref, entries)
+        _assert_same(grouped, ref)
+        _assert_same(alone, ref)
         assert grouped.journal.stats.groups == 1
         assert alone.journal.stats.groups == 0
         assert not grouped.journal.dirty and not alone.journal.dirty
@@ -252,14 +253,20 @@ class TestThreadEquivalence:
         """A rotated burst needs no fallback: the plan's placement
         rotates per stripe, the vector still executes as one call."""
         rng = np.random.default_rng(5)
-        quiet, walk = _pair(layout, rotate=True)
+        quiet, ref = _pair(layout, rotate=True)
         entries = _burst(layout, rng, range(10))
         _write(quiet, entries)
         assert sum(xor_batches) == len(entries) > len(xor_batches)
-        _write(walk, entries)
-        _assert_same(quiet, walk)
+        _walk(ref, entries)
+        _assert_same(quiet, ref)
 
-    def test_phase_hook_forces_serial_writes(self, layout, monkeypatch):
+    def test_phase_hook_keeps_the_planned_writes(
+        self, layout, xor_batches, monkeypatch
+    ):
+        """A crash-point phase hook changes how a plan's store reaches
+        the disks — element by element, an ``inter_column`` checkpoint
+        at each column change — not which plan runs: the burst is still
+        one vectorised RMW, its gather still one vector."""
         rng = np.random.default_rng(5)
         phases = []
         hooked = _volume(
@@ -271,17 +278,29 @@ class TestThreadEquivalence:
         plain = _volume(layout)
         entries = _burst(layout, rng, range(6))
         _write(plain, entries)
+        del xor_batches[:]
+        writes = []
+        write = SimDisk.write
 
-        def planned(volume, entries):
-            raise AssertionError("planned RMW under a phase hook")
+        def spy(disk, offset, data):
+            writes.append(disk.disk_id)
+            write(disk, offset, data)
 
-        monkeypatch.setattr(ioplan, "rmw", planned)
+        def unread(disk, offset):
+            raise AssertionError("the gather went element by element")
+
+        monkeypatch.setattr(SimDisk, "write", spy)
+        monkeypatch.setattr(SimDisk, "read_view", unread)
         _write(hooked, entries)
+        monkeypatch.undo()
         _assert_same(hooked, plain)
+        assert sum(xor_batches) == len(entries) > len(xor_batches)
+        assert len(writes) == sum(w for _, w in hooked.io_counters().values())
         # group framing stays on under the hook (chaos campaigns tear at
         # group boundaries), so the phases fire once per member
         assert phases.count("pre_intent") == len(entries)
         assert phases.count("pre_commit") == len(entries)
+        assert phases.count("inter_column") > 0
 
     def test_full_stripe_entry_disables_vectorised_path(
         self, layout, xor_batches
@@ -290,7 +309,7 @@ class TestThreadEquivalence:
         per-stripe writer while the partial entries around it still
         share their calls."""
         rng = np.random.default_rng(5)
-        quiet, walk = _pair(layout)
+        quiet, ref = _pair(layout)
         same = _burst(layout, rng, (1,))[0][1]
         entries = [
             (
@@ -305,49 +324,69 @@ class TestThreadEquivalence:
         ]
         _write(quiet, entries)
         assert xor_batches == [2]  # the encode is a single-stripe execute
-        _write(walk, entries)
-        _assert_same(quiet, walk)
+        _walk(ref, entries)
+        _assert_same(quiet, ref)
 
 
-# -- the differential oracle: plans vs the per-element walk -------------------
+# -- the differential oracle: vector, per-element, walk ------------------------
 
 ORACLE_STRIPES = 5
 ORACLE_ES = 16
 
 
 class Twin:
-    """A quiet volume and its walk-only mirror, observed the same way."""
+    """One op stream on three volumes: the plans' vector branch (a quiet
+    volume), their per-element branch (a no-op fault hook on every disk)
+    and the reference walk on a volume of its own.
+
+    After every op returned bytes, backing images and per-disk counters
+    agree on all three; checksum store, verified bitmap, dirty set and
+    journal state agree between the two branches.  An op the walk has no
+    quiet reference for — planted rot or latent sectors, the integrity
+    sweeps — retires the reference for the rest of the stream.
+    """
 
     def __init__(
         self, layout, failed=(), journaled=False, stripes=ORACLE_STRIPES,
-        **kwargs
+        es=ORACLE_ES, **kwargs
     ):
-        self.volumes = [
-            RAID6Volume(
-                layout, num_stripes=stripes, element_size=ORACLE_ES,
-                journal=WriteIntentLog() if journaled else None, **kwargs
+        def volume(journal=None):
+            return RAID6Volume(
+                layout, num_stripes=stripes, element_size=es,
+                journal=journal, **kwargs
             )
-            for _ in range(2)
+
+        self.volumes = [
+            volume(WriteIntentLog() if journaled else None) for _ in range(2)
         ]
-        walk_only(self.volumes[1])
+        per_element(self.volumes[1])
+        self.reference = volume()
         rng = np.random.default_rng(7)
         image = rng.integers(
-            0, 256, (self.volumes[0].num_elements, ORACLE_ES), dtype=np.uint8
+            0, 256, (self.reference.num_elements, es), dtype=np.uint8
         )
         for volume in self.volumes:
             volume.write(0, image)
-            for disk in failed:
-                volume.fail_disk(disk)
+        walk.write(self.reference, 0, image)
+        for disk in failed:
+            self.fail_disk(disk)
         self.checkers = [IntegrityChecker(v) for v in self.volumes]
         self.trackers = [DirtyStripeTracker(v) for v in self.volumes]
+        for volume in self.sides:  # the checkers' seeding reads
+            volume.reset_io_counters()
         self.assert_same()
 
-    def assert_same(self, quiet_io=True):
-        quiet, walk = self.volumes
-        assert quiet._surface().quiet_io == quiet_io
-        assert not walk._surface().quiet_io
-        assert np.array_equal(quiet._backing, walk._backing)
-        assert quiet.io_counters() == walk.io_counters()
+    @property
+    def sides(self):
+        if self.reference is None:
+            return self.volumes
+        return self.volumes + [self.reference]
+
+    def assert_same(self):
+        quiet = self.volumes[0]
+        for other in self.sides[1:]:
+            assert np.array_equal(quiet._backing, other._backing)
+            assert quiet.io_counters() == other.io_counters()
         a, b = (c.store for c in self.checkers)
         assert a._sums == b._sums
         assert np.array_equal(a._verified, b._verified)
@@ -356,27 +395,62 @@ class Twin:
             if volume.journal is not None:
                 assert not volume.journal.dirty
 
-    def read(self, start, count):
-        a, b = (v.read(start, count) for v in self.volumes)
-        assert np.array_equal(a, b)
+    def _agree(self, results):
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
         self.assert_same()
-        return a
+        return results[0]
+
+    def read(self, start, count):
+        got = [v.read(start, count) for v in self.volumes]
+        if self.reference is not None:
+            got.append(walk.read(self.reference, start, count))
+        return self._agree(got)
 
     def write(self, start, data):
         for volume in self.volumes:
             volume.write(start, data.copy())
+        if self.reference is not None:
+            walk.write(self.reference, start, data)
         self.assert_same()
 
-    def rebuild(self, disk, batch, quiet_io=True):
+    def write_rest(self, entries):
+        """One ``_write_rest`` queue; the walk stripe by stripe."""
+        for volume in self.volumes:
+            _write(volume, entries)
+        if self.reference is not None:
+            _walk(self.reference, entries)
+        self.assert_same()
+
+    def fail_disk(self, disk):
+        for volume in self.sides:
+            volume.fail_disk(disk)
+
+    def start_rebuild(self, disk, batch):
+        self.cursors = [
+            v.start_rebuild(disk, batch=batch) for v in self.sides
+        ]
+        self.assert_same()
+
+    def step(self):
+        """One step of every side's rebuild cursor, compared; whether
+        the rebuild is still active."""
+        quiet, hooked = self.cursors[:2]
+        stepped = quiet.step()
+        assert hooked.step() == stepped
+        assert quiet.elements_read == hooked.elements_read
+        if self.reference is not None:
+            assert walk.rebuild_step(self.cursors[2]) == stepped
+        self.assert_same()
+        return quiet.active
+
+    def rebuild(self, disk, batch):
         """Replace ``disk`` and step its cursor ``batch`` stripes at a
         time, the twin compared after every step."""
-        cursors = [v.start_rebuild(disk, batch=batch) for v in self.volumes]
-        while cursors[0].active:
-            a, b = (cursor.step() for cursor in cursors)
-            assert a == b
-            assert cursors[0].elements_read == cursors[1].elements_read
-            self.assert_same(quiet_io)
-        assert cursors[1].done
+        self.start_rebuild(disk, batch)
+        while self.step():
+            pass
+        assert self.cursors[1].done
 
     def _same_result(self, sides, method, **kwargs):
         a, b = (getattr(side, method)(**kwargs) for side in sides)
@@ -385,22 +459,38 @@ class Twin:
         return a
 
     def scrub(self):
-        return self._same_result(self.volumes, "scrub")
+        bad = [v.scrub() for v in self.volumes]
+        if self.reference is not None:
+            bad.append(walk.scrub(self.reference))
+        assert bad[1:] == bad[:-1]
+        self.assert_same()
+        return bad[0]
 
     def find_corruption(self):
+        self.reference = None
         return self._same_result(self.checkers, "find_corruption")
 
     def scrub_campaign(self, **kwargs):
+        self.reference = None
         return self._same_result(self.checkers, "scrub_campaign", **kwargs)
 
     def rot(self, stripe, cell):
-        """Flip one block on both sides behind the volume's back, as if
-        it had not been read since it was written: planned gathers are
-        edge-triggered and trust a verified bit, the walk re-hashes."""
+        """Flip one block on both branches behind the volume's back, as
+        if it had not been read since it was written: vector gathers
+        are edge-triggered and trust a verified bit, element-by-element
+        loads re-hash."""
+        self.reference = None
         for volume, checker in zip(self.volumes, self.checkers):
             loc = volume.mapper.locate_cell(stripe, cell)
             volume.disks[loc.disk]._store[loc.offset] ^= 0xFF
             checker.store._verified[loc.disk, loc.offset] = False
+
+    def mark_bad(self, stripe, cell):
+        """A latent sector under ``cell`` on both branches."""
+        self.reference = None
+        for volume in self.volumes:
+            loc = volume.mapper.locate_cell(stripe, cell)
+            volume.disks[loc.disk].mark_bad(loc.offset)
 
     def burst(self, j0, values, via_cache, stripes=None):
         """Write ``values[i]`` at data index ``j0`` of ``stripes[i]``
@@ -410,17 +500,20 @@ class Twin:
         cells = self.volumes[0].layout.data_cells[j0:j0 + values.shape[1]]
         if stripes is None:
             stripes = range(len(values))
+        entries = [
+            (stripe, list(zip(cells, rows)))
+            for stripe, rows in zip(stripes, values)
+        ]
+        if not via_cache:
+            self.write_rest(entries)
+            return
         for volume in self.volumes:
-            if via_cache:
-                cache = StripeCache(volume, max_dirty_stripes=len(values))
-                for stripe, rows in zip(stripes, values):
-                    cache.write(stripe * per + j0, rows.copy())
-                cache.flush()
-            else:
-                volume._write_rest([
-                    (stripe, list(zip(cells, rows.copy())))
-                    for stripe, rows in zip(stripes, values)
-                ])
+            cache = StripeCache(volume, max_dirty_stripes=len(values))
+            for stripe, rows in zip(stripes, values):
+                cache.write(stripe * per + j0, rows.copy())
+            cache.flush()
+        if self.reference is not None:
+            _walk(self.reference, entries)
         self.assert_same()
 
 
@@ -447,25 +540,22 @@ def _failed_sets(cols):
     return ((), (1,), (0, cols - 1))
 
 
-def _drive(volume, payload):
-    """A deterministic mixed workload, disks failing along the way;
-    returns everything read back."""
-    per = volume.layout.num_data_cells
-    results = []
+def _drive(twin, payload):
+    """A deterministic mixed workload, disks failing along the way."""
+    per = twin.volumes[0].layout.num_data_cells
     # multi-stripe aligned write
-    volume.write(0, payload[: 6 * per])
+    twin.write(0, payload[: 6 * per])
     # unaligned multi-stripe write (head + full + tail partial stripes)
-    volume.write(per // 2, payload[6 * per : 6 * per + 4 * per + 3])
+    twin.write(per // 2, payload[6 * per : 6 * per + 4 * per + 3])
     # small partial writes (RMW path)
-    volume.write(7 * per + 1, payload[:3])
+    twin.write(7 * per + 1, payload[:3])
     # multi-stripe read spanning the written region
-    results.append(volume.read(0, 8 * per).copy())
+    twin.read(0, 8 * per)
     # degraded reads
-    volume.fail_disk(1)
-    results.append(volume.read(0, 6 * per).copy())
-    volume.fail_disk(volume.layout.cols - 1)
-    results.append(volume.read(per // 3, 5 * per).copy())
-    return results
+    twin.fail_disk(1)
+    twin.read(0, 6 * per)
+    twin.fail_disk(twin.volumes[0].layout.cols - 1)
+    twin.read(per // 3, 5 * per)
 
 
 class TestPlannedVsWalk:
@@ -549,10 +639,7 @@ class TestPlannedVsWalk:
         payload = rng.integers(
             0, 256, (12 * layout.num_data_cells, es), dtype=np.uint8
         )
-        quiet, walk = _pair(layout, stripes=stripes, es=es, **kwargs)
-        for a, b in zip(_drive(quiet, payload), _drive(walk, payload)):
-            assert np.array_equal(a, b)
-        _assert_same(quiet, walk)
+        _drive(Twin(layout, stripes=stripes, es=es, **kwargs), payload)
 
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("rotate", (False, True))
@@ -677,17 +764,11 @@ class TestPlannedVsWalk:
         whole = (ORACLE_STRIPES * per, ORACLE_ES)
         twin.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
         if failed:
-            cursors = [
-                v.start_rebuild(failed[0], batch=2) for v in twin.volumes
-            ]
-            for cursor in cursors:
-                cursor.step()
-            twin.assert_same()
+            twin.start_rebuild(failed[0], batch=2)
+            twin.step()
             twin.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
-            while cursors[0].active:
-                for cursor in cursors:
-                    cursor.step()
-            twin.assert_same()
+            while twin.step():
+                pass
         assert slab_runs == []
 
     @pytest.mark.parametrize("code_name", ("dcode", "rdp"))
@@ -705,6 +786,7 @@ class TestPlannedVsWalk:
         del slab_runs[:]
         per = layout.num_data_cells
         first = layout.rows * layout.cols + shift
+        twin.reference = None  # the walk writes its payload in place
         for volume in twin.volumes:
             payload = volume._flat_backing[first:first + 2 * per]
             assert np.shares_memory(payload, volume._backing)
@@ -745,26 +827,28 @@ class TestPlannedVsWalk:
         self, layout, journaled, slab_runs
     ):
         """A latent sector under the run is cleared as ``write_block``
-        clears it; one outside the run stays."""
+        clears it; one outside the run stays.  A latent sector fails
+        loads, not stores: the run is still encoded in place."""
         twin = Twin(layout, journaled=journaled)
         del slab_runs[:]
         per = layout.num_data_cells
         under, outside = 2 * layout.rows + 1, 4 * layout.rows
-        for volume in twin.volumes:
+        for volume in twin.sides:
             volume.disks[3].mark_bad(under)
             volume.disks[3].mark_bad(outside)
-            volume.write(per, np.ones((2 * per, ORACLE_ES), dtype=np.uint8))
+        twin.write(per, np.ones((2 * per, ORACLE_ES), dtype=np.uint8))
+        for volume in twin.sides:
             assert volume.disks[3].bad_sectors == {outside}
-        twin.assert_same(quiet_io=False)
         assert slab_runs == [(1, 2)]
 
     @pytest.mark.parametrize("rotate", (False, True))
     @pytest.mark.parametrize("damage", ("rot", "latent"))
     def test_rebuild_walks_around_a_bad_source(self, layout, rotate, damage):
-        """A rebuild source that is rotten, or a latent sector: the run
-        stands down to the walk, which reconstructs around it (one
-        failed disk — a second would leave the stripe nothing to
-        reconstruct with)."""
+        """A rebuild source that is rotten, or a latent sector, is a
+        located erasure: its stripe is loaded through the stripe plan
+        with the source known-lost and decoded around it (one failed
+        disk — a second would leave the stripe nothing to reconstruct
+        with)."""
         failed = _failed_sets(layout.cols)[1]
         twin = Twin(layout, failed, rotate=rotate)
         per = layout.num_data_cells
@@ -772,17 +856,12 @@ class TestPlannedVsWalk:
         stripe = 2
         col = twin.volumes[0].mapper.col_on_disk(stripe, failed[0])
         source = min(cached_hybrid_plan(layout, col).reads)
-        if damage == "rot":
-            twin.rot(stripe, source)
-        else:
-            for volume in twin.volumes:
-                loc = volume.mapper.locate_cell(stripe, source)
-                volume.disks[loc.disk].mark_bad(loc.offset)
-        twin.rebuild(failed[0], ORACLE_STRIPES, quiet_io=damage == "rot")
-        for volume in twin.volumes:  # the read below heals the sector
-            got = volume.read(0, ORACLE_STRIPES * per)
-            assert np.array_equal(got, image)
-        twin.assert_same()
+        getattr(twin, {"rot": "rot", "latent": "mark_bad"}[damage])(
+            stripe, source
+        )
+        twin.rebuild(failed[0], ORACLE_STRIPES)
+        # the read heals the sector
+        assert np.array_equal(twin.read(0, ORACLE_STRIPES * per), image)
 
     @pytest.mark.parametrize(
         "code_name,p", (("dcode", 7), ("rdp", 5), ("xcode", 5))
@@ -853,17 +932,13 @@ class TestPlannedVsWalk:
         for via_cache in (False, True):
             burst(on_stale - 1, fresh(ORACLE_STRIPES, 3), via_cache)
         # a rebuild in flight: healthy behind the cursor, stale ahead
-        cursors = [v.start_rebuild(failed[0], batch=2) for v in twin.volumes]
-        for cursor in cursors:
-            cursor.step()
-        twin.assert_same()
+        twin.start_rebuild(failed[0], batch=2)
+        twin.step()
         write(per + 3, fresh(per + 2))  # stripes 1 | 2: astride the cursor
         for via_cache in (False, True):
             burst(on_stale - 1, fresh(ORACLE_STRIPES, 3), via_cache)
-        while cursors[0].active:
-            for cursor in cursors:
-                cursor.step()
-            twin.assert_same()
+        while twin.step():
+            pass
         for disk in failed[1:]:
             twin.rebuild(disk, ORACLE_STRIPES)
         assert twin.scrub() == []
@@ -880,9 +955,7 @@ class TestPlannedVsWalk:
                 layout, rng, range(ORACLE_STRIPES), max_cells=5, es=ORACLE_ES
             )
         ]
-        for volume in twin.volumes:
-            volume._write_rest(copy.deepcopy(entries))
-        twin.assert_same()
+        twin.write_rest(entries)
 
 
 class TestStoreFunnel:
@@ -952,7 +1025,8 @@ class TestStoreFunnel:
     def test_observers_cannot_tell(self, layout, rotate, failures):
         """Checksum store, verified bitmap and dirty set after each kind
         of planned store — RMW, lost-cell RMW, ``encode_stripes``,
-        ``store_stripes``, ``rebuild`` — equal the walk's."""
+        ``store_stripes``, ``rebuild`` — equal between the vector and
+        the per-element branch."""
         failed = _failed_sets(layout.cols)[failures]
         twin = Twin(layout, failed, rotate=rotate)
         per = layout.num_data_cells
@@ -973,7 +1047,8 @@ class TestStoreFunnel:
     def test_a_store_is_all_or_nothing_against_a_dead_disk(self, layout):
         """A disk dies between the surface snapshot and the store: not
         one row, counter or checksum of the plan lands, and the write
-        starts over against the new failure state."""
+        starts over as a reconstruct-write against the new failure
+        state."""
         volume = _volume(layout)
         _prime(volume, np.random.default_rng(6))
         checker = IntegrityChecker(volume)
@@ -998,14 +1073,7 @@ class TestStoreFunnel:
 
         volume._store_rows = spy
         data = np.full((10, ES), 7, dtype=np.uint8)
-        with pytest.raises(DiskFailedError):
-            ioplan.rmw(
-                volume,
-                [(2, ioplan.Span(layout.data_cells[3:13], 3, data))],
-                volume._surface(),
-            )
-        volume.disks[died.pop()].state = DiskState.OK
-        volume.write(2 * per + 3, data)  # the volume reconstruct-writes
+        volume.write(2 * per + 3, data)
         assert len(died) == 1 and volume.failed_disks == (died[0],)
         assert np.array_equal(volume.read(2 * per + 3, 10), data)
         volume.replace_and_rebuild(died[0])
@@ -1064,10 +1132,11 @@ class TestPlanCache:
 
 
 class TestSurfaceSnapshot:
-    """The fault surface is read once at the top of every op — never
-    remembered across ops — so whatever moved it, the very next op sees
-    it: hooks and latent sectors send it to the walk, a changed failure
-    state re-keys its plans."""
+    """The fault surface is read once per plan gather and store — never
+    remembered across them — so whatever moved it, the very next op sees
+    it: a hook, or a latent sector under a load, sends the plans that
+    touch its disk to the disks element by element; a changed failure
+    state re-keys the plans."""
 
     @pytest.fixture
     def spied(self, layout):
@@ -1077,21 +1146,17 @@ class TestSurfaceSnapshot:
         )
         _prime(volume, np.random.default_rng(1))
         calls = {"read": 0, "write": 0}
-        read_cell, write_cell = volume._read_cell, volume._write_cell
+        for disk in volume.disks:
+            for name, method in (("read", "read_view"), ("write", "write")):
+                def spy(*args, _inner=getattr(disk, method), _name=name):
+                    calls[_name] += 1
+                    return _inner(*args)
 
-        def spy_read(stripe, cell):
-            calls["read"] += 1
-            return read_cell(stripe, cell)
-
-        def spy_write(stripe, cell, value):
-            calls["write"] += 1
-            write_cell(stripe, cell, value)
-
-        volume._read_cell, volume._write_cell = spy_read, spy_write
+                setattr(disk, method, spy)
         fills = itertools.cycle((1, 2))  # every write changes its bytes
 
         def walked(op):
-            """Which per-element funnels the op went through."""
+            """Which per-element disk calls the op made."""
             calls.update(read=0, write=0)
             if op == "read":
                 volume.read(40, 3)
@@ -1142,17 +1207,23 @@ class TestSurfaceSnapshot:
             "fault_hook": lambda disk, op, offset: None,
             "corrupt_hook": lambda disk, offset: None,
         }[attr]
-        setattr(volume.disks[3], attr, noop)
+        read = {c.col for c in volume.layout.data_cells[5:8]}  # 40..42
+        setattr(volume.disks[min(read)], attr, noop)
         assert walked("read") == {"read"}
         assert walked("write") == {"read", "write"}
-        setattr(volume.disks[3], attr, None)
+        setattr(volume.disks[min(read)], attr, None)
         assert walked("read") == set() and walked("write") == set()
+        # a hook on a disk the read does not touch leaves its plan alone
+        other = min(set(range(len(volume.disks))) - read)
+        setattr(volume.disks[other], attr, noop)
+        assert walked("read") == set()
 
     def test_latent_sector_and_the_write_that_clears_it(self, spied):
         volume, walked = spied
         volume.disks[6].mark_bad(0)
         assert walked("read") == {"read"}
-        assert walked("write") == {"read", "write"}
+        # a latent sector fails loads: the store goes as one vector
+        assert walked("write") == {"read"}
         # rewriting the sector remaps it: quiet again
         volume.write(0, np.ones((volume.layout.num_data_cells, ES), np.uint8))
         assert not volume.disks[6].bad_sectors
@@ -1162,7 +1233,7 @@ class TestSurfaceSnapshot:
         volume, walked = spied
         volume.journal.phase_hook = lambda phase, stripe: None
         assert walked("read") == set()  # reads have no crash points
-        assert walked("write") == {"read", "write"}
+        assert walked("write") == {"write"}  # nor have gathers
         volume.journal.phase_hook = None
         assert walked("write") == set()
 

@@ -6,7 +6,6 @@ import pytest
 from repro.array import RAID6Volume
 from repro.array.integrity import IntegrityChecker
 from repro.codes import Cell, DCode
-from repro.exceptions import ChecksumMismatchError
 from repro.faults import ErrorPolicy, FaultInjector
 
 
@@ -106,7 +105,7 @@ class TestZeroCopyGate:
 
 class TestScalarPath:
     def test_corrupt_block_healed_under_fault_hook(self, volume, checker):
-        # an attached injector forces the serial per-element read walk
+        # an attached injector presents every read element by element
         inj = FaultInjector(seed=5).attach(volume)
         corrupt_cell(volume, 3, Cell(0, 0))
         got = volume.read(0, volume.num_elements)
@@ -115,14 +114,20 @@ class TestScalarPath:
         inj.detach()
         assert checker.find_corruption() == {}
 
-    def test_disk_read_raises_typed_error(self, volume, checker):
+    def test_hooked_read_reports_a_located_erasure(self, volume, checker):
+        """Element by element every block is re-hashed, verified bit or
+        not: the rotten one comes back to its plan as a failed position,
+        logged ``corrupt`` with its disk and offset."""
         target = Cell(0, 4)
         loc = volume.mapper.locate_cell(0, target)
         corrupt_cell(volume, 0, target)
-        with pytest.raises(ChecksumMismatchError) as exc:
-            volume._disk_read(loc.disk, loc.offset)
-        assert (exc.value.disk_id, exc.value.offset) == \
-            (loc.disk, loc.offset)
+        volume.disks[loc.disk].fault_hook = lambda disk, op, offset: None
+        at = np.array([loc.offset * len(volume.disks) + loc.disk])
+        assert volume._read_rows(at, volume._flat_backing[at]) == [0]
+        (event,) = volume.heal_log
+        assert (event.kind, event.disk, event.offset) == \
+            ("corrupt", loc.disk, loc.offset)
+        assert volume.error_counters.checksum[loc.disk] == 1
 
 
 class TestEscalation:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.array import ioplan
 from repro.array.volume import RAID6Volume
 from repro.codes.registry import make_code
 from repro.exceptions import (
@@ -160,7 +161,8 @@ class TestTypedErrors:
             (d1, rng.integers(0, 256, ELEMENT_SIZE, dtype=np.uint8)),
         ]
         intent = vol.journal.open(0, payload)
-        vol._write_cell(0, d0, payload[0][1])  # torn: one of two landed
+        loc = vol.mapper.locate_cell(0, d0)
+        vol.disks[loc.disk].write(loc.offset, payload[0][1])  # torn
         # lose a column holding non-dirty data (and, vertically, parity)
         failed_col = next(
             c.col for c in layout.data_cells
@@ -236,7 +238,7 @@ class TestJournalNeutrality:
 
     def test_digest_matches_recovery_side_chain(self):
         vol, _ = make_volume()
-        buf = vol._load_stripe(1, missing_cols=())
+        buf = ioplan.load_stripes(vol, (1,), ())[0][0]
         assert vol._parity_store_digest(1) == parity_digest(
             vol.layout, lambda c: buf[c.row, c.col]
         )
@@ -281,7 +283,7 @@ class TestParityFootprint:
         vol, _ = make_volume()
         cell = vol.layout.data_cells[0]
         fp = vol._parity_footprint((cell,))
-        buf = vol._load_stripe(1, missing_cols=())
+        buf = ioplan.load_stripes(vol, (1,), ())[0][0]
         assert vol._parity_store_digest(1, fp) == parity_digest(
             vol.layout, lambda c: buf[c.row, c.col], fp
         )

@@ -5,13 +5,13 @@ latent errors and scrubs against a shadow array; invariants are checked
 after every step.  This complements the fixed-seed fault campaign with
 minimised counter-examples when something breaks.
 
-Every rule runs on two volumes: one whose fault surface is quiet unless
-a rule disturbs it (so its short ops execute cached I/O plans and its
-sweeps the tensor paths), and a mirror carrying a fault hook that does
-nothing (so everything takes the per-element walk).  Their backing
-images and per-disk I/O counters must never differ — the differential
-oracle of ``tests/array/test_rmw_batch.py``, here across failures,
-rebuilds, latent errors and scrubs.
+Every rule runs on two volumes: one whose disks are quiet unless a rule
+plants a latent sector (so its plans go to the disks as one vector), and
+a mirror carrying a fault hook that does nothing on every disk (so the
+same plans go element by element).  Their backing images and per-disk
+I/O counters must never differ — the differential oracle of
+``tests/array/test_rmw_batch.py``, here across failures, rebuilds,
+latent errors and scrubs.
 """
 
 import numpy as np
@@ -36,9 +36,9 @@ class VolumeMachine(RuleBasedStateMachine):
     def setup(self):
         self.volume = RAID6Volume(DCode(5), num_stripes=2,
                                   element_size=ELEMENT)
-        self.walk = RAID6Volume(DCode(5), num_stripes=2,
+        self.hooked = RAID6Volume(DCode(5), num_stripes=2,
                                 element_size=ELEMENT)
-        for disk in self.walk.disks:
+        for disk in self.hooked.disks:
             disk.fault_hook = lambda disk, op, offset: None
         self.shadow = np.zeros((self.volume.num_elements, ELEMENT),
                                dtype=np.uint8)
@@ -56,7 +56,7 @@ class VolumeMachine(RuleBasedStateMachine):
         start = min(start, self.volume.num_elements - n)
         data = np.full((n, ELEMENT), fill, dtype=np.uint8)
         self.volume.write(start, data)
-        self.walk.write(start, data)
+        self.hooked.write(start, data)
         self.shadow[start:start + n] = data
 
     @rule(disk=st.integers(0, 4))
@@ -65,7 +65,7 @@ class VolumeMachine(RuleBasedStateMachine):
         if disk in self.failed or self.latent:
             return
         self.volume.fail_disk(disk)
-        self.walk.fail_disk(disk)
+        self.hooked.fail_disk(disk)
         self.failed.add(disk)
 
     @rule()
@@ -73,7 +73,7 @@ class VolumeMachine(RuleBasedStateMachine):
     def rebuild_one(self):
         disk = sorted(self.failed)[0]
         self.volume.replace_and_rebuild(disk)
-        self.walk.replace_and_rebuild(disk)
+        self.hooked.replace_and_rebuild(disk)
         self.failed.discard(disk)
 
     @rule(disk=st.integers(0, 4), stripe=st.integers(0, 1),
@@ -81,14 +81,14 @@ class VolumeMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.failed and self.latent == 0)
     def inject_latent(self, disk, stripe, row):
         self.volume.inject_latent_error(disk, stripe, row)
-        self.walk.inject_latent_error(disk, stripe, row)
+        self.hooked.inject_latent_error(disk, stripe, row)
         self.latent += 1
 
     @rule()
     @precondition(lambda self: not self.failed)
     def scrub_repair(self):
         self.volume.scrub_and_repair()
-        self.walk.scrub_and_repair()
+        self.hooked.scrub_and_repair()
         self.latent = 0
 
     def _reconcile(self):
@@ -111,22 +111,22 @@ class VolumeMachine(RuleBasedStateMachine):
         self._reconcile()
         got = self.volume.read(0, self.volume.num_elements)
         assert np.array_equal(got, self.shadow)
-        got = self.walk.read(0, self.walk.num_elements)
+        got = self.hooked.read(0, self.hooked.num_elements)
         assert np.array_equal(got, self.shadow)
         # a healing read just now may itself have escalated a disk to
         # failed; the next rule's precondition must see it
         self._reconcile()
 
     @invariant()
-    def planned_matches_walk(self):
+    def vector_matches_per_element(self):
         if not hasattr(self, "volume"):
             return
-        assert self.volume.failed_disks == self.walk.failed_disks
+        assert self.volume.failed_disks == self.hooked.failed_disks
         live = [d.disk_id for d in self.volume.disks if not d.failed]
         assert np.array_equal(
-            self.volume._backing[:, live], self.walk._backing[:, live]
+            self.volume._backing[:, live], self.hooked._backing[:, live]
         )
-        assert self.volume.io_counters() == self.walk.io_counters()
+        assert self.volume.io_counters() == self.hooked.io_counters()
 
     @invariant()
     def parity_clean_when_healthy(self):
@@ -135,7 +135,7 @@ class VolumeMachine(RuleBasedStateMachine):
         self._reconcile()
         if not self.failed and self.latent == 0:
             assert self.volume.scrub() == []
-            assert self.walk.scrub() == []
+            assert self.hooked.scrub() == []
 
 
 TestVolumeStateMachine = VolumeMachine.TestCase
