@@ -32,7 +32,15 @@ live first and then owes it the accounting of its share —
 
 Counters take a lock so threads sharing a volume (a cache destage on a
 shard's executor thread beside a foreground write) do not lose
-increments when they hit one disk concurrently.
+increments when they hit one disk concurrently.  A volume hands its
+disks one ``(2, cols)`` counter array — disk ``i`` counts into column
+``i`` — and one lock, so a plan run inside the C kernel adds every
+disk's share in one locked step (``RAID6Volume._account``).
+
+Whatever decides how I/O may reach a disk — its fault and corrupt hooks,
+whether it holds latent sectors, whether it failed — is reported to the
+disk's ``watch`` callback each time it changes, which is how the volume
+keeps its per-disk bitmasks current without scanning its disks per op.
 """
 
 from __future__ import annotations
@@ -63,13 +71,18 @@ class SimDisk:
         capacity: int,
         element_size: int,
         store: Optional[np.ndarray] = None,
+        counters: Optional[np.ndarray] = None,
+        lock: Optional[threading.Lock] = None,
     ) -> None:
         require_positive(capacity, "capacity")
         require_positive(element_size, "element_size")
         self.disk_id = disk_id
         self.capacity = capacity
         self.element_size = element_size
-        self.state = DiskState.OK
+        #: Called as ``watch(disk)`` after a hook, the latent-sector set's
+        #: emptiness or the state changed (see the module docstring).
+        self.watch: Optional[Callable[["SimDisk"], None]] = None
+        self._state = DiskState.OK
         if store is None:
             store = np.zeros((capacity, element_size), dtype=np.uint8)
         elif store.shape != (capacity, element_size) or store.dtype != np.uint8:
@@ -80,25 +93,73 @@ class SimDisk:
             )
         self._store = store
         self._bad_sectors: Set[int] = set()
-        self._lock = threading.Lock()
-        self.read_count = 0
-        self.write_count = 0
-        #: Optional fault-injection hook, called as ``hook(disk, op,
-        #: offset)`` before every read/write.  The hook may raise (to fail
-        #: the op) or mutate the disk (``mark_bad``/``fail``) — see
-        #: :class:`repro.faults.FaultInjector`.  ``None`` disables it.
-        self.fault_hook: Optional[
-            Callable[["SimDisk", str, int], None]
-        ] = None
-        #: Optional silent-corruption hook, called as ``hook(disk,
-        #: offset)`` *after* a successful per-element write lands in the
-        #: store.  This is how the injector's ``silent_flip`` fault kind
-        #: models corruption-on-write: the written block can be flipped
-        #: on the medium with no error ever raised (see
-        #: :class:`repro.faults.FaultInjector`).  ``None`` disables it.
-        self.corrupt_hook: Optional[
-            Callable[["SimDisk", int], None]
-        ] = None
+        self._lock = lock if lock is not None else threading.Lock()
+        #: ``[reads, writes]``
+        self._io = (
+            counters if counters is not None
+            else np.zeros(2, dtype=np.int64)
+        )
+        self._fault_hook: Optional[Callable[["SimDisk", str, int], None]] = None
+        self._corrupt_hook: Optional[Callable[["SimDisk", int], None]] = None
+
+    # -- watched state ------------------------------------------------------
+
+    def _changed(self) -> None:
+        if self.watch is not None:
+            self.watch(self)
+
+    @property
+    def fault_hook(self) -> Optional[Callable[["SimDisk", str, int], None]]:
+        """Optional fault-injection hook, called as ``hook(disk, op,
+        offset)`` before every read/write.  The hook may raise (to fail
+        the op) or mutate the disk (``mark_bad``/``fail``) — see
+        :class:`repro.faults.FaultInjector`.  ``None`` disables it."""
+        return self._fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook) -> None:
+        self._fault_hook = hook
+        self._changed()
+
+    @property
+    def corrupt_hook(self) -> Optional[Callable[["SimDisk", int], None]]:
+        """Optional silent-corruption hook, called as ``hook(disk,
+        offset)`` *after* a successful per-element write lands in the
+        store.  This is how the injector's ``silent_flip`` fault kind
+        models corruption-on-write: the written block can be flipped on
+        the medium with no error ever raised (see
+        :class:`repro.faults.FaultInjector`).  ``None`` disables it."""
+        return self._corrupt_hook
+
+    @corrupt_hook.setter
+    def corrupt_hook(self, hook) -> None:
+        self._corrupt_hook = hook
+        self._changed()
+
+    @property
+    def state(self) -> DiskState:
+        return self._state
+
+    @state.setter
+    def state(self, state: DiskState) -> None:
+        self._state = state
+        self._changed()
+
+    @property
+    def read_count(self) -> int:
+        return int(self._io[0])
+
+    @property
+    def write_count(self) -> int:
+        return int(self._io[1])
+
+    def _remap(self, offsets) -> bool:
+        """Clear the latent sectors under written ``offsets`` (the caller
+        holds the lock); whether that cleared the last one."""
+        if not self._bad_sectors:
+            return False
+        self._bad_sectors.difference_update(offsets)
+        return not self._bad_sectors
 
     # -- I/O --------------------------------------------------------------
 
@@ -120,7 +181,7 @@ class SimDisk:
             self.fault_hook(self, "read", offset)
         self._check_live(offset)
         with self._lock:
-            self.read_count += 1
+            self._io[0] += 1
         if offset in self._bad_sectors:
             raise LatentSectorError(self.disk_id, offset)
         view = self._store[offset]
@@ -143,8 +204,10 @@ class SimDisk:
             )
         self._store[offset] = data
         with self._lock:
-            self.write_count += 1
-            self._bad_sectors.discard(offset)
+            self._io[1] += 1
+            cleared = self._remap((offset,))
+        if cleared:
+            self._changed()
         if self.corrupt_hook is not None:
             self.corrupt_hook(self, offset)
 
@@ -163,7 +226,7 @@ class SimDisk:
         if self.fault_hook is None and not self._bad_sectors:
             self._check_live_block(offsets)
             with self._lock:
-                self.read_count += int(offsets.size)
+                self._io[0] += offsets.size
             return self._store[offsets]
         out = np.empty((len(offsets), self.element_size), dtype=np.uint8)
         for i, offset in enumerate(offsets):
@@ -190,11 +253,10 @@ class SimDisk:
             self._check_live_block(offsets)
             self._store[offsets] = data
             with self._lock:
-                self.write_count += int(offsets.size)
-                if self._bad_sectors:
-                    self._bad_sectors.difference_update(
-                        int(o) for o in offsets
-                    )
+                self._io[1] += offsets.size
+                cleared = self._remap(offsets.tolist())
+            if cleared:
+                self._changed()
             return
         for i, offset in enumerate(offsets):
             self.write(int(offset), data[i])
@@ -207,7 +269,7 @@ class SimDisk:
         owes the load counters the accesses it served.
         """
         with self._lock:
-            self.read_count += int(n)
+            self._io[0] += n
 
     def commit_block(self, count: int, offsets: Sequence[int] = ()) -> None:
         """Account ``count`` element writes the volume stored itself.
@@ -219,9 +281,10 @@ class SimDisk:
         caller passes ``offsets`` only while there are any.
         """
         with self._lock:
-            self.write_count += count
-            if offsets:
-                self._bad_sectors.difference_update(offsets)
+            self._io[1] += count
+            cleared = self._remap(offsets)
+        if cleared:
+            self._changed()
 
     # -- latent sector errors ---------------------------------------------
 
@@ -229,7 +292,10 @@ class SimDisk:
         """Inject a medium error: future reads of ``offset`` fail."""
         require_index(offset, self.capacity, f"disk {self.disk_id} offset")
         with self._lock:
+            first = not self._bad_sectors
             self._bad_sectors.add(offset)
+        if first:
+            self._changed()
 
     @property
     def bad_sectors(self) -> frozenset:
@@ -247,13 +313,14 @@ class SimDisk:
 
     def replace(self) -> None:
         """Swap in a blank replacement (zeroed store, counters kept)."""
-        self.state = DiskState.OK
         self._store[:] = 0
-        self._bad_sectors.clear()
+        with self._lock:
+            self._bad_sectors.clear()
+        self.state = DiskState.OK
 
     def reset_counters(self) -> None:
-        self.read_count = 0
-        self.write_count = 0
+        with self._lock:
+            self._io[:] = 0
 
     # -- internals ------------------------------------------------------------
 

@@ -175,8 +175,11 @@ class IntegrityChecker:
     ) -> None:
         self.volume = volume
         self.verify_reads = verify_reads
-        # route every future write through the recorder
+        # route every future write through the recorder; detach() puts
+        # back exactly what it found (no instance attribute at all: the
+        # class's funnel, which lets plans run in the C kernel again)
         self._inner_store_rows = volume._store_rows
+        self._found = volume.__dict__.get("_store_rows")
         volume._store_rows = (  # type: ignore[assignment]
             self._recording_store_rows
         )
@@ -197,9 +200,10 @@ class IntegrityChecker:
         """Restore the volume's unwrapped write funnel and read paths."""
         volume = self.volume
         if volume.__dict__.get("_store_rows") == self._recording_store_rows:
-            volume._store_rows = (  # type: ignore[assignment]
-                self._inner_store_rows
-            )
+            if self._found is None:
+                del volume._store_rows
+            else:
+                volume._store_rows = self._found  # type: ignore[assignment]
         if volume.integrity is self:
             volume.integrity = None
 

@@ -46,16 +46,24 @@ comes back as a *located erasure*: its stripe is loaded through the
 stripe plan with that cell known-lost and decoded, and nothing else of
 the plan changes.
 
+An RMW plan, and a read plan that rebuilds a cell, carry the same steps
+packed for the C kernel (:func:`repro.util.ckernel.pack_plan`): while the
+volume admits it (``RAID6Volume._kernel`` — quiet disks, nobody
+observing the funnels) the whole plan is one ``plan_exec`` call over its
+vector of stripes, whose counts land in the disks' counters in one step;
+the numpy executor above is what runs otherwise, unchanged.
+
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from collections import OrderedDict
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -65,9 +73,12 @@ from repro.codec.batch import blank_batch, encode_batch
 from repro.codec.plan import GatherStep, XorPlan
 from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import (
-    AddressError, DiskFailedError, TransientIOError, UnrecoverableStripeError,
+    AddressError, DiskFailedError, GeometryError, TransientIOError,
+    UnrecoverableStripeError,
 )
 from repro.recovery.planner import cached_hybrid_plan
+from repro.util import ckernel
+from repro.util.ckernel import Packed
 
 #: Plans cached per volume.  A pattern is ``(first index, length)`` of a
 #: contiguous run, so ``per * (per + 1) / 2`` exist per failure state —
@@ -92,7 +103,7 @@ Lost = Dict[int, List[Cell]]
 class CellSet:
     """Stripe-local cells as index arrays: a plan's I/O footprint."""
 
-    __slots__ = ("cells", "flat", "counts")
+    __slots__ = ("cells", "flat", "counts", "mask")
 
     def __init__(self, cells: Sequence[Cell], ncols: int) -> None:
         self.cells = tuple(cells)
@@ -105,6 +116,8 @@ class CellSet:
         self.counts = tuple(
             (col, n) for col, n in enumerate(np.bincount(cols).tolist()) if n
         )
+        #: the columns as a bitmask (bit ``col``)
+        self.mask = sum(1 << col for col, _ in self.counts)
 
 
 class Span:
@@ -135,12 +148,14 @@ class ReadPlan(NamedTuple):
     ``xor`` runs over ``rows`` scratch rows — the fetched cells followed
     by the rebuilt ones — and ``out`` picks the wanted cells from them;
     both are ``None`` when every wanted cell is fetched directly.
+    ``packed`` is the same for the C kernel.
     """
 
     cells: CellSet
     xor: Optional[XorPlan] = None
     rows: int = 0
     out: Optional[np.ndarray] = None
+    packed: Optional[Packed] = None
 
 
 class LostCells(NamedTuple):
@@ -168,15 +183,15 @@ class RmwPlan(NamedTuple):
     far as they sit on surviving columns.
 
     ``xor`` folds the first ``m`` scratch rows (data deltas) into the
-    following ones (parity deltas).  ``run`` executes the plan:
-    :func:`_rmw_run`, or :func:`_rmw_run_lost` when a dirty cell sits on
-    a stale column (``lost``).
+    following ones (parity deltas); ``lost`` is set when a dirty cell
+    sits on a stale column.  ``packed`` is the whole plan for the C
+    kernel.  :func:`_execute` runs it.
     """
 
     cells: CellSet
     m: int
     xor: XorPlan
-    run: Callable[..., Lost]
+    packed: Packed
     lost: Optional[LostCells] = None
 
 
@@ -294,14 +309,14 @@ def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
     plan = _read_plan(volume, stripe, wanted)
     if plan.recipe is None:
         return None  # algebraic pattern: the stripe plan decodes it
-    fetch = sorted(plan.fetch)
-    row = {cell: i for i, cell in enumerate(fetch)}
-    equations = _rebuild_equations(plan.recipe, row, len(fetch))
+    fetch = CellSet(sorted(plan.fetch), layout.cols)
+    row = {cell: i for i, cell in enumerate(fetch.cells)}
+    equations = _rebuild_equations(plan.recipe, row, len(fetch.cells))
+    xor = _xor_plan(equations, len(row))
+    out = np.array([row[c] for c in wanted], dtype=np.intp)
     return ReadPlan(
-        CellSet(fetch, layout.cols),
-        _xor_plan(equations, len(row)),
-        len(row),
-        np.array([row[c] for c in wanted], dtype=np.intp),
+        fetch, xor, len(row), out,
+        ckernel.pack_plan(fetch.flat, len(row), xor.program, pick=out),
     )
 
 
@@ -328,14 +343,17 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
     patched = [cells[j] for j in keep] + parities
     patch = CellSet(patched, layout.cols)
     if not lost:
-        return RmwPlan(
-            patch, m,
-            _xor_plan(
-                [(m + i, feeds[p]) for i, p in enumerate(parities)],
-                len(patched),
-            ),
-            _rmw_run,
+        # the kernel's scratch: the old values, then the deltas; only the
+        # dirty cells' old values are read (a parity's delta is XOR-ed
+        # into its backing row in place)
+        g = len(patched)
+        xor = _xor_plan(
+            [(m + i, feeds[p]) for i, p in enumerate(parities)], g
         )
+        return RmwPlan(patch, m, xor, ckernel.pack_plan(
+            patch.flat, 2 * g, xor.program, gather=m, n=g, fetch=range(m),
+            keep=range(m), delta=g, base=g,
+        ))
     # the lost old values come from the degraded read plan of the dirty
     # cells — the one a read of them executes and the access engine prices
     read = _read_plan(volume, stripe, cells)
@@ -355,16 +373,18 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
         (deltas + m + i, [delta_row[j] for j in feeds[p]])
         for i, p in enumerate(parities)
     ]
+    cellset = CellSet(gathered, layout.cols)
+    xor = _xor_plan(equations, deltas + len(patched))
+    fetch = np.array(sorted(row[c] for c in read.fetch), dtype=np.intp)
     return RmwPlan(
-        CellSet(gathered, layout.cols),
-        m,
-        _xor_plan(equations, deltas + len(patched)),
-        _rmw_run_lost,
+        cellset, m, xor,
+        ckernel.pack_plan(
+            cellset.flat, xor.num_cells, xor.program, n=len(patched),
+            fetch=fetch, keep=keep, items=lost, delta=deltas, values=values,
+        ),
         LostCells(
-            patch,
-            np.array(sorted(row[c] for c in read.fetch), dtype=np.intp),
-            np.array(keep, dtype=np.intp),
-            np.array(lost, dtype=np.intp),
+            patch, fetch,
+            np.array(keep, dtype=np.intp), np.array(lost, dtype=np.intp),
         ),
     )
 
@@ -535,6 +555,17 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int) -> np.ndarray:
                 ("read", j0, n, stale), _compile_read, volume, j0, n, stale, a
             )
             k = k0 + lo * n
+            run = None if plan is None or plan.xor is None else \
+                volume._kernel(plan.cells.mask, surface.failed)
+            if run is not None:
+                # gather, rebuild and pick straight into the answer
+                if out is None:
+                    out = np.empty((count, es), dtype=np.uint8)
+                _kernel_run(
+                    volume, run, plan.packed, range(a, b),
+                    out=out[k:k + (b - a) * n],
+                )
+                continue
             if plan is None:
                 block = _reread(volume, range(a, b), stale, j0, n)
             else:
@@ -622,13 +653,70 @@ def rmw(volume, entries, surface) -> None:
         lost = None
         if plan is not None:
             try:
-                lost = plan.run(volume, plan, stripes, values)
+                lost = _execute(volume, plan, stripes, values, surface)
             except (DiskFailedError, TransientIOError):
                 pass
         if lost is None:
             lost = dict.fromkeys(range(len(members)), ())
         for i, cells in lost.items():
             volume._reconstruct_write(*members[i], lost=cells)
+
+
+def _execute(volume, plan: RmwPlan, stripes, values, surface) -> Lost:
+    """Run ``plan`` over ``stripes`` with ``values`` — ``(stripes,
+    items, element_size)``, the write items' new values: one C call
+    while the volume admits it, otherwise the numpy executor
+    (:func:`_rmw_run`, :func:`_rmw_run_lost`).  Returns the stripes
+    whose old values failed to read (never any in the kernel)."""
+    run = volume._kernel(plan.cells.mask, surface.failed)
+    if run is None:
+        if plan.lost is None:
+            return _rmw_run(volume, plan, stripes, values)
+        return _rmw_run_lost(volume, plan, stripes, values)
+    # the kernel reads values by address: their layout must be the plan's
+    items = plan.m + (0 if plan.lost is None else len(plan.lost.items))
+    if values.dtype != np.uint8 or \
+            values.shape != (len(stripes), items, volume.element_size):
+        raise GeometryError(
+            f"RMW values must be uint8 ({len(stripes)}, {items}, "
+            f"{volume.element_size}), got {values.dtype} {values.shape}"
+        )
+    _kernel_run(
+        volume, run, plan.packed, stripes, np.ascontiguousarray(values)
+    )
+    return {}
+
+
+def _address(a: Optional[np.ndarray]) -> Optional[int]:
+    """The address of C-contiguous ``a`` (``None`` for ``None``) —
+    through the buffer protocol where ``a`` is writable, a few times
+    cheaper than ``a.ctypes``."""
+    if a is None:
+        return None
+    if a.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
+
+
+def _kernel_run(
+    volume, run, packed: Packed, stripes: Sequence[int],
+    values: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+) -> None:
+    """One ``plan_exec`` call of ``packed`` over ``stripes`` — a
+    ``range`` or one stripe go by their first number, any other vector
+    as an array — then its counts into the disks' counters."""
+    batch = len(stripes)
+    vector = None
+    if type(stripes) is not range and batch > 1:
+        vector = np.array(stripes, dtype=np.int64)
+    counts, where = volume._counts()
+    if run(
+        volume._geometry.address, packed.address,
+        stripes[0], _address(vector), batch, _address(values),
+        _address(out), where,
+    ):
+        raise MemoryError("no scratch memory for the plan kernel")
+    volume._account(counts)
 
 
 def _unlost(written, lost: Lost, per: int, batch: int) -> np.ndarray:

@@ -29,7 +29,10 @@ Every operation executes :mod:`repro.array.ioplan` plans, and every plan
 reaches the disks through two funnels — :meth:`RAID6Volume._read_rows`
 and :meth:`RAID6Volume._store_rows` — which present it to fault hooks
 element by element when a disk it touches carries one; a cell that
-fails to read comes back to the plan as a located erasure.
+fails to read comes back to the plan as a located erasure.  A partial
+write, or a read that rebuilds a cell, whose disks are quiet and whose
+stores nobody observes runs as one call of the C plan kernel instead
+(:meth:`RAID6Volume._kernel`): same bytes, same counts.
 
 Any stripe that has lost more than the code tolerates raises a typed
 :class:`~repro.exceptions.UnrecoverableStripeError` naming the stripe,
@@ -75,7 +78,12 @@ from repro.exceptions import (
 from repro.faults.health import HealthState, RebuildCursor
 from repro.faults.policy import ErrorCounters, ErrorPolicy, HealEvent
 from repro.journal.intent import WriteIntent, WriteIntentLog
+from repro.util import ckernel
 from repro.util.validation import require, require_positive
+
+
+#: ``RAID6Volume._plan_exec`` before its first lookup.
+_UNLOADED = object()
 
 
 class _Surface(NamedTuple):
@@ -153,11 +161,34 @@ class RAID6Volume:
             dtype=np.uint8,
         )
         self._flat_backing = self._backing.reshape(-1, element_size)
+        # every disk's [reads, writes] in one column of one array, under
+        # one lock: a kernel-run plan adds its counts in one step
+        self._io = np.zeros((2, layout.cols), dtype=np.int64)
+        self._io_lock = threading.Lock()
         self.disks: List[SimDisk] = [
             SimDisk(i, self.mapper.disk_capacity, element_size,
-                    store=self._backing[:, i, :])
+                    store=self._backing[:, i, :], counters=self._io[:, i],
+                    lock=self._io_lock)
             for i in range(layout.cols)
         ]
+        # per-disk bitmasks (bit i: disk i) of a fault or corrupt hook
+        # and of latent sectors, and the failed disks, re-derived
+        # whenever a disk reports a change (``SimDisk.watch``)
+        self._hooks = self._latent = 0
+        self._failed: Tuple[int, ...] = ()
+        self._mask_lock = threading.Lock()
+        for disk in self.disks:
+            disk.watch = self._disk_changed
+        #: The C kernel's ``plan_exec`` (``None``: the numpy executor
+        #: only), looked up by the first plan that may run in it
+        #: (:meth:`_load_kernel`): loading costs a process ≈ 2 MB of
+        #: resident library pages, which a process whose plans never run
+        #: there — a serving shard whose writes stay in its cache — does
+        #: not pay.
+        self._plan_exec = _UNLOADED
+        # a rotated plan's columns move from disk to disk: any disk counts
+        self._spread = (1 << layout.cols) - 1 if rotate else 0
+        self._local = threading.local()
         self.policy = policy if policy is not None else ErrorPolicy()
         #: Optional write-intent journal (``docs/robustness.md``, "Crash
         #: consistency").  When attached, every destructive stripe write
@@ -235,7 +266,7 @@ class RAID6Volume:
 
     @property
     def failed_disks(self) -> Tuple[int, ...]:
-        return tuple(d.disk_id for d in self.disks if d.failed)
+        return self._failed
 
     @property
     def health(self) -> HealthState:
@@ -253,20 +284,41 @@ class RAID6Volume:
 
     def io_counters(self) -> Dict[int, Tuple[int, int]]:
         """disk id -> (reads, writes)."""
-        return {d.disk_id: (d.read_count, d.write_count) for d in self.disks}
+        with self._io_lock:
+            counts = self._io.T.tolist()
+        return {disk: tuple(rw) for disk, rw in enumerate(counts)}
 
     def reset_io_counters(self) -> None:
         """Zero every disk's read/write counters."""
-        for d in self.disks:
-            d.reset_counters()
+        with self._io_lock:
+            self._io[:] = 0
+
+    def _account(self, counts: np.ndarray) -> None:
+        """Add a kernel-run plan's ``(2, cols)`` per-disk reads and
+        writes to the disks' counters, in one locked step."""
+        with self._io_lock:
+            self._io += counts
+
+    def _disk_changed(self, disk: SimDisk) -> None:
+        """``SimDisk.watch``: re-derive the per-disk bitmasks."""
+        with self._mask_lock:
+            hooks = latent = 0
+            for d in self.disks:
+                bit = 1 << d.disk_id
+                if d.fault_hook is not None or d.corrupt_hook is not None:
+                    hooks |= bit
+                if d._bad_sectors:
+                    latent |= bit
+            self._hooks, self._latent = hooks, latent
+            self._failed = tuple(
+                d.disk_id for d in self.disks if d.state is DiskState.FAILED
+            )
 
     def _surface(self) -> _Surface:
-        """Snapshot the failure state: one pass over the disks."""
+        """Snapshot the failure state."""
         rebuild = self._rebuild
         return _Surface(
-            tuple([
-                d.disk_id for d in self.disks if d.state is DiskState.FAILED
-            ]),
+            self._failed,
             rebuild is not None and rebuild.active,
             len(self.error_counters.escalated),
         )
@@ -395,22 +447,30 @@ class RAID6Volume:
         :class:`InconsistentStripeError` if a stripe's parity still
         disagrees after repair (silent corruption — never auto-fixed
         because the bad cell cannot be located).
+
+        The bad sectors a scrub meets count toward escalation, so the
+        error policy may fail a disk mid-scrub: then the cells of the
+        run in hand on live disks are still repaired, the scrub stops
+        there, and the failed disk is left to a rebuild.
         """
         require(self.health is HealthState.HEALTHY,
                 "cannot scrub with failed or rebuilding disks present")
         report = ScrubReport()
         cells = self.layout.rows * self.layout.cols
         for stripes in self._chunks():
+            if self._failed:
+                break  # escalated: the array is a rebuild's now
             buf, bad = ioplan.load_stripes(self, stripes, ())
             report.stripes_scanned += len(stripes)
             report.elements_read += len(stripes) * cells - sum(
                 map(len, bad.values())
             )
             for i, stripe in enumerate(stripes):
-                if i in bad:
-                    ioplan.store_cells(self, stripe, bad[i], buf[i])
-                    report.elements_written += len(bad[i])
-                    report[stripe] = bad[i]
+                live = self._live_cells(stripe, bad.get(i, ()))
+                if live:
+                    ioplan.store_cells(self, stripe, live, buf[i])
+                    report.elements_written += len(live)
+                    report[stripe] = live
                 # the repaired buffer is byte-identical to what a re-read
                 # would return, so verify parity against it directly
                 if not self.codec.parity_ok(buf[i]):
@@ -924,10 +984,7 @@ class RAID6Volume:
     ) -> Tuple[int, ...]:
         """Disks that cannot serve ``stripe``: failed ones, plus the
         rebuild target for stripes the cursor has not reached."""
-        out = (
-            [d.disk_id for d in self.disks if d.failed]
-            if surface is None else list(surface.failed)
-        )
+        out = list(self._failed if surface is None else surface.failed)
         rebuild = self._rebuild
         if (
             rebuild is not None
@@ -957,16 +1014,63 @@ class RAID6Volume:
         if store and self.journal is not None and \
                 self.journal.phase_hook is not None:
             return True
-        hooked = [
-            d.disk_id for d in self.disks
-            if d.fault_hook is not None or d.corrupt_hook is not None
-            or (d._bad_sectors and not store)
-        ]
-        if not hooked:
+        mask = self._hooks if store else self._hooks | self._latent
+        if not mask:
             return False
-        if at is None or len(hooked) == len(self.disks):
+        if at is None:
             return True
-        return not set(hooked).isdisjoint((at % len(self.disks)).tolist())
+        return any(
+            mask >> disk & 1 for disk in set((at % len(self.disks)).tolist())
+        )
+
+    def _kernel(self, cols: int, failed: Tuple[int, ...]):
+        """``plan_exec`` when a plan over layout columns ``cols`` (a
+        bitmask), keyed for the ``failed`` disks of the op's surface, may
+        run inside the C kernel, else ``None``: then the numpy executor
+        runs it through the two funnels.
+
+        The kernel gathers and stores vectors and counts them, nothing
+        else, so it stands down whenever a funnel would do more — a disk
+        the plan touches (any disk, rotated) is hooked or holds a latent
+        sector; a disk failed since the surface was taken (the plan may
+        touch it: the store funnel refuses it); the journal has a phase
+        hook; an :class:`~repro.array.integrity.IntegrityChecker` is
+        attached (verified loads; it and the serving layer's
+        dirty-stripe tracker observe every store by wrapping
+        ``_store_rows``, so a wrapped funnel stands it down too) — and
+        when no kernel is loaded."""
+        if (
+            (self._hooks | self._latent) & (cols | self._spread)
+            or self._failed != failed
+            or self.integrity is not None
+            or "_store_rows" in self.__dict__
+            or self.journal is not None and self.journal.phase_hook is not None
+        ):
+            return None
+        run = self._plan_exec
+        return self._load_kernel() if run is _UNLOADED else run
+
+    def _load_kernel(self):
+        """Pack the backing store for the kernel, then resolve
+        ``plan_exec`` (in that order: a thread that sees it resolved
+        finds the geometry)."""
+        self._geometry = ckernel.pack_geometry(
+            self._flat_backing, self.layout.rows * self.layout.cols,
+            self.layout.cols, self.mapper.rotate,
+        )
+        kernel = ckernel.xor_kernel()
+        self._plan_exec = None if kernel is None else kernel.plan_exec
+        return self._plan_exec
+
+    def _counts(self) -> Tuple[np.ndarray, int]:
+        """This thread's ``(2, cols)`` counts array for ``plan_exec``
+        and its address."""
+        try:
+            return self._local.counts
+        except AttributeError:
+            counts = np.empty_like(self._io)
+            self._local.counts = (counts, counts.ctypes.data)
+            return self._local.counts
 
     def _read_rows(
         self,
@@ -1193,21 +1297,26 @@ class RAID6Volume:
         """
         if not self.policy.heal_latent_on_read:
             return
-        disk_of = self.mapper.disk_of
-        live = [
-            c for c in cells if not self.disks[disk_of(stripe, c.col)].failed
-        ]
+        live = self._live_cells(stripe, cells)
         if not live:
             return
         try:
             ioplan.store_cells(self, stripe, live, buf)
         except TransientIOError:
             return  # best-effort: the scrubber will catch it later
+        disk_of = self.mapper.disk_of
         for cell in live:
             self.heal_log.append(
                 HealEvent("remap", disk_of(stripe, cell.col), stripe=stripe,
                           offset=stripe * self.layout.rows + cell.row)
             )
+
+    def _live_cells(self, stripe: int, cells: Sequence[Cell]) -> List[Cell]:
+        """``cells`` of ``stripe`` whose disk has not failed."""
+        disk_of = self.mapper.disk_of
+        return [
+            c for c in cells if not self.disks[disk_of(stripe, c.col)].failed
+        ]
 
     # -- decoding ------------------------------------------------------------
 

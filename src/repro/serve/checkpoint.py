@@ -86,6 +86,7 @@ class DirtyStripeTracker:
         self._dirty: Set[int] = set()
         self._lock = threading.Lock()
         self._inner_rows = volume._store_rows
+        self._found = volume.__dict__.get("_store_rows")
         volume._store_rows = self._rows  # type: ignore[assignment]
 
     def _rows(self, at: np.ndarray, data=None) -> None:
@@ -102,7 +103,10 @@ class DirtyStripeTracker:
     def detach(self) -> None:
         volume = self.volume
         if volume.__dict__.get("_store_rows") == self._rows:
-            volume._store_rows = self._inner_rows  # type: ignore[assignment]
+            if self._found is None:
+                del volume._store_rows
+            else:
+                volume._store_rows = self._found  # type: ignore[assignment]
 
 
 def _stripe_image(volume: RAID6Volume, stripe: int) -> np.ndarray:

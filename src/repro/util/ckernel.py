@@ -1,4 +1,4 @@
-"""Optional JIT-compiled C XOR kernel.
+"""Optional JIT-compiled C kernel: XOR programs and whole I/O plans.
 
 The compiled plans in :mod:`repro.codec.plan` serialise a whole schedule
 (encode order or chain-recovery plan) into one flat ``int64`` program:
@@ -7,12 +7,23 @@ executes that program as vectorised gather-XOR, but each gather still
 materialises a ``(n, k, element_size)`` temporary — roughly 3x the minimal
 memory traffic — and each level costs a few numpy dispatches.
 
-This module removes both overheads when a C compiler is present: a ~30-line
-kernel is compiled once with the system ``cc`` into a cached shared library
-and loaded via :mod:`ctypes`.  One call then runs the entire program over
-one stripe — or a whole batch, stripe by stripe, keeping each stripe
-cache-resident — with plain in-place ``memcpy``/XOR loops that gcc -O3
-auto-vectorises.
+This module removes both overheads when a C compiler is present: one C
+file is compiled once with the system ``cc`` into a cached shared library
+and loaded via :mod:`ctypes`.  It exports two entry points:
+
+* ``xor_exec`` runs one XOR program over one stripe — or a whole batch,
+  stripe by stripe, keeping each stripe cache-resident — with plain
+  in-place ``memcpy``/XOR loops that gcc -O3 auto-vectorises;
+* ``plan_exec`` runs a whole :mod:`repro.array.ioplan` plan over a vector
+  of stripes straight against a volume's flat backing store: gather the
+  plan's rows the deltas and the program read, fold the new data into
+  deltas, run the plan's XOR program, test each delta row for zero a
+  word at a time, XOR each non-zero delta into its backing row in place
+  (only rows that changed are stored), pick a read's wanted rows into
+  the caller's output, and count each disk's reads and writes into a
+  caller-owned array.  The plan and the store's geometry reach it packed
+  into ``int64`` words (:func:`pack_plan`, :func:`pack_geometry`), so a
+  call marshals a handful of integers.
 
 Entirely optional: compilation failure (no compiler, read-only temp dir,
 sandboxed subprocess) silently degrades to the numpy execution path, and
@@ -23,16 +34,21 @@ GIL contract
 ------------
 
 The kernel is loaded with :class:`ctypes.CDLL`, whose foreign-call
-machinery **releases the GIL for the duration of every ``xor_exec``
-call** (``ctypes.PyDLL`` is the variant that would hold it — never used
-here).  Threads that share a volume — a shard's executor thread
-destaging its cache beside a foreground write — therefore do not hold
-each other up for the length of an encode/XOR run, and no wrapper or
-callback re-enters the interpreter mid-call: the C side touches only
-caller-owned buffers that stay alive and unmoved for the call (numpy
-arrays pinned by the calling frame).  :func:`kernel_releases_gil` asserts
-the contract so a refactor to ``PyDLL`` — which would silently hold the
-GIL across every kernel call — fails tests instead of shipping.
+machinery **releases the GIL for the duration of every ``xor_exec`` and
+``plan_exec`` call** (``ctypes.PyDLL`` is the variant that would hold it
+— never used here).  Threads that share a volume — a shard's executor
+thread destaging its cache beside a foreground write — therefore do not
+hold each other up for the length of an encode or a planned RMW, and no
+wrapper or callback re-enters the interpreter mid-call: the C side
+touches only caller-owned memory that stays alive and unmoved for the
+call — numpy arrays pinned by the calling frame, the volume's backing
+store, the packed plan the plan cache holds.  ``plan_exec`` writes the
+backing rows of the stripes it is handed and its own counts array, and
+nothing else: the caller holds those stripes' write locks, and adds the
+counts to the disks' counters under their lock once the call returns.
+:func:`kernel_releases_gil` asserts the contract symbol by symbol, so a
+refactor to ``PyDLL`` — which would silently hold the GIL across every
+kernel call — fails tests instead of shipping.
 """
 
 from __future__ import annotations
@@ -42,10 +58,13 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* Fused k-way XOR: one read pass per source, one write of the
@@ -86,64 +105,244 @@ static void xor7(uint8_t *restrict d, const uint8_t *a, const uint8_t *b,
         d[i] = a[i] ^ b[i] ^ c[i] ^ e[i] ^ f[i] ^ g[i] ^ h[i];
 }
 
+/* Run a serialised XOR program over one flat buffer of es-byte rows.
+ *
+ * prog          [dst, k, src0 .. src{k-1}] per equation, topological order
+ * prog_len      total int64 words in prog
+ *
+ * Equation semantics: row[dst] = row[src0] ^ ... ^ row[src{k-1}].
+ * dst never appears among its own sources (the plan compiler guarantees
+ * it), so no equation reads a partially written row.
+ */
+static void run_program(uint8_t *flat, int64_t es, const int64_t *prog,
+                        int64_t prog_len)
+{
+    const int64_t *p = prog;
+    const int64_t *end = prog + prog_len;
+    while (p < end) {
+        uint8_t *restrict d = flat + p[0] * es;
+        int64_t k = p[1];
+        const int64_t *srcs = p + 2;
+        p += 2 + k;
+        switch (k) {
+        case 1: memcpy(d, S(0), (size_t)es); break;
+        case 2: xor2(d, S(0), S(1), es); break;
+        case 3: xor3(d, S(0), S(1), S(2), es); break;
+        case 4: xor4(d, S(0), S(1), S(2), S(3), es); break;
+        case 5: xor5(d, S(0), S(1), S(2), S(3), S(4), es); break;
+        case 6: xor6(d, S(0), S(1), S(2), S(3), S(4), S(5), es); break;
+        case 7: xor7(d, S(0), S(1), S(2), S(3), S(4), S(5), S(6), es);
+                break;
+        default: {
+            /* Wide equations: fused 7-way head, then pairwise-fused
+             * sweeps (two sources per destination pass). */
+            xor7(d, S(0), S(1), S(2), S(3), S(4), S(5), S(6), es);
+            int64_t j = 7;
+            for (; j + 1 < k; j += 2) {
+                const uint8_t *restrict a = S(j);
+                const uint8_t *restrict b = S(j + 1);
+                for (int64_t i = 0; i < es; ++i)
+                    d[i] ^= a[i] ^ b[i];
+            }
+            if (j < k) {
+                const uint8_t *restrict a = S(j);
+                for (int64_t i = 0; i < es; ++i)
+                    d[i] ^= a[i];
+            }
+        }
+        }
+    }
+}
+
 /* Run a serialised XOR program over `nstripes` stripes.
  *
  * base          first stripe's (num_cells * es) flat uint8 buffer
  * stripe_stride byte offset between consecutive stripes
  * es            element size in bytes
- * prog          [dst, k, src0 .. src{k-1}] per equation, topological order
- * prog_len      total int64 words in prog
- *
- * Equation semantics: cell[dst] = cell[src0] ^ ... ^ cell[src{k-1}].
- * dst never appears among its own sources (the plan compiler guarantees
- * it), so no equation reads a partially written cell.
  */
 void xor_exec(uint8_t *base, int64_t nstripes, int64_t stripe_stride,
               int64_t es, const int64_t *prog, int64_t prog_len)
 {
-    for (int64_t s = 0; s < nstripes; ++s) {
-        uint8_t *flat = base + s * stripe_stride;
-        const int64_t *p = prog;
-        const int64_t *end = prog + prog_len;
-        while (p < end) {
-            uint8_t *restrict d = flat + p[0] * es;
-            int64_t k = p[1];
-            const int64_t *srcs = p + 2;
-            p += 2 + k;
-            switch (k) {
-            case 1: memcpy(d, S(0), (size_t)es); break;
-            case 2: xor2(d, S(0), S(1), es); break;
-            case 3: xor3(d, S(0), S(1), S(2), es); break;
-            case 4: xor4(d, S(0), S(1), S(2), S(3), es); break;
-            case 5: xor5(d, S(0), S(1), S(2), S(3), S(4), es); break;
-            case 6: xor6(d, S(0), S(1), S(2), S(3), S(4), S(5), es); break;
-            case 7: xor7(d, S(0), S(1), S(2), S(3), S(4), S(5), S(6), es);
-                    break;
-            default: {
-                /* Wide equations: fused 7-way head, then pairwise-fused
-                 * sweeps (two sources per destination pass). */
-                xor7(d, S(0), S(1), S(2), S(3), S(4), S(5), S(6), es);
-                int64_t j = 7;
-                for (; j + 1 < k; j += 2) {
-                    const uint8_t *restrict a = S(j);
-                    const uint8_t *restrict b = S(j + 1);
-                    for (int64_t i = 0; i < es; ++i)
-                        d[i] ^= a[i] ^ b[i];
-                }
-                if (j < k) {
-                    const uint8_t *restrict a = S(j);
-                    for (int64_t i = 0; i < es; ++i)
-                        d[i] ^= a[i];
-                }
-            }
-            }
-        }
+    for (int64_t s = 0; s < nstripes; ++s)
+        run_program(base + s * stripe_stride, es, prog, prog_len);
+}
+
+/* Whether n bytes hold anything but zeros: 64-byte blocks OR-ed eight
+ * bytes a word, leaving at the first block that does. */
+static int any_set(const uint8_t *p, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+        uint64_t w[8], acc = 0;
+        memcpy(w, p + i, sizeof w);
+        for (int j = 0; j < 8; ++j)
+            acc |= w[j];
+        if (acc)
+            return 1;
     }
+    uint8_t tail = 0;
+    for (; i < n; ++i)
+        tail |= p[i];
+    return tail != 0;
+}
+
+/* A volume's flat backing store: rows of es bytes, stripe-major. */
+enum { G_BASE, G_STRIDE, G_COLS, G_ROTATE, G_ES };
+
+/* Header words of a packed plan; its arrays follow in the order
+ * flat[g] fetch[g] keep[m] items[k] pick[nout] program[plen]. */
+enum { H_G, H_GATHER, H_N, H_M, H_K, H_ROWS, H_DELTA, H_VALUES, H_BASE,
+       H_PLEN, H_NV, H_NOUT, H_SIZE };
+
+/* Run a packed plan over `batch` stripes of the store `geom` describes:
+ * stripes[s], or first + s when `stripes` is NULL.
+ *
+ * Per stripe, into a scratch buffer of `rows` rows: gather the first
+ * `gather` of the plan's g cells (flat = row * cols + col within the
+ * stripe) into rows 0..gather-1 — the old values the deltas and the
+ * program read; copy the stripe's values[items[q]] to rows values+q;
+ * fold values[keep[i]] into the delta of gathered row i (row delta+i);
+ * run the program over the rows from `base` on.  Where the delta of
+ * cell j < n is non-zero it is XOR-ed into the cell's backing row
+ * (old ^ delta: the new value) and counted written; a cell is counted
+ * read when fetch[j] is set or it was written.  Last, rows pick[] go to
+ * the stripe's nout rows of `out`.  `values` holds nv rows per stripe,
+ * read before the stripe's first store, so one stripe's values may
+ * alias its own backing rows.
+ *
+ * counts   2 * cols words, overwritten: reads per disk, then writes.
+ * Returns 0, or -1 when the scratch buffer cannot be allocated (nothing
+ * touched).
+ */
+int64_t plan_exec(const int64_t *geom, const int64_t *plan, int64_t first,
+                  const int64_t *stripes, int64_t batch,
+                  const uint8_t *values, uint8_t *out, int64_t *counts)
+{
+    uint8_t *backing = (uint8_t *)(intptr_t)geom[G_BASE];
+    const int64_t stride = geom[G_STRIDE], cols = geom[G_COLS];
+    const int64_t rotate = geom[G_ROTATE], es = geom[G_ES];
+    const int64_t g = plan[H_G], gather = plan[H_GATHER];
+    const int64_t n = plan[H_N], m = plan[H_M], k = plan[H_K];
+    const int64_t nv = plan[H_NV], nout = plan[H_NOUT];
+    const int64_t *flat = plan + H_SIZE, *fetch = flat + g;
+    const int64_t *keep = fetch + g, *items = keep + m, *pick = items + k;
+    const int64_t *prog = pick + nout;
+    int64_t *at = malloc((size_t)g * sizeof *at
+                         + (size_t)(plan[H_ROWS] * es));
+    if (at == NULL)
+        return -1;
+    uint8_t *scratch = (uint8_t *)(at + g);
+    uint8_t *delta = scratch + plan[H_DELTA] * es;
+    int64_t *reads = counts, *writes = counts + cols;
+    memset(counts, 0, (size_t)(2 * cols) * sizeof *counts);
+    for (int64_t s = 0; s < batch; ++s) {
+        const int64_t stripe = stripes ? stripes[s] : first + s;
+        const uint8_t *v = values + s * nv * es;
+        for (int64_t j = 0; j < g; ++j) {
+            int64_t row = stripe * stride + flat[j];
+            if (rotate) {
+                int64_t col = flat[j] % cols;
+                row += (col + stripe) % cols - col;
+            }
+            at[j] = row;
+            if (j < gather)
+                memcpy(scratch + j * es, backing + row * es, (size_t)es);
+        }
+        for (int64_t q = 0; q < k; ++q)
+            memcpy(scratch + (plan[H_VALUES] + q) * es, v + items[q] * es,
+                   (size_t)es);
+        for (int64_t i = 0; i < m; ++i)
+            xor2(delta + i * es, scratch + i * es, v + keep[i] * es, es);
+        run_program(scratch + plan[H_BASE] * es, es, prog, plan[H_PLEN]);
+        for (int64_t j = 0; j < g; ++j) {
+            int64_t disk = at[j] % cols, hit = fetch[j];
+            if (j < n && any_set(delta + j * es, es)) {
+                uint8_t *restrict d = backing + at[j] * es;
+                const uint8_t *x = delta + j * es;
+                for (int64_t i = 0; i < es; ++i)
+                    d[i] ^= x[i];
+                ++writes[disk];
+                hit = 1;
+            }
+            reads[disk] += hit;
+        }
+        for (int64_t i = 0; i < nout; ++i)
+            memcpy(out + (s * nout + i) * es, scratch + pick[i] * es,
+                   (size_t)es);
+    }
+    free(at);
+    return 0;
 }
 """
 
+#: The library's entry points; each must run with the GIL released.
+SYMBOLS = ("xor_exec", "plan_exec")
+
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
+
+
+class Packed(NamedTuple):
+    """``int64`` words handed to ``plan_exec`` by address; ``words``
+    keeps the memory alive."""
+
+    words: np.ndarray
+    address: int
+
+
+def _packed(words) -> Packed:
+    words = np.ascontiguousarray(words, dtype=np.int64)
+    return Packed(words, int(words.ctypes.data))
+
+
+def pack_geometry(
+    backing: np.ndarray, stride: int, cols: int, rotate: bool
+) -> Packed:
+    """A volume's flat ``(rows, element_size)`` backing store: ``stride``
+    rows a stripe, row ``offset * cols + disk``, columns shifted by the
+    stripe number when ``rotate``.  The store must outlive the words."""
+    return _packed([
+        backing.ctypes.data, stride, cols, int(rotate), backing.shape[1],
+    ])
+
+
+def pack_plan(
+    flat: np.ndarray,
+    rows: int,
+    program: np.ndarray,
+    *,
+    gather: Optional[int] = None,
+    n: int = 0,
+    fetch: Optional[Sequence[int]] = None,
+    keep: Sequence[int] = (),
+    items: Sequence[int] = (),
+    pick: Sequence[int] = (),
+    delta: int = 0,
+    values: int = 0,
+    base: int = 0,
+) -> Packed:
+    """One plan for ``plan_exec``: gather the first ``gather`` (all by
+    default) of the cells ``flat`` into the first rows of a ``rows``-row
+    scratch buffer, then — see the C source — fold the values into
+    deltas from row ``delta`` (and copy the lost cells' values to row
+    ``values``), run ``program`` from row ``base``, store the first
+    ``n`` cells where their delta is non-zero, and pick rows ``pick``
+    into the output.  ``fetch`` are the cells read whatever the deltas
+    (every cell by default)."""
+    g = len(flat)
+    read = np.ones(g, dtype=np.int64)
+    if fetch is not None:
+        read[:] = 0
+        read[np.asarray(fetch, dtype=np.intp)] = 1
+    # plan_exec's H_* words, in order
+    header = (
+        g, g if gather is None else gather, n, len(keep), len(items), rows,
+        delta, values, base, len(program), len(keep) + len(items), len(pick),
+    )
+    return _packed(np.concatenate([
+        np.asarray(a, dtype=np.int64).ravel()
+        for a in (header, flat, read, keep, items, pick, program)
+    ]))
 
 
 def xor_kernel() -> Optional[ctypes.CDLL]:
@@ -166,16 +365,20 @@ def xor_kernel() -> Optional[ctypes.CDLL]:
 
 
 def kernel_releases_gil() -> bool:
-    """Whether the loaded kernel drops the GIL during ``xor_exec``.
+    """Whether every entry point of the loaded kernel drops the GIL.
 
-    ``True`` exactly when a kernel is loaded through plain
-    :class:`ctypes.CDLL` (GIL released around every foreign call) rather
-    than :class:`ctypes.PyDLL` (GIL held).  ``False`` when no kernel is
-    available at all — numpy's own ufunc loops still release the GIL
-    for large operands.
+    ``True`` exactly when a kernel is loaded and none of its
+    :data:`SYMBOLS` carries ctypes' ``FUNCFLAG_PYTHONAPI`` — the flag
+    :class:`ctypes.PyDLL` sets to hold the GIL around a foreign call,
+    where plain :class:`ctypes.CDLL` releases it.  ``False`` when no
+    kernel is available at all — numpy's own ufunc loops still release
+    the GIL for large operands.
     """
     lib = xor_kernel()
-    return isinstance(lib, ctypes.CDLL) and not isinstance(lib, ctypes.PyDLL)
+    return lib is not None and not any(
+        getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        for name in SYMBOLS
+    )
 
 
 def _load() -> ctypes.CDLL:
@@ -208,13 +411,9 @@ def _load() -> ctypes.CDLL:
             )
         os.replace(tmp_path, so_path)  # atomic: concurrent builders race safely
     lib = ctypes.CDLL(so_path)
-    lib.xor_exec.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_void_p,
-        ctypes.c_int64,
-    ]
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.xor_exec.argtypes = [ptr, i64, i64, i64, ptr, i64]
     lib.xor_exec.restype = None
+    lib.plan_exec.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr]
+    lib.plan_exec.restype = i64
     return lib

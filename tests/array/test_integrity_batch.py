@@ -70,6 +70,40 @@ class TestBatchedWritesKeepChecksums:
         assert not vol.journal.dirty
 
 
+class TestRecordingWithoutVerifiedReads:
+    def test_seeded_stream_leaves_no_stale_checksum(self):
+        """With verified reads off nothing re-hashes a block on its way
+        in, so only the recorder keeps the checksums current: a seeded
+        stream of partial writes, whole-stripe bursts and cache destages
+        must leave every block matching its digest.  An executor that
+        stored around the wrapped ``_store_rows`` shows up here and
+        nowhere else."""
+        vol = fresh(num_stripes=8, p=7)
+        per = vol.layout.num_data_cells
+        vol.write(0, payload(vol.num_elements, seed=7))
+        checker = IntegrityChecker(vol, verify_reads=False)
+        cache = StripeCache(vol, max_dirty_stripes=3)
+        rng = np.random.default_rng(8)
+        for step in range(90):
+            kind = step % 3
+            if kind == 0:  # a short partial write
+                n = int(rng.integers(1, per))
+                start = int(rng.integers(0, vol.num_elements - n))
+                vol.write(start, payload(n, seed=step))
+            elif kind == 1:  # a burst of whole stripes, head and tail
+                stripes = int(rng.integers(2, 4))
+                start = int(rng.integers(0, 8 - stripes)) * per + 3
+                n = min(stripes * per, vol.num_elements - start)
+                vol.write(start, payload(n, seed=step))
+            else:  # cache writes, destaged as multi-stripe bursts
+                n = int(rng.integers(1, 2 * per))
+                start = int(rng.integers(0, vol.num_elements - n))
+                cache.write(start, payload(n, seed=step))
+        cache.flush()
+        assert checker.find_corruption() == {}
+        assert vol.scrub() == []
+
+
 class TestStillDetectsRealRot:
     def test_flipped_byte_is_located_and_repaired(self):
         vol = fresh()

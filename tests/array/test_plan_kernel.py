@@ -1,0 +1,379 @@
+"""The C plan kernel against the numpy executor it stands in for.
+
+While the disks a plan touches are quiet and nothing observes the
+volume's funnels, an RMW plan — and a read plan that rebuilds a cell —
+runs as one ``plan_exec`` call (``RAID6Volume._kernel``); otherwise the
+numpy executor runs it.  :class:`Engines` drives one seeded op stream
+through both, on two volumes that differ only in that the second has no
+kernel, and requires them to stay indistinguishable: backing image,
+per-disk counters, heal log and returned bytes.  The stand-down tests
+pin when the kernel must not run, and the threaded test that counts stay
+exact while two threads run the kernel with the GIL released.
+
+Under ``REPRO_PURE_NUMPY=1`` (or without a compiler) both sides run the
+numpy executor and the comparisons still hold.
+"""
+
+import os
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.array import ioplan
+from repro.array.cache import StripeCache
+from repro.array.disk import DiskState
+from repro.array.integrity import IntegrityChecker
+from repro.array.volume import RAID6Volume
+from repro.codes import make_code
+from repro.journal import WriteIntentLog
+from repro.serve.checkpoint import DirtyStripeTracker
+from repro.util.ckernel import kernel_releases_gil, xor_kernel
+
+from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
+
+ES = 32
+STRIPES = 8
+
+needs_kernel = pytest.mark.skipif(xor_kernel() is None, reason="no C kernel")
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The volume of every C kernel run, in order."""
+    runs = []
+    kernel_run = ioplan._kernel_run
+
+    def spy(volume, *args, **kwargs):
+        runs.append(volume)
+        return kernel_run(volume, *args, **kwargs)
+
+    monkeypatch.setattr(ioplan, "_kernel_run", spy)
+    return runs
+
+
+class Engines:
+    """One op stream on a volume with the kernel and one without."""
+
+    def __init__(self, layout, **kwargs):
+        self.volumes = [
+            RAID6Volume(layout, num_stripes=STRIPES, element_size=ES, **kwargs)
+            for _ in range(2)
+        ]
+        self.volumes[1]._plan_exec = None  # the numpy executor only
+        self.caches = [StripeCache(v, max_dirty_stripes=3, evict_batch=2)
+                       for v in self.volumes]
+        self.per = layout.num_data_cells
+
+    def assert_same(self):
+        kernel, numpy = self.volumes
+        assert np.array_equal(kernel._backing, numpy._backing)
+        assert kernel.io_counters() == numpy.io_counters()
+        assert kernel.heal_log == numpy.heal_log
+
+    def each(self, op, *args):
+        results = [op(volume, *args) for volume in self.volumes]
+        if results[0] is not None:
+            assert np.array_equal(results[0], results[1])
+        self.assert_same()
+        return results[0]
+
+    def read(self, start, count):
+        return self.each(lambda v: v.read(start, count).copy())
+
+    def write(self, start, data):
+        self.each(lambda v: v.write(start, data.copy()))
+
+    def cache_write(self, start, data):
+        for cache in self.caches:
+            cache.write(start, data.copy())
+        self.assert_same()
+
+    def flush(self):
+        for cache in self.caches:
+            cache.flush()
+        self.assert_same()
+
+
+def _stream(engines: Engines, rng, steps: int):
+    """Short reads and writes — fresh, zero-delta and half-changed —
+    cache writes destaged as multi-stripe bursts, and ``_write_rest``
+    bursts of one pattern over every stripe."""
+    per, total = engines.per, STRIPES * engines.per
+    for step in range(steps):
+        n = int(rng.integers(1, 2 * per + 2))
+        start = int(rng.integers(0, total - n + 1))
+        fresh = rng.integers(0, 256, (n, ES), dtype=np.uint8)
+        kind = step % 5
+        if kind == 0:
+            engines.read(start, n)
+        elif kind == 1:
+            engines.write(start, fresh)
+        elif kind == 2:
+            current = engines.read(start, n)
+            current[::2] = fresh[::2]  # every other element a zero delta
+            engines.write(start, current)
+        elif kind == 3:
+            engines.cache_write(start, fresh)
+        else:
+            j0 = int(rng.integers(0, per - 2))
+            values = rng.integers(0, 256, (STRIPES, 3, ES), dtype=np.uint8)
+            cells = engines.volumes[0].layout.data_cells[j0:j0 + 3]
+            entries = [
+                (s, list(zip(cells, values[s]))) for s in range(STRIPES)
+            ]
+            engines.each(lambda v: v._write_rest(
+                [(s, [(c, x.copy()) for c, x in items])
+                 for s, items in entries]
+            ))
+    engines.flush()
+
+
+class TestEngineDifferential:
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_one_stream_two_engines(self, code_name, p, rotate, kernel_runs):
+        """Healthy, a latent sector healed on the way, one disk failed
+        (dirty cells on it included), a rebuild in flight and done."""
+        layout = make_code(code_name, p)
+        engines = Engines(layout, rotate=rotate)
+        kernel, numpy = engines.volumes
+        per = engines.per
+        rng = np.random.default_rng(sum(map(ord, code_name)) * 100 + p)
+        image = rng.integers(0, 256, (STRIPES * per, ES), dtype=np.uint8)
+        engines.write(0, image)
+        _stream(engines, rng, 25)
+        # a latent sector: plans touching its disk stand down until the
+        # read that meets it heals it
+        loc = kernel.mapper.locate_cell(2, layout.data_cells[per // 2])
+        engines.each(lambda v: v.disks[loc.disk].mark_bad(loc.offset))
+        engines.read(2 * per, per)
+        assert kernel.heal_log and not kernel.disks[loc.disk].bad_sectors
+        _stream(engines, rng, 10)
+        # degraded: every write that names a cell on the failed column
+        # patches around it; reads rebuild it
+        failed = 1
+        engines.each(lambda v: v.fail_disk(failed))
+        col = kernel.mapper.col_on_disk(4, failed)
+        on_failed = [
+            j for j in range(per) if layout.data_cells[j].col == col
+        ]
+        runs = len(kernel_runs)
+        for j in on_failed[:3]:
+            engines.write(
+                4 * per + j, rng.integers(0, 256, (2, ES), dtype=np.uint8)
+            )
+        if xor_kernel() is not None and on_failed:
+            assert len(kernel_runs) > runs  # lost dirty cells, in C
+        _stream(engines, rng, 25)
+        # a rebuild in flight: stale ahead of the cursor, healthy behind
+        cursors = [v.start_rebuild(failed, batch=3) for v in engines.volumes]
+        for cursor in cursors:
+            cursor.step()
+        engines.assert_same()
+        _stream(engines, rng, 15)
+        for cursor in cursors:
+            cursor.run()
+        _stream(engines, rng, 10)
+        assert kernel.scrub() == [] and numpy.scrub() == []
+        assert numpy not in kernel_runs
+        if xor_kernel() is not None:
+            assert kernel_runs.count(kernel) > 0
+
+
+def _threads(volume, jobs):
+    """Run every job list on a thread of its own, started together, with
+    a short switch interval; every thread must finish."""
+    barrier = threading.Barrier(len(jobs))
+
+    def run(ops):
+        barrier.wait(timeout=30)
+        for start, data in ops:
+            volume.write(start, data)
+            volume.read(start, len(data))  # counted in Python
+
+    threads = [threading.Thread(target=run, args=(ops,)) for ops in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@needs_kernel
+def test_threaded_kernel_counts_are_exact(kernel_runs):
+    """More threads than cores run RMW plans on disjoint stripes of one
+    volume while the kernel drops the GIL, beside the quiet reads'
+    Python-side counting: the image and every disk's read and write
+    totals equal those of the same ops run one after the other."""
+    assert kernel_releases_gil()
+    layout = make_code("dcode", 7)
+    per = layout.num_data_cells
+    rng = np.random.default_rng(11)
+    # more threads than cores, within a small memory budget
+    workers = min(2 * (os.cpu_count() or 1) + 1, 9)
+    pool = rng.integers(0, 256, (4 * per, 4096), dtype=np.uint8)
+    jobs = [[] for _ in range(workers)]
+    for i in range(100 * workers):
+        t = i % workers
+        stripe = workers * int(rng.integers(0, 4)) + t  # thread t's own
+        n = int(rng.integers(1, per // 2))
+        start = stripe * per + int(rng.integers(0, per - n))
+        k = int(rng.integers(0, len(pool) - n))
+        jobs[t].append((start, pool[k:k + n]))
+    volumes = [
+        RAID6Volume(layout, num_stripes=4 * workers, element_size=4096)
+        for _ in range(2)
+    ]
+    _threads(volumes[0], jobs)
+    for ops in jobs:
+        for start, data in ops:
+            volumes[1].write(start, data)
+            volumes[1].read(start, len(data))
+    assert np.array_equal(volumes[0]._backing, volumes[1]._backing)
+    assert volumes[0].io_counters() == volumes[1].io_counters()
+    assert kernel_runs.count(volumes[0]) == 100 * workers
+
+
+class TestStandDown:
+    """The kernel runs only where the numpy executor would do nothing
+    but gather, XOR, store and count."""
+
+    @pytest.fixture
+    def volume(self):
+        volume = RAID6Volume(make_code("dcode", 7), num_stripes=4,
+                             element_size=ES)
+        volume.write(0, np.ones((volume.num_elements, ES), np.uint8))
+        return volume
+
+    def _ran(self, volume, kernel_runs, fill=2, n=3):
+        """Whether a short write to stripe 0 ran in the kernel."""
+        del kernel_runs[:]
+        volume.write(6, np.full((n, ES), fill, np.uint8))
+        return volume in kernel_runs
+
+    @needs_kernel
+    def test_quiet_volume_runs_the_kernel(self, volume, kernel_runs):
+        assert self._ran(volume, kernel_runs)
+
+    @pytest.mark.parametrize("attr", ("fault_hook", "corrupt_hook"))
+    def test_hook_on_a_touched_disk(self, volume, kernel_runs, attr):
+        touched = volume.layout.data_cells[6].col
+        noop = {
+            "fault_hook": lambda disk, op, offset: None,
+            "corrupt_hook": lambda disk, offset: None,
+        }[attr]
+        setattr(volume.disks[touched], attr, noop)
+        assert not self._ran(volume, kernel_runs)
+        setattr(volume.disks[touched], attr, None)
+        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+
+    @needs_kernel
+    def test_hook_elsewhere(self, volume, kernel_runs):
+        """Unrotated, a hook on a disk the plan does not touch leaves it
+        in the kernel; rotated, every disk may be touched."""
+        cell = volume.layout.data_cells[6]
+        plan = ioplan._compile_rmw(volume, [(cell, None)], (), 0)
+        other = next(
+            d for d in range(len(volume.disks)) if not plan.cells.mask >> d & 1
+        )
+        volume.disks[other].fault_hook = lambda disk, op, offset: None
+        assert self._ran(volume, kernel_runs, n=1)
+        rotated = RAID6Volume(volume.layout, num_stripes=4, element_size=ES,
+                              rotate=True)
+        rotated.disks[other].fault_hook = lambda disk, op, offset: None
+        assert not self._ran(rotated, kernel_runs, n=1)
+
+    def test_latent_sector_until_remapped(self, volume, kernel_runs):
+        col = volume.layout.data_cells[6].col
+        volume.inject_latent_error(col, 3, 0)  # another stripe, same disk
+        assert not self._ran(volume, kernel_runs)
+        per = volume.layout.num_data_cells
+        volume.write(3 * per, np.zeros((per, ES), np.uint8))  # remaps it
+        assert not volume.disks[col].bad_sectors
+        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+
+    def test_phase_hook(self, volume, kernel_runs):
+        volume.journal = WriteIntentLog(phase_hook=lambda phase, s: None)
+        assert not self._ran(volume, kernel_runs)
+        volume.journal.phase_hook = None
+        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+
+    @pytest.mark.parametrize("verify_reads", (False, True))
+    def test_integrity_checker_attached(
+        self, volume, kernel_runs, verify_reads
+    ):
+        checker = IntegrityChecker(volume, verify_reads=verify_reads)
+        assert not self._ran(volume, kernel_runs)
+        assert checker.find_corruption() == {}
+        volume.fail_disk(volume.layout.data_cells[7].col)
+        del kernel_runs[:]
+        volume.read(5, 4)  # a read plan rebuilding cell 7
+        assert volume not in kernel_runs
+        checker.detach()
+        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+
+    def test_dirty_stripe_tracker_attached(self, volume, kernel_runs):
+        tracker = DirtyStripeTracker(volume)
+        assert not self._ran(volume, kernel_runs)
+        assert tracker.drain() == {0}
+        tracker.detach()
+        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+
+    def test_disk_failed_behind_the_surface(self, volume, kernel_runs):
+        """A disk dies after the op took its surface: the plan it was
+        keyed for touches a dead disk, so the numpy executor runs it and
+        finds that out before a byte lands."""
+        per = volume.layout.num_data_cells
+        items = ioplan.Span(
+            volume.layout.data_cells[:3], 0, np.full((3, ES), 9, np.uint8)
+        )
+        surface = volume._surface()
+        dead = volume.layout.data_cells[1].col
+        volume.disks[dead].fail()
+        del kernel_runs[:]
+        ioplan.rmw(volume, [(2, items)], surface)
+        assert volume not in kernel_runs
+        assert np.array_equal(volume.read(2 * per, 3), items.values)
+
+
+class TestDiskBitmasks:
+    """The volume's per-disk bitmasks follow every mutator."""
+
+    def test_masks_follow_the_disks(self):
+        volume = RAID6Volume(make_code("rdp", 5), num_stripes=2,
+                             element_size=ES)
+        disk = volume.disks[2]
+        disk.fault_hook = lambda d, op, offset: None
+        assert volume._hooks == 1 << 2
+        disk.fault_hook = None
+        disk.corrupt_hook = lambda d, offset: None
+        assert volume._hooks == 1 << 2
+        disk.corrupt_hook = None
+        assert volume._hooks == 0
+        disk.mark_bad(1)
+        disk.mark_bad(3)
+        assert volume._latent == 1 << 2
+        disk.write(1, np.zeros(ES, np.uint8))
+        assert volume._latent == 1 << 2  # one left
+        disk.commit_block(1, [3])
+        assert volume._latent == 0
+        disk.mark_bad(0)
+        disk.write_block(np.array([0]), np.zeros((1, ES), np.uint8))
+        assert volume._latent == 0
+        volume.fail_disk(2)
+        assert volume.failed_disks == (2,)
+        volume.start_rebuild(2).run()
+        assert volume.failed_disks == ()
+        volume.disks[4].state = DiskState.FAILED  # as a loader restores it
+        assert volume.failed_disks == (4,)
+        disk.mark_bad(0)
+        volume.disks[2].replace()
+        assert volume._latent == 0

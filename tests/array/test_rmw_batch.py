@@ -137,8 +137,14 @@ def slab_runs(monkeypatch):
 
 
 def spy_stores(volume, monkeypatch):
-    """``(rows, came with data)`` of every call of the volume's planned
-    store funnel, in order; a ``SimDisk.write_block`` call fails."""
+    """``(rows, came with data)`` of every planned store of ``volume``,
+    in order, on whichever engine ran it: a call of its store funnel
+    ``_store_rows``, or a C kernel run of an RMW plan (the rows its
+    counts say it wrote); a ``SimDisk.write_block`` call fails.
+
+    The funnel is spied where it stands — on the instance when an
+    observer already wraps it there, else on the class — so spying
+    never stands the kernel down."""
     stores = []
     store_rows = volume._store_rows
 
@@ -146,25 +152,51 @@ def spy_stores(volume, monkeypatch):
         stores.append((len(at), data is not None))
         store_rows(at, data)
 
+    if "_store_rows" in volume.__dict__:
+        volume._store_rows = spy
+    else:
+        funnel = RAID6Volume._store_rows
+        monkeypatch.setattr(
+            RAID6Volume, "_store_rows",
+            lambda self, at, data=None: (
+                spy(at, data) if self is volume else funnel(self, at, data)
+            ),
+        )
+    kernel_run = ioplan._kernel_run
+
+    def kernel_spy(vol, run, packed, stripes, values=None, out=None):
+        written = int(vol._io[1].sum())
+        kernel_run(vol, run, packed, stripes, values, out)
+        if vol is volume and values is not None:
+            stores.append((int(vol._io[1].sum()) - written, True))
+
     def per_disk(*args, **kwargs):
         raise AssertionError("a planned store went disk by disk")
 
-    volume._store_rows = spy
+    monkeypatch.setattr(ioplan, "_kernel_run", kernel_spy)
     monkeypatch.setattr(SimDisk, "write_block", per_disk)
     return stores
 
 
 @pytest.fixture
 def xor_batches(monkeypatch):
-    """Batch size of every ``XorPlan.execute_batch`` call, in order."""
+    """Batch size of every plan execution, in order, on whichever engine
+    ran it: a numpy ``XorPlan.execute_batch`` call, or one C kernel run
+    of a whole plan (``ioplan._kernel_run``)."""
     sizes = []
     execute_batch = XorPlan.execute_batch
+    kernel_run = ioplan._kernel_run
 
     def spy(plan, scratch):
         sizes.append(len(scratch))
         return execute_batch(plan, scratch)
 
+    def kernel_spy(volume, run, packed, stripes, *args, **kwargs):
+        sizes.append(len(stripes))
+        return kernel_run(volume, run, packed, stripes, *args, **kwargs)
+
     monkeypatch.setattr(XorPlan, "execute_batch", spy)
+    monkeypatch.setattr(ioplan, "_kernel_run", kernel_spy)
     return sizes
 
 

@@ -145,3 +145,41 @@ TestVolumeStateMachine.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _replay(steps):
+    """Run ``(rule, kwargs)`` steps through a fresh machine, every
+    invariant checked after each — an explicit example, which
+    hypothesis' stateful API has no ``@example`` for."""
+    machine = VolumeMachine()
+    machine.setup()
+    for name, kwargs in steps:
+        getattr(machine, name)(**kwargs)
+        machine.reads_match_shadow()
+        machine.vector_matches_per_element()
+        machine.parity_clean_when_healthy()
+    return machine
+
+
+def test_latent_escalation_mid_scrub():
+    """The rare failure of this machine, pinned.  Latent sectors under
+    parity rows (3 and 4 on D-Code p = 5) are never met by the invariant
+    read, only by the next scrub, which charges each to its disk; with
+    repeated injections on one disk the scrub that meets the
+    ``escalate_after``-th (8) error has the error policy fail that disk
+    in the middle of its gather.  ``scrub_and_repair`` then rewrote the
+    reconstructed cell onto the dead disk and raised a raw
+    ``DiskFailedError``.  It now repairs only cells on live disks and
+    stops, leaving the disk to a rebuild — the machine adopts the
+    escalation (``_reconcile``) and rebuilds it like any failure."""
+    steps = []
+    for k in range(8):
+        steps += [
+            ("inject_latent", {"disk": 0, "stripe": k % 2, "row": 3 + k % 2}),
+            ("scrub_repair", {}),
+        ]
+    machine = _replay(steps)
+    assert machine.volume.failed_disks == (0,) == machine.hooked.failed_disks
+    assert machine.failed == {0}
+    assert machine.volume.heal_log[-1].kind == "escalate"
+    _replay(steps + [("rebuild_one", {})])
