@@ -13,14 +13,14 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   :class:`~repro.iosim.engine.StripeReadPlan`, so disk counters keep
   matching the model);
 * **RMW plans**, keyed ``(dirty data cells, stale columns)`` — the dirty
-  cells and every parity their deltas can patch, as far as they sit on
-  surviving columns, and one XOR schedule folding the data deltas into
-  per-parity deltas.  A dirty cell on a stale column is neither read nor
-  written: the plan also fetches what the degraded read plan of the
-  dirty cells fetches, and its schedule first rebuilds the lost old
-  value, so that the surviving parities carry the new one to the next
-  rebuild.  Every partial-stripe write runs through one — healthy or
-  degraded, ``write()`` or cache destage;
+  cells and every parity of their write footprint on surviving columns,
+  and one XOR schedule folding the data deltas into per-parity deltas.
+  A dirty cell on a stale column is neither read nor written: the plan
+  reads and writes what the access engine's degraded write does, and
+  its schedule first rebuilds the lost old value, so that the surviving
+  parities carry the new one to the next rebuild.  Every partial-stripe
+  write runs through one — healthy or degraded, ``write()`` or cache
+  destage;
 * **stripe plans**, keyed by the stale columns — every surviving cell of
   a stripe and the compiled column-recovery schedule:
   :func:`load_stripes` and :func:`store_stripes`, which carry degraded
@@ -70,7 +70,7 @@ import numpy as np
 
 from repro.array.mapping import Run
 from repro.codec.batch import blank_batch, encode_batch
-from repro.codec.plan import GatherStep, XorPlan
+from repro.codec.plan import GatherStep, XorPlan, write_footprint
 from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import (
     AddressError, DiskFailedError, GeometryError, TransientIOError,
@@ -278,15 +278,14 @@ def _engine(volume, stale: Tuple[int, ...]):
     )
 
 
-def _read_plan(volume, stripe: int, wanted: Sequence[Cell]):
-    """The access engine's minimal read plan of ``wanted`` in ``stripe``
-    — the plan the Figure 6/7 simulations price, so real disk counters
-    match the model by construction — from an engine cached per tuple
-    of stale disks (a rebuild splits the volume into regions whose
-    failure states alternate within one request)."""
+def _engine_of(volume, stripe: int):
+    """The access engine of ``stripe``'s stale disks, cached per tuple
+    of them (a rebuild splits the volume into regions whose failure
+    states alternate within one request): its degraded plans are the
+    ones the Figure 5/6/7 simulations price, so real disk counters
+    match the model by construction."""
     stale = volume._stale_disks(stripe)
-    engine = volume._ioplans.get(("engine", stale), _engine, volume, stale)
-    return engine._plan_stripe_read(stripe, list(wanted))
+    return volume._ioplans.get(("engine", stale), _engine, volume, stale)
 
 
 def _rebuild_equations(recipe, row: Dict[Cell, int], base: int) -> list:
@@ -306,7 +305,7 @@ def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
     wanted = layout.data_cells[j0:j0 + n]
     if not any(c.col in stale_cols for c in wanted):
         return ReadPlan(CellSet(wanted, layout.cols))
-    plan = _read_plan(volume, stripe, wanted)
+    plan = _engine_of(volume, stripe)._plan_stripe_read(stripe, wanted)
     if plan.recipe is None:
         return None  # algebraic pattern: the stripe plan decodes it
     fetch = CellSet(sorted(plan.fetch), layout.cols)
@@ -322,44 +321,47 @@ def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
 
 def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
     layout = volume.layout
-    cells = [cell for cell, _ in items]
-    if len(set(cells)) < len(cells) or not all(
-        layout.is_data(cell) for cell in cells
+    span = type(items) is Span  # distinct data cells, in data order
+    cells = tuple(items.cells if span else [cell for cell, _ in items])
+    if not span and (
+        len(set(cells)) < len(cells) or not all(map(layout.is_data, cells))
     ):
         return None  # not distinct data cells: reconstruct-write
     keep = [j for j, cell in enumerate(cells) if cell.col not in stale_cols]
     lost = [j for j, cell in enumerate(cells) if cell.col in stale_cols]
-    # over GF(2) a parity changes by the XOR of the deltas of the dirty
-    # cells whose update footprint holds it (cascades through parities of
-    # parities are already folded into each cell's footprint); one on a
-    # stale column waits for the rebuild
-    feeds: Dict[Cell, List[int]] = {}
-    for j, cell in enumerate(cells):
-        for parity in volume.codec.plans.update_plan(cell)[1]:
-            if parity.col not in stale_cols:
-                feeds.setdefault(parity, []).append(j)
-    parities = sorted(feeds)
+    # a parity changes by the XOR of the deltas of the dirty cells feeding
+    # it; one on a stale column waits for the rebuild
+    parities, feeds = write_footprint(layout, cells)
+    if lost:
+        # the lost old values are rebuilt: the access engine's degraded
+        # write of the dirty cells names what is read and written, the
+        # degraded read of them (in data order) the recipe
+        wanted = cells if span else sorted(cells, key=layout.data_index)
+        engine = _engine_of(volume, stripe)
+        reads, writes = engine._stripe_write_io(stripe, wanted)
+        read = engine._plan_stripe_read(stripe, wanted)
+        if read.recipe is None:
+            return None  # algebraic pattern: reconstruct-write
+    if stale_cols:
+        live = [
+            p in writes if lost else p.col not in stale_cols for p in parities
+        ]
+        feeds = [f for f, ok in zip(feeds, live) if ok]
+        parities = [p for p, ok in zip(parities, live) if ok]
     m = len(keep)
-    patched = [cells[j] for j in keep] + parities
+    patched = [cells[j] for j in keep] + list(parities)
     patch = CellSet(patched, layout.cols)
     if not lost:
         # the kernel's scratch: the old values, then the deltas; only the
         # dirty cells' old values are read (a parity's delta is XOR-ed
         # into its backing row in place)
         g = len(patched)
-        xor = _xor_plan(
-            [(m + i, feeds[p]) for i, p in enumerate(parities)], g
-        )
+        xor = _xor_plan([(m + i, f) for i, f in enumerate(feeds)], g)
         return RmwPlan(patch, m, xor, ckernel.pack_plan(
             patch.flat, 2 * g, xor.program, gather=m, n=g, fetch=range(m),
             keep=range(m), delta=g, base=g,
         ))
-    # the lost old values come from the degraded read plan of the dirty
-    # cells — the one a read of them executes and the access engine prices
-    read = _read_plan(volume, stripe, cells)
-    if read.recipe is None:
-        return None  # algebraic pattern: reconstruct-write
-    gathered = patched + sorted(read.fetch.difference(patched))
+    gathered = patched + sorted(reads.difference(patched))
     g, k = len(gathered), len(lost)
     row = {cell: i for i, cell in enumerate(gathered)}
     equations = _rebuild_equations(read.recipe, row, g)
@@ -370,8 +372,8 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
         delta_row[j] = values + k + q
         equations.append((delta_row[j], [row[cells[j]], values + q]))
     equations += [
-        (deltas + m + i, [delta_row[j] for j in feeds[p]])
-        for i, p in enumerate(parities)
+        (deltas + m + i, [delta_row[j] for j in f])
+        for i, f in enumerate(feeds)
     ]
     cellset = CellSet(gathered, layout.cols)
     xor = _xor_plan(equations, deltas + len(patched))

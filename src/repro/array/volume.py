@@ -63,8 +63,9 @@ from repro.array.mapping import AddressMapper, segments
 from repro.codes.base import Cell, CodeLayout
 from repro.codec.batch import blank_batch, encode_batch
 from repro.codec.decoder import ChainDecoder
-from repro.codec.encoder import StripeCodec, _toposort_groups
+from repro.codec.encoder import StripeCodec
 from repro.codec.gauss import GaussianDecoder
+from repro.codec.plan import write_footprint
 from repro.exceptions import (
     AddressError,
     DecodeError,
@@ -215,7 +216,6 @@ class RAID6Volume:
         self._rebuild: Optional[RebuildCursor] = None
         self._chain = ChainDecoder(self.codec)
         self._gauss = GaussianDecoder(self.codec)
-        self._encode_order = _toposort_groups(layout)
         self._policy_lock = threading.RLock()
         # Striped per-stripe write locks: two writers that touch the
         # same stripe (a cache destage racing a foreground RMW — the
@@ -228,10 +228,6 @@ class RAID6Volume:
         self._stripe_locks: Tuple[threading.RLock, ...] = tuple(
             threading.RLock() for _ in range(min(64, num_stripes))
         )
-        # data-cell set -> affected parity cells (journal digest footprint)
-        self._footprint_cache: Dict[
-            frozenset, Tuple[Cell, ...]
-        ] = {}
         # pattern-keyed read / RMW / stripe plans, compiled on first use
         # (docs/performance.md, "Planned short-op I/O")
         self._ioplans = ioplan.PlanCache()
@@ -691,19 +687,16 @@ class RAID6Volume:
 
         Two or more whole-stripe entries leave the queue as one
         :meth:`_full_stripe_write_batched` call; a lone one leads it.
-        Then, under the burst's stripe locks, taken once:
+        One entry left is the per-stripe writer's.  Two or more run
+        under the burst's stripe locks, taken once:
 
-        * **group commit** — a journaled burst of two or more stripes
-          shares one coalesced intent append and one digest pass
-          (:meth:`_open_group_intents`) instead of per-stripe journal
-          round-trips;
+        * **group commit** — a journaled burst shares one coalesced
+          intent append and one digest pass (:meth:`_open_group_intents`)
+          instead of per-stripe journal round-trips;
         * **cross-stripe RMW** — every partial entry, healthy stripe or
           degraded, goes to one :func:`repro.array.ioplan.rmw` call:
-          byte- and counter-identical to the per-stripe loop.  It
-          bypasses the per-stripe journal chokepoint, so it needs the
-          burst covered by a group intent (or no journal at all);
-        * the per-stripe writer takes the lone whole stripe and, without
-          a group intent, every entry of a journaled burst in queue order.
+          byte- and counter-identical to the per-stripe loop;
+        * then the lone whole stripe, if any.
         """
         if not entries:
             return
@@ -726,18 +719,16 @@ class RAID6Volume:
             )
             stripes.difference_update(stripe for stripe, _ in full)
             full = []
+        rest = full + partial
+        if len(rest) < 2:
+            for stripe, items in rest:
+                self._write_stripe_batch(stripe, items, surface)
+            return
         with self._locked_stripes(stripes):
-            intents = self._open_group_intents(full + partial, surface)
-            write = (
-                self._write_stripe_unjournaled_locked
-                if intents is not None
-                else self._write_stripe_batch_locked
-            )
-            if self.journal is None or intents is not None:
-                ioplan.rmw(self, partial, surface)
-                partial = []
-            for stripe, items in full + partial:
-                write(stripe, items, surface)
+            intents = self._open_group_intents(rest, surface)
+            ioplan.rmw(self, partial, surface)
+            for stripe, items in full:
+                self._write_stripe_unjournaled_locked(stripe, items, surface)
             if intents is not None:
                 self.journal.commit_group(intents)
 
@@ -750,17 +741,17 @@ class RAID6Volume:
 
         Returns the member intents (commit them with
         ``journal.commit_group`` once every write has landed), or ``None``
-        when group commit does not apply — no journal, a single stripe, or
-        per-stripe journaling forced via ``journal.group_commit = False``.
-        Engages whatever hooks are attached, so the chaos campaigns can
-        tear bursts at group boundaries.
+        without a journal.  Engages whatever hooks are attached, so the
+        chaos campaigns can tear bursts at group boundaries.
         """
         journal = self.journal
-        if journal is None or len(entries) < 2 or not journal.group_commit:
+        if journal is None:
             return None
         per = self.layout.num_data_cells
         footprints = [
-            (stripe, self._parity_footprint(c for c, _ in items))
+            (stripe, write_footprint(
+                self.layout, tuple([c for c, _ in items])
+            ).parities)
             for stripe, items in entries if len(items) < per
         ]
         old_digest = (
@@ -898,46 +889,26 @@ class RAID6Volume:
         if journal is None:
             self._write_stripe_unjournaled_locked(stripe, items, surface)
             return
+        # the digest footprint: parities outside the write's footprint are
+        # the same in the old and new images, so recovery — which reads
+        # the footprint off the intent's dirty cells — digests only these
         old_digest = (
             None if len(items) == self.layout.num_data_cells
-            else self._parity_store_digest(
-                stripe, self._parity_footprint(c for c, _ in items)
-            )
+            else self._parity_store_digest(stripe, write_footprint(
+                self.layout, tuple([c for c, _ in items])
+            ).parities)
         )
         intent = journal.open(stripe, items, old_parity_digest=old_digest)
         self._write_stripe_unjournaled_locked(stripe, items, surface)
         journal.commit(intent)
 
-    def _parity_footprint(self, cells: Iterable[Cell]) -> Tuple[Cell, ...]:
-        """Parity cells a write to ``cells`` may change, canonical order.
-
-        The journal digest footprint: parities outside it are untouched
-        by the write, so old and new images agree on them and chaining
-        them into the digest adds CRC work without information.  Derived
-        purely from the layout (cascading through the encode order, so a
-        parity-of-parity flips too), hence recomputable at recovery time
-        from an intent's dirty cells — no journal format change.
-        """
-        key = frozenset(c for c in cells if self.layout.is_data(c))
-        footprint = self._footprint_cache.get(key)
-        if footprint is None:
-            flips = set(key)
-            for group in self._encode_order:
-                if any(m in flips for m in group.members):
-                    flips.add(group.parity)
-            footprint = tuple(
-                c for c in self.layout.parity_cells if c in flips
-            )
-            self._footprint_cache[key] = footprint
-        return footprint
-
     def _parity_store_digest(
         self, stripe: int, cells: Optional[Sequence[Cell]] = None
     ) -> Optional[int]:
         """:meth:`_footprint_digest` of one stripe: ``cells`` in canonical
-        ``parity_cells`` order (the write path passes
-        :meth:`_parity_footprint`, so an RMW intent digests only the
-        parities it can change), every parity cell by default."""
+        ``parity_cells`` order (the write path passes the write's
+        footprint, so an RMW intent digests only the parities it can
+        change), every parity cell by default."""
         return self._footprint_digest(
             [(stripe, self.layout.parity_cells if cells is None else cells)]
         )

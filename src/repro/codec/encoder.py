@@ -29,10 +29,6 @@ from repro.exceptions import GeometryError, InconsistentStripeError
 from repro.util.validation import require_positive
 from repro.util.xor import xor_blocks
 
-# Toposort now lives in repro.codec.plan (iterative DFS); the historical
-# private name is kept because the update/volume/iosim layers import it.
-_toposort_groups = toposort_groups
-
 
 class StripeCodec:
     """Encode/verify/erase stripes of a given layout at a given element size.
@@ -52,7 +48,7 @@ class StripeCodec:
         self.layout = layout
         self.element_size = element_size
         self.naive = naive
-        self._encode_order = _toposort_groups(layout)
+        self._encode_order = toposort_groups(layout)
         self._plans = compiled_plans(layout, element_size)
 
     @property

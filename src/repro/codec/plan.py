@@ -24,13 +24,16 @@ number of numpy calls.  Compiled plans are cached per
 ``(layout, element_size)`` in a module-level LRU
 (:func:`compiled_plans`), so codecs built repeatedly over the same layout
 — volumes, benchmarks, simulations — compile once.
+
+:func:`write_footprint` is the one derivation of which parities a write
+touches, memoised per layout and dirty-cell tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -305,34 +308,75 @@ def compile_schedule_plan(layout: CodeLayout, schedule: Sequence) -> XorPlan:
     return _build_plan(layout, entries)
 
 
+class WriteFootprint(NamedTuple):
+    """The parity cells a write may change, in canonical
+    ``layout.parity_cells`` order, and for each (``feeds[i]``) the
+    ascending positions, among the write's cells, of the dirty cells
+    whose deltas it carries: over GF(2) it changes by their XOR."""
+
+    parities: Tuple[Cell, ...]
+    feeds: Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=128)
+def _cell_footprints(layout: CodeLayout) -> Tuple[List[ParityGroup], Dict]:
+    """The layout's groups in dependency order, and a memo of each data
+    cell's own footprint that :func:`write_footprint` fills."""
+    return toposort_groups(layout), {}
+
+
+@lru_cache(maxsize=8192)
+def write_footprint(
+    layout: CodeLayout, cells: Tuple[Cell, ...]
+) -> WriteFootprint:
+    """The :class:`WriteFootprint` of a write to the data ``cells``.
+
+    Each cell's delta is pushed symbolically through the groups in
+    dependency order: a group flips iff an odd number of its members
+    flipped, so parities of parities (RDP, HDP) cascade.  Deltas compose
+    by XOR, so a write may change the union of its cells' footprints.
+    Raises :class:`GeometryError` for a cell that is not a data cell.
+    """
+    order, memo = _cell_footprints(layout)
+    feeds: Dict[Cell, List[int]] = {}
+    for j, cell in enumerate(cells):
+        touched = memo.get(cell)
+        if touched is None:
+            if not layout.is_data(cell):
+                raise GeometryError(
+                    f"{cell} is not a data cell of {layout.name}"
+                )
+            flips = {cell}
+            for group in order:
+                if sum(m in flips for m in group.members) % 2:
+                    flips.add(group.parity)
+            flips.discard(cell)
+            touched = memo[cell] = tuple(flips)
+        for parity in touched:
+            feeds.setdefault(parity, []).append(j)
+    fed = sorted(feeds.items())
+    return WriteFootprint(
+        tuple(p for p, _ in fed), tuple(tuple(f) for _, f in fed)
+    )
+
+
 def compile_update_plan(
     layout: CodeLayout, cell: Cell
 ) -> Tuple[np.ndarray, Tuple[Cell, ...]]:
     """Flat indices a single-element write XORs with its delta.
 
-    Over GF(2) every parity that flips under a write to ``cell`` changes by
-    exactly the write's delta ``old ^ new`` (its flipped inputs all carry
-    the same delta, an odd number of times).  So the whole read-modify-write
-    is one scatter: XOR the delta into ``cell`` itself plus every touched
-    parity.  Returns ``(indices, touched)`` where ``indices`` contains the
-    data cell followed by the touched parities and ``touched`` is the parity
-    cell tuple (the update footprint, in dependency order).
+    Every parity in the footprint of ``cell`` (:func:`write_footprint`)
+    changes by exactly the write's delta ``old ^ new``, so the whole
+    read-modify-write is one scatter: XOR the delta into ``cell`` itself
+    plus every touched parity.  Returns ``(indices, touched)`` where
+    ``indices`` contains the data cell followed by the touched parities
+    and ``touched`` is the parity cell tuple, in canonical order.
     """
-    if not layout.is_data(cell):
-        raise GeometryError(f"{cell} is not a data cell of {layout.name}")
-    flips = {cell}
-    touched: List[Cell] = []
-    for group in toposort_groups(layout):
-        count = sum(1 for m in group.members if m in flips)
-        if count % 2:
-            flips.add(group.parity)
-            touched.append(group.parity)
+    touched = write_footprint(layout, (cell,)).parities
     indices = np.array(
-        [cell_to_flat(layout, cell)]
-        + [cell_to_flat(layout, p) for p in touched],
-        dtype=np.intp,
+        [cell_to_flat(layout, c) for c in (cell, *touched)], dtype=np.intp
     )
-    return indices, tuple(touched)
+    return indices, touched
 
 
 class CompiledPlans:
@@ -387,7 +431,7 @@ class CompiledPlans:
     def update_plan(
         self, cell: Cell
     ) -> Tuple[np.ndarray, Tuple[Cell, ...]]:
-        """Compiled single-element update for ``cell`` (memoised)."""
+        """:func:`compile_update_plan` of ``cell`` (memoised)."""
         entry = self._updates.get(cell)
         if entry is None:
             entry = compile_update_plan(self.layout, cell)

@@ -6,10 +6,10 @@ cover other parity cells, like RDP and HDP — the groups covering those
 parities, and so on.  Deltas compose by XOR, so the update is computed by
 pushing ``old ^ new`` through the groups in encode (dependency) order.
 
-:func:`update_footprint` runs the same propagation symbolically over GF(2)
-and returns exactly which parity cells change — the layout's *update
-complexity* for that cell, the metric the paper's §III-D proves is the
-optimal 2 for every D-Code data element.
+:func:`update_footprint` reads which parity cells change off the write
+footprint (:func:`repro.codec.plan.write_footprint`) — the layout's
+*update complexity* for that cell, the metric the paper's §III-D proves
+is the optimal 2 for every D-Code data element.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.codes.base import Cell, CodeLayout
-from repro.codec.encoder import StripeCodec, _toposort_groups
-from repro.codec.plan import flat_stripe_view
+from repro.codec.encoder import StripeCodec
+from repro.codec.plan import flat_stripe_view, toposort_groups, write_footprint
 from repro.exceptions import GeometryError
 from repro.util.xor import xor_into
 
@@ -38,9 +38,10 @@ def apply_update(
 ) -> Tuple[Cell, ...]:
     """Overwrite ``cell`` with ``new_value`` and patch parity, in place.
 
-    Returns the parity cells that were modified.  Equivalent to re-encoding
-    the stripe but touches only the RMW footprint, which is what a real
-    array controller would do for a small write.
+    Returns the parity cells that were modified, in canonical order.
+    Equivalent to re-encoding the stripe but touches only the RMW
+    footprint, which is what a real array controller would do for a small
+    write.
 
     The default path executes the cell's compiled update plan — one scatter
     XOR of the delta into the cell and its footprint parities (every touched
@@ -76,7 +77,7 @@ def apply_update(
     stripe[cell.row, cell.col] = new_value
     deltas: Dict[Cell, np.ndarray] = {cell: delta}
     touched_list = []
-    for group in _toposort_groups(layout):
+    for group in toposort_groups(layout):
         gdelta = None
         for member in group.members:
             d = deltas.get(member)
@@ -90,28 +91,16 @@ def apply_update(
             xor_into(stripe[group.parity.row, group.parity.col], gdelta)
             deltas[group.parity] = gdelta
             touched_list.append(group.parity)
-    return tuple(touched_list)
+    return tuple(sorted(touched_list))
 
 
 def update_footprint(layout: CodeLayout, cell: Cell) -> Tuple[Cell, ...]:
-    """Parity cells a write to ``cell`` modifies (symbolic GF(2) propagation).
+    """Parity cells a write to ``cell`` modifies, in canonical order.
 
     ``len(update_footprint(layout, cell))`` is the update complexity of the
     cell; an update-optimal RAID-6 code yields exactly 2 everywhere.
     """
-    if not layout.is_data(cell):
-        raise GeometryError(f"{cell} is not a data cell of {layout.name}")
-    flips: Dict[Cell, bool] = {cell: True}
-    touched = []
-    for group in _toposort_groups(layout):
-        flip = False
-        for member in group.members:
-            if flips.get(member, False):
-                flip = not flip
-        if flip:
-            flips[group.parity] = True
-            touched.append(group.parity)
-    return tuple(touched)
+    return write_footprint(layout, (cell,)).parities
 
 
 def average_update_complexity(layout: CodeLayout) -> float:

@@ -30,13 +30,14 @@ milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.codes.base import Cell, CodeLayout
 from repro.codec.decoder import RecoveryStep, plan_chain_recovery, plan_slice
-from repro.codec.encoder import _toposort_groups
+from repro.codec.plan import write_footprint
 from repro.iosim.request import Operation
 from repro.iosim.workloads import Workload
 from repro.util.validation import require, require_positive
@@ -139,7 +140,6 @@ class AccessEngine:
         )
         self.rotate = rotate
         self.write_policy = write_policy
-        self._encode_order = _toposort_groups(layout)
         #: family order for deterministic tie-breaks in recovery selection
         self._family_rank = {f: i for i, f in enumerate(layout.families())}
         #: cached double-failure chain plans, keyed by layout column pair
@@ -154,17 +154,22 @@ class AccessEngine:
         self._write_count_cache: Dict[
             object, Tuple[np.ndarray, np.ndarray]
         ] = {}
-        #: per-column data-cell counts of logical prefix ``data_cells[:j]``
-        #: (row ``j``), used to price healthy reads without touching cells
+        self._data_cells_list = list(layout.data_cells)
+        self._data_set = frozenset(layout.data_cells)
+
+    @cached_property
+    def _data_col_prefix(self) -> np.ndarray:
+        """Per-column data-cell counts of logical prefix ``data_cells[:j]``
+        (row ``j``), used to price healthy reads without touching cells;
+        built on first use, which a volume's engines never make."""
+        layout = self.layout
         per = layout.num_data_cells
         onehot = np.zeros((per, layout.cols), dtype=np.int64)
-        onehot[np.arange(per),
-               [c.col for c in layout.data_cells]] = 1
-        self._data_col_prefix = np.vstack(
+        onehot[np.arange(per), [c.col for c in layout.data_cells]] = 1
+        return np.vstack(
             [np.zeros((1, layout.cols), dtype=np.int64),
              np.cumsum(onehot, axis=0)]
         )
-        self._data_cells_list = list(layout.data_cells)
 
     # -- addressing -----------------------------------------------------------
 
@@ -481,21 +486,22 @@ class AccessEngine:
     def _stripe_write_io(
         self, stripe: int, targets: List[Cell]
     ) -> Tuple[Set[Cell], Set[Cell]]:
-        """(cells read, cells written) of one stripe's share of a write.
+        """(cells read, cells written) of one stripe's share of a write:
+        the degraded-write rule, here and nowhere else.
 
         Cells on a failed disk leave both sets (the disk is gone), but
         the old value of a data cell the write needs is then rebuilt:
         the reads gain the fetch set of the degraded read of those data
-        cells — the plan :class:`~repro.array.volume.RAID6Volume`
-        executes, so its disk counters match.  Where that read needs
-        algebraic decoding, the volume loads, re-encodes and rewrites
-        every surviving cell.
+        cells.  The volume compiles the RMW plan of a lost dirty cell
+        from these sets (``repro.array.ioplan._compile_rmw``), so its
+        disk counters match.  Where that read needs algebraic decoding,
+        the volume loads, re-encodes and rewrites every surviving cell.
         """
-        reads, writes = self._stripe_write_sets(set(targets))
+        reads, writes = self._stripe_write_sets(targets)
         lost_cols = self.failed_columns(stripe)
         if not lost_cols:
             return reads, writes
-        wanted = [c for c in self._data_cells_list if c in reads]
+        wanted = sorted(reads & self._data_set, key=self.layout.data_index)
         reads = {c for c in reads if c.col not in lost_cols}
         writes = {c for c in writes if c.col not in lost_cols}
         if any(c.col in lost_cols for c in wanted):
@@ -506,10 +512,11 @@ class AccessEngine:
         return reads, writes
 
     def _stripe_write_sets(
-        self, targets: Set[Cell]
+        self, cells: Sequence[Cell]
     ) -> Tuple[Set[Cell], Set[Cell]]:
-        """(cells read, cells written) for a partial write of ``targets``."""
-        affected = self.affected_parities(targets)
+        """(cells read, cells written) for a partial write of ``cells``."""
+        targets = set(cells)
+        affected = set(write_footprint(self.layout, tuple(cells)).parities)
         if len(targets) == self.layout.num_data_cells:
             # full-stripe write: encode fresh, no old values needed
             return set(), targets | affected
@@ -529,16 +536,6 @@ class AccessEngine:
         rmw_cost = len(rmw[0]) + len(rmw[1])
         rec_cost = len(reconstruct[0]) + len(reconstruct[1])
         return rmw if rmw_cost <= rec_cost else reconstruct
-
-    def affected_parities(self, targets: Iterable[Cell]) -> Set[Cell]:
-        """Parity cells dirtied by writing ``targets`` (cascades included)."""
-        changed: Set[Cell] = set(targets)
-        affected: Set[Cell] = set()
-        for group in self._encode_order:
-            if any(m in changed for m in group.members):
-                changed.add(group.parity)
-                affected.add(group.parity)
-        return affected
 
     # -- workload driver -----------------------------------------------------------
 

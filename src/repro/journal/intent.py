@@ -154,16 +154,10 @@ class WriteIntentLog:
     def __init__(
         self,
         phase_hook: Optional[Callable[[str, int], None]] = None,
-        group_commit: bool = True,
     ) -> None:
         self._lock = threading.Lock()
         self._next_seq = 0
         self._open: Dict[int, WriteIntent] = {}
-        #: Whether write paths may coalesce a burst of partial-stripe
-        #: intents into one :meth:`open_group` append.  ``False`` forces
-        #: per-stripe journaling everywhere — the equivalence tests
-        #: compare the two modes byte- and counter-exactly.
-        self.group_commit = group_commit
         #: Optional crash-point hook, called as ``hook(phase, stripe)``
         #: at every :data:`JOURNAL_PHASES` boundary.  May raise (e.g.
         #: :class:`~repro.exceptions.SimulatedCrashError`) to tear the

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.array import ioplan
+from repro.codec.plan import write_footprint
 from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import (
     JournalReplayError,
@@ -73,9 +74,9 @@ def parity_digest(layout, get_cell, cells=None, start: int = 0) -> int:
     used by the volume when it snapshots old parity into an intent, so
     digests are comparable across the write and recovery sides.
     ``cells`` restricts the chain to a footprint subset (must be in
-    canonical ``layout.parity_cells`` order, as produced by
-    :meth:`repro.array.volume.RAID6Volume._parity_footprint`); ``None``
-    chains every parity cell.  ``start`` seeds the chain so group
+    canonical ``layout.parity_cells`` order, as
+    :func:`repro.codec.plan.write_footprint` gives it); ``None`` chains
+    every parity cell.  ``start`` seeds the chain so group
     verification can run one continuous CRC across the footprints of
     several stripes (matching the write side's single-gather group
     digest — CRC-32 over a concatenation equals the chained per-block
@@ -195,7 +196,7 @@ class CrashRecovery:
         # digest over the same footprint the write side snapshotted —
         # derived from the intent's dirty cells, so it needs no extra
         # journal field (full-stripe intents footprint every parity)
-        footprint = vol._parity_footprint(intent.dirty_cells)
+        footprint = write_footprint(layout, intent.dirty_cells).parities
         parity_complete = not any(c in lost_set for c in footprint)
         parity_clean = not lost_set and vol.codec.parity_ok(buf)
         digest = (

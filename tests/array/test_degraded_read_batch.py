@@ -115,12 +115,14 @@ class TestPlannerCache:
         vol = _volume("dcode", 5)
         vol.fail_disk(1)
         lost = next(c for c in vol.layout.data_cells if c.col == 1)
-        ioplan._read_plan(vol, 0, [lost])
+        ioplan._engine_of(vol, 0)._plan_stripe_read(0, [lost])
         engine = vol._ioplans._plans[("engine", (1,))]
-        ioplan._read_plan(vol, 3, [lost, vol.layout.data_cells[0]])
+        ioplan._engine_of(vol, 3)._plan_stripe_read(
+            3, [lost, vol.layout.data_cells[0]]
+        )
         assert vol._ioplans._plans[("engine", (1,))] is engine
         vol.fail_disk(3)
-        ioplan._read_plan(vol, 0, [lost])
+        ioplan._engine_of(vol, 0)._plan_stripe_read(0, [lost])
         assert vol._ioplans._plans[("engine", (1, 3))] is not engine
 
     def test_degraded_reads_count_minimal_fetch(self):

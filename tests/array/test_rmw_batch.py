@@ -259,20 +259,20 @@ class TestThreadEquivalence:
     def test_journaled_group_matches_serial_per_stripe(
         self, layout, xor_batches
     ):
-        """One group intent covers the vectorised burst; with
-        ``group_commit=False`` each stripe journals and writes alone."""
+        """One group intent covers the vectorised burst; per-stripe
+        ``_write_stripe_batch`` calls journal and write each stripe
+        alone."""
         rng = np.random.default_rng(5)
-
-        def journaled(**kwargs):
-            return _volume(layout, journal=WriteIntentLog(**kwargs))
-
-        grouped, alone = journaled(), journaled(group_commit=False)
+        grouped, alone = (
+            _volume(layout, journal=WriteIntentLog()) for _ in range(2)
+        )
         ref = _volume(layout)
         entries = _burst(layout, rng, range(10))
         _write(grouped, entries)
         assert max(xor_batches) > 1
         del xor_batches[:]
-        _write(alone, entries)
+        for stripe, items in copy.deepcopy(entries):
+            alone._write_stripe_batch(stripe, items)
         assert xor_batches == [1] * len(entries)
         _walk(ref, entries)
         _assert_same(grouped, ref)
@@ -975,6 +975,33 @@ class TestPlannedVsWalk:
             twin.rebuild(disk, ORACLE_STRIPES)
         assert twin.scrub() == []
         assert np.array_equal(twin.read(0, total), shadow)
+
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_destage_byte_exact(self, code_name, p):
+        """A cache's dirty buckets — ``(cell, value)`` lists in data
+        order, not spans — as one ``_write_rest`` queue, healthy and with
+        a disk failed: a head and a tail partial stripe around whole
+        ones, and scattered cells in every stripe."""
+        layout = make_code(code_name, p)
+        per = layout.num_data_cells
+        rng = np.random.default_rng(sum(map(ord, code_name)) * 100 + p)
+
+        def fresh(count):
+            return rng.integers(0, 256, (count, ORACLE_ES), dtype=np.uint8)
+
+        for failed in _failed_sets(layout.cols)[:2]:
+            twin = Twin(layout, failed)
+            cache = StripeCache(
+                _volume(layout, stripes=ORACLE_STRIPES, es=ORACLE_ES),
+                max_dirty_stripes=ORACLE_STRIPES,
+            )
+            cache.write(per // 2, fresh(3 * per))
+            for j in range(per + 1, ORACLE_STRIPES * per, 7):
+                cache.write(j, fresh(1))
+            buckets = sorted(cache.dirty_snapshot().items())
+            assert any(len(items) == per for _, items in buckets)
+            twin.write_rest(buckets)
 
     def test_destage_burst_of_scattered_cells(self, layout):
         """A cache destage hands ``_write_rest`` arbitrary (not

@@ -5,7 +5,8 @@ import pytest
 
 from repro.codes import Cell, make_code
 from repro.codes.base import CodeLayout, ParityGroup
-from repro.codec.encoder import StripeCodec, _toposort_groups
+from repro.codec.encoder import StripeCodec
+from repro.codec.plan import toposort_groups
 from repro.exceptions import GeometryError, InconsistentStripeError
 
 
@@ -122,7 +123,7 @@ class TestErase:
 
 class TestToposort:
     def test_dependencies_respected_for_all_codes(self, small_layout):
-        order = _toposort_groups(small_layout)
+        order = toposort_groups(small_layout)
         position = {g.parity: i for i, g in enumerate(order)}
         for g in order:
             for m in g.members:

@@ -5,7 +5,8 @@ import pytest
 from repro.codes import make_code
 from repro.codes.base import describe_families
 from repro.codes.registry import available_codes
-from repro.codec.encoder import StripeCodec, _toposort_groups
+from repro.codec.encoder import StripeCodec
+from repro.codec.plan import toposort_groups
 
 PRIMES = (5, 7, 11)
 
@@ -53,7 +54,7 @@ class TestStructuralInvariants:
         assert len(set(layout.data_cells)) == layout.num_data_cells
 
     def test_encode_order_is_total(self, layout):
-        order = _toposort_groups(layout)
+        order = toposort_groups(layout)
         assert len(order) == len(layout.groups)
 
     def test_repr_mentions_name(self, layout):

@@ -89,7 +89,9 @@ def test_latent_sector_in_a_degraded_read_plan(volume):
     volume.fail_disk(1)
     per, stripe = layout.num_data_cells, 2
     j = next(j for j, c in enumerate(layout.data_cells) if c.col == 1)
-    plan = ioplan._read_plan(volume, stripe, [layout.data_cells[j]])
+    plan = ioplan._engine_of(volume, stripe)._plan_stripe_read(
+        stripe, [layout.data_cells[j]]
+    )
     source = min(plan.fetch)
     loc = volume.mapper.locate_cell(stripe, source)
     volume.disks[loc.disk].mark_bad(loc.offset)

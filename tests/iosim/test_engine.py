@@ -127,8 +127,9 @@ class TestWrites:
     def test_writes_touch_both_parities_of_each_element(self):
         layout = DCode(5)
         engine = AccessEngine(layout, num_stripes=2)
-        touched = engine.affected_parities({layout.data_cell(0)})
-        assert len(touched) == 2
+        cell = layout.data_cell(0)
+        _, writes = engine._stripe_write_sets([cell])
+        assert len(writes - {cell}) == 2
 
 
 class TestOperationsAndWorkloads:

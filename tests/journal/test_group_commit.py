@@ -170,25 +170,29 @@ class TestCrashAtomicity:
 
 
 class TestVolumeCleanRun:
-    """Group commit must not change what lands on disk, only the journal."""
+    """Group commit must not change what lands on disk, only the journal:
+    a burst through ``_write_rest`` against the same entries written
+    one ``_write_stripe_batch`` call at a time, journaled or not."""
 
     def _volumes(self, layout):
         kw = dict(num_stripes=8, element_size=32)
         return (
             RAID6Volume(layout, **kw),  # no journal at all
             RAID6Volume(layout, journal=WriteIntentLog(), **kw),
-            RAID6Volume(
-                layout,
-                journal=WriteIntentLog(group_commit=False),
-                **kw,
-            ),
+            RAID6Volume(layout, journal=WriteIntentLog(), **kw),
         )
+
+    @staticmethod
+    def _write(grouped, per_stripe, entries):
+        grouped._write_rest([(s, list(items)) for s, items in entries])
+        for s, items in entries:
+            per_stripe._write_stripe_batch(s, list(items))
 
     def test_byte_and_counter_identical(self, layout, rng):
         plain, grouped, per_stripe = self._volumes(layout)
         entries = _entries(layout, rng, stripes=(0, 2, 5), cells=2, size=32)
-        for vol in (plain, grouped, per_stripe):
-            vol._write_rest([(s, list(items)) for s, items in entries])
+        plain._write_rest([(s, list(items)) for s, items in entries])
+        self._write(grouped, per_stripe, entries)
         assert np.array_equal(plain._backing, grouped._backing)
         assert np.array_equal(plain._backing, per_stripe._backing)
         assert plain.io_counters() == grouped.io_counters()
@@ -197,8 +201,7 @@ class TestVolumeCleanRun:
     def test_group_commit_actually_engaged(self, layout, rng):
         _, grouped, per_stripe = self._volumes(layout)
         entries = _entries(layout, rng, stripes=(0, 2, 5), size=32)
-        grouped._write_rest([(s, list(items)) for s, items in entries])
-        per_stripe._write_rest([(s, list(items)) for s, items in entries])
+        self._write(grouped, per_stripe, entries)
         assert grouped.journal.stats.groups == 1
         assert grouped.journal.stats.opened == 3
         assert per_stripe.journal.stats.groups == 0

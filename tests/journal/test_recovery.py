@@ -5,6 +5,7 @@ import pytest
 
 from repro.array import ioplan
 from repro.array.volume import RAID6Volume
+from repro.codec.plan import write_footprint
 from repro.codes.registry import make_code
 from repro.exceptions import (
     JournalReplayError,
@@ -244,21 +245,27 @@ class TestJournalNeutrality:
         )
 
 
+def footprint(layout, cells):
+    """The parities a write to ``cells`` may change: what both the write
+    side and recovery digest."""
+    return write_footprint(layout, tuple(cells)).parities
+
+
 class TestParityFootprint:
     """Footprint-limited digests: a partial write only snapshots the
-    parities its dirty cells can actually flip (derived from the encode
-    cascade, identically on the write and recovery sides)."""
+    parities its dirty cells can actually flip (the write footprint,
+    read identically on the write and recovery sides)."""
 
     def test_all_data_cells_footprint_every_parity(self):
         vol, _ = make_volume()
         layout = vol.layout
-        assert vol._parity_footprint(layout.data_cells) == \
+        assert footprint(layout, layout.data_cells) == \
             tuple(layout.parity_cells)
 
     def test_footprint_in_canonical_order(self):
         vol, _ = make_volume()
         layout = vol.layout
-        fp = vol._parity_footprint((layout.data_cells[0],))
+        fp = footprint(layout, (layout.data_cells[0],))
         order = {c: i for i, c in enumerate(layout.parity_cells)}
         assert list(fp) == sorted(fp, key=order.__getitem__)
 
@@ -266,15 +273,15 @@ class TestParityFootprint:
         vol, _ = make_volume()
         layout = vol.layout
         cell = layout.data_cells[0]
-        fp = set(vol._parity_footprint((cell,)))
+        fp = set(footprint(layout, (cell,)))
         direct = {g.parity for g in layout.groups_covering(cell)}
         assert direct <= fp <= set(layout.parity_cells)
 
     def test_footprint_is_memoised(self):
         vol, _ = make_volume()
         cells = (vol.layout.data_cells[1],)
-        assert vol._parity_footprint(cells) is vol._parity_footprint(
-            list(cells)
+        assert write_footprint(vol.layout, cells) is write_footprint(
+            vol.layout, tuple(list(cells))
         )
 
     def test_partial_write_digest_uses_footprint(self):
@@ -282,7 +289,7 @@ class TestParityFootprint:
         chain over the same footprint subset."""
         vol, _ = make_volume()
         cell = vol.layout.data_cells[0]
-        fp = vol._parity_footprint((cell,))
+        fp = footprint(vol.layout, (cell,))
         buf = ioplan.load_stripes(vol, (1,), ())[0][0]
         assert vol._parity_store_digest(1, fp) == parity_digest(
             vol.layout, lambda c: buf[c.row, c.col], fp
@@ -297,14 +304,14 @@ class TestParityFootprint:
         vol, _ = make_volume()
         layout = vol.layout
         cell = layout.data_cells[0]
-        fp = vol._parity_footprint((cell,))
+        fp = footprint(layout, (cell,))
         healthy = vol._parity_store_digest(1, fp)
         vol.fail_disk(fp[0].col)
         assert vol._parity_store_digest(1, fp) is None
         assert vol._footprint_digest([(0, fp[1:]), (1, fp)]) is None
         clear = next(
             fp for fp in (
-                vol._parity_footprint((c,)) for c in layout.data_cells
+                footprint(layout, (c,)) for c in layout.data_cells
             ) if all(p.col != vol.failed_disks[0] for p in fp)
         )
         assert vol._parity_store_digest(1, clear) is not None

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.array.mapping import segments
+from repro.codec.plan import toposort_groups
 from repro.codes.base import Cell
 from repro.iosim.engine import AccessEngine
 from repro.recovery.planner import cached_hybrid_plan
@@ -160,7 +161,7 @@ def _rmw(volume, stripe: int, items: Items, stale: Sequence[int]) -> bool:
             deltas[cell] = delta
             if cell.col not in stale:
                 writes.append((cell, value))
-    for group in volume._encode_order:
+    for group in toposort_groups(volume.layout):
         gdelta: Optional[np.ndarray] = None
         for member in group.members:
             d = deltas.get(member)
