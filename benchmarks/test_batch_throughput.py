@@ -19,6 +19,8 @@ from repro.codec.encoder import StripeCodec
 from repro.codec.update import apply_update
 from repro.codes import make_code
 
+from tests.oracles.codec_walk import CodecWalk
+
 ELEMENT_SIZE = 4096
 BATCH = 32
 CODES = ("rdp", "hcode", "hdp", "xcode", "dcode")
@@ -41,7 +43,7 @@ def stripes(codec):
 
 class TestSingleStripe:
     def test_encode_naive(self, benchmark, codec, stripe):
-        benchmark(codec.encode, stripe, naive=True)
+        benchmark(CodecWalk(codec).encode, stripe)
         assert codec.parity_ok(stripe)
 
     def test_encode_compiled(self, benchmark, codec, stripe):
@@ -49,7 +51,7 @@ class TestSingleStripe:
         assert codec.parity_ok(stripe)
 
     def test_decode_naive(self, benchmark, codec, stripe):
-        decoder = ChainDecoder(codec, naive=True)
+        decoder = CodecWalk(codec)
         damaged = stripe.copy()
         codec.erase_columns(damaged, [0, 1])
 

@@ -32,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -39,9 +40,9 @@ import time
 
 import numpy as np
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # the reference walks in tests/oracles
 
 from repro.array.cache import StripeCache  # noqa: E402
 from repro.array.integrity import IntegrityChecker  # noqa: E402
@@ -53,6 +54,7 @@ from repro.codec.update import apply_update  # noqa: E402
 from repro.codes import make_code  # noqa: E402
 from repro.journal import WriteIntentLog  # noqa: E402
 from repro.util.ckernel import xor_kernel  # noqa: E402
+from tests.oracles.codec_walk import CodecWalk  # noqa: E402
 
 ELEMENT_SIZE = 4096
 CODES = ("rdp", "hcode", "hdp", "xcode", "dcode")
@@ -131,7 +133,8 @@ def bench_code(name, p, rng):
     # batched_vs_looped_speedup — a cache-hot looped number against a
     # DRAM-resident batched one is not a like-for-like comparison and
     # once reported contradictory verdicts for dcode p13.
-    t_naive = best_seconds(lambda: codec.encode(stripe, naive=True))
+    walk = CodecWalk(codec)
+    t_naive = best_seconds(lambda: walk.encode(stripe))
     t_compiled_single = best_seconds(lambda: codec.encode(stripe))
 
     batched_vs_looped = {}
@@ -169,7 +172,7 @@ def bench_code(name, p, rng):
     # -- decode: double-disk chain recovery ----------------------------------
     damaged = stripe.copy()
     codec.erase_columns(damaged, [0, 1])
-    naive_dec = ChainDecoder(codec, naive=True)
+    naive_dec = walk
     compiled_dec = ChainDecoder(codec)
     scratch = damaged.copy()
 
@@ -198,12 +201,14 @@ def bench_code(name, p, rng):
     toggle = [v0, v1]
     state = {"i": 0}
 
-    def run_update(naive):
+    def run_update(update):
         state["i"] ^= 1
-        apply_update(codec, stripe, cell, toggle[state["i"]], naive=naive)
+        update(stripe, cell, toggle[state["i"]])
 
-    t_upd_naive = best_seconds(lambda: run_update(True))
-    t_upd_compiled = best_seconds(lambda: run_update(False))
+    t_upd_naive = best_seconds(lambda: run_update(walk.apply_update))
+    t_upd_compiled = best_seconds(
+        lambda: run_update(functools.partial(apply_update, codec))
+    )
     update = {
         "naive_mb_s": round(mb_per_s(ELEMENT_SIZE, t_upd_naive), 1),
         "compiled_mb_s": round(mb_per_s(ELEMENT_SIZE, t_upd_compiled), 1),

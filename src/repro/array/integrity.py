@@ -150,8 +150,8 @@ class ScrubCampaignReport:
 class IntegrityChecker:
     """Attach checksumming to a volume and scrub with error *location*.
 
-    Wraps the volume's one write funnel, ``_store_rows`` — one call per
-    plan store, whole stripes encoded in place included — so every
+    Observes the volume's one write funnel, ``_store_rows`` — one call
+    per plan store, whole stripes encoded in place included — so every
     write keeps the checksum map current.  Pass ``store=`` (e.g. the one
     :func:`~repro.array.persistence.load_volume` hands back on a v2
     archive) to resume an existing map instead of re-seeding from the
@@ -175,14 +175,9 @@ class IntegrityChecker:
     ) -> None:
         self.volume = volume
         self.verify_reads = verify_reads
-        # route every future write through the recorder; detach() puts
-        # back exactly what it found (no instance attribute at all: the
-        # class's funnel, which lets plans run in the C kernel again)
-        self._inner_store_rows = volume._store_rows
-        self._found = volume.__dict__.get("_store_rows")
-        volume._store_rows = (  # type: ignore[assignment]
-            self._recording_store_rows
-        )
+        # every future store reaches the recorder; detach() takes it
+        # off again, whatever else attached or detached meanwhile
+        volume._observers += (self._record,)
         volume.integrity = self
         if store is not None:
             self.store = store
@@ -197,13 +192,11 @@ class IntegrityChecker:
         self._seed()
 
     def detach(self) -> None:
-        """Restore the volume's unwrapped write funnel and read paths."""
+        """Stop recording the volume's stores and verifying its reads."""
         volume = self.volume
-        if volume.__dict__.get("_store_rows") == self._recording_store_rows:
-            if self._found is None:
-                del volume._store_rows
-            else:
-                volume._store_rows = self._found  # type: ignore[assignment]
+        volume._observers = tuple(
+            o for o in volume._observers if o != self._record
+        )
         if volume.integrity is self:
             volume.integrity = None
 
@@ -264,10 +257,10 @@ class IntegrityChecker:
 
     # -- write recording -----------------------------------------------------
 
-    def _recording_store_rows(
+    def _record(
         self, at: np.ndarray, data: Optional[np.ndarray] = None
     ) -> None:
-        self._inner_store_rows(at, data)
+        """Checksum the rows ``at`` a store just wrote."""
         if data is None:  # stored in place: hash what the store holds
             flat = self.volume._flat_backing
             data = (flat[row] for row in at.tolist())

@@ -47,14 +47,17 @@ comes back as a *located erasure*: its stripe is loaded through the
 stripe plan with that cell known-lost and decoded, and nothing else of
 the plan changes.
 
-An RMW plan, and a read plan that rebuilds a cell, carry the same steps
-packed for the C kernel (:func:`repro.util.ckernel.pack_plan`): while the
-volume admits it (``RAID6Volume._kernel`` — quiet disks, nobody
-observing the funnels) the whole plan is one ``plan_exec`` call over its
-vector of stripes, whose counts land in the disks' counters in one step;
-the numpy executor above is what runs otherwise, unchanged.  A healthy
-read the volume admits is one ``read_exec`` call over its logical range
-(:func:`kernel_read`) and compiles no plan.
+Every plan that gathers, XORs, then stores or picks — an RMW, a read
+that rebuilds a cell, a single-failure column rebuild — is one
+:class:`Plan` record with two interpreters, run by :func:`_execute`:
+while the volume admits it (``RAID6Volume._kernel`` — quiet disks,
+nobody observing the funnels) the C kernel's ``plan_exec`` runs the
+record's words (:func:`repro.util.ckernel.pack_plan`) over the whole
+vector of stripes and its counts land in the disks' counters in one
+step; otherwise :func:`_plan_run` follows ``plan_exec`` step for step
+in numpy, through the funnels.  A healthy read the volume admits is one
+``read_exec`` call over its logical range (:func:`kernel_read`) and
+compiles no plan.
 
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
@@ -145,57 +148,44 @@ class Span:
         return zip(self.cells, self.values)
 
 
-class ReadPlan(NamedTuple):
-    """Cells to fetch for one read pattern, and how to rebuild the rest.
+#: An empty index array: a plan field that names no rows.
+_NONE = np.zeros(0, dtype=np.intp)
 
-    ``xor`` runs over ``rows`` scratch rows — the fetched cells followed
-    by the rebuilt ones — and ``out`` picks the wanted cells from them;
-    both are ``None`` when every wanted cell is fetched directly.
-    ``packed`` is the same for the C kernel.
+
+class Plan(NamedTuple):
+    """One gather–XOR–store/pick plan over a vector of stripes.
+
+    Per stripe, into a scratch buffer of ``base + xor.num_cells`` rows:
+    gather ``cells`` into rows ``0 .. g-1`` — the C kernel only the first
+    ``gather``, the old values the deltas and the program read; copy the
+    write items ``items`` of the stripe's values to rows ``values`` on,
+    and fold items ``keep`` into the deltas of gathered rows ``0 ..
+    len(keep)-1``, rows ``delta`` on; run ``xor`` over the rows from
+    ``base`` on.  Each of the first ``n`` cells whose delta (row ``delta
+    + j``) is non-zero is stored — its old value XOR its delta, a kept
+    data cell its new value — and read; the other cells are read where
+    ``fetch`` (row indices) names them.  Last, rows ``pick`` go to the
+    output.  ``packed`` is the same record as ``plan_exec``'s words.
     """
 
     cells: CellSet
-    xor: Optional[XorPlan] = None
-    rows: int = 0
-    out: Optional[np.ndarray] = None
+    xor: XorPlan
+    gather: int
+    n: int
+    fetch: np.ndarray
+    keep: np.ndarray = _NONE
+    items: np.ndarray = _NONE
+    pick: np.ndarray = _NONE
+    delta: int = 0
+    values: int = 0
+    base: int = 0
     packed: Optional[Packed] = None
 
 
-class LostCells(NamedTuple):
-    """What an RMW plan adds for dirty cells on stale columns.
-
-    ``items`` are their positions among the write's items, ``keep`` the
-    others'.  The plan's ``cells`` then start with ``writes`` — the
-    surviving dirty cells and parities, all an RMW may store — and end
-    with whatever else rebuilding the lost old values reads; ``fetch``
-    are the rows of ``cells`` read whatever the deltas turn out to be
-    (the surviving dirty cells and the rebuild's sources).  The scratch
-    buffer holds the old value of every cell, the cells the schedule
-    rebuilds from them, the lost cells' new values, their deltas, then
-    the deltas of ``writes``.
-    """
-
-    writes: CellSet
-    fetch: np.ndarray
-    keep: np.ndarray
-    items: np.ndarray
-
-
-class RmwPlan(NamedTuple):
-    """Dirty data cells, then the parities their deltas can patch — as
-    far as they sit on surviving columns.
-
-    ``xor`` folds the first ``m`` scratch rows (data deltas) into the
-    following ones (parity deltas); ``lost`` is set when a dirty cell
-    sits on a stale column.  ``packed`` is the whole plan for the C
-    kernel.  :func:`_execute` runs it.
-    """
-
-    cells: CellSet
-    m: int
-    xor: XorPlan
-    packed: Packed
-    lost: Optional[LostCells] = None
+def _plan(cells: CellSet, xor: XorPlan, **fields) -> Plan:
+    """A :class:`Plan` with its words for the C kernel."""
+    plan = Plan(cells, xor, **fields)
+    return plan._replace(packed=ckernel.pack_plan(plan))
 
 
 class StripePlan(NamedTuple):
@@ -303,26 +293,40 @@ def _rebuild_equations(recipe, row: Dict[Cell, int], base: int) -> list:
     return equations
 
 
-def _compile_read(volume, j0, n, stale_cols, stripe) -> Optional[ReadPlan]:
+def _compile_read(volume, j0, n, stale_cols, stripe):
+    """The plan of a read pattern: its cells alone when every wanted cell
+    is fetched directly (the gather is the answer), else a :class:`Plan`
+    fetching the access engine's minimal set and picking the wanted
+    cells out of what it rebuilds; ``None`` for an algebraic pattern."""
     layout = volume.layout
     wanted = layout.data_cells[j0:j0 + n]
     if not any(c.col in stale_cols for c in wanted):
-        return ReadPlan(CellSet(wanted, layout.cols))
+        return CellSet(wanted, layout.cols)
     plan = _engine_of(volume, stripe)._plan_stripe_read(stripe, wanted)
     if plan.recipe is None:
         return None  # algebraic pattern: the stripe plan decodes it
     fetch = CellSet(sorted(plan.fetch), layout.cols)
+    g = len(fetch.cells)
     row = {cell: i for i, cell in enumerate(fetch.cells)}
-    equations = _rebuild_equations(plan.recipe, row, len(fetch.cells))
-    xor = _xor_plan(equations, len(row))
-    out = np.array([row[c] for c in wanted], dtype=np.intp)
-    return ReadPlan(
-        fetch, xor, len(row), out,
-        ckernel.pack_plan(fetch.flat, len(row), xor.program, pick=out),
+    equations = _rebuild_equations(plan.recipe, row, g)
+    return _plan(
+        fetch, _xor_plan(equations, len(row)), gather=g, n=0,
+        fetch=np.arange(g),
+        pick=np.array([row[c] for c in wanted], dtype=np.intp),
     )
 
 
-def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
+def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[Plan]:
+    """The plan of an RMW pattern: the surviving dirty cells, then the
+    parities their deltas patch on surviving columns — the first ``n``
+    cells, all it may store.  With every dirty cell on a surviving column
+    only their old values are gathered (a parity's delta is XOR-ed into
+    its backing row in place).  A dirty cell on a stale column is neither
+    read nor written: the plan's cells go on with whatever else
+    rebuilding its old value reads, and the scratch holds the old value
+    of every cell, the cells the schedule rebuilds from them, the lost
+    cells' new values, their deltas, then the deltas of the first ``n``
+    cells.  ``None`` for a reconstruct-write."""
     layout = volume.layout
     span = type(items) is Span  # distinct data cells, in data order
     cells = tuple(items.cells if span else [cell for cell, _ in items])
@@ -353,17 +357,14 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
         parities = [p for p, ok in zip(parities, live) if ok]
     m = len(keep)
     patched = [cells[j] for j in keep] + list(parities)
-    patch = CellSet(patched, layout.cols)
+    n = len(patched)
     if not lost:
-        # the kernel's scratch: the old values, then the deltas; only the
-        # dirty cells' old values are read (a parity's delta is XOR-ed
-        # into its backing row in place)
-        g = len(patched)
-        xor = _xor_plan([(m + i, f) for i, f in enumerate(feeds)], g)
-        return RmwPlan(patch, m, xor, ckernel.pack_plan(
-            patch.flat, 2 * g, xor.program, gather=m, n=g, fetch=range(m),
-            keep=range(m), delta=g, base=g,
-        ))
+        return _plan(
+            CellSet(patched, layout.cols),
+            _xor_plan([(m + i, f) for i, f in enumerate(feeds)], n),
+            gather=m, n=n, fetch=np.arange(m), keep=np.arange(m),
+            delta=n, base=n,
+        )
     gathered = patched + sorted(reads.difference(patched))
     g, k = len(gathered), len(lost)
     row = {cell: i for i, cell in enumerate(gathered)}
@@ -378,19 +379,12 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[RmwPlan]:
         (deltas + m + i, [delta_row[j] for j in f])
         for i, f in enumerate(feeds)
     ]
-    cellset = CellSet(gathered, layout.cols)
-    xor = _xor_plan(equations, deltas + len(patched))
-    fetch = np.array(sorted(row[c] for c in read.fetch), dtype=np.intp)
-    return RmwPlan(
-        cellset, m, xor,
-        ckernel.pack_plan(
-            cellset.flat, xor.num_cells, xor.program, n=len(patched),
-            fetch=fetch, keep=keep, items=lost, delta=deltas, values=values,
-        ),
-        LostCells(
-            patch, fetch,
-            np.array(keep, dtype=np.intp), np.array(lost, dtype=np.intp),
-        ),
+    return _plan(
+        CellSet(gathered, layout.cols), _xor_plan(equations, deltas + n),
+        gather=g, n=n,
+        fetch=np.array(sorted(row[c] for c in read.fetch), dtype=np.intp),
+        keep=np.array(keep, dtype=np.intp),
+        items=np.array(lost, dtype=np.intp), delta=deltas, values=values,
     )
 
 
@@ -412,25 +406,24 @@ def _compile_stripe(volume, stale_cols: Tuple[int, ...]) -> StripePlan:
     )
 
 
-def _compile_rebuild(volume, col: int) -> ReadPlan:
-    """The hybrid planner's minimal read set of a lost column as a read
-    plan whose wanted cells are the column's, in layout order."""
+def _compile_rebuild(volume, col: int) -> Plan:
+    """The hybrid planner's minimal read set of a lost column and the
+    schedule rebuilding the column from it: a plan that picks the
+    column's cells, in layout order."""
     layout = volume.layout
     hybrid = cached_hybrid_plan(layout, col)
     reads = sorted(hybrid.reads)
+    g = len(reads)
     row = {cell: i for i, cell in enumerate(reads)}
     group_of = dict(hybrid.choices)
     equations = [
-        (len(reads) + i,
-         [row[c] for c in group_of[cell].cells if c != cell])
+        (g + i, [row[c] for c in group_of[cell].cells if c != cell])
         for i, cell in enumerate(layout.cells_in_column(col))
     ]
-    rows = len(reads) + len(equations)
-    return ReadPlan(
-        CellSet(reads, layout.cols),
-        _xor_plan(equations, rows),
-        rows,
-        np.arange(len(reads), rows),
+    rows = g + len(equations)
+    return _plan(
+        CellSet(reads, layout.cols), _xor_plan(equations, rows), gather=g,
+        n=0, fetch=np.arange(g), pick=np.arange(g, rows),
     )
 
 
@@ -560,25 +553,27 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int) -> np.ndarray:
                 ("read", j0, n, stale), _compile_read, volume, j0, n, stale, a
             )
             k = k0 + lo * n
-            run = None if plan is None or plan.xor is None else \
-                volume._kernel(plan.cells.mask, surface.failed)
-            if run is not None:
+            if type(plan) is Plan:
                 # gather, rebuild and pick straight into the answer
                 if out is None:
                     out = np.empty((count, es), dtype=np.uint8)
-                _kernel_run(
-                    volume, run, plan.packed, range(a, b),
+                lost = _execute(
+                    volume, plan, range(a, b), surface.failed,
                     out=out[k:k + (b - a) * n],
                 )
+                for i, cells in lost.items():
+                    out[k + i * n:k + (i + 1) * n] = _reread(
+                        volume, (a + i,), stale, j0, n, cells
+                    )
                 continue
             if plan is None:
                 block = _reread(volume, range(a, b), stale, j0, n)
             else:
-                at = _at(volume, plan.cells, range(a, b))
-                # one run of several, nothing to rebuild: gathered
-                # straight into its slice of the answer ("clip" lets
-                # take() skip its bounce buffer; the rows are in range)
-                direct = plan.xor is None and len(at) < count
+                at = _at(volume, plan, range(a, b))
+                # one run of several: gathered straight into its slice of
+                # the answer ("clip" lets take() skip its bounce buffer;
+                # the rows are in range)
+                direct = len(at) < count
                 if direct:
                     if out is None:
                         out = np.empty((count, es), dtype=np.uint8)
@@ -588,16 +583,9 @@ def read_runs(volume, surface, runs: Sequence[Run], count: int) -> np.ndarray:
                     )
                 else:
                     block = backing[at]
-                failed = volume._read_rows(at, block, plan.cells)
-                if plan.xor is not None:
-                    scratch = np.empty((b - a, plan.rows, es), dtype=np.uint8)
-                    scratch[:, :len(plan.cells.flat)] = block.reshape(
-                        b - a, -1, es
-                    )
-                    plan.xor.execute_batch(scratch)
-                    block = scratch[:, plan.out].reshape(-1, es)
+                failed = volume._read_rows(at, block, plan)
                 if failed:
-                    for i, lost in _by_stripe(plan.cells, failed).items():
+                    for i, lost in _by_stripe(plan, failed).items():
                         block[i * n:(i + 1) * n] = _reread(
                             volume, (a + i,), stale, j0, n, lost
                         )
@@ -658,7 +646,7 @@ def rmw(volume, entries, surface) -> None:
         lost = None
         if plan is not None:
             try:
-                lost = _execute(volume, plan, stripes, values, surface)
+                lost = _execute(volume, plan, stripes, surface.failed, values)
             except (DiskFailedError, TransientIOError):
                 pass
         if lost is None:
@@ -667,28 +655,31 @@ def rmw(volume, entries, surface) -> None:
             volume._reconstruct_write(*members[i], lost=cells)
 
 
-def _execute(volume, plan: RmwPlan, stripes, values, surface) -> Lost:
-    """Run ``plan`` over ``stripes`` with ``values`` — ``(stripes,
-    items, element_size)``, the write items' new values: one C call
-    while the volume admits it, otherwise the numpy executor
-    (:func:`_rmw_run`, :func:`_rmw_run_lost`).  Returns the stripes
-    whose old values failed to read (never any in the kernel)."""
-    run = volume._kernel(plan.cells.mask, surface.failed)
+def _execute(
+    volume, plan: Plan, stripes: Sequence[int], failed: Tuple[int, ...],
+    values: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+) -> Lost:
+    """Run ``plan`` — keyed for the ``failed`` disks of the op's surface —
+    over ``stripes`` with ``values`` (``(stripes, items, element_size)``,
+    the write items' new values), picking into ``out`` (``(stripes *
+    len(pick), element_size)``): one ``plan_exec`` call while the volume
+    admits it, otherwise :func:`_plan_run`.  Returns the cells that
+    failed to read, by stripe index (never any in the kernel)."""
+    run = volume._kernel(plan.cells.mask, failed)
     if run is None:
-        if plan.lost is None:
-            return _rmw_run(volume, plan, stripes, values)
-        return _rmw_run_lost(volume, plan, stripes, values)
-    # the kernel reads values by address: their layout must be the plan's
-    items = plan.m + (0 if plan.lost is None else len(plan.lost.items))
-    if values.dtype != np.uint8 or \
-            values.shape != (len(stripes), items, volume.element_size):
-        raise GeometryError(
-            f"RMW values must be uint8 ({len(stripes)}, {items}, "
-            f"{volume.element_size}), got {values.dtype} {values.shape}"
-        )
-    _kernel_run(
-        volume, run, plan.packed, stripes, np.ascontiguousarray(values)
-    )
+        return _plan_run(volume, plan, stripes, values, out)
+    if values is not None:
+        # the kernel reads values by address: their layout must be the
+        # plan's
+        items = len(plan.keep) + len(plan.items)
+        if values.dtype != np.uint8 or \
+                values.shape != (len(stripes), items, volume.element_size):
+            raise GeometryError(
+                f"RMW values must be uint8 ({len(stripes)}, {items}, "
+                f"{volume.element_size}), got {values.dtype} {values.shape}"
+            )
+        values = np.ascontiguousarray(values)
+    _kernel_run(volume, run, plan.packed, stripes, values, out)
     return {}
 
 
@@ -738,88 +729,75 @@ def kernel_read(volume, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _unlost(written, lost: Lost, per: int, batch: int) -> np.ndarray:
-    """``written`` rows of a ``batch``-stripe vector, ``per`` rows a
-    stripe, without those of the stripes in ``lost``."""
-    if isinstance(written, slice):
-        written = np.arange(batch * per)[written]
-    return written[np.isin(written // per, list(lost), invert=True)]
+def _plan_run(
+    volume, plan: Plan, stripes: Sequence[int],
+    values: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+) -> Lost:
+    """The numpy interpreter of :class:`Plan`: ``plan_exec`` step for
+    step — gather, values and deltas, program, changed mask, read set,
+    store, pick — with the gathers and the store through the volume's
+    funnels, so a hooked disk meets every element in plan order.
 
-
-def _rmw_run(volume, plan: RmwPlan, stripes, values) -> Lost:
-    batch, m, es = values.shape
+    Every cell is gathered: the read funnel presents whatever the deltas
+    make the plan read.  A plan that stores nothing reads through the
+    funnel before its program runs; an RMW reads after it, once the
+    deltas name the read set, and every old value is read before the
+    first write lands: a stripe with one that fails is handed back
+    untouched.
+    """
     cells = plan.cells
+    batch, es, g = len(stripes), volume.element_size, len(cells.flat)
     at = _at(volume, cells, stripes)
-    old = volume._flat_backing[at].reshape(batch, -1, es)
-    # scratch rows 0..m-1: data deltas; the rest: the parity deltas the
-    # schedule folds them into
-    scratch = np.empty_like(old)
-    np.bitwise_xor(old[:, :m], values, out=scratch[:, :m])
-    plan.xor.execute_batch(scratch)
-    # a cell whose delta is zero is read but not written, a parity whose
-    # delta cancels is neither read nor written
-    changed = scratch.any(axis=2)
-    read, written = None, slice(None)  # one stripe, no mask: every row
+    scratch = np.empty((batch, plan.base + plan.xor.num_cells, es), np.uint8)
+    old = scratch[:, :g]
+    if plan.n:
+        # straight into the scratch ("clip" lets take() skip its bounce
+        # buffer; the rows are in range)
+        volume._flat_backing.take(
+            at.reshape(batch, g), axis=0, out=old, mode="clip"
+        )
+    else:
+        block = volume._flat_backing[at]
+        failed = volume._read_rows(at, block, cells)
+        old[...] = block.reshape(batch, g, es)
+    m, k = len(plan.keep), len(plan.items)
+    if values is not None:
+        kept = values  # no dirty cell lost: every item is kept, in order
+        if k:
+            scratch[:, plan.values:plan.values + k] = values[:, plan.items]
+            kept = values[:, plan.keep]
+        np.bitwise_xor(
+            old[:, :m], kept, out=scratch[:, plan.delta:plan.delta + m]
+        )
+    plan.xor.execute_batch(scratch[:, plan.base:])
+    if not plan.n:
+        scratch.take(
+            plan.pick, axis=1, out=out.reshape(batch, -1, es), mode="clip"
+        )
+        return _by_stripe(cells, failed)
+    n = plan.n
+    delta = scratch[:, plan.delta:plan.delta + n]
+    # a cell whose delta is zero is not written, and read only where the
+    # plan fetches it
+    changed = delta.any(axis=2)
+    read, written = None, slice(n)  # one stripe, no mask: every row
     if batch > 1 or not changed.all():
-        written = np.flatnonzero(changed)
-        changed[:, :m] = True
-        read = np.flatnonzero(changed)
-    # every old value is read before the first write lands: a stripe
-    # with one that fails is handed back untouched
-    lost = _by_stripe(
-        cells, volume._read_rows(at, old.reshape(-1, es), cells, read)
-    )
+        mask = np.zeros((batch, g), dtype=bool)
+        mask[:, :n] = changed
+        written = np.flatnonzero(mask)
+        mask[:, plan.fetch] = True
+        read = np.flatnonzero(mask)
+    new = old.reshape(-1, es)  # a view of one stripe, a copy of more
+    lost = _by_stripe(cells, volume._read_rows(at, new, cells, read))
     if len(lost) == batch:
         return lost
-    np.bitwise_xor(old[:, m:], scratch[:, m:], out=old[:, m:])
-    old[:, :m] = values
-    if lost:
-        written = _unlost(written, lost, len(cells.flat), batch)
-    volume._store_rows(at[written], old.reshape(-1, es)[written])
-    return lost
-
-
-def _rmw_run_lost(volume, plan: RmwPlan, stripes, values) -> Lost:
-    """:func:`_rmw_run` with dirty cells on stale columns: their old
-    values are rebuilt in the scratch buffer (see :class:`LostCells`),
-    nothing is read from or written to those columns."""
-    lost = plan.lost
-    batch, _, es = values.shape
-    cells, m = plan.cells, plan.m
-    g, n, k = len(cells.flat), len(lost.writes.flat), len(lost.items)
-    at = _at(volume, cells, stripes)
-    scratch = np.empty((batch, plan.xor.num_cells, es), dtype=np.uint8)
-    deltas = plan.xor.num_cells - n
-    old, delta = scratch[:, :g], scratch[:, deltas:]
-    # straight into the scratch ("clip" lets take() skip its bounce
-    # buffer; the rows are in range)
-    np.take(
-        volume._flat_backing, at.reshape(batch, g), axis=0, out=old,
-        mode="clip",
-    )
-    scratch[:, deltas - 2 * k:deltas - k] = values[:, lost.items]
-    kept = values[:, lost.keep]
-    np.bitwise_xor(old[:, :m], kept, out=delta[:, :m])
-    plan.xor.execute_batch(scratch)
-    # a parity whose delta cancels is still read when the rebuild needs it
-    changed = np.zeros((batch, g), dtype=bool)
-    changed[:, :n] = delta.any(axis=2)
-    read, written = None, slice(n)  # one stripe, no mask: all of writes
-    if batch > 1 or not changed[:, :n].all():
-        written = np.flatnonzero(changed)
-        changed[:, lost.fetch] = True
-        read = np.flatnonzero(changed)
-    new = old.reshape(-1, es)  # a view of one stripe, a copy of more
-    failed = _by_stripe(cells, volume._read_rows(at, new, cells, read))
-    if len(failed) == batch:
-        return failed
     patched = new.reshape(batch, g, es)
     np.bitwise_xor(patched[:, m:n], delta[:, m:], out=patched[:, m:n])
     patched[:, :m] = kept
-    if failed:
-        written = _unlost(written, failed, g, batch)
+    if lost:  # several stripes, so ``written`` is an array
+        written = written[np.isin(written // g, list(lost), invert=True)]
     volume._store_rows(at[written], new[written])
-    return failed
+    return lost
 
 
 def _stripe_plan(volume, stale_cols: Sequence[int]) -> StripePlan:
@@ -1006,14 +984,16 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
 
 
 def rebuild(
-    volume, stripes: Sequence[int], stale: Tuple[int, ...], col: int
+    volume, surface, stripes: Sequence[int], stale: Tuple[int, ...], col: int
 ) -> None:
     """Rebuild layout column ``col`` of ``stripes``, whose stale columns
-    ``stale`` include it: a single failure from the hybrid planner's
-    minimal read set — a stripe whose source fails to read through the
-    stripe plan with that source known-lost — a double failure through
-    the stripe plan.  Nothing is stored when a stripe turns out
-    unrecoverable (:class:`~repro.exceptions.UnrecoverableStripeError`).
+    ``stale`` include it: a single failure as the pick plan of the hybrid
+    planner's minimal read set (:func:`_execute`, keyed for the
+    ``surface``'s failed disks) — a stripe whose source fails to read
+    through the stripe plan with that source known-lost — a double
+    failure through the stripe plan.  Nothing is stored when a stripe
+    turns out unrecoverable
+    (:class:`~repro.exceptions.UnrecoverableStripeError`).
     """
     _check_stripes(volume, min(stripes), max(stripes))
     layout = volume.layout
@@ -1026,19 +1006,15 @@ def rebuild(
         plan = volume._ioplans.get(
             ("rebuild", col), _compile_rebuild, volume, col
         )
-        src = np.empty((batch, plan.rows, es), dtype=np.uint8)
-        fetched = np.arange(len(plan.cells.flat))
-        failed = _gather(
-            volume, plan.cells, stripes, src.reshape(-1, es),
-            _rows(fetched, batch, plan.rows),
-        )
-        plan.xor.execute_batch(src)
-        for i, lost in failed.items():
-            buf = load_stripes(volume, (stripes[i],), stale, lost)[0]
-            src[i, plan.out] = buf.reshape(-1, es)[column.flat]
-        rows = _rows(plan.out, batch, plan.rows)
+        per = len(column.flat)
+        src = np.empty((batch * per, es), dtype=np.uint8)
+        lost = _execute(volume, plan, stripes, surface.failed, out=src)
+        for i, cells in lost.items():
+            buf = load_stripes(volume, (stripes[i],), stale, cells)[0]
+            src[i * per:(i + 1) * per] = buf.reshape(-1, es)[column.flat]
+        rows = np.arange(len(src))
     else:
-        src = load_stripes(volume, stripes, stale)[0]
+        src = load_stripes(volume, stripes, stale)[0].reshape(-1, es)
         rows = _rows(column.flat, batch, layout.rows * layout.cols)
     at = _at(volume, column, stripes)
-    _scatter(volume, stripes, at, src.reshape(-1, es), rows)
+    _scatter(volume, stripes, at, src, rows)

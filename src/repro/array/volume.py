@@ -32,9 +32,10 @@ element by element when a disk it touches carries one; a cell that
 fails to read comes back to the plan as a located erasure.  Where the
 disks are quiet and nobody observes the funnels
 (:meth:`RAID6Volume._kernel`), the C kernel runs the operation in one
-call instead — same bytes, same counts: a partial write or a read that
-rebuilds a cell as its plan, and a healthy read with no plan at all,
-the kernel walking the logical range straight into the answer.
+call instead — same bytes, same counts: a partial write, a read that
+rebuilds a cell or a single-failure rebuild as its plan, and a healthy
+read with no plan at all, the kernel walking the logical range straight
+into the answer.
 
 Any stripe that has lost more than the code tolerates raises a typed
 :class:`~repro.exceptions.UnrecoverableStripeError` naming the stripe,
@@ -48,6 +49,7 @@ import threading
 import zlib
 from contextlib import contextmanager
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -210,6 +212,12 @@ class RAID6Volume:
         #: re-checks its CRC), the per-element branch on every read —
         #: and hands mismatches back to its plan as located erasures.
         self.integrity = None
+        #: Observers of the store funnel: each is called with the rows
+        #: and data of every planned store once it has landed
+        #: (:meth:`_store_rows`); the integrity checksums and the serving
+        #: layer's dirty-stripe tracker attach here.  While any is
+        #: attached the C kernel stands down (:meth:`_kernel`).
+        self._observers: Tuple[Callable[..., None], ...] = ()
         self.error_counters = ErrorCounters(layout.cols)
         #: Audit trail of self-healing actions (see
         #: :class:`~repro.faults.policy.HealEvent`).
@@ -413,10 +421,14 @@ class RAID6Volume:
         )
         col = self.mapper.col_on_disk(first, cursor.disk)
         try:
-            ioplan.rebuild(self, range(first, first + count), stale, col)
+            ioplan.rebuild(
+                self, surface, range(first, first + count), stale, col
+            )
         except UnrecoverableStripeError as exc:
             if exc.stripe > first:
-                ioplan.rebuild(self, range(first, exc.stripe), stale, col)
+                ioplan.rebuild(
+                    self, surface, range(first, exc.stripe), stale, col
+                )
             cursor.pos = exc.stripe
             raise
         cursor.pos += count
@@ -1017,15 +1029,14 @@ class RAID6Volume:
         sector; a disk failed since the surface was taken (the plan may
         touch it: the store funnel refuses it); the journal has a phase
         hook; an :class:`~repro.array.integrity.IntegrityChecker` is
-        attached (verified loads; it and the serving layer's
-        dirty-stripe tracker observe every store by wrapping
-        ``_store_rows``, so a wrapped funnel stands it down too) — and
-        when no kernel is loaded."""
+        attached (verified loads); anything observes the store funnel
+        (:attr:`_observers` — the checker, the serving layer's
+        dirty-stripe tracker) — and when no kernel is loaded."""
         if (
             (self._hooks | self._latent) & (cols | self._spread)
             or self._failed != failed
             or self.integrity is not None
-            or "_store_rows" in self.__dict__
+            or self._observers
             or self.journal is not None and self.journal.phase_hook is not None
         ):
             return None
@@ -1155,9 +1166,10 @@ class RAID6Volume:
         in order — transients retried with backoff, the rest of a disk's
         share dropped (and logged) when it dies mid-store — with a
         journal ``inter_column`` checkpoint wherever the next row of a
-        stripe is on another disk.  Integrity tooling observes every
-        store here — see :class:`repro.array.integrity.IntegrityChecker`.
-        Callers keep ``at`` inside the volume (``ioplan._check_stripes``).
+        stripe is on another disk.  Then each of :attr:`_observers` sees
+        the store (a store that raises is not observed) — see
+        :class:`repro.array.integrity.IntegrityChecker`.  Callers keep
+        ``at`` inside the volume (``ioplan._check_stripes``).
         """
         cols = len(self.disks)
         lanes = at % cols
@@ -1170,15 +1182,17 @@ class RAID6Volume:
                 raise DiskFailedError(f"disk {disk.disk_id} is failed")
         if self._hooked(at, store=True):
             self._store_each(at, data)
-            return
-        if data is not None:
-            self._flat_backing[at] = data
-        for disk, n in shares:
-            # a write remaps the latent sectors under it
-            disk.commit_block(n, (
-                (at[lanes == disk.disk_id] // cols).tolist()
-                if disk._bad_sectors else ()
-            ))
+        else:
+            if data is not None:
+                self._flat_backing[at] = data
+            for disk, n in shares:
+                # a write remaps the latent sectors under it
+                disk.commit_block(n, (
+                    (at[lanes == disk.disk_id] // cols).tolist()
+                    if disk._bad_sectors else ()
+                ))
+        for observe in self._observers:
+            observe(at, data)
 
     def _store_each(self, at: np.ndarray, data: np.ndarray) -> None:
         """The hooked store: :meth:`_store_rows` element by element."""
@@ -1277,7 +1291,7 @@ class RAID6Volume:
         Writing remaps the sector on the simulated disk exactly like a
         real drive's reallocation, so the next read succeeds without
         reconstruction.  The rewrite is one store through
-        :meth:`_store_rows` — the funnel integrity tooling wraps — so a
+        :meth:`_store_rows` — the funnel integrity tooling observes — so a
         heal re-records the block's checksum instead of leaving a stale
         digest behind.
         """

@@ -25,7 +25,6 @@ from repro.codes.base import Cell, CodeLayout, ParityGroup, column_failure_cells
 from repro.codec.encoder import StripeCodec
 from repro.codec.plan import flat_stripe_view
 from repro.exceptions import DecodeError, FaultToleranceExceeded
-from repro.util.xor import xor_blocks
 
 
 @dataclass(frozen=True)
@@ -141,16 +140,13 @@ def can_chain_recover(layout: CodeLayout, failed_cols: Sequence[int]) -> bool:
 class ChainDecoder:
     """Execute chain-recovery schedules against stripe buffers.
 
-    Schedules run as compiled gather-XOR plans by default (memoised per
-    schedule through the codec's :class:`~repro.codec.plan.CompiledPlans`);
-    ``naive=True`` keeps the original per-step Python walk for
-    cross-validation.
+    Schedules run as compiled gather-XOR plans (memoised per schedule
+    through the codec's :class:`~repro.codec.plan.CompiledPlans`).
     """
 
-    def __init__(self, codec: StripeCodec, naive: bool = False) -> None:
+    def __init__(self, codec: StripeCodec) -> None:
         self.codec = codec
         self.layout = codec.layout
-        self.naive = naive
 
     def plan_for_columns(self, failed_cols: Sequence[int]) -> List[RecoveryStep]:
         """Schedule for whole-disk failures (cached per column set).
@@ -202,18 +198,8 @@ class ChainDecoder:
         self._execute(stripe, plan)
         return plan
 
-    def _execute(
-        self,
-        stripe: np.ndarray,
-        plan: List[RecoveryStep],
-        naive: "bool | None" = None,
-    ) -> None:
+    def _execute(self, stripe: np.ndarray, plan: List[RecoveryStep]) -> None:
         if not plan:
-            return
-        if naive if naive is not None else self.naive:
-            for step in plan:
-                blocks = [stripe[c.row, c.col] for c in step.reads]
-                xor_blocks(blocks, out=stripe[step.cell.row, step.cell.col])
             return
         xplan = self.codec.plans.schedule_plan(plan)
         flat = flat_stripe_view(stripe, xplan.num_cells)

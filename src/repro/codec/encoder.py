@@ -18,12 +18,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.codec.plan import (
-    CompiledPlans,
-    compiled_plans,
-    flat_stripe_view,
-    toposort_groups,
-)
+from repro.codec.plan import CompiledPlans, compiled_plans, flat_stripe_view
 from repro.codes.base import Cell, CodeLayout, ParityGroup
 from repro.exceptions import GeometryError, InconsistentStripeError
 from repro.util.validation import require_positive
@@ -33,22 +28,13 @@ from repro.util.xor import xor_blocks
 class StripeCodec:
     """Encode/verify/erase stripes of a given layout at a given element size.
 
-    Encoding runs a compiled gather-XOR plan (:mod:`repro.codec.plan`) by
-    default; ``naive=True`` keeps the original per-group Python walk as a
-    cross-validation reference for the equivalence tests.
+    Encoding runs a compiled gather-XOR plan (:mod:`repro.codec.plan`).
     """
 
-    def __init__(
-        self,
-        layout: CodeLayout,
-        element_size: int = 4096,
-        naive: bool = False,
-    ) -> None:
+    def __init__(self, layout: CodeLayout, element_size: int = 4096) -> None:
         require_positive(element_size, "element_size")
         self.layout = layout
         self.element_size = element_size
-        self.naive = naive
-        self._encode_order = toposort_groups(layout)
         self._plans = compiled_plans(layout, element_size)
 
     @property
@@ -104,20 +90,9 @@ class StripeCodec:
 
     # -- encode / verify -------------------------------------------------------
 
-    def encode(self, stripe: np.ndarray, naive: "bool | None" = None) -> np.ndarray:
-        """Fill every parity cell from the data cells, in place.
-
-        ``naive`` overrides the codec's default execution mode for this
-        call (compiled gather-XOR vs the reference group walk).
-        """
+    def encode(self, stripe: np.ndarray) -> np.ndarray:
+        """Fill every parity cell from the data cells, in place."""
         self._check_shape(stripe)
-        if naive if naive is not None else self.naive:
-            for group in self._encode_order:
-                blocks = [stripe[m.row, m.col] for m in group.members]
-                xor_blocks(
-                    blocks, out=stripe[group.parity.row, group.parity.col]
-                )
-            return stripe
         flat = flat_stripe_view(stripe, self._plans.encode.num_cells)
         if flat is None:
             buf = np.ascontiguousarray(stripe)

@@ -1,7 +1,8 @@
 """Compiled XOR execution plans.
 
-The naive codec walks parity groups in Python — one ``xor_blocks`` call per
-equation, one list comprehension per call — so encode/decode time is
+A naive codec walks parity groups in Python — one ``xor_blocks`` call per
+equation, one list comprehension per call (the reference walk the tests
+hold these plans to) — so encode/decode time is
 dominated by interpreter overhead instead of XOR bandwidth (the same reason
 Jerasure precompiles its schedules).  This module compiles a layout's
 equations into *flat index plans* executed with vectorised gather-XOR:
@@ -173,14 +174,17 @@ class XorPlan:
         return self.execute_numpy(flat)
 
     def execute_batch(self, flat: np.ndarray) -> np.ndarray:
-        """Run the plan over a ``(batch, num_cells, element_size)`` tensor."""
+        """Run the plan over a ``(batch, num_cells, element_size)`` tensor
+        — each stripe's rows contiguous, the stripes any stride apart (a
+        plan's program region of a wider scratch buffer)."""
         kernel = xor_kernel()
-        if kernel is not None and flat.flags.c_contiguous and flat.flags.writeable:
+        if kernel is not None and flat.flags.writeable and \
+                flat.strides[1:] == (flat.shape[2], 1):
             if self.program.size and flat.shape[0]:
                 kernel.xor_exec(
                     flat.ctypes.data,
                     flat.shape[0],
-                    flat.shape[1] * flat.shape[2],
+                    flat.strides[0],
                     flat.shape[-1],
                     self._program_ptr,
                     self.program.size,

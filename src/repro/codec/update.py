@@ -3,8 +3,10 @@
 Overwriting one data element must refresh every parity that (transitively)
 covers it: directly covering groups, plus — in codes whose parity groups
 cover other parity cells, like RDP and HDP — the groups covering those
-parities, and so on.  Deltas compose by XOR, so the update is computed by
-pushing ``old ^ new`` through the groups in encode (dependency) order.
+parities, and so on.  Deltas compose by XOR, so every parity of the
+cell's write footprint changes by exactly ``old ^ new``: the update is
+one XOR of the delta into the cell and those parities (the walk pushing
+it through the groups in encode order is the tests' reference oracle).
 
 :func:`update_footprint` reads which parity cells change off the write
 footprint (:func:`repro.codec.plan.write_footprint`) — the layout's
@@ -14,15 +16,14 @@ is the optimal 2 for every D-Code data element.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.codes.base import Cell, CodeLayout
 from repro.codec.encoder import StripeCodec
-from repro.codec.plan import flat_stripe_view, toposort_groups, write_footprint
+from repro.codec.plan import flat_stripe_view, write_footprint
 from repro.exceptions import GeometryError
-from repro.util.xor import xor_into
 
 #: Update footprints at or below this many rows XOR in place row-by-row
 #: instead of through a fancy-index scatter (see apply_update).
@@ -34,7 +35,6 @@ def apply_update(
     stripe: np.ndarray,
     cell: Cell,
     new_value: np.ndarray,
-    naive: "bool | None" = None,
 ) -> Tuple[Cell, ...]:
     """Overwrite ``cell`` with ``new_value`` and patch parity, in place.
 
@@ -43,10 +43,9 @@ def apply_update(
     footprint, which is what a real array controller would do for a small
     write.
 
-    The default path executes the cell's compiled update plan — one scatter
-    XOR of the delta into the cell and its footprint parities (every touched
-    parity changes by exactly ``old ^ new`` over GF(2)); ``naive=True`` runs
-    the original delta-propagation walk for cross-validation.
+    It executes the cell's compiled update plan — one scatter XOR of the
+    delta into the cell and its footprint parities (every touched parity
+    changes by exactly ``old ^ new`` over GF(2)).
     """
     layout = codec.layout
     if not layout.is_data(cell):
@@ -59,39 +58,23 @@ def apply_update(
     if not delta.any():
         return ()  # no-op write: nothing to patch
 
-    if not (naive if naive is not None else codec.naive):
-        indices, touched = codec.plans.update_plan(cell)
-        flat = flat_stripe_view(stripe, layout.rows * layout.cols)
-        if flat is not None:
-            if len(indices) <= _SMALL_FOOTPRINT:
-                # typical RMW footprint (cell + 2-3 parities): in-place
-                # per-row XOR beats the fancy-index scatter, which has to
-                # materialise gather and XOR temporaries
-                for i in indices:
-                    np.bitwise_xor(flat[i], delta, out=flat[i])
-            else:
-                flat[indices] = flat[indices] ^ delta
-            return touched
-        # non-viewable stripe: fall through to the per-cell walk below
-
-    stripe[cell.row, cell.col] = new_value
-    deltas: Dict[Cell, np.ndarray] = {cell: delta}
-    touched_list = []
-    for group in toposort_groups(layout):
-        gdelta = None
-        for member in group.members:
-            d = deltas.get(member)
-            if d is None:
-                continue
-            if gdelta is None:
-                gdelta = d.copy()
-            else:
-                xor_into(gdelta, d)
-        if gdelta is not None and gdelta.any():
-            xor_into(stripe[group.parity.row, group.parity.col], gdelta)
-            deltas[group.parity] = gdelta
-            touched_list.append(group.parity)
-    return tuple(sorted(touched_list))
+    indices, touched = codec.plans.update_plan(cell)
+    flat = flat_stripe_view(stripe, layout.rows * layout.cols)
+    if flat is None:
+        # non-viewable stripe: patch a contiguous copy
+        buf = np.ascontiguousarray(stripe)
+        apply_update(codec, buf, cell, new_value)
+        stripe[...] = buf
+        return touched
+    if len(indices) <= _SMALL_FOOTPRINT:
+        # typical RMW footprint (cell + 2-3 parities): in-place per-row
+        # XOR beats the fancy-index scatter, which has to materialise
+        # gather and XOR temporaries
+        for i in indices:
+            np.bitwise_xor(flat[i], delta, out=flat[i])
+    else:
+        flat[indices] = flat[indices] ^ delta
+    return touched
 
 
 def update_footprint(layout: CodeLayout, cell: Cell) -> Tuple[Cell, ...]:

@@ -231,7 +231,6 @@ def run_serve_chaos(
         max_batch=max_batch,
         ack="durable",
         state_dir=state_dir or tempfile.mkdtemp(prefix="repro-chaos-"),
-        supervise=True,
         recv_timeout_s=recv_timeout_s,
         max_restarts=max(8, 4 * (worker_kills + parent_kills + stalls)),
         default_deadline_ms=deadline_ms,

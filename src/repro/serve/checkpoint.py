@@ -31,12 +31,11 @@ deltas to the same byte-exact image the serve chaos oracles check, then
 the caller runs :func:`repro.journal.recovery.recover_on_mount` as
 usual to roll the open ack intents forward.
 
-Dirty-stripe capture uses the volume's write funnel ``_store_rows``,
+Dirty-stripe capture observes the volume's write funnel ``_store_rows``,
 which every plan store calls once with all the backing rows it writes,
-wrapped per-instance the same way
-:class:`repro.array.integrity.IntegrityChecker` wraps it (whole stripes
-encoded in place in the backing store announce their rows through it
-too, without data).
+the same way :class:`repro.array.integrity.IntegrityChecker` observes it
+(whole stripes encoded in place in the backing store announce their rows
+through it too, without data).
 """
 
 from __future__ import annotations
@@ -72,11 +71,10 @@ def delta_log_path(base_path) -> Path:
 class DirtyStripeTracker:
     """Record which stripes the volume wrote since the last drain.
 
-    Wraps the volume's write funnel by instance attribute (the
-    :class:`IntegrityChecker` pattern), composing with any wrapper
-    already installed.  ``drain()`` hands back the dirty
-    set and resets it — called at the checkpoint barrier, when the
-    batch's volume work has already returned.
+    An observer of the volume's write funnel (the
+    :class:`IntegrityChecker` pattern), beside any other.  ``drain()``
+    hands back the dirty set and resets it — called at the checkpoint
+    barrier, when the batch's volume work has already returned.
     """
 
     def __init__(self, volume: RAID6Volume) -> None:
@@ -85,15 +83,12 @@ class DirtyStripeTracker:
         self.stride = volume.layout.rows * volume.layout.cols
         self._dirty: Set[int] = set()
         self._lock = threading.Lock()
-        self._inner_rows = volume._store_rows
-        self._found = volume.__dict__.get("_store_rows")
-        volume._store_rows = self._rows  # type: ignore[assignment]
+        volume._observers += (self._rows,)
 
     def _rows(self, at: np.ndarray, data=None) -> None:
         stripes = np.unique(at // self.stride).tolist()
         with self._lock:
             self._dirty.update(stripes)
-        self._inner_rows(at, data)
 
     def drain(self) -> Set[int]:
         with self._lock:
@@ -102,11 +97,9 @@ class DirtyStripeTracker:
 
     def detach(self) -> None:
         volume = self.volume
-        if volume.__dict__.get("_store_rows") == self._rows:
-            if self._found is None:
-                del volume._store_rows
-            else:
-                volume._store_rows = self._found  # type: ignore[assignment]
+        volume._observers = tuple(
+            o for o in volume._observers if o != self._rows
+        )
 
 
 def _stripe_image(volume: RAID6Volume, stripe: int) -> np.ndarray:

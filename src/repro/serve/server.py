@@ -109,9 +109,6 @@ class ServerConfig:
     #: Directory for per-shard crash-safe state files (durable mode);
     #: None = a fresh temporary directory per :func:`make_backends`.
     state_dir: Optional[str] = None
-    #: Wrap process backends in a supervisor (health checks + restart).
-    #: None = yes exactly when the backend is process-based.
-    supervise: Optional[bool] = None
     #: Per-batch worker reply timeout (None = wait forever).
     recv_timeout_s: Optional[float] = None
     #: Supervisor idle-heartbeat period (0 = no background monitor).
@@ -158,12 +155,6 @@ class ServerConfig:
     def durable(self) -> bool:
         return self.ack == "durable"
 
-    @property
-    def supervised(self) -> bool:
-        if self.supervise is not None:
-            return self.supervise
-        return self.backend == "process"
-
     def shard_spec(self, shard: int = 0, state_dir: Optional[str] = None) \
             -> ShardSpec:
         state_dir = state_dir if state_dir is not None else self.state_dir
@@ -198,8 +189,8 @@ def make_backends(
 ) -> List[object]:
     """Build the shard backends (fork happens here, pre-loop).
 
-    Process backends come back supervised unless ``config.supervise``
-    says otherwise.  Durable mode needs a state directory; when the
+    Process backends come back supervised (health checks + restart).
+    Durable mode needs a state directory; when the
     config names none, a fresh temporary directory is created so every
     pool gets private snapshots.
     """
@@ -212,19 +203,14 @@ def make_backends(
     ]
     if config.backend == "inline":
         return [InlineShard(spec) for spec in specs]
-    if config.supervised:
-        return [
-            SupervisedShard(
-                spec,
-                recv_timeout=config.recv_timeout_s,
-                heartbeat_s=config.heartbeat_s,
-                max_restarts=config.max_restarts,
-            )
-            for spec in specs
-        ]
-    cls = BACKENDS[config.backend]
     return [
-        cls(spec, recv_timeout=config.recv_timeout_s) for spec in specs
+        SupervisedShard(
+            spec,
+            recv_timeout=config.recv_timeout_s,
+            heartbeat_s=config.heartbeat_s,
+            max_restarts=config.max_restarts,
+        )
+        for spec in specs
     ]
 
 

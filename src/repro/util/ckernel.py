@@ -19,11 +19,12 @@ and loaded via :mod:`ctypes`.  It exports three entry points:
   plan's rows the deltas and the program read, fold the new data into
   deltas, run the plan's XOR program, test each delta row for zero a
   word at a time, XOR each non-zero delta into its backing row in place
-  (only rows that changed are stored), pick a read's wanted rows into
-  the caller's output, and count each disk's reads and writes into a
-  caller-owned array.  The plan and the store's geometry reach it packed
-  into ``int64`` words (:func:`pack_plan`, :func:`pack_geometry`), so a
-  call marshals a handful of integers;
+  (only rows that changed are stored), pick the rows a read wants, or a
+  rebuild the lost column's, into the caller's output, and count each
+  disk's reads and writes into a caller-owned array.  The plan and the
+  store's geometry reach it packed into ``int64`` words
+  (:func:`pack_plan`, :func:`pack_geometry`), so a call marshals a
+  handful of integers;
 * ``read_exec`` serves a healthy read with no plan at all: it walks a
   range of logical elements through the geometry's data-cell table,
   copies each element's backing row — a run of consecutive rows at a
@@ -362,42 +363,46 @@ def pack_geometry(
     ])
 
 
-def pack_plan(
-    flat: np.ndarray,
-    rows: int,
-    program: np.ndarray,
-    *,
-    gather: Optional[int] = None,
-    n: int = 0,
-    fetch: Optional[Sequence[int]] = None,
-    keep: Sequence[int] = (),
-    items: Sequence[int] = (),
-    pick: Sequence[int] = (),
-    delta: int = 0,
-    values: int = 0,
-    base: int = 0,
-) -> Packed:
-    """One plan for ``plan_exec``: gather the first ``gather`` (all by
-    default) of the cells ``flat`` into the first rows of a ``rows``-row
-    scratch buffer, then — see the C source — fold the values into
-    deltas from row ``delta`` (and copy the lost cells' values to row
-    ``values``), run ``program`` from row ``base``, store the first
-    ``n`` cells where their delta is non-zero, and pick rows ``pick``
-    into the output.  ``fetch`` are the cells read whatever the deltas
-    (every cell by default)."""
+def pack_plan(plan) -> Packed:
+    """``plan_exec``'s words for ``plan``, a :class:`repro.array.ioplan.Plan`
+    — the one record of a gather–XOR–store/pick plan, which the numpy
+    interpreter (``ioplan._plan_run``) reads field by field.  Its fields
+    land in the header words, then the arrays, in this order:
+
+    ==================  =====================================================
+    ``Plan`` field      words
+    ==================  =====================================================
+    ``cells``           ``H_G`` = g, then ``flat[g]`` (row * cols + col)
+    ``gather``          ``H_GATHER``: cells gathered into rows 0..gather-1
+    ``n``               ``H_N``: the first n cells may be stored
+    ``fetch``           ``fetch[g]``: 1 for a cell read whatever the deltas
+    ``keep``            ``H_M`` = m, then ``keep[m]``: values folded into
+                        the deltas of gathered rows 0..m-1
+    ``items``           ``H_K`` = k, then ``items[k]``: values copied to
+                        rows ``values`` on; ``H_NV`` = m + k values a stripe
+    ``pick``            ``H_NOUT``, then ``pick[nout]``: rows to the output
+    ``delta``           ``H_DELTA``: row of cell 0's delta
+    ``values``          ``H_VALUES``: row of ``items[0]``'s value
+    ``base``            ``H_BASE``: row the program's row 0 is
+    ``xor``             ``H_ROWS`` = base + ``xor.num_cells``; ``H_PLEN``,
+                        then ``program[plen]`` (``xor.program``)
+    ==================  =====================================================
+    """
+    flat = plan.cells.flat
     g = len(flat)
-    read = np.ones(g, dtype=np.int64)
-    if fetch is not None:
-        read[:] = 0
-        read[np.asarray(fetch, dtype=np.intp)] = 1
+    fetch = np.zeros(g, dtype=np.int64)
+    fetch[plan.fetch] = 1
+    keep, items, pick = plan.keep, plan.items, plan.pick
+    program = plan.xor.program
     # plan_exec's H_* words, in order
     header = (
-        g, g if gather is None else gather, n, len(keep), len(items), rows,
-        delta, values, base, len(program), len(keep) + len(items), len(pick),
+        g, plan.gather, plan.n, len(keep), len(items),
+        plan.base + plan.xor.num_cells, plan.delta, plan.values, plan.base,
+        len(program), len(keep) + len(items), len(pick),
     )
     return _packed(np.concatenate([
         np.asarray(a, dtype=np.int64).ravel()
-        for a in (header, flat, read, keep, items, pick, program)
+        for a in (header, flat, fetch, keep, items, pick, program)
     ]))
 
 

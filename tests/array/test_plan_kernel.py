@@ -28,7 +28,9 @@ from repro.array.disk import DiskState
 from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codes import make_code
+from repro.exceptions import LatentSectorError
 from repro.journal import WriteIntentLog
+from repro.recovery.planner import cached_hybrid_plan
 from repro.serve.checkpoint import DirtyStripeTracker
 from repro.util import ckernel
 from repro.util.ckernel import kernel_releases_gil, xor_kernel
@@ -194,6 +196,58 @@ class TestEngineDifferential:
         assert numpy not in kernel_runs
         if xor_kernel() is not None:
             assert kernel_runs.count(kernel) > 0
+
+
+def _fail_source(volume, stripe, disk):
+    """Hook the disk of a rebuild source of ``disk`` in ``stripe`` so
+    that reading it raises a latent sector error; its location."""
+    col = volume.mapper.col_on_disk(stripe, disk)
+    source = min(cached_hybrid_plan(volume.layout, col).reads)
+    loc = volume.mapper.locate_cell(stripe, source)
+
+    def hook(d, op, offset):
+        if op == "read" and offset == loc.offset:
+            raise LatentSectorError(d.disk_id, offset)
+
+    volume.disks[loc.disk].fault_hook = hook
+    return loc
+
+
+class TestRebuildPlan:
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_every_lost_column(self, code_name, p, rotate, kernel_runs):
+        """The single-failure rebuild is one pick plan: in the C kernel
+        on one volume, through ``_plan_run`` on the other, for every lost
+        column — then once more with a source that fails to read
+        through a hook (both sides on ``_plan_run``).  Same bytes, same
+        per-disk counts, same heal log."""
+        layout = make_code(code_name, p)
+        per = layout.num_data_cells
+        image = np.random.default_rng(p).integers(
+            0, 256, (STRIPES * per, ES), dtype=np.uint8
+        )
+        for disk in range(layout.cols):
+            engines = Engines(layout, rotate=rotate)
+            kernel, numpy = engines.volumes
+            engines.write(0, image)
+            engines.each(lambda v: v.fail_disk(disk))
+            del kernel_runs[:]
+            engines.each(lambda v: v.start_rebuild(disk, batch=3).run())
+            assert numpy not in kernel_runs
+            if xor_kernel() is not None:
+                assert kernel in kernel_runs
+            assert np.array_equal(engines.read(0, STRIPES * per), image)
+        engines.each(lambda v: v.fail_disk(0))
+        loc = [_fail_source(v, 2, 0) for v in engines.volumes][0]
+        del kernel_runs[:]
+        engines.each(lambda v: v.start_rebuild(0, batch=3).run())
+        assert kernel_runs == []  # a source disk is hooked
+        for v in engines.volumes:
+            assert v.error_counters.total(loc.disk) == 1
+            v.disks[loc.disk].fault_hook = None
+        assert np.array_equal(engines.read(0, STRIPES * per), image)
 
 
 class TestKernelReads:

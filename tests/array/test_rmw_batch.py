@@ -143,26 +143,17 @@ def spy_stores(volume, monkeypatch):
     ``_store_rows``, or a C kernel run of an RMW plan (the rows its
     counts say it wrote); a ``SimDisk.write_block`` call fails.
 
-    The funnel is spied where it stands — on the instance when an
-    observer already wraps it there, else on the class — so spying
-    never stands the kernel down."""
+    The funnel is spied on the class, so spying never stands the kernel
+    down."""
     stores = []
-    store_rows = volume._store_rows
+    funnel = RAID6Volume._store_rows
 
-    def spy(at, data=None):
-        stores.append((len(at), data is not None))
-        store_rows(at, data)
+    def spy(self, at, data=None):
+        if self is volume:
+            stores.append((len(at), data is not None))
+        funnel(self, at, data)
 
-    if "_store_rows" in volume.__dict__:
-        volume._store_rows = spy
-    else:
-        funnel = RAID6Volume._store_rows
-        monkeypatch.setattr(
-            RAID6Volume, "_store_rows",
-            lambda self, at, data=None: (
-                spy(at, data) if self is volume else funnel(self, at, data)
-            ),
-        )
+    monkeypatch.setattr(RAID6Volume, "_store_rows", spy)
     kernel_run = ioplan._kernel_run
 
     def kernel_spy(vol, run, packed, stripes, values=None, out=None):

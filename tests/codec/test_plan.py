@@ -24,6 +24,8 @@ from repro.codes.base import CodeLayout, ParityGroup, cell_to_flat
 from repro.exceptions import GeometryError
 from repro.util.ckernel import xor_kernel
 
+from tests.oracles.codec_walk import CodecWalk
+
 
 def chain_layout(length):
     """Synthetic 1-row layout: parity i covers parity i-1, a chain of
@@ -187,7 +189,7 @@ class TestKernelVsNumpy:
         codec = StripeCodec(layout, element_size=16)
         stripe = codec.random_stripe(rng)
         reference = stripe.copy()
-        codec.encode(reference, naive=True)
+        CodecWalk(codec).encode(reference)
         compiled = stripe.copy()
         codec.encode(compiled)
         assert np.array_equal(reference, compiled)

@@ -18,6 +18,7 @@ from repro.codec.plan import XorPlan
 from repro.codes import make_code
 from repro.exceptions import SimulatedCrashError
 from repro.faults import FaultInjector, FaultSpec
+from repro.recovery.planner import cached_hybrid_plan
 
 ES = 16
 
@@ -220,3 +221,62 @@ class TestChargedOnce:
             disk == loc.disk for disk, _ in disk_reads
         )
         assert volume.disks[loc.disk].bad_sectors == frozenset()
+
+
+@pytest.fixture
+def disk_ops(monkeypatch):
+    """``(disk, op, offset)`` of every per-element read and write, in
+    order."""
+    ops = []
+    read_view, write = SimDisk.read_view, SimDisk.write
+
+    def spy_read(disk, offset):
+        ops.append((disk.disk_id, "read", offset))
+        return read_view(disk, offset)
+
+    def spy_write(disk, offset, data):
+        ops.append((disk.disk_id, "write", offset))
+        return write(disk, offset, data)
+
+    monkeypatch.setattr(SimDisk, "read_view", spy_read)
+    monkeypatch.setattr(SimDisk, "write", spy_write)
+    return ops
+
+
+@pytest.mark.parametrize("k", (0, 5))
+def test_a_hooked_rebuild_is_its_pick_plan(volume, disk_ops, k):
+    """Rebuilding one lost column under a hook presents the pick plan:
+    the hybrid planner's read set of every stripe — stripe-major, cells
+    in sorted order — then the column's cells, stripe-major, in layout
+    order.  ``FaultSpec.at_op`` indexes exactly that stream: a transient
+    armed at op ``k`` meets its ``k``-th read, which is retried."""
+    layout, mapper = volume.layout, volume.mapper
+    truth = volume.read(0, volume.num_elements).copy()
+    disk, stripes = 1, range(volume.mapper.num_stripes)
+    volume.fail_disk(disk)
+    cursor = volume.start_rebuild(disk, batch=len(stripes))
+    inj = FaultInjector().attach(volume)
+    inj.arm(FaultSpec("transient", at_op=k, op="read"))
+    del disk_ops[:]
+    cursor.step()
+    col = mapper.col_on_disk(0, disk)
+    reads = sorted(cached_hybrid_plan(layout, col).reads)
+
+    def at(stripe, cell, op):
+        loc = mapper.locate_cell(stripe, cell)
+        return (loc.disk, op, loc.offset)
+
+    expected = [at(s, c, "read") for s in stripes for c in reads]
+    # the transient read is retried in place
+    expected.insert(k + 1, expected[k])
+    expected += [
+        at(s, c, "write") for s in stripes
+        for c in layout.cells_in_column(col)
+    ]
+    assert disk_ops == expected
+    (fault,) = inj.events("transient")
+    assert fault.op_index == k
+    assert (fault.disk, "read", fault.offset) == expected[k]
+    inj.detach()
+    assert np.array_equal(volume.read(0, volume.num_elements), truth)
+    assert volume.scrub() == []

@@ -24,6 +24,8 @@ from repro.codec.encoder import StripeCodec
 from repro.codec.update import apply_update
 from repro.codes.registry import available_codes, make_code
 
+from tests.oracles.codec_walk import CodecWalk
+
 ALL_CODES = sorted(available_codes())
 PRIMES = (5, 7, 11, 13)
 ELEMENT_SIZES = (1, 16, 4096)
@@ -53,7 +55,7 @@ def test_encode_compiled_matches_naive(rng, name, p, es):
     stripe = codec.blank_stripe()
     fill_random(codec, rng, stripe)
     reference = stripe.copy()
-    codec.encode(reference, naive=True)
+    CodecWalk(codec).encode(reference)
     compiled = stripe.copy()
     codec.encode(compiled)
     assert np.array_equal(reference, compiled), (name, p, es)
@@ -69,7 +71,7 @@ def test_dcode_decode_all_double_failures(rng, p):
     engines — the paper's headline recovery path, exhaustively."""
     codec = StripeCodec(make_code("dcode", p), element_size=16)
     stripe = codec.random_stripe(rng)
-    naive = ChainDecoder(codec, naive=True)
+    naive = CodecWalk(codec)
     compiled = ChainDecoder(codec)
     for pair in all_column_pairs(codec.layout):
         broken_a = stripe.copy()
@@ -87,7 +89,7 @@ def test_dcode_decode_all_double_failures(rng, p):
 def test_decode_compiled_matches_naive(rng, name, p):
     codec = StripeCodec(make_code(name, p), element_size=16)
     stripe = codec.random_stripe(rng)
-    naive = ChainDecoder(codec, naive=True)
+    naive = CodecWalk(codec)
     compiled = ChainDecoder(codec)
     cols = codec.layout.cols
     for pair in [(0,), (0, 1), (1, cols - 1), (0, cols - 1)]:
@@ -112,8 +114,8 @@ def test_update_compiled_matches_naive(rng, name, p, es):
     for cell in sorted(probe):
         new_value = rng.integers(0, 256, es, dtype=np.uint8)
         via_naive = stripe.copy()
-        touched_naive = apply_update(
-            codec, via_naive, cell, new_value, naive=True
+        touched_naive = CodecWalk(codec).apply_update(
+            via_naive, cell, new_value
         )
         via_compiled = stripe.copy()
         touched_compiled = apply_update(codec, via_compiled, cell, new_value)
@@ -130,8 +132,9 @@ class TestBatchedEquivalence:
         for i in range(9):
             fill_random(codec, rng, stripes[i])
         reference = stripes.copy()
+        walk = CodecWalk(codec)
         for i in range(9):
-            codec.encode(reference[i], naive=True)
+            walk.encode(reference[i])
         encode_batch(codec, stripes)
         assert np.array_equal(stripes, reference)
 
@@ -168,8 +171,9 @@ class TestBatchedEquivalence:
         cell = codec.layout.data_cells[1]
         new_values = rng.integers(0, 256, (5, 32), dtype=np.uint8)
         reference = stripes.copy()
+        walk = CodecWalk(codec)
         for i in range(5):
-            apply_update(codec, reference[i], cell, new_values[i], naive=True)
+            walk.apply_update(reference[i], cell, new_values[i])
         touched = update_batch(codec, stripes, cell, new_values)
         assert np.array_equal(stripes, reference)
         assert all(codec.layout.is_parity(c) for c in touched)

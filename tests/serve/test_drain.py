@@ -16,6 +16,7 @@ from repro.journal.recovery import recover_on_mount
 from repro.serve.checkpoint import load_shard_state
 from repro.serve.protocol import OP_WRITE, ST_OK
 from repro.serve.server import BlockServer, ServerConfig, make_backends
+from repro.serve.shard import ProcessShard
 
 
 def seeded_writes(config, count, seed=13):
@@ -133,10 +134,10 @@ class TestHardStop:
         from repro.serve.protocol import OP_READ
 
         config = ServerConfig(
-            shards=1, backend="process", supervise=False, code="dcode",
+            shards=1, backend="process", code="dcode",
             p=5, stripes_per_shard=4, element_size=32,
         )
-        backends = make_backends(config)
+        backends = [ProcessShard(config.shard_spec())]
         ring = backends[0].ring
 
         async def body():
@@ -276,10 +277,10 @@ class TestCloseReapsConnections:
         from repro.serve import protocol
 
         config = ServerConfig(
-            shards=1, backend="process", supervise=False, code="dcode",
+            shards=1, backend="process", code="dcode",
             p=5, stripes_per_shard=4, element_size=32,
         )
-        backends = make_backends(config)
+        backends = [ProcessShard(config.shard_spec())]
         # a loop driven by hand, like the benchmark's: asyncio.run()
         # would cancel the leftovers itself and hide the leak
         loop = asyncio.new_event_loop()
