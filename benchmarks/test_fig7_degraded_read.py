@@ -4,18 +4,19 @@ Regenerates Figure 7(a)/(b): 200 requests per data-disk failure case per
 code per prime on the timing model, with reconstruction reads priced in.
 
 The second test grounds the figure in the real array: the volume's
-*batched* degraded-read path (the tensor fast path of
-docs/performance.md) must issue exactly the per-disk element reads the
-AccessEngine model prices — the Figure 7 numbers are measurements of the
-code path a consumer actually runs, batched or not.
+degraded read — one C kernel call following the read's route of cached
+read plans, where a kernel is built — must issue exactly the per-disk
+element reads the AccessEngine model prices: the Figure 7 numbers are
+measurements of the code path a consumer actually runs.
 """
 
 import numpy as np
 
 from repro.analysis.figures import fig7_degraded_read
-from repro.array import RAID6Volume
+from repro.array import RAID6Volume, ioplan
 from repro.codes import make_code
 from repro.iosim.engine import AccessEngine
+from repro.util.ckernel import xor_kernel
 
 from .conftest import CODES, PRIMES, format_series_table, write_result
 
@@ -50,8 +51,18 @@ def test_fig7(benchmark, results_dir):
         assert out["average"]["dcode"][i] > out["average"]["rdp"][i]
 
 
-def test_fig7_batched_volume_matches_model():
-    """Planned degraded reads issue exactly the model's per-disk I/O."""
+def test_fig7_batched_volume_matches_model(monkeypatch):
+    """Planned degraded reads issue exactly the model's per-disk I/O —
+    on the path the benchmark times: with the C kernel, each read is one
+    ``read_exec`` call following its route of read plans."""
+    served = []
+    kernel_read = ioplan.kernel_read
+
+    def spy(volume, *args):
+        served.append(volume)
+        return kernel_read(volume, *args)
+
+    monkeypatch.setattr(ioplan, "kernel_read", spy)
     num_stripes = 16
     for code in CODES:
         layout = make_code(code, 7)
@@ -69,8 +80,10 @@ def test_fig7_batched_volume_matches_model():
             # the whole volume in one request: the read plans serve it
             # as runs of same-pattern stripes
             volume.reset_io_counters()
+            del served[:]
             got = volume.read(0, volume.num_elements)
             assert np.array_equal(got, data), (code, failed)
+            assert served == [volume] * (xor_kernel() is not None)
             counters = volume.io_counters()
             predicted = engine.read_accesses(0, volume.num_elements)
             actual = [counters[d][0] for d in sorted(counters)]

@@ -11,8 +11,10 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   the cells to fetch and, when a wanted cell sits on a stale column, the
   compiled XOR schedule rebuilding it (the access engine's minimal
   :class:`~repro.iosim.engine.StripeReadPlan`, so disk counters keep
-  matching the model).  A healthy read needs no plan where the C kernel
-  runs it (:func:`kernel_read`); its read plans are the fallback;
+  matching the model).  Where the C kernel runs a read
+  (:func:`kernel_read`) a healthy one needs no plan, and a degraded one
+  follows its :class:`Route` — the read plans of its runs, looked up once
+  per read pattern; everywhere else :func:`read_runs` executes them;
 * **RMW plans**, keyed ``(dirty data cells, stale columns)`` — the dirty
   cells and every parity of their write footprint on surviving columns,
   and one XOR schedule folding the data deltas into per-parity deltas.
@@ -55,9 +57,10 @@ nobody observing the funnels) the C kernel's ``plan_exec`` runs the
 record's words (:func:`repro.util.ckernel.pack_plan`) over the whole
 vector of stripes and its counts land in the disks' counters in one
 step; otherwise :func:`_plan_run` follows ``plan_exec`` step for step
-in numpy, through the funnels.  A healthy read the volume admits is one
-``read_exec`` call over its logical range (:func:`kernel_read`) and
-compiles no plan.
+in numpy, through the funnels.  A read the volume admits is one
+``read_exec`` call over its logical range (:func:`kernel_read`): a
+healthy one compiles no plan, a degraded one runs the same read plans'
+words as ``plan_exec`` would, run after run.
 
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
@@ -482,15 +485,17 @@ def _rows(flat: np.ndarray, batch: int, stride: int) -> np.ndarray:
     return (np.arange(batch)[:, None] * stride + flat).ravel()
 
 
-def _scatter(volume, stripes, at, src, rows) -> None:
+def _scatter(volume, stripes, at, src, rows=None) -> None:
     """Store ``src[rows]`` — one row per flat backing row of ``at``,
-    stripe-major — through the volume's ``_store_rows`` funnel: one call
-    while the gathered copy of ``src`` stays under :data:`SCATTER_BYTES`,
-    a longer vector of stripes a few whole stripes at a time."""
+    stripe-major; ``src`` itself, row for row, when ``rows`` is ``None``
+    — through the volume's ``_store_rows`` funnel: one call while the
+    gathered copy of ``src`` stays under :data:`SCATTER_BYTES`, a longer
+    vector of stripes a few whole stripes at a time."""
     per = len(at) // len(stripes)
     step = per * max(1, SCATTER_BYTES // (per * src.shape[1]))
     for lo in range(0, len(at), step):
-        volume._store_rows(at[lo:lo + step], src[rows[lo:lo + step]])
+        block = src[lo:lo + step] if rows is None else src[rows[lo:lo + step]]
+        volume._store_rows(at[lo:lo + step], block)
 
 
 def stale_runs(volume, surface, stripes: Sequence[int]):
@@ -715,16 +720,76 @@ def _kernel_run(
     volume._account(counts)
 
 
-def kernel_read(volume, start: int, count: int) -> np.ndarray:
-    """Logical elements ``[start, start + count)`` of a healthy volume
-    whose data columns the kernel admits: one ``read_exec`` call walks
-    the range into the answer — no plan, no ``mapper.split`` — then its
-    counts go into the disks' counters in one step."""
+class Route(NamedTuple):
+    """How ``read_exec`` serves one read pattern, and the layout columns
+    it touches (``mask``, what ``RAID6Volume._kernel`` admits).
+
+    ``address`` ``None`` is the healthy walk: every wanted cell straight
+    from its backing row.  Otherwise ``words`` (at ``address``) are
+    :func:`repro.util.ckernel.pack_route`'s: the read's ``mapper.split``
+    runs, each walked or run through its read plan.  ``plans`` holds
+    those plans, so the plan cache may evict one without freeing the
+    words a route still points at.
+    """
+
+    mask: int
+    address: Optional[int] = None
+    words: Optional[np.ndarray] = None
+    plans: Tuple[Plan, ...] = ()
+
+
+def _compile_route(volume, start: int, count: int, stale) -> Optional[Route]:
+    """The route of reading ``count`` elements from ``start`` with
+    ``stale`` columns: the read plan of each of its runs, as
+    :func:`read_runs` would look it up; ``None`` when one needs
+    algebraic decoding."""
+    runs, plans, mask = [], [], 0
+    for s0, stripes, j0, n, _ in volume.mapper.split(start, count):
+        plan = volume._ioplans.get(
+            ("read", j0, n, stale), _compile_read, volume, j0, n, stale, s0
+        )
+        if plan is None:
+            return None
+        if type(plan) is Plan:
+            plans.append(plan)
+            mask |= plan.cells.mask
+            runs.append((stripes, j0, n, plan.packed))
+        else:  # every wanted cell survives: walked
+            mask |= plan.mask
+            runs.append((stripes, j0, n, None))
+    words, address = ckernel.pack_route(runs)
+    return Route(mask, address, words, tuple(plans))
+
+
+def read_route(volume, start: int, count: int, surface) -> Optional[Route]:
+    """The route of a degraded read: cached per ``(start % per, count,
+    failed disks)`` — what a read's runs and their patterns are a
+    function of while the failed disks are its stale columns everywhere.
+    ``None`` where they are not (a rotated volume, a rebuild in flight)
+    or a run needs algebraic decoding, and on a volume with no kernel:
+    :func:`read_runs` serves it."""
+    if surface.rebuilding or volume.mapper.rotate or \
+            volume._plan_exec is None:
+        return None
+    failed = surface.failed
+    return volume._ioplans.get(
+        ("route", start % volume.layout.num_data_cells, count, failed),
+        _compile_route, volume, start, count, failed,
+    )
+
+
+def kernel_read(volume, start: int, count: int, route: Route) -> np.ndarray:
+    """Logical elements ``[start, start + count)`` by ``route``, which
+    the kernel admits: one ``read_exec`` call walks the range, or its
+    runs through their read plans, into the answer, then its counts go
+    into the disks' counters in one step."""
     out = np.empty((count, volume.element_size), dtype=np.uint8)
     counts, where = volume._counts()
-    volume._read_exec(
-        volume._geometry.address, start, count, _address(out), where
-    )
+    if volume._read_exec(
+        volume._geometry.address, start, count, route.address,
+        _address(out), where,
+    ):
+        raise MemoryError("no scratch memory for the read kernel")
     volume._account(counts)
     return out
 
@@ -1012,7 +1077,7 @@ def rebuild(
         for i, cells in lost.items():
             buf = load_stripes(volume, (stripes[i],), stale, cells)[0]
             src[i * per:(i + 1) * per] = buf.reshape(-1, es)[column.flat]
-        rows = np.arange(len(src))
+        rows = None  # picked in store order
     else:
         src = load_stripes(volume, stripes, stale)[0].reshape(-1, es)
         rows = _rows(column.flat, batch, layout.rows * layout.cols)

@@ -247,9 +247,11 @@ class RAID6Volume:
         self._data_cols = np.array(
             [c.col for c in layout.data_cells], dtype=np.intp
         )
-        #: the columns holding data cells, as a bitmask: what a healthy
-        #: read may touch
-        self._data_mask = sum(1 << c for c in set(self._data_cols.tolist()))
+        #: a healthy read's route: the kernel walks its data cells, and
+        #: it may touch every column holding any
+        self._walk = ioplan.Route(
+            sum(1 << c for c in set(self._data_cols.tolist()))
+        )
         # a zero-copy stripe view's reads, one ``_account`` step
         self._full_stripe_io = np.zeros_like(self._io)
         self._full_stripe_io[0] = np.bincount(
@@ -552,11 +554,14 @@ class RAID6Volume:
         (the view is the live stripe: a later write shows through it,
         cell by cell while it is in progress — whole stripes are
         encoded where the view points — so copy it to snapshot).  Any
-        other healthy range the C kernel admits (:meth:`_kernel`) is one
-        kernel call walking it into the answer
-        (:func:`repro.array.ioplan.kernel_read`); the rest — degraded,
-        or a disk hooked — executes cached read plans, one gather per
-        run of stripes sharing a pattern (:mod:`repro.array.ioplan`).
+        other range the C kernel admits (:meth:`_kernel`) is one kernel
+        call along the read's route
+        (:func:`repro.array.ioplan.kernel_read`): healthy, a walk of the
+        range into the answer; degraded — no rebuild in flight,
+        unrotated — each run walked or rebuilt by its cached read plan
+        (:func:`repro.array.ioplan.read_route`).  The rest executes the
+        same read plans in numpy, one gather per run of stripes sharing
+        a pattern (:func:`repro.array.ioplan.read_runs`).
         """
         require_positive(count, "count")
         if start < 0 or start + count > self.num_elements:
@@ -568,9 +573,12 @@ class RAID6Volume:
         view = self._read_zero_copy(start, count, surface)
         if view is not None:
             return view
-        if surface.healthy and \
-                self._kernel(self._data_mask, surface.failed) is not None:
-            return ioplan.kernel_read(self, start, count)
+        route = self._walk if surface.healthy else ioplan.read_route(
+            self, start, count, surface
+        )
+        if route is not None and \
+                self._kernel(route.mask, surface.failed) is not None:
+            return ioplan.kernel_read(self, start, count, route)
         return ioplan.read_runs(
             self, surface, self.mapper.split(start, count), count
         )
@@ -825,6 +833,10 @@ class RAID6Volume:
         """Layout columns of ``stripe`` that must not be trusted/written."""
         if surface is not None and surface.healthy:
             return ()
+        rebuild = self._rebuild
+        if not self.mapper.rotate and (rebuild is None or not rebuild.active):
+            # the failed disks, ascending, are the stale columns everywhere
+            return self._failed if surface is None else surface.failed
         return tuple(
             sorted(
                 self.mapper.col_on_disk(stripe, f)
@@ -1018,8 +1030,9 @@ class RAID6Volume:
 
     def _kernel(self, cols: int, failed: Tuple[int, ...]):
         """``plan_exec`` when an operation over layout columns ``cols``
-        (a bitmask) — a plan, or a healthy read of the data columns —
-        keyed for the ``failed`` disks of the op's surface, may run
+        (a bitmask) — a plan, or a read's route (healthy: the data
+        columns) — keyed for the ``failed`` disks of the op's surface,
+        may run
         inside the C kernel, else ``None``: then the numpy executor
         runs it through the two funnels.
 

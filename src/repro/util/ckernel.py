@@ -25,10 +25,16 @@ and loaded via :mod:`ctypes`.  It exports three entry points:
   store's geometry reach it packed into ``int64`` words
   (:func:`pack_plan`, :func:`pack_geometry`), so a call marshals a
   handful of integers;
-* ``read_exec`` serves a healthy read with no plan at all: it walks a
-  range of logical elements through the geometry's data-cell table,
-  copies each element's backing row — a run of consecutive rows at a
-  time — into the caller's output, and counts each disk's reads.
+* ``read_exec`` serves a whole read in one call.  Healthy (no
+  ``route``), it needs no plan at all: it walks a range of logical
+  elements through the geometry's data-cell table, copies each
+  element's backing row — a run of consecutive rows at a time — into
+  the caller's output, and counts each disk's reads.  Degraded, it
+  follows a *route* (:class:`repro.array.ioplan.Route`): the read's
+  runs of one pattern, each either walked the same way or executed as
+  the packed read plan that rebuilds its lost cells — ``plan_exec``'s
+  per-stripe body, one function in the C source — picking straight
+  into the run's slice of the output.
 
 Entirely optional: compilation failure (no compiler, read-only temp dir,
 sandboxed subprocess) silently degrades to the numpy execution path, and
@@ -47,7 +53,9 @@ therefore do not hold each other up for the length of an encode or a
 planned RMW, and no wrapper or callback re-enters the interpreter
 mid-call: the C side touches only caller-owned memory that stays alive
 and unmoved for the call — numpy arrays pinned by the calling frame, the
-volume's backing store, the packed plan the plan cache holds.
+volume's backing store, the packed plans the caller holds — and the
+calling thread's own scratch buffer, which the kernel keeps between
+calls and frees when the thread exits.
 ``plan_exec`` writes the backing rows of the stripes it is handed and
 its own counts array, and nothing else: the caller holds those stripes'
 write locks, and adds the counts to the disks' counters under their lock
@@ -71,6 +79,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 _SOURCE = r"""
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -199,23 +208,146 @@ static int any_set(const uint8_t *p, int64_t n)
  * stripe-local row geom[G_DATA + j]. */
 enum { G_BASE, G_STRIDE, G_COLS, G_ROTATE, G_ES, G_PER, G_DATA };
 
-/* Copy logical elements [start, start + count) of the store `geom`
- * describes into consecutive rows of `out`: element i is data cell
- * i % per of stripe i / per (columns shifted by the stripe number when
- * rotated, as in plan_exec).  Consecutive backing rows go as one copy.
+/* Header words of a packed plan; its arrays follow in the order
+ * flat[g] fetch[g] keep[m] items[k] pick[nout] program[plen]. */
+enum { H_G, H_GATHER, H_N, H_M, H_K, H_ROWS, H_DELTA, H_VALUES, H_BASE,
+       H_PLEN, H_NV, H_NOUT, H_SIZE };
+
+/* Each thread's scratch buffer, kept between calls and freed when the
+ * thread exits: one allocated and freed per call pays page faults each
+ * time the allocator hands its pages back to the system.  Its first
+ * word is its capacity in bytes. */
+static pthread_key_t scratch_key;
+static pthread_once_t scratch_once = PTHREAD_ONCE_INIT;
+static int scratch_keyed;  /* the key was created */
+
+static void scratch_init(void)
+{
+    scratch_keyed = pthread_key_create(&scratch_key, free) == 0;
+}
+
+/* Scratch for plan_stripe, from this thread's buffer: the plan's g
+ * backing rows, then its H_ROWS rows of es bytes; NULL when the buffer
+ * cannot grow to them. */
+static int64_t *plan_scratch(const int64_t *geom, const int64_t *plan)
+{
+    const int64_t need = plan[H_G] * (int64_t)sizeof(int64_t)
+                         + plan[H_ROWS] * geom[G_ES];
+    pthread_once(&scratch_once, scratch_init);
+    if (!scratch_keyed)
+        return NULL;
+    int64_t *buf = pthread_getspecific(scratch_key);
+    if (buf == NULL || buf[0] < need) {
+        free(buf);
+        buf = malloc(sizeof *buf + (size_t)need);
+        if (buf != NULL)
+            buf[0] = need;
+        pthread_setspecific(scratch_key, buf);
+        if (buf == NULL)
+            return NULL;
+    }
+    return buf + 1;
+}
+
+/* One stripe of a packed plan over the store `geom` describes: `v` the
+ * stripe's values, `out` its nout output rows, `at` scratch from
+ * plan_scratch.  Into the scratch rows: gather the first `gather` of
+ * the plan's g cells (flat = row * cols + col within the stripe) into
+ * rows 0..gather-1 — the old values the deltas and the program read;
+ * copy v[items[q]] to rows values+q; fold v[keep[i]] into the delta of
+ * gathered row i (row delta+i); run the program over the rows from
+ * `base` on.  Where the delta of cell j < n is non-zero it is XOR-ed
+ * into the cell's backing row (old ^ delta: the new value) and counted
+ * written; a cell is counted read when fetch[j] is set or it was
+ * written.  Last, rows pick[] go to `out`.
  *
- * counts   2 * cols words, overwritten: reads per disk, then writes (0).
+ * counts   2 * cols words, added to: reads per disk, then writes. */
+static void plan_stripe(const int64_t *geom, const int64_t *plan,
+                        int64_t stripe, const uint8_t *v, uint8_t *out,
+                        int64_t *at, int64_t *counts)
+{
+    uint8_t *backing = (uint8_t *)(intptr_t)geom[G_BASE];
+    const int64_t stride = geom[G_STRIDE], cols = geom[G_COLS];
+    const int64_t rotate = geom[G_ROTATE], es = geom[G_ES];
+    const int64_t g = plan[H_G], gather = plan[H_GATHER];
+    const int64_t n = plan[H_N], m = plan[H_M], k = plan[H_K];
+    const int64_t nout = plan[H_NOUT];
+    const int64_t *flat = plan + H_SIZE, *fetch = flat + g;
+    const int64_t *keep = fetch + g, *items = keep + m, *pick = items + k;
+    const int64_t *prog = pick + nout;
+    uint8_t *scratch = (uint8_t *)(at + g);
+    uint8_t *delta = scratch + plan[H_DELTA] * es;
+    int64_t *reads = counts, *writes = counts + cols;
+    for (int64_t j = 0; j < g; ++j) {
+        int64_t row = stripe * stride + flat[j];
+        if (rotate) {
+            int64_t col = flat[j] % cols;
+            row += (col + stripe) % cols - col;
+        }
+        at[j] = row;
+        if (j < gather)
+            memcpy(scratch + j * es, backing + row * es, (size_t)es);
+    }
+    for (int64_t q = 0; q < k; ++q)
+        memcpy(scratch + (plan[H_VALUES] + q) * es, v + items[q] * es,
+               (size_t)es);
+    for (int64_t i = 0; i < m; ++i)
+        xor2(delta + i * es, scratch + i * es, v + keep[i] * es, es);
+    run_program(scratch + plan[H_BASE] * es, es, prog, plan[H_PLEN]);
+    for (int64_t j = 0; j < g; ++j) {
+        int64_t disk = at[j] % cols, hit = fetch[j];
+        if (j < n && any_set(delta + j * es, es)) {
+            uint8_t *restrict d = backing + at[j] * es;
+            const uint8_t *x = delta + j * es;
+            for (int64_t i = 0; i < es; ++i)
+                d[i] ^= x[i];
+            ++writes[disk];
+            hit = 1;
+        }
+        reads[disk] += hit;
+    }
+    for (int64_t i = 0; i < nout; ++i)
+        memcpy(out + i * es, scratch + pick[i] * es, (size_t)es);
+}
+
+/* Run a packed plan over `batch` stripes of the store `geom` describes:
+ * stripes[s], or first + s when `stripes` is NULL — plan_stripe's body
+ * per stripe, with the stripe's nv rows of `values` and nout rows of
+ * `out`.  `values` is read before the stripe's first store, so one
+ * stripe's values may alias its own backing rows.
+ *
+ * counts   2 * cols words, overwritten: reads per disk, then writes.
+ * Returns 0, or -1 when the scratch buffer cannot be allocated (nothing
+ * touched).
  */
-void read_exec(const int64_t *geom, int64_t start, int64_t count,
-               uint8_t *out, int64_t *counts)
+int64_t plan_exec(const int64_t *geom, const int64_t *plan, int64_t first,
+                  const int64_t *stripes, int64_t batch,
+                  const uint8_t *values, uint8_t *out, int64_t *counts)
+{
+    const int64_t es = geom[G_ES], nv = plan[H_NV], nout = plan[H_NOUT];
+    int64_t *at = plan_scratch(geom, plan);
+    if (at == NULL)
+        return -1;
+    memset(counts, 0, (size_t)(2 * geom[G_COLS]) * sizeof *counts);
+    for (int64_t s = 0; s < batch; ++s)
+        plan_stripe(geom, plan, stripes ? stripes[s] : first + s,
+                    values + s * nv * es, out + s * nout * es, at, counts);
+    return 0;
+}
+
+/* Copy `count` logical elements, from data cell j of `stripe` on, of
+ * the store `geom` describes into consecutive rows of `out`: element i
+ * is data cell i % per of stripe i / per (columns shifted by the stripe
+ * number when rotated, as in plan_stripe).  Consecutive backing rows go
+ * as one copy; each row's disk is counted read into counts[0..cols). */
+static void walk(const int64_t *geom, int64_t stripe, int64_t j,
+                 int64_t count, uint8_t *out, int64_t *counts)
 {
     const uint8_t *backing = (const uint8_t *)(intptr_t)geom[G_BASE];
     const int64_t stride = geom[G_STRIDE], cols = geom[G_COLS];
     const int64_t rotate = geom[G_ROTATE], es = geom[G_ES];
     const int64_t per = geom[G_PER], *data = geom + G_DATA;
-    int64_t stripe = start / per, j = start % per;
     int64_t first = 0, rows = 0;  /* the pending copy */
-    memset(counts, 0, (size_t)(2 * cols) * sizeof *counts);
     for (int64_t i = 0; i < count; ++i) {
         int64_t row = stripe * stride + data[j];
         if (rotate) {
@@ -242,88 +374,47 @@ void read_exec(const int64_t *geom, int64_t start, int64_t count,
         memcpy(out, backing + first * es, (size_t)(rows * es));
 }
 
-/* Header words of a packed plan; its arrays follow in the order
- * flat[g] fetch[g] keep[m] items[k] pick[nout] program[plen]. */
-enum { H_G, H_GATHER, H_N, H_M, H_K, H_ROWS, H_DELTA, H_VALUES, H_BASE,
-       H_PLEN, H_NV, H_NOUT, H_SIZE };
-
-/* Run a packed plan over `batch` stripes of the store `geom` describes:
- * stripes[s], or first + s when `stripes` is NULL.
+/* Read logical elements [start, start + count) of the store `geom`
+ * describes into consecutive rows of `out`.
  *
- * Per stripe, into a scratch buffer of `rows` rows: gather the first
- * `gather` of the plan's g cells (flat = row * cols + col within the
- * stripe) into rows 0..gather-1 — the old values the deltas and the
- * program read; copy the stripe's values[items[q]] to rows values+q;
- * fold values[keep[i]] into the delta of gathered row i (row delta+i);
- * run the program over the rows from `base` on.  Where the delta of
- * cell j < n is non-zero it is XOR-ed into the cell's backing row
- * (old ^ delta: the new value) and counted written; a cell is counted
- * read when fetch[j] is set or it was written.  Last, rows pick[] go to
- * the stripe's nout rows of `out`.  `values` holds nv rows per stripe,
- * read before the stripe's first store, so one stripe's values may
- * alias its own backing rows.
- *
- * counts   2 * cols words, overwritten: reads per disk, then writes.
- * Returns 0, or -1 when the scratch buffer cannot be allocated (nothing
- * touched).
+ * route    NULL: a healthy read — walk the range.  Otherwise the read's
+ *          runs of one pattern, from stripe start / per on, 4 words a
+ *          run: (stripes, j0, n, plan) — data cells j0 .. j0+n-1 of
+ *          each of `stripes` stripes, into the run's stripes * n rows of
+ *          `out`.  Plan 0 walks the run's cells; any other is the
+ *          address of a packed plan whose plan_stripe body runs over
+ *          each of the run's stripes and picks its n cells.  The runs
+ *          end where they have covered `count` elements.
+ * counts   2 * cols words, overwritten: reads per disk, then writes (0).
+ * Returns 0, or -1 when a plan's scratch cannot be allocated.
  */
-int64_t plan_exec(const int64_t *geom, const int64_t *plan, int64_t first,
-                  const int64_t *stripes, int64_t batch,
-                  const uint8_t *values, uint8_t *out, int64_t *counts)
+int64_t read_exec(const int64_t *geom, int64_t start, int64_t count,
+                  const int64_t *route, uint8_t *out, int64_t *counts)
 {
-    uint8_t *backing = (uint8_t *)(intptr_t)geom[G_BASE];
-    const int64_t stride = geom[G_STRIDE], cols = geom[G_COLS];
-    const int64_t rotate = geom[G_ROTATE], es = geom[G_ES];
-    const int64_t g = plan[H_G], gather = plan[H_GATHER];
-    const int64_t n = plan[H_N], m = plan[H_M], k = plan[H_K];
-    const int64_t nv = plan[H_NV], nout = plan[H_NOUT];
-    const int64_t *flat = plan + H_SIZE, *fetch = flat + g;
-    const int64_t *keep = fetch + g, *items = keep + m, *pick = items + k;
-    const int64_t *prog = pick + nout;
-    int64_t *at = malloc((size_t)g * sizeof *at
-                         + (size_t)(plan[H_ROWS] * es));
-    if (at == NULL)
-        return -1;
-    uint8_t *scratch = (uint8_t *)(at + g);
-    uint8_t *delta = scratch + plan[H_DELTA] * es;
-    int64_t *reads = counts, *writes = counts + cols;
-    memset(counts, 0, (size_t)(2 * cols) * sizeof *counts);
-    for (int64_t s = 0; s < batch; ++s) {
-        const int64_t stripe = stripes ? stripes[s] : first + s;
-        const uint8_t *v = values + s * nv * es;
-        for (int64_t j = 0; j < g; ++j) {
-            int64_t row = stripe * stride + flat[j];
-            if (rotate) {
-                int64_t col = flat[j] % cols;
-                row += (col + stripe) % cols - col;
-            }
-            at[j] = row;
-            if (j < gather)
-                memcpy(scratch + j * es, backing + row * es, (size_t)es);
-        }
-        for (int64_t q = 0; q < k; ++q)
-            memcpy(scratch + (plan[H_VALUES] + q) * es, v + items[q] * es,
-                   (size_t)es);
-        for (int64_t i = 0; i < m; ++i)
-            xor2(delta + i * es, scratch + i * es, v + keep[i] * es, es);
-        run_program(scratch + plan[H_BASE] * es, es, prog, plan[H_PLEN]);
-        for (int64_t j = 0; j < g; ++j) {
-            int64_t disk = at[j] % cols, hit = fetch[j];
-            if (j < n && any_set(delta + j * es, es)) {
-                uint8_t *restrict d = backing + at[j] * es;
-                const uint8_t *x = delta + j * es;
-                for (int64_t i = 0; i < es; ++i)
-                    d[i] ^= x[i];
-                ++writes[disk];
-                hit = 1;
-            }
-            reads[disk] += hit;
-        }
-        for (int64_t i = 0; i < nout; ++i)
-            memcpy(out + (s * nout + i) * es, scratch + pick[i] * es,
-                   (size_t)es);
+    const int64_t es = geom[G_ES], per = geom[G_PER];
+    int64_t stripe = start / per;
+    memset(counts, 0, (size_t)(2 * geom[G_COLS]) * sizeof *counts);
+    if (route == NULL) {
+        walk(geom, stripe, start % per, count, out, counts);
+        return 0;
     }
-    free(at);
+    for (; count > 0; route += 4) {
+        const int64_t stripes = route[0], n = route[2];
+        const int64_t *plan = (const int64_t *)(intptr_t)route[3];
+        if (plan == NULL) {
+            walk(geom, stripe, route[1], stripes * n, out, counts);
+        } else {
+            int64_t *at = plan_scratch(geom, plan);
+            if (at == NULL)
+                return -1;
+            for (int64_t s = 0; s < stripes; ++s)
+                plan_stripe(geom, plan, stripe + s, NULL,
+                            out + s * n * es, at, counts);
+        }
+        out += stripes * n * es;
+        stripe += stripes;
+        count -= stripes * n;
+    }
     return 0;
 }
 """
@@ -406,6 +497,19 @@ def pack_plan(plan) -> Packed:
     ]))
 
 
+def pack_route(runs) -> Packed:
+    """``read_exec``'s route: ``(stripes, j0, n, plan)`` per run of one
+    read, in order from its first stripe — ``plan`` the run's
+    :class:`Packed` read plan, or ``None`` for a run whose cells are
+    walked as a healthy read walks them.  The plans must outlive the
+    words."""
+    return _packed([
+        word
+        for stripes, j0, n, plan in runs
+        for word in (stripes, j0, n, 0 if plan is None else plan.address)
+    ])
+
+
 def xor_kernel() -> Optional[ctypes.CDLL]:
     """The loaded kernel library, or ``None`` when unavailable.
 
@@ -477,6 +581,6 @@ def _load() -> ctypes.CDLL:
     lib.xor_exec.restype = None
     lib.plan_exec.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr]
     lib.plan_exec.restype = i64
-    lib.read_exec.argtypes = [ptr, i64, i64, ptr, ptr]
-    lib.read_exec.restype = None
+    lib.read_exec.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
+    lib.read_exec.restype = i64
     return lib

@@ -30,7 +30,7 @@ def _volume():
 
 
 def _kernel_admits(volume):
-    return volume._kernel(volume._data_mask, volume.failed_disks) is not None
+    return volume._kernel(volume._walk.mask, volume.failed_disks) is not None
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations((0, 1))))

@@ -2,8 +2,9 @@
 
 While the disks a plan touches are quiet and nothing observes the
 volume's funnels, an RMW plan — and a read plan that rebuilds a cell —
-runs as one ``plan_exec`` call, and a healthy read as one ``read_exec``
-call (``RAID6Volume._kernel``); otherwise the numpy executor runs it.
+runs as one ``plan_exec`` call, and a read — healthy, or degraded along
+its route of read plans — as one ``read_exec`` call
+(``RAID6Volume._kernel``); otherwise the numpy executor runs it.
 :class:`Engines` drives one seeded op stream through both, on two
 volumes that differ only in that the second has no kernel, and requires
 them to stay indistinguishable: backing image, per-disk counters, heal
@@ -15,6 +16,8 @@ Under ``REPRO_PURE_NUMPY=1`` (or without a compiler) both sides run the
 numpy executor and the comparisons still hold.
 """
 
+import gc
+import itertools
 import os
 import sys
 import threading
@@ -286,6 +289,97 @@ class TestKernelReads:
             assert kernel_reads.count(kernel) == expected + 1
 
 
+class TestDegradedKernelReads:
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_every_short_range_every_failure(
+        self, code_name, p, kernel_reads, monkeypatch
+    ):
+        """Every column failed — at p = 5 every pair of columns too —
+        and every ``(start, count)`` with ``count <= 2 * per + 1`` read
+        on a three-stripe volume: the kernel's degraded read returns the
+        numpy executor's bytes and counts its reads on the same disks.
+        The kernel serves each read whose route exists; the others —
+        EVENODD's algebraic doubles — go to ``read_runs``."""
+        layout = make_code(code_name, p)
+        per = layout.num_data_cells
+        total = 3 * per
+        image = np.random.default_rng(p).integers(
+            0, 256, (total, ES), dtype=np.uint8
+        )
+        failures = [(col,) for col in range(layout.cols)]
+        if p == 5:
+            failures += list(itertools.combinations(range(layout.cols), 2))
+        fallbacks = _spy(monkeypatch, "read_runs")
+        algebraic = 0
+        for failed in failures:
+            engines = Engines(layout, stripes=3)
+            kernel, numpy = engines.volumes
+            engines.write(0, image)
+            for volume in engines.volumes:
+                for disk in failed:
+                    volume.fail_disk(disk)
+            for start in range(total):
+                for count in range(1, min(2 * per + 1, total - start) + 1):
+                    del kernel_reads[:], fallbacks[:]
+                    got = kernel.read(start, count)
+                    assert np.array_equal(got, numpy.read(start, count))
+                    assert np.array_equal(got, image[start:start + count])
+                    assert np.array_equal(kernel._io, numpy._io)
+                    route = ioplan.read_route(
+                        kernel, start, count, kernel._surface()
+                    )
+                    algebraic += route is None
+                    served = route is not None and xor_kernel() is not None
+                    assert kernel_reads == ([kernel] if served else [])
+                    assert fallbacks == (
+                        [numpy] if served else [kernel, numpy]
+                    )
+        if xor_kernel() is not None:
+            # EVENODD decodes some double failures algebraically
+            assert bool(algebraic) == (code_name == "evenodd" and p == 5)
+
+    @needs_kernel
+    def test_evicted_plans_stay_behind_their_route(
+        self, monkeypatch, kernel_reads
+    ):
+        """A route holds its read plans, not just their addresses: with
+        a plan cache of a handful, other reads evict the plans behind a
+        route that stays cached, and replaying the route still reads
+        the right bytes.  (With no kernel no route is compiled.)"""
+        monkeypatch.setattr(ioplan, "MAX_PLANS", 6)
+        layout = make_code("dcode", 7)
+        per = layout.num_data_cells
+        volume = RAID6Volume(layout, num_stripes=4, element_size=ES)
+        image = np.random.default_rng(3).integers(
+            0, 256, (volume.num_elements, ES), dtype=np.uint8
+        )
+        volume.write(0, image)
+        volume.fail_disk(layout.data_cells[7].col)
+        start, count = per + 5, per  # two runs, both rebuilding a cell
+        key = ("route", start % per, count, volume.failed_disks)
+        cache = volume._ioplans
+        volume.read(start, count)
+        route = cache._plans[key]
+        assert len(route.plans) == 2
+        for other in range(10):
+            volume.read(2 * per + other, 3 + other)
+            volume.read(start, count)  # keeps the route, not its plans
+        cached = list(cache._plans.values())
+        assert cached[-1] is route
+        assert not any(v is plan for v in cached for plan in route.plans)
+        del cached
+        gc.collect()
+        clobber = [np.full(4096, 0xAB, np.int64) for _ in range(64)]
+        del kernel_reads[:]
+        for _ in range(3):
+            got = volume.read(start, count)
+            assert np.array_equal(got, image[start:start + count])
+        assert cache._plans[key] is route
+        assert kernel_reads == [volume] * 3
+        del clobber
+
+
 def _threads(volume, jobs):
     """Run every job list on a thread of its own, started together, with
     a short switch interval; every thread must finish, and read back
@@ -320,6 +414,17 @@ def test_threaded_kernel_counts_are_exact(kernel_runs, kernel_reads):
     stripes of one volume while the kernel drops the GIL: the image and
     every disk's read and write totals equal those of the same ops run
     one after the other."""
+    _threaded_counts(kernel_runs, kernel_reads)
+
+
+@needs_kernel
+def test_threaded_degraded_kernel_counts_are_exact(kernel_runs, kernel_reads):
+    """The same with disk 0 failed: degraded RMW plans and the routes of
+    degraded reads run concurrently, the totals stay exact."""
+    _threaded_counts(kernel_runs, kernel_reads, failed=0)
+
+
+def _threaded_counts(kernel_runs, kernel_reads, failed=None):
     assert kernel_releases_gil()
     assert "read_exec" in ckernel.SYMBOLS
     layout = make_code("dcode", 7)
@@ -340,6 +445,9 @@ def test_threaded_kernel_counts_are_exact(kernel_runs, kernel_reads):
         RAID6Volume(layout, num_stripes=4 * workers, element_size=4096)
         for _ in range(2)
     ]
+    if failed is not None:
+        for volume in volumes:
+            volume.fail_disk(failed)
     _threads(volumes[0], jobs)
     for ops in jobs:
         for start, data in ops:
@@ -477,8 +585,8 @@ class TestStandDown:
     ):
         """A disk dies after the op took its surface: the plan it was
         keyed for touches a dead disk, so the numpy executor runs it and
-        finds that out before a byte lands; the read after it is
-        degraded."""
+        finds that out before a byte lands; the read after it takes a
+        fresh surface and, degraded, runs in the kernel."""
         per = volume.layout.num_data_cells
         items = ioplan.Span(
             volume.layout.data_cells[:3], 0, np.full((3, ES), 9, np.uint8)
@@ -490,13 +598,17 @@ class TestStandDown:
         ioplan.rmw(volume, [(2, items)], surface)
         assert volume not in kernel_runs
         assert np.array_equal(volume.read(2 * per, 3), items.values)
-        assert volume not in kernel_reads
+        assert (volume in kernel_reads) == (xor_kernel() is not None)
 
     def test_rebuild_in_flight(self, volume, kernel_reads):
-        """Behind the cursor a stripe is whole again, but the surface
-        is not healthy until the rebuild is done."""
+        """A failed disk alone leaves reads in the kernel.  Behind the
+        cursor a stripe is whole again, but the surface is not healthy
+        until the rebuild is done, and in between the stale columns
+        vary by stripe: no route."""
         volume.fail_disk(0)
-        assert not self._read_ran(volume, kernel_reads)
+        assert self._read_ran(volume, kernel_reads) == (
+            xor_kernel() is not None
+        )
         cursor = volume.start_rebuild(0, batch=1)
         cursor.step()  # stripe 0, the one read, is rebuilt
         assert cursor.covers(0)
@@ -509,6 +621,47 @@ class TestStandDown:
             volume.read(0, volume.num_elements),
             np.ones((volume.num_elements, ES)),
         )
+
+    @pytest.mark.parametrize("case", (
+        "fault_hook", "latent", "integrity", "tracker", "behind", "rebuild",
+    ))
+    def test_degraded_read(self, volume, monkeypatch, kernel_reads, case):
+        """A read of stripe 0 rebuilding data cell 7, whose disk is
+        failed, runs in the kernel — until ``case``: a hook or a latent
+        sector on a disk it touches, an integrity checker or a
+        dirty-stripe tracker attached, a disk failed behind its surface,
+        a rebuild in flight.  Then ``read_runs`` serves it."""
+        fallbacks = _spy(monkeypatch, "read_runs")
+        lost = volume.layout.data_cells[7].col
+        touched = volume.layout.data_cells[6].col  # read, not lost
+        volume.fail_disk(lost)
+
+        def ran():
+            del kernel_reads[:], fallbacks[:]
+            assert np.array_equal(volume.read(6, 3), np.ones((3, ES)))
+            assert (volume in kernel_reads) != (volume in fallbacks)
+            return volume in kernel_reads
+
+        assert ran() == (xor_kernel() is not None)
+        if case == "fault_hook":
+            volume.disks[touched].fault_hook = lambda d, op, offset: None
+        elif case == "latent":
+            volume.inject_latent_error(touched, 3, 0)
+        elif case == "integrity":
+            IntegrityChecker(volume)
+        elif case == "tracker":
+            DirtyStripeTracker(volume)
+        elif case == "behind":
+            # the read keeps the surface taken before the disk died
+            surface = volume._surface()
+            other = next(
+                d for d in range(len(volume.disks)) if d not in (lost, touched)
+            )
+            volume.disks[other].fail()
+            monkeypatch.setattr(volume, "_surface", lambda: surface)
+        else:
+            volume.start_rebuild(lost, batch=1).step()
+        assert not ran()
 
 
 class TestDiskBitmasks:
