@@ -54,7 +54,7 @@ def test_fig7(benchmark, results_dir):
 def test_fig7_batched_volume_matches_model(monkeypatch):
     """Planned degraded reads issue exactly the model's per-disk I/O —
     on the path the benchmark times: with the C kernel, each read is one
-    ``read_exec`` call following its route of read plans."""
+    ``route_exec`` call following its route of read plans."""
     served = []
     kernel_read = ioplan.kernel_read
 

@@ -23,7 +23,10 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   its schedule first rebuilds the lost old value, so that the surviving
   parities carry the new one to the next rebuild.  Every partial-stripe
   write runs through one — healthy or degraded, ``write()`` or cache
-  destage;
+  destage; where the C kernel runs a short write (:func:`kernel_write`)
+  it follows the write's :class:`Route` — the RMW plans of its runs,
+  looked up once per write pattern — and everywhere else :func:`rmw`
+  executes them;
 * **stripe plans**, keyed by the stale columns — every surviving cell of
   a stripe and the compiled column-recovery schedule:
   :func:`load_stripes` and :func:`store_stripes`, which carry degraded
@@ -58,9 +61,10 @@ record's words (:func:`repro.util.ckernel.pack_plan`) over the whole
 vector of stripes and its counts land in the disks' counters in one
 step; otherwise :func:`_plan_run` follows ``plan_exec`` step for step
 in numpy, through the funnels.  A read the volume admits is one
-``read_exec`` call over its logical range (:func:`kernel_read`): a
+``route_exec`` call over its logical range (:func:`kernel_read`): a
 healthy one compiles no plan, a degraded one runs the same read plans'
-words as ``plan_exec`` would, run after run.
+words as ``plan_exec`` would, run after run — and so does a short write
+(:func:`kernel_write`), with its runs' RMW plans.
 
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
@@ -721,15 +725,18 @@ def _kernel_run(
 
 
 class Route(NamedTuple):
-    """How ``read_exec`` serves one read pattern, and the layout columns
-    it touches (``mask``, what ``RAID6Volume._kernel`` admits).
+    """How ``route_exec`` serves one read or short-write pattern, and
+    the layout columns it touches (``mask``, what
+    ``RAID6Volume._kernel`` admits).
 
-    ``address`` ``None`` is the healthy walk: every wanted cell straight
-    from its backing row.  Otherwise ``words`` (at ``address``) are
-    :func:`repro.util.ckernel.pack_route`'s: the read's ``mapper.split``
-    runs, each walked or run through its read plan.  ``plans`` holds
-    those plans, so the plan cache may evict one without freeing the
-    words a route still points at.
+    ``address`` ``None`` is the healthy read's walk: every wanted cell
+    straight from its backing row.  Otherwise ``words`` (at ``address``)
+    are :func:`repro.util.ckernel.pack_route`'s: the operation's
+    ``mapper.split`` runs, each walked or run through its plan — a
+    read's read plans (:func:`read_route`), a short write's RMW plans
+    (:func:`write_route`).  ``plans`` holds those plans, so the plan
+    cache may evict one without freeing the words a route still points
+    at.
     """
 
     mask: int
@@ -738,60 +745,116 @@ class Route(NamedTuple):
     plans: Tuple[Plan, ...] = ()
 
 
-def _compile_route(volume, start: int, count: int, stale) -> Optional[Route]:
-    """The route of reading ``count`` elements from ``start`` with
-    ``stale`` columns: the read plan of each of its runs, as
-    :func:`read_runs` would look it up; ``None`` when one needs
-    algebraic decoding."""
+def _run_plan(volume, kind: str, j0: int, n: int, stale, stripe: int):
+    """The plan of one run of a route of ``kind``, as :func:`read_runs`
+    or :func:`rmw` looks it up: the read plan of data cells ``j0 .. j0 +
+    n``, or the RMW plan of writing them."""
+    if kind == "read":
+        return volume._ioplans.get(
+            ("read", j0, n, stale), _compile_read, volume, j0, n, stale,
+            stripe,
+        )
+    span = Span(volume.layout.data_cells[j0:j0 + n], j0, None)
+    return volume._ioplans.get(
+        ("rmw", range(j0, j0 + n), stale), _compile_rmw, volume, span,
+        stale, stripe,
+    )
+
+
+def _compile_route(
+    volume, kind: str, start: int, count: int, stale
+) -> Optional[Route]:
+    """The route of a ``kind`` (``"read"`` or ``"rmw"``) of ``count``
+    elements from ``start`` with ``stale`` columns: the plan of each of
+    its runs; ``None`` when one has none (a read that needs algebraic
+    decoding, a reconstruct-write) — and in a process with no kernel."""
+    if ckernel.xor_kernel() is None:
+        return None
     runs, plans, mask = [], [], 0
     for s0, stripes, j0, n, _ in volume.mapper.split(start, count):
-        plan = volume._ioplans.get(
-            ("read", j0, n, stale), _compile_read, volume, j0, n, stale, s0
-        )
+        plan = _run_plan(volume, kind, j0, n, stale, s0)
         if plan is None:
             return None
         if type(plan) is Plan:
             plans.append(plan)
             mask |= plan.cells.mask
             runs.append((stripes, j0, n, plan.packed))
-        else:  # every wanted cell survives: walked
+        else:  # a read whose wanted cells all survive: walked
             mask |= plan.mask
             runs.append((stripes, j0, n, None))
     words, address = ckernel.pack_route(runs)
     return Route(mask, address, words, tuple(plans))
 
 
-def read_route(volume, start: int, count: int, surface) -> Optional[Route]:
-    """The route of a degraded read: cached per ``(start % per, count,
-    failed disks)`` — what a read's runs and their patterns are a
-    function of while the failed disks are its stale columns everywhere.
-    ``None`` where they are not (a rotated volume, a rebuild in flight)
-    or a run needs algebraic decoding, and on a volume with no kernel:
-    :func:`read_runs` serves it."""
+def _cached_route(volume, name: str, kind: str, start, count, surface):
+    """The route of a ``kind``, cached under ``(name, start % per,
+    count, failed disks)`` — what its runs and their patterns are a
+    function of while the failed disks are its stale columns
+    everywhere.  ``None`` where they are not (a rotated volume, a
+    rebuild in flight), and on a volume with no kernel."""
     if surface.rebuilding or volume.mapper.rotate or \
             volume._plan_exec is None:
         return None
     failed = surface.failed
     return volume._ioplans.get(
-        ("route", start % volume.layout.num_data_cells, count, failed),
-        _compile_route, volume, start, count, failed,
+        (name, start % volume.layout.num_data_cells, count, failed),
+        _compile_route, volume, kind, start, count, failed,
     )
+
+
+def read_route(volume, start: int, count: int, surface) -> Optional[Route]:
+    """The route of a degraded read, cached per ``(start % per, count,
+    failed disks)``: its runs' read plans.  ``None`` on a rotated
+    volume, with a rebuild in flight, where a run needs algebraic
+    decoding, and on a volume with no kernel: :func:`read_runs` serves
+    it."""
+    return _cached_route(volume, "route", "read", start, count, surface)
+
+
+def write_route(volume, start: int, count: int, surface) -> Optional[Route]:
+    """The route of a short write — every run a partial stripe, so at
+    most two stripes — cached per ``(start % per, count, failed
+    disks)``: its runs' RMW plans.  ``None`` when a run is a whole
+    stripe (checked before the cache, so long writes cost one
+    comparison), a journal is attached, a run's RMW plan is ``None`` (a
+    reconstruct-write), and where :func:`read_route` is: the volume's
+    per-stripe writers serve it."""
+    per = volume.layout.num_data_cells
+    if count >= per + -start % per or volume.journal is not None:
+        return None
+    return _cached_route(volume, "wroute", "rmw", start, count, surface)
+
+
+def _route_run(volume, start: int, count: int, route: Route, values, out):
+    """One ``route_exec`` call along ``route`` — ``values`` the rows a
+    write stores, ``out`` the rows a read fills — then its counts into
+    the disks' counters in one step."""
+    counts, where = volume._counts()
+    if volume._route_exec(
+        volume._geometry.address, start, count, route.address,
+        _address(values), _address(out), where,
+    ):
+        raise MemoryError("no scratch memory for the route kernel")
+    volume._account(counts)
 
 
 def kernel_read(volume, start: int, count: int, route: Route) -> np.ndarray:
     """Logical elements ``[start, start + count)`` by ``route``, which
-    the kernel admits: one ``read_exec`` call walks the range, or its
-    runs through their read plans, into the answer, then its counts go
-    into the disks' counters in one step."""
+    the kernel admits: one ``route_exec`` call walks the range, or its
+    runs through their read plans, into the answer."""
     out = np.empty((count, volume.element_size), dtype=np.uint8)
-    counts, where = volume._counts()
-    if volume._read_exec(
-        volume._geometry.address, start, count, route.address,
-        _address(out), where,
-    ):
-        raise MemoryError("no scratch memory for the read kernel")
-    volume._account(counts)
+    _route_run(volume, start, count, route, None, out)
     return out
+
+
+def kernel_write(volume, start: int, data: np.ndarray, route: Route) -> None:
+    """Write ``data`` at ``start`` by ``route``, which the kernel admits
+    and whose stripes' write locks the caller holds: one ``route_exec``
+    call runs each run's RMW plan over its stripes with its rows of
+    ``data``, which must not alias the backing store."""
+    _route_run(
+        volume, start, len(data), route, np.ascontiguousarray(data), None
+    )
 
 
 def _plan_run(

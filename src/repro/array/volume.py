@@ -33,9 +33,10 @@ fails to read comes back to the plan as a located erasure.  Where the
 disks are quiet and nobody observes the funnels
 (:meth:`RAID6Volume._kernel`), the C kernel runs the operation in one
 call instead — same bytes, same counts: a partial write, a read that
-rebuilds a cell or a single-failure rebuild as its plan, and a healthy
-read with no plan at all, the kernel walking the logical range straight
-into the answer.
+rebuilds a cell or a single-failure rebuild as its plan, a short write
+or a degraded read along its route of plans, and a healthy read with no
+plan at all, the kernel walking the logical range straight into the
+answer.
 
 Any stripe that has lost more than the code tolerates raises a typed
 :class:`~repro.exceptions.UnrecoverableStripeError` naming the stripe,
@@ -185,7 +186,7 @@ class RAID6Volume:
         for disk in self.disks:
             disk.watch = self._disk_changed
         #: The C kernel's ``plan_exec`` (``None``: the numpy executor
-        #: only; ``read_exec`` then never runs either), looked up by the
+        #: only; ``route_exec`` then never runs either), looked up by the
         #: first operation that may run in it (:meth:`_load_kernel`):
         #: loading costs a process ≈ 2 MB of resident library pages, so
         #: a serving shard pays them on its first clean read.
@@ -658,14 +659,20 @@ class RAID6Volume:
     def write(self, start: int, data: np.ndarray) -> None:
         """Write ``data`` (``(count, element_size)`` uint8) at ``start``.
 
-        A run of two or more fully covered stripes goes through the
-        batched codec as one encode (:meth:`_full_stripe_write_batched`)
-        — in place in the backing store on a healthy, unrotated volume,
-        where ``data`` is copied once and nothing else moves; head/tail
-        partial stripes — and a lone whole stripe — take the per-stripe
-        controller paths (RMW parity patch, reconstruct-write), each a
-        cached I/O plan (:mod:`repro.array.ioplan`).  ``data`` may be a
-        zero-copy :meth:`read` view of this volume.
+        A short write — no stripe fully covered, so at most two partial
+        ones — that the C kernel admits (:meth:`_kernel`: healthy or
+        failed disks, no rebuild in flight, unrotated, no journal) is
+        one kernel call along its cached route of RMW plans
+        (:func:`repro.array.ioplan.write_route`), under its stripes'
+        write locks (:meth:`_write_routed`).  Otherwise a run of two or
+        more fully covered stripes goes through the batched codec as one
+        encode (:meth:`_full_stripe_write_batched`) — in place in the
+        backing store on a healthy, unrotated volume, where ``data`` is
+        copied once and nothing else moves; head/tail partial stripes —
+        and a lone whole stripe — take the per-stripe controller paths
+        (RMW parity patch, reconstruct-write), each a cached I/O plan
+        (:mod:`repro.array.ioplan`).  ``data`` may be a zero-copy
+        :meth:`read` view of this volume (never written along a route).
         """
         if data.ndim != 2 or data.shape[1] != self.element_size \
                 or data.dtype != np.uint8:
@@ -674,12 +681,18 @@ class RAID6Volume:
                 f"{data.dtype} {data.shape}"
             )
         count = data.shape[0]
+        require_positive(count, "count")
         if start < 0 or start + count > self.num_elements:
             raise AddressError(
                 f"write [{start}, {start + count}) outside volume of "
                 f"{self.num_elements} elements"
             )
         surface = self._surface()
+        route = ioplan.write_route(self, start, count, surface)
+        if route is not None and \
+                not np.may_share_memory(data, self._backing) and \
+                self._write_routed(start, data, route, surface):
+            return
         per = self.layout.num_data_cells
         data_cells = self.layout.data_cells
         rest: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]] = []
@@ -700,6 +713,26 @@ class RAID6Volume:
             self._write_stripe_batch(*rest[0], surface)
         else:
             self._write_rest(rest, surface)
+
+    def _write_routed(
+        self, start: int, data: np.ndarray, route: ioplan.Route,
+        surface: _Surface,
+    ) -> bool:
+        """Write ``data`` at ``start`` along its ``route`` in one kernel
+        call (:func:`repro.array.ioplan.kernel_write`), holding the write
+        locks of its (at most two) stripes, taken in lock-index order;
+        ``False``, nothing written, when the kernel stands down — checked
+        under the locks, as the per-stripe writers check it."""
+        locks = self._stripe_locks
+        per = self.layout.num_data_cells
+        first = start // per % len(locks)
+        last = (start + len(data) - 1) // per % len(locks)
+        # one stripe's lock twice: an RLock
+        with locks[min(first, last)], locks[max(first, last)]:
+            if self._kernel(route.mask, surface.failed) is None:
+                return False
+            ioplan.kernel_write(self, start, data, route)
+        return True
 
     def _write_rest(
         self,
@@ -1058,7 +1091,7 @@ class RAID6Volume:
 
     def _load_kernel(self):
         """Pack the backing store for the kernel, then resolve
-        ``read_exec`` and ``plan_exec`` (in that order: a thread that
+        ``route_exec`` and ``plan_exec`` (in that order: a thread that
         sees ``plan_exec`` resolved finds the rest)."""
         cols = self.layout.cols
         self._geometry = ckernel.pack_geometry(
@@ -1068,7 +1101,7 @@ class RAID6Volume:
         )
         kernel = ckernel.xor_kernel()
         if kernel is not None:
-            self._read_exec = kernel.read_exec
+            self._route_exec = kernel.route_exec
         self._plan_exec = None if kernel is None else kernel.plan_exec
         return self._plan_exec
 

@@ -1,4 +1,4 @@
-"""Optional JIT-compiled C kernel: XOR programs, whole I/O plans, reads.
+"""Optional JIT-compiled C kernel: XOR programs, whole I/O plans, routes.
 
 The compiled plans in :mod:`repro.codec.plan` serialise a whole schedule
 (encode order or chain-recovery plan) into one flat ``int64`` program:
@@ -25,16 +25,19 @@ and loaded via :mod:`ctypes`.  It exports three entry points:
   store's geometry reach it packed into ``int64`` words
   (:func:`pack_plan`, :func:`pack_geometry`), so a call marshals a
   handful of integers;
-* ``read_exec`` serves a whole read in one call.  Healthy (no
-  ``route``), it needs no plan at all: it walks a range of logical
-  elements through the geometry's data-cell table, copies each
-  element's backing row — a run of consecutive rows at a time — into
-  the caller's output, and counts each disk's reads.  Degraded, it
-  follows a *route* (:class:`repro.array.ioplan.Route`): the read's
-  runs of one pattern, each either walked the same way or executed as
-  the packed read plan that rebuilds its lost cells — ``plan_exec``'s
-  per-stripe body, one function in the C source — picking straight
-  into the run's slice of the output.
+* ``route_exec`` serves a whole read, or a whole short write, in one
+  call.  Healthy (no ``route``), a read needs no plan at all: it walks
+  a range of logical elements through the geometry's data-cell table,
+  copies each element's backing row — a run of consecutive rows at a
+  time — into the caller's output, and counts each disk's reads.
+  Otherwise it follows a *route* (:class:`repro.array.ioplan.Route`):
+  the operation's runs of one pattern, each either walked the same way
+  or executed as its packed plan — ``plan_exec``'s per-stripe body, one
+  function in the C source — over the run's stripes: a degraded read's
+  read plans rebuild its lost cells and pick straight into the run's
+  slice of the output, a short write's RMW plans take the run's slice
+  of the caller's rows as their values and patch data and parity in
+  place.
 
 Entirely optional: compilation failure (no compiler, read-only temp dir,
 sandboxed subprocess) silently degrades to the numpy execution path, and
@@ -46,25 +49,27 @@ GIL contract
 
 The kernel is loaded with :class:`ctypes.CDLL`, whose foreign-call
 machinery **releases the GIL for the duration of every ``xor_exec``,
-``plan_exec`` and ``read_exec`` call** (``ctypes.PyDLL`` is the variant
+``plan_exec`` and ``route_exec`` call** (``ctypes.PyDLL`` is the variant
 that would hold it — never used here).  Threads that share a volume — a
 shard's executor thread destaging its cache beside a foreground write —
 therefore do not hold each other up for the length of an encode or a
 planned RMW, and no wrapper or callback re-enters the interpreter
 mid-call: the C side touches only caller-owned memory that stays alive
 and unmoved for the call — numpy arrays pinned by the calling frame, the
-volume's backing store, the packed plans the caller holds — and the
-calling thread's own scratch buffer, which the kernel keeps between
-calls and frees when the thread exits.
+volume's backing store, the packed plans and routes the caller holds —
+and the calling thread's own scratch buffer, which the kernel keeps
+between calls and frees when the thread exits.
 ``plan_exec`` writes the backing rows of the stripes it is handed and
 its own counts array, and nothing else: the caller holds those stripes'
 write locks, and adds the counts to the disks' counters under their lock
-once the call returns.  ``read_exec`` reads the backing store without
-any stripe lock — as the numpy gather of a read plan does — and writes
-only its output and its counts array.  :func:`kernel_releases_gil`
-asserts the contract symbol by symbol, so a refactor to ``PyDLL`` —
-which would silently hold the GIL across every kernel call — fails
-tests instead of shipping.
+once the call returns.  ``route_exec`` along a write's route likewise
+writes only the backing rows of the route's (at most two) stripes —
+under their write locks, which the caller holds — and its counts array.
+A read reads the backing store without any stripe lock — as the numpy
+gather of a read plan does — and writes only its output and its counts
+array.  :func:`kernel_releases_gil` asserts the contract symbol by
+symbol, so a refactor to ``PyDLL`` — which would silently hold the GIL
+across every kernel call — fails tests instead of shipping.
 """
 
 from __future__ import annotations
@@ -374,22 +379,31 @@ static void walk(const int64_t *geom, int64_t stripe, int64_t j,
         memcpy(out, backing + first * es, (size_t)(rows * es));
 }
 
-/* Read logical elements [start, start + count) of the store `geom`
- * describes into consecutive rows of `out`.
+/* Walk logical elements [start, start + count) of the store `geom`
+ * describes along `route`: a read into consecutive rows of `out`, or a
+ * write of consecutive rows of `values`.
  *
- * route    NULL: a healthy read — walk the range.  Otherwise the read's
- *          runs of one pattern, from stripe start / per on, 4 words a
- *          run: (stripes, j0, n, plan) — data cells j0 .. j0+n-1 of
- *          each of `stripes` stripes, into the run's stripes * n rows of
- *          `out`.  Plan 0 walks the run's cells; any other is the
- *          address of a packed plan whose plan_stripe body runs over
- *          each of the run's stripes and picks its n cells.  The runs
- *          end where they have covered `count` elements.
- * counts   2 * cols words, overwritten: reads per disk, then writes (0).
- * Returns 0, or -1 when a plan's scratch cannot be allocated.
+ * route    NULL: a healthy read — walk the range.  Otherwise the
+ *          operation's runs of one pattern, from stripe start / per on,
+ *          4 words a run: (stripes, j0, n, plan) — data cells j0 ..
+ *          j0+n-1 of each of `stripes` stripes, the run's stripes * n
+ *          rows of `out` or `values` from its first row k0 on.  Plan 0
+ *          walks the run's cells into `out`; any other is the address of
+ *          a packed plan whose plan_stripe body runs over each of the
+ *          run's stripes with its n rows of `values` and of `out` — a
+ *          read plan picks its cells into `out`, an RMW plan (nout 0)
+ *          stores its values.  The runs end where they have covered
+ *          `count` elements.
+ * values   a write's rows (NULL for a read): read stripe by stripe, so
+ *          they must not alias the rows of a later stripe.
+ * out      a read's rows (NULL for a write).
+ * counts   2 * cols words, overwritten: reads per disk, then writes.
+ * Returns 0, or -1 when a plan's scratch cannot be allocated (the runs
+ * before it done).
  */
-int64_t read_exec(const int64_t *geom, int64_t start, int64_t count,
-                  const int64_t *route, uint8_t *out, int64_t *counts)
+int64_t route_exec(const int64_t *geom, int64_t start, int64_t count,
+                   const int64_t *route, const uint8_t *values,
+                   uint8_t *out, int64_t *counts)
 {
     const int64_t es = geom[G_ES], per = geom[G_PER];
     int64_t stripe = start / per;
@@ -398,36 +412,36 @@ int64_t read_exec(const int64_t *geom, int64_t start, int64_t count,
         walk(geom, stripe, start % per, count, out, counts);
         return 0;
     }
-    for (; count > 0; route += 4) {
+    for (int64_t k0 = 0; k0 < count; route += 4) {
         const int64_t stripes = route[0], n = route[2];
         const int64_t *plan = (const int64_t *)(intptr_t)route[3];
         if (plan == NULL) {
-            walk(geom, stripe, route[1], stripes * n, out, counts);
+            walk(geom, stripe, route[1], stripes * n, out + k0 * es, counts);
         } else {
             int64_t *at = plan_scratch(geom, plan);
             if (at == NULL)
                 return -1;
-            for (int64_t s = 0; s < stripes; ++s)
-                plan_stripe(geom, plan, stripe + s, NULL,
-                            out + s * n * es, at, counts);
+            for (int64_t s = 0, k = k0; s < stripes; ++s, k += n)
+                plan_stripe(geom, plan, stripe + s,
+                            values ? values + k * es : NULL,
+                            out ? out + k * es : NULL, at, counts);
         }
-        out += stripes * n * es;
         stripe += stripes;
-        count -= stripes * n;
+        k0 += stripes * n;
     }
     return 0;
 }
 """
 
 #: The library's entry points; each must run with the GIL released.
-SYMBOLS = ("xor_exec", "plan_exec", "read_exec")
+SYMBOLS = ("xor_exec", "plan_exec", "route_exec")
 
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
 
 class Packed(NamedTuple):
-    """``int64`` words handed to ``plan_exec`` by address; ``words``
+    """``int64`` words handed to the kernel by address; ``words``
     keeps the memory alive."""
 
     words: np.ndarray
@@ -498,10 +512,10 @@ def pack_plan(plan) -> Packed:
 
 
 def pack_route(runs) -> Packed:
-    """``read_exec``'s route: ``(stripes, j0, n, plan)`` per run of one
-    read, in order from its first stripe — ``plan`` the run's
-    :class:`Packed` read plan, or ``None`` for a run whose cells are
-    walked as a healthy read walks them.  The plans must outlive the
+    """``route_exec``'s route: ``(stripes, j0, n, plan)`` per run of one
+    read or write, in order from its first stripe — ``plan`` the run's
+    :class:`Packed` read or RMW plan, or ``None`` for a run of a read
+    whose cells are walked as a healthy read walks them.  The plans must outlive the
     words."""
     return _packed([
         word
@@ -581,6 +595,6 @@ def _load() -> ctypes.CDLL:
     lib.xor_exec.restype = None
     lib.plan_exec.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr]
     lib.plan_exec.restype = i64
-    lib.read_exec.argtypes = [ptr, i64, i64, ptr, ptr, ptr]
-    lib.read_exec.restype = i64
+    lib.route_exec.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr]
+    lib.route_exec.restype = i64
     return lib

@@ -3,8 +3,9 @@
 While the disks a plan touches are quiet and nothing observes the
 volume's funnels, an RMW plan — and a read plan that rebuilds a cell —
 runs as one ``plan_exec`` call, and a read — healthy, or degraded along
-its route of read plans — as one ``read_exec`` call
-(``RAID6Volume._kernel``); otherwise the numpy executor runs it.
+its route of read plans — or a short write along its route of RMW plans
+as one ``route_exec`` call (``RAID6Volume._kernel``); otherwise the
+numpy executor runs it.
 :class:`Engines` drives one seeded op stream through both, on two
 volumes that differ only in that the second has no kernel, and requires
 them to stay indistinguishable: backing image, per-disk counters, heal
@@ -67,8 +68,15 @@ def kernel_runs(monkeypatch):
 
 @pytest.fixture
 def kernel_reads(monkeypatch):
-    """The volume of every C kernel read (``read_exec``), in order."""
+    """The volume of every C kernel read (``route_exec``), in order."""
     return _spy(monkeypatch, "kernel_read")
+
+
+@pytest.fixture
+def kernel_writes(monkeypatch):
+    """The volume of every C kernel write along a route (``route_exec``),
+    in order."""
+    return _spy(monkeypatch, "kernel_write")
 
 
 class Engines:
@@ -152,7 +160,9 @@ class TestEngineDifferential:
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     @pytest.mark.parametrize("rotate", (False, True))
-    def test_one_stream_two_engines(self, code_name, p, rotate, kernel_runs):
+    def test_one_stream_two_engines(
+        self, code_name, p, rotate, kernel_runs, kernel_writes
+    ):
         """Healthy, a latent sector healed on the way, one disk failed
         (dirty cells on it included), a rebuild in flight and done."""
         layout = make_code(code_name, p)
@@ -178,13 +188,14 @@ class TestEngineDifferential:
         on_failed = [
             j for j in range(per) if layout.data_cells[j].col == col
         ]
-        runs = len(kernel_runs)
+        runs = len(kernel_runs) + len(kernel_writes)
         for j in on_failed[:3]:
             engines.write(
                 4 * per + j, rng.integers(0, 256, (2, ES), dtype=np.uint8)
             )
         if xor_kernel() is not None and on_failed:
-            assert len(kernel_runs) > runs  # lost dirty cells, in C
+            # lost dirty cells, in C: a plan run, or a route unrotated
+            assert len(kernel_runs) + len(kernel_writes) > runs
         _stream(engines, rng, 25)
         # a rebuild in flight: stale ahead of the cursor, healthy behind
         cursors = [v.start_rebuild(failed, batch=3) for v in engines.volumes]
@@ -196,9 +207,10 @@ class TestEngineDifferential:
             cursor.run()
         _stream(engines, rng, 10)
         assert kernel.scrub() == [] and numpy.scrub() == []
-        assert numpy not in kernel_runs
+        assert numpy not in kernel_runs and numpy not in kernel_writes
         if xor_kernel() is not None:
             assert kernel_runs.count(kernel) > 0
+            assert (kernel in kernel_writes) != rotate
 
 
 def _fail_source(volume, stripe, disk):
@@ -380,6 +392,146 @@ class TestDegradedKernelReads:
         del clobber
 
 
+class TestKernelWrites:
+    @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_every_short_write_every_failure(
+        self, code_name, p, kernel_writes
+    ):
+        """Healthy, every column failed — at p = 5 every pair of columns
+        too — and write patterns ``(start % per, count)`` with ``count
+        <= 2 * per + 1`` on a three-stripe volume, from stripe 1 where
+        they fit, else from stripe 0: the kernel volume and the numpy
+        one hold the same bytes and count the same I/O after every
+        write.  Every pattern the route may serve is written, with fresh
+        values or, by turns, every other element changed (half the
+        deltas zero); of the rest — whole-stripe runs, EVENODD's
+        algebraic doubles — every fourth count.  The route serves exactly
+        the writes whose runs are all partial stripes with an RMW plan
+        each; the others go to the per-stripe writers."""
+        layout = make_code(code_name, p)
+        per = layout.num_data_cells
+        total = 3 * per
+        rng = np.random.default_rng(p)
+        image = rng.integers(0, 256, (total, ES), dtype=np.uint8)
+        failures = [()] + [(col,) for col in range(layout.cols)]
+        if p == 5:
+            failures += list(itertools.combinations(range(layout.cols), 2))
+        unplanned = 0
+        for failed in failures:
+            engines = Engines(layout, stripes=3)
+            kernel, numpy = engines.volumes
+            # one geometry: the volumes compile each plan once, together
+            numpy._ioplans = kernel._ioplans
+            engines.write(0, image)
+            for volume in engines.volumes:
+                for disk in failed:
+                    volume.fail_disk(disk)
+            shadow = image.copy()
+            planned = {}
+            # every start % per at p = 5 (every third with two failed),
+            # every fourth at p = 7
+            step = 4 if p == 7 else 3 if len(failed) == 2 else 1
+            for j in range(0, per, step):
+                for count in range(1, 2 * per + 2):
+                    short = count < per + -j % per
+                    start = j + per * (j + count <= 2 * per)
+                    runs = kernel.mapper.split(start, count)
+                    for s0, _, j0, n, _ in runs if short else ():
+                        if (j0, n) not in planned:
+                            span = ioplan.Span(
+                                layout.data_cells[j0:j0 + n], j0, None
+                            )
+                            planned[j0, n] = kernel._ioplans.get(
+                                ("rmw", range(j0, j0 + n), failed),
+                                ioplan._compile_rmw, kernel, span, failed, s0,
+                            ) is not None
+                    routed = short and all(
+                        planned[j0, n] for _, _, j0, n, _ in runs
+                    )
+                    unplanned += short and not routed
+                    if not routed and count % 4:
+                        continue  # the per-stripe writers: every fourth
+                    served = routed and xor_kernel() is not None
+                    # fresh values and, by turns, every other element
+                    # changed: half the deltas zero
+                    data = rng.integers(0, 256, (count, ES), dtype=np.uint8)
+                    if count % 2:
+                        half = shadow[start:start + count].copy()
+                        half[::2] = data[::2]
+                        data = half
+                    del kernel_writes[:]
+                    kernel.write(start, data)
+                    numpy.write(start, data)
+                    shadow[start:start + count] = data
+                    assert np.array_equal(kernel._backing, numpy._backing)
+                    assert np.array_equal(kernel._io, numpy._io)
+                    assert kernel_writes == ([kernel] if served else [])
+            assert np.array_equal(kernel.read(0, total), shadow)
+        # EVENODD rebuilds some lost old values algebraically
+        assert bool(unplanned) == (code_name == "evenodd" and p == 5)
+
+    @pytest.mark.parametrize("kernel", (True, False))
+    def test_an_empty_write_is_rejected(self, kernel):
+        """Either executor rejects a write of no elements up front, with
+        the error an empty read raises, and touches nothing."""
+        volume = RAID6Volume(make_code("dcode", 5), num_stripes=2,
+                             element_size=ES)
+        if not kernel:
+            volume._plan_exec = None
+        with pytest.raises(ValueError) as empty_read:
+            volume.read(3, 0)
+        with pytest.raises(ValueError) as empty_write:
+            volume.write(3, np.zeros((0, ES), np.uint8))
+        assert str(empty_write.value) == str(empty_read.value)
+        assert not volume._backing.any() and not volume._io.any()
+
+    @needs_kernel
+    def test_evicted_plans_stay_behind_their_route(
+        self, monkeypatch, kernel_writes
+    ):
+        """A write route holds its RMW plans: with a plan cache of a
+        handful, other writes evict the plans behind a route that stays
+        cached, and replaying the route still writes the right bytes —
+        data and parity (a scrub finds nothing)."""
+        monkeypatch.setattr(ioplan, "MAX_PLANS", 6)
+        layout = make_code("dcode", 7)
+        per = layout.num_data_cells
+        volume = RAID6Volume(layout, num_stripes=4, element_size=ES)
+        rng = np.random.default_rng(5)
+        shadow = rng.integers(0, 256, (volume.num_elements, ES), np.uint8)
+        volume.write(0, shadow)
+        start, count = 2 * per - 4, 9  # the tail of stripe 1, head of 2
+
+        def write(at, n):
+            data = rng.integers(0, 256, (n, ES), dtype=np.uint8)
+            volume.write(at, data)
+            shadow[at:at + n] = data
+
+        key = ("wroute", start % per, count, ())
+        cache = volume._ioplans
+        write(start, count)
+        route = cache._plans[key]
+        assert len(route.plans) == 2
+        for other in range(10):
+            write(3 * per + other, 3 + other)
+            write(start, count)  # keeps the route, not its plans
+        cached = list(cache._plans.values())
+        assert cached[-1] is route
+        assert not any(v is plan for v in cached for plan in route.plans)
+        del cached
+        gc.collect()
+        clobber = [np.full(4096, 0xAB, np.int64) for _ in range(64)]
+        del kernel_writes[:]
+        for _ in range(3):
+            write(start, count)
+        assert cache._plans[key] is route
+        assert kernel_writes == [volume] * 3
+        assert np.array_equal(volume.read(0, volume.num_elements), shadow)
+        assert volume.scrub() == []
+        del clobber
+
+
 def _threads(volume, jobs):
     """Run every job list on a thread of its own, started together, with
     a short switch interval; every thread must finish, and read back
@@ -409,42 +561,105 @@ def _threads(volume, jobs):
 
 
 @needs_kernel
-def test_threaded_kernel_counts_are_exact(kernel_runs, kernel_reads):
-    """More threads than cores run RMW plans and reads on disjoint
-    stripes of one volume while the kernel drops the GIL: the image and
-    every disk's read and write totals equal those of the same ops run
-    one after the other."""
-    _threaded_counts(kernel_runs, kernel_reads)
+def test_threaded_kernel_counts_are_exact(
+    kernel_runs, kernel_reads, kernel_writes
+):
+    """More threads than cores write and read, in one stripe or across
+    two, on disjoint stripes of one volume while the kernel drops the
+    GIL: the image and every disk's read and write totals equal those
+    of the same ops run one after the other."""
+    _threaded_counts(kernel_runs, kernel_reads, kernel_writes)
 
 
 @needs_kernel
-def test_threaded_degraded_kernel_counts_are_exact(kernel_runs, kernel_reads):
-    """The same with disk 0 failed: degraded RMW plans and the routes of
-    degraded reads run concurrently, the totals stay exact."""
-    _threaded_counts(kernel_runs, kernel_reads, failed=0)
+def test_threaded_degraded_kernel_counts_are_exact(
+    kernel_runs, kernel_reads, kernel_writes
+):
+    """The same with disk 0 failed: the routes of degraded writes and
+    reads run concurrently, the totals stay exact."""
+    _threaded_counts(kernel_runs, kernel_reads, kernel_writes, failed=0)
 
 
-def _threaded_counts(kernel_runs, kernel_reads, failed=None):
+@needs_kernel
+def test_threads_sharing_stripes_keep_their_parity(kernel_writes):
+    """Two threads write disjoint cells of the same two stripes along
+    routes across the stripe boundary while the kernel drops the GIL:
+    the stripes' write locks serialise their parity updates, so none is
+    lost — every stripe scrubs clean — and each cell holds the value
+    its thread wrote last.  (Large elements widen the window a race
+    would need.)"""
+    layout = make_code("dcode", 7)
+    per = layout.num_data_cells
+    es = 1 << 16
+    volume = RAID6Volume(layout, num_stripes=4, element_size=es)
+    pool = np.random.default_rng(2).integers(0, 256, (64, es), np.uint8)
+    rounds = 1000
+    # thread 0: cells 2per-3, 2per-2 and 2per+2, 2per+3; thread 1: cells
+    # 2per-1 .. 2per+1
+    jobs = [
+        [(2 * per - 3, 2, 0), (2 * per + 2, 2, 20)],
+        [(2 * per - 1, 3, 40)],
+    ]
+    barrier = threading.Barrier(2)
+
+    def run(writes):
+        barrier.wait(timeout=30)
+        for i in range(rounds):
+            for start, n, k in writes:
+                volume.write(start, pool[k + i % 16:k + i % 16 + n])
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert kernel_writes.count(volume) == 3 * rounds
+    assert volume.scrub() == []
+    last = (rounds - 1) % 16
+    for writes in jobs:
+        for start, n, k in writes:
+            assert np.array_equal(
+                volume.read(start, n), pool[k + last:k + last + n]
+            )
+
+
+def _threaded_counts(kernel_runs, kernel_reads, kernel_writes, failed=None):
     assert kernel_releases_gil()
-    assert "read_exec" in ckernel.SYMBOLS
+    assert ckernel.SYMBOLS == ("xor_exec", "plan_exec", "route_exec")
     layout = make_code("dcode", 7)
     per = layout.num_data_cells
     rng = np.random.default_rng(11)
     # more threads than cores, within a small memory budget
     workers = min(2 * (os.cpu_count() or 1) + 1, 9)
+    # thread t owns the stripe pairs (2q + 1, 2q + 2) with q % workers ==
+    # t: pair 31 is stripes 63 and 64, whose write locks are the last
+    # and the first of the volume's 64
+    pairs = 35
     pool = rng.integers(0, 256, (4 * per, 4096), dtype=np.uint8)
     jobs = [[] for _ in range(workers)]
     for i in range(100 * workers):
         t = i % workers
-        stripe = workers * int(rng.integers(0, 4)) + t  # thread t's own
-        n = int(rng.integers(1, per // 2))
-        start = stripe * per + int(rng.integers(0, per - n))
+        first = 2 * int(rng.choice(np.arange(t, pairs, workers))) + 1
+        n = int(rng.integers(2, per // 2))
+        if i % 2:  # across the pair's two stripes
+            start = (first + 1) * per - int(rng.integers(1, n))
+        else:
+            stripe = first + int(rng.integers(0, 2))
+            start = stripe * per + int(rng.integers(0, per - n))
         k = int(rng.integers(0, len(pool) - n))
         jobs[t].append((start, pool[k:k + n]))
+    jobs[31 % workers].append((64 * per - 2, pool[:5]))
     volumes = [
-        RAID6Volume(layout, num_stripes=4 * workers, element_size=4096)
+        RAID6Volume(layout, num_stripes=2 * pairs + 1, element_size=4096)
         for _ in range(2)
     ]
+    assert len(volumes[0]._stripe_locks) == 64
     if failed is not None:
         for volume in volumes:
             volume.fail_disk(failed)
@@ -455,8 +670,10 @@ def _threaded_counts(kernel_runs, kernel_reads, failed=None):
             volumes[1].read(start, len(data))
     assert np.array_equal(volumes[0]._backing, volumes[1]._backing)
     assert volumes[0].io_counters() == volumes[1].io_counters()
-    assert kernel_runs.count(volumes[0]) == 100 * workers
-    assert kernel_reads.count(volumes[0]) == 100 * workers
+    ops = 100 * workers + 1
+    assert kernel_writes.count(volumes[0]) == ops  # every write routed
+    assert kernel_runs.count(volumes[0]) == 0
+    assert kernel_reads.count(volumes[0]) == ops
 
 
 class TestStandDown:
@@ -470,11 +687,12 @@ class TestStandDown:
         volume.write(0, np.ones((volume.num_elements, ES), np.uint8))
         return volume
 
-    def _ran(self, volume, kernel_runs, fill=2, n=3):
-        """Whether a short write to stripe 0 ran in the kernel."""
-        del kernel_runs[:]
+    def _ran(self, volume, kernel_calls, fill=2, n=3):
+        """Whether a short write to stripe 0 ran in the kernel, as
+        ``kernel_calls`` spies on it: a plan run or a route."""
+        del kernel_calls[:]
         volume.write(6, np.full((n, ES), fill, np.uint8))
-        return volume in kernel_runs
+        return volume in kernel_calls
 
     def _read_ran(self, volume, kernel_reads, n=3):
         """Whether a short read of stripe 0 ran in the kernel."""
@@ -484,14 +702,14 @@ class TestStandDown:
 
     @needs_kernel
     def test_quiet_volume_runs_the_kernel(
-        self, volume, kernel_runs, kernel_reads
+        self, volume, kernel_writes, kernel_reads
     ):
-        assert self._ran(volume, kernel_runs)
+        assert self._ran(volume, kernel_writes)
         assert self._read_ran(volume, kernel_reads)
 
     @pytest.mark.parametrize("attr", ("fault_hook", "corrupt_hook"))
     def test_hook_on_a_touched_disk(
-        self, volume, kernel_runs, kernel_reads, attr
+        self, volume, kernel_runs, kernel_reads, kernel_writes, attr
     ):
         touched = volume.layout.data_cells[6].col
         noop = {
@@ -502,13 +720,17 @@ class TestStandDown:
         assert not self._ran(volume, kernel_runs)
         assert not self._read_ran(volume, kernel_reads)
         setattr(volume.disks[touched], attr, None)
-        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+        assert self._ran(volume, kernel_writes, 3) == (
+            xor_kernel() is not None
+        )
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
         )
 
     @needs_kernel
-    def test_hook_elsewhere(self, volume, kernel_runs, kernel_reads):
+    def test_hook_elsewhere(
+        self, volume, kernel_runs, kernel_reads, kernel_writes
+    ):
         """Unrotated, a hook on a disk the plan does not touch leaves it
         in the kernel; rotated, every disk may be touched.  A read
         admits the data columns whole, and D-Code keeps data on every
@@ -519,7 +741,7 @@ class TestStandDown:
             d for d in range(len(volume.disks)) if not plan.cells.mask >> d & 1
         )
         volume.disks[other].fault_hook = lambda disk, op, offset: None
-        assert self._ran(volume, kernel_runs, n=1)
+        assert self._ran(volume, kernel_writes, n=1)
         assert not self._read_ran(volume, kernel_reads, n=1)
         rotated = RAID6Volume(volume.layout, num_stripes=4, element_size=ES,
                               rotate=True)
@@ -528,7 +750,7 @@ class TestStandDown:
         assert not self._read_ran(rotated, kernel_reads, n=1)
 
     def test_latent_sector_until_remapped(
-        self, volume, kernel_runs, kernel_reads
+        self, volume, kernel_runs, kernel_reads, kernel_writes
     ):
         col = volume.layout.data_cells[6].col
         volume.inject_latent_error(col, 3, 0)  # another stripe, same disk
@@ -537,7 +759,9 @@ class TestStandDown:
         per = volume.layout.num_data_cells
         volume.write(3 * per, np.zeros((per, ES), np.uint8))  # remaps it
         assert not volume.disks[col].bad_sectors
-        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+        assert self._ran(volume, kernel_writes, 3) == (
+            xor_kernel() is not None
+        )
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
         )
@@ -547,6 +771,7 @@ class TestStandDown:
         assert not self._ran(volume, kernel_runs)
         assert not self._read_ran(volume, kernel_reads)
         volume.journal.phase_hook = None
+        # journaled: no route, the plan runs in the kernel
         assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
@@ -554,7 +779,7 @@ class TestStandDown:
 
     @pytest.mark.parametrize("verify_reads", (False, True))
     def test_integrity_checker_attached(
-        self, volume, kernel_runs, kernel_reads, verify_reads
+        self, volume, kernel_runs, kernel_reads, kernel_writes, verify_reads
     ):
         checker = IntegrityChecker(volume, verify_reads=verify_reads)
         assert not self._ran(volume, kernel_runs)
@@ -565,17 +790,21 @@ class TestStandDown:
         volume.read(5, 4)  # a read plan rebuilding cell 7
         assert volume not in kernel_runs
         checker.detach()
-        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+        assert self._ran(volume, kernel_writes, 3) == (
+            xor_kernel() is not None
+        )
 
     def test_dirty_stripe_tracker_attached(
-        self, volume, kernel_runs, kernel_reads
+        self, volume, kernel_runs, kernel_reads, kernel_writes
     ):
         tracker = DirtyStripeTracker(volume)
         assert not self._ran(volume, kernel_runs)
         assert not self._read_ran(volume, kernel_reads)
         assert tracker.drain() == {0}
         tracker.detach()
-        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+        assert self._ran(volume, kernel_writes, 3) == (
+            xor_kernel() is not None
+        )
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
         )
@@ -662,6 +891,63 @@ class TestStandDown:
         else:
             volume.start_rebuild(lost, batch=1).step()
         assert not ran()
+
+
+    @pytest.mark.parametrize("case", (
+        "fault_hook", "latent", "phase_hook", "integrity", "tracker",
+        "behind", "rebuild", "rotated", "journal", "aliased",
+    ))
+    def test_short_write(self, volume, monkeypatch, kernel_writes, case):
+        """A short write across stripes 0 and 1 runs along its route in
+        the kernel — until ``case``: a hook or a latent sector on a disk
+        it touches, the journal's phase hook, an integrity checker or a
+        dirty-stripe tracker attached, a disk failed behind its surface,
+        a rebuild in flight, a rotated volume, a journal attached, a
+        payload that is a zero-copy view of the volume.  Then
+        ``ioplan.rmw`` serves it."""
+        fallbacks = _spy(monkeypatch, "rmw")
+        per = volume.layout.num_data_cells
+        start, n = per - 2, 4
+        touched = volume.layout.data_cells[per - 1].col
+        data = np.full((n, ES), 7, np.uint8)
+
+        def ran(volume):
+            del kernel_writes[:], fallbacks[:]
+            volume.write(start, data)
+            assert (volume in kernel_writes) != (volume in fallbacks)
+            return volume in kernel_writes
+
+        assert ran(volume) == (xor_kernel() is not None)
+        if case == "fault_hook":
+            volume.disks[touched].fault_hook = lambda d, op, offset: None
+        elif case == "latent":
+            volume.inject_latent_error(touched, 3, 0)
+        elif case == "phase_hook":
+            volume.journal = WriteIntentLog(phase_hook=lambda phase, s: None)
+        elif case == "integrity":
+            IntegrityChecker(volume)
+        elif case == "tracker":
+            DirtyStripeTracker(volume)
+        elif case == "behind":
+            # the write keeps the surface taken before the disk died
+            surface = volume._surface()
+            volume.disks[touched].fail()
+            monkeypatch.setattr(volume, "_surface", lambda: surface)
+        elif case == "rebuild":
+            volume.fail_disk(0)
+            volume.start_rebuild(0, batch=1).step()
+        elif case == "rotated":
+            volume = RAID6Volume(volume.layout, num_stripes=4,
+                                 element_size=ES, rotate=True)
+        elif case == "journal":
+            volume.journal = WriteIntentLog()
+        else:
+            data = volume.read(2 * per, per)[:n]
+            assert np.shares_memory(data, volume._backing)
+        assert not ran(volume)
+        if case == "behind":
+            monkeypatch.undo()
+        assert np.array_equal(volume.read(start, n), data)
 
 
 class TestDiskBitmasks:

@@ -140,8 +140,9 @@ def slab_runs(monkeypatch):
 def spy_stores(volume, monkeypatch):
     """``(rows, came with data)`` of every planned store of ``volume``,
     in order, on whichever engine ran it: a call of its store funnel
-    ``_store_rows``, or a C kernel run of an RMW plan (the rows its
-    counts say it wrote); a ``SimDisk.write_block`` call fails.
+    ``_store_rows``, or a C kernel run of an RMW plan or of a short
+    write's route (the rows its counts say it wrote); a
+    ``SimDisk.write_block`` call fails.
 
     The funnel is spied on the class, so spying never stands the kernel
     down."""
@@ -162,10 +163,19 @@ def spy_stores(volume, monkeypatch):
         if vol is volume and values is not None:
             stores.append((int(vol._io[1].sum()) - written, True))
 
+    kernel_write = ioplan.kernel_write
+
+    def route_spy(vol, start, data, route):
+        written = int(vol._io[1].sum())
+        kernel_write(vol, start, data, route)
+        if vol is volume:
+            stores.append((int(vol._io[1].sum()) - written, True))
+
     def per_disk(*args, **kwargs):
         raise AssertionError("a planned store went disk by disk")
 
     monkeypatch.setattr(ioplan, "_kernel_run", kernel_spy)
+    monkeypatch.setattr(ioplan, "kernel_write", route_spy)
     monkeypatch.setattr(SimDisk, "write_block", per_disk)
     return stores
 

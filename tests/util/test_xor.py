@@ -130,3 +130,15 @@ class TestKernelGilContract:
             assert kernel_releases_gil() is True
             assert isinstance(lib, ctypes.CDLL)
             assert not isinstance(lib, ctypes.PyDLL)
+
+    def test_the_contract_names_every_entry_point(self):
+        # kernel_releases_gil checks SYMBOLS: every function the C
+        # source exports (the rest are static) must be one of them
+        import re
+
+        from repro.util import ckernel
+
+        exported = re.findall(
+            r"^(?:void|int64_t) (\w+)\(", ckernel._SOURCE, re.M
+        )
+        assert tuple(exported) == ckernel.SYMBOLS
