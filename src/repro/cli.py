@@ -323,9 +323,9 @@ def _print_profiles(profile_dir: str, top: int = 10) -> None:
     """Print a top-N table per ``.pstats`` dump in ``profile_dir``.
 
     One dump per component: ``server-loop`` (the asyncio loop and the
-    connection callbacks it runs), ``queue-N`` (each shard's coalescer
-    executor thread), ``shard-N`` (each worker process's batch
-    execution)."""
+    connection callbacks it runs, process shards' batch hand-off
+    included), ``queue-N`` (an inline shard's coalescer executor
+    thread), ``shard-N`` (each worker process's batch execution)."""
     import glob
     import io
     import pstats
@@ -396,8 +396,9 @@ def cmd_bench_serve(args) -> int:
 
     if args.profile:
         # the parent profile covers the event loop end to end: frame
-        # decode, admission, routing, response flushes; the coalescer
-        # threads and shard workers dump their own files at close
+        # decode, admission, routing, process-shard batch hand-off,
+        # response flushes; inline shards' coalescer threads and shard
+        # workers dump their own files at close
         import cProfile
 
         profiler = cProfile.Profile()
@@ -507,8 +508,8 @@ def _add_serve_options(parser: argparse.ArgumentParser) -> None:
                         help="per-batch shard reply timeout in seconds "
                              "(default: wait forever)")
     parser.add_argument("--heartbeat", type=float, default=0.0,
-                        help="supervisor idle-heartbeat period in "
-                             "seconds (0 = no background monitor)")
+                        help="idle-shard heartbeat period in "
+                             "seconds (0 = no heartbeat)")
     parser.add_argument("--max-restarts", type=int, default=8,
                         help="shard restart budget before it is "
                              "declared failed")

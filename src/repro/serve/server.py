@@ -8,8 +8,9 @@ read is split into frames, each frame is admitted, split into per-shard
 extents and enqueued at once, and the pending requests wait in a
 per-connection deque that the shard futures' completion pumps, in
 request order, into one scatter-gather ``writev`` — all without
-blocking the loop on volume work (shards execute on their own
-single-thread executors or worker processes).
+blocking the loop on volume work (process shards execute in their
+worker processes, driven from the loop through their pipes; inline
+shards on single-thread executors).
 
 Process-backed shards must be forked **before** the event loop exists
 (:func:`make_backends`), because ``fork`` duplicates a running loop's
@@ -111,7 +112,8 @@ class ServerConfig:
     state_dir: Optional[str] = None
     #: Per-batch worker reply timeout (None = wait forever).
     recv_timeout_s: Optional[float] = None
-    #: Supervisor idle-heartbeat period (0 = no background monitor).
+    #: Idle-shard heartbeat period, kept by each process shard's queue
+    #: on the loop (0 = no heartbeat).
     heartbeat_s: float = 0.0
     #: Restart budget before a shard is declared failed.
     max_restarts: int = 8
@@ -125,8 +127,8 @@ class ServerConfig:
     ring_slots: int = 128
     ring_slot_bytes: int = 0
     #: Directory for cProfile dumps (``--profile``): the server loop,
-    #: each coalescer thread, and each shard worker write one
-    #: ``.pstats`` file apiece.  None = no profiling.
+    #: each inline shard's coalescer thread, and each shard worker
+    #: write one ``.pstats`` file apiece.  None = no profiling.
     profile_dir: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -9,8 +9,9 @@ the cache and destaging the whole batch at the end — that coalescing is
 what routes serving traffic onto the volume's batched RMW / full-stripe
 / destage paths instead of one parity round-trip per request.
 
-Backends promise **serialised** batches: the coalescer drives each
-shard from a single-thread executor, so ``execute`` is never entered
+Backends promise **serialised** batches: the coalescer keeps one batch
+per shard in flight — a process shard's from the event loop, an inline
+shard's on a single-thread executor — so no shard is ever entered
 concurrently.  Cross-shard concurrency needs no coordination at all —
 shards own disjoint volumes.
 
@@ -34,11 +35,12 @@ blocking.  Worker faults come back **typed**:
   propagated request deadline) raises
   :class:`~repro.exceptions.ShardTimeoutError` — after which the pipe
   may hold a stale late reply, so the shard must be restarted
-  (:meth:`ProcessShard.restart`) before reuse.  The
-  :class:`~repro.serve.supervisor.SupervisedShard` automates both.
+  (:meth:`ProcessShard.restart`) before reuse, and takes no batch until
+  it is.  The :class:`~repro.serve.supervisor.SupervisedShard` budgets
+  the restarts.
 
 An **empty batch is a heartbeat**: the worker answers ``[]`` without
-touching the volume, which is how the supervisor pings a quiet worker
+touching the volume, which is how the coalescer pings a quiet worker
 through the very pipe traffic travels on.
 
 With ``durable=True`` the worker acknowledges a writing batch only
@@ -452,6 +454,29 @@ def _shard_worker(  # pragma: no cover — child process
     conn.close()
 
 
+class _Batch:
+    """One staged batch: the descriptor frame the worker gets, and the
+    parent's half — which op each descriptor answers, the ops answered
+    without dispatch, and the ring slots the batch leases."""
+
+    __slots__ = ("size", "downs", "idx", "local", "write_slots", "read_slots")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.downs: List[tuple] = []
+        self.idx: List[int] = []
+        self.local: dict = {}
+        self.write_slots: List[int] = []
+        self.read_slots: dict = {}
+
+    @property
+    def sent(self) -> bool:
+        """Whether the batch goes to the worker.  An empty batch does
+        (it is the heartbeat); one whose every op was answered locally
+        (ring exhausted) does not — on the pipe it would read as one."""
+        return bool(self.idx) or not self.size
+
+
 class ProcessShard:
     """Shard backend in a forked worker process.
 
@@ -461,13 +486,21 @@ class ProcessShard:
     own volume from the picklable spec, so no stripe state crosses the
     process boundary — only op tuples and result bytes.
 
+    A batch is two halves: :meth:`submit` stages it on the ring and
+    sends its descriptor frame, :meth:`collect` reads and decodes the
+    reply.  The coalescer calls them from its event loop, waiting for
+    the reply on :meth:`fileno`; :meth:`execute` is the two halves
+    around a guarded blocking wait.  One batch is outstanding at a
+    time, and an incarnation whose reply never came back takes no
+    other.
+
     ``recv_timeout`` bounds how long one batch may take before
     :meth:`execute` gives up with a typed
     :class:`~repro.exceptions.ShardTimeoutError` — a hung worker can no
-    longer wedge the coalescer thread forever.  After a timeout (or a
-    crash) call :meth:`restart`: it hard-kills the incarnation, clears
-    any one-shot chaos hooks from the spec, and forks a fresh worker —
-    which, in durable mode, reloads the last checkpoint and replays the
+    longer wedge its caller forever.  After a timeout (or a crash) call
+    :meth:`restart`: it hard-kills the incarnation, clears any one-shot
+    chaos hooks from the spec, and forks a fresh worker — which, in
+    durable mode, reloads the last checkpoint and replays the
     ack-intent ledger.
     """
 
@@ -480,6 +513,8 @@ class ProcessShard:
         self.recv_timeout = recv_timeout
         self.restarts = 0
         self._ring: Optional[PayloadRing] = None
+        #: the batch whose reply is outstanding on the pipe
+        self._batch: Optional[_Batch] = None
         self._spawn(spec)
 
     def _spawn(self, spec: ShardSpec) -> None:
@@ -493,9 +528,9 @@ class ProcessShard:
         )
         proc.start()
         child.close()
-        # published only once started: kill() is taken without the
-        # supervisor's lock (the chaos saboteur), so a kill racing a
-        # restart must find either the reaped incarnation or a live one
+        # published only once started: kill() is taken from any thread
+        # (the chaos saboteur), so a kill racing a restart must find
+        # either the reaped incarnation or a live one
         self._ring, self._conn, self._proc = ring, conn, proc
 
     @staticmethod
@@ -512,33 +547,35 @@ class ProcessShard:
         """The live incarnation's payload ring (tests, introspection)."""
         return self._ring
 
-    def _name(self) -> str:
+    @property
+    def name(self) -> str:
+        """The live incarnation, as typed errors name it."""
         return f"pid={self._proc.pid}"
 
-    def _recv(self, timeout: Optional[float]):
-        """One guarded reply read: poll within the deadline, then recv."""
-        if timeout is not None:
-            deadline = time.monotonic() + timeout
-            remaining = timeout
-            while True:
-                try:
-                    if self._conn.poll(max(remaining, 0.0)):
-                        break
-                except (BrokenPipeError, OSError) as exc:
-                    raise ShardCrashedError(self._name(), str(exc)) from exc
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ShardTimeoutError(self._name(), timeout)
-        try:
-            return self._conn.recv()
-        except EOFError as exc:
-            raise ShardCrashedError(
-                self._name(), "worker closed the pipe mid-batch"
-            ) from exc
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardCrashedError(self._name(), str(exc)) from exc
+    def fileno(self) -> int:
+        """The live incarnation's pipe: readable once a reply is in, or
+        at EOF the moment the worker dies, busy or idle.  Raises
+        :class:`OSError` once the incarnation is retired."""
+        return self._conn.fileno()
 
-    def _timeout_for(self, deadline: Optional[float]) -> Optional[float]:
+    def _await_reply(self, timeout: Optional[float]) -> None:
+        """Guarded wait for the pipe to turn readable (``None`` = let
+        the blocking ``recv`` wait)."""
+        if timeout is None:
+            return
+        deadline = time.monotonic() + timeout
+        remaining = timeout
+        while True:
+            try:
+                if self._conn.poll(max(remaining, 0.0)):
+                    return
+            except OSError as exc:
+                raise ShardCrashedError(self.name, str(exc)) from exc
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise ShardTimeoutError(self.name, timeout)
+
+    def timeout_for(self, deadline: Optional[float]) -> Optional[float]:
         """Effective batch timeout: recv_timeout ∧ remaining deadline."""
         timeout = self.recv_timeout
         if deadline is not None:
@@ -549,26 +586,19 @@ class ProcessShard:
             timeout = max(timeout, 0.001)
         return timeout
 
-    def _prepare(self, ops: List[ShardOp]):
+    def _prepare(self, ops: List[ShardOp]) -> _Batch:
         """Stage a batch onto the ring; split dispatch from local answers.
 
-        Returns ``(downs, idx, local, write_slots, read_slots)``:
-        ``downs`` are the pipe descriptors, ``idx`` maps them back to
-        op positions, ``local`` holds ops answered without dispatch —
-        ring exhaustion becomes a typed BUSY (retryable, O(1)) rather
-        than a blocked coalescer thread.  Payloads that cannot fit any
-        slot fall back to inline pipe bytes, so oversized ops still
-        execute.
+        Ring exhaustion becomes a typed BUSY answered locally
+        (retryable, O(1)) rather than a blocked caller.  Payloads that
+        cannot fit any slot fall back to inline pipe bytes, so
+        oversized ops still execute.
         """
+        batch = _Batch(len(ops))
         ring = self._ring
-        local: dict = {}
-        downs: List[tuple] = []
-        idx: List[int] = []
-        write_slots: List[int] = []
-        read_slots: dict = {}
         if ring is None:
-            return list(ops), list(range(len(ops))), local, \
-                write_slots, read_slots
+            batch.downs, batch.idx = list(ops), list(range(len(ops)))
+            return batch
         esize = self.spec.element_size
         for i, (op, start, count, payload) in enumerate(ops):
             meta = payload
@@ -576,63 +606,94 @@ class ProcessShard:
                 slot = ring.alloc(len(payload))
                 if slot is not None:
                     ring.write_into(slot, payload)
-                    write_slots.append(slot)
+                    batch.write_slots.append(slot)
                     meta = (SHM_WRITE, slot, len(payload))
                 elif len(payload) <= ring.slot_bytes:
-                    local[i] = (ST_BUSY, b"payload ring full")
+                    batch.local[i] = (ST_BUSY, b"payload ring full")
                     continue
             elif op == OP_READ:
                 expected = count * esize
                 slot = ring.alloc(expected)
                 if slot is not None:
-                    read_slots[i] = slot
+                    batch.read_slots[i] = slot
                     meta = (SHM_READ, slot)
                 elif expected <= ring.slot_bytes:
-                    local[i] = (ST_BUSY, b"payload ring full")
+                    batch.local[i] = (ST_BUSY, b"payload ring full")
                     continue
-            downs.append((op, start, count, meta))
-            idx.append(i)
-        return downs, idx, local, write_slots, read_slots
+            batch.downs.append((op, start, count, meta))
+            batch.idx.append(i)
+        return batch
 
-    def _release(self, write_slots, read_slots) -> None:
+    def _release(self, batch: _Batch) -> None:
         if self._ring is None:
             return
-        for slot in write_slots:
+        for slot in batch.write_slots:
             self._ring.free(slot)
-        for slot in read_slots.values():
+        for slot in batch.read_slots.values():
             self._ring.free(slot)
 
-    def execute(
-        self, ops: List[ShardOp], deadline: Optional[float] = None
-    ) -> List[ShardResult]:
-        downs, idx, local, write_slots, read_slots = self._prepare(ops)
-        if not downs:
-            # every op answered locally (ring exhausted) — an empty
-            # pipe batch would read as a heartbeat, so don't send one
-            return [local[i] for i in range(len(ops))]
-        try:
+    def submit(self, ops: List[ShardOp]) -> _Batch:
+        """Stage ``ops`` on the ring and send their descriptor frame.
+
+        An empty ``ops`` is a heartbeat.  Raises
+        :class:`~repro.exceptions.ShardCrashedError` when the pipe is
+        gone, or when the previous batch's reply never came back (the
+        incarnation must be restarted before it takes another).
+        """
+        if self._batch is not None:
+            raise ShardCrashedError(
+                self.name, "the previous batch's reply never came back"
+            )
+        batch = self._prepare(ops)
+        if batch.sent:
             try:
-                self._conn.send(downs)
-            except (BrokenPipeError, OSError) as exc:
-                raise ShardCrashedError(self._name(), str(exc)) from exc
-            reply = self._recv(self._timeout_for(deadline))
-        except BaseException:
-            # crash/timeout: the incarnation is done for (restart will
-            # retire the whole ring) — drop this batch's leases so the
-            # retired segment can unmap once pending responses flush
-            self._release(write_slots, read_slots)
-            raise
+                self._conn.send(batch.downs)
+            except OSError as exc:
+                self._release(batch)
+                raise ShardCrashedError(self.name, str(exc)) from exc
+            self._batch = batch
+        return batch
+
+    def collect(self, batch: _Batch) -> List[ShardResult]:
+        """Read ``batch``'s reply off the pipe and decode it.
+
+        Blocks until the reply is whole; callers wait for the pipe to
+        turn readable first.  A dead worker raises
+        :class:`~repro.exceptions.ShardCrashedError` (its leases go
+        back when the incarnation is retired), a worker-side exception
+        :class:`RuntimeError`.
+        """
+        if not batch.sent:
+            # every op answered locally — nothing went to the worker
+            return [batch.local[i] for i in range(batch.size)]
+        try:
+            reply = self._conn.recv()
+        except EOFError as exc:
+            raise ShardCrashedError(
+                self.name, "worker closed the pipe mid-batch"
+            ) from exc
+        except OSError as exc:
+            raise ShardCrashedError(self.name, str(exc)) from exc
         if (
             isinstance(reply, tuple)
             and len(reply) == 2
             and reply[0] == WORKER_ERROR
         ):
-            self._release(write_slots, read_slots)
+            self._batch = None
+            self._release(batch)
             raise RuntimeError(f"shard worker failed:\n{reply[1]}")
-        results: List[ShardResult] = [None] * len(ops)  # type: ignore
-        for i, answered in local.items():
+        if not isinstance(reply, list) or len(reply) != len(batch.idx):
+            raise ShardCrashedError(
+                self.name,
+                f"pipe desynchronised: {len(batch.idx)} descriptors "
+                f"answered by a {type(reply).__name__}",
+            )
+        self._batch = None
+        results: List[ShardResult] = [None] * batch.size  # type: ignore
+        for i, answered in batch.local.items():
             results[i] = answered
-        for j, (status, payload) in zip(idx, reply):
+        read_slots = batch.read_slots
+        for j, (status, payload) in zip(batch.idx, reply):
             if (
                 isinstance(payload, tuple)
                 and len(payload) == 3
@@ -647,8 +708,18 @@ class ProcessShard:
                 results[j] = (status, payload)
         # write payloads were consumed during execute; reserved read
         # slots the worker didn't use (errors, oversize) come back too
-        self._release(write_slots, read_slots)
+        self._release(batch)
         return results
+
+    def execute(
+        self, ops: List[ShardOp], deadline: Optional[float] = None
+    ) -> List[ShardResult]:
+        """Run one batch to completion: :meth:`submit`, a guarded wait
+        within ``recv_timeout`` ∧ ``deadline``, :meth:`collect`."""
+        batch = self.submit(ops)
+        if batch.sent:
+            self._await_reply(self.timeout_for(deadline))
+        return self.collect(batch)
 
     def ping(self, timeout: Optional[float] = None) -> None:
         """Heartbeat: an empty batch must echo back within ``timeout``.
@@ -657,16 +728,11 @@ class ProcessShard:
         than ``[]`` means the pipe is desynchronised (stale late reply
         after a timeout), which also counts as a crash.
         """
-        try:
-            self._conn.send([])
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardCrashedError(self._name(), str(exc)) from exc
-        reply = self._recv(timeout if timeout is not None
-                           else self.recv_timeout)
-        if reply != []:
-            raise ShardCrashedError(
-                self._name(), f"heartbeat answered {type(reply).__name__}"
-            )
+        batch = self.submit([])
+        self._await_reply(
+            timeout if timeout is not None else self.recv_timeout
+        )
+        self.collect(batch)
 
     def alive(self) -> bool:
         return self._proc.is_alive()
@@ -678,46 +744,72 @@ class ProcessShard:
         if proc.pid is not None:
             proc.kill()
 
+    def _teardown(self, kill: bool) -> None:
+        """Close the pipe, reap the worker (SIGKILL first if ``kill``),
+        drop the outstanding batch's leases and retire the ring —
+        unlinked immediately (no ``/dev/shm`` leak even after ``kill
+        -9``), unmapped once in-flight responses release their slices."""
+        try:
+            self._conn.close()
+        except OSError:  # pragma: no cover — already torn
+            pass
+        if kill and self._proc.is_alive():
+            self._proc.kill()
+        self._proc.join(timeout=10)
+        if self._proc.is_alive():  # pragma: no cover — stuck worker
+            self._proc.terminate()
+            self._proc.join(timeout=10)
+        if self._batch is not None:
+            self._release(self._batch)
+            self._batch = None
+        if self._ring is not None:
+            self._ring.retire()
+
+    def retire(self) -> None:
+        """Hard-kill the incarnation and retire its ring; fork nothing."""
+        self._teardown(kill=True)
+
     def restart(self) -> None:
         """Hard-kill the incarnation and fork a fresh worker.
 
         One-shot chaos hooks are cleared so the replacement does not
         re-die at the same op count; in durable mode the replacement
         replays base + delta records and the ack-intent ledger via
-        mount-time recovery.  The dead incarnation's payload ring is
-        retired — unlinked immediately (no ``/dev/shm`` leak even
-        after ``kill -9``), unmapped once in-flight responses release
-        their slices — and the replacement gets a fresh one.
+        mount-time recovery.  The replacement gets a fresh ring and a
+        fresh pipe, so a late reply of the old incarnation can never
+        be read as one of its own.
         """
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover — already torn
-            pass
-        if self._proc.is_alive():
-            self._proc.kill()
-        self._proc.join(timeout=10)
-        if self._ring is not None:
-            self._ring.retire()
+        self.retire()
         self.restarts += 1
         self._spawn(self.spec.sans_chaos())
 
+    def recover(self, exc: ReproError) -> None:
+        """After a batch failed with ``exc`` (crash or timeout) the
+        incarnation cannot be reused: fork its replacement."""
+        self.restart()
+
     def close(self) -> None:
+        """Graceful shutdown: the worker flushes (and in durable mode
+        checkpoints), acknowledges, and exits.  A batch still in flight
+        is answered first — its reply is not the shutdown ack — and its
+        results released, since nobody will consume them."""
         if self._proc.is_alive():
             try:
+                if self._batch is not None:
+                    self._await_reply(self.recv_timeout)
+                    try:
+                        results = self.collect(self._batch)
+                    except RuntimeError:  # the worker lives on
+                        results = []
+                    for _, payload in results:
+                        if hasattr(payload, "release"):
+                            payload.release()
                 self._conn.send(None)
-                self._recv(self.recv_timeout)
-            except (ShardCrashedError, ShardTimeoutError, OSError):
+                self._await_reply(self.recv_timeout)
+                self._conn.recv()
+            except (ReproError, RuntimeError, OSError, EOFError):
                 pass
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover — already torn
-            pass
-        self._proc.join(timeout=10)
-        if self._proc.is_alive():  # pragma: no cover — stuck worker
-            self._proc.terminate()
-            self._proc.join(timeout=10)
-        if self._ring is not None:
-            self._ring.retire()
+        self._teardown(kill=False)
 
 
 BACKENDS = {"inline": InlineShard, "process": ProcessShard}

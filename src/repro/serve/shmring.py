@@ -30,7 +30,7 @@ Ownership rules keep the lifecycle crash-proof:
 Slot exhaustion is *typed*, not blocking: :meth:`PayloadRing.alloc`
 returns ``None`` and the shard answers the op ``BUSY`` — a retryable
 status the clients already back off on — instead of wedging the
-coalescer thread behind a full ring.
+coalescer behind a full ring.
 """
 
 from __future__ import annotations

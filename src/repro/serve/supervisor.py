@@ -1,15 +1,15 @@
-"""Shard supervision: health checks, typed failure, restart-from-spec.
+"""Shard supervision: typed failure, restart-from-spec, a restart budget.
 
 A :class:`ProcessShard` converts worker death and hangs into typed
 errors, but somebody has to *act* on them — that is the
 :class:`SupervisedShard`.  It wraps a process shard and
 
-* **restarts on failure**: a batch that raises
+* **restarts on failure**: a batch that fails with
   :class:`~repro.exceptions.ShardCrashedError` or
-  :class:`~repro.exceptions.ShardTimeoutError` triggers an immediate
-  restart from the (chaos-cleared) spec, then re-raises the typed error
-  so the coalescer can answer the affected ops with RETRY — by the time
-  the client's backoff expires, the replacement worker is already
+  :class:`~repro.exceptions.ShardTimeoutError` goes to :meth:`recover`,
+  which restarts the worker from the (chaos-cleared) spec; the
+  coalescer answers the affected ops RETRY once that returns, so by the
+  time the client's backoff expires the replacement worker is already
   serving.  In durable mode the replacement reloads base snapshot +
   delta log and replays the ack-intent ledger, so no acknowledged write
   is lost.  The restart also cycles the shard's shared-memory payload
@@ -18,28 +18,23 @@ errors, but somebody has to *act* on them — that is the
   replacement worker inherits a fresh one — a SIGKILLed worker can
   never leak a ``/dev/shm`` segment, because only the parent ever owns
   one.
-* **health-checks in the background**: a daemon monitor thread
-  periodically verifies the worker process is alive and, when the shard
-  is idle, round-trips a heartbeat (an empty batch) through the pipe —
-  catching workers that died *between* batches, not just under one.
-  The monitor never contends with a running batch: it probes with a
-  non-blocking lock acquire and simply skips a busy shard (an in-flight
-  batch is itself proof of liveness, and the batch deadline covers the
-  hang case).
-* **budgets restarts**: ``max_restarts`` failures flip the shard to
-  *failed*; further batches raise a plain
-  :class:`~repro.exceptions.ReproError` (→ ERROR, not RETRY) so clients
-  stop hammering a shard that cannot stay up.
+* **budgets restarts**: the shard's ``max_restarts``-th failure (the
+  count is cumulative over its lifetime) retires the incarnation
+  without forking a replacement and flips the shard to *failed*;
+  further batches raise a plain :class:`~repro.exceptions.ReproError`
+  (→ ERROR, not RETRY) so clients stop hammering a shard that cannot
+  stay up.
 
-All batch traffic is serialised through one lock, which the coalescer's
-single-thread executor already guarantees in practice — the lock exists
-so the monitor's heartbeat and a concurrent restart can never interleave
-frames on the pipe.
+Health checks ride the same pipe: the coalescer waits on
+:meth:`fileno` from its event loop, so a worker that dies between
+batches is noticed at once, and every ``heartbeat_s`` it sends an idle
+shard an empty batch, which catches a worker that hangs while idle.
+Batches are serialised by the caller (the coalescer keeps one in
+flight), so nothing here takes a lock.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional
 
 from repro.exceptions import (
@@ -51,7 +46,7 @@ from repro.serve.shard import ProcessShard, ShardOp, ShardResult, ShardSpec
 
 
 class SupervisedShard:
-    """A :class:`ProcessShard` under health checks and restart policy."""
+    """A :class:`ProcessShard` under restart policy and a restart budget."""
 
     def __init__(
         self,
@@ -62,58 +57,82 @@ class SupervisedShard:
     ) -> None:
         self.spec = spec
         self.max_restarts = max_restarts
+        #: idle-heartbeat period the driving coalescer keeps (0 = none)
         self.heartbeat_s = heartbeat_s
         self.crashes = 0
         self.timeouts = 0
         self._shard = ProcessShard(spec, recv_timeout=recv_timeout)
-        self._lock = threading.Lock()
-        self._closed = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
-        if heartbeat_s > 0:
-            self._monitor = threading.Thread(
-                target=self._monitor_loop, daemon=True,
-                name="shard-monitor",
-            )
-            self._monitor.start()
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def restarts(self) -> int:
+        """Replacement workers forked so far."""
         return self._shard.restarts
 
     @property
     def failed(self) -> bool:
         """True once the restart budget is exhausted."""
-        return self._shard.restarts >= self.max_restarts
+        return self.crashes + self.timeouts >= self.max_restarts
+
+    @property
+    def name(self) -> str:
+        return self._shard.name
 
     def alive(self) -> bool:
         return self._shard.alive()
 
     # -- the serving path ------------------------------------------------------
 
+    def fileno(self) -> int:
+        return self._shard.fileno()
+
+    def timeout_for(self, deadline: Optional[float]) -> Optional[float]:
+        return self._shard.timeout_for(deadline)
+
+    def _require_service(self) -> None:
+        if self.failed:
+            raise ReproError(
+                f"shard exhausted its restart budget "
+                f"({self.max_restarts}) and is out of service"
+            )
+
+    def submit(self, ops: List[ShardOp]):
+        """Send one batch (see :meth:`ProcessShard.submit`)."""
+        self._require_service()
+        return self._shard.submit(ops)
+
+    def collect(self, batch) -> List[ShardResult]:
+        return self._shard.collect(batch)
+
+    def recover(self, exc: ReproError) -> None:
+        """Count the failure ``exc`` and restart the worker — or, when
+        this failure spends the budget, retire it and fork nothing."""
+        if isinstance(exc, ShardTimeoutError):
+            self.timeouts += 1
+        else:
+            self.crashes += 1
+        if self.failed:
+            self._shard.retire()
+        else:
+            self._shard.restart()
+
     def execute(
         self, ops: List[ShardOp], deadline: Optional[float] = None
     ) -> List[ShardResult]:
-        """Run one batch; on crash/timeout, restart and re-raise typed.
+        """Run one batch; on crash/timeout, recover and re-raise typed.
 
         The re-raised :class:`ShardCrashedError` /
-        :class:`ShardTimeoutError` tells the coalescer to answer the
+        :class:`ShardTimeoutError` tells the caller to answer the
         batch's ops with RETRY — the restart has already happened, so
         the retried ops land on the fresh worker.
         """
-        with self._lock:
-            if self.failed:
-                raise ReproError(
-                    f"shard exhausted its restart budget "
-                    f"({self.max_restarts}) and is out of service"
-                )
-            try:
-                return self._shard.execute(ops, deadline=deadline)
-            except (ShardCrashedError, ShardTimeoutError) as exc:
-                self._note(exc)
-                self._shard.restart()
-                raise
+        self._require_service()
+        try:
+            return self._shard.execute(ops, deadline=deadline)
+        except (ShardCrashedError, ShardTimeoutError) as exc:
+            self.recover(exc)
+            raise
 
     # -- chaos hooks -----------------------------------------------------------
 
@@ -121,52 +140,7 @@ class SupervisedShard:
         """Parent-side SIGKILL of the current worker (chaos harness)."""
         self._shard.kill()
 
-    # -- health checking -------------------------------------------------------
-
-    def check(self, ping_timeout: float = 1.0) -> bool:
-        """One health probe; returns True if the worker looks healthy.
-
-        Dead or unresponsive workers are restarted (within budget) and
-        the probe reports False.  A shard busy with a batch is healthy
-        by definition and is not probed.
-        """
-        if not self._lock.acquire(blocking=False):
-            return True  # in-flight batch == liveness
-        try:
-            if self.failed:
-                return False
-            try:
-                if not self._shard.alive():
-                    raise ShardCrashedError(
-                        "worker", "process found dead between batches"
-                    )
-                self._shard.ping(timeout=ping_timeout)
-                return True
-            except (ShardCrashedError, ShardTimeoutError) as exc:
-                self._note(exc)
-                self._shard.restart()
-                return False
-        finally:
-            self._lock.release()
-
-    def _note(self, exc: ReproError) -> None:
-        if isinstance(exc, ShardTimeoutError):
-            self.timeouts += 1
-        else:
-            self.crashes += 1
-
-    def _monitor_loop(self) -> None:  # pragma: no cover — timing-dependent
-        while not self._closed.wait(self.heartbeat_s):
-            try:
-                self.check()
-            except Exception:  # noqa: BLE001 — monitor must never die
-                pass
-
     # -- shutdown --------------------------------------------------------------
 
     def close(self) -> None:
-        self._closed.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5)
-        with self._lock:
-            self._shard.close()
+        self._shard.close()

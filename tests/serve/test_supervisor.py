@@ -184,33 +184,29 @@ class TestSupervisedShard:
 
     def test_restart_budget_exhaustion_fails_plain(self):
         sup = SupervisedShard(SPEC, max_restarts=2)
+        pids = []
         try:
             for _ in range(2):
+                pids.append(sup._shard._proc.pid)
                 sup.kill()
                 with pytest.raises(
                     (ShardCrashedError, ShardTimeoutError)
                 ):
                     sup.execute([(OP_READ, 0, 1, b"")])
             assert sup.failed
+            # the failure that spent the budget forked no replacement:
+            # the last incarnation is reaped and its ring retired
+            assert sup.restarts == 1
+            assert not sup.alive() and sup._shard._proc.pid == pids[-1]
+            assert sup._shard.ring.retired
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
             with pytest.raises(ReproError, match="restart budget"):
                 sup.execute([(OP_READ, 0, 1, b"")])
         finally:
             sup.close()
-
-    def test_check_detects_and_replaces_dead_worker(self):
-        sup = SupervisedShard(SPEC, max_restarts=4)
-        try:
-            assert sup.check() is True
-            sup.kill()
-            # the kill may need a moment to reap; check() must
-            # eventually notice and restart
-            for _ in range(50):
-                if sup.check() is False:
-                    break
-            assert sup.restarts >= 1
-            assert sup.check() is True
-        finally:
-            sup.close()
+        assert glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*") == []
 
 
 class TestDurableRestart:
