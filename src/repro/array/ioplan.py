@@ -27,16 +27,22 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   it follows the write's :class:`Route` — the RMW plans of its runs,
   looked up once per write pattern — and everywhere else :func:`rmw`
   executes them;
-* **stripe plans**, keyed by the stale columns — every surviving cell of
-  a stripe and the compiled column-recovery schedule:
-  :func:`load_stripes` and :func:`store_stripes`, which carry degraded
-  and rotated full-stripe writes, parity scrub and repair, the
-  integrity sweeps, crash recovery and every reconstruct-write.
+* **recovery plans**, keyed ``(stale columns, lost column or None)`` —
+  the survivors to read and the XOR schedule rebuilding what the stale
+  columns lose (:func:`_compile_recovery`): for one lost column the
+  hybrid planner's minimal read set, otherwise every live cell and the
+  codec's chain-recovery schedule.  A rebuild (:func:`rebuild`) picks
+  the lost column; a load (:func:`load_stripes` — parity scrub and
+  repair, integrity repair, reconstruct-writes, reads that need the
+  whole stripe) picks the whole stripe image.  Patterns with no XOR
+  schedule and loads with cells already known lost gather the live
+  cells raw (:func:`gather_stripes`) and run the volume's algebraic
+  decoder.  The live cells of a stripe are one cached :class:`CellSet`
+  (:func:`_live`): what :func:`store_stripes` writes of a degraded or
+  rotated whole-stripe write, crash recovery and a reconstruct-write,
+  and what the integrity sweeps and journal inspection gather raw.
   Healthy and unrotated, a run of whole stripes is one contiguous slab
-  of the backing store and :func:`encode_stripes` encodes it there;
-* **rebuild plans**, keyed by the lost column — the hybrid planner's
-  minimal read set and the XOR schedule folding it into the column
-  (:func:`rebuild`; a double failure loads through the stripe plan).
+  of the backing store and :func:`encode_stripes` encodes it there.
 
 Execution is one gather of the old cells, the value-dependent
 ``delta.any()`` masks (a cell whose delta is zero is read but not
@@ -48,12 +54,11 @@ each element in plan order — stripe-major, then the plan's cell order —
 when one carries a fault or corrupt hook (or a latent sector, for a
 load; or the journal a crash-point phase hook, for a store), which is
 the op stream fault injection indexes.  A cell that fails to read
-comes back as a *located erasure*: its stripe is loaded through the
-stripe plan with that cell known-lost and decoded, and nothing else of
-the plan changes.
+comes back as a *located erasure*: its stripe is loaded with that cell
+known-lost and decoded, and nothing else of the plan changes.
 
 Every plan that gathers, XORs, then stores or picks — an RMW, a read
-that rebuilds a cell, a single-failure column rebuild — is one
+that rebuilds a cell, a column rebuild, a stripe load — is one
 :class:`Plan` record with two interpreters, run by :func:`_execute`:
 while the volume admits it (``RAID6Volume._kernel`` — quiet disks,
 nobody observing the funnels) the C kernel's ``plan_exec`` runs the
@@ -83,6 +88,7 @@ import numpy as np
 
 from repro.array.mapping import Run
 from repro.codec.batch import blank_batch, encode_batch
+from repro.codec.decoder import RecoveryStep
 from repro.codec.plan import GatherStep, XorPlan, write_footprint
 from repro.codes.base import Cell, column_failure_cells
 from repro.exceptions import (
@@ -193,18 +199,6 @@ def _plan(cells: CellSet, xor: XorPlan, **fields) -> Plan:
     """A :class:`Plan` with its words for the C kernel."""
     plan = Plan(cells, xor, **fields)
     return plan._replace(packed=ckernel.pack_plan(plan))
-
-
-class StripePlan(NamedTuple):
-    """Surviving cells of a stripe and the schedule rebuilding the rest.
-
-    ``decode`` is ``None`` when nothing is lost, or when the pattern
-    needs the volume's algebraic decoder (``lost`` names the cells).
-    """
-
-    cells: CellSet
-    lost: List[Cell]
-    decode: Optional[XorPlan]
 
 
 class PlanCache:
@@ -395,42 +389,61 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[Plan]:
     )
 
 
-def _compile_stripe(volume, stale_cols: Tuple[int, ...]) -> StripePlan:
-    layout = volume.layout
-    cells = [
+def _compile_live(layout, stale: Tuple[int, ...]) -> CellSet:
+    return CellSet([
         cell
-        for col in range(layout.cols) if col not in stale_cols
+        for col in range(layout.cols) if col not in stale
         for cell in layout.cells_in_column(col)
-    ]
-    schedule = (
-        volume.codec.plans.recovery_schedule(stale_cols)
-        if stale_cols and layout.chain_decodable else None
-    )
-    return StripePlan(
-        CellSet(cells, layout.cols),
-        sorted(column_failure_cells(layout, stale_cols)),
-        volume.codec.plans.schedule_plan(schedule) if schedule else None,
+    ], layout.cols)
+
+
+def _live(volume, stale: Sequence[int]) -> CellSet:
+    """Every cell of a stripe off its ``stale`` columns, column by
+    column, each column's cells in layout order: what a load gathers
+    and a whole-stripe store writes."""
+    stale = tuple(sorted(stale))
+    return volume._ioplans.get(
+        ("live", stale), _compile_live, volume.layout, stale
     )
 
 
-def _compile_rebuild(volume, col: int) -> Plan:
-    """The hybrid planner's minimal read set of a lost column and the
-    schedule rebuilding the column from it: a plan that picks the
-    column's cells, in layout order."""
+def _compile_recovery(
+    volume, stale: Tuple[int, ...], col: Optional[int]
+) -> Optional[Plan]:
+    """The plan rebuilding what the ``stale`` columns lose.  With ``col``,
+    the one of them lost: the hybrid planner's minimal read set and the
+    schedule folding it into the column, picking the column's cells in
+    layout order (a single-failure rebuild).  Otherwise every live cell
+    (:func:`_live`) and the codec's chain-recovery schedule, picking the
+    whole ``rows * cols`` stripe image (a load, a double-failure
+    rebuild); ``None`` for a pattern with no XOR schedule (EVENODD's
+    adjuster), which the volume's decoder serves."""
     layout = volume.layout
-    hybrid = cached_hybrid_plan(layout, col)
-    reads = sorted(hybrid.reads)
-    g = len(reads)
-    row = {cell: i for i, cell in enumerate(reads)}
-    group_of = dict(hybrid.choices)
-    equations = [
-        (g + i, [row[c] for c in group_of[cell].cells if c != cell])
-        for i, cell in enumerate(layout.cells_in_column(col))
-    ]
-    rows = g + len(equations)
+    if col is not None:
+        hybrid = cached_hybrid_plan(layout, col)
+        group_of = dict(hybrid.choices)
+        cells = CellSet(sorted(hybrid.reads), layout.cols)
+        recipe = [
+            RecoveryStep(cell, group_of[cell])
+            for cell in layout.cells_in_column(col)
+        ]
+    else:
+        recipe = stale and layout.chain_decodable and \
+            volume.codec.plans.recovery_schedule(stale)
+        if stale and not recipe:
+            return None
+        cells = _live(volume, stale)
+    row = {cell: i for i, cell in enumerate(cells.cells)}
+    g = len(row)
+    equations = _rebuild_equations(recipe or (), row, g)
+    if col is None:  # row-major; a slot holding no cell picks row 0
+        pick = np.zeros(layout.rows * layout.cols, dtype=np.intp)
+        pick[[c.row * layout.cols + c.col for c in row]] = range(len(row))
+    else:
+        pick = np.arange(g, len(row))
     return _plan(
-        CellSet(reads, layout.cols), _xor_plan(equations, rows), gather=g,
-        n=0, fetch=np.arange(g), pick=np.arange(g, rows),
+        cells, _xor_plan(equations, len(row)), gather=g, n=0,
+        fetch=np.arange(g), pick=pick,
     )
 
 
@@ -460,14 +473,6 @@ def _at(volume, cells: CellSet, stripes: Sequence[int]) -> np.ndarray:
         col = cells.flat % layout.cols
         at += (col + stripes) % layout.cols - col
     return at.ravel()
-
-
-def _by_disk(volume, at: np.ndarray):
-    """Group gathered rows by disk: ``(disk, offsets, rows)`` per disk."""
-    offsets, disks = np.divmod(at, volume.layout.cols)
-    for disk in np.unique(disks).tolist():
-        rows = np.flatnonzero(disks == disk)
-        yield disk, offsets[rows], rows
 
 
 def _by_stripe(cells: CellSet, failed: Sequence[int]) -> Lost:
@@ -928,19 +933,11 @@ def _plan_run(
     return lost
 
 
-def _stripe_plan(volume, stale_cols: Sequence[int]) -> StripePlan:
-    """The load/store plan of a stripe whose ``stale_cols`` are lost."""
-    stale = tuple(sorted(stale_cols))
-    return volume._ioplans.get(
-        ("stripe", stale), _compile_stripe, volume, stale
-    )
-
-
 def stripe_rows(volume, stripes: Sequence[int], missing_cols: Sequence[int]):
-    """What :func:`gather_stripes` reads: each stripe's surviving cells
-    and the flat backing row of every block, stripe-major
-    (``divmod(at, cols)`` is ``(offsets, disks)``)."""
-    cells = _stripe_plan(volume, missing_cols).cells
+    """What :func:`gather_stripes` reads: each stripe's live cells and
+    the flat backing row of every block, stripe-major (``divmod(at,
+    cols)`` is ``(offsets, disks)``)."""
+    cells = _live(volume, missing_cols)
     return cells.cells, _at(volume, cells, stripes)
 
 
@@ -951,20 +948,10 @@ def _gather(
     """Read ``cells`` of every stripe into rows ``dest`` (stripe-major)
     of ``out``: the cells that failed to read, by stripe index."""
     at = _at(volume, cells, stripes)
-    backing = volume._flat_backing
-    if len(stripes) == 1 or volume._hooked(at):
-        block = backing[at]
-        failed = volume._read_rows(at, block, cells, verify=verify)
-        out[dest] = block
-        return _by_stripe(cells, failed)
-    # a quiet vector disk by disk, so no scratch outgrows one disk's share
-    failed = []
-    for _, _, sel in _by_disk(volume, at):
-        block = backing[at[sel]]
-        bad = volume._read_rows(at[sel], block, verify=verify)
-        failed += sel[bad].tolist()
-        out[dest[sel]] = block
-    return _by_stripe(cells, sorted(failed))
+    block = volume._flat_backing[at]
+    failed = volume._read_rows(at, block, cells, verify=verify)
+    out[dest] = block
+    return _by_stripe(cells, failed)
 
 
 def gather_stripes(
@@ -983,7 +970,7 @@ def gather_stripes(
     """
     _check_stripes(volume, min(stripes), max(stripes))
     layout = volume.layout
-    cells = _stripe_plan(volume, missing_cols).cells
+    cells = _live(volume, missing_cols)
     if lost:
         cells = CellSet([c for c in cells.cells if c not in lost], layout.cols)
     batch, es = len(stripes), volume.element_size
@@ -1000,27 +987,55 @@ def gather_stripes(
 
 def load_stripes(
     volume, stripes: Sequence[int], missing_cols: Sequence[int],
-    lost: Sequence[Cell] = (),
+    lost: Sequence[Cell] = (), col: Optional[int] = None,
 ) -> Tuple[np.ndarray, Lost]:
-    """:func:`gather_stripes`, then rebuild every cell not read: the
-    stale columns by the compiled column recovery, a stripe with cells
-    that failed by the volume's decoder — a typed
-    :class:`~repro.exceptions.UnrecoverableStripeError` when it lost more
-    than its code decodes."""
-    buf, failed = gather_stripes(volume, stripes, missing_cols, lost)
-    plan = _stripe_plan(volume, missing_cols)
-    if plan.decode is not None:
-        plan.decode.execute_batch(
-            buf.reshape(len(stripes), -1, volume.element_size)
+    """Every cell of ``stripes`` — which share their ``missing_cols``;
+    one stripe is the scalar case — as ``(stripes, rows, cols,
+    element_size)`` images, or with ``col``, one of those columns, its
+    cells alone, ``(stripes, cells, element_size)``; also the cells that
+    failed to read, ``lost`` (cells known lost in each stripe) first, by
+    stripe index.
+
+    One :func:`_execute` of the recovery plan — the hybrid planner's
+    minimal read set of ``col`` when it alone is lost, else every live
+    cell — keyed for the disks failed now (a load stores nothing).  The
+    volume's decoder finishes what the plan cannot, raising a typed
+    :class:`~repro.exceptions.UnrecoverableStripeError` for a stripe
+    that lost more than its code decodes: a pattern with no XOR
+    schedule, and cells known ``lost``, gather the live cells raw
+    (:func:`gather_stripes`); a stripe whose cells fail to read is
+    decoded in its image — or, on the minimal read set, loaded again
+    with them known-lost."""
+    _check_stripes(volume, min(stripes), max(stripes))
+    layout, es, batch = volume.layout, volume.element_size, len(stripes)
+    stale = tuple(sorted(missing_cols))
+    lone = None if lost or len(stale) > 1 else col
+    plan = None if lost else volume._ioplans.get(
+        ("recover", stale, lone), _compile_recovery, volume, stale, lone
+    )
+    if plan is None:
+        buf, failed = gather_stripes(volume, stripes, stale, lost)
+        decode = range(batch) if stale else failed
+    else:
+        buf = np.empty((batch, len(plan.pick), es), dtype=np.uint8)
+        failed = decode = _execute(
+            volume, plan, stripes, volume._failed, out=buf.reshape(-1, es)
         )
-    algebraic = plan.lost and plan.decode is None
-    if failed or algebraic:
-        for i, stripe in enumerate(stripes):
-            if algebraic or i in failed:
-                volume._decode_cells_checked(
-                    stripe, buf[i], plan.lost + failed.get(i, [])
-                )
-    return buf, failed
+    if col is not None:
+        rows = [cell.row for cell in layout.cells_in_column(col)]
+    if lone is not None:
+        for i, cells in failed.items():
+            image = load_stripes(volume, (stripes[i],), stale, cells)[0]
+            buf[i] = image[0, rows, col]
+        return buf, failed
+    buf = buf.reshape(batch, layout.rows, layout.cols, es)
+    if decode:
+        gone = sorted(column_failure_cells(layout, stale))
+        for i in decode:
+            volume._decode_cells_checked(
+                stripes[i], buf[i], gone + failed.get(i, [])
+            )
+    return (buf if col is None else buf[:, rows, col]), failed
 
 
 def store_stripes(
@@ -1029,7 +1044,7 @@ def store_stripes(
     """Scatter every cell of the encoded ``buf`` — one ``(rows, cols,
     element_size)`` image per stripe — outside ``skip_cols`` to its disk."""
     _check_stripes(volume, min(stripes), max(stripes))
-    cells = _stripe_plan(volume, skip_cols).cells
+    cells = _live(volume, skip_cols)
     src = np.ascontiguousarray(buf).reshape(-1, volume.element_size)
     _scatter(
         volume, stripes, _at(volume, cells, stripes), src,
@@ -1107,42 +1122,25 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     else:
         slab[:, volume._data_rows, volume._data_cols] = data
     encode_batch(volume.codec, slab)
-    cells = _stripe_plan(volume, ()).cells
-    volume._store_rows(_at(volume, cells, range(first, first + batch)))
+    volume._store_rows(
+        _at(volume, _live(volume, ()), range(first, first + batch))
+    )
 
 
 def rebuild(
-    volume, surface, stripes: Sequence[int], stale: Tuple[int, ...], col: int
+    volume, stripes: Sequence[int], stale: Tuple[int, ...], col: int
 ) -> None:
     """Rebuild layout column ``col`` of ``stripes``, whose stale columns
-    ``stale`` include it: a single failure as the pick plan of the hybrid
-    planner's minimal read set (:func:`_execute`, keyed for the
-    ``surface``'s failed disks) — a stripe whose source fails to read
-    through the stripe plan with that source known-lost — a double
-    failure through the stripe plan.  Nothing is stored when a stripe
-    turns out unrecoverable
+    ``stale`` include it: one load of the column (:func:`load_stripes`),
+    one store.  Nothing is stored when a stripe turns out unrecoverable
     (:class:`~repro.exceptions.UnrecoverableStripeError`).
     """
-    _check_stripes(volume, min(stripes), max(stripes))
     layout = volume.layout
-    batch = len(stripes)
-    es = volume.element_size
     column = volume._ioplans.get(
         ("column", col), CellSet, layout.cells_in_column(col), layout.cols
     )
-    if len(stale) == 1:
-        plan = volume._ioplans.get(
-            ("rebuild", col), _compile_rebuild, volume, col
-        )
-        per = len(column.flat)
-        src = np.empty((batch * per, es), dtype=np.uint8)
-        lost = _execute(volume, plan, stripes, surface.failed, out=src)
-        for i, cells in lost.items():
-            buf = load_stripes(volume, (stripes[i],), stale, cells)[0]
-            src[i * per:(i + 1) * per] = buf.reshape(-1, es)[column.flat]
-        rows = None  # picked in store order
-    else:
-        src = load_stripes(volume, stripes, stale)[0].reshape(-1, es)
-        rows = _rows(column.flat, batch, layout.rows * layout.cols)
-    at = _at(volume, column, stripes)
-    _scatter(volume, stripes, at, src, rows)
+    src = load_stripes(volume, stripes, stale, col=col)[0]
+    _scatter(
+        volume, stripes, _at(volume, column, stripes),
+        src.reshape(-1, volume.element_size),
+    )

@@ -33,7 +33,7 @@ fails to read comes back to the plan as a located erasure.  Where the
 disks are quiet and nobody observes the funnels
 (:meth:`RAID6Volume._kernel`), the C kernel runs the operation in one
 call instead — same bytes, same counts: a partial write, a read that
-rebuilds a cell or a single-failure rebuild as its plan, a short write
+rebuilds a cell, a stripe load or a rebuild as its plan, a short write
 or a degraded read along its route of plans, and a healthy read with no
 plan at all, the kernel walking the logical range straight into the
 answer.
@@ -238,7 +238,7 @@ class RAID6Volume:
         self._stripe_locks: Tuple[threading.RLock, ...] = tuple(
             threading.RLock() for _ in range(min(64, num_stripes))
         )
-        # pattern-keyed read / RMW / stripe plans, compiled on first use
+        # pattern-keyed read / RMW / recovery plans, compiled on first use
         # (docs/performance.md, "Planned I/O")
         self._ioplans = ioplan.PlanCache()
         # -- vectorised-geometry tables (docs/performance.md) -------------
@@ -424,14 +424,10 @@ class RAID6Volume:
         )
         col = self.mapper.col_on_disk(first, cursor.disk)
         try:
-            ioplan.rebuild(
-                self, surface, range(first, first + count), stale, col
-            )
+            ioplan.rebuild(self, range(first, first + count), stale, col)
         except UnrecoverableStripeError as exc:
             if exc.stripe > first:
-                ioplan.rebuild(
-                    self, surface, range(first, exc.stripe), stale, col
-                )
+                ioplan.rebuild(self, range(first, exc.stripe), stale, col)
             cursor.pos = exc.stripe
             raise
         cursor.pos += count

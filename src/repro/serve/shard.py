@@ -88,6 +88,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.shmring import PayloadRing
 from repro.serve.state import build_shard_state
+from repro.util.validation import require_positive
 
 #: One shard-local op: (op, start, count, payload).
 ShardOp = Tuple[int, int, int, bytes]
@@ -141,8 +142,7 @@ class ShardSpec:
     durable: bool = False
     #: Snapshot file for this shard's crash-safe state (durable mode).
     state_path: Optional[str] = None
-    #: Shared-memory payload ring slots per worker incarnation
-    #: (0 disables the ring: all payloads travel inline on the pipe).
+    #: Shared-memory payload ring slots per worker incarnation (≥ 1).
     ring_slots: int = 128
     #: Bytes per ring slot; 0 = auto (64 elements, floor 4 KiB).
     ring_slot_bytes: int = 0
@@ -157,6 +157,9 @@ class ShardSpec:
     #: stall exceeds the parent's batch deadline).
     chaos_stall_after_ops: Optional[int] = None
     chaos_stall_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_positive(self.ring_slots, "ring_slots")
 
     def build_volume(self) -> RAID6Volume:
         return RAID6Volume(
@@ -345,7 +348,7 @@ class InlineShard:
             self.state.close()
 
 
-def _materialise(batch, ring: Optional[PayloadRing]):
+def _materialise(batch, ring: PayloadRing):
     """Resolve a descriptor batch into executable ops (worker side).
 
     Ring-resident WRITE payloads become live shared-memory views (the
@@ -356,7 +359,7 @@ def _materialise(batch, ring: Optional[PayloadRing]):
     read_slots: dict = {}
     for i, (op, start, count, meta) in enumerate(batch):
         payload = meta
-        if isinstance(meta, tuple) and ring is not None:
+        if isinstance(meta, tuple):
             if meta[0] == SHM_WRITE:
                 payload = ring.slot_view(meta[1], meta[2])
             elif meta[0] == SHM_READ:
@@ -366,7 +369,7 @@ def _materialise(batch, ring: Optional[PayloadRing]):
     return ops, read_slots
 
 
-def _marshal(results, read_slots, ring: Optional[PayloadRing]):
+def _marshal(results, read_slots, ring: PayloadRing):
     """Turn raw batch results into pipe descriptors (worker side).
 
     READ data lands in its reserved ring slot (one copy, volume → shm);
@@ -392,7 +395,7 @@ def _marshal(results, read_slots, ring: Optional[PayloadRing]):
 
 
 def _shard_worker(  # pragma: no cover — child process
-    conn, spec: ShardSpec, ring: Optional[PayloadRing] = None
+    conn, spec: ShardSpec, ring: PayloadRing
 ) -> None:
     """Worker-process loop: recv a batch, execute, send the results.
 
@@ -512,7 +515,6 @@ class ProcessShard:
         self.spec = spec
         self.recv_timeout = recv_timeout
         self.restarts = 0
-        self._ring: Optional[PayloadRing] = None
         #: the batch whose reply is outstanding on the pipe
         self._batch: Optional[_Batch] = None
         self._spawn(spec)
@@ -534,16 +536,14 @@ class ProcessShard:
         self._ring, self._conn, self._proc = ring, conn, proc
 
     @staticmethod
-    def _make_ring(spec: ShardSpec) -> Optional[PayloadRing]:
-        if spec.ring_slots <= 0:
-            return None
+    def _make_ring(spec: ShardSpec) -> PayloadRing:
         slot_bytes = spec.ring_slot_bytes or max(
             4096, 64 * spec.element_size
         )
         return PayloadRing(spec.ring_slots, slot_bytes)
 
     @property
-    def ring(self) -> Optional[PayloadRing]:
+    def ring(self) -> PayloadRing:
         """The live incarnation's payload ring (tests, introspection)."""
         return self._ring
 
@@ -596,9 +596,6 @@ class ProcessShard:
         """
         batch = _Batch(len(ops))
         ring = self._ring
-        if ring is None:
-            batch.downs, batch.idx = list(ops), list(range(len(ops)))
-            return batch
         esize = self.spec.element_size
         for i, (op, start, count, payload) in enumerate(ops):
             meta = payload
@@ -625,8 +622,6 @@ class ProcessShard:
         return batch
 
     def _release(self, batch: _Batch) -> None:
-        if self._ring is None:
-            return
         for slot in batch.write_slots:
             self._ring.free(slot)
         for slot in batch.read_slots.values():
@@ -721,19 +716,6 @@ class ProcessShard:
             self._await_reply(self.timeout_for(deadline))
         return self.collect(batch)
 
-    def ping(self, timeout: Optional[float] = None) -> None:
-        """Heartbeat: an empty batch must echo back within ``timeout``.
-
-        Raises the same typed errors as :meth:`execute`; a reply other
-        than ``[]`` means the pipe is desynchronised (stale late reply
-        after a timeout), which also counts as a crash.
-        """
-        batch = self.submit([])
-        self._await_reply(
-            timeout if timeout is not None else self.recv_timeout
-        )
-        self.collect(batch)
-
     def alive(self) -> bool:
         return self._proc.is_alive()
 
@@ -762,8 +744,7 @@ class ProcessShard:
         if self._batch is not None:
             self._release(self._batch)
             self._batch = None
-        if self._ring is not None:
-            self._ring.retire()
+        self._ring.retire()
 
     def retire(self) -> None:
         """Hard-kill the incarnation and retire its ring; fork nothing."""

@@ -19,8 +19,9 @@ and loaded via :mod:`ctypes`.  It exports three entry points:
   plan's rows the deltas and the program read, fold the new data into
   deltas, run the plan's XOR program, test each delta row for zero a
   word at a time, XOR each non-zero delta into its backing row in place
-  (only rows that changed are stored), pick the rows a read wants, or a
-  rebuild the lost column's, into the caller's output, and count each
+  (only rows that changed are stored), pick the rows a read wants, a
+  rebuild the lost column's or a load the stripe image's, into the
+  caller's output, and count each
   disk's reads and writes into a caller-owned array.  The plan and the
   store's geometry reach it packed into ``int64`` words
   (:func:`pack_plan`, :func:`pack_geometry`), so a call marshals a

@@ -810,12 +810,22 @@ class TestStandDown:
         )
 
     def test_disk_failed_behind_the_surface(
-        self, volume, kernel_runs, kernel_reads
+        self, volume, monkeypatch, kernel_reads
     ):
         """A disk dies after the op took its surface: the plan it was
         keyed for touches a dead disk, so the numpy executor runs it and
-        finds that out before a byte lands; the read after it takes a
-        fresh surface and, degraded, runs in the kernel."""
+        finds that out before a byte lands; the reconstruct-write that
+        takes over loads the stripe in the kernel (a load stores
+        nothing), and the read after it takes a fresh surface and,
+        degraded, runs in the kernel."""
+        stores = []  # per kernel plan run: whether it had values to store
+        inner = ioplan._kernel_run
+
+        def spy(volume, run, packed, stripes, values=None, out=None):
+            stores.append(values is not None)
+            return inner(volume, run, packed, stripes, values, out)
+
+        monkeypatch.setattr(ioplan, "_kernel_run", spy)
         per = volume.layout.num_data_cells
         items = ioplan.Span(
             volume.layout.data_cells[:3], 0, np.full((3, ES), 9, np.uint8)
@@ -823,9 +833,9 @@ class TestStandDown:
         surface = volume._surface()
         dead = volume.layout.data_cells[1].col
         volume.disks[dead].fail()
-        del kernel_runs[:], kernel_reads[:]
+        del kernel_reads[:]
         ioplan.rmw(volume, [(2, items)], surface)
-        assert volume not in kernel_runs
+        assert stores == ([False] if xor_kernel() is not None else [])
         assert np.array_equal(volume.read(2 * per, 3), items.values)
         assert (volume in kernel_reads) == (xor_kernel() is not None)
 

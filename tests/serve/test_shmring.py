@@ -95,6 +95,13 @@ class TestPayloadRing:
 
 
 class TestRingBackpressure:
+    @pytest.mark.parametrize("slots", (0, -1))
+    def test_a_shard_needs_a_ring(self, slots):
+        """Every process shard carries payloads on its ring: a spec
+        without one is refused, as ``ServerConfig`` refuses it."""
+        with pytest.raises(ValueError, match="ring_slots"):
+            ShardSpec(ring_slots=slots)
+
     def test_ring_exhaustion_answers_typed_busy(self):
         # 2 slots cannot carry 6 writes: the overflow must come back
         # BUSY (retryable) without ever reaching the worker, and the

@@ -90,9 +90,10 @@ class TestProcessShardTypedErrors:
             shard.close()
 
     def test_ping_round_trips(self):
+        """The heartbeat: an empty batch echoes back empty."""
         shard = ProcessShard(SPEC)
         try:
-            shard.ping(timeout=5.0)
+            assert shard.execute([], deadline=time.monotonic() + 5.0) == []
         finally:
             shard.close()
 
@@ -102,7 +103,7 @@ class TestProcessShardTypedErrors:
             shard.kill()
             with pytest.raises(ShardCrashedError):
                 for _ in range(3):
-                    shard.ping(timeout=5.0)
+                    shard.execute([], deadline=time.monotonic() + 5.0)
         finally:
             shard.close()
 
