@@ -23,10 +23,10 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   its schedule first rebuilds the lost old value, so that the surviving
   parities carry the new one to the next rebuild.  Every partial-stripe
   write runs through one — healthy or degraded, ``write()`` or cache
-  destage; where the C kernel runs a short write (:func:`kernel_write`)
-  it follows the write's :class:`Route` — the RMW plans of its runs,
-  looked up once per write pattern — and everywhere else :func:`rmw`
-  executes them;
+  destage; where the C kernel runs a write (:func:`kernel_write`) it
+  follows the write's :class:`Route` — the RMW plans of its partial
+  runs, looked up once per write pattern, and its whole stripes — and
+  everywhere else :func:`rmw` executes them;
 * **recovery plans**, keyed ``(stale columns, lost column or None)`` —
   the survivors to read and the XOR schedule rebuilding what the stale
   columns lose (:func:`_compile_recovery`): for one lost column the
@@ -42,7 +42,10 @@ over the volume's ``(capacity * cols, element_size)`` backing view for a
   rotated whole-stripe write, crash recovery and a reconstruct-write,
   and what the integrity sweeps and journal inspection gather raw.
   Healthy and unrotated, a run of whole stripes is one contiguous slab
-  of the backing store and :func:`encode_stripes` encodes it there.
+  of the backing store and is encoded there: stripe by stripe in C,
+  each copied and encoded while it is in cache, along a write's route
+  or from :func:`encode_stripes`, which otherwise copies the run and
+  encodes it with the batched codec.
 
 Execution is one gather of the old cells, the value-dependent
 ``delta.any()`` masks (a cell whose delta is zero is read but not
@@ -68,8 +71,9 @@ step; otherwise :func:`_plan_run` follows ``plan_exec`` step for step
 in numpy, through the funnels.  A read the volume admits is one
 ``route_exec`` call over its logical range (:func:`kernel_read`): a
 healthy one compiles no plan, a degraded one runs the same read plans'
-words as ``plan_exec`` would, run after run — and so does a short write
-(:func:`kernel_write`), with its runs' RMW plans.
+words as ``plan_exec`` would, run after run — and so does a write
+(:func:`kernel_write`), with its partial runs' RMW plans and its whole
+stripes copied and encoded in place.
 
 Plans hold a few small ``intp`` arrays each; a volume caches at most
 :data:`MAX_PLANS` of them, least recently used first out.
@@ -730,18 +734,19 @@ def _kernel_run(
 
 
 class Route(NamedTuple):
-    """How ``route_exec`` serves one read or short-write pattern, and
-    the layout columns it touches (``mask``, what
-    ``RAID6Volume._kernel`` admits).
+    """How ``route_exec`` serves one read or write pattern, and the
+    layout columns it touches (``mask``, what ``RAID6Volume._kernel``
+    admits).
 
     ``address`` ``None`` is the healthy read's walk: every wanted cell
     straight from its backing row.  Otherwise ``words`` (at ``address``)
     are :func:`repro.util.ckernel.pack_route`'s: the operation's
     ``mapper.split`` runs, each walked or run through its plan — a
-    read's read plans (:func:`read_route`), a short write's RMW plans
-    (:func:`write_route`).  ``plans`` holds those plans, so the plan
-    cache may evict one without freeing the words a route still points
-    at.
+    read's read plans (:func:`read_route`); a write's RMW plans for its
+    partial stripes and, between them, a plan-less run of whole stripes
+    copied and encoded in place (:func:`write_route`).  ``plans`` holds
+    those plans, so the plan cache may evict one without freeing the
+    words a route still points at.
     """
 
     mask: int
@@ -771,12 +776,21 @@ def _compile_route(
 ) -> Optional[Route]:
     """The route of a ``kind`` (``"read"`` or ``"rmw"``) of ``count``
     elements from ``start`` with ``stale`` columns: the plan of each of
-    its runs; ``None`` when one has none (a read that needs algebraic
-    decoding, a reconstruct-write) — and in a process with no kernel."""
+    its runs, a write's whole stripes a run with none; ``None`` when a
+    run has none (a read that needs algebraic decoding, a
+    reconstruct-write, whole stripes with a stale column) — and in a
+    process with no kernel."""
     if ckernel.xor_kernel() is None:
         return None
+    per = volume.layout.num_data_cells
     runs, plans, mask = [], [], 0
     for s0, stripes, j0, n, _ in volume.mapper.split(start, count):
+        if kind == "rmw" and n == per:
+            if stale:
+                return None  # the tensor path skips the stale columns
+            mask |= _live(volume, ()).mask
+            runs.append((stripes, 0, per, None))
+            continue
         plan = _run_plan(volume, kind, j0, n, stale, s0)
         if plan is None:
             return None
@@ -817,15 +831,15 @@ def read_route(volume, start: int, count: int, surface) -> Optional[Route]:
 
 
 def write_route(volume, start: int, count: int, surface) -> Optional[Route]:
-    """The route of a short write — every run a partial stripe, so at
-    most two stripes — cached per ``(start % per, count, failed
-    disks)``: its runs' RMW plans.  ``None`` when a run is a whole
-    stripe (checked before the cache, so long writes cost one
-    comparison), a journal is attached, a run's RMW plan is ``None`` (a
-    reconstruct-write), and where :func:`read_route` is: the volume's
-    per-stripe writers serve it."""
-    per = volume.layout.num_data_cells
-    if count >= per + -start % per or volume.journal is not None:
+    """The route of a write of any length, cached per ``(start % per,
+    count, failed disks)``: the RMW plans of its partial head and tail
+    stripes and, with no failed disk, a run of its whole stripes, each
+    copied into its data cells and encoded in place.  ``None`` when a
+    journal is attached, a run's RMW plan is ``None`` (a
+    reconstruct-write), a failed disk meets a whole stripe, and where
+    :func:`read_route` is: the volume's per-stripe and whole-stripe
+    writers serve it."""
+    if volume.journal is not None:
         return None
     return _cached_route(volume, "wroute", "rmw", start, count, surface)
 
@@ -855,8 +869,10 @@ def kernel_read(volume, start: int, count: int, route: Route) -> np.ndarray:
 def kernel_write(volume, start: int, data: np.ndarray, route: Route) -> None:
     """Write ``data`` at ``start`` by ``route``, which the kernel admits
     and whose stripes' write locks the caller holds: one ``route_exec``
-    call runs each run's RMW plan over its stripes with its rows of
-    ``data``, which must not alias the backing store."""
+    call runs each partial run's RMW plan over its stripe with its rows
+    of ``data``, and copies each whole stripe's rows into its data cells
+    and encodes it in place; ``data`` must not alias the backing
+    store."""
     _route_run(
         volume, start, len(data), route, np.ascontiguousarray(data), None
     )
@@ -1103,9 +1119,13 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     it where it lives: the backing store is stripe-major, so the run is
     one contiguous ``(stripes, rows, cols, element_size)`` slab.
 
-    One copy of the payload into the slab's data cells, one in-place
-    encode, then one ``_store_rows`` call without data — the rows are in
-    the store — for the rows :func:`store_stripes` would have scattered.
+    While the volume admits the kernel on every column, one
+    ``route_exec`` call along a one-run route of whole stripes, each
+    copied and encoded while it is in cache (what a write's route does
+    with its whole stripes).  Otherwise one copy of the payload into the
+    slab's data cells, one in-place encode, then one ``_store_rows``
+    call without data — the rows are in the store — for the rows
+    :func:`store_stripes` would have scattered, which observers see.
     For a healthy, unrotated volume whose stores are quiet (nothing to
     present element by element); ``data`` must not alias the backing
     store.
@@ -1113,6 +1133,20 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     layout = volume.layout
     batch, per, es = data.shape
     _check_stripes(volume, first, first + batch - 1)
+    if (per, es) != (layout.num_data_cells, volume.element_size):
+        raise GeometryError(
+            f"whole-stripe payload must be (stripes, "
+            f"{layout.num_data_cells}, {volume.element_size}), got "
+            f"{data.shape}"
+        )
+    live = _live(volume, ())
+    if volume._kernel(live.mask, ()) is not None:
+        words, address = ckernel.pack_route([(batch, 0, per, None)])
+        _route_run(
+            volume, first * per, batch * per, Route(live.mask, address, words),
+            np.ascontiguousarray(data, dtype=np.uint8), None,
+        )
+        return
     slab = volume._backing[
         first * layout.rows:(first + batch) * layout.rows
     ].reshape(batch, layout.rows, layout.cols, es)
@@ -1122,9 +1156,7 @@ def encode_stripes(volume, first: int, data: np.ndarray) -> None:
     else:
         slab[:, volume._data_rows, volume._data_cols] = data
     encode_batch(volume.codec, slab)
-    volume._store_rows(
-        _at(volume, _live(volume, ()), range(first, first + batch))
-    )
+    volume._store_rows(_at(volume, live, range(first, first + batch)))
 
 
 def rebuild(

@@ -33,10 +33,10 @@ fails to read comes back to the plan as a located erasure.  Where the
 disks are quiet and nobody observes the funnels
 (:meth:`RAID6Volume._kernel`), the C kernel runs the operation in one
 call instead — same bytes, same counts: a partial write, a read that
-rebuilds a cell, a stripe load or a rebuild as its plan, a short write
-or a degraded read along its route of plans, and a healthy read with no
-plan at all, the kernel walking the logical range straight into the
-answer.
+rebuilds a cell, a stripe load or a rebuild as its plan, a write or a
+degraded read along its route of plans (a write's whole stripes copied
+and encoded in place), and a healthy read with no plan at all, the
+kernel walking the logical range straight into the answer.
 
 Any stripe that has lost more than the code tolerates raises a typed
 :class:`~repro.exceptions.UnrecoverableStripeError` naming the stripe,
@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import threading
 import zlib
-from contextlib import contextmanager
 from typing import (
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     List,
@@ -111,6 +111,22 @@ class _Surface(NamedTuple):
     def healthy(self) -> bool:
         """No stripe has a stale disk."""
         return not self.failed and not self.rebuilding
+
+
+class _Held(tuple):
+    """Write locks held for the length of a ``with`` block, acquired in
+    the order given and released in reverse
+    (:meth:`RAID6Volume._locked_stripes`)."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        for lock in self:
+            lock.acquire()
+
+    def __exit__(self, *exc) -> None:
+        for lock in reversed(self):
+            lock.release()
 
 
 class ScrubReport(Dict[int, List[Cell]]):
@@ -191,6 +207,7 @@ class RAID6Volume:
         #: loading costs a process ≈ 2 MB of resident library pages, so
         #: a serving shard pays them on its first clean read.
         self._plan_exec = _UNLOADED
+        self._kernel_lock = threading.Lock()
         # a rotated plan's columns move from disk to disk: any disk counts
         self._spread = (1 << layout.cols) - 1 if rotate else 0
         self._local = threading.local()
@@ -621,8 +638,7 @@ class RAID6Volume:
         """The write lock covering ``stripe`` (striped — see ``__init__``)."""
         return self._stripe_locks[stripe % len(self._stripe_locks)]
 
-    @contextmanager
-    def _locked_stripes(self, stripes: Iterable[int]):
+    def _locked_stripes(self, stripes: Iterable[int]) -> ContextManager:
         """Hold the write locks of every stripe in ``stripes``.
 
         Distinct lock indices are acquired in sorted order, so
@@ -632,40 +648,40 @@ class RAID6Volume:
         operation on its caller's thread; what the locks serialise is
         *callers* sharing a volume — a cache destage on a shard's
         executor thread against a foreground write to the same stripe.
-        Every multi-stripe write path (:meth:`_write_rest`,
-        :meth:`_full_stripe_write_batched`) takes its burst's locks here
-        once and calls the ``*_locked`` leaf writers underneath.
+        Every multi-stripe write path (:meth:`_write_routed`,
+        :meth:`_write_rest`, :meth:`_full_stripe_write_batched`) takes
+        its burst's locks here once.
         """
-        locks = [
-            self._stripe_locks[i]
-            for i in sorted(
-                {s % len(self._stripe_locks) for s in stripes}
-            )
-        ]
-        for lock in locks:
-            lock.acquire()
-        try:
-            yield
-        finally:
-            for lock in reversed(locks):
-                lock.release()
+        locks = self._stripe_locks
+        n = len(locks)
+        if type(stripes) is range and 0 < len(stripes) < n:
+            # consecutive stripes (a write's route): one lock, itself; a
+            # slice of the locks; or two slices where the indices wrap
+            first, last = stripes[0] % n, stripes[-1] % n
+            if first == last:
+                return locks[first]
+            if first < last:
+                return _Held(locks[first:last + 1])
+            return _Held(locks[:last + 1] + locks[first:])
+        return _Held([locks[i] for i in sorted({s % n for s in stripes})])
 
     # -- writes ----------------------------------------------------------------
 
     def write(self, start: int, data: np.ndarray) -> None:
         """Write ``data`` (``(count, element_size)`` uint8) at ``start``.
 
-        A short write — no stripe fully covered, so at most two partial
-        ones — that the C kernel admits (:meth:`_kernel`: healthy or
-        failed disks, no rebuild in flight, unrotated, no journal) is
-        one kernel call along its cached route of RMW plans
-        (:func:`repro.array.ioplan.write_route`), under its stripes'
-        write locks (:meth:`_write_routed`).  Otherwise a run of two or
-        more fully covered stripes goes through the batched codec as one
-        encode (:meth:`_full_stripe_write_batched`) — in place in the
-        backing store on a healthy, unrotated volume, where ``data`` is
-        copied once and nothing else moves; head/tail partial stripes —
-        and a lone whole stripe — take the per-stripe controller paths
+        A write the C kernel admits (:meth:`_kernel`: no rebuild in
+        flight, unrotated, no journal; healthy, or with failed disks and
+        no stripe fully covered) is one kernel call along its cached
+        route (:func:`repro.array.ioplan.write_route`), under its
+        stripes' write locks (:meth:`_write_routed`): the RMW plans of
+        its partial head and tail stripes, and each whole stripe between
+        them copied into its data cells and encoded in place while it is
+        in cache.  Otherwise a run of two or more fully covered stripes
+        goes through the batched codec as one encode
+        (:meth:`_full_stripe_write_batched`) — in place in the backing
+        store on a healthy, unrotated volume; head/tail partial stripes
+        — and a lone whole stripe — take the per-stripe controller paths
         (RMW parity patch, reconstruct-write), each a cached I/O plan
         (:mod:`repro.array.ioplan`).  ``data`` may be a zero-copy
         :meth:`read` view of this volume (never written along a route).
@@ -716,15 +732,13 @@ class RAID6Volume:
     ) -> bool:
         """Write ``data`` at ``start`` along its ``route`` in one kernel
         call (:func:`repro.array.ioplan.kernel_write`), holding the write
-        locks of its (at most two) stripes, taken in lock-index order;
-        ``False``, nothing written, when the kernel stands down — checked
-        under the locks, as the per-stripe writers check it."""
-        locks = self._stripe_locks
+        locks of its stripes (:meth:`_locked_stripes`); ``False``,
+        nothing written, when the kernel stands down — checked under the
+        locks, as the per-stripe writers check it."""
         per = self.layout.num_data_cells
-        first = start // per % len(locks)
-        last = (start + len(data) - 1) // per % len(locks)
-        # one stripe's lock twice: an RLock
-        with locks[min(first, last)], locks[max(first, last)]:
+        with self._locked_stripes(
+            range(start // per, (start + len(data) - 1) // per + 1)
+        ):
             if self._kernel(route.mask, surface.failed) is None:
                 return False
             ioplan.kernel_write(self, start, data, route)
@@ -1088,18 +1102,25 @@ class RAID6Volume:
     def _load_kernel(self):
         """Pack the backing store for the kernel, then resolve
         ``route_exec`` and ``plan_exec`` (in that order: a thread that
-        sees ``plan_exec`` resolved finds the rest)."""
-        cols = self.layout.cols
-        self._geometry = ckernel.pack_geometry(
-            self._flat_backing, self.layout.rows * cols, cols,
-            self.mapper.rotate,
-            (self._data_rows * cols + self._data_cols).tolist(),
-        )
-        kernel = ckernel.xor_kernel()
-        if kernel is not None:
-            self._route_exec = kernel.route_exec
-        self._plan_exec = None if kernel is None else kernel.plan_exec
-        return self._plan_exec
+        sees ``plan_exec`` resolved finds the rest) — once, under a
+        lock: threads racing to the first kernel call must not replace
+        the geometry words a call already running is reading."""
+        with self._kernel_lock:
+            if self._plan_exec is not _UNLOADED:
+                return self._plan_exec
+            layout = self.layout
+            cols = layout.cols
+            self._geometry = ckernel.pack_geometry(
+                self._flat_backing, layout.rows * cols, cols,
+                self.mapper.rotate, self._data_rows * cols + self._data_cols,
+                [len(layout.cells_in_column(col)) for col in range(cols)],
+                self.codec.plans.encode.program,
+            )
+            kernel = ckernel.xor_kernel()
+            if kernel is not None:
+                self._route_exec = kernel.route_exec
+            self._plan_exec = None if kernel is None else kernel.plan_exec
+            return self._plan_exec
 
     def _counts(self) -> Tuple[np.ndarray, int]:
         """This thread's ``(2, cols)`` counts array for ``plan_exec``

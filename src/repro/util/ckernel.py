@@ -26,19 +26,22 @@ and loaded via :mod:`ctypes`.  It exports three entry points:
   store's geometry reach it packed into ``int64`` words
   (:func:`pack_plan`, :func:`pack_geometry`), so a call marshals a
   handful of integers;
-* ``route_exec`` serves a whole read, or a whole short write, in one
-  call.  Healthy (no ``route``), a read needs no plan at all: it walks
-  a range of logical elements through the geometry's data-cell table,
-  copies each element's backing row — a run of consecutive rows at a
-  time — into the caller's output, and counts each disk's reads.
-  Otherwise it follows a *route* (:class:`repro.array.ioplan.Route`):
-  the operation's runs of one pattern, each either walked the same way
-  or executed as its packed plan — ``plan_exec``'s per-stripe body, one
-  function in the C source — over the run's stripes: a degraded read's
-  read plans rebuild its lost cells and pick straight into the run's
-  slice of the output, a short write's RMW plans take the run's slice
-  of the caller's rows as their values and patch data and parity in
-  place.
+* ``route_exec`` serves a whole read, or a whole write, in one call.
+  Healthy (no ``route``), a read needs no plan at all: it walks a range
+  of logical elements through the geometry's data-cell table, copies
+  each element's backing row — a run of consecutive rows at a time —
+  into the caller's output, and counts each disk's reads.  Otherwise it
+  follows a *route* (:class:`repro.array.ioplan.Route`): the
+  operation's runs of one pattern, each walked the same way, stored as
+  whole stripes, or executed as its packed plan — ``plan_exec``'s
+  per-stripe body, one function in the C source — over the run's
+  stripes: a degraded read's read plans rebuild its lost cells and pick
+  straight into the run's slice of the output; a write's partial head
+  and tail stripes run their RMW plans, which take the run's slice of
+  the caller's rows as their values and patch data and parity in place,
+  and each of its whole stripes gets its rows copied into its data
+  cells — the walk reversed — and the geometry's encode program run
+  over it while it is still in cache, so the payload is read once.
 
 Entirely optional: compilation failure (no compiler, read-only temp dir,
 sandboxed subprocess) silently degrades to the numpy execution path, and
@@ -64,8 +67,8 @@ between calls and frees when the thread exits.
 its own counts array, and nothing else: the caller holds those stripes'
 write locks, and adds the counts to the disks' counters under their lock
 once the call returns.  ``route_exec`` along a write's route likewise
-writes only the backing rows of the route's (at most two) stripes —
-under their write locks, which the caller holds — and its counts array.
+writes only the backing rows of the route's stripes — under their write
+locks, which the caller holds — and its counts array.
 A read reads the backing store without any stripe lock — as the numpy
 gather of a read plan does — and writes only its output and its counts
 array.  :func:`kernel_releases_gil` asserts the contract symbol by
@@ -211,7 +214,9 @@ static int any_set(const uint8_t *p, int64_t n)
 
 /* A volume's flat backing store: rows of es bytes, stripe-major; then
  * its logical order — per data cells a stripe, data cell j at
- * stripe-local row geom[G_DATA + j]. */
+ * stripe-local row geom[G_DATA + j]; then the cells a stripe holds on
+ * each of its cols columns; then the length of the codec's encode
+ * program and the program, over a stripe's stride rows. */
 enum { G_BASE, G_STRIDE, G_COLS, G_ROTATE, G_ES, G_PER, G_DATA };
 
 /* Header words of a packed plan; its arrays follow in the order
@@ -380,6 +385,42 @@ static void walk(const int64_t *geom, int64_t stripe, int64_t j,
         memcpy(out, backing + first * es, (size_t)(rows * es));
 }
 
+/* Write `count` whole stripes from `stripe` on of the unrotated store
+ * `geom` describes from consecutive rows of `values`, per data cells a
+ * stripe: copy a stripe's rows into its data cells — the walk reversed,
+ * consecutive backing rows as one copy — then run the encode program
+ * over the stripe's rows while they are in cache, and count each cell
+ * of the stripe written on its disk into writes[0..cols). */
+static void encode_stripes(const int64_t *geom, int64_t stripe,
+                           int64_t count, const uint8_t *values,
+                           int64_t *writes)
+{
+    uint8_t *backing = (uint8_t *)(intptr_t)geom[G_BASE];
+    const int64_t stride = geom[G_STRIDE], cols = geom[G_COLS];
+    const int64_t es = geom[G_ES], per = geom[G_PER];
+    const int64_t *data = geom + G_DATA, *cells = data + per;
+    const int64_t *prog = cells + cols + 1, plen = cells[cols];
+    for (int64_t s = 0; s < count; ++s) {
+        uint8_t *rows = backing + (stripe + s) * stride * es;
+        int64_t first = data[0], n = 1;  /* the pending copy */
+        for (int64_t j = 1; j <= per; ++j) {
+            if (j < per && data[j] == first + n) {
+                ++n;
+                continue;
+            }
+            memcpy(rows + first * es, values, (size_t)(n * es));
+            values += n * es;
+            if (j < per) {
+                first = data[j];
+                n = 1;
+            }
+        }
+        run_program(rows, es, prog, plen);
+        for (int64_t c = 0; c < cols; ++c)
+            writes[c] += cells[c];
+    }
+}
+
 /* Walk logical elements [start, start + count) of the store `geom`
  * describes along `route`: a read into consecutive rows of `out`, or a
  * write of consecutive rows of `values`.
@@ -389,12 +430,13 @@ static void walk(const int64_t *geom, int64_t stripe, int64_t j,
  *          4 words a run: (stripes, j0, n, plan) — data cells j0 ..
  *          j0+n-1 of each of `stripes` stripes, the run's stripes * n
  *          rows of `out` or `values` from its first row k0 on.  Plan 0
- *          walks the run's cells into `out`; any other is the address of
- *          a packed plan whose plan_stripe body runs over each of the
- *          run's stripes with its n rows of `values` and of `out` — a
- *          read plan picks its cells into `out`, an RMW plan (nout 0)
- *          stores its values.  The runs end where they have covered
- *          `count` elements.
+ *          walks the run's cells into `out` in a read, and in a write
+ *          stores whole stripes (n = per; encode_stripes, unrotated);
+ *          any other is the address of a packed plan whose plan_stripe
+ *          body runs over each of the run's stripes with its n rows of
+ *          `values` and of `out` — a read plan picks its cells into
+ *          `out`, an RMW plan (nout 0) stores its values.  The runs end
+ *          where they have covered `count` elements.
  * values   a write's rows (NULL for a read): read stripe by stripe, so
  *          they must not alias the rows of a later stripe.
  * out      a read's rows (NULL for a write).
@@ -416,7 +458,10 @@ int64_t route_exec(const int64_t *geom, int64_t start, int64_t count,
     for (int64_t k0 = 0; k0 < count; route += 4) {
         const int64_t stripes = route[0], n = route[2];
         const int64_t *plan = (const int64_t *)(intptr_t)route[3];
-        if (plan == NULL) {
+        if (plan == NULL && values != NULL) {
+            encode_stripes(geom, stripe, stripes, values + k0 * es,
+                           counts + geom[G_COLS]);
+        } else if (plan == NULL) {
             walk(geom, stripe, route[1], stripes * n, out + k0 * es, counts);
         } else {
             int64_t *at = plan_scratch(geom, plan);
@@ -456,17 +501,24 @@ def _packed(words) -> Packed:
 
 def pack_geometry(
     backing: np.ndarray, stride: int, cols: int, rotate: bool,
-    data: Sequence[int],
+    data: Sequence[int], cells: Sequence[int], program: np.ndarray,
 ) -> Packed:
     """A volume's flat ``(rows, element_size)`` backing store: ``stride``
     rows a stripe, row ``offset * cols + disk``, columns shifted by the
     stripe number when ``rotate``; logical element ``i`` at stripe-local
-    row ``data[i % len(data)]`` of stripe ``i // len(data)``.  The store
-    must outlive the words."""
-    return _packed([
-        backing.ctypes.data, stride, cols, int(rotate), backing.shape[1],
-        len(data), *data,
-    ])
+    row ``data[i % len(data)]`` of stripe ``i // len(data)``; ``cells[c]``
+    cells of a stripe on column ``c``, what a whole-stripe store writes
+    there; and the codec's encode ``program`` (``XorPlan.program``) over
+    a stripe's ``stride`` rows, which a whole-stripe store runs in
+    place.  The store must outlive the words."""
+    return _packed(np.concatenate([
+        np.asarray(a, dtype=np.int64).ravel()
+        for a in (
+            (backing.ctypes.data, stride, cols, int(rotate),
+             backing.shape[1], len(data)),
+            data, cells, (len(program),), program,
+        )
+    ]))
 
 
 def pack_plan(plan) -> Packed:
@@ -515,9 +567,10 @@ def pack_plan(plan) -> Packed:
 def pack_route(runs) -> Packed:
     """``route_exec``'s route: ``(stripes, j0, n, plan)`` per run of one
     read or write, in order from its first stripe — ``plan`` the run's
-    :class:`Packed` read or RMW plan, or ``None`` for a run of a read
-    whose cells are walked as a healthy read walks them.  The plans must outlive the
-    words."""
+    :class:`Packed` read or RMW plan, or ``None``: in a read, a run whose
+    cells are walked as a healthy read walks them; in a write, a run of
+    whole stripes, each copied into its data cells and encoded in place.
+    The plans must outlive the words."""
     return _packed([
         word
         for stripes, j0, n, plan in runs

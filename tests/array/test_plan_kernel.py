@@ -3,9 +3,9 @@
 While the disks a plan touches are quiet and nothing observes the
 volume's funnels, an RMW plan — and a read plan that rebuilds a cell —
 runs as one ``plan_exec`` call, and a read — healthy, or degraded along
-its route of read plans — or a short write along its route of RMW plans
-as one ``route_exec`` call (``RAID6Volume._kernel``); otherwise the
-numpy executor runs it.
+its route of read plans — or a write along its route of RMW plans and
+whole stripes as one ``route_exec`` call (``RAID6Volume._kernel``);
+otherwise the numpy executor runs it.
 :class:`Engines` drives one seeded op stream through both, on two
 volumes that differ only in that the second has no kernel, and requires
 them to stay indistinguishable: backing image, per-disk counters, heal
@@ -22,6 +22,7 @@ import itertools
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -405,10 +406,12 @@ class TestKernelWrites:
         one hold the same bytes and count the same I/O after every
         write.  Every pattern the route may serve is written, with fresh
         values or, by turns, every other element changed (half the
-        deltas zero); of the rest — whole-stripe runs, EVENODD's
-        algebraic doubles — every fourth count.  The route serves exactly
-        the writes whose runs are all partial stripes with an RMW plan
-        each; the others go to the per-stripe writers."""
+        deltas zero); of the rest — whole-stripe runs with a failed
+        disk, EVENODD's algebraic doubles — every fourth count.  The
+        route serves exactly the writes whose partial stripes have an
+        RMW plan each and, with a failed disk, that cover no whole
+        stripe; the others go to the per-stripe and whole-stripe
+        writers."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         total = 3 * per
@@ -436,8 +439,11 @@ class TestKernelWrites:
                 for count in range(1, 2 * per + 2):
                     short = count < per + -j % per
                     start = j + per * (j + count <= 2 * per)
-                    runs = kernel.mapper.split(start, count)
-                    for s0, _, j0, n, _ in runs if short else ():
+                    runs = [
+                        run for run in kernel.mapper.split(start, count)
+                        if run[3] < per  # the partial stripes
+                    ]
+                    for s0, _, j0, n, _ in runs:
                         if (j0, n) not in planned:
                             span = ioplan.Span(
                                 layout.data_cells[j0:j0 + n], j0, None
@@ -446,7 +452,7 @@ class TestKernelWrites:
                                 ("rmw", range(j0, j0 + n), failed),
                                 ioplan._compile_rmw, kernel, span, failed, s0,
                             ) is not None
-                    routed = short and all(
+                    routed = (short or not failed) and all(
                         planned[j0, n] for _, _, j0, n, _ in runs
                     )
                     unplanned += short and not routed
@@ -587,20 +593,41 @@ def test_threads_sharing_stripes_keep_their_parity(kernel_writes):
     the stripes' write locks serialise their parity updates, so none is
     lost — every stripe scrubs clean — and each cell holds the value
     its thread wrote last.  (Large elements widen the window a race
-    would need.)"""
+    would need.)  Then one thread writes stripes 62 – 65 of a 66-stripe
+    volume in one call — partial 62 and 65, whole 63 and 64, the locks
+    wrapping from 63 to 0 — while the other writes the cells of 62 and
+    65 it leaves out, and of 61: the same."""
     layout = make_code("dcode", 7)
     per = layout.num_data_cells
     es = 1 << 16
     volume = RAID6Volume(layout, num_stripes=4, element_size=es)
     pool = np.random.default_rng(2).integers(0, 256, (64, es), np.uint8)
-    rounds = 1000
     # thread 0: cells 2per-3, 2per-2 and 2per+2, 2per+3; thread 1: cells
     # 2per-1 .. 2per+1
-    jobs = [
+    _race(volume, pool, 1000, [
         [(2 * per - 3, 2, 0), (2 * per + 2, 2, 20)],
         [(2 * per - 1, 3, 40)],
-    ]
-    barrier = threading.Barrier(2)
+    ])
+    assert kernel_writes.count(volume) == 3 * 1000
+    volume = RAID6Volume(layout, num_stripes=66, element_size=4096)
+    assert len(volume._stripe_locks) == 64
+    long = 3 * per + 26  # cells 4 .. per-1 of 62, 0 .. 29 of 65
+    pool = np.random.default_rng(3).integers(
+        0, 256, (long + 16, 4096), np.uint8
+    )
+    _race(volume, pool, 200, [
+        [(62 * per + 4, long, 0)],
+        [(62 * per - 2, 6, 3), (65 * per + 30, per - 30, 9)],
+    ])
+    assert kernel_writes.count(volume) == 3 * 200
+
+
+def _race(volume, pool, rounds, jobs):
+    """Each job list on a thread of its own, ``rounds`` times: write
+    ``n`` rows of ``pool`` from row ``k + i % 16`` at ``start`` for each
+    ``(start, n, k)``, round ``i`` — then every stripe scrubs clean and
+    each range holds its last round's rows."""
+    barrier = threading.Barrier(len(jobs))
 
     def run(writes):
         barrier.wait(timeout=30)
@@ -619,7 +646,6 @@ def test_threads_sharing_stripes_keep_their_parity(kernel_writes):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert kernel_writes.count(volume) == 3 * rounds
     assert volume.scrub() == []
     last = (rounds - 1) % 16
     for writes in jobs:
@@ -627,6 +653,38 @@ def test_threads_sharing_stripes_keep_their_parity(kernel_writes):
             assert np.array_equal(
                 volume.read(start, n), pool[k + last:k + last + n]
             )
+
+
+def test_threads_racing_to_the_first_call_pack_one_geometry(monkeypatch):
+    """Threads whose first operations on a fresh volume race into
+    ``_load_kernel`` pack its geometry once: a second packing would
+    free the words a kernel call already running reads."""
+    packed = []
+    pack = ckernel.pack_geometry
+
+    def slow_pack(*args):
+        packed.append(threading.get_ident())
+        time.sleep(0.05)  # the GIL released: the other threads run
+        return pack(*args)
+
+    monkeypatch.setattr(ckernel, "pack_geometry", slow_pack)
+    volume = RAID6Volume(make_code("dcode", 5), num_stripes=4,
+                         element_size=ES)
+    barrier = threading.Barrier(4)
+    loaded = []
+
+    def first_call():
+        barrier.wait(timeout=30)
+        loaded.append(volume._kernel(1, ()))
+
+    threads = [threading.Thread(target=first_call) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(packed) == 1
+    assert len(loaded) == 4 and len({id(run) for run in loaded}) == 1
 
 
 def _threaded_counts(kernel_runs, kernel_reads, kernel_writes, failed=None):

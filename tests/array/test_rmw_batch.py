@@ -140,8 +140,8 @@ def slab_runs(monkeypatch):
 def spy_stores(volume, monkeypatch):
     """``(rows, came with data)`` of every planned store of ``volume``,
     in order, on whichever engine ran it: a call of its store funnel
-    ``_store_rows``, or a C kernel run of an RMW plan or of a short
-    write's route (the rows its counts say it wrote); a
+    ``_store_rows``, or a C kernel run of an RMW plan or of a write's
+    route (the rows its counts say it wrote); a
     ``SimDisk.write_block`` call fails.
 
     The funnel is spied on the class, so spying never stands the kernel
@@ -1055,10 +1055,11 @@ class TestStoreFunnel:
         # a quiet single-stripe RMW: three cells and their parities
         (rows, data), = stored(volume.write, 2 * per + 3, fresh(3))
         assert data and 3 < rows < cells
-        # whole stripes, healthy: encoded in place, announced without
-        # data (rotated: an encode tensor scattered)
+        # whole stripes, healthy: copied and encoded in place along the
+        # write's route (no kernel: encoded in place, announced without
+        # data; rotated: an encode tensor scattered)
         assert stored(volume.write, 4 * per, fresh(2 * per)) == [
-            (2 * cells, rotate)
+            (2 * cells, rotate or xor_kernel() is not None)
         ]
         volume.fail_disk(2)
         # a dirty cell on the failed disk: the surviving parities only
@@ -1141,26 +1142,41 @@ class TestStoreFunnel:
         assert volume.scrub() == [] and checker.find_corruption() == {}
 
 
-def test_whole_stripe_write_moves_the_payload_once():
-    """32 healthy stripes of dcode p = 7 x 4 KiB carry 4.6 MB: encoded in
-    place, the write allocates index arrays and (numpy engine) one
-    cache-sized XOR scratch — not a 6.4 MB encode tensor and a gather
-    per disk."""
+def _payload_peak(shift):
+    """The ``tracemalloc`` peak of a healthy 32-stripe-long write of
+    dcode p = 7 x 4 KiB (4.6 MB) ``shift`` elements past a stripe
+    boundary into the second half of the volume, the same write made
+    once before into the first (plans compiled, kernel loaded)."""
     layout = make_code("dcode", 7)
     per = layout.num_data_cells
     volume = RAID6Volume(layout, num_stripes=64, element_size=4096)
     data = np.random.default_rng(1).integers(
         0, 256, (32 * per, 4096), dtype=np.uint8
     )
-    volume.write(0, data)  # compile the plans, load the kernel
+    volume.write(shift, data)  # compile the plans, load the kernel
+    start = (32 if shift == 0 else 31) * per + shift
     tracemalloc.start()
     try:
-        volume.write(32 * per, data)
+        volume.write(start, data)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
-    assert np.array_equal(volume.read(32 * per, 32 * per), data)
+    assert np.array_equal(volume.read(start, 32 * per), data)
+    return peak
+
+
+def test_whole_stripe_write_moves_the_payload_once():
+    """32 healthy stripes of dcode p = 7 x 4 KiB carry 4.6 MB: encoded in
+    place, the write allocates index arrays and (numpy engine) one
+    cache-sized XOR scratch — not a 6.4 MB encode tensor and a gather
+    per disk."""
+    assert _payload_peak(0) < 1 << 20
+
+
+def test_head_and_tail_write_moves_the_payload_once():
+    """The same with a partial head and tail stripe around 31 whole
+    ones: their RMW plans add one stripe's scratch at most."""
+    assert _payload_peak(5) < 1 << 20
 
 
 class TestPlanCache:
