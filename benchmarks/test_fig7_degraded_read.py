@@ -56,13 +56,13 @@ def test_fig7_batched_volume_matches_model(monkeypatch):
     on the path the benchmark times: with the C kernel, each read is one
     ``route_exec`` call following its route of read plans."""
     served = []
-    kernel_read = ioplan.kernel_read
+    route_exec = ioplan._route_exec
 
-    def spy(volume, *args):
+    def spy(volume, start, count, route, values, out):
         served.append(volume)
-        return kernel_read(volume, *args)
+        return route_exec(volume, start, count, route, values, out)
 
-    monkeypatch.setattr(ioplan, "kernel_read", spy)
+    monkeypatch.setattr(ioplan, "_route_exec", spy)
     num_stripes = 16
     for code in CODES:
         layout = make_code(code, 7)

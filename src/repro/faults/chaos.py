@@ -561,8 +561,8 @@ class _CrashCampaign:
             return [(start, payload(min(2 * per, vol.num_elements - start)))]
         if pattern == "burst":
             # three partial-stripe RMWs flushed as one coalesced burst:
-            # the cache destages them through a single _write_rest call,
-            # which journals them as one group-committed append
+            # the cache destages them as one queue (_write_rest), which
+            # journals them as one group-committed append
             n = per // 3 or 1
             return [
                 (0, payload(n)),

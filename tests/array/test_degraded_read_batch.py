@@ -1,12 +1,12 @@
 """Planned degraded reads, held to the differential oracle.
 
-Degraded reads (``repro.array.ioplan.read_runs``, docs/performance.md
-"Planned I/O") execute the access engine's
-:class:`~repro.iosim.engine.StripeReadPlan` per stripe, so the disk
-traffic they account is the model's by construction.  These tests drive
-them through :class:`~tests.array.test_rmw_batch.Twin` — the vector
-branch, the per-element branch and the reference walk, byte-exact and
-per-disk counter-identical — across single and double failures,
+Degraded reads (``repro.array.ioplan.read_route``, walked in numpy by
+``ioplan._route_walk``; docs/performance.md "Planned I/O") execute the
+access engine's :class:`~repro.iosim.engine.StripeReadPlan` per stripe,
+so the disk traffic they account is the model's by construction.  These
+tests drive them through :class:`~tests.array.test_rmw_batch.Twin` — the
+vector branch, the per-element branch and the reference walk, byte-exact
+and per-disk counter-identical — across single and double failures,
 rebuild-cursor stale boundaries, rotation, latent sectors and algebraic
 patterns; and pin what the twin does not see: the access engine cached
 per failure state, and the minimal fetch.

@@ -48,13 +48,15 @@ STRIPES = 8
 needs_kernel = pytest.mark.skipif(xor_kernel() is None, reason="no C kernel")
 
 
-def _spy(monkeypatch, name):
-    """The volume of every call of ``ioplan.<name>``, in order."""
+def _spy(monkeypatch, name, keep=None):
+    """The volume of every call of ``ioplan.<name>`` — of those whose
+    other arguments ``keep`` accepts — in order."""
     calls = []
     inner = getattr(ioplan, name)
 
     def spy(volume, *args, **kwargs):
-        calls.append(volume)
+        if keep is None or keep(*args, **kwargs):
+            calls.append(volume)
         return inner(volume, *args, **kwargs)
 
     monkeypatch.setattr(ioplan, name, spy)
@@ -70,14 +72,23 @@ def kernel_runs(monkeypatch):
 @pytest.fixture
 def kernel_reads(monkeypatch):
     """The volume of every C kernel read (``route_exec``), in order."""
-    return _spy(monkeypatch, "kernel_read")
+    return _spy(monkeypatch, "_route_exec",
+                lambda start, count, route, values, out: values is None)
 
 
 @pytest.fixture
 def kernel_writes(monkeypatch):
     """The volume of every C kernel write along a route (``route_exec``),
     in order."""
-    return _spy(monkeypatch, "kernel_write")
+    return _spy(monkeypatch, "_route_exec",
+                lambda start, count, route, values, out: values is not None)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The volume of every route walked in numpy (``_route_walk``), in
+    order."""
+    return _spy(monkeypatch, "_route_walk")
 
 
 class Engines:
@@ -211,7 +222,7 @@ class TestEngineDifferential:
         assert numpy not in kernel_runs and numpy not in kernel_writes
         if xor_kernel() is not None:
             assert kernel_runs.count(kernel) > 0
-            assert (kernel in kernel_writes) != rotate
+            assert kernel in kernel_writes  # rotated too
 
 
 def _fail_source(volume, stripe, disk):
@@ -312,8 +323,8 @@ class TestDegradedKernelReads:
         and every ``(start, count)`` with ``count <= 2 * per + 1`` read
         on a three-stripe volume: the kernel's degraded read returns the
         numpy executor's bytes and counts its reads on the same disks.
-        The kernel serves each read whose route exists; the others —
-        EVENODD's algebraic doubles — go to ``read_runs``."""
+        The kernel serves each read whose route has words; the others —
+        EVENODD's algebraic doubles — are walked (``_route_walk``)."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         total = 3 * per
@@ -323,7 +334,7 @@ class TestDegradedKernelReads:
         failures = [(col,) for col in range(layout.cols)]
         if p == 5:
             failures += list(itertools.combinations(range(layout.cols), 2))
-        fallbacks = _spy(monkeypatch, "read_runs")
+        fallbacks = _spy(monkeypatch, "_route_walk")
         algebraic = 0
         for failed in failures:
             engines = Engines(layout, stripes=3)
@@ -342,8 +353,8 @@ class TestDegradedKernelReads:
                     route = ioplan.read_route(
                         kernel, start, count, kernel._surface()
                     )
-                    algebraic += route is None
-                    served = route is not None and xor_kernel() is not None
+                    served = route.packed is not None
+                    algebraic += not served
                     assert kernel_reads == ([kernel] if served else [])
                     assert fallbacks == (
                         [numpy] if served else [kernel, numpy]
@@ -374,14 +385,15 @@ class TestDegradedKernelReads:
         cache = volume._ioplans
         volume.read(start, count)
         route = cache._plans[key]
-        assert len(route.plans) == 2
+        plans = [run[3] for run in route.runs if type(run[3]) is ioplan.Plan]
+        assert len(plans) == 2
         for other in range(10):
             volume.read(2 * per + other, 3 + other)
             volume.read(start, count)  # keeps the route, not its plans
         cached = list(cache._plans.values())
         assert cached[-1] is route
-        assert not any(v is plan for v in cached for plan in route.plans)
-        del cached
+        assert not any(v is plan for v in cached for plan in plans)
+        del cached, plans  # only the route holds its plans now
         gc.collect()
         clobber = [np.full(4096, 0xAB, np.int64) for _ in range(64)]
         del kernel_reads[:]
@@ -410,8 +422,8 @@ class TestKernelWrites:
         disk, EVENODD's algebraic doubles — every fourth count.  The
         route serves exactly the writes whose partial stripes have an
         RMW plan each and, with a failed disk, that cover no whole
-        stripe; the others go to the per-stripe and whole-stripe
-        writers."""
+        stripe; the others' routes have no words and are walked in
+        numpy."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         total = 3 * per
@@ -457,7 +469,7 @@ class TestKernelWrites:
                     )
                     unplanned += short and not routed
                     if not routed and count % 4:
-                        continue  # the per-stripe writers: every fourth
+                        continue  # walked routes: every fourth
                     served = routed and xor_kernel() is not None
                     # fresh values and, by turns, every other element
                     # changed: half the deltas zero
@@ -518,14 +530,15 @@ class TestKernelWrites:
         cache = volume._ioplans
         write(start, count)
         route = cache._plans[key]
-        assert len(route.plans) == 2
+        plans = [run[3] for run in route.runs if type(run[3]) is ioplan.Plan]
+        assert len(plans) == 2
         for other in range(10):
             write(3 * per + other, 3 + other)
             write(start, count)  # keeps the route, not its plans
         cached = list(cache._plans.values())
         assert cached[-1] is route
-        assert not any(v is plan for v in cached for plan in route.plans)
-        del cached
+        assert not any(v is plan for v in cached for plan in plans)
+        del cached, plans  # only the route holds its plans now
         gc.collect()
         clobber = [np.full(4096, 0xAB, np.int64) for _ in range(64)]
         del kernel_writes[:]
@@ -824,13 +837,17 @@ class TestStandDown:
             xor_kernel() is not None
         )
 
-    def test_phase_hook(self, volume, kernel_runs, kernel_reads):
+    def test_phase_hook(
+        self, volume, kernel_runs, kernel_reads, kernel_writes
+    ):
         volume.journal = WriteIntentLog(phase_hook=lambda phase, s: None)
         assert not self._ran(volume, kernel_runs)
         assert not self._read_ran(volume, kernel_reads)
         volume.journal.phase_hook = None
-        # journaled: no route, the plan runs in the kernel
-        assert self._ran(volume, kernel_runs, 3) == (xor_kernel() is not None)
+        # journaled: the write's route runs in the kernel
+        assert self._ran(volume, kernel_writes, 3) == (
+            xor_kernel() is not None
+        )
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
         )
@@ -898,18 +915,26 @@ class TestStandDown:
         assert (volume in kernel_reads) == (xor_kernel() is not None)
 
     def test_rebuild_in_flight(self, volume, kernel_reads):
-        """A failed disk alone leaves reads in the kernel.  Behind the
-        cursor a stripe is whole again, but the surface is not healthy
-        until the rebuild is done, and in between the stale columns
-        vary by stripe: no route."""
+        """A failed disk alone leaves reads in the kernel, and so does a
+        rebuild in flight: behind the cursor a stripe is whole again,
+        ahead of it the disk is stale, so the route is built for the op,
+        its runs cut where the stale columns change."""
         volume.fail_disk(0)
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
         )
         cursor = volume.start_rebuild(0, batch=1)
         cursor.step()  # stripe 0, the one read, is rebuilt
-        assert cursor.covers(0)
-        assert not self._read_ran(volume, kernel_reads)
+        assert cursor.covers(0) and not cursor.covers(1)
+        assert self._read_ran(volume, kernel_reads) == (
+            xor_kernel() is not None
+        )
+        del kernel_reads[:]
+        assert np.array_equal(
+            volume.read(3, volume.num_elements - 3),
+            np.ones((volume.num_elements - 3, ES)),
+        )
+        assert kernel_reads == ([volume] if xor_kernel() else [])
         cursor.run()
         assert self._read_ran(volume, kernel_reads) == (
             xor_kernel() is not None
@@ -922,21 +947,23 @@ class TestStandDown:
     @pytest.mark.parametrize("case", (
         "fault_hook", "latent", "integrity", "tracker", "behind", "rebuild",
     ))
-    def test_degraded_read(self, volume, monkeypatch, kernel_reads, case):
+    def test_degraded_read(
+        self, volume, monkeypatch, kernel_reads, walks, case
+    ):
         """A read of stripe 0 rebuilding data cell 7, whose disk is
         failed, runs in the kernel — until ``case``: a hook or a latent
         sector on a disk it touches, an integrity checker or a
-        dirty-stripe tracker attached, a disk failed behind its surface,
-        a rebuild in flight.  Then ``read_runs`` serves it."""
-        fallbacks = _spy(monkeypatch, "read_runs")
+        dirty-stripe tracker attached, a disk failed behind its surface.
+        Then ``_route_walk`` runs the same route in numpy.  A rebuild in
+        flight keeps it in the kernel."""
         lost = volume.layout.data_cells[7].col
         touched = volume.layout.data_cells[6].col  # read, not lost
         volume.fail_disk(lost)
 
         def ran():
-            del kernel_reads[:], fallbacks[:]
+            del kernel_reads[:], walks[:]
             assert np.array_equal(volume.read(6, 3), np.ones((3, ES)))
-            assert (volume in kernel_reads) != (volume in fallbacks)
+            assert (volume in kernel_reads) != (volume in walks)
             return volume in kernel_reads
 
         assert ran() == (xor_kernel() is not None)
@@ -958,31 +985,31 @@ class TestStandDown:
             monkeypatch.setattr(volume, "_surface", lambda: surface)
         else:
             volume.start_rebuild(lost, batch=1).step()
-        assert not ran()
-
+        assert ran() == (case == "rebuild" and xor_kernel() is not None)
 
     @pytest.mark.parametrize("case", (
         "fault_hook", "latent", "phase_hook", "integrity", "tracker",
         "behind", "rebuild", "rotated", "journal", "aliased",
     ))
-    def test_short_write(self, volume, monkeypatch, kernel_writes, case):
+    def test_short_write(self, volume, monkeypatch, kernel_writes, walks,
+                         case):
         """A short write across stripes 0 and 1 runs along its route in
         the kernel — until ``case``: a hook or a latent sector on a disk
         it touches, the journal's phase hook, an integrity checker or a
-        dirty-stripe tracker attached, a disk failed behind its surface,
-        a rebuild in flight, a rotated volume, a journal attached, a
-        payload that is a zero-copy view of the volume.  Then
-        ``ioplan.rmw`` serves it."""
-        fallbacks = _spy(monkeypatch, "rmw")
+        dirty-stripe tracker attached, a disk failed behind its surface.
+        Then ``_route_walk`` runs the same route in numpy.  A rebuild in
+        flight, a rotated volume, a journal attached and a payload that
+        is a zero-copy view of the volume (copied first) keep it in the
+        kernel."""
         per = volume.layout.num_data_cells
         start, n = per - 2, 4
         touched = volume.layout.data_cells[per - 1].col
         data = np.full((n, ES), 7, np.uint8)
 
         def ran(volume):
-            del kernel_writes[:], fallbacks[:]
+            del kernel_writes[:], walks[:]
             volume.write(start, data)
-            assert (volume in kernel_writes) != (volume in fallbacks)
+            assert (volume in kernel_writes) != (volume in walks)
             return volume in kernel_writes
 
         assert ran(volume) == (xor_kernel() is not None)
@@ -1012,7 +1039,10 @@ class TestStandDown:
         else:
             data = volume.read(2 * per, per)[:n]
             assert np.shares_memory(data, volume._backing)
-        assert not ran(volume)
+        assert ran(volume) == (
+            case in ("rebuild", "rotated", "journal", "aliased")
+            and xor_kernel() is not None
+        )
         if case == "behind":
             monkeypatch.undo()
         assert np.array_equal(volume.read(start, n), data)

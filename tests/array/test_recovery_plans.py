@@ -123,8 +123,8 @@ class TestKernelAgainstNumpy:
                 engines.each(lambda v: v.fail_disk(disk))
             stripe = len(failed)
             del kernel_runs[:]
-            engines.each(lambda v: v._reconstruct_write(
-                stripe, [(cell, value) for cell in cells]
+            engines.each(lambda v: ioplan._reconstruct(
+                v, stripe, [(cell, value) for cell in cells]
             ))
             _in_kernel(kernel_runs, engines, layout.chain_decodable)
             image[stripe * per + 1:stripe * per + per - 1] = value

@@ -1,16 +1,17 @@
 """Whole stripes along a write's route, against the numpy volume.
 
-A healthy, unrotated, unjournaled write of any length is one
+A healthy, unrotated write of any length, journaled or not, is one
 ``route_exec`` call: its partial head and tail stripes run their RMW
 plans, and each whole stripe between them has its rows copied into its
-data cells and the codec's encode program run over it in place.  A
-journaled whole-stripe write reaches the same C code through
-``ioplan.encode_stripes``.  :class:`~tests.array.test_plan_kernel.Engines`
+data cells and the codec's encode program run over it in place.  With a
+failed disk or rotated, the same route is walked in numpy
+(``ioplan._route_walk``).  :class:`~tests.array.test_plan_kernel.Engines`
 holds each write shape on the kernel volume to the numpy volume — bytes,
 per-disk counters, a clean scrub — healthy, with a failed disk, rotated
 and journaled; the spies pin that a healthy long write never reaches the
 batched codec and that observers and latent sectors stand the route
-down, the observers seeing the rows they see on the numpy executor.
+down to the walk, the observers seeing the rows they see on the numpy
+executor.
 
 Under ``REPRO_PURE_NUMPY=1`` (or without a compiler) both sides run the
 numpy executor and the comparisons still hold.
@@ -50,8 +51,9 @@ def _shapes(per):
 
 @pytest.fixture
 def route_runs(monkeypatch):
-    """The volume of every ``route_exec`` call, in order."""
-    return _spy(monkeypatch, "_route_run")
+    """The volume of every ``route_exec`` call of a write, in order."""
+    return _spy(monkeypatch, "_route_exec",
+                lambda start, count, route, values, out: values is not None)
 
 
 @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
@@ -63,10 +65,9 @@ def test_long_writes_two_engines(code_name, p, state, route_runs):
     """Every write shape, each written twice (fresh bytes, then the same
     bytes: zero deltas on the partial stripes): the kernel volume and
     the numpy volume hold the same bytes and count the same I/O, and
-    both scrub clean (rebuilt, if a disk failed).  Healthy, each write
-    is one ``route_exec`` call; journaled, each run of two or more whole
-    stripes is one, from ``encode_stripes``; with a failed disk or
-    rotated, none."""
+    both scrub clean (rebuilt, if a disk failed).  Healthy, journaled or
+    not, each write is one ``route_exec`` call; with a failed disk or
+    rotated, none: the route is walked."""
     layout = make_code(code_name, p)
     kwargs = {"rotate": True} if state == "rotated" else {}
     engines = Engines(layout, stripes=STRIPES, **kwargs)
@@ -89,14 +90,8 @@ def test_long_writes_two_engines(code_name, p, state, route_runs):
             assert numpy not in route_runs
             if xor_kernel() is None or state in ("failed", "rotated"):
                 assert route_runs == []
-            elif state == "healthy":
+            else:
                 assert route_runs == [kernel]
-            else:  # journaled: a lone whole stripe is reconstruct-written
-                whole = [
-                    stripes for _, stripes, _, n, _ in
-                    kernel.mapper.split(start, count) if n == per
-                ]
-                assert route_runs == [kernel] * sum(s > 1 for s in whole)
     assert np.array_equal(engines.read(0, STRIPES * per), shadow)
     if state == "failed":
         engines.each(lambda v: v.replace_and_rebuild(1))
@@ -167,7 +162,7 @@ def test_observers_and_latent_sectors_stand_the_route_down(
 ):
     """With a ``DirtyStripeTracker`` or an ``IntegrityChecker`` attached,
     or a latent sector on a disk the write touches, a healthy long
-    write takes the whole-stripe writer, not the route: the store
+    write walks its route in numpy, not in ``route_exec``: the store
     funnel's observers see the rows and bytes they see on the numpy
     executor, store for store, and the write remaps the latent sector
     as it does there."""

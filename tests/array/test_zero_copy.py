@@ -97,3 +97,29 @@ class TestZeroCopyRead:
         if not volume._row_major_data:
             assert not np.shares_memory(out, volume._backing)
         assert np.array_equal(out, data)
+
+
+class TestViewWrittenBack:
+    @pytest.mark.parametrize("code", ("dcode", "xcode"))
+    @pytest.mark.parametrize("shift", (1, 3, -1))
+    @pytest.mark.parametrize("kernel", (True, False))
+    def test_view_written_at_a_shifted_offset(self, code, shift, kernel):
+        """A zero-copy view of stripe 0 written back ``shift`` elements
+        on (``-1``: ``per - 1``) lands every row as the view held it when
+        the write was made — the head stripe's RMW must not move rows
+        the tail still reads — and parity follows, on either executor."""
+        volume = RAID6Volume(make_code(code, 7), num_stripes=8,
+                             element_size=16)
+        if not kernel:
+            volume._plan_exec = None
+        per = volume.layout.num_data_cells
+        shift %= per
+        volume.write(0, np.random.default_rng(shift).integers(
+            0, 256, (8 * per, 16), dtype=np.uint8
+        ))
+        view = volume.read(0, per)
+        assert np.shares_memory(view, volume._backing)
+        want = view.copy()
+        volume.write(shift, view)
+        assert np.array_equal(volume.read(shift, per), want)
+        assert volume.scrub() == []
