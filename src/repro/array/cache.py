@@ -70,6 +70,7 @@ class StripeCache:
             raise AddressError(
                 f"data must be uint8 (count, {self.volume.element_size})"
             )
+        require_positive(data.shape[0], "count")
         if start < 0 or start + data.shape[0] > self.volume.num_elements:
             raise AddressError("write outside volume")
         with self._lock:

@@ -114,3 +114,21 @@ class TestValidation:
     def test_budget_positive(self, volume):
         with pytest.raises(ValueError):
             StripeCache(volume, max_dirty_stripes=0)
+
+    def test_empty_write_rejected(self, volume):
+        """An empty write is refused as ``RAID6Volume.write`` refuses it,
+        and leaves no empty bucket behind to fail the next destage and
+        lose the buckets queued after it."""
+        cache = StripeCache(volume)
+        empty = np.zeros((0, 16), dtype=np.uint8)
+        with pytest.raises(ValueError) as cached:
+            cache.write(3, empty)
+        with pytest.raises(ValueError) as direct:
+            volume.write(3, empty)
+        assert str(cached.value) == str(direct.value)
+        assert cache.dirty_stripes == ()
+        per = volume.layout.num_data_cells
+        data = np.full((3, 16), 7, dtype=np.uint8)
+        cache.write(per + 1, data)
+        cache.flush()
+        assert np.array_equal(volume.read(per + 1, 3), data)

@@ -1,6 +1,7 @@
 """StripeCache batch destaging: ordering and eviction.  Destaged bytes
-and counters are held to the reference walk by ``Twin``
-(``tests/array/test_rmw_batch.py``, ``test_destage_byte_exact``)."""
+and counters are held to the reference walk by ``Mirror``
+(``tests/oracles/diff.py``: its streams' cache writes, and
+``test_destage_byte_exact`` in ``tests/array/test_rmw_batch.py``)."""
 
 import numpy as np
 

@@ -4,12 +4,12 @@ Degraded reads (``repro.array.ioplan.read_route``, walked in numpy by
 ``ioplan._route_walk``; docs/performance.md "Planned I/O") execute the
 access engine's :class:`~repro.iosim.engine.StripeReadPlan` per stripe,
 so the disk traffic they account is the model's by construction.  These
-tests drive them through :class:`~tests.array.test_rmw_batch.Twin` — the
-vector branch, the per-element branch and the reference walk, byte-exact
-and per-disk counter-identical — across single and double failures,
-rebuild-cursor stale boundaries, rotation, latent sectors and algebraic
-patterns; and pin what the twin does not see: the access engine cached
-per failure state, and the minimal fetch.
+tests drive them through :class:`~tests.oracles.diff.Mirror` — the C
+kernel, the vector branch, the per-element branch and the reference
+walk, byte-exact and per-disk counter-identical — across single and
+double failures, rebuild-cursor stale boundaries, rotation, latent
+sectors and algebraic patterns; and pin what the mirror does not see:
+the access engine cached per failure state, and the minimal fetch.
 """
 
 import numpy as np
@@ -19,17 +19,22 @@ from repro.array import ioplan
 from repro.array.volume import RAID6Volume
 from repro.codes.registry import make_code
 
-from tests.array.test_rmw_batch import Twin
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
+from tests.oracles.diff import Mirror
 
 ES = 32
 STRIPES = 12
 
 
-def _twin(code_name, p, failed=(), **kwargs):
-    return Twin(
-        make_code(code_name, p), failed, stripes=STRIPES, es=ES, **kwargs
-    )
+def _mirror(code_name, p, failed=(), **kwargs):
+    mirror = Mirror(make_code(code_name, p), stripes=STRIPES, es=ES,
+                    **kwargs)
+    mirror.write(0, np.random.default_rng(7).integers(
+        0, 256, (mirror.kernel.num_elements, ES), dtype=np.uint8
+    ))
+    for disk in failed:
+        mirror.fail_disk(disk)
+    return mirror
 
 
 def _volume(code_name, p):
@@ -50,61 +55,64 @@ class TestBatchedScalarEquivalence:
     @pytest.mark.parametrize("failure", ("single", "double"))
     def test_bytes_and_counters_identical(self, code_name, p, failure):
         cols = make_code(code_name, p).cols
-        twin = _twin(
+        mirror = _mirror(
             code_name, p, (1,) if failure == "single" else (1, cols - 1)
         )
         # unaligned range: head/tail partial stripes beside the vector
         # of whole ones
-        twin.read(3, twin.volumes[0].num_elements - 5)
+        mirror.read(3, mirror.kernel.num_elements - 5)
 
     def test_full_aligned_range(self):
-        twin = _twin("dcode", 7, (2,))
-        twin.read(0, twin.volumes[0].num_elements)
+        mirror = _mirror("dcode", 7, (2,))
+        mirror.read(0, mirror.kernel.num_elements)
 
     def test_healthy_stripes_mixed_with_degraded(self):
         """Rebuild-covered stripes (no stale disks) and uncovered ones
         land in different plan groups of the same read."""
-        twin = _twin("dcode", 5, (1,))
-        twin.start_rebuild(1, batch=2)
+        mirror = _mirror("dcode", 5, (1,))
+        mirror.start_rebuild(1, batch=2)
         # cover the first 4 stripes; the rest stay degraded
-        twin.step()
-        twin.step()
-        assert twin.cursors[0].covers(3) and not twin.cursors[0].covers(4)
-        twin.read(0, twin.volumes[0].num_elements)
+        mirror.step()
+        mirror.step()
+        assert mirror.cursors[0].covers(3) and not mirror.cursors[0].covers(4)
+        mirror.read(0, mirror.kernel.num_elements)
 
 
 class TestFallbacks:
     def test_rotation_disables_tensor_path(self):
         """Under rotation every stripe has its own stale column, so no
         two stripes share a plan — each executes alone."""
-        twin = _twin("dcode", 5, (1,), rotate=True)
-        twin.read(0, twin.volumes[0].num_elements)
+        mirror = _mirror("dcode", 5, (1,), rotate=True)
+        mirror.read(0, mirror.kernel.num_elements)
 
     def test_latent_sector_disables_tensor_path(self):
         """A latent sector sends the plans touching its disk element by
         element; both branches decode around it and heal it alike."""
-        twin = _twin("dcode", 5, (1,))
-        image = twin.read(0, twin.volumes[0].num_elements).copy()
-        layout = twin.volumes[0].layout
-        twin.mark_bad(2, layout.cells_in_column(3)[0])
-        assert np.array_equal(
-            twin.read(0, twin.volumes[0].num_elements), image
+        mirror = _mirror("dcode", 5, (1,))
+        image = mirror.read(0, mirror.kernel.num_elements)
+        layout = mirror.layout
+        loc = mirror.kernel.mapper.locate_cell(
+            2, layout.cells_in_column(3)[0]
         )
-        for volume in twin.volumes:
+        mirror.mark_bad(loc.disk, loc.offset)
+        assert np.array_equal(
+            mirror.read(0, mirror.kernel.num_elements), image
+        )
+        for volume in mirror.volumes:
             assert not any(d.bad_sectors for d in volume.disks)
 
     def test_gauss_pattern_falls_back_per_stripe(self):
         """EVENODD double failures need algebraic decoding — the plan's
         recipe is None and the stripe plan decodes the stripes."""
-        twin = _twin("evenodd", 5, (0, 1))
-        twin.read(0, twin.volumes[0].num_elements)
+        mirror = _mirror("evenodd", 5, (0, 1))
+        mirror.read(0, mirror.kernel.num_elements)
 
     def test_single_stripe_read_skips_batching(self):
         """One degraded stripe is a batch of one: the same plan, the
         same minimal fetch."""
-        twin = _twin("dcode", 7, (1,))
-        per = twin.volumes[0].layout.num_data_cells
-        twin.read(per * 3, per)
+        mirror = _mirror("dcode", 7, (1,))
+        per = mirror.layout.num_data_cells
+        mirror.read(per * 3, per)
 
 
 class TestPlannerCache:

@@ -1,7 +1,7 @@
 """CRC sweep and scrub-campaign engine tests.
 
 Sweeps on quiet disks and element by element are held to each other by
-the differential oracle (``tests/array/test_rmw_batch.py::Twin``); the
+the differential oracle (``tests/oracles/diff.py``: ``Mirror``); the
 two sweep tests here run it on this module's geometry.
 """
 
@@ -17,7 +17,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector
 
-from tests.array.test_rmw_batch import Twin
+from tests.oracles.diff import Mirror
 
 
 def corrupt_cell(volume, stripe, cell, flip=0xFF):
@@ -32,6 +32,22 @@ def _volume(data):
     return vol
 
 
+def _mirror():
+    """A :class:`Mirror` of four D-Code p = 7 volumes holding a random
+    image, an integrity checker on each."""
+    mirror = Mirror(DCode(7), stripes=4, es=16)
+    mirror.write(0, np.random.default_rng(7).integers(
+        0, 256, (mirror.kernel.num_elements, 16), dtype=np.uint8
+    ))
+    mirror.attach_checker()
+    return mirror
+
+
+def _rot(mirror, stripe, cell):
+    loc = mirror.kernel.mapper.locate_cell(stripe, cell)
+    mirror.rot(loc.disk, loc.offset)
+
+
 @pytest.fixture
 def volume(rng):
     return _volume(rng.integers(0, 256, (4 * 35, 16), dtype=np.uint8))
@@ -44,19 +60,19 @@ def checker(volume):
 
 class TestVectorizedFind:
     def test_batched_and_serial_sweeps_agree(self):
-        twin = Twin(DCode(7), stripes=4)
+        mirror = _mirror()
         for stripe, cell in (
             (0, Cell(1, 1)), (2, Cell(0, 4)),
-            (2, twin.volumes[0].layout.parity_cells[0]),
+            (2, mirror.layout.parity_cells[0]),
         ):
-            twin.rot(stripe, cell)
-        assert set(twin.find_corruption()) == {0, 2}
+            _rot(mirror, stripe, cell)
+        assert set(mirror.integrity("find_corruption")) == {0, 2}
 
     def test_sweeps_counter_identical(self):
-        """Counters, checksums and verified bits: ``Twin`` compares."""
-        twin = Twin(DCode(7), stripes=4)
-        twin.rot(1, Cell(2, 2))
-        assert twin.find_corruption() == {1: [Cell(2, 2)]}
+        """Counters, checksums and verified bits: ``Mirror`` compares."""
+        mirror = _mirror()
+        _rot(mirror, 1, Cell(2, 2))
+        assert mirror.integrity("find_corruption") == {1: [Cell(2, 2)]}
 
     def test_fault_hook_falls_back_to_serial(self, volume, checker):
         corrupt_cell(volume, 3, Cell(0, 0))

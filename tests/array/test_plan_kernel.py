@@ -1,17 +1,19 @@
-"""The C plan kernel against the numpy executor it stands in for.
+"""The C plan kernel: when it runs, and what only threads can show.
 
 While the disks a plan touches are quiet and nothing observes the
 volume's funnels, an RMW plan — and a read plan that rebuilds a cell —
 runs as one ``plan_exec`` call, and a read — healthy, or degraded along
 its route of read plans — or a write along its route of RMW plans and
 whole stripes as one ``route_exec`` call (``RAID6Volume._kernel``);
-otherwise the numpy executor runs it.
-:class:`Engines` drives one seeded op stream through both, on two
-volumes that differ only in that the second has no kernel, and requires
-them to stay indistinguishable: backing image, per-disk counters, heal
-log and returned bytes.  The stand-down tests pin when the kernel must
-not run, and the threaded test that counts stay exact while threads run
-the kernel with the GIL released.
+otherwise the numpy executor runs it.  The differential oracle
+(``tests/oracles/diff.py``) holds the two to the same bytes and counts
+op by op over seeded streams; here its :class:`Mirror` runs one short
+stream per code, the single-failure rebuild of every column and every
+plan a short read or write runs under every failure, pinning which
+interpreter ran; the stand-down tests pin when
+the kernel must not run, the eviction tests that a route keeps its
+plans alive, and the threaded tests that counts stay exact and parity
+whole while threads run the kernel with the GIL released.
 
 Under ``REPRO_PURE_NUMPY=1`` (or without a compiler) both sides run the
 numpy executor and the comparisons still hold.
@@ -28,7 +30,6 @@ import numpy as np
 import pytest
 
 from repro.array import ioplan
-from repro.array.cache import StripeCache
 from repro.array.disk import DiskState
 from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
@@ -41,6 +42,7 @@ from repro.util import ckernel
 from repro.util.ckernel import kernel_releases_gil, xor_kernel
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
+from tests.oracles.diff import Mirror
 
 ES = 32
 STRIPES = 8
@@ -91,81 +93,34 @@ def walks(monkeypatch):
     return _spy(monkeypatch, "_route_walk")
 
 
-class Engines:
-    """One op stream on a volume with the kernel and one without."""
-
-    def __init__(self, layout, stripes=STRIPES, **kwargs):
-        self.volumes = [
-            RAID6Volume(layout, num_stripes=stripes, element_size=ES, **kwargs)
-            for _ in range(2)
-        ]
-        self.volumes[1]._plan_exec = None  # the numpy executor only
-        self.caches = [StripeCache(v, max_dirty_stripes=3, evict_batch=2)
-                       for v in self.volumes]
-        self.per = layout.num_data_cells
-
-    def assert_same(self):
-        kernel, numpy = self.volumes
-        assert np.array_equal(kernel._backing, numpy._backing)
-        assert kernel.io_counters() == numpy.io_counters()
-        assert kernel.heal_log == numpy.heal_log
-
-    def each(self, op, *args):
-        results = [op(volume, *args) for volume in self.volumes]
-        if results[0] is not None:
-            assert np.array_equal(results[0], results[1])
-        self.assert_same()
-        return results[0]
-
-    def read(self, start, count):
-        return self.each(lambda v: v.read(start, count).copy())
-
-    def write(self, start, data):
-        self.each(lambda v: v.write(start, data.copy()))
-
-    def cache_write(self, start, data):
-        for cache in self.caches:
-            cache.write(start, data.copy())
-        self.assert_same()
-
-    def flush(self):
-        for cache in self.caches:
-            cache.flush()
-        self.assert_same()
-
-
-def _stream(engines: Engines, rng, steps: int):
+def _stream(mirror: Mirror, rng, steps: int):
     """Short reads and writes — fresh, zero-delta and half-changed —
     cache writes destaged as multi-stripe bursts, and ``_write_rest``
     bursts of one pattern over every stripe."""
-    per, total = engines.per, STRIPES * engines.per
+    per, total = mirror.per, STRIPES * mirror.per
     for step in range(steps):
         n = int(rng.integers(1, 2 * per + 2))
         start = int(rng.integers(0, total - n + 1))
         fresh = rng.integers(0, 256, (n, ES), dtype=np.uint8)
         kind = step % 5
         if kind == 0:
-            engines.read(start, n)
+            mirror.read(start, n)
         elif kind == 1:
-            engines.write(start, fresh)
+            mirror.write(start, fresh)
         elif kind == 2:
-            current = engines.read(start, n)
+            current = mirror.read(start, n)
             current[::2] = fresh[::2]  # every other element a zero delta
-            engines.write(start, current)
+            mirror.write(start, current)
         elif kind == 3:
-            engines.cache_write(start, fresh)
+            mirror.cache_write(start, fresh)
         else:
             j0 = int(rng.integers(0, per - 2))
             values = rng.integers(0, 256, (STRIPES, 3, ES), dtype=np.uint8)
-            cells = engines.volumes[0].layout.data_cells[j0:j0 + 3]
-            entries = [
+            cells = mirror.layout.data_cells[j0:j0 + 3]
+            mirror.write_rest([
                 (s, list(zip(cells, values[s]))) for s in range(STRIPES)
-            ]
-            engines.each(lambda v: v._write_rest(
-                [(s, [(c, x.copy()) for c, x in items])
-                 for s, items in entries]
-            ))
-    engines.flush()
+            ])
+    mirror.flush()
 
 
 class TestEngineDifferential:
@@ -176,53 +131,57 @@ class TestEngineDifferential:
         self, code_name, p, rotate, kernel_runs, kernel_writes
     ):
         """Healthy, a latent sector healed on the way, one disk failed
-        (dirty cells on it included), a rebuild in flight and done."""
+        (dirty cells on it included), a rebuild in flight and done: the
+        kernel volume, the numpy one, the per-element one and (up to the
+        latent sector) the walk agree after every op."""
         layout = make_code(code_name, p)
-        engines = Engines(layout, rotate=rotate)
-        kernel, numpy = engines.volumes
-        per = engines.per
+        mirror = Mirror(layout, stripes=STRIPES, es=ES, rotate=rotate,
+                        cache=(3, 2))
+        kernel, numpy = mirror.kernel, mirror.numpy
+        per = mirror.per
         rng = np.random.default_rng(sum(map(ord, code_name)) * 100 + p)
         image = rng.integers(0, 256, (STRIPES * per, ES), dtype=np.uint8)
-        engines.write(0, image)
-        _stream(engines, rng, 25)
+        mirror.write(0, image)
+        _stream(mirror, rng, 25)
         # a latent sector: plans touching its disk stand down until the
         # read that meets it heals it
         loc = kernel.mapper.locate_cell(2, layout.data_cells[per // 2])
-        engines.each(lambda v: v.disks[loc.disk].mark_bad(loc.offset))
-        engines.read(2 * per, per)
+        mirror.mark_bad(loc.disk, loc.offset)
+        mirror.read(2 * per, per)
         assert kernel.heal_log and not kernel.disks[loc.disk].bad_sectors
-        _stream(engines, rng, 10)
+        _stream(mirror, rng, 10)
         # degraded: every write that names a cell on the failed column
         # patches around it; reads rebuild it
         failed = 1
-        engines.each(lambda v: v.fail_disk(failed))
+        mirror.fail_disk(failed)
         col = kernel.mapper.col_on_disk(4, failed)
         on_failed = [
             j for j in range(per) if layout.data_cells[j].col == col
         ]
         runs = len(kernel_runs) + len(kernel_writes)
         for j in on_failed[:3]:
-            engines.write(
+            mirror.write(
                 4 * per + j, rng.integers(0, 256, (2, ES), dtype=np.uint8)
             )
         if xor_kernel() is not None and on_failed:
             # lost dirty cells, in C: a plan run, or a route unrotated
             assert len(kernel_runs) + len(kernel_writes) > runs
-        _stream(engines, rng, 25)
+        _stream(mirror, rng, 25)
         # a rebuild in flight: stale ahead of the cursor, healthy behind
-        cursors = [v.start_rebuild(failed, batch=3) for v in engines.volumes]
-        for cursor in cursors:
-            cursor.step()
-        engines.assert_same()
-        _stream(engines, rng, 15)
-        for cursor in cursors:
-            cursor.run()
-        _stream(engines, rng, 10)
-        assert kernel.scrub() == [] and numpy.scrub() == []
-        assert numpy not in kernel_runs and numpy not in kernel_writes
+        mirror.start_rebuild(failed, batch=3)
+        mirror.step()
+        _stream(mirror, rng, 15)
+        while mirror.cursors[0].active:
+            mirror.step()
+        _stream(mirror, rng, 10)
+        assert mirror.scrub() == []
+        for volume in (numpy, mirror.hooked):
+            assert volume not in kernel_runs and volume not in kernel_writes
         if xor_kernel() is not None:
             assert kernel_runs.count(kernel) > 0
             assert kernel in kernel_writes  # rotated too
+
+
 
 
 def _fail_source(volume, stripe, disk):
@@ -246,35 +205,67 @@ class TestRebuildPlan:
     @pytest.mark.parametrize("rotate", (False, True))
     def test_every_lost_column(self, code_name, p, rotate, kernel_runs):
         """The single-failure rebuild is one pick plan: in the C kernel
-        on one volume, through ``_plan_run`` on the other, for every lost
-        column — then once more with a source that fails to read
-        through a hook (both sides on ``_plan_run``).  Same bytes, same
-        per-disk counts, same heal log."""
+        on one volume, through ``_plan_run`` on the others, for every
+        lost column — then once more with a source that fails to read
+        through a hook (every side on ``_plan_run``).  Same bytes, same
+        per-disk counts, same heal log as the walk's rebuild."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         image = np.random.default_rng(p).integers(
             0, 256, (STRIPES * per, ES), dtype=np.uint8
         )
         for disk in range(layout.cols):
-            engines = Engines(layout, rotate=rotate)
-            kernel, numpy = engines.volumes
-            engines.write(0, image)
-            engines.each(lambda v: v.fail_disk(disk))
+            mirror = Mirror(layout, stripes=STRIPES, es=ES, rotate=rotate)
+            mirror.write(0, image)
+            mirror.fail_disk(disk)
             del kernel_runs[:]
-            engines.each(lambda v: v.start_rebuild(disk, batch=3).run())
-            assert numpy not in kernel_runs
+            mirror.rebuild(disk, batch=3)
+            assert mirror.numpy not in kernel_runs
             if xor_kernel() is not None:
-                assert kernel in kernel_runs
-            assert np.array_equal(engines.read(0, STRIPES * per), image)
-        engines.each(lambda v: v.fail_disk(0))
-        loc = [_fail_source(v, 2, 0) for v in engines.volumes][0]
+                assert mirror.kernel in kernel_runs
+            assert np.array_equal(mirror.read(0, STRIPES * per), image)
+        mirror.retire()
+        mirror.fail_disk(0)
+        loc = [_fail_source(v, 2, 0) for v in mirror.volumes][0]
         del kernel_runs[:]
-        engines.each(lambda v: v.start_rebuild(0, batch=3).run())
+        mirror.rebuild(0, batch=3)
         assert kernel_runs == []  # a source disk is hooked
-        for v in engines.volumes:
+        for v in mirror.volumes:
             assert v.error_counters.total(loc.disk) == 1
             v.disks[loc.disk].fault_hook = None
-        assert np.array_equal(engines.read(0, STRIPES * per), image)
+        assert np.array_equal(mirror.read(0, STRIPES * per), image)
+
+
+def _patterns(per):
+    """``(start, count)`` on a three-stripe volume that run every plan a
+    range of ``count <= 2 * per + 1`` elements runs: each run pattern
+    ``(j0, n)``, ``j0 + n <= per``, once as a range within one stripe
+    (the stripe cycles, so rotation moves under them), then from each
+    ``j0`` a range onto the next stripe and one across a whole stripe,
+    their tails ``j0 + 1`` long: every head and tail run joined in a
+    route."""
+    for j in range(per):
+        for n in range(1, per - j + 1):
+            yield j + per * ((j + n) % 3), n
+    for j in range(per):
+        yield j + per, per + 1
+        yield j, 2 * per + 1
+
+
+def _sweep_mirror(layout, image, failed=(), **kwargs) -> Mirror:
+    """A three-stripe :class:`Mirror`, narrowed to the kernel and numpy
+    volumes sharing one plan cache (each plan compiled once), holding
+    ``image`` with ``failed`` disks failed.  The streams of
+    ``tests/oracles/test_diff.py`` hold the element-by-element volume
+    and the walk to the others; the sweeps check bytes against
+    ``image``."""
+    mirror = Mirror(layout, stripes=3, es=ES, **kwargs)
+    mirror.narrow()
+    mirror.numpy._ioplans = mirror.kernel._ioplans
+    mirror.write(0, image)
+    for disk in failed:
+        mirror.fail_disk(disk)
+    return mirror
 
 
 class TestKernelReads:
@@ -284,47 +275,45 @@ class TestKernelReads:
     def test_every_short_range_and_the_whole_volume(
         self, code_name, p, rotate, kernel_reads
     ):
-        """Every ``(start, count)`` with ``count <= 2 * per + 1`` on a
-        three-stripe volume, then the whole volume: the kernel's healthy
-        read returns the numpy executor's bytes and counts its reads on
-        the same disks."""
+        """The ranges that run every plan of a short read
+        (:func:`_patterns`) on a three-stripe volume, then the whole
+        volume: the kernel's healthy read returns the other volumes'
+        bytes and counts its reads on the same disks."""
         layout = make_code(code_name, p)
-        engines = Engines(layout, stripes=3, rotate=rotate)
-        kernel, numpy = engines.volumes
-        per = engines.per
+        per = layout.num_data_cells
         total = 3 * per
         image = np.random.default_rng(p).integers(
             0, 256, (total, ES), dtype=np.uint8
         )
-        engines.write(0, image)
+        mirror = _sweep_mirror(layout, image, rotate=rotate)
+        kernel = mirror.kernel
         zero_copy = kernel._row_major_data and not rotate
         expected = 0
-        for start in range(total):
-            for count in range(1, min(2 * per + 1, total - start) + 1):
-                got = kernel.read(start, count)
-                assert np.array_equal(got, numpy.read(start, count))
-                assert np.array_equal(got, image[start:start + count])
-                assert np.array_equal(kernel._io, numpy._io)
-                aligned = count == per and start % per == 0
-                expected += not (zero_copy and aligned)
-        assert np.array_equal(engines.read(0, total), image)
-        assert numpy not in kernel_reads
+        for start, count in _patterns(per):
+            got = mirror.read(start, count)
+            assert np.array_equal(got, image[start:start + count])
+            aligned = count == per and start % per == 0
+            expected += not (zero_copy and aligned)
+        assert np.array_equal(mirror.read(0, total), image)
+        assert kernel_reads == [kernel] * len(kernel_reads)
         if xor_kernel() is not None:
-            assert kernel_reads.count(kernel) == expected + 1
+            assert len(kernel_reads) == expected + 1
 
 
 class TestDegradedKernelReads:
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_every_short_range_every_failure(
-        self, code_name, p, kernel_reads, monkeypatch
+        self, code_name, p, kernel_reads, walks
     ):
         """Every column failed — at p = 5 every pair of columns too —
-        and every ``(start, count)`` with ``count <= 2 * per + 1`` read
-        on a three-stripe volume: the kernel's degraded read returns the
-        numpy executor's bytes and counts its reads on the same disks.
+        and the ranges that run every plan of a short read
+        (:func:`_patterns`) on a three-stripe volume: the kernel's
+        degraded read returns the other volumes' bytes and counts its
+        reads on the same disks.
         The kernel serves each read whose route has words; the others —
-        EVENODD's algebraic doubles — are walked (``_route_walk``)."""
+        EVENODD's algebraic doubles, and only those — are walked
+        (``_route_walk``) on every volume."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         total = 3 * per
@@ -334,31 +323,22 @@ class TestDegradedKernelReads:
         failures = [(col,) for col in range(layout.cols)]
         if p == 5:
             failures += list(itertools.combinations(range(layout.cols), 2))
-        fallbacks = _spy(monkeypatch, "_route_walk")
         algebraic = 0
         for failed in failures:
-            engines = Engines(layout, stripes=3)
-            kernel, numpy = engines.volumes
-            engines.write(0, image)
-            for volume in engines.volumes:
-                for disk in failed:
-                    volume.fail_disk(disk)
-            for start in range(total):
-                for count in range(1, min(2 * per + 1, total - start) + 1):
-                    del kernel_reads[:], fallbacks[:]
-                    got = kernel.read(start, count)
-                    assert np.array_equal(got, numpy.read(start, count))
-                    assert np.array_equal(got, image[start:start + count])
-                    assert np.array_equal(kernel._io, numpy._io)
-                    route = ioplan.read_route(
-                        kernel, start, count, kernel._surface()
-                    )
-                    served = route.packed is not None
-                    algebraic += not served
-                    assert kernel_reads == ([kernel] if served else [])
-                    assert fallbacks == (
-                        [numpy] if served else [kernel, numpy]
-                    )
+            mirror = _sweep_mirror(layout, image, failed)
+            kernel = mirror.kernel
+            walked = [mirror.numpy]
+            for start, count in _patterns(per):
+                del kernel_reads[:], walks[:]
+                got = mirror.read(start, count)
+                assert np.array_equal(got, image[start:start + count])
+                route = ioplan.read_route(
+                    kernel, start, count, kernel._surface()
+                )
+                served = route.packed is not None
+                algebraic += not served
+                assert kernel_reads == ([kernel] if served else [])
+                assert walks == (walked if served else [kernel] + walked)
         if xor_kernel() is not None:
             # EVENODD decodes some double failures algebraically
             assert bool(algebraic) == (code_name == "evenodd" and p == 5)
@@ -412,18 +392,17 @@ class TestKernelWrites:
         self, code_name, p, kernel_writes
     ):
         """Healthy, every column failed — at p = 5 every pair of columns
-        too — and write patterns ``(start % per, count)`` with ``count
-        <= 2 * per + 1`` on a three-stripe volume, from stripe 1 where
-        they fit, else from stripe 0: the kernel volume and the numpy
-        one hold the same bytes and count the same I/O after every
-        write.  Every pattern the route may serve is written, with fresh
-        values or, by turns, every other element changed (half the
-        deltas zero); of the rest — whole-stripe runs with a failed
-        disk, EVENODD's algebraic doubles — every fourth count.  The
-        route serves exactly the writes whose partial stripes have an
-        RMW plan each and, with a failed disk, that cover no whole
-        stripe; the others' routes have no words and are walked in
-        numpy."""
+        too — and the ranges that run every plan of a short write
+        (:func:`_patterns`) on a three-stripe volume — from every start
+        % per at p = 5 (every third with two failed), every fourth at p
+        = 7 — the volumes hold the same bytes and count the same I/O
+        after every write, with fresh values or, by turns, every other
+        element changed (half the deltas zero); of the writes with no
+        route words, every fourth count.  The route serves exactly the writes whose
+        partial stripes have an RMW plan each and, with a failed disk,
+        that cover no whole stripe; the others' routes have no words and
+        are walked in numpy.  Only EVENODD at p = 5 has short writes
+        with no plan: it rebuilds some lost old values algebraically."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         total = 3 * per
@@ -434,59 +413,42 @@ class TestKernelWrites:
             failures += list(itertools.combinations(range(layout.cols), 2))
         unplanned = 0
         for failed in failures:
-            engines = Engines(layout, stripes=3)
-            kernel, numpy = engines.volumes
-            # one geometry: the volumes compile each plan once, together
-            numpy._ioplans = kernel._ioplans
-            engines.write(0, image)
-            for volume in engines.volumes:
-                for disk in failed:
-                    volume.fail_disk(disk)
+            mirror = _sweep_mirror(layout, image, failed)
+            kernel = mirror.kernel
             shadow = image.copy()
-            planned = {}
-            # every start % per at p = 5 (every third with two failed),
-            # every fourth at p = 7
             step = 4 if p == 7 else 3 if len(failed) == 2 else 1
-            for j in range(0, per, step):
-                for count in range(1, 2 * per + 2):
-                    short = count < per + -j % per
-                    start = j + per * (j + count <= 2 * per)
-                    runs = [
-                        run for run in kernel.mapper.split(start, count)
-                        if run[3] < per  # the partial stripes
-                    ]
-                    for s0, _, j0, n, _ in runs:
-                        if (j0, n) not in planned:
-                            span = ioplan.Span(
-                                layout.data_cells[j0:j0 + n], j0, None
-                            )
-                            planned[j0, n] = kernel._ioplans.get(
-                                ("rmw", range(j0, j0 + n), failed),
-                                ioplan._compile_rmw, kernel, span, failed, s0,
-                            ) is not None
-                    routed = (short or not failed) and all(
-                        planned[j0, n] for _, _, j0, n, _ in runs
-                    )
-                    unplanned += short and not routed
-                    if not routed and count % 4:
-                        continue  # walked routes: every fourth
-                    served = routed and xor_kernel() is not None
-                    # fresh values and, by turns, every other element
-                    # changed: half the deltas zero
-                    data = rng.integers(0, 256, (count, ES), dtype=np.uint8)
-                    if count % 2:
-                        half = shadow[start:start + count].copy()
-                        half[::2] = data[::2]
-                        data = half
-                    del kernel_writes[:]
-                    kernel.write(start, data)
-                    numpy.write(start, data)
-                    shadow[start:start + count] = data
-                    assert np.array_equal(kernel._backing, numpy._backing)
-                    assert np.array_equal(kernel._io, numpy._io)
-                    assert kernel_writes == ([kernel] if served else [])
-            assert np.array_equal(kernel.read(0, total), shadow)
-        # EVENODD rebuilds some lost old values algebraically
+            for start, count in _patterns(per):
+                if start % per % step:
+                    continue
+                short = count < per + -start % per
+                runs = [
+                    run for run in kernel.mapper.split(start, count)
+                    if run[3] < per  # the partial stripes
+                ]
+                planned = all(
+                    kernel._ioplans.get(
+                        ("rmw", range(j0, j0 + n), failed),
+                        ioplan._compile_rmw, kernel,
+                        ioplan.Span(layout.data_cells[j0:j0 + n], j0, None),
+                        failed, s0,
+                    ) is not None
+                    for s0, _, j0, n, _ in runs
+                )
+                routed = (short or not failed) and planned
+                unplanned += short and not routed
+                if not routed and count % 4:
+                    continue  # walked routes: every fourth
+                data = rng.integers(0, 256, (count, ES), dtype=np.uint8)
+                if count % 2:
+                    half = shadow[start:start + count].copy()
+                    half[::2] = data[::2]
+                    data = half
+                del kernel_writes[:]
+                mirror.write(start, data)
+                shadow[start:start + count] = data
+                served = routed and xor_kernel() is not None
+                assert kernel_writes == ([kernel] if served else [])
+            assert np.array_equal(mirror.read(0, total), shadow)
         assert bool(unplanned) == (code_name == "evenodd" and p == 5)
 
     @pytest.mark.parametrize("kernel", (True, False))

@@ -5,14 +5,12 @@ its stripe — and a double-failure rebuild run the recovery plan of
 their stale columns (``ioplan._compile_recovery``): every live cell
 gathered, the chain-recovery schedule, the image (or the lost column)
 picked.  While the volume admits it the C kernel's ``plan_exec`` runs
-it; otherwise ``ioplan._plan_run`` does.  Each test runs the same
-operation on two volumes that differ only in that the second has no
-kernel, and requires the same bytes, the same per-disk counters and the
-same heal log.  EVENODD's double failures have no XOR schedule: both
-sides decode them algebraically.
-
-Under ``REPRO_PURE_NUMPY=1`` (or without a compiler) both sides run the
-numpy executor and the comparisons still hold.
+it; otherwise ``ioplan._plan_run`` does.  The differential oracle
+(``tests/oracles/diff.py``) holds the two — with the per-element branch
+and, where it has one, the reference walk — to the same bytes, counters
+and heal log; here each operation runs on its own, and a spy pins which
+interpreter ran.  EVENODD's double failures have no XOR schedule: every
+side decodes them algebraically.
 """
 
 import itertools
@@ -26,9 +24,10 @@ from repro.codes import make_code
 from repro.util.ckernel import xor_kernel
 
 from tests.array.test_plan_kernel import (  # noqa: F401 — a fixture
-    ES, Engines, _spy, kernel_runs, needs_kernel,
+    ES, _spy, kernel_runs, needs_kernel,
 )
 from tests.conftest import ALL_ARRAY_CODES
+from tests.oracles.diff import Mirror
 
 STRIPES = 6
 
@@ -36,34 +35,27 @@ STRIPES = 6
 GEOMETRIES = [(code, 5) for code in ALL_ARRAY_CODES] + [("dcode", 7)]
 
 
-def _pair(code, p, rotate, stripes=STRIPES):
-    """Two volumes holding one random image — the first with the
-    kernel, the second on the numpy executor alone — and the image."""
-    layout = make_code(code, p)
-    engines = Engines(layout, stripes=stripes, rotate=rotate)
+def _mirror(code, p, rotate, stripes=STRIPES):
+    """A :class:`Mirror` holding one random image, its counters zeroed,
+    and the image."""
+    mirror = Mirror(make_code(code, p), stripes=stripes, es=ES,
+                    rotate=rotate)
     image = np.random.default_rng(p * 31 + stripes).integers(
-        0, 256, (stripes * layout.num_data_cells, ES), dtype=np.uint8
+        0, 256, (stripes * mirror.per, ES), dtype=np.uint8
     )
-    engines.write(0, image)
-    for volume in engines.volumes:
+    mirror.write(0, image)
+    for volume in mirror.sides:
         volume.reset_io_counters()
-    return engines, image
+    return mirror, image
 
 
-def _each(engines, op):
-    """``op`` on both volumes: its results, once the volumes agree."""
-    results = [op(volume) for volume in engines.volumes]
-    engines.assert_same()
-    return results
-
-
-def _in_kernel(kernel_runs, engines, expected=True):
-    """The kernel side ran a plan in C (when there is a kernel and the
-    pattern has an XOR schedule, ``expected``), the numpy side never."""
-    kernel, numpy = engines.volumes
-    assert numpy not in kernel_runs
+def _in_kernel(kernel_runs, mirror, expected=True):
+    """The kernel volume ran a plan in C (when there is a kernel and the
+    pattern has an XOR schedule, ``expected``), the others never."""
+    assert mirror.numpy not in kernel_runs
+    assert mirror.hooked not in kernel_runs
     if xor_kernel() is not None:
-        assert (kernel in kernel_runs) == expected
+        assert (mirror.kernel in kernel_runs) == expected
 
 
 def _failed_pairs(cols, code):
@@ -77,72 +69,65 @@ def _failed_pairs(cols, code):
 @pytest.mark.parametrize("code,p", GEOMETRIES)
 class TestKernelAgainstNumpy:
     def test_scrub(self, code, p, rotate, kernel_runs):
-        engines, _ = _pair(code, p, rotate)
-        for volume in engines.volumes:  # rot one parity cell of stripe 2
+        mirror, _ = _mirror(code, p, rotate)
+        for volume in mirror.sides:  # rot one parity cell of stripe 2
             cell = volume.layout.parity_cells[0]
             loc = volume.mapper.locate_cell(2, cell)
             volume._backing[loc.offset, loc.disk] ^= 0x5A
-        kernel, numpy = _each(engines, lambda v: v.scrub())
-        assert kernel == numpy == [2]
-        _in_kernel(kernel_runs, engines)
+        assert mirror.scrub() == [2]
+        _in_kernel(kernel_runs, mirror)
 
     def test_scrub_and_repair(self, code, p, rotate, kernel_runs):
         """Latent sectors in the first run of stripes: that run loads
-        through the numpy funnels on both sides, the next — its disks
+        through the numpy funnels on every side, the next — its disks
         quiet again, the sectors rewritten — in the kernel on one."""
-        engines, image = _pair(code, p, rotate, stripes=ioplan.RUN_CHUNK + 4)
+        mirror, image = _mirror(code, p, rotate, ioplan.RUN_CHUNK + 4)
         rng = np.random.default_rng(p)
-        layout = engines.volumes[0].layout
+        layout = mirror.layout
         sectors = {
             (int(rng.integers(layout.cols)), int(s),
              int(rng.integers(layout.rows)))
             for s in rng.choice(ioplan.RUN_CHUNK, 4, replace=False)
         }
-        for volume in engines.volumes:
-            for disk, stripe, row in sorted(sectors):
-                volume.inject_latent_error(disk, stripe, row)
-        kernel, numpy = _each(engines, lambda v: v.scrub_and_repair())
-        _in_kernel(kernel_runs, engines)
-        assert dict(kernel) == dict(numpy)
-        assert kernel.repaired_count == len(sectors)
-        for key in ("elements_read", "elements_written", "stripes_scanned"):
-            assert getattr(kernel, key) == getattr(numpy, key), key
-        assert kernel.elements_written == len(sectors)
-        assert np.array_equal(engines.read(0, len(image)), image)
+        for disk, stripe, row in sorted(sectors):
+            mirror.mark_bad(disk, stripe * layout.rows + row)
+        repaired, _, written, _ = mirror.scrub_and_repair()
+        _in_kernel(kernel_runs, mirror)
+        assert sum(map(len, repaired.values())) == written == len(sectors)
+        assert np.array_equal(mirror.read(0, len(image)), image)
 
     def test_degraded_reconstruct_write(self, code, p, rotate, kernel_runs):
         """A reconstruct-write loads its stripe past one and two failed
         disks, then re-encodes and stores it."""
-        engines, image = _pair(code, p, rotate)
-        layout = engines.volumes[0].layout
+        mirror, image = _mirror(code, p, rotate)
+        mirror.retire()  # the walk would patch, not reconstruct-write
+        layout = mirror.layout
         per = layout.num_data_cells
         cells = layout.data_cells[1:per - 1]
         value = np.full(ES, 0xC3, dtype=np.uint8)
         for failed in ([0], [0, layout.cols - 1]):
             for disk in failed:
-                engines.each(lambda v: v.fail_disk(disk))
+                mirror.fail_disk(disk)
             stripe = len(failed)
             del kernel_runs[:]
-            engines.each(lambda v: ioplan._reconstruct(
+            mirror.each(lambda v: ioplan._reconstruct(
                 v, stripe, [(cell, value) for cell in cells]
             ))
-            _in_kernel(kernel_runs, engines, layout.chain_decodable)
+            _in_kernel(kernel_runs, mirror, layout.chain_decodable)
             image[stripe * per + 1:stripe * per + per - 1] = value
-            assert np.array_equal(engines.read(0, len(image)), image)
+            assert np.array_equal(mirror.read(0, len(image)), image)
 
     def test_double_failure_rebuild(self, code, p, rotate, kernel_runs):
         layout = make_code(code, p)
         for pair in _failed_pairs(layout.cols, code):
-            engines, image = _pair(code, p, rotate)
+            mirror, image = _mirror(code, p, rotate)
             for disk in pair:
-                engines.each(lambda v: v.fail_disk(disk))
+                mirror.fail_disk(disk)
             del kernel_runs[:]
-            reads = _each(engines, lambda v: v.replace_and_rebuild(pair[0]))
-            assert reads[0] == reads[1]
-            _in_kernel(kernel_runs, engines, layout.chain_decodable)
-            reads = _each(engines, lambda v: v.replace_and_rebuild(pair[1]))
-            assert reads[0] == reads[1]
-            assert np.array_equal(engines.read(0, len(image)), image)
+            mirror.rebuild(pair[0], batch=8)
+            _in_kernel(kernel_runs, mirror, layout.chain_decodable)
+            mirror.rebuild(pair[1], batch=8)
+            assert np.array_equal(mirror.read(0, len(image)), image)
 
 
 @needs_kernel
@@ -152,8 +137,8 @@ def test_quiet_scrub_and_double_rebuild_run_in_the_kernel(monkeypatch):
     (verified loads, a store observer) makes both stand down."""
     kernel_runs = _spy(monkeypatch, "_kernel_run")
     numpy_runs = _spy(monkeypatch, "_plan_run")
-    engines, image = _pair("dcode", 7, False)
-    volume = engines.volumes[0]
+    mirror, image = _mirror("dcode", 7, False)
+    volume = mirror.kernel
 
     def ran(op):
         del kernel_runs[:], numpy_runs[:]

@@ -1,18 +1,16 @@
-"""Planned I/O and cross-stripe RMW: one differential oracle.
+"""Planned I/O and cross-stripe RMW: what the differential oracle does
+not pin.
 
 Every plan (``repro.array.ioplan``) reaches the disks one of two ways:
 as one vector while the disks it touches are quiet, element by element
-in plan order when one carries a hook.  :class:`Twin` runs an op stream
-on three volumes — a quiet one (the vector branch), one whose every
-disk carries a fault hook that does nothing (the per-element branch of
-the same plans) and one driven by the reference walk of
-``tests/oracles/walk.py`` — and requires them to stay indistinguishable
-after every op: returned bytes, backing image, per-disk counters, and
-between the two branches checksums, verified bitmap, dirty-stripe set.
-:class:`TestPlannedVsWalk` draws op streams for it with hypothesis; the
-whole-stripe operations — full-stripe bursts, rebuild, parity scrub and
-the integrity sweeps — run through the same twin, and so do whole
-stripes encoded in place in the backing store.
+in plan order when one carries a hook.  :class:`~tests.oracles.diff.
+Mirror` holds the two branches, the C kernel and the reference walk of
+``tests/oracles/walk.py`` to each other over seeded op streams
+(``tests/oracles/test_diff.py``); the tests here run it on hand-built
+cases that pin *how* an op ran — how many plan executions and stores,
+which whole stripes were encoded in place in the backing store, what a
+payload aliasing the volume does, what a disk dying under a store
+leaves — and the plan cache and the surface snapshot.
 
 The partial-stripe queue (``_write_rest``) hands the partial entries of
 a burst — healthy stripes and degraded ones — to one ``ioplan.rmw``
@@ -21,8 +19,7 @@ columns as one vector of stripes.  That must be byte-identical on disk
 *and* counter-identical per disk to writing the stripes one at a time
 (the paper's load metrics are counted I/Os, so a fast path that changed
 the counts would corrupt every comparison built on them) —
-:class:`TestThreadEquivalence` holds bursts of every shape against the
-walk.
+:class:`TestThreadEquivalence` holds bursts against the walk.
 """
 
 import copy
@@ -45,11 +42,11 @@ from repro.exceptions import DiskFailedError, SimulatedCrashError
 from repro.faults.policy import ErrorPolicy
 from repro.journal import WriteIntentLog, recover_on_mount
 from repro.recovery.planner import cached_hybrid_plan
-from repro.serve.checkpoint import DirtyStripeTracker
 from repro.util.ckernel import xor_kernel
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
 from tests.oracles import walk
+from tests.oracles.diff import Mirror, draw
 
 ES = 32
 STRIPES = 16
@@ -104,14 +101,6 @@ def _assert_same(a, b):
     assert a.io_counters() == b.io_counters()
 
 
-def per_element(volume):
-    """Attach a fault hook that does nothing to every disk: every plan
-    goes to the disks element by element."""
-    for disk in volume.disks:
-        disk.fault_hook = lambda disk, op, offset: None
-    return volume
-
-
 def _volume(layout, stripes=STRIPES, es=ES, **kwargs):
     return RAID6Volume(
         layout, num_stripes=stripes, element_size=es, **kwargs
@@ -125,17 +114,17 @@ def _pair(layout, **kwargs):
 
 @pytest.fixture
 def slab_runs(monkeypatch):
-    """``(first stripe, stripes)`` of every whole-stripe run the numpy
-    executor (``ioplan._store_whole``) encodes in place in its slab of
-    the backing store — no stale column, unrotated, quiet stores — in
-    order."""
-    runs = []
+    """By volume, ``(first stripe, stripes)`` of every whole-stripe run
+    the numpy executor (``ioplan._store_whole``) encodes in place in its
+    slab of the backing store — no stale column, unrotated, quiet
+    stores — in order."""
+    runs = {}
     store_whole = ioplan._store_whole
 
     def spy(volume, stripes, stale, values, failed):
         if not (stale or volume._failed or volume.mapper.rotate
                 or volume._hooked(store=True)):
-            runs.append((stripes[0], len(stripes)))
+            runs.setdefault(volume, []).append((stripes[0], len(stripes)))
         store_whole(volume, stripes, stale, values, failed)
 
     monkeypatch.setattr(ioplan, "_store_whole", spy)
@@ -218,8 +207,8 @@ class TestThreadEquivalence:
         vector of stripes — on either branch — and one store of every
         row on every disk."""
         rng = np.random.default_rng(5)
-        twin = Twin(layout, stripes=32, es=ES)
-        quiet = twin.volumes[0]
+        mirror = Mirror(layout, stripes=32, es=ES)
+        quiet = mirror.kernel
         cell = layout.data_cells[4]
         entries = [
             (s, [(cell, rng.integers(0, 256, ES, dtype=np.uint8))])
@@ -227,8 +216,8 @@ class TestThreadEquivalence:
         ]
         del xor_batches[:]
         stores = spy_stores(quiet, monkeypatch)
-        twin.write_rest(entries)
-        assert xor_batches == [32, 32]
+        mirror.write_rest(entries)
+        assert xor_batches == [32] * len(mirror.volumes)
         written = [w for _, w in quiet.io_counters().values() if w]
         assert stores == [(sum(written), True)] and len(written) > 1
 
@@ -253,13 +242,13 @@ class TestThreadEquivalence:
 
     def test_zero_delta_burst_writes_nothing_twice(self, layout):
         rng = np.random.default_rng(5)
-        twin = Twin(layout, stripes=STRIPES, es=ES)
+        mirror = Mirror(layout, stripes=STRIPES, es=ES)
         entries = _burst(layout, rng, range(8))
-        twin.write_rest(entries)
+        mirror.write_rest(entries)
         # the repeat pass must read old data but skip every write
-        quiet = twin.volumes[0]
+        quiet = mirror.kernel
         _, writes_before = map(sum, zip(*quiet.io_counters().values()))
-        twin.write_rest(entries)  # identical payloads: all-zero deltas
+        mirror.write_rest(entries)  # identical payloads: all-zero deltas
         _, writes_after = map(sum, zip(*quiet.io_counters().values()))
         assert writes_after == writes_before
 
@@ -371,238 +360,78 @@ class TestThreadEquivalence:
         _assert_same(quiet, ref)
 
 
-# -- the differential oracle: vector, per-element, walk ------------------------
+# -- hand-built cases on the differential oracle --------------------------------
 
 ORACLE_STRIPES = 5
 ORACLE_ES = 16
 
 
-class Twin:
-    """One op stream on three volumes: the plans' vector branch (a quiet
-    volume), their per-element branch (a no-op fault hook on every disk)
-    and the reference walk on a volume of its own.
+def _mirror(layout, failed=(), stripes=ORACLE_STRIPES, es=ORACLE_ES,
+            **kwargs) -> Mirror:
+    """A :class:`Mirror` holding a random image, ``failed`` disks failed,
+    an integrity checker and a dirty-stripe tracker attached."""
+    mirror = Mirror(layout, stripes=stripes, es=es, **kwargs)
+    mirror.write(0, np.random.default_rng(7).integers(
+        0, 256, (mirror.kernel.num_elements, es), dtype=np.uint8
+    ))
+    for disk in failed:
+        mirror.fail_disk(disk)
+    mirror.attach_checker()
+    mirror.attach_tracker()
+    return mirror
 
-    After every op returned bytes, backing images and per-disk counters
-    agree on all three; checksum store, verified bitmap, dirty set and
-    journal state agree between the two branches.  An op the walk has no
-    quiet reference for — planted rot or latent sectors, the integrity
-    sweeps — retires the reference for the rest of the stream.
-    """
 
-    def __init__(
-        self, layout, failed=(), journaled=False, stripes=ORACLE_STRIPES,
-        es=ORACLE_ES, **kwargs
-    ):
-        def volume(journal=None):
-            return RAID6Volume(
-                layout, num_stripes=stripes, element_size=es,
-                journal=journal, **kwargs
-            )
-
-        self.volumes = [
-            volume(WriteIntentLog() if journaled else None) for _ in range(2)
-        ]
-        per_element(self.volumes[1])
-        self.reference = volume()
-        rng = np.random.default_rng(7)
-        image = rng.integers(
-            0, 256, (self.reference.num_elements, es), dtype=np.uint8
-        )
-        for volume in self.volumes:
-            volume.write(0, image)
-        walk.write(self.reference, 0, image)
-        for disk in failed:
-            self.fail_disk(disk)
-        self.checkers = [IntegrityChecker(v) for v in self.volumes]
-        self.trackers = [DirtyStripeTracker(v) for v in self.volumes]
-        for volume in self.sides:  # the checkers' seeding reads
-            volume.reset_io_counters()
-        self.assert_same()
-
-    @property
-    def sides(self):
-        if self.reference is None:
-            return self.volumes
-        return self.volumes + [self.reference]
-
-    def assert_same(self):
-        quiet = self.volumes[0]
-        for other in self.sides[1:]:
-            assert np.array_equal(quiet._backing, other._backing)
-            assert quiet.io_counters() == other.io_counters()
-        a, b = (c.store for c in self.checkers)
-        assert a._sums == b._sums
-        assert np.array_equal(a._verified, b._verified)
-        assert self.trackers[0].drain() == self.trackers[1].drain()
-        for volume in self.volumes:
-            if volume.journal is not None:
-                assert not volume.journal.dirty
-
-    def _agree(self, results):
-        for other in results[1:]:
-            assert np.array_equal(results[0], other)
-        self.assert_same()
-        return results[0]
-
-    def read(self, start, count):
-        got = [v.read(start, count) for v in self.volumes]
-        if self.reference is not None:
-            got.append(walk.read(self.reference, start, count))
-        return self._agree(got)
-
-    def write(self, start, data):
-        for volume in self.volumes:
-            volume.write(start, data.copy())
-        if self.reference is not None:
-            walk.write(self.reference, start, data)
-        self.assert_same()
-
-    def write_rest(self, entries):
-        """One ``_write_rest`` queue; the walk stripe by stripe."""
-        for volume in self.volumes:
-            _write(volume, entries)
-        if self.reference is not None:
-            _walk(self.reference, entries)
-        self.assert_same()
-
-    def fail_disk(self, disk):
-        for volume in self.sides:
-            volume.fail_disk(disk)
-
-    def start_rebuild(self, disk, batch):
-        self.cursors = [
-            v.start_rebuild(disk, batch=batch) for v in self.sides
-        ]
-        self.assert_same()
-
-    def step(self):
-        """One step of every side's rebuild cursor, compared; whether
-        the rebuild is still active."""
-        quiet, hooked = self.cursors[:2]
-        stepped = quiet.step()
-        assert hooked.step() == stepped
-        assert quiet.elements_read == hooked.elements_read
-        if self.reference is not None:
-            assert walk.rebuild_step(self.cursors[2]) == stepped
-        self.assert_same()
-        return quiet.active
-
-    def rebuild(self, disk, batch):
-        """Replace ``disk`` and step its cursor ``batch`` stripes at a
-        time, the twin compared after every step."""
-        self.start_rebuild(disk, batch)
-        while self.step():
-            pass
-        assert self.cursors[1].done
-
-    def _same_result(self, sides, method, **kwargs):
-        a, b = (getattr(side, method)(**kwargs) for side in sides)
-        assert a == b  # the campaign report is a dataclass: every field
-        self.assert_same()
-        return a
-
-    def scrub(self):
-        bad = [v.scrub() for v in self.volumes]
-        if self.reference is not None:
-            bad.append(walk.scrub(self.reference))
-        assert bad[1:] == bad[:-1]
-        self.assert_same()
-        return bad[0]
-
-    def find_corruption(self):
-        self.reference = None
-        return self._same_result(self.checkers, "find_corruption")
-
-    def scrub_campaign(self, **kwargs):
-        self.reference = None
-        return self._same_result(self.checkers, "scrub_campaign", **kwargs)
-
-    def rot(self, stripe, cell):
-        """Flip one block on both branches behind the volume's back, as
-        if it had not been read since it was written: vector gathers
-        are edge-triggered and trust a verified bit, element-by-element
-        loads re-hash."""
-        self.reference = None
-        for volume, checker in zip(self.volumes, self.checkers):
-            loc = volume.mapper.locate_cell(stripe, cell)
-            volume.disks[loc.disk]._store[loc.offset] ^= 0xFF
-            checker.store._verified[loc.disk, loc.offset] = False
-
-    def mark_bad(self, stripe, cell):
-        """A latent sector under ``cell`` on both branches."""
-        self.reference = None
-        for volume in self.volumes:
-            loc = volume.mapper.locate_cell(stripe, cell)
-            volume.disks[loc.disk].mark_bad(loc.offset)
-
-    def burst(self, j0, values, via_cache, stripes=None):
-        """Write ``values[i]`` at data index ``j0`` of ``stripes[i]``
-        (stripe ``i`` by default) as one queue: ``_write_rest``
-        directly, or a cache flush."""
-        per = self.volumes[0].layout.num_data_cells
-        cells = self.volumes[0].layout.data_cells[j0:j0 + values.shape[1]]
-        if stripes is None:
-            stripes = range(len(values))
-        entries = [
+def _mirror_burst(mirror, j0, values, via_cache, stripes=None):
+    """Write ``values[i]`` at data index ``j0`` of ``stripes[i]`` (stripe
+    ``i`` by default) as one queue: ``_write_rest`` directly, or a cache
+    flush."""
+    per = mirror.per
+    cells = mirror.layout.data_cells[j0:j0 + values.shape[1]]
+    if stripes is None:
+        stripes = range(len(values))
+    if not via_cache:
+        mirror.write_rest([
             (stripe, list(zip(cells, rows)))
             for stripe, rows in zip(stripes, values)
-        ]
-        if not via_cache:
-            self.write_rest(entries)
-            return
-        for volume in self.volumes:
-            cache = StripeCache(volume, max_dirty_stripes=len(values))
-            for stripe, rows in zip(stripes, values):
-                cache.write(stripe * per + j0, rows.copy())
-            cache.flush()
-        if self.reference is not None:
-            _walk(self.reference, entries)
-        self.assert_same()
+        ])
+        return
+    for stripe, rows in zip(stripes, values):
+        mirror.cache_write(stripe * per + j0, rows)
+    mirror.flush()
 
 
-@st.composite
-def op_streams(draw, per):
-    """Short reads and writes straddling up to three stripes; a write
-    carries fresh bytes, the bytes already on disk (zero delta), or
-    fresh bytes in every other element only.  ``burst`` and ``flush``
-    write the same cells of every stripe as one queue (``_write_rest``
-    directly, and a cache destage), every other stripe a zero delta."""
-    total = ORACLE_STRIPES * per
-    ops = []
-    for _ in range(draw(st.integers(4, 9))):
-        start = draw(st.integers(0, total - 1))
-        count = draw(st.integers(1, min(2 * per + 2, total - start)))
-        kind = draw(st.sampled_from(
-            ("read", "fresh", "same", "half", "burst", "flush")
-        ))
-        ops.append((kind, start, count, draw(st.integers(0, 2**16))))
-    return ops
+def _loc(mirror, stripe, cell):
+    """``(disk, offset)`` of ``cell`` of ``stripe``."""
+    loc = mirror.kernel.mapper.locate_cell(stripe, cell)
+    return loc.disk, loc.offset
 
 
 def _failed_sets(cols):
     return ((), (1,), (0, cols - 1))
 
 
-def _drive(twin, payload):
+def _drive(mirror, payload):
     """A deterministic mixed workload, disks failing along the way."""
-    per = twin.volumes[0].layout.num_data_cells
+    per = mirror.per
     # multi-stripe aligned write
-    twin.write(0, payload[: 6 * per])
+    mirror.write(0, payload[: 6 * per])
     # unaligned multi-stripe write (head + full + tail partial stripes)
-    twin.write(per // 2, payload[6 * per : 6 * per + 4 * per + 3])
+    mirror.write(per // 2, payload[6 * per : 6 * per + 4 * per + 3])
     # small partial writes (RMW path)
-    twin.write(7 * per + 1, payload[:3])
+    mirror.write(7 * per + 1, payload[:3])
     # multi-stripe read spanning the written region
-    twin.read(0, 8 * per)
+    mirror.read(0, 8 * per)
     # degraded reads
-    twin.fail_disk(1)
-    twin.read(0, 6 * per)
-    twin.fail_disk(twin.volumes[0].layout.cols - 1)
-    twin.read(per // 3, 5 * per)
+    mirror.fail_disk(1)
+    mirror.read(0, 6 * per)
+    mirror.fail_disk(mirror.layout.cols - 1)
+    mirror.read(per // 3, 5 * per)
 
 
 class TestPlannedVsWalk:
-    """Every registry code x p x rotation x failure state, every op."""
+    """Whole stripes in place and off it, aliasing payloads, bad rebuild
+    sources: the vector branch, the per-element branch, the kernel and
+    the walk."""
 
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -612,13 +441,14 @@ class TestPlannedVsWalk:
         max_examples=4, deadline=None,
         suppress_health_check=list(HealthCheck),
     )
-    @given(data=st.data())
-    def test_op_stream(self, code_name, p, rotate, failures, data):
+    @given(seed=st.integers(0, 2**16), steps=st.integers(4, 9))
+    def test_op_stream(self, code_name, p, rotate, failures, seed, steps):
+        """A short stream of the differential oracle's traffic on a
+        volume with observers attached and ``failures`` disks failed; a
+        failure shrinks to a short one."""
         layout = make_code(code_name, p)
-        self._run(
-            layout, _failed_sets(layout.cols)[failures],
-            data.draw(op_streams(layout.num_data_cells)), rotate=rotate,
-        )
+        self._run(layout, _failed_sets(layout.cols)[failures], seed, steps,
+                  rotate=rotate)
 
     @pytest.mark.parametrize("failures", (0, 1))
     @pytest.mark.parametrize(
@@ -628,42 +458,21 @@ class TestPlannedVsWalk:
         max_examples=6, deadline=None,
         suppress_health_check=list(HealthCheck),
     )
-    @given(data=st.data())
-    def test_journaled_and_parallel(self, layout, failures, kwargs, data):
-        self._run(
-            layout, _failed_sets(layout.cols)[failures],
-            data.draw(op_streams(layout.num_data_cells)), **kwargs,
-        )
+    @given(seed=st.integers(0, 2**16), steps=st.integers(4, 9))
+    def test_journaled_and_parallel(self, layout, failures, kwargs, seed,
+                                    steps):
+        self._run(layout, _failed_sets(layout.cols)[failures], seed, steps,
+                  **kwargs)
 
-    def _run(self, layout, failed, ops, **kwargs):
-        twin = Twin(layout, failed, **kwargs)
-        per = layout.num_data_cells
-        for kind, start, count, seed in ops:
-            if kind == "read":
-                twin.read(start, count)
-                continue
-            rng = np.random.default_rng(seed)
-            if kind in ("burst", "flush"):
-                j0 = start % per
-                n = min(count, per - j0)
-                current = twin.read(0, ORACLE_STRIPES * per).reshape(
-                    ORACLE_STRIPES, per, ORACLE_ES
-                )[:, j0:j0 + n]
-                values = rng.integers(
-                    0, 256, current.shape, dtype=np.uint8
-                )
-                values[::2] = current[::2]
-                twin.burst(j0, values, via_cache=kind == "flush")
-                continue
-            fresh = rng.integers(
-                0, 256, (count, ORACLE_ES), dtype=np.uint8
-            )
-            if kind != "fresh":
-                current = twin.read(start, count).copy()
-                if kind == "half":
-                    current[::2] = fresh[::2]
-                fresh = current
-            twin.write(start, fresh)
+    def _run(self, layout, failed, seed, steps, **kwargs):
+        """``steps`` ops of the oracle's traffic (``diff.draw``), drawn
+        from ``seed``, on a :func:`_mirror` with ``failed`` disks
+        failed; then a flush."""
+        mirror = _mirror(layout, failed, **kwargs)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            draw(mirror, rng, "traffic")(mirror, rng)
+        mirror.flush()
 
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -682,7 +491,7 @@ class TestPlannedVsWalk:
         payload = rng.integers(
             0, 256, (12 * layout.num_data_cells, es), dtype=np.uint8
         )
-        _drive(Twin(layout, stripes=stripes, es=es, **kwargs), payload)
+        _drive(_mirror(layout, stripes=stripes, es=es, **kwargs), payload)
 
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("rotate", (False, True))
@@ -709,32 +518,32 @@ class TestPlannedVsWalk:
         flush, rebuild of every failed disk, then parity scrub and the
         integrity sweeps over planted rot."""
         failed = _failed_sets(layout.cols)[failures]
-        twin = Twin(layout, failed, **kwargs)
+        mirror = _mirror(layout, failed, **kwargs)
         per = layout.num_data_cells
         rng = np.random.default_rng(failures)
 
         def fresh(count):
             return rng.integers(0, 256, (count, ORACLE_ES), dtype=np.uint8)
 
-        twin.write(per, fresh(3 * per))  # a run of whole stripes
-        twin.write(per // 2, fresh(3 * per))  # head + two whole + tail
-        twin.write(2 * per - 1, fresh(per + 2))  # one whole among partials
-        twin.burst(0, fresh(ORACLE_STRIPES * per).reshape(
+        mirror.write(per, fresh(3 * per))  # a run of whole stripes
+        mirror.write(per // 2, fresh(3 * per))  # head + two whole + tail
+        mirror.write(2 * per - 1, fresh(per + 2))  # one whole among partials
+        _mirror_burst(mirror, 0, fresh(ORACLE_STRIPES * per).reshape(
             ORACLE_STRIPES, per, ORACLE_ES
         ), via_cache=True)
-        image = twin.read(0, ORACLE_STRIPES * per).copy()
+        image = mirror.read(0, ORACLE_STRIPES * per)
         for batch, disk in zip((2, ORACLE_STRIPES), failed):
-            twin.rebuild(disk, batch)
-        assert twin.scrub() == []
-        assert twin.find_corruption() == {}
+            mirror.rebuild(disk, batch)
+        assert mirror.scrub() == []
+        assert mirror.integrity("find_corruption") == {}
         rotten = [
             (0, layout.data_cells[1]),
             (3, layout.data_cells[per - 1]),
             (3, layout.parity_cells[0]),
         ]
         for stripe, cell in rotten:
-            twin.rot(stripe, cell)
-        assert twin.find_corruption() == {
+            mirror.rot(*_loc(mirror, stripe, cell))
+        assert mirror.integrity("find_corruption") == {
             0: [rotten[0][1]],
             3: sorted(  # columns ascending, like the walk
                 (c for s, c in rotten if s == 3),
@@ -742,12 +551,12 @@ class TestPlannedVsWalk:
             ),
         }
         # verified loads reconstruct around located rot: parity holds
-        assert twin.scrub() == []
-        report = twin.scrub_campaign()
+        assert mirror.scrub() == []
+        report = mirror.integrity("scrub_campaign")
         assert report.repaired_data == rotten[:2]
         assert report.repaired_parity == rotten[2:]
-        assert twin.scrub_campaign().clean
-        assert np.array_equal(twin.read(0, ORACLE_STRIPES * per), image)
+        assert mirror.integrity("scrub_campaign").clean
+        assert np.array_equal(mirror.read(0, ORACLE_STRIPES * per), image)
 
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -762,8 +571,8 @@ class TestPlannedVsWalk:
         checksums, verified bits, dirty set.  A lone whole stripe is a
         run like any other."""
         layout = make_code(code_name, p)
-        twin = Twin(layout, journaled=journaled, stripes=40)
-        del slab_runs[:]  # the twin's own image
+        mirror = _mirror(layout, journaled=journaled, stripes=40)
+        slab_runs.clear()  # the mirror's own image
         per = layout.num_data_cells
         rng = np.random.default_rng(p)
 
@@ -772,23 +581,23 @@ class TestPlannedVsWalk:
                 0, 256, (stripes * per, ORACLE_ES), dtype=np.uint8
             )
 
-        twin.write(3 * per, fresh(1))
-        assert slab_runs == [(3, 1)]
-        del slab_runs[:]
-        twin.write(3 * per, fresh(2))
-        twin.write(5 * per, fresh(32))
-        twin.write(per - 2, fresh(3))  # head + two whole stripes + tail
-        assert slab_runs == [(3, 2), (5, 32), (1, 2)]
-        del slab_runs[:]
+        mirror.write(3 * per, fresh(1))
+        assert slab_runs[mirror.numpy] == [(3, 1)]
+        slab_runs.clear()
+        mirror.write(3 * per, fresh(2))
+        mirror.write(5 * per, fresh(32))
+        mirror.write(per - 2, fresh(3))  # head + two whole stripes + tail
+        assert slab_runs[mirror.numpy] == [(3, 2), (5, 32), (1, 2)]
+        slab_runs.clear()
         scattered = (1, 2, 3, 7, 9, 10)
         for via_cache in (False, True):
-            twin.burst(
-                0, fresh(len(scattered)).reshape(-1, per, ORACLE_ES),
+            _mirror_burst(
+                mirror, 0, fresh(len(scattered)).reshape(-1, per, ORACLE_ES),
                 via_cache, stripes=scattered,
             )
-        assert slab_runs == 2 * [(1, 3), (7, 1), (9, 2)]
-        assert twin.scrub() == []
-        assert twin.find_corruption() == {}
+        assert slab_runs[mirror.numpy] == 2 * [(1, 3), (7, 1), (9, 2)]
+        assert mirror.scrub() == []
+        assert mirror.integrity("find_corruption") == {}
 
     @pytest.mark.parametrize(
         "rotate,failures", ((False, 1), (False, 2), (True, 0), (True, 2))
@@ -803,19 +612,21 @@ class TestPlannedVsWalk:
         of which the stale column stays; behind it, with one disk
         failed, stripes are whole again and encoded in place."""
         failed = _failed_sets(layout.cols)[failures]
-        twin = Twin(layout, failed, journaled=journaled, rotate=rotate)
-        del slab_runs[:]  # the twin's own image, written before a disk fails
+        mirror = _mirror(layout, failed, journaled=journaled, rotate=rotate)
+        slab_runs.clear()  # the mirror's own image, before a disk failed
         per = layout.num_data_cells
         rng = np.random.default_rng(failures)
         whole = (ORACLE_STRIPES * per, ORACLE_ES)
-        twin.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
+        mirror.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
         if failed:
-            twin.start_rebuild(failed[0], batch=2)
-            twin.step()
-            twin.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
-            while twin.step():
-                pass
-        assert slab_runs == ([(0, 2)] if failures == 1 and not rotate else [])
+            mirror.start_rebuild(failed[0], batch=2)
+            mirror.step()
+            mirror.write(0, rng.integers(0, 256, whole, dtype=np.uint8))
+            while mirror.cursors[0].active:
+                mirror.step()
+        assert slab_runs.get(mirror.numpy, []) == (
+            [(0, 2)] if failures == 1 and not rotate else []
+        )
 
     @pytest.mark.parametrize("code_name", ("dcode", "rdp"))
     @pytest.mark.parametrize("journaled", (False, True))
@@ -828,20 +639,20 @@ class TestPlannedVsWalk:
         elements off it: the stripes read back what the payload held
         when the call was made."""
         layout = make_code(code_name, 5)
-        twin = Twin(layout, journaled=journaled)
-        del slab_runs[:]
+        mirror = _mirror(layout, journaled=journaled)
+        slab_runs.clear()
         per = layout.num_data_cells
         first = layout.rows * layout.cols + shift
-        twin.reference = None  # the walk writes its payload in place
-        for volume in twin.volumes:
+        mirror.retire()  # the walk writes its payload in place
+        for volume in mirror.volumes:
             payload = volume._flat_backing[first:first + 2 * per]
             assert np.shares_memory(payload, volume._backing)
             want = payload.copy()
             volume.write(per, payload)
             assert np.array_equal(volume.read(per, 2 * per), want)
-        twin.assert_same()
-        assert slab_runs == [(1, 2)]
-        assert twin.scrub() == []
+        mirror.check()
+        assert slab_runs[mirror.numpy] == [(1, 2)]
+        assert mirror.scrub() == []
 
     def test_aliasing_payload_survives_a_crash_as_redo_image(self, layout):
         """The intents of a whole-stripe burst hold the caller's rows;
@@ -875,17 +686,17 @@ class TestPlannedVsWalk:
         """A latent sector under the run is cleared as ``write_block``
         clears it; one outside the run stays.  A latent sector fails
         loads, not stores: the run is still encoded in place."""
-        twin = Twin(layout, journaled=journaled)
-        del slab_runs[:]
+        mirror = _mirror(layout, journaled=journaled)
+        slab_runs.clear()
         per = layout.num_data_cells
         under, outside = 2 * layout.rows + 1, 4 * layout.rows
-        for volume in twin.sides:
+        for volume in mirror.sides:  # the walk too: a store remaps
             volume.disks[3].mark_bad(under)
             volume.disks[3].mark_bad(outside)
-        twin.write(per, np.ones((2 * per, ORACLE_ES), dtype=np.uint8))
-        for volume in twin.sides:
+        mirror.write(per, np.ones((2 * per, ORACLE_ES), dtype=np.uint8))
+        for volume in mirror.sides:
             assert volume.disks[3].bad_sectors == {outside}
-        assert slab_runs == [(1, 2)]
+        assert slab_runs[mirror.numpy] == [(1, 2)]
 
     @pytest.mark.parametrize("rotate", (False, True))
     @pytest.mark.parametrize("damage", ("rot", "latent"))
@@ -896,18 +707,21 @@ class TestPlannedVsWalk:
         disk — a second would leave the stripe nothing to reconstruct
         with)."""
         failed = _failed_sets(layout.cols)[1]
-        twin = Twin(layout, failed, rotate=rotate)
+        mirror = _mirror(layout, failed, rotate=rotate)
         per = layout.num_data_cells
-        image = twin.read(0, ORACLE_STRIPES * per).copy()
+        image = mirror.read(0, ORACLE_STRIPES * per)
         stripe = 2
-        col = twin.volumes[0].mapper.col_on_disk(stripe, failed[0])
-        source = min(cached_hybrid_plan(layout, col).reads)
-        getattr(twin, {"rot": "rot", "latent": "mark_bad"}[damage])(
-            stripe, source
+        col = mirror.kernel.mapper.col_on_disk(stripe, failed[0])
+        loc = mirror.kernel.mapper.locate_cell(
+            stripe, min(cached_hybrid_plan(layout, col).reads)
         )
-        twin.rebuild(failed[0], ORACLE_STRIPES)
+        getattr(mirror, {"rot": "rot", "latent": "mark_bad"}[damage])(
+            loc.disk, loc.offset
+        )
+        mirror.rebuild(failed[0], ORACLE_STRIPES)
         # the read heals the sector
-        assert np.array_equal(twin.read(0, ORACLE_STRIPES * per), image)
+        assert np.array_equal(mirror.read(0, ORACLE_STRIPES * per), image)
+
 
     @pytest.mark.parametrize(
         "code_name,p", (("dcode", 7), ("rdp", 5), ("xcode", 5))
@@ -925,25 +739,25 @@ class TestPlannedVsWalk:
         Then every disk rebuilt: scrub clean, image equal to a shadow."""
         layout = make_code(code_name, p)
         failed = _failed_sets(layout.cols)[failures]
-        twin = Twin(layout, failed, journaled=journaled, rotate=rotate)
-        quiet = twin.volumes[0]
+        mirror = _mirror(layout, failed, journaled=journaled, rotate=rotate)
+        quiet = mirror.kernel
         per = layout.num_data_cells
         total = ORACLE_STRIPES * per
-        shadow = twin.read(0, total).copy()
+        shadow = mirror.read(0, total)
         rng = np.random.default_rng(failures)
 
         def fresh(*shape):
             return rng.integers(1, 256, shape + (ORACLE_ES,), dtype=np.uint8)
 
         def write(start, data):
-            twin.write(start, data)
+            mirror.write(start, data)
             shadow[start:start + len(data)] = data
 
         def burst(j0, values, via_cache):
             values[::2] = shadow.reshape(ORACLE_STRIPES, per, -1)[
                 ::2, j0:j0 + values.shape[1]
             ]  # every other stripe a zero delta
-            twin.burst(j0, values, via_cache)
+            _mirror_burst(mirror, j0, values, via_cache)
             shadow.reshape(ORACLE_STRIPES, per, -1)[
                 :, j0:j0 + values.shape[1]
             ] = values
@@ -978,17 +792,17 @@ class TestPlannedVsWalk:
         for via_cache in (False, True):
             burst(on_stale - 1, fresh(ORACLE_STRIPES, 3), via_cache)
         # a rebuild in flight: healthy behind the cursor, stale ahead
-        twin.start_rebuild(failed[0], batch=2)
-        twin.step()
+        mirror.start_rebuild(failed[0], batch=2)
+        mirror.step()
         write(per + 3, fresh(per + 2))  # stripes 1 | 2: astride the cursor
         for via_cache in (False, True):
             burst(on_stale - 1, fresh(ORACLE_STRIPES, 3), via_cache)
-        while twin.step():
-            pass
+        while mirror.cursors[0].active:
+            mirror.step()
         for disk in failed[1:]:
-            twin.rebuild(disk, ORACLE_STRIPES)
-        assert twin.scrub() == []
-        assert np.array_equal(twin.read(0, total), shadow)
+            mirror.rebuild(disk, ORACLE_STRIPES)
+        assert mirror.scrub() == []
+        assert np.array_equal(mirror.read(0, total), shadow)
 
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -1005,7 +819,7 @@ class TestPlannedVsWalk:
             return rng.integers(0, 256, (count, ORACLE_ES), dtype=np.uint8)
 
         for failed in _failed_sets(layout.cols)[:2]:
-            twin = Twin(layout, failed)
+            mirror = _mirror(layout, failed)
             cache = StripeCache(
                 _volume(layout, stripes=ORACLE_STRIPES, es=ORACLE_ES),
                 max_dirty_stripes=ORACLE_STRIPES,
@@ -1015,12 +829,12 @@ class TestPlannedVsWalk:
                 cache.write(j, fresh(1))
             buckets = sorted(cache.dirty_snapshot().items())
             assert any(len(items) == per for _, items in buckets)
-            twin.write_rest(buckets)
+            mirror.write_rest(buckets)
 
     def test_destage_burst_of_scattered_cells(self, layout):
         """A cache destage hands ``_write_rest`` arbitrary (not
         contiguous) cell sets, several stripes at once."""
-        twin = Twin(layout)
+        mirror = _mirror(layout)
         rng = np.random.default_rng(3)
         entries = [
             (stripe, items[::2])  # every other cell: not a contiguous run
@@ -1028,7 +842,7 @@ class TestPlannedVsWalk:
                 layout, rng, range(ORACLE_STRIPES), max_cells=5, es=ORACLE_ES
             )
         ]
-        twin.write_rest(entries)
+        mirror.write_rest(entries)
 
 
 class TestStoreFunnel:
@@ -1098,11 +912,11 @@ class TestStoreFunnel:
     @pytest.mark.parametrize("failures", (0, 1))
     def test_observers_cannot_tell(self, layout, rotate, failures):
         """Checksum store, verified bitmap and dirty set after each kind
-        of planned store — RMW, lost-cell RMW, ``encode_stripes``,
-        ``store_stripes``, ``rebuild`` — equal between the vector and
-        the per-element branch."""
+        of planned store — RMW, lost-cell RMW, whole stripes encoded in
+        place, ``store_stripes``, ``rebuild`` — equal between the vector
+        and the per-element branch."""
         failed = _failed_sets(layout.cols)[failures]
-        twin = Twin(layout, failed, rotate=rotate)
+        mirror = _mirror(layout, failed, rotate=rotate)
         per = layout.num_data_cells
         rng = np.random.default_rng(failures)
 
@@ -1110,13 +924,14 @@ class TestStoreFunnel:
             return rng.integers(1, 256, (count, ORACLE_ES), dtype=np.uint8)
 
         for j in range(0, per, 4):  # every column dirty in some write
-            twin.write(per + j, fresh(3))
-        twin.write(2 * per, fresh(2 * per))
-        twin.write(4 * per, fresh(per))
-        twin.burst(1, fresh(3 * 2).reshape(3, 2, ORACLE_ES), via_cache=True)
+            mirror.write(per + j, fresh(3))
+        mirror.write(2 * per, fresh(2 * per))
+        mirror.write(4 * per, fresh(per))
+        _mirror_burst(mirror, 1, fresh(3 * 2).reshape(3, 2, ORACLE_ES),
+                      via_cache=True)
         for disk in failed:
-            twin.rebuild(disk, 2)
-        assert twin.scrub() == []
+            mirror.rebuild(disk, 2)
+        assert mirror.scrub() == []
 
     def test_a_store_is_all_or_nothing_against_a_dead_disk(self, layout):
         """A disk dies between the surface snapshot and the store: not

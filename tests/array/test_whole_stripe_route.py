@@ -1,17 +1,17 @@
-"""Whole stripes along a write's route, against the numpy volume.
+"""Whole stripes along a write's route: what stays in C, what walks.
 
 A healthy, unrotated write of any length, journaled or not, is one
 ``route_exec`` call: its partial head and tail stripes run their RMW
 plans, and each whole stripe between them has its rows copied into its
 data cells and the codec's encode program run over it in place.  With a
 failed disk or rotated, the same route is walked in numpy
-(``ioplan._route_walk``).  :class:`~tests.array.test_plan_kernel.Engines`
-holds each write shape on the kernel volume to the numpy volume — bytes,
-per-disk counters, a clean scrub — healthy, with a failed disk, rotated
-and journaled; the spies pin that a healthy long write never reaches the
-batched codec and that observers and latent sectors stand the route
-down to the walk, the observers seeing the rows they see on the numpy
-executor.
+(``ioplan._route_walk``).  :class:`~tests.oracles.diff.Mirror` holds
+each write shape on the kernel volume to the numpy volume, the
+per-element one and the walk — bytes, per-disk counters, a clean scrub
+— healthy, with a failed disk, rotated and journaled; the spies pin
+that a healthy long write never reaches the batched codec and that
+observers and latent sectors stand the route down to the walk, the
+observers seeing the rows they see on the numpy executor.
 
 Under ``REPRO_PURE_NUMPY=1`` (or without a compiler) both sides run the
 numpy executor and the comparisons still hold.
@@ -22,16 +22,15 @@ import pytest
 
 from repro.array import ioplan
 from repro.array import volume as volume_module
-from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codec.plan import XorPlan
 from repro.codes import make_code
-from repro.journal import WriteIntentLog
 from repro.serve.checkpoint import DirtyStripeTracker
 from repro.util.ckernel import xor_kernel
 
-from tests.array.test_plan_kernel import ES, Engines, _spy, needs_kernel
+from tests.array.test_plan_kernel import ES, _spy, needs_kernel
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
+from tests.oracles.diff import Mirror
 
 STRIPES = 36
 
@@ -63,39 +62,33 @@ def route_runs(monkeypatch):
 )
 def test_long_writes_two_engines(code_name, p, state, route_runs):
     """Every write shape, each written twice (fresh bytes, then the same
-    bytes: zero deltas on the partial stripes): the kernel volume and
-    the numpy volume hold the same bytes and count the same I/O, and
-    both scrub clean (rebuilt, if a disk failed).  Healthy, journaled or
-    not, each write is one ``route_exec`` call; with a failed disk or
-    rotated, none: the route is walked."""
+    bytes: zero deltas on the partial stripes): the kernel volume, the
+    numpy volume, the per-element one and the walk hold the same bytes
+    and count the same I/O, and scrub clean (rebuilt, if a disk
+    failed).  Healthy, journaled or not, each write is one
+    ``route_exec`` call; with a failed disk or rotated, none: the route
+    is walked."""
     layout = make_code(code_name, p)
-    kwargs = {"rotate": True} if state == "rotated" else {}
-    engines = Engines(layout, stripes=STRIPES, **kwargs)
-    kernel, numpy = engines.volumes
-    per = engines.per
-    if state == "journaled":
-        for volume in engines.volumes:
-            volume.journal = WriteIntentLog()
+    mirror = Mirror(layout, stripes=STRIPES, es=ES,
+                    rotate=state == "rotated",
+                    journaled=state == "journaled")
+    per = mirror.per
     rng = np.random.default_rng(sum(map(ord, code_name)) * 10 + p)
-    engines.write(0, rng.integers(0, 256, (STRIPES * per, ES), np.uint8))
+    mirror.write(0, rng.integers(0, 256, (STRIPES * per, ES), np.uint8))
     if state == "failed":
-        engines.each(lambda v: v.fail_disk(1))
-    shadow = engines.read(0, STRIPES * per).copy()
+        mirror.fail_disk(1)
     for start, count in _shapes(per):
         data = rng.integers(0, 256, (count, ES), dtype=np.uint8)
         for _ in range(2):
             del route_runs[:]
-            engines.write(start, data)
-            shadow[start:start + count] = data
-            assert numpy not in route_runs
+            mirror.write(start, data)
             if xor_kernel() is None or state in ("failed", "rotated"):
                 assert route_runs == []
             else:
-                assert route_runs == [kernel]
-    assert np.array_equal(engines.read(0, STRIPES * per), shadow)
+                assert route_runs == [mirror.kernel]
     if state == "failed":
-        engines.each(lambda v: v.replace_and_rebuild(1))
-    assert kernel.scrub() == [] and numpy.scrub() == []
+        mirror.rebuild(1, batch=8)
+    assert mirror.scrub() == []
 
 
 def _no_batched_encode(monkeypatch):
@@ -167,25 +160,27 @@ def test_observers_and_latent_sectors_stand_the_route_down(
     executor, store for store, and the write remaps the latent sector
     as it does there."""
     layout = make_code("dcode", 7)
-    engines = Engines(layout, stripes=12)
-    per = engines.per
+    mirror = Mirror(layout, stripes=12, es=ES)
+    per = mirror.per
     rng = np.random.default_rng(7)
-    engines.write(0, rng.integers(0, 256, (12 * per, ES), np.uint8))
-    if case == "tracker":
-        trackers = [DirtyStripeTracker(v) for v in engines.volumes]
+    mirror.write(0, rng.integers(0, 256, (12 * per, ES), np.uint8))
+    if case == "tracker":  # drained here, not by the mirror
+        trackers = [DirtyStripeTracker(v) for v in mirror.volumes]
     elif case == "integrity":
-        checkers = [IntegrityChecker(v) for v in engines.volumes]
+        mirror.attach_checker()
+        checkers = mirror.checkers
     else:
-        for volume in engines.volumes:
+        mirror.retire()
+        for volume in mirror.volumes:
             volume.disks[3].mark_bad(4 * layout.rows + 2)
             volume.disks[3].mark_bad(11 * layout.rows)
     del route_runs[:]
     stores = _spy_stores(monkeypatch)
     data = rng.integers(0, 256, (6 * per, ES), dtype=np.uint8)
-    engines.write(2 * per + shift, data)
+    mirror.write(2 * per + shift, data)
     assert route_runs == []
     if case != "latent":  # a plan off disk 3 may still run in C
-        a, b = (stores.get(v, []) for v in engines.volumes)
+        a, b = (stores.get(v, []) for v in (mirror.kernel, mirror.numpy))
         assert len(a) == len(b) > 0
         for (at_a, data_a), (at_b, data_b) in zip(a, b):
             assert np.array_equal(at_a, at_b)
@@ -199,6 +194,6 @@ def test_observers_and_latent_sectors_stand_the_route_down(
         assert checkers[0].store._sums == checkers[1].store._sums
         assert checkers[0].find_corruption() == {}
     else:
-        for volume in engines.volumes:
+        for volume in mirror.volumes:
             assert volume.disks[3].bad_sectors == {11 * layout.rows}
-    assert engines.volumes[0].scrub() == []
+    assert mirror.kernel.scrub() == []

@@ -4,11 +4,11 @@ Before the I/O plans, every operation of
 :class:`~repro.array.volume.RAID6Volume` walked its stripes cell by
 cell.  This is that walk, trimmed to a quiet surface — no hooks, no
 latent sectors, no checksum verification — for reads, read-modify-write,
-reconstruct-write, rebuild and parity scrub, driving
+reconstruct-write, rebuild, parity resync and scrub, driving
 :meth:`~repro.array.disk.SimDisk.read` / :meth:`~repro.array.disk.SimDisk.
 write` directly.  It keeps no state of its own: it reads the volume's
 failure state (failed disks, the rebuild cursor) and does its I/O
-through the volume's disks, so ``Twin`` (``tests/array/test_rmw_batch.py``)
+through the volume's disks, so ``Mirror`` (``tests/oracles/diff.py``)
 runs any quiet op on a volume of its own and compares bytes and per-disk
 counters with the plans.
 """
@@ -221,3 +221,16 @@ def scrub(volume) -> List[int]:
         stripe for stripe in range(volume.mapper.num_stripes)
         if not volume.codec.parity_ok(load_stripe(volume, stripe, ()))
     ]
+
+
+def resync(volume, stripes: Sequence[int]) -> None:
+    """Re-encode the parity of ``stripes`` from their data cells, every
+    parity cell rewritten."""
+    layout = volume.layout
+    for stripe in sorted(set(stripes)):
+        buf = volume.codec.blank_stripe()
+        for cell in layout.data_cells:
+            buf[cell.row, cell.col] = _read_cell(volume, stripe, cell)
+        volume.codec.encode(buf)
+        for cell in layout.parity_cells:
+            _write_cell(volume, stripe, cell, buf[cell.row, cell.col])

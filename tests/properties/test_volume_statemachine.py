@@ -2,16 +2,15 @@
 
 Hypothesis drives arbitrary interleavings of writes, failures, rebuilds,
 latent errors and scrubs against a shadow array; invariants are checked
-after every step.  This complements the fixed-seed fault campaign with
-minimised counter-examples when something breaks.
+after every step.  This complements the fixed-seed op streams of
+``tests/oracles/test_diff.py`` with minimised counter-examples when
+something breaks.
 
-Every rule runs on two volumes: one whose disks are quiet unless a rule
-plants a latent sector (so its plans go to the disks as one vector), and
-a mirror carrying a fault hook that does nothing on every disk (so the
-same plans go element by element).  Their backing images and per-disk
-I/O counters must never differ — the differential oracle of
-``tests/array/test_rmw_batch.py``, here across failures, rebuilds,
-latent errors and scrubs.
+Every rule runs on a :class:`~tests.oracles.diff.Mirror`: the C kernel's
+volume, the numpy one, one whose every disk carries a fault hook that
+does nothing (the same plans element by element) and, until a latent
+sector is planted, the reference walk.  Their returned bytes, backing
+images and per-disk I/O counters must never differ.
 """
 
 import numpy as np
@@ -25,8 +24,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.array import RAID6Volume
 from repro.codes import DCode
+
+from tests.oracles.diff import Mirror
 
 ELEMENT = 8
 
@@ -34,12 +34,8 @@ ELEMENT = 8
 class VolumeMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        self.volume = RAID6Volume(DCode(5), num_stripes=2,
-                                  element_size=ELEMENT)
-        self.hooked = RAID6Volume(DCode(5), num_stripes=2,
-                                element_size=ELEMENT)
-        for disk in self.hooked.disks:
-            disk.fault_hook = lambda disk, op, offset: None
+        self.mirror = Mirror(DCode(5), stripes=2, es=ELEMENT)
+        self.volume = self.mirror.kernel
         self.shadow = np.zeros((self.volume.num_elements, ELEMENT),
                                dtype=np.uint8)
         self.failed = set()
@@ -55,8 +51,7 @@ class VolumeMachine(RuleBasedStateMachine):
     def write(self, start, n, fill):
         start = min(start, self.volume.num_elements - n)
         data = np.full((n, ELEMENT), fill, dtype=np.uint8)
-        self.volume.write(start, data)
-        self.hooked.write(start, data)
+        self.mirror.write(start, data)
         self.shadow[start:start + n] = data
 
     @rule(disk=st.integers(0, 4))
@@ -64,31 +59,27 @@ class VolumeMachine(RuleBasedStateMachine):
     def fail_disk(self, disk):
         if disk in self.failed or self.latent:
             return
-        self.volume.fail_disk(disk)
-        self.hooked.fail_disk(disk)
+        self.mirror.fail_disk(disk)
         self.failed.add(disk)
 
     @rule()
     @precondition(lambda self: len(self.failed) > 0)
     def rebuild_one(self):
         disk = sorted(self.failed)[0]
-        self.volume.replace_and_rebuild(disk)
-        self.hooked.replace_and_rebuild(disk)
+        self.mirror.rebuild(disk, batch=8)
         self.failed.discard(disk)
 
     @rule(disk=st.integers(0, 4), stripe=st.integers(0, 1),
           row=st.integers(0, 4))
     @precondition(lambda self: not self.failed and self.latent == 0)
     def inject_latent(self, disk, stripe, row):
-        self.volume.inject_latent_error(disk, stripe, row)
-        self.hooked.inject_latent_error(disk, stripe, row)
+        self.mirror.mark_bad(disk, stripe * self.volume.layout.rows + row)
         self.latent += 1
 
     @rule()
     @precondition(lambda self: not self.failed)
     def scrub_repair(self):
-        self.volume.scrub_and_repair()
-        self.hooked.scrub_and_repair()
+        self.mirror.scrub_and_repair()
         self.latent = 0
 
     def _reconcile(self):
@@ -106,12 +97,10 @@ class VolumeMachine(RuleBasedStateMachine):
 
     @invariant()
     def reads_match_shadow(self):
-        if not hasattr(self, "volume"):
+        if not hasattr(self, "mirror"):
             return
         self._reconcile()
-        got = self.volume.read(0, self.volume.num_elements)
-        assert np.array_equal(got, self.shadow)
-        got = self.hooked.read(0, self.hooked.num_elements)
+        got = self.mirror.read(0, self.volume.num_elements)
         assert np.array_equal(got, self.shadow)
         # a healing read just now may itself have escalated a disk to
         # failed; the next rule's precondition must see it
@@ -119,23 +108,17 @@ class VolumeMachine(RuleBasedStateMachine):
 
     @invariant()
     def vector_matches_per_element(self):
-        if not hasattr(self, "volume"):
+        if not hasattr(self, "mirror"):
             return
-        assert self.volume.failed_disks == self.hooked.failed_disks
-        live = [d.disk_id for d in self.volume.disks if not d.failed]
-        assert np.array_equal(
-            self.volume._backing[:, live], self.hooked._backing[:, live]
-        )
-        assert self.volume.io_counters() == self.hooked.io_counters()
+        self.mirror.check()
 
     @invariant()
     def parity_clean_when_healthy(self):
-        if not hasattr(self, "volume"):
+        if not hasattr(self, "mirror"):
             return
         self._reconcile()
         if not self.failed and self.latent == 0:
-            assert self.volume.scrub() == []
-            assert self.hooked.scrub() == []
+            assert self.mirror.scrub() == []
 
 
 TestVolumeStateMachine = VolumeMachine.TestCase
@@ -179,7 +162,8 @@ def test_latent_escalation_mid_scrub():
             ("scrub_repair", {}),
         ]
     machine = _replay(steps)
-    assert machine.volume.failed_disks == (0,) == machine.hooked.failed_disks
+    for volume in machine.mirror.volumes:
+        assert volume.failed_disks == (0,)
     assert machine.failed == {0}
     assert machine.volume.heal_log[-1].kind == "escalate"
     _replay(steps + [("rebuild_one", {})])
