@@ -239,11 +239,9 @@ def bench_volume(rng):
 
         def serial(data=data, batch=batch):
             for s in range(batch):
-                items = list(
-                    zip(layout.data_cells,
-                        data[s * per:(s + 1) * per])
+                volume._write_stripe_batch(
+                    s, data[s * per:(s + 1) * per], (1 << per) - 1
                 )
-                volume._write_stripe_batch(s, items)
 
         t_serial = best_seconds(serial, inner=3, reps=5)
         t_batched = best_seconds(
@@ -270,7 +268,7 @@ def bench_volume(rng):
         ),
     }
 
-    # -- destage: per-stripe _destage loop vs coalesced batch ----------------
+    # -- destage: one stripe at a time vs coalesced batch -------------------
     destage_batch = 16
     destage_data = rng.integers(
         0, 256, (destage_batch * per, ELEMENT_SIZE), dtype=np.uint8
@@ -280,7 +278,7 @@ def bench_volume(rng):
         cache = StripeCache(volume, max_dirty_stripes=destage_batch)
         cache.write(0, destage_data)
         for stripe in list(cache._dirty):
-            cache._destage(stripe)
+            cache._destage_many([stripe])
 
     def destage_batched():
         cache = StripeCache(volume, max_dirty_stripes=destage_batch)
@@ -355,11 +353,10 @@ def bench_journal(rng):
     rmw_b = np.bitwise_xor(
         rmw_a, rng.integers(1, 256, ELEMENT_SIZE, dtype=np.uint8)
     )
+    # destage buckets (stripe, row, mask): data cell 0 of each stripe
     rmw_entries = {
-        0: [(s, [(layout.data_cells[0], rmw_a[s])])
-            for s in range(rmw_stripes)],
-        1: [(s, [(layout.data_cells[0], rmw_b[s])])
-            for s in range(rmw_stripes)],
+        0: [(s, rmw_a[s:s + 1], 1) for s in range(rmw_stripes)],
+        1: [(s, rmw_b[s:s + 1], 1) for s in range(rmw_stripes)],
     }
     toggles = {id(plain): 0, id(journaled): 0}
 

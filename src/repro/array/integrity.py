@@ -390,7 +390,9 @@ class IntegrityChecker:
         :class:`~repro.exceptions.UnrecoverableStripeError`.
 
         Reads each run of stripes as one planned sweep (:meth:`_chunks`),
-        then repairs and cross-checks each stripe in turn.
+        then repairs and cross-checks each stripe in turn.  Once its
+        sweep escalates a disk, it repairs the run in hand on live disks
+        and stops, as ``scrub_and_repair`` does: the rest is a rebuild's.
         """
         volume = self.volume
         require(not volume.failed_disks and (
@@ -409,14 +411,18 @@ class IntegrityChecker:
                 bad = bad_cells.get(i)
                 if bad:
                     volume._decode_cells_checked(stripe, buf[i], bad)
-                    ioplan.store_cells(volume, stripe, bad, buf[i])
-                    for cell in bad:
+                    live = volume._live_cells(stripe, bad)
+                    if live:
+                        ioplan.store_cells(volume, stripe, live, buf[i])
+                    for cell in live:
                         self._classify(report, stripe, cell)
                 report.stripes_scanned += 1
                 # a parity mismatch with no digest evidence cannot be
                 # located
                 if not volume.codec.parity_ok(buf[i]):
                     self._unattributed(report, stripe, strict)
+            if volume.failed_disks:
+                break  # escalated: the array is a rebuild's now
         return report
 
     def _classify(

@@ -142,14 +142,13 @@ class CellSet:
 class Span:
     """The write items of a contiguous run of data cells — ``(cell,
     new value)`` pairs like any other — kept as the slice of the
-    caller's rows they came in: ``values[i]`` is for data cell
-    ``j0 + i``: a write's journal entries, and a route run's cells for
-    :func:`_compile_rmw` — distinct data cells in data order."""
+    caller's rows they came in, ``values[i]`` for ``cells[i]``: a
+    write's journal entries."""
 
-    __slots__ = ("cells", "j0", "values")
+    __slots__ = ("cells", "values")
 
-    def __init__(self, cells: Sequence[Cell], j0: int, values) -> None:
-        self.cells, self.j0, self.values = cells, j0, values
+    def __init__(self, cells: Sequence[Cell], values) -> None:
+        self.cells, self.values = cells, values
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -317,24 +316,30 @@ def _compile_read(volume, j0, n, stale_cols, stripe):
     )
 
 
-def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[Plan]:
-    """The plan of an RMW pattern: the surviving dirty cells, then the
-    parities their deltas patch on surviving columns — the first ``n``
-    cells, all it may store.  With every dirty cell on a surviving column
-    only their old values are gathered (a parity's delta is XOR-ed into
-    its backing row in place).  A dirty cell on a stale column is neither
-    read nor written: the plan's cells go on with whatever else
-    rebuilding its old value reads, and the scratch holds the old value
-    of every cell, the cells the schedule rebuilds from them, the lost
-    cells' new values, their deltas, then the deltas of the first ``n``
-    cells.  ``None`` for a reconstruct-write."""
+def set_bits(mask: int) -> List[int]:
+    """The set bits of ``mask``, ascending: a bucket's dirty data cells."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _compile_rmw(volume, js, stale_cols, stripe) -> Optional[Plan]:
+    """The plan of writing data cells ``js`` (ascending, or the set bits
+    of a mask): the surviving dirty cells, then the parities their
+    deltas patch on surviving columns — the first ``n`` cells, all it
+    may store.  Its ``keep`` and ``items`` index a stripe's values by
+    data cell from ``js[0]`` on (a route's run: by position).  With
+    every dirty cell on a surviving column only their old values are
+    gathered (a parity's delta is XOR-ed into its backing row in place).
+    A dirty cell on a stale column is neither read nor written: the
+    plan's cells go on with whatever else rebuilding its old value
+    reads, and the scratch holds the old value of every cell, the cells
+    the schedule rebuilds from them, the lost cells' new values, their
+    deltas, then the deltas of the first ``n`` cells.  ``None`` for a
+    reconstruct-write."""
     layout = volume.layout
-    span = type(items) is Span  # distinct data cells, in data order
-    cells = tuple(items.cells if span else [cell for cell, _ in items])
-    if not span and (
-        len(set(cells)) < len(cells) or not all(map(layout.is_data, cells))
-    ):
-        return None  # not distinct data cells: reconstruct-write
+    if type(js) is int:
+        js = set_bits(js)
+    cells = tuple([layout.data_cells[j] for j in js])
+    at = np.subtract(js, js[0])  # each cell's row of the values
     keep = [j for j, cell in enumerate(cells) if cell.col not in stale_cols]
     lost = [j for j, cell in enumerate(cells) if cell.col in stale_cols]
     # a parity changes by the XOR of the deltas of the dirty cells feeding
@@ -343,11 +348,10 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[Plan]:
     if lost:
         # the lost old values are rebuilt: the access engine's degraded
         # write of the dirty cells names what is read and written, the
-        # degraded read of them (in data order) the recipe
-        wanted = cells if span else sorted(cells, key=layout.data_index)
+        # degraded read of them the recipe
         engine = _engine_of(volume, stripe)
-        reads, writes = engine._stripe_write_io(stripe, wanted)
-        read = engine._plan_stripe_read(stripe, wanted)
+        reads, writes = engine._stripe_write_io(stripe, cells)
+        read = engine._plan_stripe_read(stripe, cells)
         if read.recipe is None:
             return None  # algebraic pattern: reconstruct-write
     if stale_cols:
@@ -363,8 +367,7 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[Plan]:
         return _plan(
             CellSet(patched, layout.cols),
             _xor_plan([(m + i, f) for i, f in enumerate(feeds)], n),
-            gather=m, n=n, fetch=np.arange(m), keep=np.arange(m),
-            delta=n, base=n,
+            gather=m, n=n, fetch=np.arange(m), keep=at, delta=n, base=n,
         )
     gathered = patched + sorted(reads.difference(patched))
     g, k = len(gathered), len(lost)
@@ -384,8 +387,7 @@ def _compile_rmw(volume, items, stale_cols, stripe) -> Optional[Plan]:
         CellSet(gathered, layout.cols), _xor_plan(equations, deltas + n),
         gather=g, n=n,
         fetch=np.array(sorted(row[c] for c in read.fetch), dtype=np.intp),
-        keep=np.array(keep, dtype=np.intp),
-        items=np.array(lost, dtype=np.intp), delta=deltas, values=values,
+        keep=at[keep], items=at[lost], delta=deltas, values=values,
     )
 
 
@@ -550,41 +552,46 @@ def _reread(volume, stripes, stale, j0: int, n: int, lost=()) -> np.ndarray:
 
 
 def rmw(volume, entries, surface) -> None:
-    """Planned read-modify-write of a cache destage's partial-stripe
-    ``(stripe, items)`` buckets: buckets sharing their dirty cells and
-    stale columns run as one vector of stripes (:func:`_patch`)."""
-    ncols = volume.layout.cols
+    """Planned read-modify-write of a cache destage's partial buckets
+    ``(stripe, row, mask)`` — ``row[j]`` the new value of data cell
+    ``j`` for each set bit ``j`` of ``mask``: buckets sharing their mask
+    and stale columns, in order of first appearance, run as one vector
+    of stripes (:func:`_patch`) with each one's rows from its mask's
+    lowest bit on: a lone bucket's read in place, a group's stacked
+    into one block."""
     healthy = surface.healthy
+    es = volume.element_size
     groups: Dict[tuple, list] = {}
     for entry in entries:
-        stripe, items = entry
-        key = (
-            tuple([c.row * ncols + c.col for c, _ in items]),
-            () if healthy else volume._stale_cols(stripe, surface),
-        )
+        stripe, _, mask = entry
+        key = mask, () if healthy else volume._stale_cols(stripe, surface)
         groups.setdefault(key, []).append(entry)
-    for (pattern, stale), members in groups.items():
-        stripes = [s for s, _ in members]
+    for (mask, stale), members in groups.items():
+        stripes = [s for s, _, _ in members]
         _check_stripes(volume, min(stripes), max(stripes))
+        j0, end = (mask & -mask).bit_length() - 1, mask.bit_length()
+        rows = [row[j0:end] for _, row, _ in members]
+        values = rows[0][None] if len(rows) == 1 else np.stack(rows)
+        # the kernel reads them by address
+        if values.dtype != np.uint8 or values.shape[1:] != (end - j0, es):
+            raise GeometryError(f"mask {mask:#x} needs uint8 rows {j0}.."
+                                f"{end - 1}, got {values.dtype} "
+                                f"{values.shape[1:]}")
         plan = volume._ioplans.get(
-            ("rmw", pattern, stale),
-            _compile_rmw, volume, members[0][1], stale, stripes[0],
+            ("rmw", mask, stale),
+            _compile_rmw, volume, mask, stale, stripes[0],
         )
-        _patch(
-            volume, plan, stripes, surface.failed,
-            np.array([[v for _, v in items] for _, items in members]),
-            [c for c, _ in members[0][1]],
-        )
+        _patch(volume, plan, stripes, surface.failed, values, mask)
 
 
-def _patch(volume, plan, stripes, failed, values, cells) -> None:
+def _patch(volume, plan, stripes, failed, values, mask: int) -> None:
     """Run the RMW ``plan`` (keyed for the ``failed`` disks) over
-    ``stripes`` with ``values`` — ``values[i]`` the new ones of ``cells``
-    in stripe ``i``; reconstruct-write (:func:`_reconstruct`) each stripe
-    it cannot patch: all with no plan or when its store failed (a disk
-    died since the surface was taken, retries ran out), and a stripe an
-    old value of which fails to read — nothing of it landed; the cells
-    that failed are known-lost."""
+    ``stripes``: each data cell ``j`` of ``mask`` takes ``values[i][j -
+    j0]`` in stripe ``i``, ``j0`` the lowest; reconstruct-write
+    (:func:`_reconstruct`) each stripe it cannot patch: all with no plan
+    or when its store failed (a disk died since the surface was taken,
+    retries ran out), and a stripe an old value of which fails to read —
+    nothing of it landed; the cells that failed are known-lost."""
     lost = None
     if plan is not None:
         try:
@@ -594,22 +601,24 @@ def _patch(volume, plan, stripes, failed, values, cells) -> None:
     if lost is None:
         lost = dict.fromkeys(range(len(stripes)), ())
     for i, unread in lost.items():
-        _reconstruct(volume, stripes[i], zip(cells, values[i]), unread)
+        _reconstruct(volume, stripes[i], mask, values[i], unread)
 
 
 def _reconstruct(
-    volume, stripe: int, items, lost: Sequence[Cell] = ()
+    volume, stripe: int, mask: int, values, lost: Sequence[Cell] = ()
 ) -> None:
-    """Write ``items`` — ``(cell, new value)`` pairs — to ``stripe`` the
-    long way: load its image (:func:`load_stripes`, cells ``lost``
-    known not to read), apply them, re-encode, store every cell off the
-    stale columns of the failure state now (:func:`store_stripes`)."""
-    stale = volume._stale_cols(stripe)
-    buf = load_stripes(volume, (stripe,), stale, lost)[0][0]
-    for cell, value in items:
-        buf[cell.row, cell.col] = value
-    volume.codec.encode(buf)
-    store_stripes(volume, (stripe,), buf, stale)
+    """Write data cells ``j`` of ``mask`` — ``values[j - j0]`` each,
+    ``j0`` the lowest — to ``stripe`` the long way: load its image
+    (:func:`load_stripes`, cells ``lost`` known not to read), apply
+    them, re-encode, store every cell off the columns stale once the
+    load is done (:func:`store_stripes`): a latent sector the load met
+    may have failed its disk."""
+    js = set_bits(mask)
+    buf = load_stripes(volume, (stripe,), volume._stale_cols(stripe), lost)[0]
+    buf[0, volume._data_rows[js], volume._data_cols[js]] = \
+        values[np.subtract(js, js[0])]
+    volume.codec.encode(buf[0])
+    store_stripes(volume, (stripe,), buf, volume._stale_cols(stripe))
 
 
 def _execute(
@@ -617,24 +626,16 @@ def _execute(
     values: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
 ) -> Lost:
     """Run ``plan`` — keyed for the ``failed`` disks of the op's surface —
-    over ``stripes`` with ``values`` (``(stripes, items, element_size)``,
-    the write items' new values), picking into ``out`` (``(stripes *
-    len(pick), element_size)``): one ``plan_exec`` call while the volume
-    admits it, otherwise :func:`_plan_run`.  Returns the cells that
-    failed to read, by stripe index (never any in the kernel)."""
+    over ``stripes`` with ``values`` (``(stripes, rows, element_size)``,
+    each stripe's rows that ``keep`` and ``items`` index), picking into
+    ``out`` (``(stripes * len(pick), element_size)``): one ``plan_exec``
+    call while the volume admits it, otherwise :func:`_plan_run`.
+    Returns the cells that failed to read, by stripe index (never any in
+    the kernel)."""
     run = volume._kernel(plan.cells.mask, failed)
     if run is None:
         return _plan_run(volume, plan, stripes, values, out)
     if values is not None:
-        # the kernel reads values by address: their layout must be the
-        # plan's
-        items = len(plan.keep) + len(plan.items)
-        if values.dtype != np.uint8 or \
-                values.shape != (len(stripes), items, volume.element_size):
-            raise GeometryError(
-                f"RMW values must be uint8 ({len(stripes)}, {items}, "
-                f"{volume.element_size}), got {values.dtype} {values.shape}"
-            )
         values = np.ascontiguousarray(values)
     _kernel_run(volume, run, plan.packed, stripes, values, out)
     return {}
@@ -706,10 +707,9 @@ def _run_plan(volume, kind: str, j0: int, n: int, stale, stripe: int):
             ("read", j0, n, stale), _compile_read, volume, j0, n, stale,
             stripe,
         )
-    span = Span(volume.layout.data_cells[j0:j0 + n], j0, None)
+    js = range(j0, j0 + n)
     return volume._ioplans.get(
-        ("rmw", range(j0, j0 + n), stale), _compile_rmw, volume, span,
-        stale, stripe,
+        ("rmw", js, stale), _compile_rmw, volume, js, stale, stripe
     )
 
 
@@ -827,7 +827,6 @@ def _route_walk(
     if not route.runs:
         route = read_route(volume, start, count, volume._surface())
     per = volume.layout.num_data_cells
-    cells = volume.layout.data_cells
     legs = list(route_legs(volume, start, route))
     if values is not None:
         legs.sort(key=lambda leg: leg[4] is None and leg[3] == per)
@@ -841,7 +840,8 @@ def _route_walk(
         if plan is None and n == per:
             _store_whole(volume, span, stale, batch, route.failed)
         else:
-            _patch(volume, plan, span, route.failed, batch, cells[j0:j0 + n])
+            _patch(volume, plan, span, route.failed, batch,
+                   ((1 << n) - 1) << j0)
 
 
 def _read_run(volume, stripes, j0, n, plan, stale, failed, out) -> None:
@@ -947,10 +947,11 @@ def _plan_run(
         old[...] = block.reshape(batch, g, es)
     m, k = len(plan.keep), len(plan.items)
     if values is not None:
-        kept = values  # no dirty cell lost: every item is kept, in order
+        # a run with no dirty cell lost keeps every row, in order
+        kept = values if not k and values.shape[1] == m else \
+            values[:, plan.keep]
         if k:
             scratch[:, plan.values:plan.values + k] = values[:, plan.items]
-            kept = values[:, plan.keep]
         np.bitwise_xor(
             old[:, :m], kept, out=scratch[:, plan.delta:plan.delta + m]
         )

@@ -14,7 +14,7 @@ within a stripe).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.codes.base import Cell, CodeLayout
 from repro.exceptions import AddressError
@@ -24,16 +24,6 @@ from repro.util.validation import require_positive
 #: Stripes sharing one stripe-local pattern: ``(first stripe, stripes,
 #: first data index, length, first request row)``.
 Run = Tuple[int, int, int, int, int]
-#: One stripe's share of a request: ``(stripe, first data index, length,
-#: first request row)``.
-Segment = Tuple[int, int, int, int]
-
-
-def segments(runs: Sequence[Run]) -> Iterator[Segment]:
-    """The per-stripe segments of :meth:`AddressMapper.split` runs."""
-    for stripe, stripes, j0, n, k0 in runs:
-        for i in range(stripes):
-            yield stripe + i, j0, n, k0 + i * n
 
 
 @dataclass(frozen=True)

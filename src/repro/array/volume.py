@@ -707,7 +707,7 @@ class RAID6Volume:
                 route = ioplan.write_route(self, start, count, surface)
             intents = None if self.journal is None else self._open_intents((
                 (stripe, ioplan.Span(
-                    cells[j0:j0 + n], j0, data[k + i * n:k + (i + 1) * n]
+                    cells[j0:j0 + n], data[k + i * n:k + (i + 1) * n]
                 ))
                 for span, k, j0, n, *_ in ioplan.route_legs(self, start, route)
                 for i, stripe in enumerate(span)
@@ -775,10 +775,12 @@ class RAID6Volume:
 
     def _write_rest(
         self,
-        entries: List[Tuple[int, List[Tuple[Cell, np.ndarray]]]],
+        entries: List[Tuple[int, np.ndarray, int]],
         surface: Optional[_Surface] = None,
     ) -> None:
-        """The cache's destage of dirty ``(stripe, items)`` buckets.
+        """The cache's destage of dirty ``(stripe, row, mask)`` buckets:
+        ``row[j]`` is the new value of data cell ``j`` for each set bit
+        ``j`` of ``mask`` — a cache slab row.
 
         ``entries`` must name each stripe at most once (``ValueError``
         otherwise): the cross-stripe RMW gathers every member's old
@@ -794,48 +796,45 @@ class RAID6Volume:
         """
         if not entries:
             return
-        per = self.layout.num_data_cells
-        index = self.layout.data_index
-
-        def payload(items) -> np.ndarray:
-            return np.array([
-                v for _, v in sorted(items, key=lambda i: index(i[0]))
-            ])
-
+        whole = (1 << self.layout.num_data_cells) - 1
         if len(entries) > 1:
-            require(len({s for s, _ in entries}) == len(entries),
+            require(len({s for s, _, _ in entries}) == len(entries),
                     "a write burst names each stripe at most once")
-            full = [entry for entry in entries if len(entry[1]) == per]
+            full = [entry for entry in entries if entry[2] == whole]
             if len(full) > 1:
                 self._full_stripe_write_batched(
-                    [stripe for stripe, _ in full],
-                    np.array([payload(items) for _, items in full]),
-                    surface,
+                    [stripe for stripe, _, _ in full],
+                    np.array([row for _, row, _ in full]), surface,
                 )
-                entries = [entry for entry in entries if len(entry[1]) < per]
+                entries = [entry for entry in entries if entry[2] != whole]
                 if not entries:
                     return
+        cells = self.layout.data_cells
         with self._stripe_lock(entries[0][0]) if len(entries) == 1 else \
-                self._locked_stripes([stripe for stripe, _ in entries]):
+                self._locked_stripes([stripe for stripe, _, _ in entries]):
             surface = self._fresh(surface)
-            intents = self._open_intents(entries, surface)
-            ioplan.rmw(self, [e for e in entries if len(e[1]) < per], surface)
-            for stripe, items in entries:
-                if len(items) == per:
+            intents = self._open_intents((
+                (stripe, [(cells[j], row[j]) for j in ioplan.set_bits(mask)])
+                for stripe, row, mask in entries
+            ), surface)
+            ioplan.rmw(self, [e for e in entries if e[2] != whole], surface)
+            for stripe, row, mask in entries:
+                if mask == whole:
                     # the rmw may have failed a disk (the error policy)
-                    ioplan.write_whole(self, [stripe], payload(items)[None],
+                    ioplan.write_whole(self, [stripe], row[None],
                                        self._fresh(surface))
             self._commit_intents(intents)
 
     def _write_stripe_batch(
         self,
         stripe: int,
-        items: List[Tuple[Cell, np.ndarray]],
+        row: np.ndarray,
+        mask: int,
         surface: Optional[_Surface] = None,
     ) -> None:
         """The cache's destage of one stripe: :meth:`_write_rest` of its
         one bucket."""
-        self._write_rest([(stripe, items)], surface)
+        self._write_rest([(stripe, row, mask)], surface)
 
     def _full_stripe_write_batched(
         self,
@@ -853,7 +852,7 @@ class RAID6Volume:
         with self._locked_stripes(stripes):
             surface = self._fresh(surface)
             intents = self._open_intents((
-                (stripe, ioplan.Span(cells, 0, data[i]))
+                (stripe, ioplan.Span(cells, data[i]))
                 for i, stripe in enumerate(stripes)
             ), surface)
             ioplan.write_whole(self, stripes, data, surface)

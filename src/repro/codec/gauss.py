@@ -17,8 +17,10 @@ import numpy as np
 
 from repro.codes.base import Cell, CodeLayout, column_failure_cells
 from repro.codec.encoder import StripeCodec
-from repro.exceptions import DecodeError
-from repro.gf.bitmatrix import gf2_rank, gf2_solve
+from repro.exceptions import DecodeError, InconsistentStripeError
+from repro.gf.bitmatrix import (
+    InconsistentSystemError, gf2_rank, gf2_solve,
+)
 from repro.util.xor import xor_blocks
 
 
@@ -90,7 +92,10 @@ class GaussianDecoder:
                 rhs.append(
                     np.zeros(self.codec.element_size, dtype=np.uint8)
                 )
-        solution = gf2_solve(matrix, rhs)
+        try:
+            solution = gf2_solve(matrix, rhs)
+        except InconsistentSystemError as exc:
+            raise InconsistentStripeError(str(exc)) from exc
         if solution is None:
             raise DecodeError(
                 f"failure pattern unrecoverable for {self.layout.name}: "

@@ -84,6 +84,10 @@ def gf2_rank(matrix: np.ndarray) -> int:
     return rank
 
 
+class InconsistentSystemError(ValueError):
+    """An over-determined GF(2) system whose equations contradict."""
+
+
 def gf2_solve(
     matrix: np.ndarray,
     rhs: Sequence[np.ndarray],
@@ -95,8 +99,9 @@ def gf2_solve(
     role of addition on the right-hand side.  Returns one buffer per unknown
     when the system has a unique solution, ``None`` when it is rank
     deficient.  Inconsistent over-determined systems raise
-    :class:`ValueError` — with erasure syndromes that means corrupted
-    parity, which callers must not silently accept.
+    :class:`InconsistentSystemError`, a :class:`ValueError` — with
+    erasure syndromes that means corrupted parity, which callers must not
+    silently accept.
     """
     work = np.asarray(matrix, dtype=bool).copy()
     rows, cols = work.shape
@@ -127,7 +132,7 @@ def gf2_solve(
     # consistency: any remaining all-zero coefficient row must have zero rhs
     for r in range(rows):
         if not work[r].any() and buffers[r].any():
-            raise ValueError(
+            raise InconsistentSystemError(
                 "inconsistent XOR system: parity does not match data "
                 "(corrupted stripe?)"
             )

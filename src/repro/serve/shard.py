@@ -352,8 +352,9 @@ def _materialise(batch, ring: PayloadRing):
     """Resolve a descriptor batch into executable ops (worker side).
 
     Ring-resident WRITE payloads become live shared-memory views (the
-    cache/volume write path copies per element, so the view is never
-    retained), and READ reservations are noted for :func:`_marshal`.
+    cache copies them into its slab, the volume's write path into the
+    stripes, so the view is never retained), and READ reservations are
+    noted for :func:`_marshal`.
     """
     ops: List[ShardOp] = []
     read_slots: dict = {}

@@ -537,7 +537,8 @@ def pack_plan(plan) -> Packed:
     ``keep``            ``H_M`` = m, then ``keep[m]``: values folded into
                         the deltas of gathered rows 0..m-1
     ``items``           ``H_K`` = k, then ``items[k]``: values copied to
-                        rows ``values`` on; ``H_NV`` = m + k values a stripe
+                        rows ``values`` on; ``H_NV``: a stripe's rows of
+                        values, one past the highest ``keep`` or ``items``
     ``pick``            ``H_NOUT``, then ``pick[nout]``: rows to the output
     ``delta``           ``H_DELTA``: row of cell 0's delta
     ``values``          ``H_VALUES``: row of ``items[0]``'s value
@@ -552,11 +553,12 @@ def pack_plan(plan) -> Packed:
     fetch[plan.fetch] = 1
     keep, items, pick = plan.keep, plan.items, plan.pick
     program = plan.xor.program
+    nv = int(np.concatenate([keep, items]).max(initial=-1)) + 1
     # plan_exec's H_* words, in order
     header = (
         g, plan.gather, plan.n, len(keep), len(items),
         plan.base + plan.xor.num_cells, plan.delta, plan.values, plan.base,
-        len(program), len(keep) + len(items), len(pick),
+        len(program), nv, len(pick),
     )
     return _packed(np.concatenate([
         np.asarray(a, dtype=np.int64).ravel()

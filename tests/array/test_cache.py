@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.array import RAID6Volume
+from repro.array import RAID6Volume, ioplan
 from repro.array.cache import StripeCache
 from repro.codes import DCode
 from repro.exceptions import AddressError
+from repro.util.ckernel import xor_kernel
 
 
 @pytest.fixture
@@ -100,6 +101,150 @@ class TestDestaging:
         cache.flush()
         reads = sum(r for r, _ in volume.io_counters().values())
         assert reads == 0  # destaged as a read-free full-stripe write
+
+
+class TestSlab:
+    """The dirty data lives in one ``(slots, num_data_cells,
+    element_size)`` slab, one slot and one dirty bitmask per stripe."""
+
+    def test_slab_fits_the_budget_and_grows_for_a_longer_write(
+        self, volume, rng
+    ):
+        """Short writes never grow the slab past the budget plus the two
+        stripes one of them may add; a write spanning more stripes than
+        there are free slots grows it, evicts as it always did, and
+        leaves the slab at its budget again, the dirty rows moved."""
+        cache = StripeCache(volume, max_dirty_stripes=3)
+        held = []
+        write_rest = volume._write_rest
+
+        def destage(entries, surface=None):
+            held.append(len(cache._slab))
+            write_rest(entries, surface)
+
+        volume._write_rest = destage
+        per = volume.layout.num_data_cells
+        slots = len(cache._slab)
+        assert slots == 3 + 2
+        for _ in range(40):
+            n = int(rng.integers(1, per + 1))
+            cache.write(int(rng.integers(0, volume.num_elements - n)),
+                        payload(rng, n))
+        assert len(cache._slab) == slots
+        cache.flush()
+        destaged = cache.destage_count
+        shadow = volume.read(0, volume.num_elements)
+        cache.write(per - 1, payload(rng, 2))  # stripes 0 and 1
+        data = payload(rng, 5 * per)
+        held.clear()
+        cache.write(per, data)  # stripes 1 .. 5: four more than 2 free
+        assert held == [6] and len(cache._slab) == slots
+        shadow[per - 1] = cache.read(per - 1, 1)[0]
+        shadow[per:6 * per] = data
+        assert cache.dirty_stripes == (3, 4, 5)
+        assert cache.destage_count == destaged + 3
+        assert np.array_equal(cache.read(0, volume.num_elements), shadow)
+        cache.flush()
+        assert np.array_equal(volume.read(0, volume.num_elements), shadow)
+
+    def test_overlay_of_scattered_and_whole_stripes(self, volume, rng):
+        """Every other cell of one stripe, a whole stripe and single
+        cells across a stripe boundary read through the overlay as a
+        shadow has them — a zero-copy view copied, never written."""
+        cache = StripeCache(volume, max_dirty_stripes=6)
+        per = volume.layout.num_data_cells
+        shadow = payload(rng, volume.num_elements)
+        volume.write(0, shadow)
+        for j in range(0, per, 2):
+            cell = payload(rng, 1)
+            cache.write(j, cell)
+            shadow[j] = cell[0]
+        whole = payload(rng, per)
+        cache.write(2 * per, whole)
+        shadow[2 * per:3 * per] = whole
+        edge = payload(rng, 2)
+        cache.write(4 * per - 1, edge)
+        shadow[4 * per - 1:4 * per + 1] = edge
+        for start, count in ((0, per), (1, 3), (per - 3, per + 6),
+                             (2 * per, per), (3 * per, 2 * per),
+                             (0, volume.num_elements)):
+            got = cache.read(start, count)
+            assert np.array_equal(got, shadow[start:start + count])
+        view = volume.read(0, per)
+        assert not view.flags.writeable  # the zero-copy path
+        before = view.copy()
+        cache.read(0, per)
+        assert np.array_equal(view, before)
+
+    def test_dirty_snapshot_items(self, volume, rng):
+        """Stripe → ``(cell, value)`` of every dirty cell in data order,
+        the latest value of each, as copies that later writes leave
+        alone."""
+        cache = StripeCache(volume, max_dirty_stripes=6)
+        per = volume.layout.num_data_cells
+        cells = volume.layout.data_cells
+        latest = {}
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            start = int(rng.integers(0, 4 * per - n))
+            data = payload(rng, n)
+            cache.write(start, data)
+            for i in range(n):
+                latest[divmod(start + i, per)] = data[i]
+        snapshot = cache.dirty_snapshot()
+        assert sorted(snapshot) == sorted({s for s, _ in latest})
+        for stripe, items in snapshot.items():
+            js = sorted(j for s, j in latest if s == stripe)
+            assert [cell for cell, _ in items] == [cells[j] for j in js]
+            for (_, value), j in zip(items, js):
+                assert np.array_equal(value, latest[stripe, j])
+        frozen = {s: [v.copy() for _, v in items]
+                  for s, items in snapshot.items()}
+        cache.write(0, payload(rng, 4 * per))
+        for stripe, items in snapshot.items():
+            for (_, value), old in zip(items, frozen[stripe]):
+                assert np.array_equal(value, old)
+
+    @pytest.mark.skipif(xor_kernel() is None, reason="needs the C kernel")
+    def test_quiet_destage_reads_the_slab_in_place(
+        self, volume, rng, monkeypatch
+    ):
+        """A quiet destage makes one ``plan_exec`` call per group of
+        buckets sharing a mask: a lone bucket's values read at its first
+        dirty cell in its own slab row, no values array built; a group's
+        stacked into one block — no numpy plan run."""
+        cache = StripeCache(volume, max_dirty_stripes=6)
+        per, es = volume.layout.num_data_cells, volume.element_size
+        for stripe, (j0, n) in enumerate(((0, 3), (5, 2), (5, 2), (1, 7))):
+            cache.write(stripe * per + j0, payload(rng, n))
+            cache.write(stripe * per + j0 + n + 2, payload(rng, 1))
+        address = {
+            stripe: cache._slab[slot].ctypes.data
+            + ((mask & -mask).bit_length() - 1) * es
+            for stripe, (slot, mask) in cache._dirty.items()
+        }
+        slab = range(cache._slab.ctypes.data,
+                     cache._slab.ctypes.data + cache._slab.nbytes)
+        calls = []
+        plan_exec = volume._load_kernel()
+
+        def spy(geom, plan, first, stripes, batch, values, out, counts):
+            calls.append((first, batch, values))
+            return plan_exec(geom, plan, first, stripes, batch, values,
+                             out, counts)
+
+        def numpy_run(*args, **kwargs):
+            raise AssertionError("a quiet destage ran in numpy")
+
+        monkeypatch.setattr(volume, "_plan_exec", spy)
+        monkeypatch.setattr(ioplan, "_plan_run", numpy_run)
+        shadow = cache.read(0, volume.num_elements)
+        cache.flush()
+        # stripes 1 and 2 share their mask
+        assert [call[:2] for call in calls] == [(0, 1), (1, 2), (3, 1)]
+        assert [calls[0][2], calls[2][2]] == [address[0], address[3]]
+        assert calls[1][2] not in slab
+        assert np.array_equal(volume.read(0, volume.num_elements), shadow)
 
 
 class TestValidation:

@@ -26,6 +26,8 @@ from repro.array import RAID6Volume
 from repro.array.cache import StripeCache
 from repro.codes import DCode
 
+from tests.conftest import bucket
+
 ELEM = 16
 JOIN_TIMEOUT = 120.0
 
@@ -79,7 +81,9 @@ class TestDestageRacingRMW:
                     for s in stripes:
                         loc = vol.mapper.locate(s * per + 1)
                         val = _value(128 + r * 16 + s)
-                        entries.append((loc.stripe, [(loc.cell, val)]))
+                        entries.append(
+                            bucket(vol.layout, loc.stripe, [(loc.cell, val)])
+                        )
                         rmw_final[s] = val
                     vol._write_rest(entries)
             except BaseException as e:  # noqa: BLE001 — surfaced in join

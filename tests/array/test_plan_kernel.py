@@ -428,8 +428,7 @@ class TestKernelWrites:
                 planned = all(
                     kernel._ioplans.get(
                         ("rmw", range(j0, j0 + n), failed),
-                        ioplan._compile_rmw, kernel,
-                        ioplan.Span(layout.data_cells[j0:j0 + n], j0, None),
+                        ioplan._compile_rmw, kernel, range(j0, j0 + n),
                         failed, s0,
                     ) is not None
                     for s0, _, j0, n, _ in runs
@@ -768,8 +767,7 @@ class TestStandDown:
         in the kernel; rotated, every disk may be touched.  A read
         admits the data columns whole, and D-Code keeps data on every
         column."""
-        cell = volume.layout.data_cells[6]
-        plan = ioplan._compile_rmw(volume, [(cell, None)], (), 0)
+        plan = ioplan._compile_rmw(volume, [6], (), 0)
         other = next(
             d for d in range(len(volume.disks)) if not plan.cells.mask >> d & 1
         )
@@ -864,16 +862,14 @@ class TestStandDown:
 
         monkeypatch.setattr(ioplan, "_kernel_run", spy)
         per = volume.layout.num_data_cells
-        items = ioplan.Span(
-            volume.layout.data_cells[:3], 0, np.full((3, ES), 9, np.uint8)
-        )
+        row = np.full((per, ES), 9, np.uint8)
         surface = volume._surface()
         dead = volume.layout.data_cells[1].col
         volume.disks[dead].fail()
         del kernel_reads[:]
-        ioplan.rmw(volume, [(2, items)], surface)
+        ioplan.rmw(volume, [(2, row, 0b111)], surface)
         assert stores == ([False] if xor_kernel() is not None else [])
-        assert np.array_equal(volume.read(2 * per, 3), items.values)
+        assert np.array_equal(volume.read(2 * per, 3), row[:3])
         assert (volume in kernel_reads) == (xor_kernel() is not None)
 
     def test_rebuild_in_flight(self, volume, kernel_reads):

@@ -103,7 +103,7 @@ class TestKernelAgainstNumpy:
         mirror.retire()  # the walk would patch, not reconstruct-write
         layout = mirror.layout
         per = layout.num_data_cells
-        cells = layout.data_cells[1:per - 1]
+        mask = (1 << per - 1) - 2  # data cells 1 .. per - 2
         value = np.full(ES, 0xC3, dtype=np.uint8)
         for failed in ([0], [0, layout.cols - 1]):
             for disk in failed:
@@ -111,7 +111,7 @@ class TestKernelAgainstNumpy:
             stripe = len(failed)
             del kernel_runs[:]
             mirror.each(lambda v: ioplan._reconstruct(
-                v, stripe, [(cell, value) for cell in cells]
+                v, stripe, mask, np.tile(value, (per - 2, 1))
             ))
             _in_kernel(kernel_runs, mirror, layout.chain_decodable)
             image[stripe * per + 1:stripe * per + per - 1] = value

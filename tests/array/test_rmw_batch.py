@@ -38,13 +38,15 @@ from repro.array.integrity import IntegrityChecker
 from repro.array.volume import RAID6Volume
 from repro.codec.plan import XorPlan
 from repro.codes import make_code
-from repro.exceptions import DiskFailedError, SimulatedCrashError
+from repro.exceptions import (
+    DiskFailedError, GeometryError, SimulatedCrashError,
+)
 from repro.faults.policy import ErrorPolicy
 from repro.journal import WriteIntentLog, recover_on_mount
 from repro.recovery.planner import cached_hybrid_plan
 from repro.util.ckernel import xor_kernel
 
-from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
+from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES, bucket
 from tests.oracles import walk
 from tests.oracles.diff import Mirror, draw
 
@@ -74,7 +76,7 @@ def _burst(layout, rng, stripes, max_cells=3, es=ES):
 
 
 def _write(vol, entries):
-    vol._write_rest(copy.deepcopy(entries))
+    vol._write_rest([bucket(vol.layout, s, items) for s, items in entries])
 
 
 def _walk(vol, entries):
@@ -234,11 +236,45 @@ class TestThreadEquivalence:
         v1 = old ^ 0xFF
         image, counters = quiet._backing.copy(), quiet.io_counters()
         with pytest.raises(ValueError, match="at most once"):
-            quiet._write_rest(
-                [(0, [(cell, v1)]), (0, [(cell, old)]), (1, [(cell, v1)])]
-            )
+            quiet._write_rest([
+                bucket(layout, s, [(cell, v)])
+                for s, v in ((0, v1), (0, old), (1, v1))
+            ])
         assert np.array_equal(quiet._backing, image)
         assert quiet.io_counters() == counters
+
+    def test_bucket_rows_checked(self, layout):
+        """The kernel reads a bucket's rows by address: a row too short
+        for its mask, or of another dtype or element size, is a typed
+        error before anything is read or written."""
+        quiet = _volume(layout)
+        _prime(quiet, np.random.default_rng(6))
+        image, counters = quiet._backing.copy(), quiet.io_counters()
+        for row, mask in (
+            (np.zeros((3, ES), np.uint8), 0b1010),
+            (np.zeros((8, ES), np.int16), 0b1),
+            (np.zeros((8, ES // 2), np.uint8), 0b110),
+        ):
+            with pytest.raises(GeometryError):
+                quiet._write_rest([(0, row, mask)])
+        assert np.array_equal(quiet._backing, image)
+        assert quiet.io_counters() == counters
+
+    def test_gapped_mask_group_is_strided_by_its_span(self, layout):
+        """Buckets sharing a mask with gaps in it run as one vector of
+        stripes, each stripe's values the mask's span of rows: every
+        interpreter writes the same, healthy and with a disk failed."""
+        rng = np.random.default_rng(7)
+        mirror = Mirror(layout, stripes=STRIPES, es=ES)
+        cells = layout.data_cells
+        for failed in (None, 1):
+            if failed is not None:
+                mirror.fail_disk(failed)
+            mirror.write_rest([
+                (s, [(cells[j], rng.integers(0, 256, ES, dtype=np.uint8))
+                     for j in (0, 2, 5)])
+                for s in range(6)
+            ])
 
     def test_zero_delta_burst_writes_nothing_twice(self, layout):
         rng = np.random.default_rng(5)
@@ -267,8 +303,8 @@ class TestThreadEquivalence:
         _write(grouped, entries)
         assert max(xor_batches) > 1
         del xor_batches[:]
-        for stripe, items in copy.deepcopy(entries):
-            alone._write_stripe_batch(stripe, items)
+        for stripe, items in entries:
+            alone._write_stripe_batch(*bucket(layout, stripe, items))
         assert xor_batches == [1] * len(entries)
         _walk(ref, entries)
         _assert_same(grouped, ref)

@@ -35,3 +35,17 @@ def small_prime(request):
 def small_layout(any_code_name, small_prime):
     """Every (code, small prime) combination."""
     return make_code(any_code_name, small_prime)
+
+
+def bucket(layout, stripe, items):
+    """A destage bucket ``(stripe, row, mask)`` — what
+    ``RAID6Volume._write_rest`` takes — of ``(cell, value)`` data items:
+    ``row[j]`` the value of data cell ``j``, bit ``j`` of ``mask`` set."""
+    items = list(items)
+    row = np.zeros((layout.num_data_cells, len(items[0][1])), np.uint8)
+    mask = 0
+    for cell, value in items:
+        j = layout.data_index(cell)
+        row[j] = value
+        mask |= 1 << j
+    return stripe, row, mask

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gf.bitmatrix import (
     BitMatrix,
+    InconsistentSystemError,
     gf2_rank,
     gf2_solve,
     gf256_to_bitmatrix,
@@ -63,12 +64,14 @@ class TestSolve:
     def test_overdetermined_inconsistent_raises(self, rng):
         x = rng.integers(1, 256, 8, dtype=np.uint8)
         m = np.array([[1], [1]], dtype=bool)
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(InconsistentSystemError, match="inconsistent"):
             gf2_solve(m, [x, x ^ np.uint8(1)])
 
     def test_rhs_count_checked(self):
-        with pytest.raises(ValueError):
+        # a caller's error, not a contradiction in the data
+        with pytest.raises(ValueError) as exc:
             gf2_solve(np.eye(2, dtype=bool), [np.zeros(4, np.uint8)])
+        assert not isinstance(exc.value, InconsistentSystemError)
 
     def test_inputs_not_mutated(self, rng):
         m = np.array([[1, 1], [0, 1]], dtype=bool)

@@ -20,6 +20,8 @@ from repro.codes.base import Cell
 from repro.exceptions import SimulatedCrashError
 from repro.journal import GroupFrame, WriteIntentLog
 
+from tests.conftest import bucket
+
 
 def _entries(layout, rng, stripes=(0, 1, 2), cells=1, size=16):
     """A burst queue in ``_write_rest`` shape: one list item per stripe."""
@@ -184,14 +186,15 @@ class TestVolumeCleanRun:
 
     @staticmethod
     def _write(grouped, per_stripe, entries):
-        grouped._write_rest([(s, list(items)) for s, items in entries])
+        layout = grouped.layout
+        grouped._write_rest([bucket(layout, s, items) for s, items in entries])
         for s, items in entries:
-            per_stripe._write_stripe_batch(s, list(items))
+            per_stripe._write_stripe_batch(*bucket(layout, s, items))
 
     def test_byte_and_counter_identical(self, layout, rng):
         plain, grouped, per_stripe = self._volumes(layout)
         entries = _entries(layout, rng, stripes=(0, 2, 5), cells=2, size=32)
-        plain._write_rest([(s, list(items)) for s, items in entries])
+        plain._write_rest([bucket(layout, s, items) for s, items in entries])
         self._write(grouped, per_stripe, entries)
         assert np.array_equal(plain._backing, grouped._backing)
         assert np.array_equal(plain._backing, per_stripe._backing)
@@ -212,7 +215,7 @@ class TestVolumeCleanRun:
     def test_single_stripe_burst_stays_per_stripe(self, layout, rng):
         _, grouped, _ = self._volumes(layout)
         entries = _entries(layout, rng, stripes=(3,), size=32)
-        grouped._write_rest([(s, list(items)) for s, items in entries])
+        grouped._write_rest([bucket(layout, s, items) for s, items in entries])
         assert grouped.journal.stats.groups == 0  # no group of one
         assert not grouped.journal.dirty
 

@@ -37,9 +37,11 @@ Counter` hit table: which interpreter ran each route and plan, each
 route run's kind, each reason ``_kernel`` stood down for, and each
 read and write's shape and failure class (:data:`ROWS`).  The spies
 also check the dispatch itself: ``_kernel`` refuses exactly where
-:func:`stand_down` names a reason, and a route runs in ``route_exec``
+:func:`stand_down` names a reason, a route runs in ``route_exec``
 exactly when every run is of a kind the kernel runs and ``_kernel``
-admits it.
+admits it, and a destage's group of buckets sharing a plan runs in
+one ``plan_exec`` call (a lone bucket's values read in place off the
+cache slab) or one ``_plan_run`` call.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from repro.serve.checkpoint import DirtyStripeTracker
 from repro.util.ckernel import xor_kernel
 
 from bench.workloads import CACHE_STRIPES, EVICT_BATCH
+from tests.conftest import bucket
 from tests.oracles import walk
 
 ES = 16
@@ -70,9 +73,9 @@ STRIPES = 33
 MAX_LEN = 20
 #: errors a disk may take before the stream's error policy fails it
 ESCALATE_AFTER = 4
-#: what an op may raise alike on every volume: the typed errors, and the
-#: ``ValueError`` EVENODD's algebraic decoder raises on a stripe holding
-#: rot and an erasure (:func:`excused` says when a stream goes on)
+#: what an op may raise alike on every volume and be compared by: the
+#: typed errors and a raw ``ValueError`` (:func:`excused` says when a
+#: stream goes on — never past a raw one)
 RAISED = (ReproError, ValueError)
 
 
@@ -82,8 +85,11 @@ def _noop_hook(disk, op, offset) -> None:
 
 def _walk_rest(volume, entries, surface=None) -> None:
     """``_write_rest`` by the walk: each bucket on its own."""
-    for stripe, items in entries:
-        walk.write_stripe(volume, stripe, items)
+    cells = volume.layout.data_cells
+    for stripe, row, mask in entries:
+        walk.write_stripe(volume, stripe, [
+            (cells[j], row[j]) for j in ioplan.set_bits(mask)
+        ])
 
 
 def _walk_seed(volume) -> None:
@@ -262,10 +268,10 @@ class Mirror:
         self.hits[row] += 1
 
     def write_rest(self, entries) -> None:
-        """One ``_write_rest`` queue of ``(stripe, items)`` buckets."""
+        """One ``_write_rest`` queue of ``(stripe, items)`` buckets, each
+        as its row and mask (:func:`tests.conftest.bucket`)."""
         self.each(lambda v: v._write_rest([
-            (stripe, [(c, x.copy()) for c, x in items])
-            for stripe, items in entries
+            bucket(self.layout, stripe, items) for stripe, items in entries
         ]))
 
     def cache_write(self, start: int, data: np.ndarray) -> None:
@@ -418,6 +424,9 @@ ROWS: Tuple[tuple, ...] = (
     *(("plan", kind, interp)
       for kind in ("rmw", "load", "column")
       for interp in ("plan_exec", "_plan_run")),
+    # a destage's groups of buckets sharing their plan, each one
+    # plan_exec call or one _plan_run
+    *(("destage", interp) for interp in ("plan_exec", "_plan_run")),
     *(("run", kind) for kind in (
         "view", "walk", "rebuild", "algebraic",
         "rmw", "reconstruct", "whole", "whole-scatter",
@@ -553,6 +562,7 @@ def watch(monkeypatch, hits: Counter) -> None:
 
         monkeypatch.setattr(ioplan, name, entered)
 
+    entry("rmw", lambda *args: "destage")
     entry("_patch", lambda *args: "rmw")
     entry("_read_run", lambda *args: "read")
     entry("load_stripes", _load_kind)
@@ -565,6 +575,11 @@ def watch(monkeypatch, hits: Counter) -> None:
         assert under and len(ran) > before, \
             f"_execute ran {ran[before:]} under {under}"
         hits["plan", under[-1], ran[before]] += 1
+        if under[-2:] == ["destage", "rmw"]:  # a group's RMW
+            runs = ran[before:]
+            assert runs in (["plan_exec"], ["_plan_run"]), \
+                f"{len(stripes)} buckets ran {runs}"
+            hits["destage", runs[0]] += 1
         return lost
 
     monkeypatch.setattr(ioplan, "_execute", execute_spy)
@@ -821,14 +836,9 @@ def draw(mirror: Mirror, rng, phase: str):
 
 def excused(mirror: Mirror, exc: Exception) -> bool:
     """Whether a stream goes on past ``exc``, which every volume raised
-    alike: a typed error once a latent sector or rot is planted, and a
-    raw ``ValueError`` only where EVENODD's algebraic decoder raises one
-    (a stripe holding rot and an erasure).  Any other error is the
-    volumes' fault."""
-    if not mirror.damaged:
-        return False
-    return isinstance(exc, ReproError) or \
-        mirror.rotten and mirror.layout.name == "evenodd"
+    alike: a typed error once a latent sector or rot is planted.  Any
+    other error is the volumes' fault."""
+    return mirror.damaged and isinstance(exc, ReproError)
 
 
 def run_stream(mirror: Mirror, seed: int) -> None:

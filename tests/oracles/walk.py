@@ -18,12 +18,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.array.mapping import segments
 from repro.codec.plan import toposort_groups
 from repro.codes.base import Cell
 from repro.iosim.engine import AccessEngine
 from repro.recovery.planner import cached_hybrid_plan
 from repro.util.xor import xor_into
+
+
+def segments(runs):
+    """``(stripe, first data index, length, first request row)`` of each
+    stripe of :meth:`~repro.array.mapping.AddressMapper.split` runs."""
+    for stripe, stripes, j0, n, k0 in runs:
+        for i in range(stripes):
+            yield stripe + i, j0, n, k0 + i * n
+
 
 #: volume -> {stale disks: AccessEngine}
 _engines: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
