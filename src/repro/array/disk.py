@@ -36,8 +36,8 @@ Counters take a lock so threads sharing a volume (a cache destage on a
 shard's executor thread beside a foreground write) do not lose
 increments when they hit one disk concurrently.  A volume hands its
 disks one ``(2, cols)`` counter array — disk ``i`` counts into column
-``i`` — and one lock, so a plan run inside the C kernel adds every
-disk's share in one locked step (``RAID6Volume._account``).
+``i`` — and one lock, so a call of the C kernel adds every disk's
+share in one step under that lock, in C, before it returns.
 
 Whatever decides how I/O may reach a disk — its fault and corrupt hooks,
 whether it holds latent sectors, whether it failed — is reported to the

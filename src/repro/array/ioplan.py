@@ -78,7 +78,6 @@ Plans hold a few small ``intp`` arrays each; a volume caches at most
 
 from __future__ import annotations
 
-import ctypes
 import threading
 from collections import OrderedDict
 from typing import (
@@ -641,36 +640,18 @@ def _execute(
     return {}
 
 
-def _address(a: Optional[np.ndarray]) -> Optional[int]:
-    """The address of C-contiguous ``a`` (``None`` for ``None``) —
-    through the buffer protocol where ``a`` is writable, a few times
-    cheaper than ``a.ctypes``."""
-    if a is None:
-        return None
-    if a.flags.writeable:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.ctypes.data
-
-
 def _kernel_run(
     volume, run, packed: Packed, stripes: Sequence[int],
     values: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
 ) -> None:
     """One ``plan_exec`` call of ``packed`` over ``stripes`` — a
     ``range`` or one stripe go by their first number, any other vector
-    as an array — then its counts into the disks' counters."""
-    batch = len(stripes)
+    as an array — which adds its counts to the disks' counters."""
     vector = None
-    if type(stripes) is not range and batch > 1:
+    if type(stripes) is not range and len(stripes) > 1:
         vector = np.array(stripes, dtype=np.int64)
-    counts, where = volume._counts()
-    if run(
-        volume._geometry.address, packed.address,
-        stripes[0], _address(vector), batch, _address(values),
-        _address(out), where,
-    ):
-        raise MemoryError("no scratch memory for the plan kernel")
-    volume._account(counts)
+    run(volume._geometry.address, packed.address, stripes[0], vector,
+        len(stripes), values, out, volume._io, volume._io_lock)
 
 
 class Route(NamedTuple):
@@ -786,18 +767,15 @@ def run_route(
 
 def _route_exec(volume, start: int, count: int, route: Route, values, out):
     """One ``route_exec`` call along ``route`` — ``values`` the rows a
-    write stores, ``out`` the rows a read fills — then its counts into
-    the disks' counters in one step."""
+    write stores, ``out`` the rows a read fills — which adds its counts
+    to the disks' counters."""
     if values is not None:
         values = np.ascontiguousarray(values)
-    counts, where = volume._counts()
-    if volume._route_exec(
+    volume._route_exec(
         volume._geometry.address, start, count,
         None if route.packed is None else route.packed.address,
-        _address(values), _address(out), where,
-    ):
-        raise MemoryError("no scratch memory for the route kernel")
-    volume._account(counts)
+        values, out, volume._io, volume._io_lock,
+    )
 
 
 def route_legs(volume, start: int, route: Route):

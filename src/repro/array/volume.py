@@ -174,6 +174,9 @@ class RAID6Volume:
         self.layout = layout
         self.codec = StripeCodec(layout, element_size)
         self.mapper = AddressMapper(layout, num_stripes, rotate=rotate)
+        #: Logical capacity in data elements.
+        self.num_elements = self.mapper.num_elements
+        self._per = layout.num_data_cells
         # All disks share one (capacity, cols, element_size) tensor: disk
         # ``i`` owns the strided column view ``backing[:, i, :]``.  Flat
         # element (stripe, row, col) therefore lives at linear index
@@ -200,19 +203,18 @@ class RAID6Volume:
         # whenever a disk reports a change (``SimDisk.watch``)
         self._hooks = self._latent = 0
         self._failed: Tuple[int, ...] = ()
+        self._healthy = _Surface((), False, 0)
         self._mask_lock = threading.Lock()
         for disk in self.disks:
             disk.watch = self._disk_changed
         #: The C kernel's ``plan_exec`` (``None``: the numpy executor
-        #: only; ``route_exec`` then never runs either), looked up by the
-        #: first operation that may run in it (:meth:`_load_kernel`):
-        #: loading costs a process ≈ 2 MB of resident library pages, so
-        #: a serving shard pays them on its first clean read.
+        #: only; ``route_exec`` then never runs either), looked up with
+        #: the packed geometry by the first operation that may run in it
+        #: (:meth:`_load_kernel`).
         self._plan_exec = _UNLOADED
         self._kernel_lock = threading.Lock()
         # a rotated plan's columns move from disk to disk: any disk counts
         self._spread = (1 << layout.cols) - 1 if rotate else 0
-        self._local = threading.local()
         self.policy = policy if policy is not None else ErrorPolicy()
         #: Optional write-intent journal (``docs/robustness.md``, "Crash
         #: consistency").  When attached, every destructive stripe write
@@ -272,7 +274,7 @@ class RAID6Volume:
         self._walk = ioplan.Route(
             sum(1 << c for c in set(self._data_cols.tolist()))
         )
-        # a zero-copy stripe view's reads, one ``_account`` step
+        # a zero-copy stripe view's reads, counted in one locked step
         self._full_stripe_io = np.zeros_like(self._io)
         self._full_stripe_io[0] = np.bincount(
             self._data_cols, minlength=layout.cols
@@ -290,11 +292,6 @@ class RAID6Volume:
     @property
     def element_size(self) -> int:
         return self.codec.element_size
-
-    @property
-    def num_elements(self) -> int:
-        """Logical capacity in data elements."""
-        return self.mapper.num_elements
 
     @property
     def failed_disks(self) -> Tuple[int, ...]:
@@ -325,13 +322,6 @@ class RAID6Volume:
         with self._io_lock:
             self._io[:] = 0
 
-    def _account(self, counts: np.ndarray) -> None:
-        """Add a kernel call's (or a zero-copy view's) ``(2, cols)``
-        per-disk reads and writes to the disks' counters, in one locked
-        step."""
-        with self._io_lock:
-            self._io += counts
-
     def _disk_changed(self, disk: SimDisk) -> None:
         """``SimDisk.watch``: re-derive the per-disk bitmasks."""
         with self._mask_lock:
@@ -348,13 +338,16 @@ class RAID6Volume:
             )
 
     def _surface(self) -> _Surface:
-        """Snapshot the failure state."""
+        """Snapshot the failure state: while healthy, one tuple per
+        count of escalated disks."""
         rebuild = self._rebuild
-        return _Surface(
-            self._failed,
-            rebuild is not None and rebuild.active,
-            len(self.error_counters.escalated),
-        )
+        rebuilding = rebuild is not None and rebuild.active
+        escalated = len(self.error_counters.escalated)
+        if self._failed or rebuilding:
+            return _Surface(self._failed, rebuilding, escalated)
+        if self._healthy.escalated != escalated:
+            self._healthy = _Surface((), False, escalated)
+        return self._healthy
 
     def _fresh(self, surface: Optional[_Surface]) -> _Surface:
         """``surface`` if it still holds, otherwise a new snapshot.
@@ -577,46 +570,45 @@ class RAID6Volume:
         ``route_exec`` call where the C kernel admits it
         (:meth:`_kernel`), the same runs in numpy where it does not.
         """
-        require_positive(count, "count")
-        if start < 0 or start + count > self.num_elements:
-            raise AddressError(
-                f"read [{start}, {start + count}) outside volume of "
-                f"{self.num_elements} elements"
-            )
-        surface = self._surface()
-        view = self._read_zero_copy(start, count, surface)
-        if view is not None:
-            return view
-        route = self._walk if surface.healthy else ioplan.read_route(
-            self, start, count, surface
-        )
+        if type(count) is not int or \
+                not 0 <= start < start + count <= self.num_elements:
+            self._check_range("read", start, count)
+        rebuild = self._rebuild
+        if self._failed or rebuild is not None and rebuild.active:
+            route = ioplan.read_route(self, start, count, self._surface())
+        else:
+            if count == self._per and not start % count:
+                view = self._read_zero_copy(start // count)
+                if view is not None:
+                    return view
+            route = self._walk
         out = np.empty((count, self.element_size), dtype=np.uint8)
         ioplan.run_route(self, start, count, route, out=out)
         return out
 
-    def _read_zero_copy(
-        self, start: int, count: int, surface: _Surface
-    ) -> Optional[np.ndarray]:
-        """Zero-copy view for a stripe-aligned read, or ``None``.
+    def _check_range(self, op: str, start, count) -> None:
+        """Raise unless ``count`` is a positive int and elements ``[start,
+        start + count)`` lie inside the volume: what :meth:`read` and
+        :meth:`write` check, here once their one comparison fails."""
+        require_positive(count, "count")
+        if start < 0 or start + count > self.num_elements:
+            raise AddressError(
+                f"{op} [{start}, {start + count}) outside volume of "
+                f"{self.num_elements} elements"
+            )
 
-        Engages when the range is exactly one full stripe of data, the
-        layout's logical order is the row-major matrix prefix (data rows
-        above the parity rows, as in D-Code/X-Code), the mapper does not
-        rotate, the array is healthy and no disk is hooked (the view
+    def _read_zero_copy(self, stripe: int) -> Optional[np.ndarray]:
+        """Zero-copy view of the data of whole ``stripe`` on a healthy
+        volume, or ``None``.
+
+        Engages when the layout's logical order is the row-major matrix
+        prefix (data rows above the parity rows, as in D-Code/X-Code),
+        the mapper does not rotate and no disk is hooked (the view
         presents nothing to a hook).  The returned array is read-only
         and aliases the live backing store.
         """
-        per = self.layout.num_data_cells
-        if (
-            count != per
-            or start % per
-            or self.mapper.rotate
-            or not self._row_major_data
-            or not surface.healthy
-            or self._hooked()
-        ):
+        if self.mapper.rotate or not self._row_major_data or self._hooked():
             return None
-        stripe = start // per
         verifier = self._verifier()
         if verifier is not None and not verifier.range_verified(stripe):
             # zero-copy cannot verify without touching the bytes; stand
@@ -624,9 +616,10 @@ class RAID6Volume:
             # blocks) until the whole stripe is verification-current
             return None
         base = stripe * self.layout.rows * self.layout.cols
-        view = self._flat_backing[base:base + per]
+        view = self._flat_backing[base:base + self._per]
         view.flags.writeable = False
-        self._account(self._full_stripe_io)
+        with self._io_lock:
+            self._io += self._full_stripe_io
         return view
 
     # -- write serialisation ---------------------------------------------------
@@ -686,16 +679,11 @@ class RAID6Volume:
                 f"{data.dtype} {data.shape}"
             )
         count = data.shape[0]
-        require_positive(count, "count")
-        if start < 0 or start + count > self.num_elements:
-            raise AddressError(
-                f"write [{start}, {start + count}) outside volume of "
-                f"{self.num_elements} elements"
-            )
-        if np.may_share_memory(data, self._backing):
+        if not 0 <= start < start + count <= self.num_elements:
+            self._check_range("write", start, count)
+        if data.base is not None and np.may_share_memory(data, self._backing):
             data = data.copy()
-        per = self.layout.num_data_cells
-        cells = self.layout.data_cells
+        per = self._per
         surface = self._surface()
         route = ioplan.write_route(self, start, count, surface)
         with self._locked_stripes(
@@ -707,7 +695,8 @@ class RAID6Volume:
                 route = ioplan.write_route(self, start, count, surface)
             intents = None if self.journal is None else self._open_intents((
                 (stripe, ioplan.Span(
-                    cells[j0:j0 + n], data[k + i * n:k + (i + 1) * n]
+                    self.layout.data_cells[j0:j0 + n],
+                    data[k + i * n:k + (i + 1) * n]
                 ))
                 for span, k, j0, n, *_ in ioplan.route_legs(self, start, route)
                 for i, stripe in enumerate(span)
@@ -1017,16 +1006,6 @@ class RAID6Volume:
                 self._route_exec = kernel.route_exec
             self._plan_exec = None if kernel is None else kernel.plan_exec
             return self._plan_exec
-
-    def _counts(self) -> Tuple[np.ndarray, int]:
-        """This thread's ``(2, cols)`` counts array for ``plan_exec``
-        and its address."""
-        try:
-            return self._local.counts
-        except AttributeError:
-            counts = np.empty_like(self._io)
-            self._local.counts = (counts, counts.ctypes.data)
-            return self._local.counts
 
     def _read_rows(
         self,

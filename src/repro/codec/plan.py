@@ -33,7 +33,7 @@ touches, memoised per layout and dirty-cell tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -150,26 +150,11 @@ class XorPlan:
     steps: Tuple[GatherStep, ...]
     program: np.ndarray  # int64 [dst, k, src...] per equation, topo order
 
-    @cached_property
-    def _program_ptr(self) -> int:
-        # The plan owns `program`, so the raw pointer stays valid for the
-        # plan's lifetime; caching it keeps ctypes marshalling off the
-        # per-encode hot path.
-        return int(self.program.ctypes.data)
-
     def execute(self, flat: np.ndarray) -> np.ndarray:
         """Run the plan over one ``(num_cells, element_size)`` stripe view."""
         kernel = xor_kernel()
         if kernel is not None and flat.flags.c_contiguous and flat.flags.writeable:
-            if self.program.size:
-                kernel.xor_exec(
-                    flat.ctypes.data,
-                    1,
-                    0,
-                    flat.shape[-1],
-                    self._program_ptr,
-                    self.program.size,
-                )
+            kernel.xor_exec(flat, self.program)
             return flat
         return self.execute_numpy(flat)
 
@@ -180,15 +165,7 @@ class XorPlan:
         kernel = xor_kernel()
         if kernel is not None and flat.flags.writeable and \
                 flat.strides[1:] == (flat.shape[2], 1):
-            if self.program.size and flat.shape[0]:
-                kernel.xor_exec(
-                    flat.ctypes.data,
-                    flat.shape[0],
-                    flat.strides[0],
-                    flat.shape[-1],
-                    self._program_ptr,
-                    self.program.size,
-                )
+            kernel.xor_exec(flat, self.program)
             return flat
         return self.execute_batch_numpy(flat)
 

@@ -88,6 +88,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.shmring import PayloadRing
 from repro.serve.state import build_shard_state
+from repro.util.ckernel import xor_kernel
 from repro.util.validation import require_positive
 
 #: One shard-local op: (op, start, count, payload).
@@ -524,6 +525,7 @@ class ProcessShard:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
+        xor_kernel()  # imported here, once: every incarnation inherits it
         ring = self._make_ring(spec)
         conn, child = ctx.Pipe()
         proc = ctx.Process(

@@ -7,87 +7,98 @@ executes that program as vectorised gather-XOR, but each gather still
 materialises a ``(n, k, element_size)`` temporary — roughly 3x the minimal
 memory traffic — and each level costs a few numpy dispatches.
 
-This module removes both overheads when a C compiler is present: one C
-file is compiled once with the system ``cc`` into a cached shared library
-and loaded via :mod:`ctypes`.  It exports three entry points:
+This module removes both overheads when a C compiler and the Python
+headers are present: one C file is compiled once with the system ``cc``
+into a cached CPython extension module, which :func:`xor_kernel` imports.
+It has three functions, each a ``METH_FASTCALL`` entry point that takes
+packed words by address (:class:`Packed`) and arrays through the buffer
+protocol, so a call costs a few hundred nanoseconds of marshalling:
 
-* ``xor_exec`` runs one XOR program over one stripe — or a whole batch,
-  stripe by stripe, keeping each stripe cache-resident — with plain
-  in-place ``memcpy``/XOR loops that gcc -O3 auto-vectorises;
-* ``plan_exec`` runs a whole :mod:`repro.array.ioplan` plan over a vector
-  of stripes straight against a volume's flat backing store: gather the
-  plan's rows the deltas and the program read, fold the new data into
-  deltas, run the plan's XOR program, test each delta row for zero a
-  word at a time, XOR each non-zero delta into its backing row in place
-  (only rows that changed are stored), pick the rows a read wants, a
-  rebuild the lost column's or a load the stripe image's, into the
-  caller's output, and count each
-  disk's reads and writes into a caller-owned array.  The plan and the
-  store's geometry reach it packed into ``int64`` words
-  (:func:`pack_plan`, :func:`pack_geometry`), so a call marshals a
-  handful of integers;
-* ``route_exec`` serves a whole read, or a whole write, in one call.
-  Healthy (no ``route``), a read needs no plan at all: it walks a range
-  of logical elements through the geometry's data-cell table, copies
-  each element's backing row — a run of consecutive rows at a time —
-  into the caller's output, and counts each disk's reads.  Otherwise it
-  follows a *route* (:class:`repro.array.ioplan.Route`): the
+* ``xor_exec(block, program)`` runs one XOR program over one stripe
+  (``block`` a C-contiguous ``(cells, element_size)`` array) — or a
+  whole batch (``(batch, cells, element_size)``, each stripe's rows
+  contiguous, the stripes any stride apart), stripe by stripe, keeping
+  each stripe cache-resident — with plain in-place ``memcpy``/XOR loops
+  that gcc -O3 auto-vectorises;
+* ``plan_exec(geometry, plan, first, stripes, batch, values, out, io,
+  lock)`` runs a whole :mod:`repro.array.ioplan` plan over a vector of
+  stripes (``stripes`` an ``int64`` array, or ``None`` for ``first`` on)
+  straight against a volume's flat backing store: gather the plan's rows
+  the deltas and the program read, fold the new data into deltas, run
+  the plan's XOR program, test each delta row for zero a word at a time,
+  XOR each non-zero delta into its backing row in place (only rows that
+  changed are stored), and pick the rows a read wants, a rebuild the
+  lost column's or a load the stripe image's, into ``out``.  The plan
+  and the store's geometry reach it packed into ``int64`` words
+  (:func:`pack_plan`, :func:`pack_geometry`);
+* ``route_exec(geometry, start, count, route, values, out, io, lock)``
+  serves a whole read, or a whole write, in one call.  Healthy (no
+  ``route``), a read needs no plan at all: it walks a range of logical
+  elements through the geometry's data-cell table and copies each
+  element's backing row — a run of consecutive rows at a time — into
+  ``out``.  Otherwise it follows a *route*
+  (:class:`repro.array.ioplan.Route`, :func:`pack_route`): the
   operation's runs of one pattern, each walked the same way, stored as
   whole stripes, or executed as its packed plan — ``plan_exec``'s
   per-stripe body, one function in the C source — over the run's
   stripes: a degraded read's read plans rebuild its lost cells and pick
-  straight into the run's slice of the output; a write's partial head
-  and tail stripes run their RMW plans, which take the run's slice of
-  the caller's rows as their values and patch data and parity in place,
-  and each of its whole stripes gets its rows copied into its data
-  cells — the walk reversed — and the geometry's encode program run
-  over it while it is still in cache, so the payload is read once.
+  straight into the run's slice of ``out``; a write's partial head and
+  tail stripes run their RMW plans, which take the run's slice of
+  ``values`` and patch data and parity in place, and each of its whole
+  stripes gets its rows copied into its data cells — the walk reversed
+  — and the geometry's encode program run over it while it is still in
+  cache, so the payload is read once.
 
-Entirely optional: compilation failure (no compiler, read-only temp dir,
-sandboxed subprocess) silently degrades to the numpy execution path, and
-``REPRO_PURE_NUMPY=1`` disables the kernel outright.  No third-party
-packages are involved — only ``cc`` and the standard library.
+``plan_exec`` and ``route_exec`` count each disk's reads and writes and,
+before they return, add them into the volume's ``(2, cols)`` ``int64``
+counters ``io`` while holding ``lock``, the counters' own lock.  Buffer
+arguments are checked for contiguity and length; the packed words are
+trusted, as the caller holds what they point at.
+
+Entirely optional: a failed build (no compiler, no ``Python.h``,
+read-only temp dir, sandboxed subprocess) silently degrades to the numpy
+execution path, and ``REPRO_PURE_NUMPY=1`` disables the kernel
+outright.  No third-party packages are involved — only ``cc``, the
+Python headers and the standard library.
 
 GIL contract
 ------------
 
-The kernel is loaded with :class:`ctypes.CDLL`, whose foreign-call
-machinery **releases the GIL for the duration of every ``xor_exec``,
-``plan_exec`` and ``route_exec`` call** (``ctypes.PyDLL`` is the variant
-that would hold it — never used here).  Threads that share a volume — a
-shard's executor thread destaging its cache beside a foreground write —
-therefore do not hold each other up for the length of an encode or a
-planned RMW, and no wrapper or callback re-enters the interpreter
-mid-call: the C side touches only caller-owned memory that stays alive
-and unmoved for the call — numpy arrays pinned by the calling frame, the
+Every entry point **releases the GIL around its C body**
+(``Py_BEGIN_ALLOW_THREADS``) and takes it back only to add its counts
+and return.  Threads that share a volume — a shard's executor thread
+destaging its cache beside a foreground write — therefore do not hold
+each other up for the length of an encode or a planned RMW, and the C
+body never re-enters the interpreter: it touches only memory that stays
+alive and unmoved for the call — the buffers the call holds, the
 volume's backing store, the packed plans and routes the caller holds —
 and the calling thread's own scratch buffer, which the kernel keeps
-between calls and frees when the thread exits.
-``plan_exec`` writes the backing rows of the stripes it is handed and
-its own counts array, and nothing else: the caller holds those stripes'
-write locks, and adds the counts to the disks' counters under their lock
-once the call returns.  ``route_exec`` along a write's route likewise
-writes only the backing rows of the route's stripes — under their write
-locks, which the caller holds — and its counts array.
-A read reads the backing store without any stripe lock — as the numpy
-gather of a read plan does — and writes only its output and its counts
-array.  :func:`kernel_releases_gil` asserts the contract symbol by
-symbol, so a refactor to ``PyDLL`` — which would silently hold the GIL
-across every kernel call — fails tests instead of shipping.
+between calls and frees when the thread exits.  ``plan_exec`` writes
+the backing rows of the stripes it is handed, under their write locks,
+which the caller holds; ``route_exec`` along a write's route likewise
+writes only the backing rows of the route's stripes.  A read reads the
+backing store without any stripe lock — as the numpy gather of a read
+plan does — and writes only its output.  ``tests/util/test_xor.py``
+holds the contract by behaviour: a second thread must run while each
+entry point does.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.util
 import os
 import subprocess
+import sysconfig
 import tempfile
+from types import ModuleType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 _SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -186,8 +197,9 @@ static void run_program(uint8_t *flat, int64_t es, const int64_t *prog,
  * stripe_stride byte offset between consecutive stripes
  * es            element size in bytes
  */
-void xor_exec(uint8_t *base, int64_t nstripes, int64_t stripe_stride,
-              int64_t es, const int64_t *prog, int64_t prog_len)
+static void xor_exec(uint8_t *base, int64_t nstripes,
+                     int64_t stripe_stride, int64_t es,
+                     const int64_t *prog, int64_t prog_len)
 {
     for (int64_t s = 0; s < nstripes; ++s)
         run_program(base + s * stripe_stride, es, prog, prog_len);
@@ -331,9 +343,10 @@ static void plan_stripe(const int64_t *geom, const int64_t *plan,
  * Returns 0, or -1 when the scratch buffer cannot be allocated (nothing
  * touched).
  */
-int64_t plan_exec(const int64_t *geom, const int64_t *plan, int64_t first,
-                  const int64_t *stripes, int64_t batch,
-                  const uint8_t *values, uint8_t *out, int64_t *counts)
+static int64_t plan_exec(const int64_t *geom, const int64_t *plan,
+                         int64_t first, const int64_t *stripes,
+                         int64_t batch, const uint8_t *values, uint8_t *out,
+                         int64_t *counts)
 {
     const int64_t es = geom[G_ES], nv = plan[H_NV], nout = plan[H_NOUT];
     int64_t *at = plan_scratch(geom, plan);
@@ -444,9 +457,9 @@ static void encode_stripes(const int64_t *geom, int64_t stripe,
  * Returns 0, or -1 when a plan's scratch cannot be allocated (the runs
  * before it done).
  */
-int64_t route_exec(const int64_t *geom, int64_t start, int64_t count,
-                   const int64_t *route, const uint8_t *values,
-                   uint8_t *out, int64_t *counts)
+static int64_t route_exec(const int64_t *geom, int64_t start, int64_t count,
+                          const int64_t *route, const uint8_t *values,
+                          uint8_t *out, int64_t *counts)
 {
     const int64_t es = geom[G_ES], per = geom[G_PER];
     int64_t stripe = start / per;
@@ -477,12 +490,273 @@ int64_t route_exec(const int64_t *geom, int64_t start, int64_t count,
     }
     return 0;
 }
+
+/* ---- The CPython module: one METH_FASTCALL function per entry point,
+ * each running its C body above with the GIL released. ---- */
+
+static PyObject *str_acquire, *str_release;
+
+/* An integer argument; None reads as 0 (a NULL address). */
+static int int_arg(PyObject *o, int64_t *v)
+{
+    if (o == Py_None) {
+        *v = 0;
+        return 0;
+    }
+    long long x = PyLong_AsLongLong(o);
+    *v = (int64_t)x;
+    return x == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* A C-contiguous buffer argument of at least `need` bytes, writable when
+ * `flags` asks it; None leaves view->buf NULL, allowed when need is 0. */
+static int buffer_arg(PyObject *o, Py_buffer *view, int flags, int64_t need)
+{
+    if (o == Py_None) {
+        if (need <= 0)
+            return 0;
+        PyErr_SetString(PyExc_ValueError, "kernel: a buffer is required");
+        return -1;
+    }
+    if (PyObject_GetBuffer(o, view, PyBUF_C_CONTIGUOUS | flags) < 0)
+        return -1;
+    if (view->len < need) {
+        PyErr_Format(PyExc_ValueError, "kernel: %zd bytes, %lld needed",
+                     view->len, (long long)need);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* The geometry words at `o`'s address, and the volume's counters: a
+ * writable (2, cols) int64 array. */
+static int volume_args(PyObject *o, const int64_t **geom, PyObject *io,
+                       Py_buffer *view)
+{
+    int64_t address;
+    if (int_arg(o, &address) < 0)
+        return -1;
+    if (address == 0) {
+        PyErr_SetString(PyExc_ValueError, "kernel: no geometry");
+        return -1;
+    }
+    *geom = (const int64_t *)(intptr_t)address;
+    const int64_t bytes = 2 * (*geom)[G_COLS] * (int64_t)sizeof(int64_t);
+    if (buffer_arg(io, view, PyBUF_WRITABLE, bytes) < 0)
+        return -1;
+    if (view->itemsize != sizeof(int64_t) || view->len != bytes) {
+        PyErr_SetString(PyExc_ValueError,
+                        "kernel: counters must be (2, cols) int64");
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+/* Add a call's counts into the counters, holding `lock` — the
+ * threading.Lock every other update of them holds. */
+static int add_counts(Py_buffer *io, PyObject *lock, const int64_t *counts)
+{
+    PyObject *r = PyObject_CallMethodNoArgs(lock, str_acquire);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    int64_t *dst = io->buf;
+    for (Py_ssize_t i = 0; i < io->len / (Py_ssize_t)sizeof *dst; ++i)
+        dst[i] += counts[i];
+    r = PyObject_CallMethodNoArgs(lock, str_release);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Room for the counts of up to 64 columns on the stack, more on the
+ * heap. */
+enum { STACK_COUNTS = 128 };
+
+static int64_t *counts_for(const int64_t *geom, int64_t *stack)
+{
+    const int64_t n = 2 * geom[G_COLS];
+    int64_t *counts = n <= STACK_COUNTS ? stack
+                      : PyMem_Malloc((size_t)n * sizeof *counts);
+    if (counts == NULL)
+        PyErr_NoMemory();
+    return counts;
+}
+
+static int nargs_ok(const char *name, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 1;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)",
+                 name, want, nargs);
+    return 0;
+}
+
+/* xor_exec(block, program): a (cells, es) C-contiguous stripe, or a
+ * (batch, cells, es) block whose stripes are any stride apart. */
+static PyObject *py_xor_exec(PyObject *self, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    Py_buffer block = {0}, prog = {0};
+    PyObject *result = NULL;
+    if (!nargs_ok("xor_exec", nargs, 2))
+        return NULL;
+    if (PyObject_GetBuffer(args[0], &block,
+                           PyBUF_STRIDES | PyBUF_WRITABLE) < 0)
+        return NULL;
+    if (buffer_arg(args[1], &prog, 0, 0) < 0)
+        goto done;
+    const int nd = block.ndim;
+    const Py_ssize_t *shape = block.shape, *strides = block.strides;
+    int64_t nstripes = 1, stride = 0;
+    int ok = nd >= 1 && block.itemsize == 1;
+    if (ok && nd == 3) {
+        nstripes = shape[0];
+        stride = strides[0];
+        ok = strides[2] == 1 && strides[1] == shape[2];
+    } else if (ok) {
+        ok = PyBuffer_IsContiguous(&block, 'C');
+    }
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError,
+                        "xor_exec: stripes of contiguous uint8 rows");
+        goto done;
+    }
+    const int64_t es = shape[nd - 1];
+    Py_BEGIN_ALLOW_THREADS
+    xor_exec(block.buf, nstripes, stride, es, prog.buf,
+             prog.len / (Py_ssize_t)sizeof(int64_t));
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    PyBuffer_Release(&block);
+    PyBuffer_Release(&prog);
+    return result;
+}
+
+/* plan_exec(geometry, plan, first, stripes, batch, values, out, io,
+ * lock) */
+static PyObject *py_plan_exec(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    Py_buffer stripes = {0}, values = {0}, out = {0}, io = {0};
+    int64_t stack[STACK_COUNTS], *counts = NULL, address, first, batch;
+    const int64_t *geom;
+    PyObject *result = NULL;
+    if (!nargs_ok("plan_exec", nargs, 9) ||
+        int_arg(args[1], &address) < 0 || int_arg(args[2], &first) < 0 ||
+        int_arg(args[4], &batch) < 0 ||
+        volume_args(args[0], &geom, args[7], &io) < 0)
+        return NULL;
+    const int64_t *plan = (const int64_t *)(intptr_t)address;
+    if (plan == NULL || batch < 1) {
+        PyErr_SetString(PyExc_ValueError, "plan_exec: no plan or stripes");
+        goto done;
+    }
+    const int64_t es = geom[G_ES];
+    if (buffer_arg(args[3], &stripes, 0,
+                   args[3] == Py_None ? 0 : batch * 8) < 0 ||
+        buffer_arg(args[5], &values, 0, batch * plan[H_NV] * es) < 0 ||
+        buffer_arg(args[6], &out, PyBUF_WRITABLE,
+                   batch * plan[H_NOUT] * es) < 0 ||
+        (counts = counts_for(geom, stack)) == NULL)
+        goto done;
+    int64_t rc;
+    Py_BEGIN_ALLOW_THREADS
+    rc = plan_exec(geom, plan, first, stripes.buf, batch, values.buf,
+                   out.buf, counts);
+    Py_END_ALLOW_THREADS
+    if (rc)
+        PyErr_SetString(PyExc_MemoryError, "plan_exec: no scratch memory");
+    else if (add_counts(&io, args[8], counts) == 0)
+        result = Py_NewRef(Py_None);
+done:
+    if (counts != stack)
+        PyMem_Free(counts);
+    PyBuffer_Release(&stripes);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&io);
+    return result;
+}
+
+/* route_exec(geometry, start, count, route, values, out, io, lock): a
+ * write of `values` or a read into `out`, count rows each. */
+static PyObject *py_route_exec(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    Py_buffer values = {0}, out = {0}, io = {0};
+    int64_t stack[STACK_COUNTS], *counts = NULL, start, count, address;
+    const int64_t *geom;
+    PyObject *result = NULL;
+    if (!nargs_ok("route_exec", nargs, 8) ||
+        int_arg(args[1], &start) < 0 || int_arg(args[2], &count) < 0 ||
+        int_arg(args[3], &address) < 0 ||
+        volume_args(args[0], &geom, args[6], &io) < 0)
+        return NULL;
+    const int64_t rows = count * geom[G_ES];
+    if ((args[4] == Py_None) == (args[5] == Py_None) || count < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "route_exec: values or out, and a count");
+        goto done;
+    }
+    /* the one of values and out given holds the count rows */
+    if (buffer_arg(args[4], &values, 0, args[5] == Py_None ? rows : 0) < 0 ||
+        buffer_arg(args[5], &out, PyBUF_WRITABLE,
+                   args[4] == Py_None ? rows : 0) < 0 ||
+        (counts = counts_for(geom, stack)) == NULL)
+        goto done;
+    int64_t rc;
+    Py_BEGIN_ALLOW_THREADS
+    rc = route_exec(geom, start, count, (const int64_t *)(intptr_t)address,
+                    values.buf, out.buf, counts);
+    Py_END_ALLOW_THREADS
+    if (rc)
+        PyErr_SetString(PyExc_MemoryError, "route_exec: no scratch memory");
+    else if (add_counts(&io, args[7], counts) == 0)
+        result = Py_NewRef(Py_None);
+done:
+    if (counts != stack)
+        PyMem_Free(counts);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&io);
+    return result;
+}
+
+#define FASTCALL(f) (PyCFunction)(void (*)(void))(f), METH_FASTCALL
+
+static PyMethodDef methods[] = {
+    {"xor_exec", FASTCALL(py_xor_exec), NULL},
+    {"plan_exec", FASTCALL(py_plan_exec), NULL},
+    {"route_exec", FASTCALL(py_route_exec), NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "_ckernel", NULL, -1, methods,
+};
+
+PyMODINIT_FUNC PyInit__ckernel(void)
+{
+    str_acquire = PyUnicode_InternFromString("acquire");
+    str_release = PyUnicode_InternFromString("release");
+    if (str_acquire == NULL || str_release == NULL)
+        return NULL;
+    return PyModule_Create(&module);
+}
 """
 
-#: The library's entry points; each must run with the GIL released.
+#: The module's entry points; each runs its C body with the GIL released.
 SYMBOLS = ("xor_exec", "plan_exec", "route_exec")
 
-_lib: Optional[ctypes.CDLL] = None
+#: The directory the build finds ``Python.h`` in.
+_INCLUDE = sysconfig.get_paths()["include"]
+
+_lib: Optional[ModuleType] = None
 _tried = False
 
 
@@ -496,7 +770,7 @@ class Packed(NamedTuple):
 
 def _packed(words) -> Packed:
     words = np.ascontiguousarray(words, dtype=np.int64)
-    return Packed(words, int(words.ctypes.data))
+    return Packed(words, words.__array_interface__["data"][0])
 
 
 def pack_geometry(
@@ -514,8 +788,8 @@ def pack_geometry(
     return _packed(np.concatenate([
         np.asarray(a, dtype=np.int64).ravel()
         for a in (
-            (backing.ctypes.data, stride, cols, int(rotate),
-             backing.shape[1], len(data)),
+            (backing.__array_interface__["data"][0], stride, cols,
+             int(rotate), backing.shape[1], len(data)),
             data, cells, (len(program),), program,
         )
     ]))
@@ -580,11 +854,12 @@ def pack_route(runs) -> Packed:
     ])
 
 
-def xor_kernel() -> Optional[ctypes.CDLL]:
-    """The loaded kernel library, or ``None`` when unavailable.
+def xor_kernel() -> Optional[ModuleType]:
+    """The kernel's extension module, or ``None`` when unavailable.
 
-    The first call attempts a build; the outcome (library or ``None``) is
-    cached for the life of the process.
+    The first call builds (or finds in the kernel cache) and imports it;
+    the outcome (module or ``None``) is cached for the life of the
+    process, and a forked child inherits it.
     """
     global _lib, _tried
     if _tried:
@@ -599,39 +874,26 @@ def xor_kernel() -> Optional[ctypes.CDLL]:
     return _lib
 
 
-def kernel_releases_gil() -> bool:
-    """Whether every entry point of the loaded kernel drops the GIL.
-
-    ``True`` exactly when a kernel is loaded and none of its
-    :data:`SYMBOLS` carries ctypes' ``FUNCFLAG_PYTHONAPI`` — the flag
-    :class:`ctypes.PyDLL` sets to hold the GIL around a foreign call,
-    where plain :class:`ctypes.CDLL` releases it.  ``False`` when no
-    kernel is available at all — numpy's own ufunc loops still release
-    the GIL for large operands.
-    """
-    lib = xor_kernel()
-    return lib is not None and not any(
-        getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
-        for name in SYMBOLS
-    )
-
-
-def _load() -> ctypes.CDLL:
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+def _load() -> ModuleType:
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    digest = hashlib.sha256(
+        (_SOURCE + _INCLUDE + suffix).encode()
+    ).hexdigest()[:16]
     cache = os.environ.get("REPRO_CKERNEL_CACHE") or os.path.join(
         tempfile.gettempdir(), f"repro-ckernel-{os.getuid()}"
     )
     os.makedirs(cache, exist_ok=True)
-    so_path = os.path.join(cache, f"xor-{digest}.so")
+    so_path = os.path.join(cache, f"xor-{digest}{suffix}")
     if not os.path.exists(so_path):
         src_path = os.path.join(cache, f"xor-{digest}.c")
         with open(src_path, "w") as fh:
             fh.write(_SOURCE)
         tmp_path = f"{so_path}.tmp.{os.getpid()}"
         cc = os.environ.get("CC", "cc")
-        base_cmd = [cc, "-O3", "-std=c11", "-shared", "-fPIC"]
+        base_cmd = [cc, "-O3", "-std=c11", "-shared", "-fPIC",
+                    f"-I{_INCLUDE}"]
         try:
-            # -march=native is safe: the library is built on the host at
+            # -march=native is safe: the module is built on the host at
             # runtime and never shipped.  Some toolchains reject the flag.
             subprocess.run(
                 base_cmd + ["-march=native", "-o", tmp_path, src_path],
@@ -645,12 +907,7 @@ def _load() -> ctypes.CDLL:
                 capture_output=True,
             )
         os.replace(tmp_path, so_path)  # atomic: concurrent builders race safely
-    lib = ctypes.CDLL(so_path)
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.xor_exec.argtypes = [ptr, i64, i64, i64, ptr, i64]
-    lib.xor_exec.restype = None
-    lib.plan_exec.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr]
-    lib.plan_exec.restype = i64
-    lib.route_exec.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr]
-    lib.route_exec.restype = i64
-    return lib
+    spec = importlib.util.spec_from_file_location("_ckernel", so_path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -39,7 +39,7 @@ from repro.journal import WriteIntentLog
 from repro.recovery.planner import cached_hybrid_plan
 from repro.serve.checkpoint import DirtyStripeTracker
 from repro.util import ckernel
-from repro.util.ckernel import kernel_releases_gil, xor_kernel
+from repro.util.ckernel import xor_kernel
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
 from tests.oracles.diff import Mirror
@@ -662,7 +662,6 @@ def test_threads_racing_to_the_first_call_pack_one_geometry(monkeypatch):
 
 
 def _threaded_counts(kernel_runs, kernel_reads, kernel_writes, failed=None):
-    assert kernel_releases_gil()
     assert ckernel.SYMBOLS == ("xor_exec", "plan_exec", "route_exec")
     layout = make_code("dcode", 7)
     per = layout.num_data_cells

@@ -586,8 +586,8 @@ def watch(monkeypatch, hits: Counter) -> None:
 
     zero_copy = RAID6Volume._read_zero_copy
 
-    def view_spy(volume, start, count, surface):
-        view = zero_copy(volume, start, count, surface)
+    def view_spy(volume, stripe):
+        view = zero_copy(volume, stripe)
         if view is not None:
             hits["run", "view"] += 1
         return view

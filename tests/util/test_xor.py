@@ -1,5 +1,9 @@
 """Unit tests for the XOR block engine."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -112,33 +116,132 @@ class TestXorAccumulate:
         assert np.array_equal(dst, blocks[0])
 
 
-class TestKernelGilContract:
-    def test_loaded_kernel_releases_gil(self):
-        # threads sharing a volume (a shard's destage thread beside a
-        # foreground write) rely on the C kernel dropping the GIL for
-        # the duration of xor_exec; loading through ctypes.PyDLL (which
-        # holds it) must fail this test, and a build without any kernel
-        # reports False
-        import ctypes
+def _counter_advances(call, attempts: int = 10) -> bool:
+    """Whether a second Python thread, counting with short sleeps,
+    advances while ``call()`` runs, in one of ``attempts`` calls.
 
-        from repro.util.ckernel import kernel_releases_gil, xor_kernel
+    The switch interval is raised far beyond a call's length for the
+    probe, so a call that holds the GIL is never asked to drop it: the
+    count can then only move while a call has released it."""
+    count, stop = [0], []
+
+    def counter():
+        while not stop:
+            count[0] += 1
+            time.sleep(1e-4)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    thread = threading.Thread(target=counter)
+    thread.start()
+    try:
+        for _ in range(attempts):
+            before = count[0]
+            call()
+            if count[0] != before:
+                return True
+        return False
+    finally:
+        stop.append(True)
+        thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+
+
+class TestKernelGilContract:
+    """Threads sharing a volume (a shard's destage thread beside a
+    foreground write) rely on every entry point of the C kernel
+    releasing the GIL around its C body."""
+
+    def test_loaded_kernel_releases_gil(self):
+        # one long call per entry point, over 64 stripes of dcode p = 7
+        # at 4 KiB: an encode, a whole-stripe RMW plan, a whole-stripe
+        # write along its route
+        from repro.array import ioplan
+        from repro.array.volume import RAID6Volume
+        from repro.codes import make_code
+        from repro.util.ckernel import SYMBOLS, xor_kernel
 
         lib = xor_kernel()
         if lib is None:
-            assert kernel_releases_gil() is False
-        else:
-            assert kernel_releases_gil() is True
-            assert isinstance(lib, ctypes.CDLL)
-            assert not isinstance(lib, ctypes.PyDLL)
+            pytest.skip("no C kernel")
+        stripes = 64
+        volume = RAID6Volume(make_code("dcode", 7), num_stripes=stripes,
+                             element_size=4096)
+        per = volume.layout.num_data_cells
+        values = np.random.default_rng(0).integers(
+            0, 256, (stripes * per, 4096), dtype=np.uint8
+        )
+        volume._load_kernel()
+        geometry, io, lock = volume._geometry.address, volume._io, \
+            volume._io_lock
+        program = volume.codec.plans.encode.program
+        block = volume._backing.reshape(stripes, -1, 4096)
+        plan = ioplan._run_plan(volume, "rmw", 0, per, (), 0)
+        route = ioplan.write_route(volume, 0, stripes * per,
+                                   volume._surface())
+        calls = {
+            "xor_exec": lambda: lib.xor_exec(block, program),
+            "plan_exec": lambda: lib.plan_exec(
+                geometry, plan.packed.address, 0, None, stripes,
+                values.reshape(stripes, per, -1), None, io, lock,
+            ),
+            "route_exec": lambda: lib.route_exec(
+                geometry, 0, stripes * per, route.packed.address, values,
+                None, io, lock,
+            ),
+        }
+        assert tuple(calls) == SYMBOLS
+        held = [name for name, call in calls.items()
+                if not _counter_advances(call)]
+        assert held == []
+        # the calls stored what they were handed
+        assert np.array_equal(volume.read(0, stripes * per), values)
+        assert volume.scrub() == []
 
     def test_the_contract_names_every_entry_point(self):
-        # kernel_releases_gil checks SYMBOLS: every function the C
-        # source exports (the rest are static) must be one of them
+        # the module's method table is SYMBOLS, in the C source's
+        # table and in the loaded module alike
         import re
 
         from repro.util import ckernel
 
-        exported = re.findall(
-            r"^(?:void|int64_t) (\w+)\(", ckernel._SOURCE, re.M
+        table = re.findall(r'\{"(\w+)", FASTCALL\(', ckernel._SOURCE)
+        assert tuple(table) == ckernel.SYMBOLS
+        lib = ckernel.xor_kernel()
+        if lib is None:
+            pytest.skip("no C kernel")
+        exported = sorted(
+            name for name in vars(lib) if not name.startswith("__")
         )
-        assert tuple(exported) == ckernel.SYMBOLS
+        assert exported == sorted(ckernel.SYMBOLS)
+        assert all(callable(getattr(lib, name)) for name in exported)
+
+
+def test_kernel_refuses_buffers_it_cannot_use():
+    """Short, strided, read-only or missing arrays and counters of the
+    wrong size raise before the C body runs: nothing is written past
+    them and nothing is counted."""
+    from repro.array.volume import RAID6Volume
+    from repro.codes import make_code
+
+    volume = RAID6Volume(make_code("dcode", 5), num_stripes=4,
+                         element_size=64)
+    if volume._load_kernel() is None:
+        pytest.skip("no C kernel")
+    route_exec, geometry = volume._route_exec, volume._geometry.address
+    io, lock = volume._io, volume._io_lock
+    read_only = np.zeros((10, 64), np.uint8)
+    read_only.flags.writeable = False
+    for out, counters in (
+        (np.zeros((5, 64), np.uint8), io),            # short
+        (np.zeros((10, 128), np.uint8)[:, ::2], io),  # strided
+        (read_only, io),
+        (None, io),                                   # no output
+        (np.zeros((10, 64), np.uint8), io[:1]),       # counters too small
+    ):
+        with pytest.raises(ValueError):
+            route_exec(geometry, 0, 10, None, None, out, counters, lock)
+    with pytest.raises(ValueError):
+        route_exec(0, 0, 10, None, None, np.zeros((10, 64), np.uint8), io,
+                   lock)
+    assert not io.any()
