@@ -25,6 +25,7 @@ the same stripe (see ``RAID6Volume._stripe_lock``).
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Tuple
@@ -75,6 +76,7 @@ class StripeCache:
 
     def write(self, start: int, data: np.ndarray) -> None:
         """Buffer a logical write; destages only on pressure or flush."""
+        start = operator.index(start)
         if data.ndim != 2 or data.shape[1] != self.volume.element_size \
                 or data.dtype != np.uint8:
             raise AddressError(
@@ -122,7 +124,9 @@ class StripeCache:
 
     def read(self, start: int, count: int) -> np.ndarray:
         """Read-through with dirty overlay (read-your-writes)."""
+        start = operator.index(start)
         out = self.volume.read(start, count)
+        count = len(out)  # an int, as the volume checked it
         per = self._per
         with self._lock:
             dirty, slab = self._dirty, self._slab

@@ -153,8 +153,8 @@ class IntegrityChecker:
     Observes the volume's one write funnel, ``_store_rows`` — one call
     per plan store, whole stripes encoded in place included — so every
     write keeps the checksum map current.  Pass ``store=`` (e.g. the one
-    :func:`~repro.array.persistence.load_volume` hands back on a v2
-    archive) to resume an existing map instead of re-seeding from the
+    :func:`~repro.array.persistence.load_volume` hands back from an
+    image saved with a checksum map) to resume an existing map instead of re-seeding from the
     current disk contents.
 
     With ``verify_reads=True`` (the default) every planned load checks

@@ -1,26 +1,47 @@
-"""Volume persistence: save and restore a simulated array.
+"""Volume images: one record file for saves, checkpoints and reloads.
 
-Long experiments (fault campaigns, trace replays) benefit from durable
-state: the whole array — every disk's blocks, failure states, bad-sector
-maps, geometry — round-trips through one ``.npz`` archive.  Loading
-re-validates geometry against a freshly built layout, so an archive
-produced by a different code/prime/shape fails loudly instead of serving
-garbage.
+Long experiments (fault campaigns, trace replays) and durable serving
+shards keep a simulated array on disk as a *volume image*: a file of
+records, each framed as
 
-Format v2 additionally captures the crash-consistency state: the
-write-intent journal (open intents with their redo payloads and parity
-digests, plus the sequence counter) and an optional block-checksum map.
-A snapshot taken mid-campaign therefore remounts with recovery still
-pending, exactly like NVRAM surviving a power cycle.  v1 archives load
-with an explicit warning that no journal state exists.
+    MAGIC | body length (u64) | CRC-32 of the body (u32) | body
+
+whose body is a u32 header length, a JSON header, the raw images of the
+stripes the header names (every column, parity included, so loading
+never re-encodes), then the redo payloads of the open intents in the
+header's journal ledger.
+
+* The first record is **full**: geometry, every stripe, failed disks,
+  bad sectors, the write-intent ledger (open intents with their redo
+  payloads, parity digests and group framing, plus the sequence
+  counter) and, optionally, a block-checksum map.  :func:`save_volume`
+  writes one to a temp file and renames it over the path, so a crash
+  leaves either the old image or the new one, whole.
+* Each later record (:func:`append_record`) carries some stripes and
+  the whole ledger and failed set.  A record replaces what it carries,
+  so after a reload the ledger and failed set are the last record's.
+
+:func:`load_volume` is the one reader and has one torn-tail rule: it
+builds the volume from the first record, which must be full and whole,
+applies each later record in order, and stops at the first one that is
+short, does not start with ``MAGIC`` or fails its CRC.  A writer
+acknowledges nothing until its append returned, so a torn tail — what a
+crash mid-append leaves — was never acknowledged.  Loading re-validates
+each record's size against the geometry, so an image of a different
+code, prime or shape fails loudly instead of serving garbage.  A
+snapshot taken mid-campaign remounts with recovery still pending,
+exactly like NVRAM surviving a power cycle: call
+:func:`repro.journal.recover_on_mount` after loading.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
+import os
+import struct
+import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,204 +53,272 @@ from repro.codes.registry import make_code
 from repro.exceptions import ReproError
 from repro.journal.intent import GroupFrame, WriteIntent, WriteIntentLog
 
-#: Archive format version — bump on incompatible layout changes.
-#: v2 adds journal + checksum state; v1 archives still load (read-only
-#: compatibility) with a "no journal" warning.
-FORMAT_VERSION = 2
+#: Record magic; a new record layout takes a new magic.
+MAGIC = b"RVI1"
+_FRAME = struct.Struct("<QI")  # body length, crc32(body)
+_HLEN = struct.Struct("<I")    # header length inside the body
 
 
 class PersistenceError(ReproError):
-    """The archive is missing, malformed, or mismatches the geometry."""
+    """The image is missing, malformed, or mismatches its geometry."""
 
 
 def save_volume(
     volume: RAID6Volume,
     path: Union[str, Path],
     checksums: Optional[ChecksumStore] = None,
-    extra_meta: Optional[dict] = None,
 ) -> Path:
-    """Write the volume to ``path`` (``.npz``); returns the path.
+    """Write the volume to ``path`` as one full record; returns the path.
 
     The volume's attached journal (if any) is persisted with it — open
     intents, redo payloads, sequence counter — so recovery survives the
     save/load cycle.  ``checksums`` optionally embeds an
     :class:`~repro.array.integrity.ChecksumStore` snapshot; on load it
-    comes back as ``volume.restored_checksums``.  ``extra_meta`` is an
-    opaque JSON-serialisable dict stored alongside the standard fields
-    and restored as ``volume.extra_meta`` — the serving layer uses it to
-    stamp base snapshots with their delta-log epoch
-    (:mod:`repro.serve.checkpoint`).
+    comes back as ``volume.restored_checksums``.  The record goes to a
+    temp file beside ``path``, renamed over it once written.
     """
     path = Path(path)
-    meta = {
-        "format": FORMAT_VERSION,
-        "code": volume.layout.name,
-        "p": volume.layout.p,
-        "num_stripes": volume.mapper.num_stripes,
-        "element_size": volume.element_size,
-        "rotate": volume.mapper.rotate,
-        "failed": sorted(volume.failed_disks),
+    layout = volume.layout
+    header = {
+        "geometry": {
+            "code": layout.name,
+            "p": layout.p,
+            "num_stripes": volume.mapper.num_stripes,
+            "element_size": volume.element_size,
+            "rotate": volume.mapper.rotate,
+        },
         "bad_sectors": {
             str(d.disk_id): sorted(d.bad_sectors) for d in volume.disks
         },
     }
-    arrays = {
-        f"disk_{d.disk_id}": d._store for d in volume.disks
-    }
-    journal = volume.journal
-    if journal is not None:
-        open_intents = journal.open_intents()
-        meta["journal"] = {
-            "next_seq": journal.next_seq,
-            "open": [
-                {
-                    "seq": intent.seq,
-                    "stripe": intent.stripe,
-                    "cells": [[c.row, c.col] for c in intent.dirty_cells],
-                    "old_parity_digest": intent.old_parity_digest,
-                    "new_parity_digest": intent.new_parity_digest,
-                    # group-commit framing (docs/robustness.md, "Journal
-                    # format"): members of one burst share group_seq, and
-                    # recovery's joint verdict needs the frame restored
-                    **(
-                        {
-                            "group_seq": intent.group.group_seq,
-                            "group_size": intent.group.size,
-                            "group_old_digest": intent.group.old_digest,
-                        }
-                        if intent.group is not None else {}
-                    ),
-                }
-                for intent in open_intents
-            ],
-        }
-        for intent in open_intents:
-            payload = intent.payload()
-            arrays[f"intent_{intent.seq}"] = np.stack(
-                [payload[cell] for cell in intent.dirty_cells]
-            )
     if checksums is not None:
-        meta["checksums"] = [
+        header["checksums"] = [
             [disk, offset, crc]
             for (disk, offset), crc in sorted(checksums._sums.items())
         ]
-    if extra_meta:
-        meta["extra"] = extra_meta
-    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
+    tmp = path.with_name("." + path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        _write_record(
+            fh, volume, [[0, volume.mapper.num_stripes]], header
+        )
+    os.replace(tmp, path)
     return path
 
 
-def load_volume(path: Union[str, Path]) -> RAID6Volume:
-    """Rebuild a volume from an archive written by :func:`save_volume`.
+def append_record(fh, volume: RAID6Volume, stripes: Iterable[int]) -> int:
+    """Append one record of ``stripes``, the ledger and the failed set to
+    the open binary file ``fh``; returns its length in bytes.
 
-    v2 archives come back with their :class:`WriteIntentLog` reattached
-    (``volume.journal``) and any embedded checksum map available as
+    The volume must not change while the record is written: the CRC and
+    the bytes are taken from the same live stripes.
+    """
+    return _write_record(fh, volume, _runs(stripes), {})
+
+
+def load_volume(path: Union[str, Path]) -> RAID6Volume:
+    """Rebuild a volume from a volume image.
+
+    The journal comes back reattached (``volume.journal``) when the
+    image carries one, and an embedded checksum map as
     ``volume.restored_checksums``; call
     :func:`repro.journal.recover_on_mount` next, as a real mount would.
-    v1 archives carry no journal state — loading one warns explicitly
-    that crashed writes (if any) cannot be replayed.
     """
     path = Path(path)
     if not path.exists():
-        raise PersistenceError(f"no archive at {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        try:
-            meta = json.loads(str(archive["meta"]))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise PersistenceError(f"{path}: missing/corrupt metadata") from exc
-        fmt = meta.get("format")
-        if fmt not in (1, FORMAT_VERSION):
+        raise PersistenceError(f"no volume image at {path}")
+    with open(path, "rb") as fh:
+        records = _records(fh)
+        first = next(records, None)
+        if first is None:
             raise PersistenceError(
-                f"{path}: format {fmt} unsupported "
-                f"(expected 1..{FORMAT_VERSION})"
+                f"{path}: not a volume image, or its first record is torn"
             )
-        layout = make_code(meta["code"], meta["p"])
-        journal: Optional[WriteIntentLog] = None
-        if fmt >= 2 and "journal" in meta:
-            journal = WriteIntentLog()
+        header, body, at = first
+        geometry = header.get("geometry")
+        if geometry is None:
+            raise PersistenceError(f"{path}: first record is not full")
+        layout = make_code(geometry["code"], geometry["p"])
         volume = RAID6Volume(
             layout,
-            num_stripes=meta["num_stripes"],
-            element_size=meta["element_size"],
-            rotate=meta["rotate"],
-            journal=journal,
+            num_stripes=geometry["num_stripes"],
+            element_size=geometry["element_size"],
+            rotate=geometry["rotate"],
         )
-        for disk in volume.disks:
-            key = f"disk_{disk.disk_id}"
-            if key not in archive:
-                raise PersistenceError(f"{path}: missing {key}")
-            stored = archive[key]
-            if stored.shape != disk._store.shape:
-                raise PersistenceError(
-                    f"{path}: {key} has shape {stored.shape}, geometry "
-                    f"expects {disk._store.shape}"
-                )
-            disk._store[:] = stored
-        for disk_id, offsets in meta["bad_sectors"].items():
+        if header["stripes"] != [[0, volume.mapper.num_stripes]]:
+            raise PersistenceError(
+                f"{path}: first record does not hold every stripe"
+            )
+        _apply(volume, path, header, body, at)
+        for disk_id, offsets in header["bad_sectors"].items():
             disk = volume.disks[int(disk_id)]
             for offset in offsets:
                 disk.mark_bad(int(offset))
-        for disk_id in meta["failed"]:
-            volume.disks[int(disk_id)].state = DiskState.FAILED
-        if fmt == 1:
-            warnings.warn(
-                f"{path}: v1 archive carries no write-intent journal; "
-                f"any write torn before the snapshot cannot be replayed",
-                stacklevel=2,
-            )
-        elif journal is not None:
-            # members of one group must share a single GroupFrame object:
-            # recovery matches them by frame identity, not by group_seq
-            frames: dict = {}
-            journal.restore(
-                [
-                    _load_intent(archive, path, spec, frames)
-                    for spec in meta["journal"]["open"]
-                ],
-                meta["journal"]["next_seq"],
-            )
-        if fmt >= 2 and "checksums" in meta:
+        if "checksums" in header:
             store = ChecksumStore(volume.element_size)
-            for disk, offset, crc in meta["checksums"]:
+            for disk, offset, crc in header["checksums"]:
                 store._sums[(int(disk), int(offset))] = int(crc)
             volume.restored_checksums = store
-        volume.extra_meta = meta.get("extra", {})
+        for header, body, at in records:
+            _apply(volume, path, header, body, at)
     return volume
 
 
-def _load_intent(
-    archive, path: Path, spec: dict, frames: Optional[dict] = None
-) -> WriteIntent:
-    """Rebuild one open intent from its metadata + payload array."""
-    key = f"intent_{spec['seq']}"
-    if key not in archive:
-        raise PersistenceError(f"{path}: missing payload {key}")
-    payload = archive[key]
-    cells = [Cell(row, col) for row, col in spec["cells"]]
-    if payload.shape[0] != len(cells):
-        raise PersistenceError(
-            f"{path}: {key} holds {payload.shape[0]} payload rows for "
-            f"{len(cells)} cells"
-        )
-    group = None
-    if frames is not None and "group_seq" in spec:
-        gseq = int(spec["group_seq"])
-        group = frames.get(gseq)
-        if group is None:
-            digest = spec.get("group_old_digest")
-            group = GroupFrame(
-                group_seq=gseq,
-                size=int(spec["group_size"]),
-                old_digest=None if digest is None else int(digest),
-            )
-            frames[gseq] = group
-    return WriteIntent(
-        seq=int(spec["seq"]),
-        stripe=int(spec["stripe"]),
-        cells=tuple(
-            (cell, payload[i].copy()) for i, cell in enumerate(cells)
-        ),
-        old_parity_digest=spec.get("old_parity_digest"),
-        new_parity_digest=spec.get("new_parity_digest"),
-        group=group,
+# -- records ---------------------------------------------------------------------
+
+
+def _runs(stripes: Iterable[int]) -> List[List[int]]:
+    """Sorted stripes as ``[lo, hi)`` runs of consecutive ones."""
+    runs: List[List[int]] = []
+    for stripe in sorted(int(s) for s in stripes):
+        if runs and runs[-1][1] == stripe:
+            runs[-1][1] += 1
+        else:
+            runs.append([stripe, stripe + 1])
+    return runs
+
+
+def _write_record(fh, volume: RAID6Volume, runs, header: dict) -> int:
+    """Frame and write one record; ``header`` gains the stripe runs,
+    the failed set and the ledger."""
+    rows = volume.layout.rows
+    ledger, payloads = _ledger(volume.journal)
+    header.update(
+        stripes=runs, failed=sorted(volume.failed_disks), journal=ledger
     )
+    hdr = json.dumps(header, separators=(",", ":")).encode()
+    parts = [_HLEN.pack(len(hdr)), hdr]
+    parts += [volume._backing[lo * rows:hi * rows] for lo, hi in runs]
+    parts += payloads
+    crc = length = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        length += memoryview(part).nbytes
+    fh.write(MAGIC + _FRAME.pack(length, crc))
+    for part in parts:
+        fh.write(part)
+    fh.flush()
+    return len(MAGIC) + _FRAME.size + length
+
+
+def _records(fh):
+    """Yield ``(header, body, payload offset)`` for each whole record in
+    order, stopping at the first torn one."""
+    head = len(MAGIC) + _FRAME.size
+    while True:
+        frame = fh.read(head)
+        if len(frame) < head or frame[:len(MAGIC)] != MAGIC:
+            return
+        length, crc = _FRAME.unpack_from(frame, len(MAGIC))
+        body = fh.read(length)
+        if len(body) != length or zlib.crc32(body) != crc:
+            return
+        (hlen,) = _HLEN.unpack_from(body)
+        at = _HLEN.size + hlen
+        yield json.loads(body[_HLEN.size:at]), body, at
+
+
+def _apply(volume: RAID6Volume, path: Path, header: dict, body: bytes,
+           at: int) -> None:
+    """Copy one record's stripes onto the volume and take its ledger and
+    failed set, once its size is checked against the geometry."""
+    rows, cols = volume.layout.rows, volume.layout.cols
+    esize = volume.element_size
+    stripe_bytes = rows * cols * esize
+    runs = header["stripes"]
+    ledger = header["journal"]
+    payload_cells = 0 if ledger is None else sum(
+        len(entry["cells"]) for entry in ledger["open"]
+    )
+    need = sum(hi - lo for lo, hi in runs) * stripe_bytes \
+        + payload_cells * esize
+    if any(not 0 <= lo < hi <= volume.mapper.num_stripes
+           for lo, hi in runs) or len(body) - at != need:
+        raise PersistenceError(
+            f"{path}: a record holds {len(body) - at} bytes of stripes "
+            f"{runs} and payloads; the geometry expects {need}"
+        )
+    for lo, hi in runs:
+        n = (hi - lo) * stripe_bytes
+        volume._backing[lo * rows:hi * rows] = np.frombuffer(
+            body, np.uint8, n, at
+        ).reshape(-1, cols, esize)
+        at += n
+    if ledger is not None:
+        _restore_ledger(volume, ledger, body, at)
+    failed = set(header["failed"])
+    for disk in volume.disks:
+        disk.state = (
+            DiskState.FAILED if disk.disk_id in failed else DiskState.OK
+        )
+
+
+# -- the journal ledger ----------------------------------------------------------
+
+
+def _ledger(
+    journal: Optional[WriteIntentLog],
+) -> Tuple[Optional[dict], List[np.ndarray]]:
+    """The ledger's header entry and its open intents' redo payloads,
+    one ``(cells, element_size)`` array per intent."""
+    if journal is None:
+        return None, []
+    specs, payloads = [], []
+    for intent in journal.open_intents():
+        spec = {
+            "seq": intent.seq,
+            "stripe": intent.stripe,
+            "cells": [[c.row, c.col] for c in intent.dirty_cells],
+            "old_parity_digest": intent.old_parity_digest,
+            "new_parity_digest": intent.new_parity_digest,
+        }
+        # group-commit framing (docs/robustness.md, "Journal format"):
+        # members of one burst share group_seq, and recovery's joint
+        # verdict needs the frame restored
+        if intent.group is not None:
+            spec["group_seq"] = intent.group.group_seq
+            spec["group_size"] = intent.group.size
+            spec["group_old_digest"] = intent.group.old_digest
+        specs.append(spec)
+        payload = intent.payload()
+        payloads.append(np.stack([payload[c] for c in intent.dirty_cells]))
+    return {"next_seq": journal.next_seq, "open": specs}, payloads
+
+
+def _restore_ledger(volume: RAID6Volume, ledger: dict, body: bytes,
+                    at: int) -> None:
+    """Replace the volume's journal contents with a record's ledger."""
+    if volume.journal is None:
+        volume.journal = WriteIntentLog()
+    esize = volume.element_size
+    # members of one group must share a single GroupFrame object:
+    # recovery matches them by frame identity, not by group_seq
+    frames = {}
+    intents = []
+    for entry in ledger["open"]:
+        cells = [Cell(row, col) for row, col in entry["cells"]]
+        payload = np.frombuffer(
+            body, np.uint8, len(cells) * esize, at
+        ).reshape(len(cells), esize)
+        at += payload.nbytes
+        group = None
+        if "group_seq" in entry:
+            gseq = int(entry["group_seq"])
+            group = frames.get(gseq)
+            if group is None:
+                digest = entry["group_old_digest"]
+                group = frames[gseq] = GroupFrame(
+                    group_seq=gseq,
+                    size=int(entry["group_size"]),
+                    old_digest=None if digest is None else int(digest),
+                )
+        intents.append(WriteIntent(
+            seq=int(entry["seq"]),
+            stripe=int(entry["stripe"]),
+            cells=tuple(
+                (cell, payload[i].copy()) for i, cell in enumerate(cells)
+            ),
+            old_parity_digest=entry["old_parity_digest"],
+            new_parity_digest=entry["new_parity_digest"],
+            group=group,
+        ))
+    volume.journal.restore(intents, int(ledger["next_seq"]))

@@ -223,8 +223,9 @@ class RAID6Volume:
         #: the unjournaled volume.
         self.journal = journal
         #: ChecksumStore restored by :func:`~repro.array.persistence.
-        #: load_volume` from a v2 archive (``None`` otherwise); feed it to
-        #: ``IntegrityChecker(volume, store=...)`` to resume verification.
+        #: load_volume` from an image saved with one (``None``
+        #: otherwise); feed it to ``IntegrityChecker(volume, store=...)``
+        #: to resume verification.
         self.restored_checksums = None
         #: The attached :class:`~repro.array.integrity.IntegrityChecker`
         #: (set by its constructor, cleared by its ``detach()``).  When
@@ -572,7 +573,7 @@ class RAID6Volume:
         """
         if type(count) is not int or \
                 not 0 <= start < start + count <= self.num_elements:
-            self._check_range("read", start, count)
+            count = self._check_range("read", start, count)
         rebuild = self._rebuild
         if self._failed or rebuild is not None and rebuild.active:
             route = ioplan.read_route(self, start, count, self._surface())
@@ -586,16 +587,20 @@ class RAID6Volume:
         ioplan.run_route(self, start, count, route, out=out)
         return out
 
-    def _check_range(self, op: str, start, count) -> None:
-        """Raise unless ``count`` is a positive int and elements ``[start,
-        start + count)`` lie inside the volume: what :meth:`read` and
-        :meth:`write` check, here once their one comparison fails."""
+    def _check_range(self, op: str, start, count) -> int:
+        """Return ``count`` as an int; raise unless it is a positive
+        integer and elements ``[start, start + count)`` lie inside the
+        volume: what :meth:`read` and :meth:`write` check, here once
+        their one comparison fails."""
+        if isinstance(count, np.integer):
+            count = int(count)
         require_positive(count, "count")
         if start < 0 or start + count > self.num_elements:
             raise AddressError(
                 f"{op} [{start}, {start + count}) outside volume of "
                 f"{self.num_elements} elements"
             )
+        return count
 
     def _read_zero_copy(self, stripe: int) -> Optional[np.ndarray]:
         """Zero-copy view of the data of whole ``stripe`` on a healthy

@@ -15,8 +15,9 @@ a stripe with no open intent is untouched, i.e. fully-old) — never a mix.
 
 The log lives in simulated NVRAM: it is plain process memory, survives a
 :class:`~repro.exceptions.SimulatedCrashError` trivially, and round-trips
-through :func:`~repro.array.persistence.save_volume` so a snapshot taken
-mid-campaign remounts identically.
+through a volume image (:func:`~repro.array.persistence.save_volume`,
+whose records carry the whole ledger) so a snapshot taken mid-campaign
+remounts identically.
 
 Crash-point fuzzing hooks into the intent lifecycle via
 :attr:`WriteIntentLog.phase_hook`: the volume announces every protocol
@@ -356,8 +357,8 @@ class WriteIntentLog:
     ) -> None:
         """Reload journal state from a persisted snapshot.
 
-        Used by :func:`~repro.array.persistence.load_volume`; replaces
-        whatever the log currently holds.
+        Used by :func:`~repro.array.persistence.load_volume` for each
+        record it applies; replaces whatever the log currently holds.
         """
         with self._lock:
             require(

@@ -51,9 +51,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.array import RAID6Volume
+from repro.array.persistence import load_volume
 from repro.codes.registry import make_code
 from repro.journal.recovery import recover_on_mount
-from repro.serve.checkpoint import load_shard_state
 from repro.serve.shmring import SHM_PREFIX
 from repro.serve.loadgen import (
     BlockClient,
@@ -336,14 +336,13 @@ def run_serve_chaos(
     result.image_identical = shadow.read(0, n).tobytes() == image
 
     # -- oracle 2: every shard state file reloads to its image slice
-    # (base snapshot + delta-log replay + ack-ledger recovery — the
-    # exact path a restarted worker takes)
+    # (image load + ack-ledger recovery — the exact path a restarted
+    # worker takes)
     per = n // shards
     esize = element_size
     slices_ok = True
     for i in range(shards):
-        state_path = os.path.join(config.state_dir, f"shard-{i}.npz")
-        reloaded, _ = load_shard_state(state_path)
+        reloaded = load_volume(config.shard_spec(i).state_path)
         recover_on_mount(reloaded)
         got = reloaded.read(0, per).tobytes()
         want = image[i * per * esize:(i + 1) * per * esize]

@@ -170,7 +170,7 @@ class ServerConfig:
             write_back=self.write_back,
             durable=self.durable,
             state_path=(
-                os.path.join(state_dir, f"shard-{shard}.npz")
+                os.path.join(state_dir, f"shard-{shard}.img")
                 if self.durable and state_dir is not None else None
             ),
             ring_slots=self.ring_slots,

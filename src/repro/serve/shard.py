@@ -45,8 +45,8 @@ through the very pipe traffic travels on.
 
 With ``durable=True`` the worker acknowledges a writing batch only
 after the :class:`~repro.serve.state.ShardStateStore` checkpoint
-(ack-intent ledger sync + atomic snapshot), so acknowledged writes
-survive ``kill -9``; a restarted worker reloads the snapshot and
+(ack-intent ledger sync + one record appended to its state file), so
+acknowledged writes survive ``kill -9``; a restarted worker reloads it and
 replays the ledger through mount-time journal recovery.
 
 The ``chaos_*`` spec fields are the seeded fault hooks the serving

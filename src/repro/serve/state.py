@@ -1,4 +1,4 @@
-"""Crash-safe shard state: incremental persist + an ack-intent ledger.
+"""Crash-safe shard state: an ack-intent ledger and incremental persist.
 
 A process-backed shard keeps its volume, its write-back cache, and its
 journal in worker memory — a ``kill -9`` vaporizes all three.  The
@@ -16,23 +16,21 @@ routes every acknowledgement through a :class:`ShardStateStore`:
   same NVRAM redo log the volume's write hole protection uses — just
   driven by the cache instead of a stripe write.
 * **incremental persist** — after the ledger is synced, the shard
-  appends one delta record to its sidecar log: the raw images of the
-  stripes dirtied since the last checkpoint plus the full ledger
-  (:mod:`repro.serve.checkpoint`).  The base ``.npz`` snapshot is only
-  rewritten at compaction, so the per-batch durability cost scales
-  with what the batch touched, not with the volume size — this is
-  what keeps the durable-ack overhead inside the committed bench
-  ceiling.
-* **mount-time recovery on restart** — a restarted worker replays base
-  + deltas (:func:`~repro.serve.checkpoint.load_shard_state`) and runs
+  appends one record to its state file, a volume image
+  (:mod:`repro.array.persistence`): the raw images of the stripes
+  dirtied since the last checkpoint plus the whole ledger
+  (:mod:`repro.serve.checkpoint`).  The full image is only rewritten
+  at compaction, so the per-batch durability cost scales with what the
+  batch touched, not with the volume size.
+* **mount-time recovery on restart** — a restarted worker loads the
+  image (:func:`~repro.array.persistence.load_volume`) and runs
   :func:`repro.journal.recovery.recover_on_mount`, which rolls the open
   ack intents forward in sequence order.  The shard comes back with an
   empty cache and a byte-identical acknowledged image.
 
 The persist happens once per acknowledged batch (not per op), so
 cross-batch write coalescing in the cache is preserved — durability
-costs one ledger sync plus one delta append per batch, which the
-serving bench reports against buffered acks under a committed ceiling.
+costs one ledger sync plus one record append per batch.
 """
 
 from __future__ import annotations
@@ -43,12 +41,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.array import RAID6Volume
 from repro.array.cache import StripeCache
+from repro.array.persistence import load_volume
 from repro.journal.intent import WriteIntent, WriteIntentLog
 from repro.journal.recovery import RecoveryReport, recover_on_mount
-from repro.serve.checkpoint import (
-    IncrementalCheckpointer,
-    load_shard_state,
-)
+from repro.serve.checkpoint import IncrementalCheckpointer
 
 
 class ShardStateStore:
@@ -59,9 +55,6 @@ class ShardStateStore:
         path: os.PathLike,
         volume: RAID6Volume,
         cache: Optional[StripeCache],
-        *,
-        compact_every: int = 256,
-        compact_ratio: float = 4.0,
     ) -> None:
         if volume.journal is None:
             raise ValueError(
@@ -73,28 +66,19 @@ class ShardStateStore:
         self.cache = cache
         #: stripe -> the open intent covering its acknowledged dirty cells
         self._acks: Dict[int, WriteIntent] = {}
-        self._engine = IncrementalCheckpointer(
-            volume,
-            self.path,
-            compact_every=compact_every,
-            compact_ratio=compact_ratio,
-        )
+        self._engine = IncrementalCheckpointer(volume, self.path)
         self.persists = 0
 
     # -- introspection ---------------------------------------------------------
 
     @property
     def deltas(self) -> int:
-        """Delta records appended since boot."""
+        """Records appended since boot."""
         return self._engine.deltas
 
     @property
     def compactions(self) -> int:
         return self._engine.compactions
-
-    @property
-    def epoch(self) -> int:
-        return self._engine.epoch
 
     # -- the per-batch acknowledgement barrier ---------------------------------
 
@@ -121,13 +105,12 @@ class ShardStateStore:
                 journal.commit(stale)
 
     def persist(self) -> None:
-        """Append one delta record (or compact) to the state files."""
+        """Append one record (or compact) to the state file."""
         self._engine.checkpoint()
         self.persists += 1
 
     def compact(self) -> None:
-        """Force a compaction: fresh base snapshot, truncated log."""
-        self._engine.tracker.drain()
+        """Force a compaction: the file rewritten as one full record."""
         self._engine.compact()
 
     def checkpoint(self) -> None:
@@ -151,36 +134,24 @@ def build_shard_state(
     """Build (or restore) one shard's volume/cache/state from its spec.
 
     Without a ``state_path`` this is exactly ``spec.build()``.  With
-    one, a fresh boot creates a journaled volume and seeds the first
-    base snapshot; a restart replays base + delta records and the open
-    ack intents through the standard mount-time recovery, so the shard
-    resumes with every acknowledged write in place.
+    one, a fresh boot creates a journaled volume; a restart loads the
+    state file and rolls the open ack intents forward through the
+    standard mount-time recovery, so the shard resumes with every
+    acknowledged write in place.  Either way the store opens by writing
+    the volume as one full record, so a pre-write crash reloads cleanly.
     """
     if spec.state_path is None:
         volume, cache = spec.build()
         return volume, cache, None, None
 
     path = Path(spec.state_path)
-    report = None
-    seeded = path.exists()
-    if seeded:
-        volume, _ = load_shard_state(path)
-        if volume.journal is None:  # pragma: no cover — v1 snapshot
-            volume.journal = WriteIntentLog()
-    else:
-        volume, _ = spec.build()
-        if volume.journal is None:
-            volume.journal = WriteIntentLog()
+    volume = load_volume(path) if path.exists() else spec.build()[0]
+    if volume.journal is None:
+        volume.journal = WriteIntentLog()
     cache = spec.build_cache(volume)
     store = ShardStateStore(path, volume, cache)
-    if seeded:
-        # recovery must run with the dirty-stripe tracker attached (the
-        # store wires it in): the rolled-forward stripes then land in
-        # the next delta record, whose journal section no longer holds
-        # the replayed intents — detached, a crash after that record
-        # would lose the recovered writes
-        report = recover_on_mount(volume)
-    else:
-        # seed the base snapshot so a pre-write crash reloads cleanly
-        store._engine.write_base()
-    return volume, cache, store, report
+    # recovery must run with the dirty-stripe tracker attached (the
+    # store wires it in): the rolled-forward stripes then land in the
+    # next record, whose ledger no longer holds the replayed intents —
+    # detached, a crash after that record would lose the recovered writes
+    return volume, cache, store, recover_on_mount(volume)

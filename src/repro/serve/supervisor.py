@@ -10,8 +10,8 @@ errors, but somebody has to *act* on them — that is the
   which restarts the worker from the (chaos-cleared) spec; the
   coalescer answers the affected ops RETRY once that returns, so by the
   time the client's backoff expires the replacement worker is already
-  serving.  In durable mode the replacement reloads base snapshot +
-  delta log and replays the ack-intent ledger, so no acknowledged write
+  serving.  In durable mode the replacement reloads its state file (a
+  volume image) and replays the ack-intent ledger, so no acknowledged write
   is lost.  The restart also cycles the shard's shared-memory payload
   ring: the parent retires the old segment (unlinked at once, unmapped
   when the last in-flight response slice is released) and the

@@ -279,3 +279,29 @@ class TestValidation:
         cache.write(per + 1, data)
         cache.flush()
         assert np.array_equal(volume.read(per + 1, 3), data)
+
+    def test_numpy_integer_start_keeps_the_write(self):
+        """An integral NumPy start buffers, reads back, destages and
+        evicts like an int (its mask once went NumPy, and the destage
+        that popped it lost the acknowledged write); a float start is
+        refused before anything is buffered."""
+        from repro.codes import make_code
+
+        volume = RAID6Volume(make_code("dcode", 5), num_stripes=4,
+                             element_size=16)
+        cache = StripeCache(volume, 2)
+        data = np.arange(32, dtype=np.uint8).reshape(2, 16)
+        cache.write(np.int64(3), data)
+        assert np.array_equal(cache.read(3, 2), data)
+        assert np.array_equal(cache.read(np.int64(3), np.int64(2)), data)
+        cache.flush()
+        assert cache.dirty_stripes == ()
+        assert np.array_equal(volume.read(3, np.int64(2)), data)
+        per = volume.layout.num_data_cells
+        for stripe in (1, 2, 3):  # the third evicts stripe 1
+            cache.write(np.int64(stripe * per), data)
+        assert cache.dirty_stripes == (2, 3)
+        assert np.array_equal(volume.read(per, 2), data)
+        with pytest.raises(TypeError):
+            cache.write(3.0, data)
+        assert cache.dirty_stripes == (2, 3)

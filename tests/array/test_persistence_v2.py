@@ -1,12 +1,10 @@
-"""Format-v2 persistence: journal + checksum round-trip, v1 compat."""
-
-import json
+"""Volume images carry the journal and the checksum map."""
 
 import numpy as np
 import pytest
 
 from repro.array.integrity import ChecksumStore, IntegrityChecker
-from repro.array.persistence import FORMAT_VERSION, load_volume, save_volume
+from repro.array.persistence import load_volume, save_volume
 from repro.array.volume import RAID6Volume
 from repro.codes.registry import make_code
 from repro.exceptions import SimulatedCrashError
@@ -50,14 +48,10 @@ def intent_facts(journal):
     ]
 
 
-def test_format_version_is_2():
-    assert FORMAT_VERSION == 2
-
-
 def test_mid_campaign_round_trip(tmp_path):
     vol, expect = crashed_volume()
     assert vol.journal.dirty
-    path = save_volume(vol, tmp_path / "vol.npz")
+    path = save_volume(vol, tmp_path / "vol.img")
     loaded = load_volume(path)
     assert loaded.journal is not None
     assert intent_facts(loaded.journal) == intent_facts(vol.journal)
@@ -79,7 +73,7 @@ def test_mid_campaign_round_trip(tmp_path):
 def test_clean_journal_round_trips_empty(tmp_path):
     vol, _ = crashed_volume()
     recover_on_mount(vol)
-    path = save_volume(vol, tmp_path / "vol.npz")
+    path = save_volume(vol, tmp_path / "vol.img")
     loaded = load_volume(path)
     assert loaded.journal is not None
     assert not loaded.journal.dirty
@@ -97,7 +91,7 @@ def test_checksums_round_trip(tmp_path):
     vol.write(0, rng.integers(
         0, 256, (vol.num_elements, ELEMENT_SIZE), dtype=np.uint8
     ))
-    path = save_volume(vol, tmp_path / "vol.npz",
+    path = save_volume(vol, tmp_path / "vol.img",
                        checksums=checker.store)
     loaded = load_volume(path)
     assert isinstance(loaded.restored_checksums, ChecksumStore)
@@ -130,7 +124,7 @@ def test_checksums_round_trip_after_rebuild_and_rot(tmp_path):
     # replace + rebuild a disk: its digests are forgotten and re-recorded
     vol.fail_disk(2)
     vol.start_rebuild(2).run()
-    path = save_volume(vol, tmp_path / "vol.npz", checksums=checker.store)
+    path = save_volume(vol, tmp_path / "vol.img", checksums=checker.store)
     loaded = load_volume(path)
     assert loaded.restored_checksums._sums == checker.store._sums
     resumed = IntegrityChecker(loaded, store=loaded.restored_checksums)
@@ -146,28 +140,7 @@ def test_checksums_round_trip_after_rebuild_and_rot(tmp_path):
 def test_unjournaled_volume_loads_without_journal(tmp_path):
     vol = RAID6Volume(make_code("dcode", 5), num_stripes=2,
                       element_size=ELEMENT_SIZE)
-    path = save_volume(vol, tmp_path / "vol.npz")
+    path = save_volume(vol, tmp_path / "vol.img")
     loaded = load_volume(path)
     assert loaded.journal is None
     assert loaded.restored_checksums is None
-
-
-def test_v1_archive_warns_and_carries_no_journal(tmp_path):
-    vol, _ = crashed_volume()
-    path = save_volume(vol, tmp_path / "vol.npz")
-    # rewrite the archive as v1: strip journal metadata + intent payloads
-    with np.load(path, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        arrays = {
-            k: archive[k] for k in archive.files
-            if k != "meta" and not k.startswith("intent_")
-        }
-    meta["format"] = 1
-    meta.pop("journal", None)
-    meta.pop("checksums", None)
-    v1 = tmp_path / "vol_v1.npz"
-    np.savez_compressed(v1, meta=json.dumps(meta), **arrays)
-    with pytest.warns(UserWarning, match="no write-intent journal"):
-        loaded = load_volume(v1)
-    assert loaded.journal is None
-    assert recover_on_mount(loaded) is None

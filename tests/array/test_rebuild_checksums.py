@@ -76,7 +76,7 @@ class TestRebuildRerecords:
         from repro.array.persistence import load_volume, save_volume
 
         checker = IntegrityChecker(volume)
-        path = tmp_path / "vol.npz"
+        path = tmp_path / "vol.img"
         save_volume(volume, path, checksums=checker.store)
         checker.detach()
         reloaded = load_volume(path)

@@ -230,8 +230,8 @@ class TestPersistenceRoundTrip:
         )
         entries = _entries(layout, rng, stripes=(1, 4, 6), size=32)
         intents = vol.journal.open_group(entries, old_digest=0xCAFE)
-        save_volume(vol, tmp_path / "crashed.npz")
-        loaded = load_volume(tmp_path / "crashed.npz")
+        save_volume(vol, tmp_path / "crashed.img")
+        loaded = load_volume(tmp_path / "crashed.img")
         restored = loaded.journal.open_intents()
         assert [i.seq for i in restored] == [i.seq for i in intents]
         frames = {id(i.group) for i in restored}
@@ -251,7 +251,7 @@ class TestPersistenceRoundTrip:
             journal=WriteIntentLog(),
         )
         vol.journal.open(2, _entries(layout, rng, stripes=(2,), size=32)[0][1])
-        save_volume(vol, tmp_path / "crashed.npz")
-        loaded = load_volume(tmp_path / "crashed.npz")
+        save_volume(vol, tmp_path / "crashed.img")
+        loaded = load_volume(tmp_path / "crashed.img")
         (intent,) = loaded.journal.open_intents()
         assert intent.group is None

@@ -1,25 +1,23 @@
-"""Incremental durable checkpoints: delta replay must be byte-exact.
+"""Incremental durable checkpoints: reloading must be byte-exact.
 
-The engine's contract is simple to state — ``base snapshot + delta
-log`` reloads to exactly the volume image that was checkpointed — and
-everything else (compaction, torn tails, epoch fencing) exists to keep
-that contract through crashes.  The replay test runs the full registry
-× both evaluation primes, because the delta record stores raw stripe
-images whose geometry (columns × rows) differs per code.
+The engine's contract is simple to state — the state file reloads to
+exactly the volume image that was last checkpointed — and everything
+else (compaction, torn tails, the rename) exists to keep that contract
+through crashes.  The replay test runs the full registry × both
+evaluation primes, because a record stores raw stripe images whose
+geometry (columns × rows) differs per code.
 """
 
 import numpy as np
 import pytest
 
 from repro.array import RAID6Volume
+from repro.array import persistence
+from repro.array.persistence import load_volume
 from repro.codes.registry import available_codes, make_code
+from repro.exceptions import SimulatedCrashError
 from repro.journal.intent import WriteIntentLog
-from repro.serve.checkpoint import (
-    DeltaLog,
-    IncrementalCheckpointer,
-    delta_log_path,
-    load_shard_state,
-)
+from repro.serve.checkpoint import IncrementalCheckpointer, delta_log_path
 
 ALL_CODES = sorted(available_codes())
 
@@ -41,24 +39,28 @@ def write_random(volume, rng, start, count):
     volume.write(start, data)
 
 
+def image(volume):
+    return volume._backing.tobytes()
+
+
 class TestDeltaReplayByteExact:
     @pytest.mark.parametrize("code", ALL_CODES)
     @pytest.mark.parametrize("p", [5, 7])
     def test_reload_equals_checkpointed_image(self, tmp_path, code, p):
-        path = tmp_path / "shard.npz"
+        path = tmp_path / "shard.img"
         volume = journaled_volume(code, p)
         engine = IncrementalCheckpointer(volume, path)
-        engine.write_base()
+        full = path.stat().st_size
         rng = np.random.default_rng([17, p])
         n = volume.num_elements
         for k in range(5):
             write_random(volume, rng, (3 * k) % (n - 2), 2)
             engine.checkpoint()
+        assert engine.deltas == 5 and path.stat().st_size > full
         want = volume.read(0, n).tobytes()
         engine.close()
 
-        reloaded, replayed = load_shard_state(path)
-        assert replayed >= 1
+        reloaded = load_volume(path)
         assert reloaded.read(0, n).tobytes() == want
         # parity came back too: every disk byte-identical, scrub clean
         for got, exp in zip(reloaded.disks, volume.disks):
@@ -66,16 +68,14 @@ class TestDeltaReplayByteExact:
         assert reloaded.scrub() == []
 
     def test_reload_without_deltas_is_base_image(self, tmp_path):
-        path = tmp_path / "shard.npz"
+        path = tmp_path / "shard.img"
         volume = journaled_volume("dcode", 5)
         rng = np.random.default_rng(23)
         write_random(volume, rng, 0, 4)
         engine = IncrementalCheckpointer(volume, path)
-        engine.write_base()
         want = volume.read(0, volume.num_elements).tobytes()
         engine.close()
-        reloaded, replayed = load_shard_state(path)
-        assert replayed == 0
+        reloaded = load_volume(path)
         assert reloaded.read(
             0, reloaded.num_elements
         ).tobytes() == want
@@ -85,99 +85,140 @@ class TestCompaction:
     def test_mid_campaign_compaction_resets_log_and_keeps_image(
         self, tmp_path
     ):
-        path = tmp_path / "shard.npz"
+        path = tmp_path / "shard.img"
         volume = journaled_volume("dcode", 7)
         engine = IncrementalCheckpointer(volume, path)
-        engine.write_base()
+        full = path.stat().st_size
         rng = np.random.default_rng(29)
         n = volume.num_elements
         for k in range(4):
             write_random(volume, rng, k, 1)
             engine.checkpoint()
-        assert delta_log_path(path).stat().st_size > 0
-        engine.tracker.drain()
+        assert path.stat().st_size > full
         engine.compact()
-        assert delta_log_path(path).stat().st_size == 0
-        # post-compaction deltas land in the *new* epoch and replay
+        assert path.stat().st_size == full
+        # records appended after the compaction replay on top of it
         for k in range(3):
             write_random(volume, rng, 2 * k, 2)
             engine.checkpoint()
         want = volume.read(0, n).tobytes()
         engine.close()
-        reloaded, _ = load_shard_state(path)
+        reloaded = load_volume(path)
         assert reloaded.read(0, n).tobytes() == want
 
-    def test_stale_epoch_records_are_skipped(self, tmp_path):
-        # a crash between base-replace and log-truncate leaves old-epoch
-        # records behind; replay must fence them out
-        path = tmp_path / "shard.npz"
+    def test_appends_past_the_raw_ratio_compact(self, tmp_path):
+        path = tmp_path / "shard.img"
         volume = journaled_volume("dcode", 5)
         engine = IncrementalCheckpointer(volume, path)
-        engine.write_base()
+        rng = np.random.default_rng(43)
+        # each record holds a whole stripe, a quarter of this volume,
+        # so COMPACT_RATIO images of appends take ~16 records
+        for k in range(40):
+            write_random(volume, rng, (7 * k) % (volume.num_elements - 1),
+                         1)
+            engine.checkpoint()
+        assert engine.compactions >= 1
+        assert engine.appended <= 5 * volume._backing.nbytes
+        want = image(volume)
+        engine.close()
+        assert image(load_volume(path)) == want
+
+    def test_crash_before_the_rename_reloads_the_old_image(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "shard.img"
+        volume = journaled_volume("dcode", 5)
+        engine = IncrementalCheckpointer(volume, path)
         rng = np.random.default_rng(31)
         write_random(volume, rng, 0, 2)
         engine.checkpoint()
-        # simulate the torn compaction: fresh base at epoch+1, log kept
-        engine.epoch += 1
-        engine.write_base()
-        want = volume.read(0, volume.num_elements).tobytes()
-        engine.close()
-        reloaded, replayed = load_shard_state(path)
-        assert replayed == 0    # the old-epoch record was fenced
-        assert reloaded.read(
-            0, reloaded.num_elements
-        ).tobytes() == want
+        acked = path.read_bytes()
+        want = image(volume)
+        write_random(volume, rng, 10, 3)   # never acknowledged
+
+        def crash(src, dst):
+            raise SimulatedCrashError(0)
+
+        monkeypatch.setattr(persistence.os, "replace", crash)
+        with pytest.raises(SimulatedCrashError):
+            engine.compact()
+        assert path.read_bytes() == acked
+        assert image(load_volume(path)) == want
+
+    def test_crash_after_the_rename_reloads_the_new_image(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "shard.img"
+        volume = journaled_volume("dcode", 5)
+        engine = IncrementalCheckpointer(volume, path)
+        rng = np.random.default_rng(33)
+        write_random(volume, rng, 0, 2)
+        engine.checkpoint()
+        write_random(volume, rng, 10, 3)
+        want = image(volume)
+        replace = persistence.os.replace
+
+        def crash(src, dst):
+            replace(src, dst)
+            raise SimulatedCrashError(0)
+
+        monkeypatch.setattr(persistence.os, "replace", crash)
+        with pytest.raises(SimulatedCrashError):
+            engine.compact()
+        assert image(load_volume(path)) == want
+        assert [p.name for p in tmp_path.iterdir()] == ["shard.img"]
 
 
 class TestLogRobustness:
     def test_torn_tail_is_truncated_on_open(self, tmp_path):
-        path = tmp_path / "shard.npz"
+        path = tmp_path / "shard.img"
         volume = journaled_volume("dcode", 5)
         engine = IncrementalCheckpointer(volume, path)
-        engine.write_base()
         rng = np.random.default_rng(37)
         write_random(volume, rng, 0, 2)
         engine.checkpoint()
-        want = volume.read(0, volume.num_elements).tobytes()
+        want = image(volume)
+        good = path.read_bytes()
+        write_random(volume, rng, 12, 2)
+        engine.checkpoint()
         engine.close()
-        log_path = delta_log_path(path)
-        good_size = log_path.stat().st_size
-        # append half a record: a crash mid-append
-        with open(log_path, "ab") as fh:
-            fh.write(b"RDL1\x00\x00\x01\x00garbage")
-        reloaded, replayed = load_shard_state(path)
-        assert replayed == 1
-        assert reloaded.read(
-            0, reloaded.num_elements
-        ).tobytes() == want
-        # reopening for append truncates the torn tail
-        log = DeltaLog(log_path)
-        log.open_append()
-        log.close()
-        assert log_path.stat().st_size == good_size
+        blob = path.read_bytes()
+        # a crash mid-append leaves the last record cut short anywhere:
+        # in its frame, its header, its stripes or its last byte
+        for cut in (1, 9, 40, len(blob) - len(good) - 1):
+            path.write_bytes(blob[:len(good) + cut])
+            reloaded = load_volume(path)
+            assert image(reloaded) == want, cut
+        # reopening drops the torn tail, and later appends replay
+        engine = IncrementalCheckpointer(reloaded, path)
+        assert delta_log_path(path) == path
+        write_random(reloaded, rng, 20, 1)
+        engine.checkpoint()
+        want = image(reloaded)
+        engine.close()
+        assert image(load_volume(path)) == want
 
     def test_open_intents_round_trip_through_delta_log(self, tmp_path):
-        # v2 journal state (open ack intents) must survive base + delta
-        # persistence and come back replayable
+        # open ack intents must survive the appended records and come
+        # back replayable
         from repro.journal.recovery import recover_on_mount
 
         from repro.array.cache import StripeCache
 
-        path = tmp_path / "shard.npz"
+        path = tmp_path / "shard.img"
         volume = journaled_volume("dcode", 5)
         cache = StripeCache(volume, 2)
         engine = IncrementalCheckpointer(volume, path)
-        engine.write_base()
         rng = np.random.default_rng(41)
         data = rng.integers(0, 256, (2, 16), dtype=np.uint8)
         cache.write(0, data)              # acked but not destaged
         for stripe, items in cache.dirty_snapshot().items():
             volume.journal.open(stripe, items)
-        write_random(volume, rng, 8, 1)   # dirty a stripe so a delta
-        engine.checkpoint()               # record is appended
+        write_random(volume, rng, 8, 1)   # dirty a stripe too
+        engine.checkpoint()
         engine.close()
 
-        reloaded, _ = load_shard_state(path)
+        reloaded = load_volume(path)
         intents = reloaded.journal.open_intents()
         assert len(intents) == 1
         report = recover_on_mount(reloaded)

@@ -12,8 +12,8 @@ import asyncio
 
 import numpy as np
 
+from repro.array.persistence import load_volume
 from repro.journal.recovery import recover_on_mount
-from repro.serve.checkpoint import load_shard_state
 from repro.serve.protocol import OP_WRITE, ST_OK
 from repro.serve.server import BlockServer, ServerConfig, make_backends
 from repro.serve.shard import ProcessShard
@@ -92,7 +92,7 @@ class TestProcessDurableDrain:
         per = server.router.elements_per_shard
         volumes = []
         for i in range(config.shards):
-            volume, _ = load_shard_state(tmp_path / f"shard-{i}.npz")
+            volume = load_volume(tmp_path / f"shard-{i}.img")
             recover_on_mount(volume)
             volumes.append(volume)
         for start, payload in writes:

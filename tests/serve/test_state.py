@@ -10,7 +10,7 @@ from repro.serve.state import ShardStateStore, build_shard_state
 def durable_spec(tmp_path, **kw):
     return ShardSpec(
         code="dcode", p=5, num_stripes=8, element_size=32,
-        durable=True, state_path=str(tmp_path / "shard.npz"),
+        durable=True, state_path=str(tmp_path / "shard.img"),
         cache_stripes=4, **kw,
     )
 
@@ -52,7 +52,7 @@ class TestLedgerDiscipline:
         )
         volume, cache = spec.build()
         with pytest.raises(ValueError, match="journaled"):
-            ShardStateStore(tmp_path / "s.npz", volume, cache)
+            ShardStateStore(tmp_path / "s.img", volume, cache)
 
 
 class TestCrashSafePersist:
@@ -75,7 +75,7 @@ class TestCrashSafePersist:
     def test_fresh_boot_seeds_snapshot(self, tmp_path):
         spec = durable_spec(tmp_path)
         build_shard_state(spec)
-        assert (tmp_path / "shard.npz").exists()
+        assert (tmp_path / "shard.img").exists()
 
     def test_persist_leaves_no_temp_droppings(self, tmp_path):
         spec = durable_spec(tmp_path)
@@ -84,33 +84,38 @@ class TestCrashSafePersist:
         store.checkpoint()
         leftovers = [
             p.name for p in tmp_path.iterdir()
-            if p.name not in ("shard.npz", "shard.dlog")
+            if p.name != "shard.img"
         ]
         assert leftovers == []
 
     def test_checkpoint_appends_deltas_not_full_snapshots(self, tmp_path):
         spec = durable_spec(tmp_path)
         _, cache, store, _ = build_shard_state(spec)
-        base_mtime = (tmp_path / "shard.npz").stat().st_mtime_ns
+        state = tmp_path / "shard.img"
+        inode, full = state.stat().st_ino, state.stat().st_size
         rng = np.random.default_rng(11)
         for k in range(4):
             cache.write(k, wbytes(rng, 1))
+            size = state.stat().st_size
             store.checkpoint()
+            # one record appended in place, smaller than the full image
+            assert 0 < state.stat().st_size - size < full
         assert store.deltas == 4
         assert store.compactions == 0
-        # the base snapshot is not rewritten per batch any more
-        assert (tmp_path / "shard.npz").stat().st_mtime_ns == base_mtime
+        assert state.stat().st_ino == inode
 
     def test_compaction_rewrites_base_and_truncates_log(self, tmp_path):
         spec = durable_spec(tmp_path)
         volume, cache, store, _ = build_shard_state(spec)
         rng = np.random.default_rng(13)
         data = wbytes(rng, 8)
+        state = tmp_path / "shard.img"
         cache.write(0, data)
         store.checkpoint()
-        assert (tmp_path / "shard.dlog").stat().st_size > 0
+        appended = state.stat().st_size
         store.compact()
         assert store.compactions == 1
-        assert (tmp_path / "shard.dlog").stat().st_size == 0
+        # one full record (now carrying the open ack intent), no appends
+        assert state.stat().st_size < appended
         volume2, _, _, _ = build_shard_state(spec)
         np.testing.assert_array_equal(volume2.read(0, 8), data)

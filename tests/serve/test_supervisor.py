@@ -214,7 +214,7 @@ class TestDurableRestart:
     def test_acked_writes_survive_kill(self, tmp_path):
         spec = ShardSpec(
             code="dcode", p=5, num_stripes=8, element_size=32,
-            durable=True, state_path=str(tmp_path / "shard.npz"),
+            durable=True, state_path=str(tmp_path / "shard.img"),
             cache_stripes=4,
         )
         sup = SupervisedShard(spec, max_restarts=4)
@@ -235,7 +235,7 @@ class TestDurableRestart:
     def test_unacked_batch_lost_acked_batch_kept(self, tmp_path):
         # kill mid-batch: nothing from the dying batch was acked, so
         # the restarted shard must show exactly the earlier acked state
-        state = str(tmp_path / "shard.npz")
+        state = str(tmp_path / "shard.img")
         spec = ShardSpec(
             code="dcode", p=5, num_stripes=8, element_size=32,
             durable=True, state_path=state, cache_stripes=4,
