@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from repro.codes import make_code
-from repro.codes.cauchy_rs import CauchyRSRAID6
 from repro.codes.liberation import LiberationCode
-from repro.codes.reed_solomon import ReedSolomonRAID6
+from repro.codes.linear import CauchyRSRAID6, ReedSolomonRAID6
 from repro.codec.decoder import ChainDecoder
 from repro.codec.encoder import StripeCodec
 from repro.codec.gauss import GaussianDecoder

@@ -9,7 +9,7 @@ introduction frames.
 """
 
 from repro.codes import make_code
-from repro.codes.lrc import LocalReconstructionCode
+from repro.codes.linear import LocalReconstructionCode
 from repro.codes.weaver import WeaverCode
 from repro.recovery.planner import hybrid_plan
 

@@ -31,14 +31,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ParityGroup", "RDP", "XCode", "available_codes", "disks_for",
         "make_code",
     ),
-    "repro.codes.bitmatrix_code": ("BitmatrixRAID6",),
-    "repro.codes.cauchy_rs": ("CauchyRSRAID6",),
     "repro.codes.liberation": ("LiberationCode",),
-    "repro.codes.lrc": ("LocalReconstructionCode",),
+    "repro.codes.linear": (
+        "BitmatrixRAID6", "CauchyRSRAID6", "GeneralReedSolomon",
+        "LocalReconstructionCode", "ReedSolomonRAID6",
+    ),
     "repro.codes.weaver": ("WeaverCode",),
     "repro.codes.pcode": ("PCode",),
-    "repro.codes.reed_solomon": ("ReedSolomonRAID6",),
-    "repro.codes.rs_general": ("GeneralReedSolomon",),
     "repro.codes.shorten": ("make_shortened", "shorten"),
     "repro.codec": ("ChainDecoder", "GaussianDecoder", "StripeCodec"),
     "repro.exceptions": (

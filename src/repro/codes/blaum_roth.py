@@ -5,7 +5,7 @@ codes.  The construction works over the polynomial ring
 ``R = GF(2)[x] / M_p(x)`` with ``M_p(x) = 1 + x + … + x^{p-1}`` (``p``
 prime): each element is a ``w = p-1``-bit ring symbol, P is the plain sum
 and ``Q = Σ x^i · d_i``.  Multiplication by ``x^i`` is a GF(2) linear map,
-so the code drops straight into :class:`~repro.codes.bitmatrix_code.
+so the code drops straight into :class:`~repro.codes.linear.
 BitmatrixRAID6`: ``X_i = B^i`` where ``B`` is the multiplication-by-``x``
 matrix (a down-shift whose overflow folds ``x^w = 1 + x + … + x^{w-1}``
 back in).  MDS holds because ``x^a + x^b`` is invertible in ``R`` for
@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.codes.bitmatrix_code import BitmatrixRAID6
+from repro.codes.linear import BitmatrixRAID6
 from repro.util.validation import require, require_prime
 
 
@@ -60,10 +60,5 @@ class BlaumRothCode(BitmatrixRAID6):
     def __init__(
         self, p: int, k: Optional[int] = None, element_size: int = 4096
     ) -> None:
-        matrices = blaum_roth_matrices(p, k)
-        w = p - 1
-        require(element_size % w == 0,
-                f"element_size must be a multiple of w={w}, "
-                f"got {element_size}")
-        super().__init__(matrices, element_size)
+        super().__init__(blaum_roth_matrices(p, k), element_size)
         self.p = p

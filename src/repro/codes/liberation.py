@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from repro.codes.bitmatrix_code import BitmatrixRAID6
+from repro.codes.linear import BitmatrixRAID6
 from repro.util.validation import require, require_prime
 
 
@@ -65,12 +65,7 @@ class LiberationCode(BitmatrixRAID6):
     """Liberation RAID-6 codec: ``k`` data disks + P + Q, ``w`` prime."""
 
     def __init__(self, w: int, k: int = None, element_size: int = 4096) -> None:
-        matrices = liberation_matrices(w, k)
-        # element_size must split into w packets; round the caller up
-        require(element_size % w == 0,
-                f"element_size must be a multiple of w={w}, "
-                f"got {element_size}")
-        super().__init__(matrices, element_size)
+        super().__init__(liberation_matrices(w, k), element_size)
 
     def achieves_minimum_density(self) -> bool:
         """Whether this instance meets the ``kw + k - 1`` bound (it does

@@ -29,10 +29,14 @@ def _build_tables() -> tuple:
             x ^= PRIMITIVE_POLY
     # duplicate so exp[log a + log b] never needs a modulo
     exp[255:510] = exp[:255]
-    return exp, log
+    # the full product table: mul[a, b] = a * b (zero row and column)
+    mul = exp[(log[:, None] + log[None, :]) % 255]
+    mul[0, :] = 0
+    mul[:, 0] = 0
+    return exp, log, mul
 
 
-_EXP, _LOG = _build_tables()
+_EXP, _LOG, _MUL = _build_tables()
 
 
 class GF256:
@@ -41,6 +45,8 @@ class GF256:
     order = 256
     exp_table = _EXP
     log_table = _LOG
+    #: ``mul_table[a]`` is the 256-entry lookup row ``b -> a * b``.
+    mul_table = _MUL
 
     @staticmethod
     def add(a: int, b: int) -> int:
@@ -92,25 +98,7 @@ class GF256:
         """
         if block.dtype != np.uint8:
             raise TypeError(f"block must be uint8, got {block.dtype}")
-        if coef == 0:
-            if out is None:
-                return np.zeros_like(block)
-            out[:] = 0
-            return out
-        if coef == 1:
-            if out is None:
-                return block.copy()
-            np.copyto(out, block)
-            return out
-        shift = int(_LOG[coef])
-        table = _EXP[shift: shift + 256].copy()
-        table[0] = 0  # log table is undefined at 0; 0 * coef == 0
-        # build the full multiplication row: table[b] = coef * b
-        bvals = np.arange(256)
-        nz = bvals != 0
-        row = np.zeros(256, dtype=np.uint8)
-        row[nz] = _EXP[(shift + _LOG[bvals[nz]]) % 255]
-        result = row[block]
+        result = _MUL[coef][block]
         if out is None:
             return result
         np.copyto(out, result)
@@ -119,10 +107,4 @@ class GF256:
     @staticmethod
     def mul_row_table(coef: int) -> np.ndarray:
         """The 256-entry lookup row ``row[b] = coef * b`` (for caching)."""
-        row = np.zeros(256, dtype=np.uint8)
-        if coef == 0:
-            return row
-        shift = int(_LOG[coef])
-        bvals = np.arange(1, 256)
-        row[1:] = _EXP[(shift + _LOG[bvals]) % 255]
-        return row
+        return _MUL[coef].copy()

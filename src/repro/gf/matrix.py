@@ -1,16 +1,20 @@
 """Dense matrix algebra over GF(2^8).
 
 Matrices are small (erasure-decoding systems are at most a few dozen rows),
-so clarity wins over vectorisation here; the per-*byte* hot path lives in
-:meth:`repro.gf.gf256.GF256.mul_block`, not in these matrix helpers.
+so clarity wins over vectorisation in the products; :func:`gf256_solve`
+is the one GF(2^8) elimination, shared by every matrix codec's decoder.
 Matrices are ``uint8`` numpy 2-D arrays.
 """
 
 from __future__ import annotations
 
+from typing import List, Optional, Sequence
+
 import numpy as np
 
 from repro.gf.gf256 import GF256
+
+_MUL = GF256.mul_table
 
 
 def gf256_identity(n: int) -> np.ndarray:
@@ -37,36 +41,37 @@ def gf256_matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return gf256_matmul(a, v.reshape(-1, 1)).reshape(-1)
 
 
-def gf256_matinv(a: np.ndarray) -> np.ndarray:
-    """Invert a square matrix over GF(2^8) by Gauss–Jordan elimination.
+def gf256_solve(
+    matrix: np.ndarray, rhs: Sequence[np.ndarray]
+) -> Optional[List[np.ndarray]]:
+    """Solve ``matrix @ x = rhs`` over GF(2^8) with buffer-valued unknowns.
 
-    Raises :class:`ValueError` when the matrix is singular — for an MDS
-    generator matrix this signals a bug, not a data condition.
+    ``matrix`` is ``(equations, unknowns)``; ``rhs`` is one uint8 buffer
+    per equation, all the same length, combined bytewise.  Gauss–Jordan
+    elimination runs the same row operations over the coefficients and
+    the buffers at once.  Returns one buffer per unknown, or ``None`` when
+    the system is rank deficient; equations beyond the rank are not
+    checked.  The rows of the identity as right-hand sides yield the
+    decoding matrix ``D`` with ``x[c] = sum_r D[c, r] * rhs[r]``.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    work = a.astype(np.uint8).copy()
-    inv = gf256_identity(n)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r, col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix over GF(256)")
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        scale = GF256.inv(int(work[col, col]))
-        for j in range(n):
-            work[col, j] = GF256.mul(int(work[col, j]), scale)
-            inv[col, j] = GF256.mul(int(inv[col, j]), scale)
-        for r in range(n):
-            if r == col or not work[r, col]:
-                continue
-            factor = int(work[r, col])
-            for j in range(n):
-                work[r, j] ^= GF256.mul(factor, int(work[col, j]))
-                inv[r, j] ^= GF256.mul(factor, int(inv[col, j]))
-    return inv
+    a = np.asarray(matrix, dtype=np.uint8)
+    rows, cols = a.shape
+    if len(rhs) != rows:
+        raise ValueError(f"need {rows} right-hand sides, got {len(rhs)}")
+    if not rows:
+        return [] if not cols else None
+    work = np.hstack([a, np.asarray(rhs, dtype=np.uint8).reshape(rows, -1)])
+    for col in range(cols):
+        below = np.flatnonzero(work[col:, col])
+        if not below.size:
+            return None
+        pivot = col + int(below[0])
+        work[[col, pivot]] = work[[pivot, col]]
+        work[col] = _MUL[GF256.inv(int(work[col, col]))][work[col]]
+        for r in np.flatnonzero(work[:, col]):
+            if r != col:
+                work[r] ^= _MUL[work[r, col]][work[col]]
+    return list(work[:cols, cols:])
 
 
 def vandermonde(rows: int, cols: int) -> np.ndarray:

@@ -5,8 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codes.cauchy_rs import CauchyRSRAID6
-from repro.codes.reed_solomon import ReedSolomonRAID6
+from repro.codes.linear import CauchyRSRAID6
 from repro.exceptions import FaultToleranceExceeded, GeometryError
 
 

@@ -5,14 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codes.bitmatrix_code import BitmatrixRAID6
 from repro.codes.liberation import (
     LiberationCode,
     liberation_matrices,
     minimum_density,
     shift_matrix,
 )
-from repro.exceptions import FaultToleranceExceeded, GeometryError
+from repro.codes.linear import BitmatrixRAID6
+from repro.exceptions import DecodeError, FaultToleranceExceeded, GeometryError
 
 
 class TestConstruction:
@@ -135,6 +135,18 @@ class TestGenericBitmatrix:
         eye = np.eye(4, dtype=bool)
         codec = BitmatrixRAID6([eye, eye.copy()], element_size=8)
         assert not codec.is_mds()
+
+    def test_data_disk_lost_with_p_needs_invertible_q(self):
+        # every data pair decodes here, but disk 0 lost with P leaves only
+        # its Q matrix, which is zero: not MDS, and decode refuses
+        codec = BitmatrixRAID6(
+            [np.zeros((5, 5), dtype=bool), np.eye(5, dtype=bool)],
+            element_size=20,
+        )
+        assert not codec.is_mds()
+        assert not codec.is_decodable([0, 2])
+        with pytest.raises(DecodeError):
+            codec.decode(codec.encode(np.ones((2, 20), np.uint8)), [0, 2])
 
     def test_density_counts_ones(self):
         eye = np.eye(4, dtype=bool)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codes.lrc import LocalReconstructionCode
+from repro.codes.linear import LocalReconstructionCode
 from repro.exceptions import DecodeError, GeometryError
 
 
@@ -104,6 +104,10 @@ class TestMultiFailure:
         assert not azure.is_decodable(lost)
         with pytest.raises(DecodeError):
             azure.decode(stripe.copy(), lost)
+
+    def test_not_mds(self, azure):
+        assert not azure.is_mds()
+        assert azure.is_decodable([0, 6, 14, 15])
 
     def test_mixed_three_in_one_group(self, azure, stripe):
         """Three data losses in one group: local parity + 2 globals."""

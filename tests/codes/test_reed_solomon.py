@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codes.reed_solomon import ReedSolomonRAID6
+from repro.codes.linear import ReedSolomonRAID6
 from repro.exceptions import FaultToleranceExceeded, GeometryError
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.codes import make_code
 from repro.codes.registry import available_codes
-from repro.codes.reed_solomon import ReedSolomonRAID6
+from repro.codes.linear import ReedSolomonRAID6
 from repro.codec.decoder import ChainDecoder
 from repro.codec.encoder import StripeCodec
 from repro.codec.gauss import GaussianDecoder

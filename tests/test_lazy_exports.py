@@ -34,7 +34,7 @@ def test_protocol_import_loads_no_other_layer():
         print(json.dumps(sorted(m for m in sys.modules if "repro" in m)))
     """)
     assert "repro.serve.protocol" in loaded
-    for absent in ("repro.perf", "repro.iosim", "repro.codes.cauchy_rs",
+    for absent in ("repro.perf", "repro.iosim", "repro.codes.linear",
                    "repro.array.volume", "repro.serve.server"):
         assert absent not in loaded, loaded
 
