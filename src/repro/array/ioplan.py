@@ -200,12 +200,19 @@ def _plan(cells: CellSet, xor: XorPlan, **fields) -> Plan:
 
 
 class PlanCache:
-    """LRU of compiled plans, one per volume (nothing is built eagerly)."""
+    """LRU of compiled plans, one per volume (nothing is built eagerly).
+
+    Threads sharing the volume plan concurrently.  A hit takes no lock:
+    the lookup and the ``move_to_end`` that keeps the LRU order are each
+    one atomic ``OrderedDict`` operation under the GIL (keys are tuples
+    of strings, ints, ``None``, ranges and tuples, hashed and compared
+    in C), and a hit whose entry an eviction took between the two is a
+    miss.  Inserts and evictions hold the lock, and a full cache evicts
+    before it inserts, so it never holds more than :data:`MAX_PLANS`.
+    """
 
     def __init__(self) -> None:
         self._plans: "OrderedDict[tuple, object]" = OrderedDict()
-        # threads sharing the volume plan concurrently; a hit racing an
-        # eviction must not lose its entry between lookup and touch
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -217,15 +224,19 @@ class PlanCache:
         A compiler may return ``None`` (pattern the executor does not
         serve); that verdict is cached like a plan.
         """
-        with self._lock:
-            if key in self._plans:
-                self._plans.move_to_end(key)
-                return self._plans[key]
+        plans = self._plans
+        try:
+            plan = plans[key]
+            plans.move_to_end(key)
+            return plan
+        except KeyError:
+            pass
         plan = compile_(*args)
         with self._lock:
-            self._plans[key] = plan
-            if len(self._plans) > MAX_PLANS:
-                self._plans.popitem(last=False)
+            # evict first: a reader's len() never sees the cap exceeded
+            if key not in plans and len(plans) >= MAX_PLANS:
+                plans.popitem(last=False)
+            plans[key] = plan
         return plan
 
 
@@ -731,7 +742,7 @@ def _route(volume, name: str, kind: str, start, count, surface) -> Route:
     if surface.rebuilding or volume.mapper.rotate and surface.failed:
         return _compile_route(volume, kind, start, count, surface)
     return volume._ioplans.get(
-        (name, start % volume.layout.num_data_cells, count, surface.failed),
+        (name, start % volume._per, count, surface.failed),
         _compile_route, volume, kind, start, count, surface,
     )
 

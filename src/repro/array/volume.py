@@ -645,16 +645,15 @@ class RAID6Volume:
         executor thread against a foreground write to the same stripe.
         Every write (:meth:`write`, and the cache's destage entries
         :meth:`_write_rest` and :meth:`_full_stripe_write_batched`)
-        takes its stripes' locks here once.
+        takes its stripes' locks here once; a write or burst of one
+        stripe takes that stripe's lock alone (:meth:`_stripe_lock`).
         """
         locks = self._stripe_locks
         n = len(locks)
-        if type(stripes) is range and 0 < len(stripes) < n:
-            # consecutive stripes (a write's route): one lock, itself; a
-            # slice of the locks; or two slices where the indices wrap
+        if type(stripes) is range and 1 < len(stripes) < n:
+            # consecutive stripes (a write's route): a slice of the
+            # locks, or two slices where the indices wrap
             first, last = stripes[0] % n, stripes[-1] % n
-            if first == last:
-                return locks[first]
             if first < last:
                 return _Held(locks[first:last + 1])
             return _Held(locks[:last + 1] + locks[first:])
@@ -691,9 +690,9 @@ class RAID6Volume:
         per = self._per
         surface = self._surface()
         route = ioplan.write_route(self, start, count, surface)
-        with self._locked_stripes(
-            range(start // per, (start + count - 1) // per + 1)
-        ):
+        first, last = start // per, (start + count - 1) // per
+        with self._stripe_lock(first) if first == last else \
+                self._locked_stripes(range(first, last + 1)):
             fresh = self._fresh(surface)
             if fresh is not surface:
                 surface = fresh

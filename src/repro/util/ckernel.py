@@ -24,7 +24,10 @@ protocol, so a call costs a few hundred nanoseconds of marshalling:
   lock)`` runs a whole :mod:`repro.array.ioplan` plan over a vector of
   stripes (``stripes`` an ``int64`` array, or ``None`` for ``first`` on)
   straight against a volume's flat backing store: gather the plan's rows
-  the deltas and the program read, fold the new data into deltas, run
+  the deltas and the program read, fold the new data into deltas — where
+  the gathered rows feed only the deltas (every healthy RMW, and a
+  degraded one whose dirty cells are all live) nothing is gathered and
+  each delta is folded straight from its backing row — run
   the plan's XOR program, test each delta row for zero a word at a time,
   XOR each non-zero delta into its backing row in place (only rows that
   changed are stored), and pick the rows a read wants, a rebuild the
@@ -284,6 +287,13 @@ static int64_t *plan_scratch(const int64_t *geom, const int64_t *plan)
  * written; a cell is counted read when fetch[j] is set or it was
  * written.  Last, rows pick[] go to `out`.
  *
+ * When the gathered rows feed only the deltas — no items, no pick,
+ * gather == m and a program that starts at or past them: every healthy
+ * RMW, and a degraded one whose dirty cells are all live — nothing is
+ * gathered: delta i is folded straight from its backing row,
+ * backing[at[i]] ^ v[keep[i]].  Every delta is folded before the first
+ * store, so `v` may still alias the stripe's own backing rows.
+ *
  * counts   2 * cols words, added to: reads per disk, then writes. */
 static void plan_stripe(const int64_t *geom, const int64_t *plan,
                         int64_t stripe, const uint8_t *v, uint8_t *out,
@@ -301,6 +311,8 @@ static void plan_stripe(const int64_t *geom, const int64_t *plan,
     uint8_t *scratch = (uint8_t *)(at + g);
     uint8_t *delta = scratch + plan[H_DELTA] * es;
     int64_t *reads = counts, *writes = counts + cols;
+    const int fold = k == 0 && nout == 0 && gather == m
+                     && plan[H_BASE] >= gather;
     for (int64_t j = 0; j < g; ++j) {
         int64_t row = stripe * stride + flat[j];
         if (rotate) {
@@ -308,14 +320,16 @@ static void plan_stripe(const int64_t *geom, const int64_t *plan,
             row += (col + stripe) % cols - col;
         }
         at[j] = row;
-        if (j < gather)
+        if (j < gather && !fold)
             memcpy(scratch + j * es, backing + row * es, (size_t)es);
     }
     for (int64_t q = 0; q < k; ++q)
         memcpy(scratch + (plan[H_VALUES] + q) * es, v + items[q] * es,
                (size_t)es);
-    for (int64_t i = 0; i < m; ++i)
-        xor2(delta + i * es, scratch + i * es, v + keep[i] * es, es);
+    for (int64_t i = 0; i < m; ++i) {
+        const uint8_t *was = fold ? backing + at[i] * es : scratch + i * es;
+        xor2(delta + i * es, was, v + keep[i] * es, es);
+    }
     run_program(scratch + plan[H_BASE] * es, es, prog, plan[H_PLEN]);
     for (int64_t j = 0; j < g; ++j) {
         int64_t disk = at[j] % cols, hit = fetch[j];

@@ -268,6 +268,22 @@ def _sweep_mirror(layout, image, failed=(), **kwargs) -> Mirror:
     return mirror
 
 
+def _write_own_rows(mirror: Mirror, shadow, stripe: int, mask: int) -> None:
+    """One ``_write_rest`` bucket of data cells ``mask`` on ``stripe``,
+    its row a view of each volume's own backing rows of ``stripe`` from
+    the second on: a lone bucket's values are read in place, so the RMW
+    reads its values from rows it also stores to.  ``shadow`` takes the
+    values the rows held before."""
+    layout, per = mirror.layout, mirror.per
+    first = stripe * layout.rows * layout.cols + 1
+    values = mirror.kernel._flat_backing[first:first + per].copy()
+    mirror.each(lambda v: v._write_rest(
+        [(stripe, v._flat_backing[first:first + per], mask)]
+    ))
+    for j in ioplan.set_bits(mask):
+        shadow[stripe * per + j] = values[j]
+
+
 class TestKernelReads:
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -389,7 +405,7 @@ class TestKernelWrites:
     @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_every_short_write_every_failure(
-        self, code_name, p, kernel_writes
+        self, code_name, p, kernel_writes, kernel_runs
     ):
         """Healthy, every column failed — at p = 5 every pair of columns
         too — and the ranges that run every plan of a short write
@@ -402,7 +418,9 @@ class TestKernelWrites:
         partial stripes have an RMW plan each and, with a failed disk,
         that cover no whole stripe; the others' routes have no words and
         are walked in numpy.  Only EVENODD at p = 5 has short writes
-        with no plan: it rebuilds some lost old values algebraically."""
+        with no plan: it rebuilds some lost old values algebraically.
+        Then a one-bucket ``_write_rest`` from each data cell, its values
+        the stripe's own backing rows (:func:`_write_own_rows`)."""
         layout = make_code(code_name, p)
         per = layout.num_data_cells
         total = 3 * per
@@ -447,6 +465,15 @@ class TestKernelWrites:
                 shadow[start:start + count] = data
                 served = routed and xor_kernel() is not None
                 assert kernel_writes == ([kernel] if served else [])
+            ran = kernel_runs.count(kernel)
+            for j0 in range(per):
+                n = min(1 + j0 % 4, per - j0)
+                mask = (1 << j0 + n) - (1 << j0)
+                if j0 % 3 == 2 and j0 + n + 1 < per:
+                    mask |= 1 << j0 + n + 1  # a gap
+                _write_own_rows(mirror, shadow, j0 % 3, mask)
+            if xor_kernel() is not None and not failed:
+                assert kernel_runs.count(kernel) - ran == per
             assert np.array_equal(mirror.read(0, total), shadow)
         assert bool(unplanned) == (code_name == "evenodd" and p == 5)
 
