@@ -13,10 +13,12 @@ measurements of the code path a consumer actually runs.
 import numpy as np
 
 from repro.analysis.figures import fig7_degraded_read
-from repro.array import RAID6Volume, ioplan
+from repro.array import RAID6Volume
 from repro.codes import make_code
 from repro.iosim.engine import AccessEngine
 from repro.util.ckernel import xor_kernel
+
+from tests.oracles.diff import kernel_calls
 
 from .conftest import CODES, PRIMES, format_series_table, write_result
 
@@ -55,14 +57,7 @@ def test_fig7_batched_volume_matches_model(monkeypatch):
     """Planned degraded reads issue exactly the model's per-disk I/O —
     on the path the benchmark times: with the C kernel, each read is one
     ``route_exec`` call following its route of read plans."""
-    served = []
-    route_exec = ioplan._route_exec
-
-    def spy(volume, start, count, route, values, out):
-        served.append(volume)
-        return route_exec(volume, start, count, route, values, out)
-
-    monkeypatch.setattr(ioplan, "_route_exec", spy)
+    served = kernel_calls(monkeypatch, "route_exec")
     num_stripes = 16
     for code in CODES:
         layout = make_code(code, 7)

@@ -54,8 +54,9 @@ Every plan that gathers, XORs, then stores or picks — an RMW, a read
 that rebuilds a cell, a column rebuild, a stripe load — is one
 :class:`Plan` record with two interpreters, run by :func:`_execute`:
 while the volume admits it (``RAID6Volume._kernel`` — quiet disks,
-nobody observing the funnels) the C kernel's ``plan_exec`` runs the
-record's words (:func:`repro.util.ckernel.pack_plan`) over the whole
+nobody observing the funnels — returns the volume's one kernel handle,
+the C kernel's extension module bound when the volume was built) the
+handle's ``plan_exec`` runs the record's words (:func:`repro.util.ckernel.pack_plan`) over the whole
 vector of stripes and its counts land in the disks' counters in one
 step; otherwise :func:`_plan_run` follows ``plan_exec`` step for step
 in numpy, through the funnels.
@@ -63,10 +64,9 @@ in numpy, through the funnels.
 One level up, every read and write of a logical range is one
 :class:`Route` — its runs, each walked, run through its read or RMW
 plan, or (a write's whole stripes) copied into the data cells, encoded
-and stored — with two interpreters, run by :func:`run_route`: the C
-kernel's ``route_exec`` where the volume admits it
-(:func:`_route_exec`; a healthy read's route is the bare walk of the
-range), otherwise :func:`_route_walk`, its numpy twin, run by run
+and stored — with two interpreters, run by :func:`run_route`: the
+handle's ``route_exec`` where the volume admits it (a healthy read's
+route is the bare walk of the range), otherwise :func:`_route_walk`, its numpy twin, run by run
 through :func:`_execute` and the funnels.  Healthy and unrotated, a run
 of whole stripes is one contiguous slab of the backing store and is
 encoded there — in C each stripe copied and encoded while it is in
@@ -639,30 +639,24 @@ def _execute(
     over ``stripes`` with ``values`` (``(stripes, rows, element_size)``,
     each stripe's rows that ``keep`` and ``items`` index), picking into
     ``out`` (``(stripes * len(pick), element_size)``): one ``plan_exec``
-    call while the volume admits it, otherwise :func:`_plan_run`.
+    call on the volume's kernel handle while it admits it — which adds
+    its counts to the disks' counters — otherwise :func:`_plan_run`.
     Returns the cells that failed to read, by stripe index (never any in
     the kernel)."""
-    run = volume._kernel(plan.cells.mask, failed)
-    if run is None:
+    c = volume._kernel(plan.cells.mask, failed)
+    if c is None:
         return _plan_run(volume, plan, stripes, values, out)
-    if values is not None:
-        values = np.ascontiguousarray(values)
-    _kernel_run(volume, run, plan.packed, stripes, values, out)
-    return {}
-
-
-def _kernel_run(
-    volume, run, packed: Packed, stripes: Sequence[int],
-    values: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
-) -> None:
-    """One ``plan_exec`` call of ``packed`` over ``stripes`` — a
-    ``range`` or one stripe go by their first number, any other vector
-    as an array — which adds its counts to the disks' counters."""
+    # a ``range`` or one stripe go by their first number, any other
+    # vector as an array
     vector = None
     if type(stripes) is not range and len(stripes) > 1:
         vector = np.array(stripes, dtype=np.int64)
-    run(volume._geometry.address, packed.address, stripes[0], vector,
-        len(stripes), values, out, volume._io, volume._io_lock)
+    if values is not None:
+        values = np.ascontiguousarray(values)
+    c.plan_exec(volume._geometry.address, plan.packed.address, stripes[0],
+                vector, len(stripes), values, out, volume._io,
+                volume._io_lock)
+    return {}
 
 
 class Route(NamedTuple):
@@ -710,7 +704,7 @@ def _compile_route(volume, kind: str, start: int, count: int, surface):
     ``count`` elements from ``start`` on ``surface``."""
     per = volume.layout.num_data_cells
     runs, mask = [], 0
-    words = ckernel.xor_kernel() is not None
+    words = volume._c is not None
     for s0, stripes, j0, n, _ in volume.mapper.split(start, count):
         for lo, hi, stale in stale_runs(
             volume, surface, range(s0, s0 + stripes)
@@ -767,22 +761,16 @@ def run_route(
     write of ``values`` or a read into ``out`` (``(count,
     element_size)``; ``values`` must not alias the backing store, and
     the caller holds a write's stripe locks): one ``route_exec`` call
-    where it has words and ``RAID6Volume._kernel`` admits it, else
-    :func:`_route_walk`."""
-    if (route.packed is not None or not route.runs) and \
-            volume._kernel(route.mask, route.failed) is not None:
-        _route_exec(volume, start, count, route, values, out)
-    else:
+    where it has words and ``RAID6Volume._kernel`` admits it — which
+    adds its counts to the disks' counters — else :func:`_route_walk`."""
+    c = volume._kernel(route.mask, route.failed) \
+        if route.packed is not None or not route.runs else None
+    if c is None:
         _route_walk(volume, start, count, route, values, out)
-
-
-def _route_exec(volume, start: int, count: int, route: Route, values, out):
-    """One ``route_exec`` call along ``route`` — ``values`` the rows a
-    write stores, ``out`` the rows a read fills — which adds its counts
-    to the disks' counters."""
+        return
     if values is not None:
         values = np.ascontiguousarray(values)
-    volume._route_exec(
+    c.route_exec(
         volume._geometry.address, start, count,
         None if route.packed is None else route.packed.address,
         values, out, volume._io, volume._io_lock,

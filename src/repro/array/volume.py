@@ -36,7 +36,10 @@ call instead — same bytes, same counts: a partial write, a read that
 rebuilds a cell, a stripe load or a rebuild as its plan, a write or a
 degraded read along its route of plans (a write's whole stripes copied
 and encoded in place), and a healthy read with no plan at all, the
-kernel walking the logical range straight into the answer.
+kernel walking the logical range straight into the answer.  The volume
+binds its one kernel handle when it is built: the extension module (or
+``None`` without a compiler) and the backing store's geometry, packed
+once.
 
 Any stripe that has lost more than the code tolerates raises a typed
 :class:`~repro.exceptions.UnrecoverableStripeError` naming the stripe,
@@ -86,10 +89,6 @@ from repro.faults.policy import ErrorCounters, ErrorPolicy, HealEvent
 from repro.journal.intent import WriteIntent, WriteIntentLog
 from repro.util import ckernel
 from repro.util.validation import require, require_positive
-
-
-#: ``RAID6Volume._plan_exec`` before its first lookup.
-_UNLOADED = object()
 
 
 class _Surface(NamedTuple):
@@ -207,12 +206,6 @@ class RAID6Volume:
         self._mask_lock = threading.Lock()
         for disk in self.disks:
             disk.watch = self._disk_changed
-        #: The C kernel's ``plan_exec`` (``None``: the numpy executor
-        #: only; ``route_exec`` then never runs either), looked up with
-        #: the packed geometry by the first operation that may run in it
-        #: (:meth:`_load_kernel`).
-        self._plan_exec = _UNLOADED
-        self._kernel_lock = threading.Lock()
         # a rotated plan's columns move from disk to disk: any disk counts
         self._spread = (1 << layout.cols) - 1 if rotate else 0
         self.policy = policy if policy is not None else ErrorPolicy()
@@ -286,6 +279,18 @@ class RAID6Volume:
         self._row_major_data = all(
             cell.row == idx // layout.cols and cell.col == idx % layout.cols
             for idx, cell in enumerate(layout.data_cells)
+        )
+        #: The C kernel's extension module, whose ``plan_exec`` and
+        #: ``route_exec`` run where :meth:`_kernel` admits an op
+        #: (``None``: the numpy executor only), and the backing store's
+        #: geometry they read, packed once for the volume's life.
+        self._c = ckernel.xor_kernel()
+        cols = layout.cols
+        self._geometry = ckernel.pack_geometry(
+            self._flat_backing, layout.rows * cols, cols, rotate,
+            self._data_rows * cols + self._data_cols,
+            [len(layout.cells_in_column(col)) for col in range(cols)],
+            self.codec.plans.encode.program,
         )
 
     # -- basic properties ---------------------------------------------------
@@ -400,9 +405,11 @@ class RAID6Volume:
         :meth:`~repro.faults.health.RebuildCursor.step` or
         :meth:`~repro.faults.health.RebuildCursor.run`.
         """
+        require(0 <= disk < len(self.disks), f"no disk {disk}")
         require(self.disks[disk].failed, f"disk {disk} is not failed")
         require(self._rebuild is None or not self._rebuild.active,
                 "a rebuild is already in progress")
+        cursor = RebuildCursor(self, disk, batch=batch)  # checks the batch
         self.disks[disk].replace()
         if self.integrity is not None:
             # the platters just became a blank replacement: drop the old
@@ -411,7 +418,6 @@ class RAID6Volume:
             # fresh ones — a scrub right after rebuild reports zero
             # false positives
             self.integrity.on_disk_replaced(disk)
-        cursor = RebuildCursor(self, disk, batch=batch)
         self._rebuild = cursor
         return cursor
 
@@ -453,8 +459,9 @@ class RAID6Volume:
         or repairs it.
         """
         require(0 <= disk < len(self.disks), f"no disk {disk}")
-        offset = stripe * self.layout.rows + row
-        self.disks[disk].mark_bad(offset)
+        require(0 <= stripe < self.mapper.num_stripes, f"no stripe {stripe}")
+        require(0 <= row < self.layout.rows, f"no row {row}")
+        self.disks[disk].mark_bad(stripe * self.layout.rows + row)
 
     def _chunks(self) -> Iterable[range]:
         """The volume in runs of :data:`~repro.array.ioplan.RUN_CHUNK`
@@ -961,12 +968,11 @@ class RAID6Volume:
         )
 
     def _kernel(self, cols: int, failed: Tuple[int, ...]):
-        """``plan_exec`` when an operation over layout columns ``cols``
-        (a bitmask) — a plan, or a read's route (healthy: the data
-        columns) — keyed for the ``failed`` disks of the op's surface,
-        may run
-        inside the C kernel, else ``None``: then the numpy executor
-        runs it through the two funnels.
+        """The kernel handle (:attr:`_c`) when an operation over layout
+        columns ``cols`` (a bitmask) — a plan, or a read's route
+        (healthy: the data columns) — keyed for the ``failed`` disks of
+        the op's surface, may run inside the C kernel, else ``None``:
+        then the numpy executor runs it through the two funnels.
 
         The kernel gathers and stores vectors and counts them, nothing
         else, so it stands down whenever a funnel would do more — a disk
@@ -976,7 +982,7 @@ class RAID6Volume:
         hook; an :class:`~repro.array.integrity.IntegrityChecker` is
         attached (verified loads); anything observes the store funnel
         (:attr:`_observers` — the checker, the serving layer's
-        dirty-stripe tracker) — and when no kernel is loaded."""
+        dirty-stripe tracker) — and when the volume has no kernel."""
         if (
             (self._hooks | self._latent) & (cols | self._spread)
             or self._failed != failed
@@ -985,31 +991,7 @@ class RAID6Volume:
             or self.journal is not None and self.journal.phase_hook is not None
         ):
             return None
-        run = self._plan_exec
-        return self._load_kernel() if run is _UNLOADED else run
-
-    def _load_kernel(self):
-        """Pack the backing store for the kernel, then resolve
-        ``route_exec`` and ``plan_exec`` (in that order: a thread that
-        sees ``plan_exec`` resolved finds the rest) — once, under a
-        lock: threads racing to the first kernel call must not replace
-        the geometry words a call already running is reading."""
-        with self._kernel_lock:
-            if self._plan_exec is not _UNLOADED:
-                return self._plan_exec
-            layout = self.layout
-            cols = layout.cols
-            self._geometry = ckernel.pack_geometry(
-                self._flat_backing, layout.rows * cols, cols,
-                self.mapper.rotate, self._data_rows * cols + self._data_cols,
-                [len(layout.cells_in_column(col)) for col in range(cols)],
-                self.codec.plans.encode.program,
-            )
-            kernel = ckernel.xor_kernel()
-            if kernel is not None:
-                self._route_exec = kernel.route_exec
-            self._plan_exec = None if kernel is None else kernel.plan_exec
-            return self._plan_exec
+        return self._c
 
     def _read_rows(
         self,

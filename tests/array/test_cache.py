@@ -9,6 +9,8 @@ from repro.codes import DCode
 from repro.exceptions import AddressError
 from repro.util.ckernel import xor_kernel
 
+from tests.oracles.diff import Spied
+
 
 @pytest.fixture
 def volume():
@@ -224,17 +226,16 @@ class TestSlab:
             for stripe, (slot, mask) in cache._dirty.items()
         }
         calls = []
-        plan_exec = volume._load_kernel()
 
-        def spy(geom, plan, first, stripes, batch, values, *rest):
-            calls.append((first, batch, values))
-            return plan_exec(geom, plan, first, stripes, batch, values,
-                             *rest)
+        def spy(name, vol, call, args):
+            if name == "plan_exec":  # first stripe, stripes, values
+                calls.append((args[2], args[4], args[5]))
+            return call(*args)
 
         def numpy_run(*args, **kwargs):
             raise AssertionError("a quiet destage ran in numpy")
 
-        monkeypatch.setattr(volume, "_plan_exec", spy)
+        volume._c = Spied(volume._c, volume, spy)
         monkeypatch.setattr(ioplan, "_plan_run", numpy_run)
         shadow = cache.read(0, volume.num_elements)
         cache.flush()

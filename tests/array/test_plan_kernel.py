@@ -24,7 +24,6 @@ import itertools
 import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -42,23 +41,23 @@ from repro.util import ckernel
 from repro.util.ckernel import xor_kernel
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
-from tests.oracles.diff import Mirror
+from tests.oracles.diff import Mirror, kernel_calls, spy_kernel
 
 ES = 32
 STRIPES = 8
 
-needs_kernel = pytest.mark.skipif(xor_kernel() is None, reason="no C kernel")
+#: the C kernel is built
+KERNEL = xor_kernel() is not None
+needs_kernel = pytest.mark.skipif(not KERNEL, reason="no C kernel")
 
 
-def _spy(monkeypatch, name, keep=None):
-    """The volume of every call of ``ioplan.<name>`` — of those whose
-    other arguments ``keep`` accepts — in order."""
+def _spy(monkeypatch, name):
+    """The volume of every call of ``ioplan.<name>``, in order."""
     calls = []
     inner = getattr(ioplan, name)
 
     def spy(volume, *args, **kwargs):
-        if keep is None or keep(*args, **kwargs):
-            calls.append(volume)
+        calls.append(volume)
         return inner(volume, *args, **kwargs)
 
     monkeypatch.setattr(ioplan, name, spy)
@@ -68,22 +67,20 @@ def _spy(monkeypatch, name, keep=None):
 @pytest.fixture
 def kernel_runs(monkeypatch):
     """The volume of every C kernel plan run (``plan_exec``), in order."""
-    return _spy(monkeypatch, "_kernel_run")
+    return kernel_calls(monkeypatch, "plan_exec")
 
 
 @pytest.fixture
 def kernel_reads(monkeypatch):
     """The volume of every C kernel read (``route_exec``), in order."""
-    return _spy(monkeypatch, "_route_exec",
-                lambda start, count, route, values, out: values is None)
+    return kernel_calls(monkeypatch, "route_exec", writes=False)
 
 
 @pytest.fixture
 def kernel_writes(monkeypatch):
     """The volume of every C kernel write along a route (``route_exec``),
     in order."""
-    return _spy(monkeypatch, "_route_exec",
-                lambda start, count, route, values, out: values is not None)
+    return kernel_calls(monkeypatch, "route_exec", writes=True)
 
 
 @pytest.fixture
@@ -163,7 +160,7 @@ class TestEngineDifferential:
             mirror.write(
                 4 * per + j, rng.integers(0, 256, (2, ES), dtype=np.uint8)
             )
-        if xor_kernel() is not None and on_failed:
+        if KERNEL and on_failed:
             # lost dirty cells, in C: a plan run, or a route unrotated
             assert len(kernel_runs) + len(kernel_writes) > runs
         _stream(mirror, rng, 25)
@@ -177,11 +174,9 @@ class TestEngineDifferential:
         assert mirror.scrub() == []
         for volume in (numpy, mirror.hooked):
             assert volume not in kernel_runs and volume not in kernel_writes
-        if xor_kernel() is not None:
+        if KERNEL:
             assert kernel_runs.count(kernel) > 0
             assert kernel in kernel_writes  # rotated too
-
-
 
 
 def _fail_source(volume, stripe, disk):
@@ -221,7 +216,7 @@ class TestRebuildPlan:
             del kernel_runs[:]
             mirror.rebuild(disk, batch=3)
             assert mirror.numpy not in kernel_runs
-            if xor_kernel() is not None:
+            if KERNEL:
                 assert mirror.kernel in kernel_runs
             assert np.array_equal(mirror.read(0, STRIPES * per), image)
         mirror.retire()
@@ -312,7 +307,7 @@ class TestKernelReads:
             expected += not (zero_copy and aligned)
         assert np.array_equal(mirror.read(0, total), image)
         assert kernel_reads == [kernel] * len(kernel_reads)
-        if xor_kernel() is not None:
+        if KERNEL:
             assert len(kernel_reads) == expected + 1
 
 
@@ -355,7 +350,7 @@ class TestDegradedKernelReads:
                 algebraic += not served
                 assert kernel_reads == ([kernel] if served else [])
                 assert walks == (walked if served else [kernel] + walked)
-        if xor_kernel() is not None:
+        if KERNEL:
             # EVENODD decodes some double failures algebraically
             assert bool(algebraic) == (code_name == "evenodd" and p == 5)
 
@@ -463,7 +458,7 @@ class TestKernelWrites:
                 del kernel_writes[:]
                 mirror.write(start, data)
                 shadow[start:start + count] = data
-                served = routed and xor_kernel() is not None
+                served = routed and KERNEL
                 assert kernel_writes == ([kernel] if served else [])
             ran = kernel_runs.count(kernel)
             for j0 in range(per):
@@ -472,7 +467,7 @@ class TestKernelWrites:
                 if j0 % 3 == 2 and j0 + n + 1 < per:
                     mask |= 1 << j0 + n + 1  # a gap
                 _write_own_rows(mirror, shadow, j0 % 3, mask)
-            if xor_kernel() is not None and not failed:
+            if KERNEL and not failed:
                 assert kernel_runs.count(kernel) - ran == per
             assert np.array_equal(mirror.read(0, total), shadow)
         assert bool(unplanned) == (code_name == "evenodd" and p == 5)
@@ -484,7 +479,7 @@ class TestKernelWrites:
         volume = RAID6Volume(make_code("dcode", 5), num_stripes=2,
                              element_size=ES)
         if not kernel:
-            volume._plan_exec = None
+            volume._c = None
         with pytest.raises(ValueError) as empty_read:
             volume.read(3, 0)
         with pytest.raises(ValueError) as empty_write:
@@ -539,21 +534,16 @@ class TestKernelWrites:
         del clobber
 
 
-def _threads(volume, jobs):
-    """Run every job list on a thread of its own, started together, with
-    a short switch interval; every thread must finish, and read back
-    what it wrote."""
+def _together(run, jobs):
+    """``run(job)`` for every job on a thread of its own, started
+    together, with a short switch interval; every thread must finish."""
     barrier = threading.Barrier(len(jobs))
-    misread = []
 
-    def run(ops):
+    def start(job):
         barrier.wait(timeout=30)
-        for start, data in ops:
-            volume.write(start, data)
-            if not np.array_equal(volume.read(start, len(data)), data):
-                misread.append(start)
+        run(job)
 
-    threads = [threading.Thread(target=run, args=(ops,)) for ops in jobs]
+    threads = [threading.Thread(target=start, args=(job,)) for job in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -564,6 +554,20 @@ def _threads(volume, jobs):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+
+
+def _threads(volume, jobs):
+    """Every job list on a thread of its own (:func:`_together`): each
+    thread must read back what it wrote."""
+    misread = []
+
+    def run(ops):
+        for start, data in ops:
+            volume.write(start, data)
+            if not np.array_equal(volume.read(start, len(data)), data):
+                misread.append(start)
+
+    _together(run, jobs)
     assert misread == []
 
 
@@ -628,25 +632,13 @@ def _race(volume, pool, rounds, jobs):
     ``n`` rows of ``pool`` from row ``k + i % 16`` at ``start`` for each
     ``(start, n, k)``, round ``i`` — then every stripe scrubs clean and
     each range holds its last round's rows."""
-    barrier = threading.Barrier(len(jobs))
 
     def run(writes):
-        barrier.wait(timeout=30)
         for i in range(rounds):
             for start, n, k in writes:
                 volume.write(start, pool[k + i % 16:k + i % 16 + n])
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in jobs]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    _together(run, jobs)
     assert volume.scrub() == []
     last = (rounds - 1) % 16
     for writes in jobs:
@@ -656,36 +648,25 @@ def _race(volume, pool, rounds, jobs):
             )
 
 
-def test_threads_racing_to_the_first_call_pack_one_geometry(monkeypatch):
-    """Threads whose first operations on a fresh volume race into
-    ``_load_kernel`` pack its geometry once: a second packing would
-    free the words a kernel call already running reads."""
+def test_the_geometry_is_packed_once_at_construction(monkeypatch):
+    """A volume packs its geometry for the kernel once, in its
+    constructor: four threads racing its first writes and reads pack
+    none, so no kernel call reads words a second packing replaced."""
     packed = []
     pack = ckernel.pack_geometry
 
-    def slow_pack(*args):
+    def spy(*args):
         packed.append(threading.get_ident())
-        time.sleep(0.05)  # the GIL released: the other threads run
         return pack(*args)
 
-    monkeypatch.setattr(ckernel, "pack_geometry", slow_pack)
+    monkeypatch.setattr(ckernel, "pack_geometry", spy)
     volume = RAID6Volume(make_code("dcode", 5), num_stripes=4,
                          element_size=ES)
-    barrier = threading.Barrier(4)
-    loaded = []
-
-    def first_call():
-        barrier.wait(timeout=30)
-        loaded.append(volume._kernel(1, ()))
-
-    threads = [threading.Thread(target=first_call) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(packed) == 1
-    assert len(loaded) == 4 and len({id(run) for run in loaded}) == 1
+    assert packed == [threading.get_ident()]
+    data = np.full((3, ES), 5, np.uint8)
+    per = volume.layout.num_data_cells
+    _threads(volume, [[(t * per + 1, data)] for t in range(4)])
+    assert packed == [threading.get_ident()]
 
 
 def _threaded_counts(kernel_runs, kernel_reads, kernel_writes, failed=None):
@@ -745,12 +726,12 @@ class TestStandDown:
         volume.write(0, np.ones((volume.num_elements, ES), np.uint8))
         return volume
 
-    def _ran(self, volume, kernel_calls, fill=2, n=3):
+    def _ran(self, volume, calls, fill=2, n=3):
         """Whether a short write to stripe 0 ran in the kernel, as
-        ``kernel_calls`` spies on it: a plan run or a route."""
-        del kernel_calls[:]
+        ``calls`` spies on it: a plan run or a route."""
+        del calls[:]
         volume.write(6, np.full((n, ES), fill, np.uint8))
-        return volume in kernel_calls
+        return volume in calls
 
     def _read_ran(self, volume, kernel_reads, n=3):
         """Whether a short read of stripe 0 ran in the kernel."""
@@ -778,12 +759,8 @@ class TestStandDown:
         assert not self._ran(volume, kernel_runs)
         assert not self._read_ran(volume, kernel_reads)
         setattr(volume.disks[touched], attr, None)
-        assert self._ran(volume, kernel_writes, 3) == (
-            xor_kernel() is not None
-        )
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._ran(volume, kernel_writes, 3) == KERNEL
+        assert self._read_ran(volume, kernel_reads) == KERNEL
 
     @needs_kernel
     def test_hook_elsewhere(
@@ -816,12 +793,8 @@ class TestStandDown:
         per = volume.layout.num_data_cells
         volume.write(3 * per, np.zeros((per, ES), np.uint8))  # remaps it
         assert not volume.disks[col].bad_sectors
-        assert self._ran(volume, kernel_writes, 3) == (
-            xor_kernel() is not None
-        )
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._ran(volume, kernel_writes, 3) == KERNEL
+        assert self._read_ran(volume, kernel_reads) == KERNEL
 
     def test_phase_hook(
         self, volume, kernel_runs, kernel_reads, kernel_writes
@@ -831,12 +804,8 @@ class TestStandDown:
         assert not self._read_ran(volume, kernel_reads)
         volume.journal.phase_hook = None
         # journaled: the write's route runs in the kernel
-        assert self._ran(volume, kernel_writes, 3) == (
-            xor_kernel() is not None
-        )
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._ran(volume, kernel_writes, 3) == KERNEL
+        assert self._read_ran(volume, kernel_reads) == KERNEL
 
     @pytest.mark.parametrize("verify_reads", (False, True))
     def test_integrity_checker_attached(
@@ -851,9 +820,7 @@ class TestStandDown:
         volume.read(5, 4)  # a read plan rebuilding cell 7
         assert volume not in kernel_runs
         checker.detach()
-        assert self._ran(volume, kernel_writes, 3) == (
-            xor_kernel() is not None
-        )
+        assert self._ran(volume, kernel_writes, 3) == KERNEL
 
     def test_dirty_stripe_tracker_attached(
         self, volume, kernel_runs, kernel_reads, kernel_writes
@@ -863,12 +830,8 @@ class TestStandDown:
         assert not self._read_ran(volume, kernel_reads)
         assert tracker.drain() == {0}
         tracker.detach()
-        assert self._ran(volume, kernel_writes, 3) == (
-            xor_kernel() is not None
-        )
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._ran(volume, kernel_writes, 3) == KERNEL
+        assert self._read_ran(volume, kernel_reads) == KERNEL
 
     def test_disk_failed_behind_the_surface(
         self, volume, monkeypatch, kernel_reads
@@ -880,13 +843,13 @@ class TestStandDown:
         nothing), and the read after it takes a fresh surface and,
         degraded, runs in the kernel."""
         stores = []  # per kernel plan run: whether it had values to store
-        inner = ioplan._kernel_run
 
-        def spy(volume, run, packed, stripes, values=None, out=None):
-            stores.append(values is not None)
-            return inner(volume, run, packed, stripes, values, out)
+        def spy(name, vol, call, args):
+            if name == "plan_exec":
+                stores.append(args[-4] is not None)
+            return call(*args)
 
-        monkeypatch.setattr(ioplan, "_kernel_run", spy)
+        spy_kernel(monkeypatch, spy)
         per = volume.layout.num_data_cells
         row = np.full((per, ES), 9, np.uint8)
         surface = volume._surface()
@@ -894,9 +857,9 @@ class TestStandDown:
         volume.disks[dead].fail()
         del kernel_reads[:]
         ioplan.rmw(volume, [(2, row, 0b111)], surface)
-        assert stores == ([False] if xor_kernel() is not None else [])
+        assert stores == ([False] if KERNEL else [])
         assert np.array_equal(volume.read(2 * per, 3), row[:3])
-        assert (volume in kernel_reads) == (xor_kernel() is not None)
+        assert (volume in kernel_reads) == KERNEL
 
     def test_rebuild_in_flight(self, volume, kernel_reads):
         """A failed disk alone leaves reads in the kernel, and so does a
@@ -904,25 +867,19 @@ class TestStandDown:
         ahead of it the disk is stale, so the route is built for the op,
         its runs cut where the stale columns change."""
         volume.fail_disk(0)
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._read_ran(volume, kernel_reads) == KERNEL
         cursor = volume.start_rebuild(0, batch=1)
         cursor.step()  # stripe 0, the one read, is rebuilt
         assert cursor.covers(0) and not cursor.covers(1)
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._read_ran(volume, kernel_reads) == KERNEL
         del kernel_reads[:]
         assert np.array_equal(
             volume.read(3, volume.num_elements - 3),
             np.ones((volume.num_elements - 3, ES)),
         )
-        assert kernel_reads == ([volume] if xor_kernel() else [])
+        assert kernel_reads == ([volume] if KERNEL else [])
         cursor.run()
-        assert self._read_ran(volume, kernel_reads) == (
-            xor_kernel() is not None
-        )
+        assert self._read_ran(volume, kernel_reads) == KERNEL
         assert np.array_equal(
             volume.read(0, volume.num_elements),
             np.ones((volume.num_elements, ES)),
@@ -950,7 +907,7 @@ class TestStandDown:
             assert (volume in kernel_reads) != (volume in walks)
             return volume in kernel_reads
 
-        assert ran() == (xor_kernel() is not None)
+        assert ran() == KERNEL
         if case == "fault_hook":
             volume.disks[touched].fault_hook = lambda d, op, offset: None
         elif case == "latent":
@@ -969,7 +926,7 @@ class TestStandDown:
             monkeypatch.setattr(volume, "_surface", lambda: surface)
         else:
             volume.start_rebuild(lost, batch=1).step()
-        assert ran() == (case == "rebuild" and xor_kernel() is not None)
+        assert ran() == (case == "rebuild" and KERNEL)
 
     @pytest.mark.parametrize("case", (
         "fault_hook", "latent", "phase_hook", "integrity", "tracker",
@@ -996,7 +953,7 @@ class TestStandDown:
             assert (volume in kernel_writes) != (volume in walks)
             return volume in kernel_writes
 
-        assert ran(volume) == (xor_kernel() is not None)
+        assert ran(volume) == KERNEL
         if case == "fault_hook":
             volume.disks[touched].fault_hook = lambda d, op, offset: None
         elif case == "latent":
@@ -1025,7 +982,7 @@ class TestStandDown:
             assert np.shares_memory(data, volume._backing)
         assert ran(volume) == (
             case in ("rebuild", "rotated", "journal", "aliased")
-            and xor_kernel() is not None
+            and KERNEL
         )
         if case == "behind":
             monkeypatch.undo()

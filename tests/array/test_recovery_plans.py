@@ -27,7 +27,7 @@ from tests.array.test_plan_kernel import (  # noqa: F401 — a fixture
     ES, _spy, kernel_runs, needs_kernel,
 )
 from tests.conftest import ALL_ARRAY_CODES
-from tests.oracles.diff import Mirror
+from tests.oracles.diff import Mirror, kernel_calls
 
 STRIPES = 6
 
@@ -135,7 +135,7 @@ def test_quiet_scrub_and_double_rebuild_run_in_the_kernel(monkeypatch):
     """A quiet scrub and a quiet double-failure rebuild are ``plan_exec``
     calls, never the numpy interpreter; an attached integrity checker
     (verified loads, a store observer) makes both stand down."""
-    kernel_runs = _spy(monkeypatch, "_kernel_run")
+    kernel_runs = kernel_calls(monkeypatch, "plan_exec")
     numpy_runs = _spy(monkeypatch, "_plan_run")
     mirror, image = _mirror("dcode", 7, False)
     volume = mirror.kernel

@@ -48,7 +48,7 @@ from repro.util.ckernel import xor_kernel
 
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES, bucket
 from tests.oracles import walk
-from tests.oracles.diff import Mirror, draw
+from tests.oracles.diff import Mirror, draw, spy_kernel
 
 ES = 32
 STRIPES = 16
@@ -151,27 +151,17 @@ def spy_stores(volume, monkeypatch):
         funnel(self, at, data)
 
     monkeypatch.setattr(RAID6Volume, "_store_rows", spy)
-    kernel_run = ioplan._kernel_run
 
-    def kernel_spy(vol, run, packed, stripes, values=None, out=None):
+    def kernel_spy(name, vol, call, args):
         written = int(vol._io[1].sum())
-        kernel_run(vol, run, packed, stripes, values, out)
-        if vol is volume and values is not None:
-            stores.append((int(vol._io[1].sum()) - written, True))
-
-    route_exec = ioplan._route_exec
-
-    def route_spy(vol, start, count, route, values, out):
-        written = int(vol._io[1].sum())
-        route_exec(vol, start, count, route, values, out)
-        if vol is volume and values is not None:
+        call(*args)
+        if vol is volume and args[-4] is not None:
             stores.append((int(vol._io[1].sum()) - written, True))
 
     def per_disk(*args, **kwargs):
         raise AssertionError("a planned store went disk by disk")
 
-    monkeypatch.setattr(ioplan, "_kernel_run", kernel_spy)
-    monkeypatch.setattr(ioplan, "_route_exec", route_spy)
+    spy_kernel(monkeypatch, kernel_spy)
     monkeypatch.setattr(SimDisk, "write_block", per_disk)
     return stores
 
@@ -180,21 +170,21 @@ def spy_stores(volume, monkeypatch):
 def xor_batches(monkeypatch):
     """Batch size of every plan execution, in order, on whichever engine
     ran it: a numpy ``XorPlan.execute_batch`` call, or one C kernel run
-    of a whole plan (``ioplan._kernel_run``)."""
+    of a whole plan (``plan_exec``)."""
     sizes = []
     execute_batch = XorPlan.execute_batch
-    kernel_run = ioplan._kernel_run
 
     def spy(plan, scratch):
         sizes.append(len(scratch))
         return execute_batch(plan, scratch)
 
-    def kernel_spy(volume, run, packed, stripes, *args, **kwargs):
-        sizes.append(len(stripes))
-        return kernel_run(volume, run, packed, stripes, *args, **kwargs)
+    def kernel_spy(name, volume, call, args):
+        if name == "plan_exec":
+            sizes.append(args[4])  # the number of stripes
+        return call(*args)
 
     monkeypatch.setattr(XorPlan, "execute_batch", spy)
-    monkeypatch.setattr(ioplan, "_kernel_run", kernel_spy)
+    spy_kernel(monkeypatch, kernel_spy)
     return sizes
 
 
@@ -1112,13 +1102,13 @@ def test_head_and_tail_write_moves_the_payload_once():
 
 
 class TestPlanCache:
-    """On the numpy executor (``_plan_exec = None``) a healthy read walks
+    """On the numpy executor (``_c = None``) a healthy read walks
     its route of read plans, so read patterns fill the cache like write
     ones: a plan and the route that runs it."""
 
     def test_one_plan_for_one_pattern_on_every_stripe(self, layout):
         volume = RAID6Volume(layout, num_stripes=256, element_size=ES)
-        volume._plan_exec = None
+        volume._c = None
         per = layout.num_data_cells
         data = np.ones((4, ES), dtype=np.uint8)
         for stripe in range(256):
@@ -1142,7 +1132,7 @@ class TestPlanCache:
         monkeypatch.setattr(ioplan, "MAX_PLANS", 40)
         layout = make_code("dcode", 13)
         volume = RAID6Volume(layout, num_stripes=2, element_size=8)
-        volume._plan_exec = None
+        volume._c = None
         per = layout.num_data_cells
         for j0 in range(per - 3):
             for n in (1, 2, 3):

@@ -3,8 +3,8 @@
 Whatever the volume carries — a fault hook, a latent sector, a
 dirty-stripe tracker, an integrity checker, a journal — and whether it
 rotates or has a rebuild in flight, ``RAID6Volume.read`` and ``write``
-hand their logical range to one route, run once: by ``route_exec``
-(``ioplan._route_exec``) where the C kernel admits it, else by its numpy
+hand their logical range to one route, run once: by ``route_exec`` on
+the volume's kernel handle where the C kernel admits it, else by its numpy
 twin ``ioplan._route_walk``.  Nothing in ``volume.py`` splits a range
 itself.  :class:`~tests.oracles.diff.Mirror` holds each op on the
 kernel volume to the numpy volume, the per-element one and (but past a
@@ -27,7 +27,7 @@ from repro.codes import make_code
 from repro.journal import WriteIntentLog
 
 from tests.array.test_plan_kernel import ES
-from tests.oracles.diff import Mirror
+from tests.oracles.diff import Mirror, spy_kernel
 
 CASES = (
     "fault_hook", "latent", "tracker", "integrity", "journal", "rotate",
@@ -40,13 +40,16 @@ def dispatch(monkeypatch):
     """``(volume, interpreter)`` of every route run — or ``"view"``, a
     read handed out as a zero-copy view — in order; and every
     ``mapper.split`` call made from ``volume.py`` fails the test."""
-    calls = []
-    for name in ("_route_walk", "_route_exec"):
-        def spy(volume, *args, _inner=getattr(ioplan, name), _name=name):
-            calls.append((volume, _name))
-            return _inner(volume, *args)
+    calls, walk = [], ioplan._route_walk
 
-        monkeypatch.setattr(ioplan, name, spy)
+    def record(name, volume, call, args):
+        if name != "plan_exec":
+            calls.append((volume, name))
+        return call(*args)
+
+    monkeypatch.setattr(ioplan, "_route_walk", lambda *args: record(
+        "_route_walk", args[0], walk, args))
+    spy_kernel(monkeypatch, record)
     zero_copy = RAID6Volume._read_zero_copy
 
     def view(volume, *args):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.array import RAID6Volume
-from repro.codes import make_code
 from repro.exceptions import AddressError, FaultToleranceExceeded
 
 
@@ -114,6 +113,28 @@ class TestRebuild:
     def test_rebuild_requires_failed_disk(self, volume):
         with pytest.raises(ValueError):
             volume.replace_and_rebuild(0)
+
+    def test_start_rebuild_checks_before_it_replaces(self, volume, rng):
+        """A batch below one or a negative disk raises before the failed
+        disk is swapped for a blank one: still degraded, bytes intact."""
+        data = random_payload(rng, volume)
+        volume.write(0, data)
+        last = len(volume.disks) - 1
+        volume.fail_disk(last)
+        for disk, batch in ((last, 0), (-1, 8)):
+            with pytest.raises(ValueError):
+                volume.start_rebuild(disk, batch=batch)
+            assert volume.failed_disks == (last,)
+            assert np.array_equal(volume.read(0, volume.num_elements), data)
+        volume.replace_and_rebuild(last)
+        assert volume.scrub() == []
+
+    def test_latent_error_address_checked(self, volume):
+        rows = volume.layout.rows
+        for stripe, row in ((0, rows), (0, -1), (4, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                volume.inject_latent_error(0, stripe, row)
+        assert not any(disk.bad_sectors for disk in volume.disks)
 
     def test_rebuild_read_count_reported(self, volume, rng):
         data = random_payload(rng, volume)

@@ -28,9 +28,11 @@ from repro.codes import make_code
 from repro.serve.checkpoint import DirtyStripeTracker
 from repro.util.ckernel import xor_kernel
 
-from tests.array.test_plan_kernel import ES, _spy, needs_kernel
+from tests.array.test_plan_kernel import (  # noqa: F401 — a fixture
+    ES, kernel_writes, needs_kernel,
+)
 from tests.conftest import ALL_ARRAY_CODES, SMALL_PRIMES
-from tests.oracles.diff import Mirror
+from tests.oracles.diff import Mirror, Spied
 
 STRIPES = 36
 
@@ -48,19 +50,12 @@ def _shapes(per):
     ]
 
 
-@pytest.fixture
-def route_runs(monkeypatch):
-    """The volume of every ``route_exec`` call of a write, in order."""
-    return _spy(monkeypatch, "_route_exec",
-                lambda start, count, route, values, out: values is not None)
-
-
 @pytest.mark.parametrize("code_name", ALL_ARRAY_CODES)
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 @pytest.mark.parametrize(
     "state", ("healthy", "failed", "rotated", "journaled")
 )
-def test_long_writes_two_engines(code_name, p, state, route_runs):
+def test_long_writes_two_engines(code_name, p, state, kernel_writes):
     """Every write shape, each written twice (fresh bytes, then the same
     bytes: zero deltas on the partial stripes): the kernel volume, the
     numpy volume, the per-element one and the walk hold the same bytes
@@ -80,12 +75,12 @@ def test_long_writes_two_engines(code_name, p, state, route_runs):
     for start, count in _shapes(per):
         data = rng.integers(0, 256, (count, ES), dtype=np.uint8)
         for _ in range(2):
-            del route_runs[:]
+            del kernel_writes[:]
             mirror.write(start, data)
             if xor_kernel() is None or state in ("failed", "rotated"):
-                assert route_runs == []
+                assert kernel_writes == []
             else:
-                assert route_runs == [mirror.kernel]
+                assert kernel_writes == [mirror.kernel]
     if state == "failed":
         mirror.rebuild(1, batch=8)
     assert mirror.scrub() == []
@@ -115,13 +110,12 @@ def test_a_long_write_is_one_route_exec_call(monkeypatch, shift):
     rng = np.random.default_rng(shift)
     volume.write(0, rng.integers(0, 256, (40 * per, ES), np.uint8))
     calls = []
-    route_exec = volume._route_exec
 
-    def spy(*args):
-        calls.append(args[1:3])
-        return route_exec(*args)
+    def spy(name, vol, call, args):
+        calls.append(args[1:3])  # start, count
+        return call(*args)
 
-    volume._route_exec = spy
+    volume._c = Spied(volume._c, volume, spy)
     _no_batched_encode(monkeypatch)
     start, count = 4 * per + shift, 32 * per
     data = rng.integers(0, 256, (count, ES), dtype=np.uint8)
@@ -151,7 +145,7 @@ def _spy_stores(monkeypatch):
 @pytest.mark.parametrize("case", ("tracker", "integrity", "latent"))
 @pytest.mark.parametrize("shift", (0, 3))
 def test_observers_and_latent_sectors_stand_the_route_down(
-    monkeypatch, route_runs, case, shift
+    monkeypatch, kernel_writes, case, shift
 ):
     """With a ``DirtyStripeTracker`` or an ``IntegrityChecker`` attached,
     or a latent sector on a disk the write touches, a healthy long
@@ -174,11 +168,11 @@ def test_observers_and_latent_sectors_stand_the_route_down(
         for volume in mirror.volumes:
             volume.disks[3].mark_bad(4 * layout.rows + 2)
             volume.disks[3].mark_bad(11 * layout.rows)
-    del route_runs[:]
+    del kernel_writes[:]
     stores = _spy_stores(monkeypatch)
     data = rng.integers(0, 256, (6 * per, ES), dtype=np.uint8)
     mirror.write(2 * per + shift, data)
-    assert route_runs == []
+    assert kernel_writes == []
     if case != "latent":  # a plan off disk 3 may still run in C
         a, b = (stores.get(v, []) for v in (mirror.kernel, mirror.numpy))
         assert len(a) == len(b) > 0

@@ -111,7 +111,7 @@ class TestViewWrittenBack:
         volume = RAID6Volume(make_code(code, 7), num_stripes=8,
                              element_size=16)
         if not kernel:
-            volume._plan_exec = None
+            volume._c = None
         per = volume.layout.num_data_cells
         shift %= per
         volume.write(0, np.random.default_rng(shift).integers(

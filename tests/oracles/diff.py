@@ -9,7 +9,7 @@ a disk with a hook gets the same plans element by element.
 indistinguishable:
 
 * ``kernel`` — the C kernel wherever ``RAID6Volume._kernel`` admits it;
-* ``numpy`` — the numpy interpreters only (``_plan_exec = None``);
+* ``numpy`` — the numpy interpreters only (``_c = None``: no kernel);
 * ``hooked`` — a fault hook that does nothing on every disk, so every
   gather and store goes element by element;
 * ``reference`` — the per-element walk of :mod:`tests.oracles.walk`,
@@ -60,7 +60,6 @@ from repro.exceptions import ReproError
 from repro.faults.health import HealthState
 from repro.journal import WriteIntentLog
 from repro.serve.checkpoint import DirtyStripeTracker
-from repro.util.ckernel import xor_kernel
 
 from bench.workloads import CACHE_STRIPES, EVICT_BATCH
 from tests.conftest import bucket
@@ -125,7 +124,7 @@ class Mirror:
             volume(WriteIntentLog() if journaled else None) for _ in range(3)
         )
         self.kernel, self.numpy, self.hooked = self.volumes
-        self.numpy._plan_exec = None
+        self.numpy._c = None
         for disk in self.hooked.disks:
             disk.fault_hook = _noop_hook
         self.reference = volume()
@@ -459,9 +458,49 @@ def stand_down(volume, cols: int, failed) -> Optional[str]:
         return "observer"
     if volume.journal is not None and volume.journal.phase_hook is not None:
         return "phase_hook"
-    if volume._plan_exec is None or xor_kernel() is None:
+    if volume._c is None:
         return "numpy"
     return None
+
+
+class Spied:
+    """Kernel handle ``c`` of ``volume`` making each entry point's call
+    through ``spy(name, volume, call, args)``, which makes it and returns
+    ``call(*args)``; ``args`` end ``values, out, counters, lock``."""
+
+    def __init__(self, c, volume, spy) -> None:
+        self.c, self.volume, self.spy = c, volume, spy
+
+    def __getattr__(self, name):
+        call = getattr(self.c, name)
+        return lambda *args: self.spy(name, self.volume, call, args)
+
+
+def spy_kernel(monkeypatch, spy) -> None:
+    """Every kernel handle ``RAID6Volume._kernel`` admits, handed out as
+    a :class:`Spied` making its calls through ``spy``."""
+    kernel = RAID6Volume._kernel
+
+    def spied(volume, cols, failed):
+        c = kernel(volume, cols, failed)
+        return None if c is None else Spied(c, volume, spy)
+
+    monkeypatch.setattr(RAID6Volume, "_kernel", spied)
+
+
+def kernel_calls(monkeypatch, name: str, writes=None) -> list:
+    """The volume of each ``name`` call (``"plan_exec"``, ``"route_exec"``)
+    of an admitted kernel handle, in order; with ``writes`` set, only the
+    calls that store values (``True``) or only those that do not."""
+    calls = []
+
+    def spy(called, volume, call, args):
+        if called == name and writes in (None, args[-4] is not None):
+            calls.append(volume)
+        return call(*args)
+
+    spy_kernel(monkeypatch, spy)
+    return calls
 
 
 def run_kinds(volume, route, write: bool) -> List[str]:
@@ -501,20 +540,15 @@ def watch(monkeypatch, hits: Counter) -> None:
     require the dispatch :func:`stand_down` and :data:`C_RUNS` specify."""
     ran: List[str] = []
 
-    def spy(name, label):
-        inner = getattr(ioplan, name)
+    def record(name, volume, call, args):
+        ran.append(name)
+        return call(*args)
 
-        def spied(*args, **kwargs):
-            ran.append(label)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(ioplan, name, spied)
-
-    for name, label in (("_route_exec", "route_exec"),
-                        ("_route_walk", "_route_walk"),
-                        ("_kernel_run", "plan_exec"),
-                        ("_plan_run", "_plan_run")):
-        spy(name, label)
+    for name in ("_route_walk", "_plan_run"):  # the numpy interpreters
+        monkeypatch.setattr(ioplan, name, functools.partial(
+            lambda name, call, *args: record(name, args[0], call, args),
+            name, getattr(ioplan, name),
+        ))
 
     kernel = RAID6Volume._kernel
 
@@ -525,7 +559,7 @@ def watch(monkeypatch, hits: Counter) -> None:
             f"_kernel {'refused' if run is None else 'admitted'}; " \
             f"expected {reason or 'admitted'}"
         hits["stand_down", reason or "admitted"] += 1
-        return run
+        return None if run is None else Spied(run, volume, record)
 
     monkeypatch.setattr(RAID6Volume, "_kernel", kernel_spy)
 

@@ -171,7 +171,6 @@ class TestKernelGilContract:
         values = np.random.default_rng(0).integers(
             0, 256, (stripes * per, 4096), dtype=np.uint8
         )
-        volume._load_kernel()
         geometry, io, lock = volume._geometry.address, volume._io, \
             volume._io_lock
         program = volume.codec.plans.encode.program
@@ -226,9 +225,9 @@ def test_kernel_refuses_buffers_it_cannot_use():
 
     volume = RAID6Volume(make_code("dcode", 5), num_stripes=4,
                          element_size=64)
-    if volume._load_kernel() is None:
+    if volume._c is None:
         pytest.skip("no C kernel")
-    route_exec, geometry = volume._route_exec, volume._geometry.address
+    route_exec, geometry = volume._c.route_exec, volume._geometry.address
     io, lock = volume._io, volume._io_lock
     read_only = np.zeros((10, 64), np.uint8)
     read_only.flags.writeable = False
